@@ -33,12 +33,17 @@ verify: build vet staticcheck race
 # skew-partitioning benchmarks as BENCH_5.json (hash vs range vs
 # split max/mean partition bytes via custom ReportMetric units), and
 # the shuffle data-plane benchmarks as BENCH_7.json (raw vs sendfile
-# vs compressed throughput with bytes-on-wire per op).
+# vs compressed throughput with bytes-on-wire per op). The
+# anti-combining layer's primitives go to BENCH_anticombine.json, named
+# for the layer: its baseline rows are the ones recorded in the
+# checked-in file (the map+heap Shared and stage-everything AntiReducer
+# they measured are gone from the tree), the benchmark rows are this run.
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkMapBufferSpill|BenchmarkMapPathE2E|BenchmarkMergeIter' -benchmem ./internal/mr/ | tee /dev/stderr | $(GO) run ./cmd/benchjson -out BENCH_4.json
 	$(GO) test -run '^$$' -bench 'BenchmarkSkewPartition' -benchmem ./internal/experiments/ | tee /dev/stderr | $(GO) run ./cmd/benchjson -out BENCH_5.json
 	$(GO) test -run '^$$' -bench 'BenchmarkPipelineHandoff' -benchmem ./internal/experiments/ | tee /dev/stderr | $(GO) run ./cmd/benchjson -out BENCH_6.json
 	$(GO) test -run '^$$' -bench 'BenchmarkShuffleDataPlane' -benchmem ./internal/mr/ | tee /dev/stderr | $(GO) run ./cmd/benchjson -out BENCH_7.json
+	$(GO) test -run '^$$' -bench 'BenchmarkEagerEncode|BenchmarkDecodeEager|BenchmarkSharedAddPop|BenchmarkAntiReducePlain' -benchmem ./internal/anticombine/ | tee /dev/stderr | $(GO) run ./cmd/benchjson -baseline BENCH_anticombine.json -out BENCH_anticombine.json
 
 # Every benchmark in the repository, human-readable.
 bench-all:

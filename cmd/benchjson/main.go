@@ -4,6 +4,12 @@
 // `<name>/default` sub-benchmarks. The CI bench job pipes the map-path
 // benchmarks through it to publish BENCH_4.json.
 //
+// With -baseline, an earlier report's rows are carried into the new one
+// as its "baseline" section and every benchmark present in both gets a
+// comparison, so a report whose old implementation no longer exists in
+// the tree keeps its before/after rows: `-baseline BENCH_x.json -out
+// BENCH_x.json` refreshes the after rows against the recorded before.
+//
 // Usage:
 //
 //	go test -run '^$' -bench . -benchmem ./internal/mr/ | benchjson -out BENCH_4.json
@@ -47,10 +53,15 @@ type Report struct {
 	CPU         string       `json:"cpu,omitempty"`
 	Benchmarks  []Benchmark  `json:"benchmarks"`
 	Comparisons []Comparison `json:"comparisons,omitempty"`
+	// Baseline holds the before rows of a -baseline report, measured on
+	// BaselineCPU.
+	Baseline    []Benchmark `json:"baseline,omitempty"`
+	BaselineCPU string      `json:"baseline_cpu,omitempty"`
 }
 
 func main() {
 	out := flag.String("out", "", "output file (default stdout)")
+	baseline := flag.String("baseline", "", "earlier report whose rows become this report's baseline (may be the -out file)")
 	flag.Parse()
 
 	report, err := parse(bufio.NewScanner(os.Stdin))
@@ -59,6 +70,12 @@ func main() {
 		os.Exit(1)
 	}
 	report.Comparisons = compare(report.Benchmarks)
+	if *baseline != "" {
+		if err := addBaseline(report, *baseline); err != nil {
+			fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
+			os.Exit(1)
+		}
+	}
 
 	w := os.Stdout
 	if *out != "" {
@@ -163,21 +180,52 @@ func compare(benches []Benchmark) []Comparison {
 		if !ok {
 			continue
 		}
-		def, ok := byName[root+"/default"]
-		if !ok {
-			continue
+		if def, ok := byName[root+"/default"]; ok {
+			out = append(out, comparison(root, b, def))
 		}
-		c := Comparison{Name: root}
-		if def.NsPerOp > 0 {
-			c.SpeedupX = b.NsPerOp / def.NsPerOp
-		}
-		if b.BytesPerOp > 0 {
-			c.BytesReductionPct = 100 * (1 - def.BytesPerOp/b.BytesPerOp)
-		}
-		if b.AllocsPerOp > 0 {
-			c.AllocReductionPct = 100 * (1 - def.AllocsPerOp/b.AllocsPerOp)
-		}
-		out = append(out, c)
 	}
 	return out
+}
+
+// comparison relates a benchmark's before and after rows.
+func comparison(name string, before, after Benchmark) Comparison {
+	c := Comparison{Name: name}
+	if after.NsPerOp > 0 {
+		c.SpeedupX = before.NsPerOp / after.NsPerOp
+	}
+	if before.BytesPerOp > 0 {
+		c.BytesReductionPct = 100 * (1 - after.BytesPerOp/before.BytesPerOp)
+	}
+	if before.AllocsPerOp > 0 {
+		c.AllocReductionPct = 100 * (1 - after.AllocsPerOp/before.AllocsPerOp)
+	}
+	return c
+}
+
+// addBaseline reads the report at path and carries its baseline rows —
+// or, when it has none, its benchmark rows — into r, comparing every
+// benchmark of r that has one.
+func addBaseline(r *Report, path string) error {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	var old Report
+	if err := json.Unmarshal(raw, &old); err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	r.Baseline, r.BaselineCPU = old.Baseline, old.BaselineCPU
+	if len(r.Baseline) == 0 {
+		r.Baseline, r.BaselineCPU = old.Benchmarks, old.CPU
+	}
+	before := make(map[string]Benchmark, len(r.Baseline))
+	for _, b := range r.Baseline {
+		before[b.Name] = b
+	}
+	for _, b := range r.Benchmarks {
+		if old, ok := before[b.Name]; ok {
+			r.Comparisons = append(r.Comparisons, comparison(b.Name, old, b))
+		}
+	}
+	return nil
 }

@@ -1,8 +1,11 @@
 package anticombine
 
 import (
+	"fmt"
 	"testing"
 
+	"repro/internal/bytesx"
+	"repro/internal/iokit"
 	"repro/internal/mr"
 )
 
@@ -93,17 +96,71 @@ func BenchmarkDecodeEager(b *testing.B) {
 	}
 }
 
+// BenchmarkSharedAddPop is one warm Shared taking 100 distinct keys and
+// giving them back in order: the steady state of a reduce task whose
+// records carry other keys.
 func BenchmarkSharedAddPop(b *testing.B) {
+	s := newTestShared(1 << 20)
+	keys := make([][]byte, 100)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("key%05d", (i*37)%100))
+	}
+	value := []byte("watch how i met your mother online")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		s := newTestShared(1 << 20)
-		for j := 0; j < 100; j++ {
-			s.Add([]byte{byte(j)}, []byte("value"))
+		for _, k := range keys {
+			s.Add(k, value)
 		}
 		for !s.Empty() {
 			if _, _, err := s.PopMinKeyValues(); err != nil {
 				b.Fatal(err)
 			}
+		}
+	}
+}
+
+// oneValueIter serves a single value, over and over after each rewind.
+type oneValueIter struct {
+	value []byte
+	done  bool
+}
+
+func (it *oneValueIter) Next() ([]byte, bool) {
+	if it.done {
+		return nil, false
+	}
+	it.done = true
+	return it.value, true
+}
+
+// BenchmarkAntiReducePlain is the AntiReducer's cost for a record that
+// carries no sharing — Sort's shape (§7.1): one Reduce call on a group of
+// one plain record, the original Reduce emitting it.
+func BenchmarkAntiReducePlain(b *testing.B) {
+	r := &antiReducer{
+		inner: mr.NewReduceFunc(func(key []byte, values mr.ValueIter, out mr.Emitter) error {
+			for {
+				if _, ok := values.Next(); !ok {
+					return nil
+				}
+				if err := out.Emit(key, nil); err != nil {
+					return err
+				}
+			}
+		})(),
+		newMapper: mr.NewMapFunc(func(_, _ []byte, _ mr.Emitter) error { return nil }),
+	}
+	var out mr.Emitter = discardEmitter{}
+	if err := r.Setup(harnessInfo(bytesx.Bytes, iokit.NewMemFS()), out); err != nil {
+		b.Fatal(err)
+	}
+	key := []byte("the quick brown fox jumps over the lazy dog")
+	it := &oneValueIter{value: AppendPlainValue(nil, nil)}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		it.done = false
+		if err := r.Reduce(key, it, out); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

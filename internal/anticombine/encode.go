@@ -100,7 +100,12 @@ type Decoded struct {
 }
 
 // DecodeValue parses an encoded value component.
-func DecodeValue(buf []byte) (Decoded, error) {
+func DecodeValue(buf []byte) (Decoded, error) { return decodeValue(buf, nil) }
+
+// decodeValue is DecodeValue with an EagerSH record's OtherKeys built in
+// keys' backing array when it is large enough, so a caller that hands
+// the previous call's OtherKeys back decodes without allocating.
+func decodeValue(buf []byte, keys [][]byte) (Decoded, error) {
 	if len(buf) == 0 {
 		return Decoded{}, fmt.Errorf("%w: empty", ErrBadEncoding)
 	}
@@ -117,7 +122,10 @@ func DecodeValue(buf []byte) (Decoded, error) {
 		if n > uint64(len(rest)) {
 			return Decoded{}, fmt.Errorf("%w: eager key count %d too large", ErrBadEncoding, n)
 		}
-		keys := make([][]byte, 0, n)
+		if uint64(cap(keys)) < n {
+			keys = make([][]byte, 0, n)
+		}
+		keys = keys[:0]
 		for i := uint64(0); i < n; i++ {
 			k, used, err := bytesx.GetBytes(rest)
 			if err != nil {

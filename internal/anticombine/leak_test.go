@@ -140,6 +140,47 @@ func TestSharedMergeErrorCleanup(t *testing.T) {
 	}
 }
 
+// TestSharedSpillErrorCleanup: a write failure while spilling must
+// surface the error, close and remove the partially written run file,
+// and end the shared-spill span — the spill-side twin of
+// TestSharedMergeErrorCleanup.
+func TestSharedSpillErrorCleanup(t *testing.T) {
+	// The first spill is ~200 KiB through a 64 KiB record writer: writes
+	// 1-3 happen inside WriteRecord, write 4 is the final Flush.
+	for _, failAt := range []int64{1, 4} {
+		mem := iokit.NewMemFS()
+		track := &iokit.TrackFS{Inner: &iokit.FlakyFS{Inner: mem, FailWriteAt: failAt}}
+		tracer := obs.NewTracer()
+		s := NewShared(SharedConfig{
+			KeyCompare:    bytesx.Bytes,
+			MemLimitBytes: 200 << 10,
+			FS:            track,
+			Prefix:        "spillfail",
+			Tracer:        tracer,
+		})
+		var err error
+		for i := 0; err == nil && i < 10000; i++ {
+			err = s.Add([]byte(fmt.Sprintf("key%04d", i)), []byte("a value of some length"))
+		}
+		if !errors.Is(err, iokit.ErrInjected) {
+			t.Fatalf("fail at write %d: Add error = %v, want injected", failAt, err)
+		}
+		if n := track.OpenHandles(); n != 0 {
+			t.Errorf("fail at write %d: %d handles left open", failAt, n)
+		}
+		if names := listFiles(t, mem); len(names) != 0 {
+			t.Errorf("fail at write %d: partial run file left behind: %v", failAt, names)
+		}
+		spans := tracer.Spans()
+		if len(spans) != 1 || spans[0].Kind != obs.KindSharedSpill {
+			t.Errorf("fail at write %d: spans = %+v, want one ended shared-spill span", failAt, spans)
+		}
+		if err := s.Close(); err != nil {
+			t.Errorf("Close after failed spill: %v", err)
+		}
+	}
+}
+
 // errAfterReader serves its buffered bytes, then fails every further
 // read with ErrInjected, and records whether it was closed.
 type errAfterReader struct {

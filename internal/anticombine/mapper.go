@@ -2,7 +2,7 @@ package anticombine
 
 import (
 	"bytes"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/bytesx"
@@ -56,11 +56,15 @@ type antiMapper struct {
 
 	lazyAllowed bool // false when the job is non-deterministic
 
+	sink mr.Emitter         // capture, as the original Map's output
+	pout partitionedEmitter // the current call's out, when it takes partitions
+
 	arena   []byte
 	recs    []capturedRec
 	scratch []byte
-	groups  []eagerGroup // reused by buildEagerGroups
-	keybuf  [][]byte     // reused for eager key sets
+	groups  []eagerGroup   // reused by buildEagerGroups
+	byValue map[string]int // reused by buildEagerGroups: value → group index
+	keybuf  [][]byte       // reused for eager key sets
 
 	windowCalls int // Map calls buffered in the current cross-call window
 
@@ -102,6 +106,14 @@ func (m *antiMapper) capture(key, value []byte) error {
 	return nil
 }
 
+// partitionedEmitter is the engine's map-output collector seen through
+// the Emitter it hands a map task: it accepts the partition the caller
+// already computed for key with the job's Partitioner, so the engine
+// does not compute it a second time.
+type partitionedEmitter interface {
+	EmitPartitioned(partition int, key, value []byte) error
+}
+
 func (m *antiMapper) reset() {
 	m.arena = m.arena[:0]
 	m.recs = m.recs[:0]
@@ -111,8 +123,9 @@ func (m *antiMapper) reset() {
 // Setup have no input record to fall back to, so LazySH is off for them.
 func (m *antiMapper) Setup(info *mr.TaskInfo, out mr.Emitter) error {
 	m.info = info
+	m.sink = mr.EmitterFunc(m.capture)
 	m.reset()
-	if err := m.inner.Setup(info, mr.EmitterFunc(m.capture)); err != nil {
+	if err := m.inner.Setup(info, m.sink); err != nil {
 		return err
 	}
 	m.assignPartitions()
@@ -135,7 +148,12 @@ func (m *antiMapper) Map(key, value []byte, out mr.Emitter) error {
 	if measure {
 		mapStart = time.Now()
 	}
-	if err := m.inner.Map(key, value, mr.EmitterFunc(m.capture)); err != nil {
+	if err := m.inner.Map(key, value, m.sink); err != nil {
+		return err
+	}
+	if len(m.recs) == 1 && !measure {
+		err := m.emitOne(out, key, value)
+		m.reset()
 		return err
 	}
 	var callCost time.Duration
@@ -167,7 +185,7 @@ func (m *antiMapper) Map(key, value []byte, out mr.Emitter) error {
 // one record per partition. LazySH is unavailable across calls — a
 // window spans several input records — so windows encode eagerly.
 func (m *antiMapper) mapWindowed(key, value []byte, out mr.Emitter) error {
-	if err := m.inner.Map(key, value, mr.EmitterFunc(m.capture)); err != nil {
+	if err := m.inner.Map(key, value, m.sink); err != nil {
 		return err
 	}
 	m.windowCalls++
@@ -200,7 +218,7 @@ func (m *antiMapper) Cleanup(out mr.Emitter) error {
 		}
 	}
 	m.reset()
-	if err := m.inner.Cleanup(mr.EmitterFunc(m.capture)); err != nil {
+	if err := m.inner.Cleanup(m.sink); err != nil {
 		return err
 	}
 	m.assignPartitions()
@@ -246,6 +264,26 @@ func (m *antiMapper) assignPartitions() int {
 	return touched
 }
 
+// emitOne is encodeAndEmit for a Map call that emitted exactly one
+// record — Sort's shape (§7.1). One record is one partition and one
+// sharing group, so nothing is sorted, grouped or even partitioned (the
+// engine partitions what it is handed); all that is left of the adaptive
+// choice is LazySH against plain, whose encodings differ only in the
+// value component.
+func (m *antiMapper) emitOne(out mr.Emitter, inputKey, inputValue []byte) error {
+	k, v := m.reckey(m.recs[0]), m.recvalue(m.recs[0])
+	m.nOrigRecords++
+	m.nOrigBytes += int64(bytesx.RecordLen(k, v))
+	if m.lazyAllowed && (m.opts.Strategy == LazyOnly || LazyValueSize(inputKey, inputValue) < PlainValueSize(v)) {
+		m.scratch = AppendLazyValue(m.scratch[:0], inputKey, inputValue)
+		m.nLazy++
+	} else {
+		m.scratch = AppendPlainValue(m.scratch[:0], v)
+		m.nPlain++
+	}
+	return out.Emit(k, m.scratch)
+}
+
 // encodeAndEmit realizes Algorithm 1 / Algorithm 3 with the per-partition
 // adaptive choice of §6.1: group this call's records by partition, build
 // the EagerSH encoding (grouped by value within the partition), compare
@@ -258,6 +296,8 @@ func (m *antiMapper) encodeAndEmit(out mr.Emitter, inputKey, inputValue []byte, 
 	if len(m.recs) == 0 {
 		return nil
 	}
+	// out is a per-call argument, so what it can do is asked per call.
+	m.pout, _ = out.(partitionedEmitter)
 	m.nOrigRecords += int64(len(m.recs))
 	for _, r := range m.recs {
 		m.nOrigBytes += int64(bytesx.RecordLen(m.reckey(r), m.recvalue(r)))
@@ -267,9 +307,7 @@ func (m *antiMapper) encodeAndEmit(out mr.Emitter, inputKey, inputValue []byte, 
 	// groups them without disturbing in-partition order. Calls whose
 	// output is already grouped (the common one-record case) skip it.
 	if !partitionsGrouped(m.recs) {
-		sort.SliceStable(m.recs, func(i, j int) bool {
-			return m.recs[i].partition < m.recs[j].partition
-		})
+		slices.SortStableFunc(m.recs, func(a, b capturedRec) int { return a.partition - b.partition })
 	}
 
 	choice := m.callChoice(inputKey, inputValue, hasInput, underThreshold)
@@ -383,7 +421,7 @@ func (m *antiMapper) emitPartition(out mr.Emitter, recs []capturedRec, inputKey,
 		m.scratch = m.scratch[:0]
 		m.scratch = AppendLazyValue(m.scratch, inputKey, inputValue)
 		m.nLazy++
-		return out.Emit(m.reckey(recs[m.minKeyIndex(recs)]), m.scratch)
+		return m.emit(out, recs[0].partition, m.reckey(recs[m.minKeyIndex(recs)]), m.scratch)
 	}
 
 	for gi := range groups {
@@ -400,33 +438,41 @@ func (m *antiMapper) emitPartition(out mr.Emitter, recs []capturedRec, inputKey,
 			m.scratch = AppendEagerValue(m.scratch, m.keybuf, m.recvalue(recs[g.rep]))
 			m.nEager++
 		}
-		if err := out.Emit(m.reckey(recs[g.rep]), m.scratch); err != nil {
+		if err := m.emit(out, recs[0].partition, m.reckey(recs[g.rep]), m.scratch); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
+// emit hands the engine one encoded record of partition p, with p when
+// the engine's collector takes it.
+func (m *antiMapper) emit(out mr.Emitter, p int, key, value []byte) error {
+	if m.pout != nil {
+		return m.pout.EmitPartitioned(p, key, value)
+	}
+	return out.Emit(key, value)
+}
+
 // buildEagerGroups groups one partition's records by identical value,
 // choosing each group's minimal key as representative (Algorithm 1's
 // GROUP BY getPartition(key), value).
 func (m *antiMapper) buildEagerGroups(recs []capturedRec, cmp bytesx.Compare) []eagerGroup {
-	groups := m.resetGroups()
-	if len(recs) == 1 {
-		return append(groups, eagerGroup{rep: 0})
-	}
 	// Small partitions (the overwhelmingly common case) group by linear
 	// value comparison; larger ones switch to a hash index.
 	if len(recs) <= 8 {
 		return m.buildEagerGroupsLinear(recs, cmp)
 	}
-	index := make(map[string]int, len(recs))
+	groups := m.groups[:0]
+	if m.byValue == nil {
+		m.byValue = make(map[string]int, len(recs))
+	}
+	clear(m.byValue)
 	for i := range recs {
-		v := string(m.recvalue(recs[i]))
-		gi, ok := index[v]
+		gi, ok := m.byValue[string(m.recvalue(recs[i]))]
 		if !ok {
-			index[v] = len(groups)
-			groups = append(groups, eagerGroup{rep: i})
+			m.byValue[string(m.recvalue(recs[i]))] = len(groups)
+			groups = appendGroup(groups, i)
 			continue
 		}
 		g := &groups[gi]
@@ -441,20 +487,23 @@ func (m *antiMapper) buildEagerGroups(recs []capturedRec, cmp bytesx.Compare) []
 	return groups
 }
 
-// resetGroups recycles the group buffer (and the key-set slices inside
-// it) so steady-state encoding does not allocate.
-func (m *antiMapper) resetGroups() []eagerGroup {
-	for i := range m.groups {
-		m.groups[i].others = m.groups[i].others[:0]
+// appendGroup appends a group of one record, recycling the slot (and the
+// key-set slice inside it) an earlier call left beyond len, so
+// steady-state encoding does not allocate.
+func appendGroup(groups []eagerGroup, rep int) []eagerGroup {
+	if len(groups) == cap(groups) {
+		return append(groups, eagerGroup{rep: rep})
 	}
-	m.groups = m.groups[:0]
-	return m.groups
+	groups = groups[:len(groups)+1]
+	g := &groups[len(groups)-1]
+	g.rep, g.others = rep, g.others[:0]
+	return groups
 }
 
 // buildEagerGroupsLinear is buildEagerGroups for small partitions,
 // avoiding the map allocation.
 func (m *antiMapper) buildEagerGroupsLinear(recs []capturedRec, cmp bytesx.Compare) []eagerGroup {
-	groups := m.resetGroups()
+	groups := m.groups[:0]
 outer:
 	for i := range recs {
 		v := m.recvalue(recs[i])
@@ -470,7 +519,7 @@ outer:
 				continue outer
 			}
 		}
-		groups = append(groups, eagerGroup{rep: i})
+		groups = appendGroup(groups, i)
 	}
 	m.groups = groups
 	return groups

@@ -39,10 +39,16 @@ type antiReducer struct {
 	info    *mr.TaskInfo
 	oMapper mr.Mapper
 	shared  *Shared
-	out     mr.Emitter // wrapped output (plain-encodes in combiner mode)
-	scratch []byte
 
-	nReexec int64 // batched CounterMapReexec, flushed at Cleanup
+	// Per-call state kept here so a Reduce call allocates nothing.
+	plain     plainEmitter // combiner mode's output adapter
+	group     groupIter    // the incoming group, as the original Reduce sees it
+	popped    sliceIter    // a group popped from Shared
+	otherKeys [][]byte     // eager decode scratch
+
+	reexec    mr.Emitter // keepLocal, as the re-executed Map's output
+	reexecErr error      // a Shared error keepLocal returned during the current re-execution
+	nReexec   int64      // batched CounterMapReexec, flushed at Cleanup
 }
 
 // Setup implements mr.Reducer.
@@ -71,10 +77,23 @@ func (r *antiReducer) Setup(info *mr.TaskInfo, out mr.Emitter) error {
 
 	// The original Map is needed on this side to decode LazySH records.
 	r.oMapper = r.newMapper()
+	r.reexec = mr.EmitterFunc(r.keepLocal)
 	if err := r.oMapper.Setup(info, discardEmitter{}); err != nil {
 		return err
 	}
 	return r.inner.Setup(info, r.wrapOut(out))
+}
+
+// plainEmitter re-encodes emitted values as plain records.
+type plainEmitter struct {
+	out     mr.Emitter
+	scratch []byte
+}
+
+// Emit implements mr.Emitter.
+func (e *plainEmitter) Emit(k, v []byte) error {
+	e.scratch = AppendPlainValue(e.scratch[:0], v)
+	return e.out.Emit(k, e.scratch)
 }
 
 // wrapOut re-encodes emitted values as plain records in combiner mode so
@@ -83,48 +102,144 @@ func (r *antiReducer) wrapOut(out mr.Emitter) mr.Emitter {
 	if !r.combineMode {
 		return out
 	}
-	return mr.EmitterFunc(func(k, v []byte) error {
-		r.scratch = AppendPlainValue(r.scratch[:0], v)
-		return out.Emit(k, r.scratch)
-	})
+	r.plain.out = out
+	return &r.plain
+}
+
+// fail releases what a failing task would otherwise leak — Shared's
+// open spill-run readers and their files, the reducer-side Map object —
+// since the engine does not call Cleanup after an error. It returns err.
+func (r *antiReducer) fail(err error) error {
+	r.shared.Close()
+	r.oMapper.Cleanup(discardEmitter{})
+	return err
 }
 
 // Reduce implements mr.Reducer, realizing Algorithms 2 and 4: drain
-// Shared below the current key, decode this key's records into Shared,
-// then run the original Reduce on the key's union of values.
+// Shared below the current key, then run the original Reduce on the
+// union of this key's decoded records and what Shared holds for it.
+// Unless Shared already holds part of the group, the records are not
+// staged there first: the original Reduce pulls them through groupIter.
 func (r *antiReducer) Reduce(key []byte, values mr.ValueIter, out mr.Emitter) error {
 	wrapped := r.wrapOut(out)
 	if err := r.drainBelow(key, wrapped); err != nil {
-		return err
+		return r.fail(err)
 	}
-	for {
-		v, ok := values.Next()
-		if !ok {
+	it := &r.group
+	*it = groupIter{r: r, key: key, in: values}
+	if mk, ok := r.shared.peekMin(); ok && r.info.GroupCompare(mk, key) == 0 {
+		// Shared's part of the group may sort before the incoming one.
+		if it.stage(); it.err != nil {
+			return r.fail(it.err)
+		}
+		key = it.stagedKey
+	}
+	err := r.inner.Reduce(key, it, wrapped)
+	// The original Reduce may return early, or not notice a decode error
+	// behind a false Next. Every record must be decoded regardless: the
+	// other keys it carries belong to later groups.
+	for err == nil {
+		if _, ok := it.Next(); !ok {
+			err = it.err
 			break
 		}
-		if err := r.decodeInto(key, v); err != nil {
-			return err
-		}
 	}
-	// Everything this Reduce call owes the original program now sits in
-	// Shared under the current key (decoded keys are all >= key, because
-	// encoding chose the minimal key as representative).
-	if mk, ok := r.shared.PeekMinKey(); ok && r.info.GroupCompare(mk, key) == 0 {
-		gk, vals, err := r.shared.PopMinKeyValues()
-		if err != nil {
-			return err
-		}
-		return r.inner.Reduce(gk, sliceIter(vals), wrapped)
+	if err != nil {
+		return r.fail(err)
 	}
 	return nil
 }
 
-// decodeInto decodes one encoded value component into Shared.
-func (r *antiReducer) decodeInto(key, raw []byte) error {
-	dec, err := DecodeValue(raw)
-	if err != nil {
-		return err
+// groupIter is the ValueIter the original Reduce gets for an incoming
+// key group. It starts in pass-through: plain values, and an EagerSH
+// record's own-key value, are handed on as views of the engine's buffer
+// while the record's other keys — all in later groups — go to Shared.
+// The first record that can put a key of this group into Shared (a
+// LazySH record, or an EagerSH record with such an other key) ends
+// pass-through: it and the rest of the input are staged in Shared, whose
+// group is then popped and served. The original Reduce sees the sequence
+// full staging produces (DESIGN.md, "Reduce-side hot path"): every key a
+// record contributes is >= the current key, so what is passed on first —
+// the current key's values, in arrival order — is what staging pops
+// first.
+type groupIter struct {
+	r   *antiReducer
+	key []byte
+	in  mr.ValueIter
+
+	staged    bool      // pass-through is over
+	stagedKey []byte    // the popped group's key
+	rest      sliceIter // the popped group's values
+	err       error
+}
+
+// Next implements mr.ValueIter.
+func (it *groupIter) Next() ([]byte, bool) {
+	r := it.r
+	for !it.staged && it.err == nil {
+		raw, ok := it.in.Next()
+		if !ok {
+			it.staged = true // exhausted, with nothing popped
+			break
+		}
+		if len(raw) > 0 && raw[0] == EncPlain {
+			return raw[1:], true
+		}
+		var dec Decoded
+		if dec, it.err = decodeValue(raw, r.otherKeys); it.err != nil {
+			break
+		}
+		if dec.Enc == EncEager && !r.anyInGroup(dec.OtherKeys, it.key) {
+			if it.err = r.addOthers(dec); it.err != nil {
+				break
+			}
+			return dec.Value, true
+		}
+		if it.err = r.addDecoded(it.key, dec); it.err == nil {
+			it.stage()
+		}
 	}
+	if it.err != nil {
+		return nil, false
+	}
+	return it.rest.Next()
+}
+
+// anyInGroup reports whether any of keys is group-equal to key.
+func (r *antiReducer) anyInGroup(keys [][]byte, key []byte) bool {
+	for _, k := range keys {
+		if r.info.GroupCompare(k, key) == 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// stage ends pass-through: every remaining incoming record is decoded
+// into Shared, and Shared's group for the current key, then complete, is
+// popped.
+func (it *groupIter) stage() {
+	r := it.r
+	it.staged = true
+	for it.err == nil {
+		raw, ok := it.in.Next()
+		if !ok {
+			// Every decoded key is >= the current key, so Shared's minimum
+			// is the current group or a later one.
+			if mk, ok := r.shared.peekMin(); ok && r.info.GroupCompare(mk, it.key) == 0 {
+				it.stagedKey, it.rest.vals, it.err = r.shared.PopMinKeyValues()
+			}
+			return
+		}
+		var dec Decoded
+		if dec, it.err = decodeValue(raw, r.otherKeys); it.err == nil {
+			it.err = r.addDecoded(it.key, dec)
+		}
+	}
+}
+
+// addDecoded adds one decoded record of the group keyed key to Shared.
+func (r *antiReducer) addDecoded(key []byte, dec Decoded) error {
 	switch dec.Enc {
 	case EncPlain:
 		return r.shared.Add(key, dec.Value)
@@ -132,16 +247,23 @@ func (r *antiReducer) decodeInto(key, raw []byte) error {
 		if err := r.shared.Add(key, dec.Value); err != nil {
 			return err
 		}
-		for _, ok := range dec.OtherKeys {
-			if err := r.shared.Add(ok, dec.Value); err != nil {
-				return err
-			}
-		}
-		return nil
+		return r.addOthers(dec)
 	case EncLazy:
 		return r.reexecuteMap(dec.InputKey, dec.InputValue)
 	}
 	return fmt.Errorf("%w: flag %d", ErrBadEncoding, dec.Enc)
+}
+
+// addOthers adds an EagerSH record's value under its other keys, and
+// keeps the record's key slice as the next decode's scratch.
+func (r *antiReducer) addOthers(dec Decoded) error {
+	r.otherKeys = dec.OtherKeys
+	for _, k := range dec.OtherKeys {
+		if err := r.shared.Add(k, dec.Value); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // reexecuteMap regenerates a LazySH record's Map output on this reducer,
@@ -149,36 +271,44 @@ func (r *antiReducer) decodeInto(key, raw []byte) error {
 // lines 6-10).
 func (r *antiReducer) reexecuteMap(inputKey, inputValue []byte) error {
 	r.nReexec++
-	var addErr error
-	err := r.oMapper.Map(inputKey, inputValue, mr.EmitterFunc(func(k, v []byte) error {
-		if r.info.Partitioner.Partition(k, r.info.NumPartitions) != r.info.Partition {
-			return nil
-		}
-		if err := r.shared.Add(k, v); err != nil {
-			addErr = err
-			return err
-		}
-		return nil
-	}))
-	if addErr != nil {
-		return addErr
+	r.reexecErr = nil
+	err := r.oMapper.Map(inputKey, inputValue, r.reexec)
+	if r.reexecErr != nil {
+		// Reported even when the original Map swallowed it.
+		return r.reexecErr
 	}
 	return err
+}
+
+// keepLocal receives the re-executed Map's output.
+func (r *antiReducer) keepLocal(k, v []byte) error {
+	if r.info.Partitioner.Partition(k, r.info.NumPartitions) != r.info.Partition {
+		return nil
+	}
+	r.reexecErr = r.shared.Add(k, v)
+	return r.reexecErr
+}
+
+// reduceMin pops Shared's smallest group and runs the original Reduce
+// on it.
+func (r *antiReducer) reduceMin(wrapped mr.Emitter) error {
+	gk, vals, err := r.shared.PopMinKeyValues()
+	if err != nil {
+		return err
+	}
+	r.popped = sliceIter{vals: vals}
+	return r.inner.Reduce(gk, &r.popped, wrapped)
 }
 
 // drainBelow runs the original Reduce for every Shared key group below
 // key (the repeat-until loop of Algorithms 2 and 4).
 func (r *antiReducer) drainBelow(key []byte, wrapped mr.Emitter) error {
 	for {
-		altKey, ok := r.shared.PeekMinKey()
+		altKey, ok := r.shared.peekMin()
 		if !ok || r.info.GroupCompare(altKey, key) >= 0 {
 			return nil
 		}
-		gk, vals, err := r.shared.PopMinKeyValues()
-		if err != nil {
-			return err
-		}
-		if err := r.inner.Reduce(gk, sliceIter(vals), wrapped); err != nil {
+		if err := r.reduceMin(wrapped); err != nil {
 			return err
 		}
 	}
@@ -190,16 +320,12 @@ func (r *antiReducer) drainBelow(key []byte, wrapped mr.Emitter) error {
 func (r *antiReducer) Cleanup(out mr.Emitter) error {
 	wrapped := r.wrapOut(out)
 	for !r.shared.Empty() {
-		gk, vals, err := r.shared.PopMinKeyValues()
-		if err != nil {
-			return err
-		}
-		if err := r.inner.Reduce(gk, sliceIter(vals), wrapped); err != nil {
-			return err
+		if err := r.reduceMin(wrapped); err != nil {
+			return r.fail(err)
 		}
 	}
 	if err := r.shared.Close(); err != nil {
-		return err
+		return r.fail(err)
 	}
 	if err := r.oMapper.Cleanup(discardEmitter{}); err != nil {
 		return err
@@ -209,17 +335,20 @@ func (r *antiReducer) Cleanup(out mr.Emitter) error {
 	return r.inner.Cleanup(wrapped)
 }
 
-// sliceIter adapts a value slice to mr.ValueIter.
-func sliceIter(vals [][]byte) mr.ValueIter {
-	i := 0
-	return valueIterFunc(func() ([]byte, bool) {
-		if i >= len(vals) {
-			return nil, false
-		}
-		v := vals[i]
-		i++
-		return v, true
-	})
+// sliceIter streams a popped value slice as an mr.ValueIter.
+type sliceIter struct {
+	vals [][]byte
+	i    int
+}
+
+// Next implements mr.ValueIter.
+func (it *sliceIter) Next() ([]byte, bool) {
+	if it.i >= len(it.vals) {
+		return nil, false
+	}
+	v := it.vals[it.i]
+	it.i++
+	return v, true
 }
 
 // discardEmitter swallows emissions from wrapped Setup/Cleanup hooks

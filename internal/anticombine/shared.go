@@ -1,9 +1,10 @@
 package anticombine
 
 import (
-	"container/heap"
+	"bytes"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"io"
 
 	"repro/internal/bytesx"
@@ -19,13 +20,21 @@ import (
 const combineBatch = 16
 
 // Shared is the reduce-task-level structure of §5 that carries decoded
-// key/value pairs between Reduce calls. It keeps a min-heap over
-// distinct keys plus a hash table from key to values; when the memory
-// budget is exceeded, the content is written to a spill file in sorted
-// key order (mirroring the map phase's sort-and-spill), and spill files
-// are merged when they exceed the merge threshold. Reads are strictly
-// in ascending key order — PeekMinKey / PopMinKeyValues — so spilled
-// runs are consumed by buffered sequential reads, never random access.
+// key/value pairs between Reduce calls: a min-heap over distinct keys
+// plus a hash index from key to values. When the memory budget is
+// exceeded, the content is written to a spill file in sorted key order
+// (mirroring the map phase's sort-and-spill), and spill files are
+// merged when they exceed the merge threshold. Reads are strictly in
+// ascending key order — PeekMinKey / PopMinKeyValues — so spilled runs
+// are consumed by buffered sequential reads, never random access.
+//
+// The in-memory part is laid out like the engine's mapBuffer: key and
+// value bytes live in one arena, entries address them by offset, and
+// arena, entries, value lists, heap and hash index are all recycled, so
+// a warm Shared adds and pops without allocating. Popped entries leave
+// dead bytes behind; they are reclaimed wholesale when memory empties
+// (every spill, and whenever the reducer catches up) and by compaction
+// when the arena is mostly dead.
 //
 // With a combiner attached, values are combined on insert so each key
 // keeps (nearly) a single record ("Using Combine in the Reduce Phase",
@@ -34,9 +43,13 @@ type Shared struct {
 	cmp      bytesx.Compare
 	groupCmp bytesx.Compare
 
-	keys    entryHeap
-	entries map[string]*sharedEntry
-	mem     int
+	arena   []byte        // key and value bytes, live and dead
+	spare   []byte        // compaction target, swapped with arena
+	ents    []sharedEntry // entry slots; a slot keeps its value list's capacity across reuse
+	free    []int32       // slots of ents not in use
+	heap    []int32       // min-heap of live slots by key
+	buckets []int32       // chained hash index over live slots: slot+1, 0 = end of chain
+	mem     int           // live key+value bytes: the quantity memLimit bounds
 
 	memLimit    int
 	mergeFactor int
@@ -47,19 +60,35 @@ type Shared struct {
 	counters    *mr.Counters
 	tracer      *obs.Tracer
 
-	combiner mr.Reducer
-	spills   int64
+	combiner   mr.Reducer
+	combineOut mr.Emitter // appends the combiner's output to arena and combined
+	combineIn  sliceIter
+	combined   []valSpan
+	spills     int64
+
+	// PopMinKeyValues' result storage: the group key and spilled values
+	// in popBuf, the value views in popVals.
+	popBuf  []byte
+	popVals [][]byte
 }
 
-// sharedEntry owns one key's canonical bytes and values. combinedLen
-// remembers the value count the last combine produced, so keys whose
-// values the combiner cannot shrink (e.g. distinct-query lists) are
-// recombined only after the list doubles — amortized linear instead of
-// quadratic.
+// indexSeed keys every Shared's hash index.
+var indexSeed = maphash.MakeSeed()
+
+// valSpan addresses one value in the arena.
+type valSpan struct{ off, n int }
+
+// sharedEntry is one distinct in-memory key and its values in arrival
+// order. combinedLen remembers the value count the last combine
+// produced, so keys whose values the combiner cannot shrink (e.g.
+// distinct-query lists) are recombined only after the list doubles —
+// amortized linear instead of quadratic.
 type sharedEntry struct {
-	key         []byte
-	values      [][]byte
-	combinedLen int
+	keyOff, keyLen int
+	hash           uint64
+	next           int32 // hash chain: slot+1, 0 = end
+	vals           []valSpan
+	combinedLen    int
 }
 
 // SharedConfig configures a Shared instance.
@@ -98,11 +127,10 @@ func NewShared(cfg SharedConfig) *Shared {
 	if cfg.MergeFactor < 2 {
 		cfg.MergeFactor = 10
 	}
-	return &Shared{
+	s := &Shared{
 		cmp:         cfg.KeyCompare,
 		groupCmp:    cfg.GroupCompare,
-		keys:        entryHeap{cmp: cfg.KeyCompare},
-		entries:     make(map[string]*sharedEntry),
+		buckets:     make([]int32, 64),
 		memLimit:    cfg.MemLimitBytes,
 		mergeFactor: cfg.MergeFactor,
 		fs:          cfg.FS,
@@ -111,20 +139,38 @@ func NewShared(cfg SharedConfig) *Shared {
 		tracer:      cfg.Tracer,
 		combiner:    cfg.Combiner,
 	}
+	if s.combiner != nil {
+		s.combineOut = mr.EmitterFunc(s.addCombined)
+	}
+	return s
 }
 
-// Add inserts one decoded key/value pair. Both slices are copied.
+func (s *Shared) key(e *sharedEntry) []byte { return s.arena[e.keyOff : e.keyOff+e.keyLen] }
+
+func (s *Shared) value(v valSpan) []byte { return s.arena[v.off : v.off+v.n] }
+
+// compactSlack is how far the arena may outgrow twice its live bytes
+// before Add compacts it: small enough that a Shared that never empties
+// stays within a constant factor of memLimit, large enough that the
+// copy is amortized over at least as many dead bytes as it moves.
+const compactSlack = 64 << 10
+
+// Add inserts one decoded key/value pair. Both slices are copied. It
+// invalidates the views a previous PopMinKeyValues returned.
 func (s *Shared) Add(key, value []byte) error {
-	e, ok := s.entries[string(key)]
-	if !ok {
-		e = &sharedEntry{key: bytesx.Clone(key)}
-		s.entries[string(e.key)] = e
-		heap.Push(&s.keys, e)
-		s.mem += len(e.key)
+	if len(s.arena) > 2*s.mem+compactSlack {
+		s.compact()
 	}
-	e.values = append(e.values, bytesx.Clone(value))
+	h := maphash.Bytes(indexSeed, key)
+	id := s.find(key, h)
+	if id < 0 {
+		id = s.insert(key, h)
+	}
+	e := &s.ents[id]
+	e.vals = append(e.vals, valSpan{len(s.arena), len(value)})
+	s.arena = append(grow(s.arena, len(value)), value...)
 	s.mem += len(value)
-	if s.combiner != nil && len(e.values) >= combineBatch && len(e.values) >= 2*e.combinedLen {
+	if s.combiner != nil && len(e.vals) >= combineBatch && len(e.vals) >= 2*e.combinedLen {
 		if err := s.combineEntry(e); err != nil {
 			return err
 		}
@@ -135,69 +181,192 @@ func (s *Shared) Add(key, value []byte) error {
 	return nil
 }
 
-// combineEntry folds an entry's values into the combiner's output,
-// keeping (usually) a single record per key.
-func (s *Shared) combineEntry(e *sharedEntry) error {
-	for _, v := range e.values {
-		s.mem -= len(v)
+// grow returns b with room for n more bytes. It doubles: append grows a
+// large slice by a quarter, which over an arena's growth to tens of
+// megabytes allocates five times its final size, where doubling
+// allocates twice.
+func grow(b []byte, n int) []byte {
+	if len(b)+n <= cap(b) {
+		return b
 	}
-	old := e.values
-	i := 0
-	vi := valueIterFunc(func() ([]byte, bool) {
-		if i >= len(old) {
-			return nil, false
+	return append(make([]byte, 0, max(2*cap(b), len(b)+n)), b...)
+}
+
+// find returns the live slot holding key, or -1.
+func (s *Shared) find(key []byte, h uint64) int32 {
+	for id := s.buckets[h&uint64(len(s.buckets)-1)] - 1; id >= 0; id = s.ents[id].next - 1 {
+		if e := &s.ents[id]; e.hash == h && bytes.Equal(s.key(e), key) {
+			return id
 		}
-		v := old[i]
-		i++
-		return v, true
-	})
-	var combined [][]byte
-	emit := mr.EmitterFunc(func(_, v []byte) error {
-		combined = append(combined, bytesx.Clone(v))
-		return nil
-	})
-	if err := s.combiner.Reduce(e.key, vi, emit); err != nil {
+	}
+	return -1
+}
+
+// insert copies key into the arena under a recycled (or new) slot and
+// links the slot into the heap and the hash index.
+func (s *Shared) insert(key []byte, h uint64) int32 {
+	id := int32(len(s.ents))
+	if n := len(s.free); n > 0 {
+		id, s.free = s.free[n-1], s.free[:n-1]
+	} else {
+		s.ents = append(s.ents, sharedEntry{})
+	}
+	e := &s.ents[id]
+	*e = sharedEntry{keyOff: len(s.arena), keyLen: len(key), hash: h, vals: e.vals[:0]}
+	s.arena = append(grow(s.arena, len(key)), key...)
+	s.mem += len(key)
+
+	if len(s.heap) >= len(s.buckets) {
+		s.growIndex()
+	}
+	b := &s.buckets[h&uint64(len(s.buckets)-1)]
+	e.next, *b = *b, id+1
+
+	s.heap = append(s.heap, id)
+	for i := len(s.heap) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if s.cmp(s.key(&s.ents[s.heap[i]]), s.key(&s.ents[s.heap[parent]])) >= 0 {
+			break
+		}
+		s.heap[i], s.heap[parent] = s.heap[parent], s.heap[i]
+		i = parent
+	}
+	return id
+}
+
+// growIndex doubles the hash index and relinks every live slot.
+func (s *Shared) growIndex() {
+	s.buckets = make([]int32, 2*len(s.buckets))
+	for _, id := range s.heap {
+		e := &s.ents[id]
+		b := &s.buckets[e.hash&uint64(len(s.buckets)-1)]
+		e.next, *b = *b, id+1
+	}
+}
+
+// popHeap removes and returns the slot with the smallest key. The slot
+// stays in the hash index and off the free list until release.
+func (s *Shared) popHeap() int32 {
+	top := s.heap[0]
+	n := len(s.heap) - 1
+	s.heap[0] = s.heap[n]
+	s.heap = s.heap[:n]
+	for i := 0; ; {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if r := child + 1; r < n && s.cmp(s.key(&s.ents[s.heap[r]]), s.key(&s.ents[s.heap[child]])) < 0 {
+			child = r
+		}
+		if s.cmp(s.key(&s.ents[s.heap[child]]), s.key(&s.ents[s.heap[i]])) >= 0 {
+			break
+		}
+		s.heap[i], s.heap[child] = s.heap[child], s.heap[i]
+		i = child
+	}
+	return top
+}
+
+// release unlinks a popped slot from the hash index and recycles it.
+func (s *Shared) release(id int32) {
+	e := &s.ents[id]
+	p := &s.buckets[e.hash&uint64(len(s.buckets)-1)]
+	for *p != id+1 {
+		p = &s.ents[*p-1].next
+	}
+	*p = e.next
+	s.free = append(s.free, id)
+}
+
+// resetMem drops the whole in-memory part, keeping every buffer.
+func (s *Shared) resetMem() {
+	s.free = append(s.free, s.heap...)
+	s.arena, s.heap, s.mem = s.arena[:0], s.heap[:0], 0
+	clear(s.buckets)
+}
+
+// compact copies the live keys and values into the spare arena, in heap
+// order, and swaps the two.
+func (s *Shared) compact() {
+	dst := grow(s.spare[:0], s.mem)
+	for _, id := range s.heap {
+		e := &s.ents[id]
+		off := len(dst)
+		dst = append(dst, s.key(e)...)
+		e.keyOff = off
+		for i, v := range e.vals {
+			e.vals[i].off = len(dst)
+			dst = append(dst, s.value(v)...)
+		}
+	}
+	s.arena, s.spare = dst, s.arena
+}
+
+// combineEntry folds an entry's values into the combiner's output,
+// keeping (usually) a single record per key. The combiner reads views of
+// the old values while its output is appended to the arena behind them
+// (a regrown arena leaves the views the old array).
+func (s *Shared) combineEntry(e *sharedEntry) error {
+	old := s.popVals[:0]
+	for _, v := range e.vals {
+		s.mem -= v.n
+		old = append(old, s.value(v))
+	}
+	s.popVals, s.combineIn = old, sliceIter{vals: old}
+	s.combined = s.combined[:0]
+	if err := s.combiner.Reduce(s.key(e), &s.combineIn, s.combineOut); err != nil {
 		return err
 	}
-	if len(combined) == 0 {
+	if len(s.combined) == 0 {
 		return errors.New("anticombine: combiner emitted no output for Shared insert")
 	}
-	e.values = combined
-	e.combinedLen = len(combined)
-	for _, v := range combined {
-		s.mem += len(v)
-	}
+	e.vals, s.combined = s.combined, e.vals
+	e.combinedLen = len(e.vals)
 	return nil
 }
 
-type valueIterFunc func() ([]byte, bool)
-
-func (f valueIterFunc) Next() ([]byte, bool) { return f() }
+// addCombined is the Emitter combineEntry hands the combiner.
+func (s *Shared) addCombined(_, v []byte) error {
+	s.combined = append(s.combined, valSpan{len(s.arena), len(v)})
+	s.arena = append(grow(s.arena, len(v)), v...)
+	s.mem += len(v)
+	return nil
+}
 
 // Empty reports whether no keys remain, in memory or spilled.
-func (s *Shared) Empty() bool { return s.keys.Len() == 0 && len(s.runs) == 0 }
+func (s *Shared) Empty() bool { return len(s.heap) == 0 && len(s.runs) == 0 }
 
-// peekMinInternal returns the smallest key present without cloning. The
-// slice is only valid until the next mutation.
-func (s *Shared) peekMinInternal() ([]byte, bool) {
-	var best []byte
-	if s.keys.Len() > 0 {
-		best = s.keys.entries[0].key
-	}
+// minRun returns the live spill run with the smallest head key (the
+// first of equals), or nil.
+func (s *Shared) minRun() *sharedRun {
+	var best *sharedRun
 	for _, r := range s.runs {
-		if r.done {
-			continue
-		}
-		if best == nil || s.cmp(r.headKey, best) < 0 {
-			best = r.headKey
+		if !r.done && (best == nil || s.cmp(r.headKey, best.headKey) < 0) {
+			best = r
 		}
 	}
-	return best, best != nil
+	return best
+}
+
+// peekMin returns the smallest key present without copying it. The
+// slice is only valid until the next mutation.
+func (s *Shared) peekMin() ([]byte, bool) {
+	r := s.minRun()
+	if len(s.heap) > 0 {
+		if k := s.key(&s.ents[s.heap[0]]); r == nil || s.cmp(k, r.headKey) <= 0 {
+			return k, true
+		}
+	}
+	if r == nil {
+		return nil, false
+	}
+	return r.headKey, true
 }
 
 // PeekMinKey returns (a copy of) the smallest key present.
 func (s *Shared) PeekMinKey() ([]byte, bool) {
-	best, ok := s.peekMinInternal()
+	best, ok := s.peekMin()
 	if !ok {
 		return nil, false
 	}
@@ -209,38 +378,38 @@ func (s *Shared) PeekMinKey() ([]byte, bool) {
 // gathered from memory and spill runs in ascending full-key order —
 // "since records are removed from Shared in key order, the values
 // passed to o_reducer.reduce are in key order" (§6.1) — which is what
-// secondary-sort programs rely on.
+// secondary-sort programs rely on. The returned slices are views into
+// Shared's buffers, valid until the next Add or PopMinKeyValues.
 func (s *Shared) PopMinKeyValues() (key []byte, values [][]byte, err error) {
-	key, ok := s.PeekMinKey()
+	min, ok := s.peekMin()
 	if !ok {
 		return nil, nil, errors.New("anticombine: PopMinKeyValues on empty Shared")
 	}
-	scratch := make([]byte, 0, len(key))
-	for {
-		cur, ok := s.peekMinInternal()
-		if !ok || s.groupCmp(cur, key) != 0 {
-			break
-		}
-		// cur aliases mutable state; keep a private copy for the
-		// equality scans below.
-		scratch = append(scratch[:0], cur...)
-
+	// Views into buf stay valid when a later append regrows it: they keep
+	// the old array, whose bytes are never rewritten during this call.
+	buf := append(s.popBuf[:0], min...)
+	key = buf
+	values = s.popVals[:0]
+	for cur := key; ; {
 		// Drain the in-memory entry for exactly this key first, then
 		// matching spill-run heads (duplicate-key order between the two
 		// sources is unspecified, as in Hadoop).
-		for s.keys.Len() > 0 && s.cmp(s.keys.entries[0].key, scratch) == 0 {
-			e := heap.Pop(&s.keys).(*sharedEntry)
-			delete(s.entries, string(e.key))
-			s.mem -= len(e.key)
-			for _, v := range e.values {
-				s.mem -= len(v)
+		for len(s.heap) > 0 && s.cmp(s.key(&s.ents[s.heap[0]]), cur) == 0 {
+			id := s.popHeap()
+			e := &s.ents[id]
+			s.mem -= e.keyLen
+			for _, v := range e.vals {
+				s.mem -= v.n
+				values = append(values, s.value(v))
 			}
-			values = append(values, e.values...)
+			s.release(id)
 		}
-		// The head buffers are reused by advance, so values are cloned.
+		// The head buffers are reused by advance, so run values are copied.
 		for _, r := range s.runs {
-			for !r.done && s.cmp(r.headKey, scratch) == 0 {
-				values = append(values, bytesx.Clone(r.headVal))
+			for !r.done && s.cmp(r.headKey, cur) == 0 {
+				off := len(buf)
+				buf = append(buf, r.headVal...)
+				values = append(values, buf[off:len(buf):len(buf)])
 				if err := r.advance(); err != nil {
 					return nil, nil, err
 				}
@@ -249,6 +418,19 @@ func (s *Shared) PopMinKeyValues() (key []byte, values [][]byte, err error) {
 		if err := s.dropFinishedRuns(); err != nil {
 			return nil, nil, err
 		}
+		next, ok := s.peekMin()
+		if !ok || s.groupCmp(next, key) != 0 {
+			break
+		}
+		off := len(buf)
+		buf = append(buf, next...)
+		cur = buf[off:]
+	}
+	s.popBuf, s.popVals = buf, values
+	if len(s.heap) == 0 {
+		// Everything in the arena is dead. The views just handed out stay
+		// intact until the next Add writes over them.
+		s.resetMem()
 	}
 	return key, values, nil
 }
@@ -276,7 +458,8 @@ func (s *Shared) dropFinishedRuns() error {
 func (s *Shared) Spills() int { return int(s.spills) }
 
 // spill writes the in-memory content to a new sorted run, then merges
-// runs if they exceed the merge factor.
+// runs if they exceed the merge factor. On a write error the partial run
+// file is closed and removed, like mergeRuns' partial output.
 func (s *Shared) spill() error {
 	if s.fs == nil {
 		return errors.New("anticombine: Shared memory limit exceeded and no spill FS configured")
@@ -288,36 +471,28 @@ func (s *Shared) spill() error {
 		s.counters.AddExtra(CounterSharedSpills, 1)
 	}
 	span := s.tracer.Start(obs.KindSharedSpill, name)
-	f, err := s.fs.Create(name)
-	if err != nil {
-		return err
-	}
-	w := bytesx.NewWriter(f)
-	for s.keys.Len() > 0 {
-		e := heap.Pop(&s.keys).(*sharedEntry)
-		delete(s.entries, string(e.key))
-		for _, v := range e.values {
-			if err := w.WriteRecord(e.key, v); err != nil {
-				f.Close()
-				return err
+	w, err := s.writeRun(name, func(w *bytesx.Writer) error {
+		for len(s.heap) > 0 {
+			id := s.popHeap()
+			s.free = append(s.free, id)
+			e := &s.ents[id]
+			for _, v := range e.vals {
+				if err := w.WriteRecord(s.key(e), s.value(v)); err != nil {
+					return err
+				}
 			}
 		}
-	}
-	s.mem = 0
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
+		return nil
+	})
+	// Written or lost, the in-memory content is gone.
+	s.resetMem()
+	if err != nil {
+		span.End(obs.Str("outcome", "failed"), obs.Str("err", err.Error()))
 		return err
 	}
 	span.End(obs.Int("records", w.Records()), obs.Int("bytes", w.Bytes()))
-	run, err := openSharedRun(s.fs, name)
-	if err != nil {
+	if err := s.openRun(name); err != nil {
 		return err
-	}
-	if run != nil {
-		s.runs = append(s.runs, run)
 	}
 	if len(s.runs) > s.mergeFactor {
 		return s.mergeRuns()
@@ -325,12 +500,45 @@ func (s *Shared) spill() error {
 	return nil
 }
 
+// writeRun creates name, lets fill write its records and closes it. On
+// any error the partially written file is closed and best-effort removed.
+func (s *Shared) writeRun(name string, fill func(*bytesx.Writer) error) (*bytesx.Writer, error) {
+	f, err := s.fs.Create(name)
+	if err != nil {
+		return nil, err
+	}
+	w := bytesx.NewWriter(f)
+	if err = fill(w); err == nil {
+		err = w.Flush()
+	}
+	if err != nil {
+		f.Close()
+	} else {
+		err = f.Close()
+	}
+	if err != nil {
+		s.fs.Remove(name)
+		return nil, err
+	}
+	return w, nil
+}
+
+// openRun appends the run file name to the live runs (an empty one is
+// deleted instead).
+func (s *Shared) openRun(name string) error {
+	run, err := openSharedRun(s.fs, name)
+	if run != nil {
+		s.runs = append(s.runs, run)
+	}
+	return err
+}
+
 // mergeRuns merges all current runs into a single sorted run, mirroring
 // the map phase's spill merge (§5). The consumed pre-merge run files
-// are deleted only after the merged run is durably written and
-// reopened; on a mid-merge error the partially written merge file is
-// closed and removed while the source runs stay intact on disk (their
-// readers, if still open, are released by Close).
+// are deleted only after the merged run is durably written; on a
+// mid-merge error the partially written merge file is closed and
+// removed while the source runs stay intact on disk (their readers, if
+// still open, are released by Close).
 func (s *Shared) mergeRuns() error {
 	name := fmt.Sprintf("%s/shared-merge%04d", s.prefix, s.spillSeq)
 	s.spillSeq++
@@ -338,64 +546,29 @@ func (s *Shared) mergeRuns() error {
 		s.counters.AddExtra(CounterSharedMerges, 1)
 	}
 	span := s.tracer.Start(obs.KindSharedMerge, name, obs.Int("runs", int64(len(s.runs))))
-	f, err := s.fs.Create(name)
+	w, err := s.writeRun(name, func(w *bytesx.Writer) error {
+		for r := s.minRun(); r != nil; r = s.minRun() {
+			if err := w.WriteRecord(r.headKey, r.headVal); err != nil {
+				return err
+			}
+			if err := r.advance(); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 	if err != nil {
-		return err
-	}
-	// abort closes and best-effort deletes the partial merge output.
-	abort := func() {
-		f.Close()
-		s.fs.Remove(name)
-	}
-	w := bytesx.NewWriter(f)
-	h := runHeap{cmp: s.cmp, runs: append([]*sharedRun(nil), s.runs...)}
-	heap.Init(&h)
-	for h.Len() > 0 {
-		r := h.runs[0]
-		if err := w.WriteRecord(r.headKey, r.headVal); err != nil {
-			abort()
-			return err
-		}
-		if err := r.advance(); err != nil {
-			abort()
-			return err
-		}
-		if r.done {
-			heap.Pop(&h)
-		} else {
-			heap.Fix(&h, 0)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		abort()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		s.fs.Remove(name)
+		span.End(obs.Str("outcome", "failed"), obs.Str("err", err.Error()))
 		return err
 	}
 	span.End(obs.Int("records", w.Records()), obs.Int("bytes", w.Bytes()))
 	// The merge succeeded: the source runs are fully consumed (their
 	// readers closed at EOF), so delete their files before swapping in
 	// the merged run.
-	var removeErr error
-	for _, r := range s.runs {
-		if err := s.fs.Remove(r.name); err != nil && removeErr == nil {
-			removeErr = err
-		}
-	}
-	s.runs = nil
-	if removeErr != nil {
-		return removeErr
-	}
-	run, err := openSharedRun(s.fs, name)
-	if err != nil {
+	if err := s.dropFinishedRuns(); err != nil {
 		return err
 	}
-	if run != nil {
-		s.runs = append(s.runs, run)
-	}
-	return nil
+	return s.openRun(name)
 }
 
 // Close releases any open spill run readers and deletes their backing
@@ -425,14 +598,17 @@ type sharedRun struct {
 }
 
 // openSharedRun opens a run and primes its head record. A run with no
-// records is closed, deleted, and returned as nil.
+// records is closed, deleted, and returned as nil; so is one whose first
+// read fails, since no Shared will ever own it.
 func openSharedRun(fs iokit.FS, name string) (*sharedRun, error) {
 	f, err := fs.Open(name)
 	if err != nil {
+		fs.Remove(name)
 		return nil, err
 	}
 	run := &sharedRun{r: bytesx.NewReader(f), closer: f, name: name}
 	if err := run.advance(); err != nil {
+		fs.Remove(name)
 		return nil, err
 	}
 	if run.done {
@@ -466,43 +642,4 @@ func (r *sharedRun) close() error {
 	c := r.closer
 	r.closer = nil
 	return c.Close()
-}
-
-// entryHeap is a min-heap over distinct in-memory key entries. Holding
-// the entries themselves keeps comparisons allocation-free.
-type entryHeap struct {
-	entries []*sharedEntry
-	cmp     bytesx.Compare
-}
-
-func (h entryHeap) Len() int { return len(h.entries) }
-func (h entryHeap) Less(i, j int) bool {
-	return h.cmp(h.entries[i].key, h.entries[j].key) < 0
-}
-func (h entryHeap) Swap(i, j int)       { h.entries[i], h.entries[j] = h.entries[j], h.entries[i] }
-func (h *entryHeap) Push(x interface{}) { h.entries = append(h.entries, x.(*sharedEntry)) }
-func (h *entryHeap) Pop() interface{} {
-	old := h.entries
-	n := len(old)
-	e := old[n-1]
-	h.entries = old[:n-1]
-	return e
-}
-
-// runHeap orders spill runs by head key for merging.
-type runHeap struct {
-	runs []*sharedRun
-	cmp  bytesx.Compare
-}
-
-func (h runHeap) Len() int            { return len(h.runs) }
-func (h runHeap) Less(i, j int) bool  { return h.cmp(h.runs[i].headKey, h.runs[j].headKey) < 0 }
-func (h runHeap) Swap(i, j int)       { h.runs[i], h.runs[j] = h.runs[j], h.runs[i] }
-func (h *runHeap) Push(x interface{}) { h.runs = append(h.runs, x.(*sharedRun)) }
-func (h *runHeap) Pop() interface{} {
-	old := h.runs
-	n := len(old)
-	r := old[n-1]
-	h.runs = old[:n-1]
-	return r
 }

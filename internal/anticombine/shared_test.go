@@ -1,6 +1,7 @@
 package anticombine
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -268,5 +269,42 @@ func TestSharedPeekEmpty(t *testing.T) {
 	}
 	if !s.Empty() {
 		t.Error("new Shared should be empty")
+	}
+}
+
+// TestSharedWarmAddPopDoesNotAllocate: once the arena, the entry slots
+// and the index have grown to a workload's size, adding and popping it
+// again allocates nothing — including re-adding popped keys, compaction
+// of a never-empty arena, and value lists that grow.
+func TestSharedWarmAddPopDoesNotAllocate(t *testing.T) {
+	s := NewShared(SharedConfig{KeyCompare: bytesx.Bytes, MemLimitBytes: 1 << 30})
+	keys := make([][]byte, 64)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("key%03d", (i*37)%64))
+	}
+	value := bytes.Repeat([]byte("v"), 2048)
+	round := func() {
+		for _, k := range keys {
+			s.Add(k, value)
+			s.Add(k, value[:9])
+		}
+		for range keys {
+			if _, vals, err := s.PopMinKeyValues(); err != nil || len(vals) != 2 {
+				t.Fatalf("pop: %d values, %v", len(vals), err)
+			}
+		}
+	}
+	// A key larger than all others stays behind for good, so the arena
+	// never empties and reclaiming its dead bytes is compaction's job.
+	s.Add([]byte("zzz"), value)
+	for i := 0; i < 8; i++ {
+		round()
+	}
+	if allocs := testing.AllocsPerRun(20, round); allocs != 0 {
+		t.Errorf("a warm Shared allocates %v times per 128 adds + 64 pops, want 0", allocs)
+	}
+	peak := len(keys)*(len(keys[0])+len(value)+9) + s.mem
+	if len(s.arena) > 2*peak+compactSlack {
+		t.Errorf("arena holds %d bytes after rounds of %d live: compaction is not reclaiming dead space", len(s.arena), peak)
 	}
 }

@@ -1,11 +1,13 @@
 package anticombine
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -369,5 +371,51 @@ func TestWrapPreservesJobConfig(t *testing.T) {
 	w2 := Wrap(job, Options{MapCombiner: true})
 	if w2.NewCombiner == nil {
 		t.Error("combiner should be kept (transformed) when MapCombiner is true")
+	}
+}
+
+// countingPartitioner counts Partition calls across a job's tasks.
+type countingPartitioner struct {
+	inner mr.Partitioner
+	calls *atomic.Int64
+}
+
+func (p countingPartitioner) Partition(key []byte, n int) int {
+	p.calls.Add(1)
+	return p.inner.Partition(key, n)
+}
+
+// TestPartitionRunsOncePerRecord: the AntiMapper partitions what a Map
+// call emits to encode it per partition, and hands the engine's collector
+// that partition instead of having it computed again; a one-record call
+// it does not partition at all. Either way the job's Partitioner runs
+// once per record the original Map emitted.
+func TestPartitionRunsOncePerRecord(t *testing.T) {
+	for _, base := range []*mr.Job{prefixJob(nil, 4), identityJob()} {
+		var calls atomic.Int64
+		base.Partitioner = countingPartitioner{mr.HashPartitioner{}, &calls}
+		res, err := mr.Run(Wrap(base, Options{Strategy: EagerOnly}), queries(120))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := res.Stats.Extra[CounterOrigMapRecords]; calls.Load() != want {
+			t.Errorf("%s: %d Partition calls for %d original map output records", base.Name, calls.Load(), want)
+		}
+	}
+}
+
+// TestPrePartitionedEmitKeepsEngineChecks: a partition handed to the
+// collector is still range-checked, and still held to AlignedInput.
+func TestPrePartitionedEmitKeepsEngineChecks(t *testing.T) {
+	outOfRange := prefixJob(mr.PartitionerFunc(func([]byte, int) int { return 99 }), 4)
+	if _, err := mr.Run(Wrap(outOfRange, Options{Strategy: EagerOnly}), queries(20)); err == nil ||
+		!strings.Contains(err.Error(), "partitioner returned 99") {
+		t.Errorf("out-of-range partition: error = %v", err)
+	}
+	misaligned := prefixJob(nil, 4)
+	misaligned.AlignedInput = true
+	splits := []mr.Split{queries(20)[0], &mr.MemSplit{}, &mr.MemSplit{}, &mr.MemSplit{}}
+	if _, err := mr.Run(Wrap(misaligned, Options{Strategy: EagerOnly}), splits); !errors.Is(err, mr.ErrMisaligned) {
+		t.Errorf("off-diagonal partition under AlignedInput: error = %v, want ErrMisaligned", err)
 	}
 }

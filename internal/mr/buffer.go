@@ -368,6 +368,7 @@ func (b *mapBuffer) combineRun(partition int, entries []bufEntry, w *bytesx.Writ
 		return err
 	}
 	cmp := b.job.KeyCompare
+	vi := &runValueIter{b: b} // one iterator, re-pointed at each group
 	for start := 0; start < len(entries); {
 		end := start
 		key := b.key(entries[start])
@@ -375,16 +376,7 @@ func (b *mapBuffer) combineRun(partition int, entries []bufEntry, w *bytesx.Writ
 			end++
 		}
 		b.counters.combineInRecords.Add(int64(end - start))
-		group := entries[start:end]
-		i := 0
-		vi := valueIterFunc(func() ([]byte, bool) {
-			if i >= len(group) {
-				return nil, false
-			}
-			v := b.value(group[i])
-			i++
-			return v, true
-		})
+		vi.group = entries[start:end]
 		if err := combiner.Reduce(key, vi, out); err != nil {
 			return err
 		}
@@ -393,9 +385,21 @@ func (b *mapBuffer) combineRun(partition int, entries []bufEntry, w *bytesx.Writ
 	return combiner.Cleanup(out)
 }
 
-type valueIterFunc func() ([]byte, bool)
+// runValueIter streams the values of one key group of a sorted run.
+type runValueIter struct {
+	b     *mapBuffer
+	group []bufEntry // the values not yet returned
+}
 
-func (f valueIterFunc) Next() ([]byte, bool) { return f() }
+// Next implements ValueIter.
+func (it *runValueIter) Next() ([]byte, bool) {
+	if len(it.group) == 0 {
+		return nil, false
+	}
+	v := it.b.value(it.group[0])
+	it.group = it.group[1:]
+	return v, true
+}
 
 // finish spills any buffered records, releases the pooled buffers, and
 // merges each partition's spill segments into a single map output
@@ -634,6 +638,8 @@ func combineMerged(job *Job, fs iokit.FS, counters *Counters, partition int, mer
 		return err
 	}
 	grouped := newGroupedIter(merged, job.KeyCompare)
+	vi := grouped.groupValues()
+	counting := &countingValueIter{vi, counters}
 	for {
 		key, ok, err := grouped.nextGroup()
 		if err != nil {
@@ -642,14 +648,6 @@ func combineMerged(job *Job, fs iokit.FS, counters *Counters, partition int, mer
 		if !ok {
 			break
 		}
-		vi := grouped.groupValues(key)
-		counting := valueIterFunc(func() ([]byte, bool) {
-			v, ok := vi.Next()
-			if ok {
-				counters.combineInRecords.Add(1)
-			}
-			return v, ok
-		})
 		if err := combiner.Reduce(key, counting, out); err != nil {
 			return err
 		}
@@ -658,4 +656,19 @@ func combineMerged(job *Job, fs iokit.FS, counters *Counters, partition int, mer
 		}
 	}
 	return combiner.Cleanup(out)
+}
+
+// countingValueIter meters the values a merge-time combiner pulls.
+type countingValueIter struct {
+	in       *groupValueIter
+	counters *Counters
+}
+
+// Next implements ValueIter.
+func (it *countingValueIter) Next() ([]byte, bool) {
+	v, ok := it.in.Next()
+	if ok {
+		it.counters.combineInRecords.Add(1)
+	}
+	return v, ok
 }

@@ -162,24 +162,35 @@ func (m *mergeIter) next() ([]byte, []byte, error) {
 
 // groupedIter walks a merged stream one key group at a time, where a
 // group is a maximal run of keys equal under groupCmp. It backs the
-// ValueIter handed to Reduce calls.
+// ValueIter handed to Reduce calls, and allocates nothing per group:
+// the group key is copied into one reused buffer, the record that ends a
+// group is held as the merge handed it out (valid until the merge's
+// following next, which only the next group's second value triggers),
+// and one ValueIter serves every group. Hence Reduce's contract: key and
+// values are valid only for the call.
 type groupedIter struct {
 	m        *mergeIter
 	groupCmp bytesx.Compare
 
-	pendingKey []byte
+	key        []byte // the current group's first key, copied
+	pendingKey []byte // first record of the next group, as the merge returned it
 	pendingVal []byte
 	hasPending bool
 	done       bool
 	err        error
+
+	values groupValueIter
 }
 
 func newGroupedIter(m *mergeIter, groupCmp bytesx.Compare) *groupedIter {
-	return &groupedIter{m: m, groupCmp: groupCmp}
+	g := &groupedIter{m: m, groupCmp: groupCmp}
+	g.values.g = g
+	return g
 }
 
 // nextGroup positions the iterator at the next key group, returning its
-// (cloned) first key, or false when the stream is exhausted.
+// first key, or false when the stream is exhausted. The key is valid
+// until the following nextGroup.
 func (g *groupedIter) nextGroup() ([]byte, bool, error) {
 	if g.err != nil || g.done {
 		return nil, false, g.err
@@ -197,35 +208,28 @@ func (g *groupedIter) nextGroup() ([]byte, bool, error) {
 		g.pendingKey, g.pendingVal = k, v
 		g.hasPending = true
 	}
-	return bytesx.Clone(g.pendingKey), true, nil
+	g.key = append(g.key[:0], g.pendingKey...)
+	return g.key, true, nil
 }
 
 // groupValues returns the ValueIter over the current group. It must be
 // drained (or abandoned via drain) before nextGroup is called again.
-func (g *groupedIter) groupValues(groupKey []byte) *groupValueIter {
-	return &groupValueIter{g: g, key: groupKey}
-}
+func (g *groupedIter) groupValues() *groupValueIter { return &g.values }
 
-type groupValueIter struct {
-	g   *groupedIter
-	key []byte
-}
+type groupValueIter struct{ g *groupedIter }
 
 // Next implements ValueIter.
 func (it *groupValueIter) Next() ([]byte, bool) {
 	g := it.g
-	if g.err != nil {
+	if g.err != nil || g.done {
 		return nil, false
 	}
 	if g.hasPending {
-		if g.groupCmp(g.pendingKey, it.key) != 0 {
+		if g.groupCmp(g.pendingKey, g.key) != 0 {
 			return nil, false
 		}
-		// pendingVal is a private clone, safe to hand out.
-		v := g.pendingVal
 		g.hasPending = false
-		g.pendingVal = nil
-		return v, true
+		return g.pendingVal, true
 	}
 	k, v, err := g.m.next()
 	if errors.Is(err, io.EOF) {
@@ -236,9 +240,8 @@ func (it *groupValueIter) Next() ([]byte, bool) {
 		g.err = err
 		return nil, false
 	}
-	if g.groupCmp(k, it.key) != 0 {
-		g.pendingKey = bytesx.Clone(k)
-		g.pendingVal = bytesx.Clone(v)
+	if g.groupCmp(k, g.key) != 0 {
+		g.pendingKey, g.pendingVal = k, v
 		g.hasPending = true
 		return nil, false
 	}

@@ -183,35 +183,67 @@ func BenchmarkMapPathE2E(b *testing.B) {
 	}
 }
 
-// BenchmarkMergeIter isolates the k-way merge.
+// BenchmarkMergeIter isolates the k-way merge: "merge" drains the merged
+// stream record by record, "grouped" walks it the way a reduce task
+// does, one single-record key group at a time (Sort's shape), where the
+// only allocations left are the merge's own set-up.
 func BenchmarkMergeIter(b *testing.B) {
-	mkStream := func(seed int) recordStream {
-		i := 0
-		return streamFunc(func() ([]byte, []byte, error) {
-			if i >= 1000 {
-				return nil, nil, io.EOF
-			}
-			k := []byte(fmt.Sprintf("k%06d", i*16+seed))
-			i++
-			return k, k, nil
-		})
+	const streams, perStream = 16, 1000
+	keys := make([][]byte, streams*perStream)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("k%06d", i))
 	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		streams := make([]recordStream, 16)
-		for s := range streams {
-			streams[s] = mkStream(s)
+	cmp := func(a, b []byte) int { return stringsCompare(string(a), string(b)) }
+	newMerge := func(b *testing.B) *mergeIter {
+		in := make([]recordStream, streams)
+		for s := range in {
+			i := s
+			in[s] = streamFunc(func() ([]byte, []byte, error) {
+				if i >= len(keys) {
+					return nil, nil, io.EOF
+				}
+				k := keys[i]
+				i += streams
+				return k, k, nil
+			})
 		}
-		m, err := newMergeIter(streams, func(a, b []byte) int {
-			return stringsCompare(string(a), string(b))
-		})
+		m, err := newMergeIter(in, cmp)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := drainStreams(mergeAsStream{m}); err != nil {
-			b.Fatal(err)
-		}
+		return m
 	}
+	b.Run("merge", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := drainStreams(mergeAsStream{newMerge(b)}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("grouped", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			g := newGroupedIter(newMerge(b), cmp)
+			groups := 0
+			for {
+				_, ok, err := g.nextGroup()
+				if err != nil {
+					b.Fatal(err)
+				}
+				if !ok {
+					break
+				}
+				if err := g.groupValues().drain(); err != nil {
+					b.Fatal(err)
+				}
+				groups++
+			}
+			if groups != len(keys) {
+				b.Fatalf("%d groups, want %d", groups, len(keys))
+			}
+		}
+	})
 }
 
 // BenchmarkMergeIterSegments measures the k-way merge over real segment

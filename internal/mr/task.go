@@ -109,20 +109,7 @@ func runMapTask(ctx context.Context, job *Job, fs iokit.FS, counters *Counters, 
 		FS:            fs,
 		Tracer:        job.Tracer,
 	}
-	out := EmitterFunc(func(k, v []byte) error {
-		counters.mapOutputRecords.Add(1)
-		rl := int64(bytesx.RecordLen(k, v))
-		counters.mapOutputBytes.Add(rl)
-		p := job.Partitioner.Partition(k, job.NumReduceTasks)
-		if p < 0 || p >= job.NumReduceTasks {
-			return fmt.Errorf("mr: partitioner returned %d for %d partitions", p, job.NumReduceTasks)
-		}
-		if job.AlignedInput && p != taskID {
-			return fmt.Errorf("%w: map task %d emitted key %q routed to partition %d", ErrMisaligned, taskID, k, p)
-		}
-		counters.AddMapOutputPartition(p, rl)
-		return buf.add(p, k, v)
-	})
+	out := &mapCollector{job: job, counters: counters, buf: buf, taskID: taskID}
 	if err := mapper.Setup(info, out); err != nil {
 		return nil, fmt.Errorf("mr: map task %d setup: %w", taskID, err)
 	}
@@ -147,6 +134,39 @@ func runMapTask(ctx context.Context, job *Job, fs iokit.FS, counters *Counters, 
 		return nil, fmt.Errorf("mr: map task %d spill/merge: %w", taskID, err)
 	}
 	return segs, nil
+}
+
+// mapCollector is the Emitter a map task's Mapper writes to: it meters
+// each record, routes it and adds it to the sort buffer.
+type mapCollector struct {
+	job      *Job
+	counters *Counters
+	buf      *mapBuffer
+	taskID   int
+}
+
+// Emit implements Emitter.
+func (c *mapCollector) Emit(k, v []byte) error {
+	return c.EmitPartitioned(c.job.Partitioner.Partition(k, c.job.NumReduceTasks), k, v)
+}
+
+// EmitPartitioned is Emit for a wrapper that has already routed the
+// record: p must be what the job's Partitioner returns for k. A Mapper
+// finds it by type assertion on its Emitter (Anti-Combining partitions
+// every record itself, to encode per partition).
+func (c *mapCollector) EmitPartitioned(p int, k, v []byte) error {
+	job, counters := c.job, c.counters
+	counters.mapOutputRecords.Add(1)
+	rl := int64(bytesx.RecordLen(k, v))
+	counters.mapOutputBytes.Add(rl)
+	if p < 0 || p >= job.NumReduceTasks {
+		return fmt.Errorf("mr: partitioner returned %d for %d partitions", p, job.NumReduceTasks)
+	}
+	if job.AlignedInput && p != c.taskID {
+		return fmt.Errorf("%w: map task %d emitted key %q routed to partition %d", ErrMisaligned, c.taskID, k, p)
+	}
+	counters.AddMapOutputPartition(p, rl)
+	return c.buf.add(p, k, v)
 }
 
 // removePrefix best-effort deletes every file under a name prefix —
@@ -304,7 +324,7 @@ func reduceMerge(ctx context.Context, job *Job, fs iokit.FS, counters *Counters,
 		if !ok {
 			break
 		}
-		vi := grouped.groupValues(key)
+		vi := grouped.groupValues()
 		if err := reducer.Reduce(key, vi, out); err != nil {
 			return nil, fmt.Errorf("mr: reduce task %d: %w", partition, err)
 		}

@@ -71,7 +71,9 @@ type Mapper interface {
 	Cleanup(out Emitter) error
 }
 
-// Reducer is the Reduce side of a job (and the Combiner contract).
+// Reducer is the Reduce side of a job (and the Combiner contract). The
+// key passed to Reduce, like the values, is valid only for the duration
+// of the call: the engine reuses its buffer for the next group.
 type Reducer interface {
 	Setup(info *TaskInfo, out Emitter) error
 	Reduce(key []byte, values ValueIter, out Emitter) error

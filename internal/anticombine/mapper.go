@@ -2,6 +2,10 @@ package anticombine
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
+	"hash/maphash"
+	"math"
 	"slices"
 	"time"
 
@@ -48,7 +52,8 @@ const (
 // antiMapper is the paper's AntiMapper (Figure 7): it intercepts the
 // original Map's output per call, groups it by reduce partition, and for
 // each partition adaptively emits the cheapest of plain / EagerSH /
-// LazySH encodings.
+// LazySH encodings. Every buffer a call needs is kept for the next one,
+// so a warm Map call allocates nothing.
 type antiMapper struct {
 	inner mr.Mapper
 	opts  Options
@@ -61,10 +66,25 @@ type antiMapper struct {
 
 	arena   []byte
 	recs    []capturedRec
+	sorted  []capturedRec // partition-scatter target, swapped with recs
 	scratch []byte
-	groups  []eagerGroup   // reused by buildEagerGroups
-	byValue map[string]int // reused by buildEagerGroups: value → group index
-	keybuf  [][]byte       // reused for eager key sets
+	keybuf  [][]byte // reused for eager key sets
+
+	// count holds the current call's records per partition (after the
+	// scatter: each partition's end offset in recs) and touched the
+	// partitions that have any, so a call visits — and reset zeroes —
+	// only those.
+	count   []int32
+	touched []int32
+
+	// buildEagerGroups' scratch: one partition's sharing groups, each
+	// record's successor in its group's key set, and an open-addressed
+	// index from value to group. A slot is live when it carries the
+	// current stamp, so the index is never cleared between partitions.
+	groups []eagerGroup
+	next   []int32
+	index  []groupSlot
+	stamp  uint32
 
 	windowCalls int // Map calls buffered in the current cross-call window
 
@@ -77,10 +97,12 @@ type antiMapper struct {
 	nPlain       int64
 }
 
+// capturedRec addresses one captured record in the arena, like the
+// engine's bufEntry.
 type capturedRec struct {
-	keyOff, keyLen     int
-	valueOff, valueLen int
-	partition          int
+	keyOff, keyLen     int32
+	valueOff, valueLen int32
+	partition          int32
 }
 
 func (m *antiMapper) reckey(r capturedRec) []byte {
@@ -96,13 +118,18 @@ func (m *antiMapper) recvalue(r capturedRec) []byte {
 // framework.
 func (m *antiMapper) capture(key, value []byte) error {
 	ko := len(m.arena)
+	if ko+len(key)+len(value) > math.MaxInt32 {
+		return errors.New("anticombine: one Map call's output exceeds 2 GiB")
+	}
 	m.arena = append(m.arena, key...)
 	vo := len(m.arena)
 	m.arena = append(m.arena, value...)
 	m.recs = append(m.recs, capturedRec{
-		keyOff: ko, keyLen: len(key),
-		valueOff: vo, valueLen: len(value),
+		keyOff: int32(ko), keyLen: int32(len(key)),
+		valueOff: int32(vo), valueLen: int32(len(value)),
 	})
+	m.nOrigRecords++
+	m.nOrigBytes += int64(bytesx.RecordLen(key, value))
 	return nil
 }
 
@@ -117,6 +144,10 @@ type partitionedEmitter interface {
 func (m *antiMapper) reset() {
 	m.arena = m.arena[:0]
 	m.recs = m.recs[:0]
+	for _, p := range m.touched {
+		m.count[p] = 0
+	}
+	m.touched = m.touched[:0]
 }
 
 // Setup implements mr.Mapper. Records emitted during the original
@@ -124,11 +155,20 @@ func (m *antiMapper) reset() {
 func (m *antiMapper) Setup(info *mr.TaskInfo, out mr.Emitter) error {
 	m.info = info
 	m.sink = mr.EmitterFunc(m.capture)
+	m.count = make([]int32, info.NumPartitions)
 	m.reset()
 	if err := m.inner.Setup(info, m.sink); err != nil {
 		return err
 	}
-	m.assignPartitions()
+	return m.flush(out)
+}
+
+// flush encodes and emits what was captured outside a Map call, where
+// no input record exists for LazySH to ship.
+func (m *antiMapper) flush(out mr.Emitter) error {
+	if _, err := m.assignPartitions(out); err != nil {
+		return err
+	}
 	if err := m.encodeAndEmit(out, nil, nil, false, false); err != nil {
 		return err
 	}
@@ -156,19 +196,14 @@ func (m *antiMapper) Map(key, value []byte, out mr.Emitter) error {
 		m.reset()
 		return err
 	}
-	var callCost time.Duration
-	if measure {
-		callCost = time.Since(mapStart)
-	}
 
-	touched := m.assignPartitions()
-	if measure {
-		callCost = time.Since(mapStart)
+	touched, err := m.assignPartitions(out)
+	if err != nil {
+		return err
 	}
-
 	// Figure 7's threshold rule: when re-executing Map+getPartition on
 	// every touched reducer would cost more than T, avoid LazySH.
-	underThreshold := !measure || time.Duration(touched)*callCost <= m.opts.T
+	underThreshold := !measure || time.Duration(touched)*time.Since(mapStart) <= m.opts.T
 	if err := m.encodeAndEmit(out, key, value, true, underThreshold); err != nil {
 		return err
 	}
@@ -192,40 +227,23 @@ func (m *antiMapper) mapWindowed(key, value []byte, out mr.Emitter) error {
 	if m.windowCalls < m.opts.CrossCallWindow {
 		return nil
 	}
-	return m.flushWindow(out)
-}
-
-// flushWindow encodes and emits any buffered window records.
-func (m *antiMapper) flushWindow(out mr.Emitter) error {
 	m.windowCalls = 0
-	if len(m.recs) == 0 {
-		return nil
-	}
-	m.assignPartitions()
-	if err := m.encodeAndEmit(out, nil, nil, false, false); err != nil {
-		return err
-	}
-	m.reset()
-	return nil
+	return m.flush(out)
 }
 
 // Cleanup implements mr.Mapper; like Setup, its emissions cannot use
 // LazySH.
 func (m *antiMapper) Cleanup(out mr.Emitter) error {
-	if m.opts.CrossCallWindow > 1 {
-		if err := m.flushWindow(out); err != nil {
-			return err
-		}
+	// Whatever an unfinished cross-call window still holds goes first.
+	if err := m.flush(out); err != nil {
+		return err
 	}
-	m.reset()
 	if err := m.inner.Cleanup(m.sink); err != nil {
 		return err
 	}
-	m.assignPartitions()
-	if err := m.encodeAndEmit(out, nil, nil, false, false); err != nil {
+	if err := m.flush(out); err != nil {
 		return err
 	}
-	m.reset()
 	m.flushCounters()
 	return nil
 }
@@ -241,27 +259,32 @@ func (m *antiMapper) flushCounters() {
 	m.nOrigRecords, m.nOrigBytes, m.nEager, m.nLazy, m.nPlain = 0, 0, 0, 0, 0
 }
 
-// assignPartitions computes each captured record's reduce partition and
-// returns how many distinct partitions were touched.
-func (m *antiMapper) assignPartitions() int {
-	touched := 0
+// assignPartitions computes each captured record's reduce partition,
+// counting records per partition, and returns how many distinct
+// partitions were touched. A partition outside the job's range cannot
+// be counted: the record is handed on as it is, for the engine to
+// refuse in its own words.
+func (m *antiMapper) assignPartitions(out mr.Emitter) (int, error) {
+	// out is a per-call argument, so what it can do is asked per call.
+	m.pout, _ = out.(partitionedEmitter)
+	n := m.info.NumPartitions
 	for i := range m.recs {
-		p := m.info.Partitioner.Partition(m.reckey(m.recs[i]), m.info.NumPartitions)
-		m.recs[i].partition = p
-		// Count distinct partitions with a linear scan: Map calls emit
-		// few records, so this beats allocating a set.
-		fresh := true
-		for j := 0; j < i; j++ {
-			if m.recs[j].partition == p {
-				fresh = false
-				break
+		r := &m.recs[i]
+		p := m.info.Partitioner.Partition(m.reckey(*r), n)
+		if p < 0 || p >= len(m.count) {
+			m.scratch = AppendPlainValue(m.scratch[:0], m.recvalue(*r))
+			if err := m.emit(out, p, m.reckey(*r), m.scratch); err != nil {
+				return 0, err
 			}
+			return 0, fmt.Errorf("anticombine: partitioner returned %d for %d partitions", p, n)
 		}
-		if fresh {
-			touched++
+		r.partition = int32(p)
+		if m.count[p] == 0 {
+			m.touched = append(m.touched, int32(p))
 		}
+		m.count[p]++
 	}
-	return touched
+	return len(m.touched), nil
 }
 
 // emitOne is encodeAndEmit for a Map call that emitted exactly one
@@ -272,8 +295,6 @@ func (m *antiMapper) assignPartitions() int {
 // value component.
 func (m *antiMapper) emitOne(out mr.Emitter, inputKey, inputValue []byte) error {
 	k, v := m.reckey(m.recs[0]), m.recvalue(m.recs[0])
-	m.nOrigRecords++
-	m.nOrigBytes += int64(bytesx.RecordLen(k, v))
 	if m.lazyAllowed && (m.opts.Strategy == LazyOnly || LazyValueSize(inputKey, inputValue) < PlainValueSize(v)) {
 		m.scratch = AppendLazyValue(m.scratch[:0], inputKey, inputValue)
 		m.nLazy++
@@ -282,6 +303,30 @@ func (m *antiMapper) emitOne(out mr.Emitter, inputKey, inputValue []byte) error 
 		m.nPlain++
 	}
 	return out.Emit(k, m.scratch)
+}
+
+// scatterByPartition orders recs by partition, ascending, keeping
+// emission order within a partition — the stable counting scatter of the
+// engine's sortByPartitionKey, over the touched partitions only — and
+// leaves each touched partition's end offset in count.
+func (m *antiMapper) scatterByPartition() {
+	if len(m.touched) == 1 {
+		return // one bucket, whose count is its end offset already
+	}
+	slices.Sort(m.touched)
+	sum := int32(0)
+	for _, p := range m.touched {
+		m.count[p], sum = sum, sum+m.count[p]
+	}
+	if cap(m.sorted) < len(m.recs) {
+		m.sorted = make([]capturedRec, 0, cap(m.recs))
+	}
+	sorted := m.sorted[:len(m.recs)]
+	for _, r := range m.recs {
+		sorted[m.count[r.partition]] = r
+		m.count[r.partition]++
+	}
+	m.recs, m.sorted = sorted, m.recs[:0]
 }
 
 // encodeAndEmit realizes Algorithm 1 / Algorithm 3 with the per-partition
@@ -296,27 +341,11 @@ func (m *antiMapper) encodeAndEmit(out mr.Emitter, inputKey, inputValue []byte, 
 	if len(m.recs) == 0 {
 		return nil
 	}
-	// out is a per-call argument, so what it can do is asked per call.
-	m.pout, _ = out.(partitionedEmitter)
-	m.nOrigRecords += int64(len(m.recs))
-	for _, r := range m.recs {
-		m.nOrigBytes += int64(bytesx.RecordLen(m.reckey(r), m.recvalue(r)))
-	}
-
-	// Records were captured in emission order; a stable partition sort
-	// groups them without disturbing in-partition order. Calls whose
-	// output is already grouped (the common one-record case) skip it.
-	if !partitionsGrouped(m.recs) {
-		slices.SortStableFunc(m.recs, func(a, b capturedRec) int { return a.partition - b.partition })
-	}
-
+	m.scatterByPartition()
 	choice := m.callChoice(inputKey, inputValue, hasInput, underThreshold)
-	for start := 0; start < len(m.recs); {
-		end := start
-		p := m.recs[start].partition
-		for end < len(m.recs) && m.recs[end].partition == p {
-			end++
-		}
+	start := int32(0)
+	for _, p := range m.touched {
+		end := m.count[p]
 		if err := m.emitPartition(out, m.recs[start:end], inputKey, inputValue, choice); err != nil {
 			return err
 		}
@@ -340,17 +369,13 @@ func (m *antiMapper) callChoice(inputKey, inputValue []byte, hasInput, underThre
 		// One decision for the whole call: total eager bytes vs total
 		// lazy bytes across all touched partitions.
 		var eagerTotal, lazyTotal int
-		for start := 0; start < len(m.recs); {
-			end := start
-			p := m.recs[start].partition
-			for end < len(m.recs) && m.recs[end].partition == p {
-				end++
-			}
-			recs := m.recs[start:end]
-			groups := m.buildEagerGroups(recs, m.info.KeyCompare)
+		start := int32(0)
+		for _, p := range m.touched {
+			recs := m.recs[start:m.count[p]]
+			groups := m.buildEagerGroups(recs)
 			eagerTotal += m.eagerBytes(recs, groups)
-			lazyTotal += m.lazyBytes(recs, inputKey, inputValue)
-			start = end
+			lazyTotal += lazyBytes(m.reckey(recs[m.minKeyIndex(recs, groups)]), inputKey, inputValue)
+			start = m.count[p]
 		}
 		if lazyTotal < eagerTotal {
 			return choiceLazy
@@ -360,85 +385,91 @@ func (m *antiMapper) callChoice(inputKey, inputValue []byte, hasInput, underThre
 	return choiceAuto
 }
 
-// eagerGroup is one (partition, value) sharing group.
+// eagerGroup is one (partition, value) sharing group: the record holding
+// its minimal key, and the remaining records — the group's key set — as
+// a list threaded through antiMapper.next, in the order they joined.
 type eagerGroup struct {
-	rep    int   // index of the record holding the minimal key
-	others []int // indices of the remaining records in the group
+	hash       uint64 // of the shared value
+	rep        int32
+	head, tail int32 // first and last of the others; head < 0 when none
+	others     int32
+	keysLen    int32 // encoded size of the others' keys
 }
+
+// groupSlot is one slot of the value → group index.
+type groupSlot struct {
+	stamp uint32
+	group int32
+}
+
+// groupSeed keys every antiMapper's value index.
+var groupSeed = maphash.MakeSeed()
 
 // eagerBytes is the framed size of one partition's EagerSH encoding.
 func (m *antiMapper) eagerBytes(recs []capturedRec, groups []eagerGroup) int {
 	total := 0
 	for gi := range groups {
 		g := &groups[gi]
-		keysLen := 0
-		for _, oi := range g.others {
-			k := m.reckey(recs[oi])
-			keysLen += bytesx.UvarintLen(uint64(len(k))) + len(k)
+		rep := recs[g.rep]
+		valLen := 1 + int(rep.valueLen) // plain
+		if g.others > 0 {
+			valLen += bytesx.UvarintLen(uint64(g.others)) + int(g.keysLen)
 		}
-		repKey := m.reckey(recs[g.rep])
-		var valLen int
-		if len(g.others) == 0 {
-			valLen = PlainValueSize(m.recvalue(recs[g.rep]))
-		} else {
-			valLen = 1 + bytesx.UvarintLen(uint64(len(g.others))) + keysLen + len(m.recvalue(recs[g.rep]))
-		}
-		total += bytesx.UvarintLen(uint64(len(repKey))) + len(repKey) +
+		total += bytesx.UvarintLen(uint64(rep.keyLen)) + int(rep.keyLen) +
 			bytesx.UvarintLen(uint64(valLen)) + valLen
 	}
 	return total
 }
 
-// lazyBytes is the framed size of one partition's LazySH encoding.
-func (m *antiMapper) lazyBytes(recs []capturedRec, inputKey, inputValue []byte) int {
-	lazyKey := m.reckey(recs[m.minKeyIndex(recs)])
+// lazyBytes is the framed size of one partition's LazySH record.
+func lazyBytes(lazyKey, inputKey, inputValue []byte) int {
 	valLen := LazyValueSize(inputKey, inputValue)
 	return bytesx.UvarintLen(uint64(len(lazyKey))) + len(lazyKey) +
 		bytesx.UvarintLen(uint64(valLen)) + valLen
 }
 
-func (m *antiMapper) minKeyIndex(recs []capturedRec) int {
+// minKeyIndex finds the record holding one partition's minimal key, the
+// first of equals, among the groups' representatives — each already the
+// first minimum of its group.
+func (m *antiMapper) minKeyIndex(recs []capturedRec, groups []eagerGroup) int32 {
 	cmp := m.info.KeyCompare
-	minIdx := 0
-	for i := range recs {
-		if cmp(m.reckey(recs[i]), m.reckey(recs[minIdx])) < 0 {
-			minIdx = i
+	min := groups[0].rep
+	for _, g := range groups[1:] {
+		if c := cmp(m.reckey(recs[g.rep]), m.reckey(recs[min])); c < 0 || c == 0 && g.rep < min {
+			min = g.rep
 		}
 	}
-	return minIdx
+	return min
 }
 
 // emitPartition encodes and emits one partition's share of a Map call.
 func (m *antiMapper) emitPartition(out mr.Emitter, recs []capturedRec, inputKey, inputValue []byte, choice encodeChoice) error {
-	groups := m.buildEagerGroups(recs, m.info.KeyCompare)
-
-	useLazy := choice == choiceLazy
-	if choice == choiceAuto {
-		useLazy = m.lazyBytes(recs, inputKey, inputValue) < m.eagerBytes(recs, groups)
-	}
-
-	if useLazy {
-		m.scratch = m.scratch[:0]
-		m.scratch = AppendLazyValue(m.scratch, inputKey, inputValue)
-		m.nLazy++
-		return m.emit(out, recs[0].partition, m.reckey(recs[m.minKeyIndex(recs)]), m.scratch)
+	p := int(recs[0].partition)
+	groups := m.buildEagerGroups(recs)
+	if choice != choiceEager {
+		lazyKey := m.reckey(recs[m.minKeyIndex(recs, groups)])
+		if choice == choiceLazy || lazyBytes(lazyKey, inputKey, inputValue) < m.eagerBytes(recs, groups) {
+			m.scratch = AppendLazyValue(m.scratch[:0], inputKey, inputValue)
+			m.nLazy++
+			return m.emit(out, p, lazyKey, m.scratch)
+		}
 	}
 
 	for gi := range groups {
 		g := &groups[gi]
-		m.scratch = m.scratch[:0]
-		if len(g.others) == 0 {
-			m.scratch = AppendPlainValue(m.scratch, m.recvalue(recs[g.rep]))
+		value := m.recvalue(recs[g.rep])
+		if g.others == 0 {
+			m.scratch = AppendPlainValue(m.scratch[:0], value)
 			m.nPlain++
 		} else {
 			m.keybuf = m.keybuf[:0]
-			for _, oi := range g.others {
-				m.keybuf = append(m.keybuf, m.reckey(recs[oi]))
+			for i := g.head; i >= 0; i = m.next[i] {
+				m.keybuf = append(m.keybuf, m.reckey(recs[i]))
 			}
-			m.scratch = AppendEagerValue(m.scratch, m.keybuf, m.recvalue(recs[g.rep]))
+			m.scratch = AppendEagerValue(m.scratch[:0], m.keybuf, value)
 			m.nEager++
 		}
-		if err := m.emit(out, recs[0].partition, m.reckey(recs[g.rep]), m.scratch); err != nil {
+		if err := m.emit(out, p, m.reckey(recs[g.rep]), m.scratch); err != nil {
 			return err
 		}
 	}
@@ -454,89 +485,70 @@ func (m *antiMapper) emit(out mr.Emitter, p int, key, value []byte) error {
 	return out.Emit(key, value)
 }
 
-// buildEagerGroups groups one partition's records by identical value,
-// choosing each group's minimal key as representative (Algorithm 1's
-// GROUP BY getPartition(key), value).
-func (m *antiMapper) buildEagerGroups(recs []capturedRec, cmp bytesx.Compare) []eagerGroup {
-	// Small partitions (the overwhelmingly common case) group by linear
-	// value comparison; larger ones switch to a hash index.
-	if len(recs) <= 8 {
-		return m.buildEagerGroupsLinear(recs, cmp)
-	}
-	groups := m.groups[:0]
-	if m.byValue == nil {
-		m.byValue = make(map[string]int, len(recs))
-	}
-	clear(m.byValue)
-	for i := range recs {
-		gi, ok := m.byValue[string(m.recvalue(recs[i]))]
-		if !ok {
-			m.byValue[string(m.recvalue(recs[i]))] = len(groups)
-			groups = appendGroup(groups, i)
-			continue
+// buildEagerGroups groups one partition's records by identical value, in
+// order of first appearance, choosing each group's minimal key as
+// representative (Algorithm 1's GROUP BY getPartition(key), value). A
+// record's group is the previous record's when the values match — a Map
+// call mostly repeats one value — and is looked up in the value index
+// otherwise.
+func (m *antiMapper) buildEagerGroups(recs []capturedRec) []eagerGroup {
+	if len(m.index) < 2*len(recs) {
+		size := 64
+		for size < 2*len(recs) {
+			size *= 2
 		}
-		g := &groups[gi]
-		if cmp(m.reckey(recs[i]), m.reckey(recs[g.rep])) < 0 {
-			g.others = append(g.others, g.rep)
-			g.rep = i
-		} else {
-			g.others = append(g.others, i)
-		}
+		m.index, m.stamp = make([]groupSlot, size), 0
 	}
-	m.groups = groups
-	return groups
-}
-
-// appendGroup appends a group of one record, recycling the slot (and the
-// key-set slice inside it) an earlier call left beyond len, so
-// steady-state encoding does not allocate.
-func appendGroup(groups []eagerGroup, rep int) []eagerGroup {
-	if len(groups) == cap(groups) {
-		return append(groups, eagerGroup{rep: rep})
+	if m.stamp++; m.stamp == 0 {
+		clear(m.index)
+		m.stamp = 1
 	}
-	groups = groups[:len(groups)+1]
-	g := &groups[len(groups)-1]
-	g.rep, g.others = rep, g.others[:0]
-	return groups
-}
-
-// buildEagerGroupsLinear is buildEagerGroups for small partitions,
-// avoiding the map allocation.
-func (m *antiMapper) buildEagerGroupsLinear(recs []capturedRec, cmp bytesx.Compare) []eagerGroup {
+	if cap(m.next) < len(recs) {
+		m.next = make([]int32, 0, cap(m.recs))
+	}
+	m.next = m.next[:len(recs)]
+	next := m.next
+	mask := uint64(len(m.index) - 1)
+	cmp := m.info.KeyCompare
 	groups := m.groups[:0]
-outer:
+	last := -1 // the previous record's group
 	for i := range recs {
 		v := m.recvalue(recs[i])
-		for gi := range groups {
-			g := &groups[gi]
-			if bytes.Equal(m.recvalue(recs[g.rep]), v) {
-				if cmp(m.reckey(recs[i]), m.reckey(recs[g.rep])) < 0 {
-					g.others = append(g.others, g.rep)
-					g.rep = i
-				} else {
-					g.others = append(g.others, i)
+		gi := last
+		if gi < 0 || !bytes.Equal(m.recvalue(recs[groups[gi].rep]), v) {
+			h := maphash.Bytes(groupSeed, v)
+			slot := h & mask
+			for gi = -1; m.index[slot].stamp == m.stamp; slot = (slot + 1) & mask {
+				if g := &groups[m.index[slot].group]; g.hash == h && bytes.Equal(m.recvalue(recs[g.rep]), v) {
+					gi = int(m.index[slot].group)
+					break
 				}
-				continue outer
+			}
+			if gi < 0 {
+				gi = len(groups)
+				m.index[slot] = groupSlot{stamp: m.stamp, group: int32(gi)}
+				groups = append(groups, eagerGroup{hash: h, rep: int32(i), head: -1, tail: -1})
+				last = gi
+				continue
 			}
 		}
-		groups = appendGroup(groups, i)
+		last = gi
+		// The record with the larger key joins the key set.
+		g := &groups[gi]
+		other := int32(i)
+		if cmp(m.reckey(recs[i]), m.reckey(recs[g.rep])) < 0 {
+			other, g.rep = g.rep, other
+		}
+		next[other] = -1
+		if g.head < 0 {
+			g.head = other
+		} else {
+			next[g.tail] = other
+		}
+		g.tail = other
+		g.others++
+		g.keysLen += int32(bytesx.UvarintLen(uint64(recs[other].keyLen))) + recs[other].keyLen
 	}
 	m.groups = groups
 	return groups
-}
-
-// partitionsGrouped reports whether equal partitions are already
-// contiguous (trivially true for 0 or 1 records).
-func partitionsGrouped(recs []capturedRec) bool {
-	for i := 1; i < len(recs); i++ {
-		if recs[i].partition != recs[i-1].partition {
-			// Any earlier occurrence of this partition means a gap.
-			for j := 0; j < i-1; j++ {
-				if recs[j].partition == recs[i].partition {
-					return false
-				}
-			}
-		}
-	}
-	return true
 }

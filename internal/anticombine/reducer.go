@@ -37,18 +37,16 @@ type antiReducer struct {
 	combineMode bool
 
 	info    *mr.TaskInfo
-	oMapper mr.Mapper
-	shared  *Shared
+	oMapper mr.Mapper // the reducer-side Map object, made by the first LazySH record
+	shared  Shared
 
 	// Per-call state kept here so a Reduce call allocates nothing.
-	plain     plainEmitter // combiner mode's output adapter
-	group     groupIter    // the incoming group, as the original Reduce sees it
-	popped    sliceIter    // a group popped from Shared
-	otherKeys [][]byte     // eager decode scratch
+	plain  plainEmitter // combiner mode's output adapter
+	group  groupIter    // the incoming group, as the original Reduce sees it
+	popped sliceIter    // a group popped from Shared
 
-	reexec    mr.Emitter // keepLocal, as the re-executed Map's output
-	reexecErr error      // a Shared error keepLocal returned during the current re-execution
-	nReexec   int64      // batched CounterMapReexec, flushed at Cleanup
+	reexecErr error // a Shared error keepLocal returned during the current re-execution
+	nReexec   int64 // batched CounterMapReexec, flushed at Cleanup
 }
 
 // Setup implements mr.Reducer.
@@ -62,36 +60,43 @@ func (r *antiReducer) Setup(info *mr.TaskInfo, out mr.Emitter) error {
 			return err
 		}
 	}
-	r.shared = NewShared(SharedConfig{
+	r.shared.init(SharedConfig{
 		KeyCompare:    info.KeyCompare,
 		GroupCompare:  info.GroupCompare,
 		MemLimitBytes: r.opts.SharedMemLimitBytes,
 		MergeFactor:   r.opts.SharedMergeFactor,
 		FS:            info.FS,
-		Prefix: fmt.Sprintf("%s/anti/t%04d-p%04d-i%d",
-			antiWorkspace(info), info.TaskID, info.Partition, instanceSeq.Add(1)),
-		Combiner: sharedCombiner,
-		Counters: info.Counters,
-		Tracer:   info.Tracer,
+		Combiner:      sharedCombiner,
+		Counters:      info.Counters,
+		Tracer:        info.Tracer,
 	})
-
-	// The original Map is needed on this side to decode LazySH records.
-	r.oMapper = r.newMapper()
-	r.reexec = mr.EmitterFunc(r.keepLocal)
-	if err := r.oMapper.Setup(info, discardEmitter{}); err != nil {
-		return err
-	}
+	r.shared.owner = r
 	return r.inner.Setup(info, r.wrapOut(out))
 }
 
-// plainEmitter re-encodes emitted values as plain records.
+// spillPrefix names Shared's spill files. It is asked for at the first
+// spill: most instances — every transformed combiner whose run fits
+// Shared — never spill, and do not pay for formatting a name.
+func (r *antiReducer) spillPrefix() string {
+	return fmt.Sprintf("%s/anti/t%04d-p%04d-i%d",
+		antiWorkspace(r.info), r.info.TaskID, r.info.Partition, instanceSeq.Add(1))
+}
+
+// plainEmitter re-encodes emitted values as plain records. A combiner's
+// values are partial aggregates, mostly a few bytes: those are encoded
+// in small, so that of the many combiner instances a job creates only
+// the ones that emit something longer allocate a buffer.
 type plainEmitter struct {
 	out     mr.Emitter
 	scratch []byte
+	small   [32]byte
 }
 
 // Emit implements mr.Emitter.
 func (e *plainEmitter) Emit(k, v []byte) error {
+	if e.scratch == nil {
+		e.scratch = e.small[:0]
+	}
 	e.scratch = AppendPlainValue(e.scratch[:0], v)
 	return e.out.Emit(k, e.scratch)
 }
@@ -111,7 +116,9 @@ func (r *antiReducer) wrapOut(out mr.Emitter) mr.Emitter {
 // since the engine does not call Cleanup after an error. It returns err.
 func (r *antiReducer) fail(err error) error {
 	r.shared.Close()
-	r.oMapper.Cleanup(discardEmitter{})
+	if r.oMapper != nil {
+		r.oMapper.Cleanup(discardEmitter{})
+	}
 	return err
 }
 
@@ -186,7 +193,7 @@ func (it *groupIter) Next() ([]byte, bool) {
 			return raw[1:], true
 		}
 		var dec Decoded
-		if dec, it.err = decodeValue(raw, r.otherKeys); it.err != nil {
+		if dec, it.err = decodeValue(raw, r.shared.decodeKeys); it.err != nil {
 			break
 		}
 		if dec.Enc == EncEager && !r.anyInGroup(dec.OtherKeys, it.key) {
@@ -232,7 +239,7 @@ func (it *groupIter) stage() {
 			return
 		}
 		var dec Decoded
-		if dec, it.err = decodeValue(raw, r.otherKeys); it.err == nil {
+		if dec, it.err = decodeValue(raw, r.shared.decodeKeys); it.err == nil {
 			it.err = r.addDecoded(it.key, dec)
 		}
 	}
@@ -257,7 +264,7 @@ func (r *antiReducer) addDecoded(key []byte, dec Decoded) error {
 // addOthers adds an EagerSH record's value under its other keys, and
 // keeps the record's key slice as the next decode's scratch.
 func (r *antiReducer) addOthers(dec Decoded) error {
-	r.otherKeys = dec.OtherKeys
+	r.shared.decodeKeys = dec.OtherKeys
 	for _, k := range dec.OtherKeys {
 		if err := r.shared.Add(k, dec.Value); err != nil {
 			return err
@@ -268,11 +275,20 @@ func (r *antiReducer) addOthers(dec Decoded) error {
 
 // reexecuteMap regenerates a LazySH record's Map output on this reducer,
 // keeping only the pairs the Partitioner assigns here (Algorithm 4,
-// lines 6-10).
+// lines 6-10). The original Map object it needs is made here, by the
+// first LazySH record: a job whose stream carries none — and each of the
+// many transformed combiners that meet none — does without.
 func (r *antiReducer) reexecuteMap(inputKey, inputValue []byte) error {
+	if r.oMapper == nil {
+		m := r.newMapper()
+		if err := m.Setup(r.info, discardEmitter{}); err != nil {
+			return err
+		}
+		r.oMapper = m
+	}
 	r.nReexec++
 	r.reexecErr = nil
-	err := r.oMapper.Map(inputKey, inputValue, r.reexec)
+	err := r.oMapper.Map(inputKey, inputValue, keepLocal{r})
 	if r.reexecErr != nil {
 		// Reported even when the original Map swallowed it.
 		return r.reexecErr
@@ -281,7 +297,11 @@ func (r *antiReducer) reexecuteMap(inputKey, inputValue []byte) error {
 }
 
 // keepLocal receives the re-executed Map's output.
-func (r *antiReducer) keepLocal(k, v []byte) error {
+type keepLocal struct{ r *antiReducer }
+
+// Emit implements mr.Emitter.
+func (e keepLocal) Emit(k, v []byte) error {
+	r := e.r
 	if r.info.Partitioner.Partition(k, r.info.NumPartitions) != r.info.Partition {
 		return nil
 	}
@@ -327,8 +347,10 @@ func (r *antiReducer) Cleanup(out mr.Emitter) error {
 	if err := r.shared.Close(); err != nil {
 		return r.fail(err)
 	}
-	if err := r.oMapper.Cleanup(discardEmitter{}); err != nil {
-		return err
+	if r.oMapper != nil {
+		if err := r.oMapper.Cleanup(discardEmitter{}); err != nil {
+			return err
+		}
 	}
 	r.info.Counters.AddExtra(CounterMapReexec, r.nReexec)
 	r.nReexec = 0

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/maphash"
 	"io"
+	"sync"
 
 	"repro/internal/bytesx"
 	"repro/internal/iokit"
@@ -34,7 +35,9 @@ const combineBatch = 16
 // a warm Shared adds and pops without allocating. Popped entries leave
 // dead bytes behind; they are reclaimed wholesale when memory empties
 // (every spill, and whenever the reducer catches up) and by compaction
-// when the arena is mostly dead.
+// when the arena is mostly dead. Close hands the buffers to the next
+// Shared (see sharedBufs), so of the many short-lived instances a job
+// creates — one per transformed combiner — only the first few grow them.
 //
 // With a combiner attached, values are combined on insert so each key
 // keeps (nearly) a single record ("Using Combine in the Reduce Phase",
@@ -43,18 +46,15 @@ type Shared struct {
 	cmp      bytesx.Compare
 	groupCmp bytesx.Compare
 
-	arena   []byte        // key and value bytes, live and dead
-	spare   []byte        // compaction target, swapped with arena
-	ents    []sharedEntry // entry slots; a slot keeps its value list's capacity across reuse
-	free    []int32       // slots of ents not in use
-	heap    []int32       // min-heap of live slots by key
-	buckets []int32       // chained hash index over live slots: slot+1, 0 = end of chain
-	mem     int           // live key+value bytes: the quantity memLimit bounds
+	sharedBufs
+	box *sharedBufs // where Close leaves the buffers for the next Shared
+	mem int         // live key+value bytes: the quantity memLimit bounds
 
 	memLimit    int
 	mergeFactor int
 	fs          iokit.FS
 	prefix      string
+	owner       *antiReducer // names the spill files at the first spill, when prefix is empty
 	spillSeq    int
 	runs        []*sharedRun
 	counters    *mr.Counters
@@ -63,14 +63,48 @@ type Shared struct {
 	combiner   mr.Reducer
 	combineOut mr.Emitter // appends the combiner's output to arena and combined
 	combineIn  sliceIter
-	combined   []valSpan
 	spills     int64
+}
+
+// sharedBufs is the memory a Shared works in. It outlives the Shared:
+// Close empties it and puts it in sharedPool, and the next Shared starts
+// with its capacity — arena, entry slots with their value lists, heap,
+// hash index and pop buffers already as large as the last one needed.
+type sharedBufs struct {
+	arena    []byte        // key and value bytes, live and dead
+	spare    []byte        // compaction target, swapped with arena
+	ents     []sharedEntry // entry slots; a slot keeps its value list's capacity across reuse
+	free     []int32       // slots of ents not in use
+	heap     []int32       // min-heap of live slots by key
+	buckets  []int32       // chained hash index over live slots: slot+1, 0 = end of chain
+	combined []valSpan     // the value list a combine is building
 
 	// PopMinKeyValues' result storage: the group key and spilled values
 	// in popBuf, the value views in popVals.
 	popBuf  []byte
 	popVals [][]byte
+
+	// decodeKeys is not Shared's own: it is the AntiReducer's scratch for
+	// an EagerSH record's keys, pooled with the buffers they are added to.
+	decodeKeys [][]byte
 }
+
+var sharedPool sync.Pool // *sharedBufs
+
+// Buffers worth more than this are dropped at Close, not pooled: a
+// reduce task's Shared may hold tens of megabytes (theta-join runs it
+// with a 64 MiB budget), which one task in a job needs and no
+// combiner-sized Shared after it should pin.
+const (
+	maxPooledArenaBytes = 4 << 20
+	maxPooledEntries    = 1 << 15
+)
+
+// combineSink is the Emitter combineEntry hands the combiner.
+type combineSink struct{ s *Shared }
+
+// Emit implements mr.Emitter.
+func (c combineSink) Emit(_, v []byte) error { return c.s.addCombined(v) }
 
 // indexSeed keys every Shared's hash index.
 var indexSeed = maphash.MakeSeed()
@@ -118,6 +152,13 @@ type SharedConfig struct {
 
 // NewShared builds an empty Shared.
 func NewShared(cfg SharedConfig) *Shared {
+	s := new(Shared)
+	s.init(cfg)
+	return s
+}
+
+// init makes s an empty Shared, on pooled buffers when there are any.
+func (s *Shared) init(cfg SharedConfig) {
 	if cfg.GroupCompare == nil {
 		cfg.GroupCompare = cfg.KeyCompare
 	}
@@ -127,10 +168,9 @@ func NewShared(cfg SharedConfig) *Shared {
 	if cfg.MergeFactor < 2 {
 		cfg.MergeFactor = 10
 	}
-	s := &Shared{
+	*s = Shared{
 		cmp:         cfg.KeyCompare,
 		groupCmp:    cfg.GroupCompare,
-		buckets:     make([]int32, 64),
 		memLimit:    cfg.MemLimitBytes,
 		mergeFactor: cfg.MergeFactor,
 		fs:          cfg.FS,
@@ -139,10 +179,15 @@ func NewShared(cfg SharedConfig) *Shared {
 		tracer:      cfg.Tracer,
 		combiner:    cfg.Combiner,
 	}
-	if s.combiner != nil {
-		s.combineOut = mr.EmitterFunc(s.addCombined)
+	if s.box, _ = sharedPool.Get().(*sharedBufs); s.box != nil {
+		s.sharedBufs = *s.box
+	} else {
+		s.box = new(sharedBufs)
+		s.buckets = make([]int32, 64)
 	}
-	return s
+	if s.combiner != nil {
+		s.combineOut = combineSink{s}
+	}
 }
 
 func (s *Shared) key(e *sharedEntry) []byte { return s.arena[e.keyOff : e.keyOff+e.keyLen] }
@@ -321,13 +366,15 @@ func (s *Shared) combineEntry(e *sharedEntry) error {
 	if len(s.combined) == 0 {
 		return errors.New("anticombine: combiner emitted no output for Shared insert")
 	}
-	e.vals, s.combined = s.combined, e.vals
+	// Copied, not swapped: the slot keeps the capacity its value list has
+	// grown to, for this key's next batch and for the slot's next key.
+	e.vals = append(e.vals[:0], s.combined...)
 	e.combinedLen = len(e.vals)
 	return nil
 }
 
-// addCombined is the Emitter combineEntry hands the combiner.
-func (s *Shared) addCombined(_, v []byte) error {
+// addCombined takes one value of the combiner's output.
+func (s *Shared) addCombined(v []byte) error {
 	s.combined = append(s.combined, valSpan{len(s.arena), len(v)})
 	s.arena = append(grow(s.arena, len(v)), v...)
 	s.mem += len(v)
@@ -428,9 +475,10 @@ func (s *Shared) PopMinKeyValues() (key []byte, values [][]byte, err error) {
 	}
 	s.popBuf, s.popVals = buf, values
 	if len(s.heap) == 0 {
-		// Everything in the arena is dead. The views just handed out stay
-		// intact until the next Add writes over them.
-		s.resetMem()
+		// Everything in the arena is dead, and release has already emptied
+		// the index. The views just handed out stay intact until the next
+		// Add writes over them.
+		s.arena, s.mem = s.arena[:0], 0
 	}
 	return key, values, nil
 }
@@ -463,6 +511,9 @@ func (s *Shared) Spills() int { return int(s.spills) }
 func (s *Shared) spill() error {
 	if s.fs == nil {
 		return errors.New("anticombine: Shared memory limit exceeded and no spill FS configured")
+	}
+	if s.prefix == "" && s.owner != nil {
+		s.prefix = s.owner.spillPrefix()
 	}
 	name := fmt.Sprintf("%s/shared-spill%04d", s.prefix, s.spillSeq)
 	s.spillSeq++
@@ -573,7 +624,9 @@ func (s *Shared) mergeRuns() error {
 
 // Close releases any open spill run readers and deletes their backing
 // files — long jobs create and close many Shared instances, so leaving
-// run files behind would leak disk linearly.
+// run files behind would leak disk linearly — and gives the emptied
+// buffers to the next Shared. It ends the Shared's life: the views a
+// PopMinKeyValues returned are invalid after it.
 func (s *Shared) Close() error {
 	var firstErr error
 	for _, r := range s.runs {
@@ -585,6 +638,18 @@ func (s *Shared) Close() error {
 		}
 	}
 	s.runs = nil
+	if s.box != nil {
+		if cap(s.arena)+cap(s.spare)+cap(s.popBuf) <= maxPooledArenaBytes && cap(s.ents) <= maxPooledEntries {
+			s.resetMem()
+			// Views that would keep an outgrown arena, or the engine's
+			// buffers, alive.
+			clear(s.popVals[:cap(s.popVals)])
+			clear(s.decodeKeys[:cap(s.decodeKeys)])
+			*s.box = s.sharedBufs
+			sharedPool.Put(s.box)
+		}
+		s.box, s.sharedBufs = nil, sharedBufs{}
+	}
 	return firstErr
 }
 

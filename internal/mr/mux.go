@@ -281,6 +281,9 @@ func (b *batchSender) serveStream(idx int, name string) {
 		}
 		raw += n
 		wire += int64(len(payload))
+		if compress {
+			wire += uvarintLen(uint64(len(payload))) // as sendCompressed counts a unit
+		}
 	}
 	end := []byte{muxEnd}
 	end = binary.AppendUvarint(end, uint64(idx))
@@ -446,8 +449,25 @@ func (m *MuxFetcher) runBatch(addr string, group []*muxReq) {
 
 // runMux opens one batch session and demuxes its frames. Every request
 // in group receives exactly one result.
+//
+// The session carries every request's stream, so it belongs to none of
+// their contexts: a requester that finishes early has its context
+// cancelled (the scheduler cancels an attempt's context on completion)
+// while its siblings' bodies are still in flight. A cancelled request
+// only abandons its own stream; the session is abandoned when the last
+// requester has gone.
 func (m *MuxFetcher) runMux(addr string, group []*muxReq) {
-	ctx := group[0].ctx
+	ctx, abandon := context.WithCancel(context.Background())
+	defer abandon()
+	var gone atomic.Int32
+	for _, r := range group {
+		stop := context.AfterFunc(r.ctx, func() {
+			if gone.Add(1) == int32(len(group)) {
+				abandon()
+			}
+		})
+		defer stop()
+	}
 	delivered := make([]bool, len(group))
 	bail := func() {
 		for i, r := range group {
@@ -621,7 +641,14 @@ func (m *MuxFetcher) runMux(addr string, group []*muxReq) {
 				raw = append([]byte(nil), payload...)
 				putFrameBuf(payload)
 			}
-			if err := st.push(raw, 1+uvarintLen(uint64(idx))+uvarintLen(n)+int64(n)); err != nil {
+			// A body's wire bytes are what its encoding makes of it — the
+			// payload, plus a Snappy block's length prefix — on this path as
+			// on the sequential one; the mux envelope is not counted.
+			wire := int64(n)
+			if st.enc == encodingSnappy {
+				wire += uvarintLen(n)
+			}
+			if err := st.push(raw, wire); err != nil {
 				kill(err)
 				return
 			}
@@ -668,8 +695,9 @@ func (m *MuxFetcher) runMux(addr string, group []*muxReq) {
 			_, werr := wc.conn.Write(ack)
 			sess.finished = true
 			sess.wmu.Unlock()
-			stop()
-			if werr == nil {
+			// stop reports false when the session was abandoned meanwhile
+			// and the connection is being closed under us.
+			if stop() && werr == nil {
 				m.pool.put(addr, wc)
 			} else {
 				wc.conn.Close()
@@ -833,7 +861,8 @@ func (st *muxStream) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// WireBytes reports the framed socket bytes this stream consumed.
+// WireBytes reports the bytes the body occupied on the wire so far, as
+// fetchReader.WireBytes counts them.
 func (st *muxStream) WireBytes() int64 {
 	st.mu.Lock()
 	defer st.mu.Unlock()

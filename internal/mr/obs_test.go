@@ -167,6 +167,75 @@ func TestLiveMetricsMidJobAndFinal(t *testing.T) {
 	}
 }
 
+// gatedMapper is an identity mapper that blocks on its gateAt-th record.
+type gatedMapper struct {
+	MapperBase
+	seen    int
+	gateAt  int
+	reached chan<- struct{}
+	release <-chan struct{}
+}
+
+func (m *gatedMapper) Map(key, value []byte, out Emitter) error {
+	if m.seen++; m.seen == m.gateAt {
+		close(m.reached)
+		<-m.release
+	}
+	return out.Emit(value, value)
+}
+
+// TestCollectorTalliesReachSnapshotMidTask: a map task's collector adds
+// its record and byte meters to the shared Counters in batches, not per
+// record. An observer of a long task must still see them advance while
+// it runs — never ahead of the task, at most one batch behind — and the
+// final figures are exact, per partition too.
+func TestCollectorTalliesReachSnapshotMidTask(t *testing.T) {
+	const records, gateAt = 3*collectorFlushRecords + 100, 2*collectorFlushRecords + 50
+	reached, release := make(chan struct{}), make(chan struct{})
+	reg := obs.NewRegistry()
+	job := &Job{
+		Name:           "tallied",
+		NewMapper:      func() Mapper { return &gatedMapper{gateAt: gateAt, reached: reached, release: release} },
+		NewReducer:     NewReduceFunc(func([]byte, ValueIter, Emitter) error { return nil }),
+		NumReduceTasks: 3,
+		Metrics:        reg,
+	}
+	recs := make([]Record, records)
+	for i := range recs {
+		recs[i] = Record{Value: []byte{byte(i), byte(i >> 8)}}
+	}
+	done := make(chan error, 1)
+	var res *Result
+	go func() {
+		var err error
+		res, err = Run(job, []Split{&MemSplit{Recs: recs}})
+		done <- err
+	}()
+	<-reached
+	mid := reg.Snapshot().Values
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"tallied/map_input_records", "tallied/map_output_records"} {
+		if v := mid[name]; v < gateAt-collectorFlushRecords || v > gateAt {
+			t.Errorf("mid-task %s = %d with %d records into the task", name, v, gateAt)
+		}
+	}
+	st := res.Stats
+	if st.MapInputRecords != records || st.MapOutputRecords != records || st.MapOutputBytes != 6*records {
+		t.Errorf("final map meters: in %d, out %d records, %d bytes; want %d, %d, %d",
+			st.MapInputRecords, st.MapOutputRecords, st.MapOutputBytes, records, records, 6*records)
+	}
+	var perPart int64
+	for _, n := range st.MapOutputPerPartition {
+		perPart += n
+	}
+	if perPart != st.MapOutputBytes {
+		t.Errorf("per-partition map output sums to %d bytes of %d", perPart, st.MapOutputBytes)
+	}
+}
+
 // TestCountersHammer races AddExtra, Snapshot, and the wiring setters
 // directly (run under -race).
 func TestCountersHammer(t *testing.T) {

@@ -287,6 +287,8 @@ func TestJobOverTCPShuffleCompressed(t *testing.T) {
 	if raw == 0 || wire == 0 || wire >= raw {
 		t.Errorf("compressed run counters: raw %d, wire %d; want 0 < wire < raw", raw, wire)
 	}
+	// Whether a fetch rode a mux batch or went alone is a matter of timing;
+	// what its body counts for on the wire must not be.
 	if praw, pwire := plain.Stats.Extra[CounterShuffleRawBytes], plain.Stats.Extra[CounterShuffleWireBytes]; praw != pwire {
 		t.Errorf("plain run moved %d wire bytes for %d raw; want equal", pwire, praw)
 	}
@@ -375,7 +377,13 @@ func TestMuxBatchStreamError(t *testing.T) {
 	for i, name := range names {
 		reqs[i] = &muxReq{ctx: context.Background(), name: name, res: make(chan muxRes, 1)}
 	}
-	go m.runMux(srv.Addr(), reqs)
+	// The streams end before the session does: it still has DONE to read
+	// and the ack to write before it parks the connection.
+	sessionDone := make(chan struct{})
+	go func() {
+		m.runMux(srv.Addr(), reqs)
+		close(sessionDone)
+	}()
 	for i, r := range reqs {
 		res := <-r.res
 		if names[i] == "mux/nope" {
@@ -393,6 +401,7 @@ func TestMuxBatchStreamError(t *testing.T) {
 			t.Fatalf("stream %s: body mismatch", names[i])
 		}
 	}
+	<-sessionDone
 	dials := m.pool.Dials()
 	rc, _, err := m.pool.Fetch(context.Background(), srv.Addr(), "mux/seg00")
 	if err != nil {
@@ -402,6 +411,39 @@ func TestMuxBatchStreamError(t *testing.T) {
 	rc.Close()
 	if d := m.pool.Dials(); d != dials {
 		t.Errorf("post-batch fetch dialed (total %d, was %d); session should have pooled its conn", d, dials)
+	}
+}
+
+// TestMuxSessionOutlivesEarlyRequester: a batch's connection belongs to
+// all of its streams. The scheduler cancels a fetch attempt's context as
+// soon as the attempt completes, which for the batch's first request
+// used to close the connection under its siblings — their bodies then
+// failed with that request's context.Canceled, which no retry policy
+// treats as transient.
+func TestMuxSessionOutlivesEarlyRequester(t *testing.T) {
+	for _, first := range []int{0, 1} { // the early finisher: the batch's first request, or another
+		srv, m, bodies := muxTestServer(t, 2, int(muxWindow)*2+123, false)
+		names := []string{"mux/seg00", "mux/seg01"}
+		reqs := make([]*muxReq, len(names))
+		cancels := make([]context.CancelFunc, len(names))
+		for i, name := range names {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			reqs[i], cancels[i] = &muxReq{ctx: ctx, name: name, res: make(chan muxRes, 1)}, cancel
+		}
+		go m.runMux(srv.Addr(), reqs)
+		for _, i := range []int{first, 1 - first} {
+			res := <-reqs[i].res
+			if res.err != nil || res.fallback {
+				t.Fatalf("stream %s: err=%v fallback=%v", names[i], res.err, res.fallback)
+			}
+			got, err := io.ReadAll(res.rc)
+			res.rc.Close()
+			cancels[i]() // the attempt is over
+			if err != nil || !bytes.Equal(got, bodies[names[i]]) {
+				t.Fatalf("stream %s after its sibling finished: %d of %d bytes, err %v", names[i], len(got), len(bodies[names[i]]), err)
+			}
+		}
 	}
 }
 

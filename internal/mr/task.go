@@ -109,7 +109,9 @@ func runMapTask(ctx context.Context, job *Job, fs iokit.FS, counters *Counters, 
 		FS:            fs,
 		Tracer:        job.Tracer,
 	}
-	out := &mapCollector{job: job, counters: counters, buf: buf, taskID: taskID}
+	out := &mapCollector{job: job, counters: counters, buf: buf, taskID: taskID,
+		partBytes: make([]int64, job.NumReduceTasks)}
+	defer out.flush()
 	if err := mapper.Setup(info, out); err != nil {
 		return nil, fmt.Errorf("mr: map task %d setup: %w", taskID, err)
 	}
@@ -120,7 +122,9 @@ func runMapTask(ctx context.Context, job *Job, fs iokit.FS, counters *Counters, 
 				return err
 			}
 		}
-		counters.mapInputRecords.Add(1)
+		if out.inRecords++; out.inRecords >= collectorFlushRecords {
+			out.flush()
+		}
 		return mapper.Map(k, v, out)
 	})
 	if err != nil {
@@ -137,12 +141,36 @@ func runMapTask(ctx context.Context, job *Job, fs iokit.FS, counters *Counters, 
 }
 
 // mapCollector is the Emitter a map task's Mapper writes to: it meters
-// each record, routes it and adds it to the sort buffer.
+// each record, routes it and adds it to the sort buffer. The meters are
+// tallied here and added to the job's shared Counters every
+// collectorFlushRecords input or output records and at task end:
+// concurrent map tasks would otherwise contend for the same cache lines
+// three times per record, while a live observer's Snapshot still
+// advances mid-task.
 type mapCollector struct {
 	job      *Job
 	counters *Counters
 	buf      *mapBuffer
 	taskID   int
+
+	inRecords, outRecords, outBytes int64
+	partBytes                       []int64 // framed output bytes per partition
+}
+
+const collectorFlushRecords = 4096
+
+// flush adds the tallies to the shared Counters.
+func (c *mapCollector) flush() {
+	c.counters.mapInputRecords.Add(c.inRecords)
+	c.counters.mapOutputRecords.Add(c.outRecords)
+	c.counters.mapOutputBytes.Add(c.outBytes)
+	c.inRecords, c.outRecords, c.outBytes = 0, 0, 0
+	for p, n := range c.partBytes {
+		if n != 0 {
+			c.counters.AddMapOutputPartition(p, n)
+			c.partBytes[p] = 0
+		}
+	}
 }
 
 // Emit implements Emitter.
@@ -155,17 +183,20 @@ func (c *mapCollector) Emit(k, v []byte) error {
 // finds it by type assertion on its Emitter (Anti-Combining partitions
 // every record itself, to encode per partition).
 func (c *mapCollector) EmitPartitioned(p int, k, v []byte) error {
-	job, counters := c.job, c.counters
-	counters.mapOutputRecords.Add(1)
+	job := c.job
 	rl := int64(bytesx.RecordLen(k, v))
-	counters.mapOutputBytes.Add(rl)
+	c.outRecords++
+	c.outBytes += rl
 	if p < 0 || p >= job.NumReduceTasks {
 		return fmt.Errorf("mr: partitioner returned %d for %d partitions", p, job.NumReduceTasks)
 	}
 	if job.AlignedInput && p != c.taskID {
 		return fmt.Errorf("%w: map task %d emitted key %q routed to partition %d", ErrMisaligned, c.taskID, k, p)
 	}
-	counters.AddMapOutputPartition(p, rl)
+	c.partBytes[p] += rl
+	if c.outRecords >= collectorFlushRecords {
+		c.flush()
+	}
 	return c.buf.add(p, k, v)
 }
 

@@ -809,6 +809,11 @@ type fetchReader struct {
 }
 
 func (f *fetchReader) Read(p []byte) (int, error) {
+	// Cancellation closes the connection from another goroutine; what the
+	// socket and the buffer already hold must not be delivered meanwhile.
+	if err := f.ctx.Err(); err != nil {
+		return 0, err
+	}
 	if f.remaining <= 0 {
 		return 0, io.EOF
 	}

@@ -8,6 +8,8 @@ package wordcount
 import (
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"repro/internal/datagen"
 	"repro/internal/monoid"
@@ -16,12 +18,40 @@ import (
 
 type mapper struct{ mr.MapperBase }
 
-// Map implements mr.Mapper over a line of text.
+// one is the count every word is emitted with. An Emitter copies what it
+// keeps, so the words are emitted as views of the line and share this
+// one value — Hadoop's WordCount likewise reuses its Text and
+// IntWritable — and a Map call allocates nothing.
+var one = []byte("1")
+
+var asciiSpace = [256]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// Map implements mr.Mapper over a line of text: one (word, 1) per
+// maximal run of non-space bytes, with strings.Fields' notion of space
+// (unicode.IsSpace; invalid UTF-8 is not space).
 func (mapper) Map(key, value []byte, out mr.Emitter) error {
-	for _, w := range strings.Fields(string(value)) {
-		if err := out.Emit([]byte(w), []byte("1")); err != nil {
-			return err
+	start := -1 // of the word being scanned
+	for i := 0; i < len(value); {
+		space, size := asciiSpace[value[i]], 1
+		if value[i] >= utf8.RuneSelf {
+			var r rune
+			r, size = utf8.DecodeRune(value[i:])
+			space = unicode.IsSpace(r)
 		}
+		if !space {
+			if start < 0 {
+				start = i
+			}
+		} else if start >= 0 {
+			if err := out.Emit(value[start:i], one); err != nil {
+				return err
+			}
+			start = -1
+		}
+		i += size
+	}
+	if start >= 0 {
+		return out.Emit(value[start:], one)
 	}
 	return nil
 }

@@ -28,8 +28,11 @@ race:
 
 verify: build vet staticcheck race
 
-# Map-path benchmarks, published as BENCH_4.json (the baseline/default
-# sub-benchmark pairs become speedup + allocation-reduction rows), the
+# Map-path and storage-byte-path benchmarks, published as BENCH_4.json
+# (the baseline/default sub-benchmark pairs become speedup +
+# allocation-reduction rows; the checked-in file's baseline section holds
+# the rows measured on the commit before MemFS became a block store and
+# reduce output an arena, so every row also gets a before/after pair), the
 # skew-partitioning benchmarks as BENCH_5.json (hash vs range vs
 # split max/mean partition bytes via custom ReportMetric units), and
 # the shuffle data-plane benchmarks as BENCH_7.json (raw vs sendfile
@@ -40,7 +43,7 @@ verify: build vet staticcheck race
 # and the sort-and-map AntiMapper they measured are gone from the tree),
 # the benchmark rows are this run.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkMapBufferSpill|BenchmarkMapPathE2E|BenchmarkMergeIter' -benchmem ./internal/mr/ | tee /dev/stderr | $(GO) run ./cmd/benchjson -out BENCH_4.json
+	$(GO) test -run '^$$' -bench 'BenchmarkMapBufferSpill|BenchmarkMapPathE2E|BenchmarkMergeIter|BenchmarkSegmentRoundTrip|BenchmarkReduceCollect|BenchmarkMemFSWrite' -benchmem ./internal/mr/ ./internal/iokit/ | tee /dev/stderr | $(GO) run ./cmd/benchjson -baseline BENCH_4.json -out BENCH_4.json
 	$(GO) test -run '^$$' -bench 'BenchmarkSkewPartition' -benchmem ./internal/experiments/ | tee /dev/stderr | $(GO) run ./cmd/benchjson -out BENCH_5.json
 	$(GO) test -run '^$$' -bench 'BenchmarkPipelineHandoff' -benchmem ./internal/experiments/ | tee /dev/stderr | $(GO) run ./cmd/benchjson -out BENCH_6.json
 	$(GO) test -run '^$$' -bench 'BenchmarkShuffleDataPlane' -benchmem ./internal/mr/ | tee /dev/stderr | $(GO) run ./cmd/benchjson -out BENCH_7.json

@@ -20,15 +20,29 @@ func (BWSC) Name() string { return "bwsc" }
 
 // NewWriter implements Codec.
 func (BWSC) NewWriter(w io.Writer) (io.WriteCloser, error) {
-	// 256 KiB blocks: more BWT context buys a better ratio at slightly
-	// higher CPU, the direction of bzip2's own -9. The Huffman depth
-	// bound stays well under bwscMaxCodeLen (log_phi(262144) ≈ 26).
-	return newBlockWriter(w, 256<<10, bwscCompress), nil
+	return newBlockWriter(w, &bwscFormat), nil
 }
 
 // NewReader implements Codec.
 func (BWSC) NewReader(r io.Reader) (io.ReadCloser, error) {
-	return newBlockReader(r, bwscDecompress), nil
+	return newBlockReader(r, &bwscFormat), nil
+}
+
+// 256 KiB blocks: more BWT context buys a better ratio at slightly
+// higher CPU, the direction of bzip2's own -9. The Huffman depth bound
+// stays well under bwscMaxCodeLen (log_phi(262144) ≈ 26).
+const bwscBlockSize = 256 << 10
+
+// bwscFormat plugs BWSC into the block container. Each stage of the
+// pipeline builds its own output, so the container's buffers go unused.
+// A block codes to at most the single-table form (bwscCompress emits
+// the smaller of the two): format byte, primary index, code lengths,
+// and at most one bwscMaxCodeLen-bit code per input byte plus EOB.
+var bwscFormat = blockFormat{
+	blockSize:  bwscBlockSize,
+	maxEncoded: 4 + bwscAlphabet + (bwscBlockSize+1)*bwscMaxCodeLen/8 + 8,
+	compress:   func(_, src []byte) []byte { return bwscCompress(src) },
+	decompress: func(_, src []byte, rawLen int) ([]byte, error) { return bwscDecompress(src, rawLen) },
 }
 
 // The RLE0 alphabet: runs of MTF zeros are written in bijective base 2

@@ -14,6 +14,7 @@ func fuzzRoundTrip(f *testing.F, c Codec) {
 	f.Add([]byte("hello world hello world"))
 	f.Add(bytes.Repeat([]byte{0}, 1000))
 	f.Add(bytes.Repeat([]byte("ab"), 500))
+	f.Add(hugeBlockPrefix())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var buf bytes.Buffer
 		w, err := c.NewWriter(&buf)
@@ -53,13 +54,13 @@ func FuzzBWSC(f *testing.F)   { fuzzRoundTrip(f, BWSC{}) }
 
 // FuzzSnappyDecompressBlock hammers the raw block decoder.
 func FuzzSnappyDecompressBlock(f *testing.F) {
-	f.Add(snappyCompress([]byte("some literal data")), 17)
+	f.Add(snappyAppendBlock(nil, []byte("some literal data")), 17)
 	f.Add([]byte{0x05, 0x10, 'a'}, 5)
 	f.Fuzz(func(t *testing.T, data []byte, rawLen int) {
 		if rawLen < 0 || rawLen > 1<<20 {
 			return
 		}
-		snappyDecompress(data, rawLen) // must not panic
+		snappyDecompress(nil, data, rawLen) // must not panic
 	})
 }
 

@@ -18,15 +18,28 @@ func (Snappy) Name() string { return "snappy" }
 
 // NewWriter implements Codec.
 func (Snappy) NewWriter(w io.Writer) (io.WriteCloser, error) {
-	return newBlockWriter(w, 64<<10, snappyCompress), nil
+	return newBlockWriter(w, &snappyFormat), nil
 }
 
 // NewReader implements Codec.
 func (Snappy) NewReader(r io.Reader) (io.ReadCloser, error) {
-	return newBlockReader(r, func(src []byte, rawLen int) ([]byte, error) {
-		return snappyDecompress(src, rawLen)
-	}), nil
+	return newBlockReader(r, &snappyFormat), nil
 }
+
+const snappyBlockSize = 64 << 10
+
+var snappyFormat = blockFormat{
+	blockSize:  snappyBlockSize,
+	maxEncoded: snappyMaxEncodedLen(snappyBlockSize),
+	compress:   snappyAppendBlock,
+	decompress: snappyDecompress,
+}
+
+// snappyMaxEncodedLen bounds the coded size of n raw bytes: the
+// preamble, the literal bytes themselves, and at most one byte of
+// overhead per six input bytes (the format's worst case; this encoder's
+// copies never expand and its literal headers cost less).
+func snappyMaxEncodedLen(n int) int { return 32 + n + n/6 }
 
 const (
 	snappyTagLiteral = 0x00
@@ -60,14 +73,17 @@ func DecompressSnappyBlock(src []byte) ([]byte, error) {
 	if n <= 0 || rawLen > 1<<30 {
 		return nil, fmt.Errorf("%w: bad snappy preamble", errBlockCorrupt)
 	}
-	return snappyDecompress(src, int(rawLen))
+	return snappyDecompress(nil, src, int(rawLen))
 }
 
-// snappyCompress encodes src as one Snappy block: a uvarint with the
-// uncompressed length followed by literal/copy elements.
-func snappyCompress(src []byte) []byte { return snappyAppendBlock(nil, src) }
-
+// snappyAppendBlock appends src to dst coded as one Snappy block: a
+// uvarint with the uncompressed length followed by literal/copy
+// elements. A dst too small for the worst case is replaced by one that
+// is not, so coding never regrows it.
 func snappyAppendBlock(dst, src []byte) []byte {
+	if need := len(dst) + snappyMaxEncodedLen(len(src)); need > cap(dst) {
+		dst = append(make([]byte, 0, need), dst...)
+	}
 	dst = binary.AppendUvarint(dst, uint64(len(src)))
 	if len(src) < 16 {
 		return snappyEmitLiteral(dst, src)
@@ -143,8 +159,9 @@ func snappyEmitCopy(dst []byte, offset, length int) []byte {
 	return append(dst, byte(length-1)<<2|snappyTagCopy2, byte(offset), byte(offset>>8))
 }
 
-// snappyDecompress decodes one Snappy block.
-func snappyDecompress(src []byte, rawLen int) ([]byte, error) {
+// snappyDecompress decodes one Snappy block of rawLen bytes into dst's
+// storage (reallocated when it is too small), never writing past rawLen.
+func snappyDecompress(dst, src []byte, rawLen int) ([]byte, error) {
 	declared, n := binary.Uvarint(src)
 	if n <= 0 {
 		return nil, fmt.Errorf("%w: bad snappy preamble", errBlockCorrupt)
@@ -153,7 +170,10 @@ func snappyDecompress(src []byte, rawLen int) ([]byte, error) {
 		return nil, fmt.Errorf("%w: snappy preamble %d != frame %d", errBlockCorrupt, declared, rawLen)
 	}
 	src = src[n:]
-	dst := make([]byte, 0, rawLen)
+	if cap(dst) < rawLen {
+		dst = make([]byte, 0, rawLen)
+	}
+	dst = dst[:0]
 	for len(src) > 0 {
 		tag := src[0]
 		var offset, length int
@@ -192,7 +212,7 @@ func snappyDecompress(src []byte, rawLen int) ([]byte, error) {
 				litLen++
 				hdr = 5
 			}
-			if len(src) < hdr+litLen {
+			if len(src) < hdr+litLen || litLen > rawLen-len(dst) {
 				return nil, errBlockCorrupt
 			}
 			dst = append(dst, src[hdr:hdr+litLen]...)
@@ -223,7 +243,16 @@ func snappyDecompress(src []byte, rawLen int) ([]byte, error) {
 		if offset <= 0 || offset > len(dst) {
 			return nil, fmt.Errorf("%w: snappy copy offset %d past %d decoded bytes", errBlockCorrupt, offset, len(dst))
 		}
-		// Overlapping copies must proceed byte by byte.
+		if length > rawLen-len(dst) {
+			return nil, fmt.Errorf("%w: snappy copy of %d bytes past the block's %d", errBlockCorrupt, length, rawLen)
+		}
+		if offset >= length {
+			start := len(dst) - offset
+			dst = append(dst, dst[start:start+length]...)
+			continue
+		}
+		// An overlapping copy reads bytes it has just written, so it
+		// must proceed byte by byte.
 		for i := 0; i < length; i++ {
 			dst = append(dst, dst[len(dst)-offset])
 		}

@@ -3,9 +3,10 @@
 // every byte read and written so experiments can report Hadoop-style
 // "total disk read/write" counters.
 //
-// Two implementations are provided: MemFS keeps files in memory (used by
-// tests and benchmarks for speed and hermeticity) and OSFS stores files
-// under a root directory.
+// Two implementations are provided: MemFS keeps files in memory as
+// write-once blocks (the engine's default, and what tests and benchmarks
+// use for speed and hermeticity) and OSFS stores files under a root
+// directory.
 package iokit
 
 import (
@@ -193,14 +194,57 @@ type meteredReader struct {
 
 func (r *meteredReader) Close() error { return r.c.Close() }
 
+// memBlockSize is the size of every MemFS block after a file's first:
+// the engine's checksum frame and copy-buffer size, so a full frame or
+// copy lands in one block.
+const memBlockSize = 64 << 10
+
 // MemFS is an in-memory FS. The zero value is not usable; call NewMemFS.
+//
+// A file is a list of blocks. The first block grows by append, so a
+// file smaller than one block costs what a plain byte slice costs; once
+// it holds memBlockSize bytes every further block is allocated at full
+// size and written once, so bytes allocated track bytes written however
+// large the file gets and nothing already written is copied again.
+// A file becomes visible at Close and its blocks are never written
+// afterwards: readers walk them without a lock, and a reader opened
+// before Remove or a re-Create keeps the content it opened (unlink
+// semantics; the garbage collector frees the blocks with the last
+// reader).
 type MemFS struct {
 	mu    sync.Mutex
-	files map[string][]byte
+	files map[string]*memData
+}
+
+// memData is the content of one file: head is the append-grown first
+// block (at most memBlockSize bytes), rest the full-size blocks after it.
+type memData struct {
+	head []byte
+	rest [][]byte
+}
+
+// block returns the i-th block, or nil past the last.
+func (d *memData) block(i int) []byte {
+	switch {
+	case i == 0:
+		return d.head
+	case i <= len(d.rest):
+		return d.rest[i-1]
+	}
+	return nil
+}
+
+// size is the file's length: every block of rest but the last is full.
+func (d *memData) size() int64 {
+	n := len(d.head)
+	if last := len(d.rest) - 1; last >= 0 {
+		n += last*memBlockSize + len(d.rest[last])
+	}
+	return int64(n)
 }
 
 // NewMemFS returns an empty in-memory filesystem.
-func NewMemFS() *MemFS { return &MemFS{files: make(map[string][]byte)} }
+func NewMemFS() *MemFS { return &MemFS{files: make(map[string]*memData)} }
 
 // Create implements FS.
 func (m *MemFS) Create(name string) (io.WriteCloser, error) {
@@ -215,7 +259,7 @@ func (m *MemFS) Open(name string) (io.ReadCloser, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotExist, name)
 	}
-	return io.NopCloser(&sliceReader{data: data}), nil
+	return &memReader{data: data}, nil
 }
 
 // Remove implements FS.
@@ -237,7 +281,7 @@ func (m *MemFS) Size(name string) (int64, error) {
 	if !ok {
 		return 0, fmt.Errorf("%w: %s", ErrNotExist, name)
 	}
-	return int64(len(data)), nil
+	return data.size(), nil
 }
 
 // List implements FS.
@@ -258,15 +302,17 @@ func (m *MemFS) TotalBytes() int64 {
 	defer m.mu.Unlock()
 	var total int64
 	for _, data := range m.files {
-		total += int64(len(data))
+		total += data.size()
 	}
 	return total
 }
 
+// memFile is the write handle of one file. Its memData is published in
+// the MemFS at Close and is only ever written before that.
 type memFile struct {
 	fs   *MemFS
 	name string
-	buf  []byte
+	data memData
 	done bool
 }
 
@@ -274,8 +320,24 @@ func (f *memFile) Write(p []byte) (int, error) {
 	if f.done {
 		return 0, errors.New("iokit: write after close")
 	}
-	f.buf = append(f.buf, p...)
-	return len(p), nil
+	total := len(p)
+	d := &f.data
+	if room := memBlockSize - len(d.head); room > 0 && len(d.rest) == 0 {
+		n := min(room, len(p))
+		d.head = append(d.head, p[:n]...)
+		p = p[n:]
+	}
+	for len(p) > 0 {
+		last := len(d.rest) - 1
+		if last < 0 || len(d.rest[last]) == memBlockSize {
+			d.rest = append(d.rest, make([]byte, 0, memBlockSize))
+			last++
+		}
+		n := min(memBlockSize-len(d.rest[last]), len(p))
+		d.rest[last] = append(d.rest[last], p[:n]...)
+		p = p[n:]
+	}
+	return total, nil
 }
 
 func (f *memFile) Close() error {
@@ -284,24 +346,34 @@ func (f *memFile) Close() error {
 	}
 	f.done = true
 	f.fs.mu.Lock()
-	f.fs.files[f.name] = f.buf
+	f.fs.files[f.name] = &f.data
 	f.fs.mu.Unlock()
 	return nil
 }
 
-type sliceReader struct {
-	data []byte
-	pos  int
+// memReader reads a published file block by block.
+type memReader struct {
+	data  *memData
+	block int // index of the block being read
+	off   int // bytes of it already read
 }
 
-func (r *sliceReader) Read(p []byte) (int, error) {
-	if r.pos >= len(r.data) {
-		return 0, io.EOF
+func (r *memReader) Read(p []byte) (int, error) {
+	for {
+		b := r.data.block(r.block)
+		if b == nil {
+			return 0, io.EOF
+		}
+		if r.off < len(b) {
+			n := copy(p, b[r.off:])
+			r.off += n
+			return n, nil
+		}
+		r.block, r.off = r.block+1, 0
 	}
-	n := copy(p, r.data[r.pos:])
-	r.pos += n
-	return n, nil
 }
+
+func (r *memReader) Close() error { return nil }
 
 // OSFS stores files under a root directory. File names may contain
 // slashes; parent directories are created on demand.

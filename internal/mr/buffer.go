@@ -27,9 +27,10 @@ type segment struct {
 // by partition, key-sorted per bucket, and spilled to one file per
 // partition, optionally running the combiner over each sorted key
 // group — Hadoop's collect / sort-and-spill pipeline. The arena, entry
-// index, and bucketing scratch come from pools (unless the job
-// disables pooling) and are released by finish, so steady-state tasks
-// reuse each other's buffers instead of growing fresh ones.
+// index, and bucketing scratch come from the run's free list or the
+// cross-run pools (unless the job disables pooling) and are released by
+// finish, so steady-state tasks reuse each other's buffers instead of
+// growing fresh ones.
 type mapBuffer struct {
 	job      *Job
 	fs       iokit.FS
@@ -93,6 +94,9 @@ func (b *mapBuffer) add(partition int, key, value []byte) error {
 			return err
 		}
 	}
+	if need := len(b.arena) + len(key) + len(value); need > cap(b.arena) {
+		b.growArena(need)
+	}
 	ko := int32(len(b.arena))
 	b.arena = append(b.arena, key...)
 	vo := int32(len(b.arena))
@@ -103,6 +107,21 @@ func (b *mapBuffer) add(partition int, key, value []byte) error {
 		valueOff: vo, valueLen: int32(len(value)),
 	})
 	return nil
+}
+
+// growArena reallocates the arena to hold need bytes: doubling, capped
+// at the sort buffer (a spill empties the arena before it could outgrow
+// that; only a single record larger than the whole buffer exceeds it).
+// append's own growth of a large slice is 1.25x, which allocates five
+// times the final size on the way there; doubling allocates twice.
+func (b *mapBuffer) growArena(need int) {
+	size := max(2*cap(b.arena), need)
+	if limit := b.job.SortBufferBytes; size > limit && need <= limit {
+		size = limit
+	}
+	grown := make([]byte, len(b.arena), size)
+	copy(grown, b.arena)
+	b.arena = grown
 }
 
 // spillWorkers bounds a spill-internal worker pool at the job's spill

@@ -71,10 +71,20 @@ func newChecksumWriter(job *Job, w io.Writer) *checksumWriter {
 	return &checksumWriter{w: w, job: job, buf: getCopyBuf(job)[:0]}
 }
 
-// Write implements io.Writer, accumulating p into full blocks.
+// Write implements io.Writer, accumulating p into full blocks. A write
+// that arrives on an empty buffer with a whole block in hand — the
+// record writer above flushes exactly checksumBlockSize at a time — is
+// framed where it lies instead of being copied into the buffer first.
 func (c *checksumWriter) Write(p []byte) (int, error) {
 	total := len(p)
 	for len(p) > 0 {
+		if len(c.buf) == 0 && len(p) >= checksumBlockSize {
+			if err := c.writeFrame(p[:checksumBlockSize]); err != nil {
+				return 0, err
+			}
+			p = p[checksumBlockSize:]
+			continue
+		}
 		n := checksumBlockSize - len(c.buf)
 		if n > len(p) {
 			n = len(p)
@@ -94,17 +104,21 @@ func (c *checksumWriter) flushBlock() error {
 	if len(c.buf) == 0 {
 		return nil
 	}
+	err := c.writeFrame(c.buf)
+	c.buf = c.buf[:0]
+	return err
+}
+
+// writeFrame writes one frame: header, checksum, payload.
+func (c *checksumWriter) writeFrame(payload []byte) error {
 	var hdr [binary.MaxVarintLen64 + 4]byte
-	n := binary.PutUvarint(hdr[:], uint64(len(c.buf))+1)
-	binary.LittleEndian.PutUint32(hdr[n:], crc32.Checksum(c.buf, castagnoli))
+	n := binary.PutUvarint(hdr[:], uint64(len(payload))+1)
+	binary.LittleEndian.PutUint32(hdr[n:], crc32.Checksum(payload, castagnoli))
 	if _, err := c.w.Write(hdr[:n+4]); err != nil {
 		return err
 	}
-	if _, err := c.w.Write(c.buf); err != nil {
-		return err
-	}
-	c.buf = c.buf[:0]
-	return nil
+	_, err := c.w.Write(payload)
+	return err
 }
 
 // Close flushes the pending block and writes the terminator. Idempotent;

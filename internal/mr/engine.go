@@ -110,6 +110,11 @@ func Run(job *Job, splits []Split) (*Result, error) {
 			errJob, j.NumReduceTasks, len(splits))
 	}
 
+	if !j.DisablePooling {
+		j.bufs = newRunBuffers(j.Parallelism)
+		defer j.bufs.drain()
+	}
+
 	start := time.Now()
 	meter := &iokit.Meter{}
 	fs := iokit.Metered(j.FS, meter)
@@ -337,7 +342,14 @@ dispatch:
 // SortedOutput flattens a result's per-partition output into one slice,
 // partition by partition, for deterministic assertions in tests.
 func (r *Result) SortedOutput() []Record {
-	var out []Record
+	n := 0
+	for _, part := range r.Output {
+		n += len(part)
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]Record, 0, n)
 	for _, part := range r.Output {
 		out = append(out, part...)
 	}

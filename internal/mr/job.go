@@ -151,6 +151,10 @@ type Job struct {
 	// default bytesx.Bytes order lets the spill sort inline bytes.Compare
 	// instead of calling through the comparator function pointer.
 	rawKeyOrder bool
+	// bufs is set by Run on its normalized copy (nil under
+	// DisablePooling, and for tasks executed outside a Run): the free
+	// list the run's map tasks pass their arenas through.
+	bufs *runBuffers
 }
 
 // errJob reports an invalid job configuration.

@@ -263,7 +263,7 @@ func BenchmarkMergeIterSegments(b *testing.B) {
 			}
 			segs := make([]segment, 16)
 			for i := range segs {
-				seg, err := writeBenchSegment(j, fmt.Sprintf("seg%02d", i), i, 1000)
+				seg, err := writeTestSegment(j, j.FS, fmt.Sprintf("seg%02d", i), 0, i, 1000)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -289,32 +289,6 @@ func BenchmarkMergeIterSegments(b *testing.B) {
 			}
 		})
 	}
-}
-
-// writeBenchSegment writes n framed records with stream-unique keys.
-func writeBenchSegment(job *Job, name string, id, n int) (segment, error) {
-	f, err := job.FS.Create(name)
-	if err != nil {
-		return segment{}, err
-	}
-	w := getRecordWriter(job, f)
-	for i := 0; i < n; i++ {
-		k := []byte(fmt.Sprintf("k%06d", i*16+id))
-		if err := w.WriteRecord(k, k); err != nil {
-			f.Close()
-			return segment{}, err
-		}
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return segment{}, err
-	}
-	records, rawBytes := w.Records(), w.Bytes()
-	putRecordWriter(job, w)
-	if err := f.Close(); err != nil {
-		return segment{}, err
-	}
-	return segment{partition: 0, file: name, records: records, rawBytes: rawBytes}, nil
 }
 
 type mergeAsStream struct{ m *mergeIter }

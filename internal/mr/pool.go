@@ -16,6 +16,13 @@ import (
 // scratch memory — and Job.DisablePooling opts a job out entirely (the
 // A/B baseline). The transport frame pool below is job-independent:
 // wire frames are internal scratch that is copied out before release.
+//
+// The sync.Pools carry buffers from one run to the next, and only as
+// far as the garbage collector lets them: a pooled buffer nobody took
+// for two collections is freed. Within a run the multi-megabyte arenas
+// and entry slices therefore travel through the run's own runBuffers
+// instead, so what a job allocates for them does not depend on where a
+// collection happens to fall between two of its map tasks.
 
 var (
 	arenaPool   sync.Pool // *[]byte, collect arenas (cap ~SortBufferBytes)
@@ -29,9 +36,80 @@ var (
 // record streams' 64 KiB buffering.
 const copyBufSize = 64 << 10
 
+// runBuffers is what one Run owns: the arenas and entry slices its
+// finished map tasks hand to the ones that start next — at most one
+// arena and two entry slices (live index and scatter target) per
+// concurrently running task. Run drains it into the sync.Pools when the
+// job ends.
+type runBuffers struct {
+	arenas  freeList[byte]
+	entries freeList[bufEntry]
+}
+
+func newRunBuffers(parallelism int) *runBuffers {
+	return &runBuffers{
+		arenas:  freeList[byte]{limit: parallelism},
+		entries: freeList[bufEntry]{limit: 2 * parallelism},
+	}
+}
+
+// drain moves the run's buffers to the cross-run pools.
+func (r *runBuffers) drain() {
+	for _, b := range r.arenas.takeAll() {
+		arenaPool.Put(&b)
+	}
+	for _, e := range r.entries.takeAll() {
+		entriesPool.Put(&e)
+	}
+}
+
+// freeList is a bounded stack of empty slices kept for their capacity.
+type freeList[T any] struct {
+	mu    sync.Mutex
+	limit int
+	items [][]T
+}
+
+// get pops a slice, or returns nil when the list is empty.
+func (f *freeList[T]) get() []T {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	n := len(f.items)
+	if n == 0 {
+		return nil
+	}
+	s := f.items[n-1]
+	f.items = f.items[:n-1]
+	return s
+}
+
+// put pushes s and reports whether the list had room for it.
+func (f *freeList[T]) put(s []T) bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if len(f.items) >= f.limit {
+		return false
+	}
+	f.items = append(f.items, s)
+	return true
+}
+
+func (f *freeList[T]) takeAll() [][]T {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	items := f.items
+	f.items = nil
+	return items
+}
+
 func getArena(job *Job) []byte {
 	if job.DisablePooling {
 		return nil
+	}
+	if job.bufs != nil {
+		if b := job.bufs.arenas.get(); b != nil {
+			return b
+		}
 	}
 	if p, ok := arenaPool.Get().(*[]byte); ok {
 		return (*p)[:0]
@@ -44,12 +122,20 @@ func putArena(job *Job, b []byte) {
 		return
 	}
 	b = b[:0]
+	if job.bufs != nil && job.bufs.arenas.put(b) {
+		return
+	}
 	arenaPool.Put(&b)
 }
 
 func getEntries(job *Job) []bufEntry {
 	if job.DisablePooling {
 		return nil
+	}
+	if job.bufs != nil {
+		if e := job.bufs.entries.get(); e != nil {
+			return e
+		}
 	}
 	if p, ok := entriesPool.Get().(*[]bufEntry); ok {
 		return (*p)[:0]
@@ -62,6 +148,9 @@ func putEntries(job *Job, e []bufEntry) {
 		return
 	}
 	e = e[:0]
+	if job.bufs != nil && job.bufs.entries.put(e) {
+		return
+	}
 	entriesPool.Put(&e)
 }
 

@@ -260,7 +260,7 @@ func runReduceTask(ctx context.Context, job *Job, fs iokit.FS, counters *Counter
 // partition's (already local) sorted segments and invoke Reduce once
 // per key group. attempt scopes intermediate file names so scheduler
 // retries never collide with a previous attempt's partial output.
-func reduceMerge(ctx context.Context, job *Job, fs iokit.FS, counters *Counters, partition, attempt int, segs []segment) (output []Record, err error) {
+func reduceMerge(ctx context.Context, job *Job, fs iokit.FS, counters *Counters, partition, attempt int, segs []segment) (_ []Record, err error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("mr: reduce task %d: %w", partition, err)
 	}
@@ -331,10 +331,11 @@ func reduceMerge(ctx context.Context, job *Job, fs iokit.FS, counters *Counters,
 		FS:            fs,
 		Tracer:        job.Tracer,
 	}
+	var collected outputArena
 	out := EmitterFunc(func(k, v []byte) error {
 		counters.reduceOutRecords.Add(1)
 		if !job.DiscardOutput {
-			output = append(output, Record{Key: bytesx.Clone(k), Value: bytesx.Clone(v)})
+			collected.add(k, v)
 		}
 		return nil
 	})
@@ -366,7 +367,81 @@ func reduceMerge(ctx context.Context, job *Job, fs iokit.FS, counters *Counters,
 	if err := reducer.Cleanup(out); err != nil {
 		return nil, fmt.Errorf("mr: reduce task %d cleanup: %w", partition, err)
 	}
-	return output, nil
+	return collected.records(), nil
+}
+
+// outputArena collects a reduce task's output records. Keys and values
+// are copied into chunks whose size doubles from outputChunkMin to
+// outputChunkMax — a task that emits a handful of records pays for a
+// handful, one that emits millions pays one allocation per
+// outputChunkMax bytes instead of two per record. Every Key and Value
+// is a view whose capacity ends where its bytes end, so appending to
+// one reallocates it instead of writing into its neighbour. The Record
+// headers collect in runs that double up to outputRunMax and are never
+// regrown; records joins them into the task's one result slice, so the
+// headers cost twice their final size whatever the record count.
+type outputArena struct {
+	full  [][]Record // filled runs
+	run   []Record   // run being filled
+	chunk []byte     // current chunk; len is the used part
+	next  int        // size of the chunk after this one
+}
+
+const (
+	outputChunkMin = 256
+	outputChunkMax = 256 << 10
+	outputRunMax   = 4096
+)
+
+func (a *outputArena) add(k, v []byte) {
+	n := len(k) + len(v)
+	var rec Record
+	if a.chunk != nil && n <= cap(a.chunk)-len(a.chunk) {
+		a.chunk, rec = placeRecord(a.chunk, k, v)
+	} else {
+		size := max(a.next, outputChunkMin)
+		a.next = min(2*size, outputChunkMax)
+		if n > size {
+			// A record larger than the next chunk gets an allocation
+			// of its own and leaves the current chunk open.
+			_, rec = placeRecord(make([]byte, 0, n), k, v)
+		} else {
+			a.chunk, rec = placeRecord(make([]byte, 0, size), k, v)
+		}
+	}
+	if len(a.run) == cap(a.run) {
+		if len(a.run) > 0 {
+			a.full = append(a.full, a.run)
+		}
+		a.run = make([]Record, 0, min(max(2*cap(a.run), 8), outputRunMax))
+	}
+	a.run = append(a.run, rec)
+}
+
+// records returns everything added, in order.
+func (a *outputArena) records() []Record {
+	if len(a.full) == 0 {
+		return a.run
+	}
+	n := len(a.run)
+	for _, run := range a.full {
+		n += len(run)
+	}
+	out := make([]Record, 0, n)
+	for _, run := range a.full {
+		out = append(out, run...)
+	}
+	return append(out, a.run...)
+}
+
+// placeRecord appends k and v to buf, which must have room for both,
+// and returns the capacity-clipped views of the two copies.
+func placeRecord(buf, k, v []byte) ([]byte, Record) {
+	i := len(buf)
+	buf = append(buf, k...)
+	j := len(buf)
+	buf = append(buf, v...)
+	return buf, Record{Key: buf[i:j:j], Value: buf[j:len(buf):len(buf)]}
 }
 
 // fetchSegments copies remote segments to reducer-local files over the

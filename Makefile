@@ -28,25 +28,25 @@ race:
 
 verify: build vet staticcheck race
 
-# Map-path and storage-byte-path benchmarks, published as BENCH_4.json
-# (the baseline/default sub-benchmark pairs become speedup +
-# allocation-reduction rows; the checked-in file's baseline section holds
-# the rows measured on the commit before MemFS became a block store and
-# reduce output an arena, so every row also gets a before/after pair), the
-# skew-partitioning benchmarks as BENCH_5.json (hash vs range vs
-# split max/mean partition bytes via custom ReportMetric units), and
-# the shuffle data-plane benchmarks as BENCH_7.json (raw vs sendfile
-# vs compressed throughput with bytes-on-wire per op). The
-# anti-combining layer's primitives go to BENCH_anticombine.json, named
-# for the layer: its baseline rows are the ones recorded in the
-# checked-in file (the map+heap Shared, the stage-everything AntiReducer
-# and the sort-and-map AntiMapper they measured are gone from the tree),
-# the benchmark rows are this run.
+# One micro-benchmark report per layer, all written the same way:
+# `benchjson -baseline F -out F` carries F's recorded before rows (its
+# baseline section, or its benchmark rows when it has none yet) into the
+# refreshed report and compares every row both have. BENCH_mr.json is the
+# map path and the storage byte path (mr + iokit); its baseline section
+# is the commit before MemFS became a block store and reduce output an
+# arena, and still holds the `.../baseline` rows of the sequential,
+# unpooled configuration that no longer exists, as the historical record.
+# BENCH_experiments.json is skew partitioning (hash vs range vs split
+# max/mean partition bytes, via custom ReportMetric units) and the dag
+# pipeline handoff; BENCH_transport.json the shuffle data plane (raw vs
+# sendfile vs compressed throughput with bytes-on-wire per op);
+# BENCH_anticombine.json the anti-combining primitives, against the
+# map+heap Shared, stage-everything AntiReducer and sort-and-map
+# AntiMapper that are gone from the tree.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkMapBufferSpill|BenchmarkMapPathE2E|BenchmarkMergeIter|BenchmarkSegmentRoundTrip|BenchmarkReduceCollect|BenchmarkMemFSWrite' -benchmem ./internal/mr/ ./internal/iokit/ | tee /dev/stderr | $(GO) run ./cmd/benchjson -baseline BENCH_4.json -out BENCH_4.json
-	$(GO) test -run '^$$' -bench 'BenchmarkSkewPartition' -benchmem ./internal/experiments/ | tee /dev/stderr | $(GO) run ./cmd/benchjson -out BENCH_5.json
-	$(GO) test -run '^$$' -bench 'BenchmarkPipelineHandoff' -benchmem ./internal/experiments/ | tee /dev/stderr | $(GO) run ./cmd/benchjson -out BENCH_6.json
-	$(GO) test -run '^$$' -bench 'BenchmarkShuffleDataPlane' -benchmem ./internal/mr/ | tee /dev/stderr | $(GO) run ./cmd/benchjson -out BENCH_7.json
+	$(GO) test -run '^$$' -bench 'BenchmarkMapBufferSpill|BenchmarkMapPathE2E|BenchmarkMergeIter|BenchmarkSegmentRoundTrip|BenchmarkReduceCollect|BenchmarkMemFSWrite' -benchmem ./internal/mr/ ./internal/iokit/ | tee /dev/stderr | $(GO) run ./cmd/benchjson -baseline BENCH_mr.json -out BENCH_mr.json
+	$(GO) test -run '^$$' -bench 'BenchmarkSkewPartition|BenchmarkPipelineHandoff' -benchmem ./internal/experiments/ | tee /dev/stderr | $(GO) run ./cmd/benchjson -baseline BENCH_experiments.json -out BENCH_experiments.json
+	$(GO) test -run '^$$' -bench 'BenchmarkShuffleDataPlane' -benchmem ./internal/mr/ | tee /dev/stderr | $(GO) run ./cmd/benchjson -baseline BENCH_transport.json -out BENCH_transport.json
 	$(GO) test -run '^$$' -bench 'BenchmarkEagerEncode|BenchmarkDecodeEager|BenchmarkSharedAddPop|BenchmarkAntiReducePlain|BenchmarkAntiMapCall|BenchmarkAntiCombineRun' -benchmem ./internal/anticombine/ | tee /dev/stderr | $(GO) run ./cmd/benchjson -baseline BENCH_anticombine.json -out BENCH_anticombine.json
 
 # Every benchmark in the repository, human-readable.

@@ -1,13 +1,16 @@
 package repro
 
 import (
+	"encoding/json"
+	"os"
+	"reflect"
 	"testing"
 
 	"repro/internal/experiments"
 )
 
-// abExperiments is the suite the map-path A/B harness replays under two
-// engine configurations. CPUThreshold is deliberately absent: the
+// abExperiments is the suite TestMapPathExperimentDigests replays
+// against the golden digests. CPUThreshold is deliberately absent: the
 // Adaptive threshold rule (§7.6, Figure 7) measures real Map wall time
 // to pick an encoding, so its record flows are time-dependent by design
 // and not comparable run to run even within one configuration.
@@ -26,63 +29,56 @@ var abExperiments = map[string]func(experiments.Config) error{
 	"Skew":            func(c experiments.Config) error { _, err := experiments.Skew(c); return err },
 }
 
-// TestMapPathExperimentDigests is the repository-level A/B proof for
-// the map-path overhaul: the full experiment suite, run once under the
-// historical engine configuration (sequential spills, pooling off) and
-// once under the overhauled default (bucketed sort, pooled buffers,
-// parallel spill/merge), must record identical per-job output digests —
-// output records, logical counters, and per-partition shuffle flows all
-// byte-for-byte equal.
+// mapPathGolden holds the digests every job of abExperiments recorded on
+// the last commit whose engine still had a sequential, unpooled
+// reference configuration to agree with (CHANGES.md, PR 17, has the
+// command). It is data, not a snapshot to refresh: a digest changes only
+// with an argument for why the job's bytes should.
+const mapPathGolden = "testdata/mappath_digests.json"
+
+// TestMapPathExperimentDigests is the byte-identical gate: the full
+// experiment suite, under the default engine configuration and under
+// strictly sequential spills (SpillParallelism 1), must record exactly
+// the golden per-job digests — output records, logical counters, and
+// per-partition shuffle flows all byte-for-byte equal to what the
+// parent commit's engine produced. Both runs recycle pooled buffers
+// poisoned on put, so a view kept past its put shows up here.
 func TestMapPathExperimentDigests(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the experiment suite twice")
 	}
-	run := func(sequential bool) map[string]map[string][]string {
-		out := make(map[string]map[string][]string)
-		for name, fn := range abExperiments {
-			cfg := experiments.Config{Scale: 0.05, Reducers: 4, Splits: 4}
-			cfg.Digests = experiments.NewOutputDigests()
-			if sequential {
-				cfg.SpillParallelism = 1
-				cfg.DisablePooling = true
-			}
-			if err := fn(cfg); err != nil {
-				t.Fatalf("%s (sequential=%v): %v", name, sequential, err)
-			}
-			out[name] = cfg.Digests.Snapshot()
-		}
-		return out
+	raw, err := os.ReadFile(mapPathGolden)
+	if err != nil {
+		t.Fatal(err)
 	}
-	base := run(true)
-	fast := run(false)
-
-	for name, baseJobs := range base {
-		fastJobs := fast[name]
-		if len(baseJobs) == 0 {
-			t.Errorf("%s: recorded no digests — experiment bypasses the instrumented job runner", name)
-			continue
+	var golden map[string]map[string][]string
+	if err := json.Unmarshal(raw, &golden); err != nil {
+		t.Fatalf("%s: %v", mapPathGolden, err)
+	}
+	if len(golden) != len(abExperiments) {
+		t.Errorf("%s covers %d experiments, the suite has %d", mapPathGolden, len(golden), len(abExperiments))
+	}
+	for _, spillPar := range []int{0, 1} {
+		got := make(map[string]map[string][]string)
+		for name, fn := range abExperiments {
+			cfg := experiments.Config{Scale: 0.05, Reducers: 4, Splits: 4, SpillParallelism: spillPar}
+			cfg.Digests = experiments.NewOutputDigests()
+			if err := fn(cfg); err != nil {
+				t.Fatalf("%s (SpillParallelism=%d): %v", name, spillPar, err)
+			}
+			got[name] = cfg.Digests.Snapshot()
 		}
-		for job, baseSums := range baseJobs {
-			fastSums, ok := fastJobs[job]
-			if !ok {
-				t.Errorf("%s: job %q ran under the sequential engine only", name, job)
-				continue
-			}
-			if len(baseSums) != len(fastSums) {
-				t.Errorf("%s: job %q ran %d times sequential, %d times parallel",
-					name, job, len(baseSums), len(fastSums))
-				continue
-			}
-			for i := range baseSums {
-				if baseSums[i] != fastSums[i] {
-					t.Errorf("%s: job %q run %d digest differs:\nsequential %s\nparallel   %s",
-						name, job, i, baseSums[i], fastSums[i])
+		for name, wantJobs := range golden {
+			for job, want := range wantJobs {
+				if have := got[name][job]; !reflect.DeepEqual(have, want) {
+					t.Errorf("SpillParallelism=%d: %s job %q digests differ from golden:\ngot  %v\nwant %v",
+						spillPar, name, job, have, want)
 				}
 			}
-		}
-		for job := range fastJobs {
-			if _, ok := baseJobs[job]; !ok {
-				t.Errorf("%s: job %q ran under the parallel engine only", name, job)
+			for job := range got[name] {
+				if _, ok := wantJobs[job]; !ok {
+					t.Errorf("SpillParallelism=%d: %s job %q is not in the golden file", spillPar, name, job)
+				}
 			}
 		}
 	}

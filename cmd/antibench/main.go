@@ -74,7 +74,6 @@ func main() {
 		splits   = flag.Int("splits", 8, "map tasks per job")
 		par      = flag.Int("parallelism", 0, "concurrent tasks (0 = GOMAXPROCS); 1 gives the most stable CPU numbers")
 		spillPar = flag.Int("spill-parallelism", 0, "per-map-task spill/merge parallelism (0 = GOMAXPROCS); 1 pins the historical sequential path")
-		noPool   = flag.Bool("no-pooling", false, "disable the engine's steady-state buffer pools (A/B baseline)")
 		asJSON   = flag.Bool("json", false, "emit results as JSON instead of tables")
 		list     = flag.Bool("list", false, "list experiments and exit")
 
@@ -117,7 +116,6 @@ func main() {
 		Splits:           *splits,
 		Parallelism:      *par,
 		SpillParallelism: *spillPar,
-		DisablePooling:   *noPool,
 	}
 
 	if *traceOut != "" {

@@ -1,18 +1,17 @@
 // Command benchjson converts `go test -bench` text output (read from
-// stdin) into a machine-readable JSON report, deriving baseline-vs-
-// default comparisons for benchmarks that expose `<name>/baseline` and
-// `<name>/default` sub-benchmarks. The CI bench job pipes the map-path
-// benchmarks through it to publish BENCH_4.json.
+// stdin) into a machine-readable JSON report. The CI bench job pipes
+// each layer's benchmarks through it to publish BENCH_<layer>.json.
 //
-// With -baseline, an earlier report's rows are carried into the new one
-// as its "baseline" section and every benchmark present in both gets a
-// comparison, so a report whose old implementation no longer exists in
-// the tree keeps its before/after rows: `-baseline BENCH_x.json -out
-// BENCH_x.json` refreshes the after rows against the recorded before.
+// A row gets a "before" in exactly one way: with -baseline, an earlier
+// report's rows are carried into the new one as its "baseline" section
+// and every benchmark present in both gets a comparison. That is also
+// how a report whose old implementation no longer exists in the tree
+// keeps its before/after rows: `-baseline BENCH_x.json -out BENCH_x.json`
+// refreshes the after rows against the recorded before.
 //
 // Usage:
 //
-//	go test -run '^$' -bench . -benchmem ./internal/mr/ | benchjson -out BENCH_4.json
+//	go test -run '^$' -bench . -benchmem ./internal/mr/ | benchjson -baseline BENCH_mr.json -out BENCH_mr.json
 package main
 
 import (
@@ -37,7 +36,7 @@ type Benchmark struct {
 	Extra map[string]float64 `json:"extra,omitempty"`
 }
 
-// Comparison pairs a benchmark's baseline and default variants.
+// Comparison relates a benchmark's row to its -baseline row.
 type Comparison struct {
 	Name              string  `json:"name"`
 	SpeedupX          float64 `json:"speedup_x"`
@@ -69,7 +68,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
 		os.Exit(1)
 	}
-	report.Comparisons = compare(report.Benchmarks)
 	if *baseline != "" {
 		if err := addBaseline(report, *baseline); err != nil {
 			fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
@@ -165,26 +163,6 @@ func parseResult(line string) (Benchmark, bool) {
 		}
 	}
 	return b, true
-}
-
-// compare derives speedup and allocation reductions for each
-// `X/baseline` + `X/default` sub-benchmark pair.
-func compare(benches []Benchmark) []Comparison {
-	byName := make(map[string]Benchmark, len(benches))
-	for _, b := range benches {
-		byName[b.Name] = b
-	}
-	var out []Comparison
-	for _, b := range benches {
-		root, ok := strings.CutSuffix(b.Name, "/baseline")
-		if !ok {
-			continue
-		}
-		if def, ok := byName[root+"/default"]; ok {
-			out = append(out, comparison(root, b, def))
-		}
-	}
-	return out
 }
 
 // comparison relates a benchmark's before and after rows.

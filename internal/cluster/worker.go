@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"runtime"
 	"strings"
@@ -519,25 +518,11 @@ func (w *worker) stageSplit(ctx context.Context, wj *workerJob, l TaskLease, rep
 		rep.Unreachable = appendUnique(rep.Unreachable, h.Addr)
 		return nil, fmt.Errorf("cluster: fetching handoff %s from %s: %w", h.File, h.Addr, err)
 	}
-	f, err := w.fs.Create(local)
-	if err != nil {
-		rc.Close()
-		return nil, err
-	}
 	// Handoff files are length-framed record files, not CRC32C-framed
 	// segments, so the transfer is guarded by the size check (and the
 	// record framing itself, which a truncated read trips on) rather
 	// than the segment integrity verifier.
-	n, err := io.Copy(f, rc)
-	rc.Close()
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil && n != size {
-		err = fmt.Errorf("fetched %d bytes, want %d", n, size)
-	}
-	if err != nil {
-		w.fs.Remove(local)
+	if _, err := mr.CopySegment(rc, size, w.fs, local, false, nil); err != nil {
 		rep.Unreachable = appendUnique(rep.Unreachable, h.Addr)
 		return nil, fmt.Errorf("cluster: copying handoff %s from %s: %w", h.File, h.Addr, err)
 	}
@@ -545,69 +530,41 @@ func (w *worker) stageSplit(ctx context.Context, wj *workerJob, l TaskLease, rep
 }
 
 // runFetch pulls the lease's source segments from peer segment servers
-// into worker-local files — the cluster analogue of the pipelined
-// scheduler's fetch tasks, with real sockets underneath. Local names
-// live under the job's workspace so concurrent jobs sharing this
-// worker's filesystem cannot collide. Unless the job disables
-// checksums, every fetched byte passes through the CRC32C verifier
-// before landing on disk, so a corrupted transfer is a fetch failure
-// (feeding the fleet's unreachable blacklist), never a poisoned reduce
-// input. A failed attempt removes every file it wrote, so retries
-// cannot leak partial segments.
-func (w *worker) runFetch(ctx context.Context, wj *workerJob, l TaskLease, rep *ReportArgs, counters *mr.Counters) error {
+// into worker-local files — the cluster analogue of the in-process
+// engine's fetch tasks, with real sockets underneath. Local names live
+// under the job's workspace so concurrent jobs sharing this worker's
+// filesystem cannot collide. Each body lands through mr.CopySegment
+// (CRC32C-verified in flight unless the job disables checksums), so a
+// corrupted transfer is a fetch failure (feeding the fleet's
+// unreachable blacklist), never a poisoned reduce input. A failed
+// attempt removes every file it wrote, so retries cannot leak partial
+// segments.
+func (w *worker) runFetch(ctx context.Context, wj *workerJob, l TaskLease, rep *ReportArgs, counters *mr.Counters) (err error) {
 	var transferTime time.Duration
 	var local []string
-	cleanup := func(current string) {
-		if current != "" {
-			w.fs.Remove(current)
+	defer func() {
+		if err != nil {
+			for _, name := range local {
+				w.fs.Remove(name)
+			}
 		}
-		for _, name := range local {
-			w.fs.Remove(name)
-		}
-	}
+	}()
 	for i, src := range l.Sources {
 		fst := time.Now()
 		rc, size, err := w.fetcher.Fetch(ctx, src.Addr, src.File)
 		if err != nil {
-			cleanup("")
 			rep.Unreachable = appendUnique(rep.Unreachable, src.Addr)
 			return fmt.Errorf("cluster: fetching %s from %s: %w", src.File, src.Addr, err)
 		}
 		name := fmt.Sprintf("%s/shuffle/r%04d/m%04d.a%d.%02d",
 			wj.job.Workspace, l.Partition, l.MapIndex, l.Attempt, i)
-		f, err := w.fs.Create(name)
-		if err != nil {
-			rc.Close()
-			cleanup("")
-			return err
-		}
-		var from io.Reader = rc
-		if !wj.job.DisableChecksums {
-			from = mr.NewIntegrityVerifier(rc)
-		}
-		n, err := io.Copy(f, from)
-		if err == nil {
-			if wire, ok := mr.WireBytes(rc); ok {
-				counters.AddExtra(mr.CounterShuffleRawBytes, n)
-				counters.AddExtra(mr.CounterShuffleWireBytes, wire)
-			}
-		}
-		rc.Close()
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
+		n, err := mr.CopySegment(rc, size, w.fs, name, !wj.job.DisableChecksums, counters)
 		if err != nil {
 			if errors.Is(err, mr.ErrIntegrity) {
 				w.integrity.Add(1)
 			}
-			cleanup(name)
 			rep.Unreachable = appendUnique(rep.Unreachable, src.Addr)
 			return fmt.Errorf("cluster: copying %s from %s: %w", src.File, src.Addr, err)
-		}
-		if n != size {
-			cleanup(name)
-			rep.Unreachable = appendUnique(rep.Unreachable, src.Addr)
-			return fmt.Errorf("cluster: fetched %d bytes of %s from %s, want %d", n, src.File, src.Addr, size)
 		}
 		local = append(local, name)
 		transferTime += time.Since(fst)

@@ -40,16 +40,13 @@ type Config struct {
 	// antibench wires it from -metrics.
 	Metrics *obs.Registry
 	// SpillParallelism overrides mr.Job.SpillParallelism on every job
-	// (0 keeps the engine default). 1 pins the historical sequential
+	// (0 keeps the engine default). 1 pins the strictly sequential
 	// spill/merge path; antibench wires it from -spill-parallelism.
 	SpillParallelism int
-	// DisablePooling opts every job out of the engine's steady-state
-	// buffer pools — the A/B baseline for the pooled map path.
-	DisablePooling bool
 	// Digests, when non-nil, records a per-job fingerprint of each run's
 	// logical output (output records when collected, byte-level counters,
-	// per-partition shuffle flows). The A/B harness runs the experiment
-	// suite under two engine configurations and requires equal digests.
+	// per-partition shuffle flows). TestMapPathExperimentDigests holds
+	// the suite's digests to the checked-in golden file.
 	Digests *OutputDigests
 }
 
@@ -105,9 +102,6 @@ func runJob(cfg Config, name string, job *mr.Job, splits []mr.Split) (RunMetrics
 	}
 	if cfg.SpillParallelism > 0 {
 		job.SpillParallelism = cfg.SpillParallelism
-	}
-	if cfg.DisablePooling {
-		job.DisablePooling = true
 	}
 	// Only override when configured, so an experiment can pre-wire its
 	// own tracer or registry on the job.

@@ -144,9 +144,6 @@ func applyConfig(cfg Config, job *mr.Job) {
 	if cfg.SpillParallelism > 0 {
 		job.SpillParallelism = cfg.SpillParallelism
 	}
-	if cfg.DisablePooling {
-		job.DisablePooling = true
-	}
 	if cfg.Tracer != nil {
 		job.Tracer = cfg.Tracer
 	}

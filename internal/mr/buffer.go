@@ -58,18 +58,18 @@ func newMapBuffer(job *Job, fs iokit.FS, counters *Counters, taskID, attempt int
 		job: job, fs: fs, counters: counters,
 		taskID: taskID, attempt: attempt,
 		dir:     mapTaskDir(job, taskID, attempt),
-		arena:   getArena(job),
-		entries: getEntries(job),
-		scratch: getEntries(job),
+		arena:   job.bufs.arenas.get(),
+		entries: job.bufs.entries.get(),
+		scratch: job.bufs.entries.get(),
 	}
 }
 
 // release returns the buffer's pooled memory. Call once, after the last
 // spill; the produced segments live on disk and keep no reference.
 func (b *mapBuffer) release() {
-	putArena(b.job, b.arena)
-	putEntries(b.job, b.entries)
-	putEntries(b.job, b.scratch)
+	b.job.bufs.arenas.put(b.arena)
+	b.job.bufs.entries.put(b.entries)
+	b.job.bufs.entries.put(b.scratch)
 	b.arena, b.entries, b.scratch, b.offs = nil, nil, nil, nil
 }
 
@@ -291,7 +291,7 @@ func newSegmentSink(job *Job, fs iokit.FS, name string) (*segmentSink, error) {
 		base io.Writer = f
 	)
 	if !job.DisableChecksums {
-		ck = newChecksumWriter(job, f)
+		ck = newChecksumWriter(f)
 		base = ck
 	}
 	cw, err := job.Codec.NewWriter(base)
@@ -303,18 +303,18 @@ func newSegmentSink(job *Job, fs iokit.FS, name string) (*segmentSink, error) {
 		removeQuiet(fs, name)
 		return nil, err
 	}
-	return &segmentSink{f: f, ck: ck, cw: cw, w: getRecordWriter(job, cw)}, nil
+	return &segmentSink{f: f, ck: ck, cw: cw, w: getRecordWriter(cw)}, nil
 }
 
 // close flushes and closes every layer in order (err carries the
 // caller's write error, if any, so close errors never mask it) and
 // reports the framed record count and pre-codec bytes.
-func (s *segmentSink) close(job *Job, err error) (records, rawBytes int64, _ error) {
+func (s *segmentSink) close(err error) (records, rawBytes int64, _ error) {
 	if err == nil {
 		err = s.w.Flush()
 	}
 	records, rawBytes = s.w.Records(), s.w.Bytes()
-	putRecordWriter(job, s.w)
+	putRecordWriter(s.w)
 	if cerr := s.cw.Close(); err == nil {
 		err = cerr
 	}
@@ -353,7 +353,7 @@ func (b *mapBuffer) writeRun(name string, partition int, entries []bufEntry) (se
 			}
 		}
 	}
-	records, rawBytes, err := sink.close(b.job, err)
+	records, rawBytes, err := sink.close(err)
 	if err != nil {
 		removeQuiet(b.fs, name)
 		return segment{}, err
@@ -476,7 +476,7 @@ func openSegment(job *Job, fs iokit.FS, seg segment) (recordStream, error) {
 		base io.Reader = f
 	)
 	if !job.DisableChecksums {
-		ck = newChecksumReader(job, f)
+		ck = newChecksumReader(f)
 		base = ck
 	}
 	cr, err := job.Codec.NewReader(base)
@@ -487,9 +487,9 @@ func openSegment(job *Job, fs iokit.FS, seg segment) (recordStream, error) {
 		f.Close()
 		return nil, err
 	}
-	rd := getRecordReader(job, cr)
+	rd := getRecordReader(cr)
 	return &readerStream{r: rd, close: func() error {
-		putRecordReader(job, rd)
+		putRecordReader(rd)
 		if ck != nil {
 			ck.release()
 		}
@@ -619,7 +619,7 @@ func mergeOnce(job *Job, fs iokit.FS, counters *Counters, name string, partition
 			}
 		}
 	}
-	records, rawBytes, err := sink.close(job, err)
+	records, rawBytes, err := sink.close(err)
 	if err != nil {
 		return segment{}, err
 	}

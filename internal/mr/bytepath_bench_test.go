@@ -46,7 +46,7 @@ func writeSortedSegment(tb testing.TB, job *Job, fs iokit.FS, name string, n, va
 		}
 		err = sink.w.WriteRecord(key, value)
 	}
-	records, rawBytes, err := sink.close(job, err)
+	records, rawBytes, err := sink.close(err)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -136,8 +136,9 @@ func TestReduceCollectAllocations(t *testing.T) {
 // TestMapArenasStayWithTheRun: a run hands its sort arenas from one map
 // task to the next itself, so garbage collections between tasks — two
 // empty a sync.Pool — do not make later tasks grow new ones. Eight
-// tasks on two workers grow two arenas, three at most; without reuse
-// they grow eight.
+// tasks on two workers grow two arenas, three at most; with only the
+// cross-run pools to go through (no run, as for a task executed outside
+// one) they grow eight. Every hand-over is through a poisoned put.
 func TestMapArenasStayWithTheRun(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation sizes differ under the race detector")
@@ -154,13 +155,12 @@ func TestMapArenasStayWithTheRun(t *testing.T) {
 	for r := range split.Recs {
 		split.Recs[r] = Record{Key: []byte{byte(r >> 8), byte(r)}, Value: value}
 	}
-	run := func(disablePooling bool) uint64 {
+	run := func(bufs *runBuffers) uint64 {
 		job := identityReduceJob()
-		job.DisablePooling = disablePooling
-		if !disablePooling {
-			job.bufs = newRunBuffers(workers) // what Run does
-		}
+		job.bufs = bufs
 		fs := iokit.NewMemFS()
+		runtime.GC() // start both runs from empty cross-run pools
+		runtime.GC()
 		return allocatedBytes(func() {
 			err := runPool(context.Background(), workers, tasks, func(ctx context.Context, i int) error {
 				_, err := runMapTask(ctx, job, fs, &Counters{}, i, 0, split)
@@ -173,10 +173,10 @@ func TestMapArenasStayWithTheRun(t *testing.T) {
 			}
 		})
 	}
-	unpooled, pooled := run(true), run(false)
+	poolOnly, owned := run(outsideRun), run(newRunBuffers(workers)) // the latter is what Run does
 	// Both runs store the same files; the arenas are the difference.
-	if saved := int64(unpooled) - int64(pooled); saved < (tasks-3)*arenaCost*9/10 {
-		t.Errorf("pooled run allocated %d MB, unpooled %d MB: reuse saved %d MB, want about %d (%d of %d arenas)",
-			pooled>>20, unpooled>>20, saved>>20, (tasks-3)*arenaCost>>20, tasks-3, tasks)
+	if saved := int64(poolOnly) - int64(owned); saved < (tasks-3)*arenaCost*9/10 {
+		t.Errorf("run-owned buffers allocated %d MB, sync.Pool alone %d MB: reuse saved %d MB, want about %d (%d of %d arenas)",
+			owned>>20, poolOnly>>20, saved>>20, (tasks-3)*arenaCost>>20, tasks-3, tasks)
 	}
 }

@@ -62,13 +62,12 @@ func integrityTruncated(err error, what string) error {
 // underlying writer.
 type checksumWriter struct {
 	w      io.Writer
-	job    *Job
 	buf    []byte // pooled block buffer, filled to checksumBlockSize
 	closed bool
 }
 
-func newChecksumWriter(job *Job, w io.Writer) *checksumWriter {
-	return &checksumWriter{w: w, job: job, buf: getCopyBuf(job)[:0]}
+func newChecksumWriter(w io.Writer) *checksumWriter {
+	return &checksumWriter{w: w, buf: getCopyBuf()[:0]}
 }
 
 // Write implements io.Writer, accumulating p into full blocks. A write
@@ -132,7 +131,7 @@ func (c *checksumWriter) Close() error {
 	if err == nil {
 		_, err = c.w.Write([]byte{0})
 	}
-	putCopyBuf(c.job, c.buf)
+	putCopyBuf(c.buf)
 	c.buf = nil
 	return err
 }
@@ -144,7 +143,7 @@ func (c *checksumWriter) release() {
 		return
 	}
 	c.closed = true
-	putCopyBuf(c.job, c.buf)
+	putCopyBuf(c.buf)
 	c.buf = nil
 }
 
@@ -153,7 +152,6 @@ func (c *checksumWriter) release() {
 // as ErrIntegrity; underlying I/O errors pass through unwrapped.
 type checksumReader struct {
 	br   byteReader
-	job  *Job
 	buf  []byte // pooled payload buffer
 	pos  int
 	n    int
@@ -161,8 +159,8 @@ type checksumReader struct {
 	done bool
 }
 
-func newChecksumReader(job *Job, r io.Reader) *checksumReader {
-	return &checksumReader{br: byteReader{r: r}, job: job, buf: getCopyBuf(job)}
+func newChecksumReader(r io.Reader) *checksumReader {
+	return &checksumReader{br: byteReader{r: r}, buf: getCopyBuf()}
 }
 
 // Read implements io.Reader.
@@ -253,7 +251,7 @@ func (c *checksumReader) fill() error {
 // release returns the pooled buffer. The reader is unusable afterwards.
 func (c *checksumReader) release() {
 	if cap(c.buf) == copyBufSize {
-		putCopyBuf(c.job, c.buf)
+		putCopyBuf(c.buf)
 	}
 	c.buf = nil
 	c.err = errors.New("mr: checksum reader released")

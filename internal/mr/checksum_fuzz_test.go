@@ -14,13 +14,9 @@ import (
 // structural corruption — and never panic or silently accept a
 // malformed stream.
 func FuzzSegmentFrames(f *testing.F) {
-	job, err := wordCountJob(false).normalized()
-	if err != nil {
-		f.Fatal(err)
-	}
 	frame := func(payload []byte) []byte {
 		var buf bytes.Buffer
-		cw := newChecksumWriter(job, &buf)
+		cw := newChecksumWriter(&buf)
 		if _, err := cw.Write(payload); err != nil {
 			f.Fatal(err)
 		}
@@ -38,7 +34,7 @@ func FuzzSegmentFrames(f *testing.F) {
 	f.Add(append(frame([]byte("trail")), 'x'))                                // trailing garbage
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		cr := newChecksumReader(job, bytes.NewReader(data))
+		cr := newChecksumReader(bytes.NewReader(data))
 		payload, rerr := io.ReadAll(cr)
 		cr.release()
 
@@ -66,7 +62,7 @@ func FuzzSegmentFrames(f *testing.F) {
 		if !bytes.Equal(raw, data) {
 			t.Fatalf("verifier not pass-through: %d bytes out of %d in", len(raw), len(data))
 		}
-		cr2 := newChecksumReader(job, bytes.NewReader(frame(payload)))
+		cr2 := newChecksumReader(bytes.NewReader(frame(payload)))
 		payload2, err := io.ReadAll(cr2)
 		cr2.release()
 		if err != nil {

@@ -24,10 +24,10 @@ func checksumTestJob(t *testing.T) *Job {
 }
 
 // frameStream checksum-frames payload, returning the on-disk bytes.
-func frameStream(t *testing.T, job *Job, payload []byte) []byte {
+func frameStream(t *testing.T, payload []byte) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	cw := newChecksumWriter(job, &buf)
+	cw := newChecksumWriter(&buf)
 	if _, err := cw.Write(payload); err != nil {
 		t.Fatal(err)
 	}
@@ -41,16 +41,15 @@ func frameStream(t *testing.T, job *Job, payload []byte) []byte {
 // sub-block, exactly one block, multi-block with remainder) and checks
 // the reader and the pass-through verifier both recover them exactly.
 func TestChecksumRoundTrip(t *testing.T) {
-	j := checksumTestJob(t)
 	sizes := []int{0, 1, 100, checksumBlockSize, checksumBlockSize + 1, 3*checksumBlockSize + 17}
 	for _, n := range sizes {
 		payload := make([]byte, n)
 		for i := range payload {
 			payload[i] = byte(i*31 + 7)
 		}
-		framed := frameStream(t, j, payload)
+		framed := frameStream(t, payload)
 
-		cr := newChecksumReader(j, bytes.NewReader(framed))
+		cr := newChecksumReader(bytes.NewReader(framed))
 		got, err := io.ReadAll(cr)
 		cr.release()
 		if err != nil {
@@ -74,14 +73,13 @@ func TestChecksumRoundTrip(t *testing.T) {
 // turn: both the stripping reader and the pass-through verifier must
 // fail with ErrIntegrity (never succeed, never panic) on every offset.
 func TestChecksumDetectsCorruption(t *testing.T) {
-	j := checksumTestJob(t)
 	payload := []byte(strings.Repeat("integrity matters ", 40))
-	framed := frameStream(t, j, payload)
+	framed := frameStream(t, payload)
 	for off := 0; off < len(framed); off++ {
 		corrupt := append([]byte(nil), framed...)
 		corrupt[off] ^= 0x40
 
-		cr := newChecksumReader(j, bytes.NewReader(corrupt))
+		cr := newChecksumReader(bytes.NewReader(corrupt))
 		got, err := io.ReadAll(cr)
 		cr.release()
 		if err == nil {
@@ -105,10 +103,9 @@ func TestChecksumDetectsCorruption(t *testing.T) {
 // TestChecksumDetectsTruncation cuts a framed stream at every length:
 // any prefix shorter than the full stream must fail with ErrIntegrity.
 func TestChecksumDetectsTruncation(t *testing.T) {
-	j := checksumTestJob(t)
-	framed := frameStream(t, j, []byte(strings.Repeat("cut here ", 30)))
+	framed := frameStream(t, []byte(strings.Repeat("cut here ", 30)))
 	for n := 0; n < len(framed); n++ {
-		cr := newChecksumReader(j, bytes.NewReader(framed[:n]))
+		cr := newChecksumReader(bytes.NewReader(framed[:n]))
 		_, err := io.ReadAll(cr)
 		cr.release()
 		if !errors.Is(err, ErrIntegrity) {
@@ -120,7 +117,7 @@ func TestChecksumDetectsTruncation(t *testing.T) {
 	}
 	// Trailing garbage after the terminator is corruption too.
 	trailing := append(append([]byte(nil), framed...), 'x')
-	cr := newChecksumReader(j, bytes.NewReader(trailing))
+	cr := newChecksumReader(bytes.NewReader(trailing))
 	if _, err := io.ReadAll(cr); !errors.Is(err, ErrIntegrity) {
 		t.Fatalf("trailing data: error is not ErrIntegrity: %v", err)
 	}
@@ -131,13 +128,12 @@ func TestChecksumDetectsTruncation(t *testing.T) {
 // underlying I/O fault (an injected read failure) must surface as
 // itself, not be reclassified as corruption.
 func TestChecksumPassesThroughIOErrors(t *testing.T) {
-	j := checksumTestJob(t)
 	mem := iokit.NewMemFS()
 	f, err := mem.Create("seg")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cw := newChecksumWriter(j, f)
+	cw := newChecksumWriter(f)
 	if _, err := cw.Write([]byte(strings.Repeat("data ", 100))); err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +149,7 @@ func TestChecksumPassesThroughIOErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	cr := newChecksumReader(j, r)
+	cr := newChecksumReader(r)
 	defer cr.release()
 	_, err = io.ReadAll(cr)
 	if !errors.Is(err, iokit.ErrInjected) {

@@ -105,7 +105,7 @@ func (c *Counters) AddShuffle(bytes, records int64) {
 
 // AddReduceCPU charges d to the reduce-phase CPU total. Remote
 // executors use it for fetch work that happens outside ExecReduceTask,
-// matching the pipelined scheduler's accounting of fetch-task time.
+// matching the engine's accounting of fetch-task time.
 func (c *Counters) AddReduceCPU(d time.Duration) {
 	c.reduceTaskNs.Add(d.Nanoseconds())
 }

@@ -58,7 +58,7 @@ func ExecMapTask(ctx context.Context, job *Job, fs iokit.FS, counters *Counters,
 
 // ExecReduceTask runs one reduce-task attempt of job over segments that
 // are already local in fs (a remote executor fetches them first, as the
-// pipelined scheduler's fetch tasks do), merging them in the given
+// engine's fetch tasks do), merging them in the given
 // order and invoking Reduce per key group. Segment order must be the
 // map-task order for output to be byte-identical with the
 // single-process engine. The task's single-threaded wall time is

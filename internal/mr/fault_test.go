@@ -62,7 +62,6 @@ func TestFaultInjectionParallelPipelined(t *testing.T) {
 	mk := func(fs iokit.FS) *Job {
 		job := jobForFaults(fs)
 		job.Parallelism = 4
-		job.Scheduler = SchedulerPipelined
 		job.MaxTaskAttempts = 3
 		job.RetryBackoff = 1
 		return job

@@ -67,12 +67,6 @@ type Job struct {
 	// Defaults to runtime.GOMAXPROCS(0); 1 reproduces the historical
 	// strictly sequential spill/merge path.
 	SpillParallelism int
-	// DisablePooling turns off the engine's steady-state buffer pools
-	// (collect arenas, entry slices, spill writers/readers, shuffle copy
-	// buffers), so every task allocates fresh memory. It exists as the
-	// A/B baseline for the pooled fast path; output bytes are identical
-	// either way.
-	DisablePooling bool
 	// TCPShuffle routes the shuffle through a real loopback TCP
 	// listener (map output segments are served over sockets and copied
 	// to reducer-local files before merging, like Hadoop's fetch phase)
@@ -95,29 +89,20 @@ type Job struct {
 	// preserving the historical byte-identical on-disk layout; logical
 	// output is identical either way.
 	DisableChecksums bool
-	// Scheduler selects the execution engine. SchedulerPipelined (the
-	// default) runs the job as an event-driven task graph: each reduce
-	// partition's segment fetches start as soon as the map tasks feeding
-	// it complete, overlapping shuffle with still-running map tasks the
-	// way Hadoop's fetch phase does. SchedulerBarrier is the classic
-	// two-phase engine with a hard barrier between map and reduce. Both
-	// produce byte-identical output.
-	Scheduler string
 	// MaxTaskAttempts caps execution attempts per task (map, fetch,
-	// reduce) under the pipelined scheduler. Attempts beyond the first
-	// are made only for transient errors (injected I/O faults,
-	// connection-level fetch failures), with exponential backoff.
-	// Defaults to 1 (no retries).
+	// reduce). Attempts beyond the first are made only for transient
+	// errors (injected I/O faults, connection-level fetch failures),
+	// with exponential backoff. Defaults to 1 (no retries).
 	MaxTaskAttempts int
 	// RetryBackoff is the delay before a task's first retry, doubling
 	// per subsequent failure. Defaults to 1ms.
 	RetryBackoff time.Duration
 	// Speculative enables speculative re-execution of straggler map
-	// attempts under the pipelined scheduler: when a map attempt runs
-	// well past its siblings' median duration a duplicate attempt is
-	// launched, the first finisher wins, and the loser is cancelled.
-	// Output is unaffected; duplicate attempts do inflate work counters
-	// (map input/output records, spills), as they do on Hadoop.
+	// attempts: when a map attempt runs well past its siblings' median
+	// duration a duplicate attempt is launched, the first finisher
+	// wins, and the loser is cancelled. Output is unaffected; duplicate
+	// attempts do inflate work counters (map input/output records,
+	// spills), as they do on Hadoop.
 	Speculative bool
 	// Tracer, when non-nil, receives typed trace spans from every layer
 	// of the run — job, map/fetch/reduce attempts, combiner passes, and
@@ -151,9 +136,9 @@ type Job struct {
 	// default bytesx.Bytes order lets the spill sort inline bytes.Compare
 	// instead of calling through the comparator function pointer.
 	rawKeyOrder bool
-	// bufs is set by Run on its normalized copy (nil under
-	// DisablePooling, and for tasks executed outside a Run): the free
-	// list the run's map tasks pass their arenas through.
+	// bufs is the free list a run's map tasks pass their arenas
+	// through: Run sets its own on its normalized copy; a task executed
+	// outside a Run keeps normalized's outsideRun.
 	bufs *runBuffers
 }
 
@@ -206,18 +191,14 @@ func (j *Job) normalized() (*Job, error) {
 	if c.SpillParallelism <= 0 {
 		c.SpillParallelism = runtime.GOMAXPROCS(0)
 	}
-	switch c.Scheduler {
-	case "":
-		c.Scheduler = SchedulerPipelined
-	case SchedulerPipelined, SchedulerBarrier:
-	default:
-		return nil, fmt.Errorf("%w: unknown scheduler %q", errJob, c.Scheduler)
-	}
 	if c.MaxTaskAttempts <= 0 {
 		c.MaxTaskAttempts = 1
 	}
 	if c.RetryBackoff <= 0 {
 		c.RetryBackoff = time.Millisecond
+	}
+	if c.bufs == nil {
+		c.bufs = outsideRun
 	}
 	return &c, nil
 }

@@ -12,7 +12,7 @@ import (
 )
 
 // mapPathInput is sized to force several spills under a tiny sort
-// buffer, so the A/B runs exercise bucketing, parallel run writes, and
+// buffer, so the runs under comparison exercise bucketing, parallel run writes, and
 // the per-partition final merges — not just the single-spill shortcut.
 func mapPathInput() []Split {
 	return lines(
@@ -54,103 +54,96 @@ func assertSameRun(t *testing.T, aName string, a *Result, bName string, b *Resul
 	}
 }
 
-// TestMapPathEquivalence is the A/B harness for the map-path overhaul:
-// across codecs, transports, spill pressure, and combiner settings, the
-// historical sequential/unpooled configuration (SpillParallelism=1,
-// DisablePooling) and the new default (bucketed sort, pooled buffers,
-// parallel spill/merge) must produce byte-identical sorted output and
-// identical logical counters.
-func TestMapPathEquivalence(t *testing.T) {
-	input := mapPathInput()
+// engineShapes calls fn once per codec × transport × spill-pressure
+// combination with a subtest name prefix and a constructor for that
+// shape's word-count job.
+func engineShapes(fn func(name string, mk func(combiner bool) *Job)) {
 	for _, cc := range []struct {
 		name string
 		c    codec.Codec
 	}{{"identity", nil}, {"snappy", codec.Snappy{}}} {
 		for _, tcp := range []bool{false, true} {
 			for _, tinyBuf := range []bool{false, true} {
-				for _, combiner := range []bool{false, true} {
-					name := fmt.Sprintf("%s/tcp=%v/tiny=%v/combiner=%v", cc.name, tcp, tinyBuf, combiner)
-					t.Run(name, func(t *testing.T) {
-						mk := func(sequential bool) *Job {
-							job := wordCountJob(combiner)
-							job.Codec = cc.c
-							job.TCPShuffle = tcp
-							if tinyBuf {
-								job.SortBufferBytes = 1 << 10
-							}
-							if sequential {
-								job.SpillParallelism = 1
-								job.DisablePooling = true
-							}
-							return job
-						}
-						base, err := Run(mk(true), input)
-						if err != nil {
-							t.Fatalf("sequential baseline: %v", err)
-						}
-						fast, err := Run(mk(false), input)
-						if err != nil {
-							t.Fatalf("parallel pooled: %v", err)
-						}
-						assertSameRun(t, "sequential", base, "parallel", fast)
-					})
-				}
+				fn(fmt.Sprintf("%s/tcp=%v/tiny=%v", cc.name, tcp, tinyBuf), func(combiner bool) *Job {
+					job := wordCountJob(combiner)
+					job.Codec = cc.c
+					job.TCPShuffle = tcp
+					if tinyBuf {
+						job.SortBufferBytes = 1 << 10
+					}
+					return job
+				})
 			}
 		}
 	}
 }
 
+// assertSequentialSame runs job twice — as configured, and one task at
+// a time with sequential spills and merges — and asserts the two runs
+// are the same run.
+func assertSequentialSame(t *testing.T, mk func() *Job, input []Split) {
+	t.Helper()
+	seq := mk()
+	seq.Parallelism, seq.SpillParallelism = 1, 1
+	assertSameRun(t, "sequential", mustRun(t, seq, input), "configured", mustRun(t, mk(), input))
+}
+
+// TestMapPathEquivalence: across codecs, transports, spill pressure and
+// combiner settings, the default map path (bucketed sort, parallel
+// spill/merge, pooled buffers — poisoned on put in this binary) must
+// produce the byte-identical sorted output, logical counters and
+// per-partition flows of the strictly sequential configuration.
+func TestMapPathEquivalence(t *testing.T) {
+	input := mapPathInput()
+	engineShapes(func(name string, mk func(combiner bool) *Job) {
+		for _, combiner := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/combiner=%v", name, combiner), func(t *testing.T) {
+				assertSequentialSame(t, func() *Job { return mk(combiner) }, input)
+			})
+		}
+	})
+}
+
+// TestSchedulerEquivalence is the same harness over the worker count:
+// scheduling must never show in a run, so the task graph on 1 and on 4
+// workers reproduces the sequential run.
+func TestSchedulerEquivalence(t *testing.T) {
+	input := mapPathInput()
+	engineShapes(func(name string, mk func(combiner bool) *Job) {
+		for _, par := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/par=%d", name, par), func(t *testing.T) {
+				assertSequentialSame(t, func() *Job {
+					job := mk(true)
+					job.Parallelism = par
+					return job
+				}, input)
+			})
+		}
+	})
+}
+
 // TestMapPathEquivalenceCustomComparator covers the non-raw-key-order
 // sort path: a custom (reverse) comparator must disable the inlined
-// bytes.Compare fast path on both sides and still produce identical
-// output.
+// bytes.Compare fast path and still reproduce the sequential run.
 func TestMapPathEquivalenceCustomComparator(t *testing.T) {
-	input := mapPathInput()
-	mk := func(sequential bool) *Job {
+	assertSequentialSame(t, func() *Job {
 		job := wordCountJob(true)
 		job.KeyCompare = func(a, b []byte) int { return bytes.Compare(b, a) }
 		job.SortBufferBytes = 1 << 10
-		if sequential {
-			job.SpillParallelism = 1
-			job.DisablePooling = true
-		}
 		return job
-	}
-	base, err := Run(mk(true), input)
-	if err != nil {
-		t.Fatalf("sequential baseline: %v", err)
-	}
-	fast, err := Run(mk(false), input)
-	if err != nil {
-		t.Fatalf("parallel pooled: %v", err)
-	}
-	assertSameRun(t, "sequential", base, "parallel", fast)
+	}, mapPathInput())
 }
 
 // TestMapPathEquivalenceMultiPass forces multi-pass merges (tiny sort
 // buffer, MergeFactor 2) so the smallest-first pass policy runs under
 // both configurations.
 func TestMapPathEquivalenceMultiPass(t *testing.T) {
-	input := mapPathInput()
-	mk := func(sequential bool) *Job {
+	assertSequentialSame(t, func() *Job {
 		job := wordCountJob(true)
 		job.SortBufferBytes = 1 << 10
 		job.MergeFactor = 2
-		if sequential {
-			job.SpillParallelism = 1
-			job.DisablePooling = true
-		}
 		return job
-	}
-	base, err := Run(mk(true), input)
-	if err != nil {
-		t.Fatalf("sequential baseline: %v", err)
-	}
-	fast, err := Run(mk(false), input)
-	if err != nil {
-		t.Fatalf("parallel pooled: %v", err)
-	}
-	assertSameRun(t, "sequential", base, "parallel", fast)
+	}, mapPathInput())
 }
 
 // TestMapPathParallelRace stresses the concurrent paths for the race
@@ -283,7 +276,7 @@ func writeTestSegment(job *Job, fs iokit.FS, name string, partition, id, n int) 
 			break
 		}
 	}
-	records, rawBytes, err := sink.close(job, werr)
+	records, rawBytes, err := sink.close(werr)
 	if err != nil {
 		removeQuiet(fs, name)
 		return segment{}, err

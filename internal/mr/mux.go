@@ -249,8 +249,8 @@ func (b *batchSender) serveStream(idx int, name string) {
 		return
 	}
 
-	chunk := getCopyBuf(nil)
-	defer putCopyBuf(nil, chunk)
+	chunk := getCopyBuf()
+	defer putCopyBuf(chunk)
 	var out, block []byte
 	var raw, wire int64
 	defer func() { b.s.count(raw, wire) }()

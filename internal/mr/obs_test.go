@@ -1,6 +1,7 @@
 package mr
 
 import (
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -305,5 +306,27 @@ func BenchmarkRunTraced(b *testing.B) {
 		if _, err := Run(job, splits); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestFailedStartKeepsJobSpan: spans are recorded when they end, so a
+// Run that fails before any task starts — here the shuffle transport
+// refuses to come up — must still end its job span, as failed.
+func TestFailedStartKeepsJobSpan(t *testing.T) {
+	job := wordCountJob(false)
+	job.Tracer = obs.NewTracer()
+	job.TCPShuffle = true
+	job.WrapShuffleListener = func(net.Listener) net.Listener { return nil }
+	if _, err := Run(job, lines("a b")); err == nil {
+		t.Fatal("Run succeeded without a shuffle listener")
+	}
+	var jobs []obs.Span
+	for _, sp := range job.Tracer.Spans() {
+		if sp.Kind == obs.KindJob {
+			jobs = append(jobs, sp)
+		}
+	}
+	if len(jobs) != 1 || jobs[0].Attr("outcome") != "failed" || jobs[0].Attr("err") == "" {
+		t.Fatalf("job spans after a failed start = %+v, want one with outcome=failed and the error", jobs)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/iokit"
 	"repro/internal/sched"
 )
 
@@ -15,10 +16,6 @@ import (
 func MapTaskName(i int) string      { return fmt.Sprintf("map/%d", i) }
 func FetchTaskName(p, i int) string { return fmt.Sprintf("fetch/%d/%d", p, i) }
 func ReduceTaskName(p int) string   { return fmt.Sprintf("reduce/%d", p) }
-
-func mapTaskName(i int) string      { return MapTaskName(i) }
-func fetchTaskName(p, i int) string { return FetchTaskName(p, i) }
-func reduceTaskName(p int) string   { return ReduceTaskName(p) }
 
 // mapOut is a map task's committed value.
 type mapOut struct {
@@ -37,11 +34,10 @@ type mapOut struct {
 // Task failures retry with backoff when transient and the job's attempt
 // budget allows; straggling map attempts may be speculatively
 // re-executed when Job.Speculative is set.
-func runPipelined(ctx context.Context, env *runEnv) (*Result, error) {
-	j := env.job
-	nMap := len(env.splits)
+func runPipelined(ctx context.Context, j *Job, fs iokit.FS, counters *Counters, transport Transport, splits []Split) (*Result, error) {
+	nMap := len(splits)
 	nRed := j.NumReduceTasks
-	_, localTransport := env.transport.(LocalTransport)
+	_, localTransport := transport.(LocalTransport)
 
 	// shufflePer is written concurrently by a partition's fetch tasks.
 	shufflePer := make([]int64, nRed)
@@ -50,12 +46,12 @@ func runPipelined(ctx context.Context, env *runEnv) (*Result, error) {
 	for i := 0; i < nMap; i++ {
 		i := i
 		tasks = append(tasks, sched.Task{
-			Name:         mapTaskName(i),
+			Name:         MapTaskName(i),
 			Group:        TaskGroupMap,
 			Speculatable: j.Speculative,
 			Run: func(ctx context.Context, tc *sched.TaskContext) (any, error) {
 				t0 := time.Now()
-				segs, err := runMapTask(ctx, j, env.fs, env.counters, i, tc.Attempt, env.splits[i])
+				segs, err := runMapTask(ctx, j, fs, counters, i, tc.Attempt, splits[i])
 				if err != nil {
 					return nil, err
 				}
@@ -75,14 +71,14 @@ func runPipelined(ctx context.Context, env *runEnv) (*Result, error) {
 			}
 			p, i := p, i
 			tasks = append(tasks, sched.Task{
-				Name:  fetchTaskName(p, i),
+				Name:  FetchTaskName(p, i),
 				Group: TaskGroupFetch,
-				Deps:  []string{mapTaskName(i)},
+				Deps:  []string{MapTaskName(i)},
 				Run: func(ctx context.Context, tc *sched.TaskContext) (any, error) {
 					t0 := time.Now()
-					defer func() { env.counters.reduceTaskNs.Add(time.Since(t0).Nanoseconds()) }()
+					defer func() { counters.reduceTaskNs.Add(time.Since(t0).Nanoseconds()) }()
 					var segs []segment
-					for _, s := range tc.Dep(mapTaskName(i)).(mapOut).segs {
+					for _, s := range tc.Dep(MapTaskName(i)).(mapOut).segs {
 						if s.partition == p {
 							segs = append(segs, s)
 						}
@@ -90,21 +86,22 @@ func runPipelined(ctx context.Context, env *runEnv) (*Result, error) {
 					if len(segs) == 0 {
 						return []segment(nil), nil
 					}
-					if err := accountShuffle(env.counters, env.fs, segs); err != nil {
-						return nil, err
-					}
+					// Meter the partition's incoming segments: wire bytes
+					// (post-codec) and framed record counts.
 					var flow int64
 					for _, s := range segs {
-						size, err := j.FS.Size(s.file)
+						size, err := fs.Size(s.file)
 						if err != nil {
 							return nil, err
 						}
 						flow += size
+						counters.reduceInRecords.Add(s.records)
 					}
+					counters.shuffleBytes.Add(flow)
 					atomic.AddInt64(&shufflePer[p], flow)
 					if !localTransport {
 						prefix := fmt.Sprintf("%s/r%04d/m%04d.a%d.fetch", j.Workspace, p, i, tc.Attempt)
-						fetched, err := fetchSegments(ctx, env.fs, env.transport, j, env.counters, p, prefix, segs)
+						fetched, err := fetchSegments(ctx, fs, transport, j, counters, p, prefix, segs)
 						if err != nil {
 							return nil, err
 						}
@@ -119,29 +116,30 @@ func runPipelined(ctx context.Context, env *runEnv) (*Result, error) {
 		p := p
 		var deps []string
 		if j.AlignedInput {
-			deps = []string{fetchTaskName(p, p)}
+			deps = []string{FetchTaskName(p, p)}
 		} else {
 			deps = make([]string, nMap)
 			for i := range deps {
-				deps[i] = fetchTaskName(p, i)
+				deps[i] = FetchTaskName(p, i)
 			}
 		}
 		fetchDeps := deps
 		tasks = append(tasks, sched.Task{
-			Name:  reduceTaskName(p),
+			Name:  ReduceTaskName(p),
 			Group: TaskGroupReduce,
 			Deps:  deps,
 			Run: func(ctx context.Context, tc *sched.TaskContext) (any, error) {
 				t0 := time.Now()
-				defer func() { env.counters.reduceTaskNs.Add(time.Since(t0).Nanoseconds()) }()
-				// Assemble segments in map-task order so the k-way merge
-				// sees the same stream order as the barrier engine and
-				// the two produce byte-identical output.
+				defer func() { counters.reduceTaskNs.Add(time.Since(t0).Nanoseconds()) }()
+				// Assemble segments in map-task order, not fetch-completion
+				// order: the k-way merge breaks key ties by stream index,
+				// so this is what makes equal-key output order — and the
+				// golden digests — independent of scheduling.
 				var segs []segment
 				for _, dep := range fetchDeps {
 					segs = append(segs, tc.Dep(dep).([]segment)...)
 				}
-				return reduceMerge(ctx, j, env.fs, env.counters, p, tc.Attempt, segs)
+				return reduceMerge(ctx, j, fs, counters, p, tc.Attempt, segs)
 			},
 		})
 	}
@@ -163,21 +161,17 @@ func runPipelined(ctx context.Context, env *runEnv) (*Result, error) {
 
 	mapTimes := make([]time.Duration, nMap)
 	for i := 0; i < nMap; i++ {
-		mapTimes[i] = report.Value(mapTaskName(i)).(mapOut).dur
+		mapTimes[i] = report.Value(MapTaskName(i)).(mapOut).dur
 	}
 	output := make([][]Record, nRed)
 	reduceTimes := make([]time.Duration, nRed)
 	for p := 0; p < nRed; p++ {
-		output[p] = report.Value(reduceTaskName(p)).([]Record)
-		reduceTimes[p] = report.TaskDuration(reduceTaskName(p))
-	}
-	flows := make([]int64, nRed)
-	for p := range flows {
-		flows[p] = atomic.LoadInt64(&shufflePer[p])
+		output[p] = report.Value(ReduceTaskName(p)).([]Record)
+		reduceTimes[p] = report.TaskDuration(ReduceTaskName(p))
 	}
 	return &Result{
 		Output:              output,
-		ShufflePerPartition: flows,
+		ShufflePerPartition: shufflePer, // every writer finished inside sched.Run
 		ReduceTaskTimes:     reduceTimes,
 		MapTaskTimes:        mapTimes,
 		Timeline:            report.Attempts,

@@ -3,6 +3,7 @@ package mr
 import (
 	"io"
 	"sync"
+	"testing"
 
 	"repro/internal/bytesx"
 )
@@ -13,9 +14,9 @@ import (
 // opened segment, and one copy buffer per shuffle fetch; pooling them
 // makes a steady-state task allocate O(1) per spill instead of
 // O(records). Pools never affect output bytes — they only recycle
-// scratch memory — and Job.DisablePooling opts a job out entirely (the
-// A/B baseline). The transport frame pool below is job-independent:
-// wire frames are internal scratch that is copied out before release.
+// scratch memory, and test binaries poison it on the way back in (see
+// poisonOnPut) so a retained view cannot go unnoticed. Wire frames
+// (frameBufPool below) are copied out before release.
 //
 // The sync.Pools carry buffers from one run to the next, and only as
 // far as the garbage collector lets them: a pooled buffer nobody took
@@ -48,170 +49,143 @@ type runBuffers struct {
 
 func newRunBuffers(parallelism int) *runBuffers {
 	return &runBuffers{
-		arenas:  freeList[byte]{limit: parallelism},
-		entries: freeList[bufEntry]{limit: 2 * parallelism},
+		arenas:  freeList[byte]{limit: parallelism, pool: &arenaPool, poison: poisonByte},
+		entries: freeList[bufEntry]{limit: 2 * parallelism, pool: &entriesPool, poison: poisonEntry},
 	}
 }
 
-// drain moves the run's buffers to the cross-run pools.
+// outsideRun serves a task executed outside a Run (ExecMapTask): it
+// keeps nothing, so every get and put goes to the cross-run pools.
+var outsideRun = newRunBuffers(0)
+
 func (r *runBuffers) drain() {
-	for _, b := range r.arenas.takeAll() {
-		arenaPool.Put(&b)
-	}
-	for _, e := range r.entries.takeAll() {
-		entriesPool.Put(&e)
-	}
+	r.arenas.drain()
+	r.entries.drain()
 }
 
-// freeList is a bounded stack of empty slices kept for their capacity.
+// freeList hands out empty slices kept for their capacity: from its own
+// bounded stack first, then from the cross-run sync.Pool behind it.
 type freeList[T any] struct {
-	mu    sync.Mutex
-	limit int
-	items [][]T
+	limit  int
+	pool   *sync.Pool // *[]T
+	poison T          // what put fills a slice with in test binaries
+	mu     sync.Mutex
+	items  [][]T
 }
 
-// get pops a slice, or returns nil when the list is empty.
+// get returns an empty slice, or nil when neither the list nor the pool
+// has one (the caller grows it).
 func (f *freeList[T]) get() []T {
 	f.mu.Lock()
-	defer f.mu.Unlock()
-	n := len(f.items)
-	if n == 0 {
-		return nil
+	if n := len(f.items); n > 0 {
+		s := f.items[n-1]
+		f.items = f.items[:n-1]
+		f.mu.Unlock()
+		return s
 	}
-	s := f.items[n-1]
-	f.items = f.items[:n-1]
-	return s
+	f.mu.Unlock()
+	if p, ok := f.pool.Get().(*[]T); ok {
+		return (*p)[:0]
+	}
+	return nil
 }
 
-// put pushes s and reports whether the list had room for it.
-func (f *freeList[T]) put(s []T) bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if len(f.items) >= f.limit {
-		return false
+// put takes s back: onto the list while it has room, else into the pool.
+func (f *freeList[T]) put(s []T) {
+	if cap(s) == 0 {
+		return
 	}
-	f.items = append(f.items, s)
-	return true
+	if poisonOnPut {
+		s = s[:cap(s)]
+		for i := range s {
+			s[i] = f.poison
+		}
+	}
+	s = s[:0]
+	f.mu.Lock()
+	room := len(f.items) < f.limit
+	if room {
+		f.items = append(f.items, s)
+	}
+	f.mu.Unlock()
+	if !room {
+		f.pool.Put(&s)
+	}
 }
 
-func (f *freeList[T]) takeAll() [][]T {
+// drain moves the list's slices to the pool.
+func (f *freeList[T]) drain() {
 	f.mu.Lock()
-	defer f.mu.Unlock()
 	items := f.items
 	f.items = nil
-	return items
+	f.mu.Unlock()
+	for _, s := range items {
+		f.pool.Put(&s)
+	}
 }
 
-func getArena(job *Job) []byte {
-	if job.DisablePooling {
-		return nil
-	}
-	if job.bufs != nil {
-		if b := job.bufs.arenas.get(); b != nil {
-			return b
-		}
-	}
-	if p, ok := arenaPool.Get().(*[]byte); ok {
-		return (*p)[:0]
-	}
-	return nil
-}
-
-func putArena(job *Job, b []byte) {
-	if job.DisablePooling || cap(b) == 0 {
-		return
-	}
-	b = b[:0]
-	if job.bufs != nil && job.bufs.arenas.put(b) {
-		return
-	}
-	arenaPool.Put(&b)
-}
-
-func getEntries(job *Job) []bufEntry {
-	if job.DisablePooling {
-		return nil
-	}
-	if job.bufs != nil {
-		if e := job.bufs.entries.get(); e != nil {
-			return e
-		}
-	}
-	if p, ok := entriesPool.Get().(*[]bufEntry); ok {
-		return (*p)[:0]
-	}
-	return nil
-}
-
-func putEntries(job *Job, e []bufEntry) {
-	if job.DisablePooling || cap(e) == 0 {
-		return
-	}
-	e = e[:0]
-	if job.bufs != nil && job.bufs.entries.put(e) {
-		return
-	}
-	entriesPool.Put(&e)
-}
-
-// getRecordWriter returns a framed-record writer over w, pooled unless
-// the job disabled pooling. Callers must putRecordWriter it back after
-// reading Records()/Bytes() and before the data is reused.
-func getRecordWriter(job *Job, w io.Writer) *bytesx.Writer {
-	if !job.DisablePooling {
-		if rw, ok := writerPool.Get().(*bytesx.Writer); ok {
-			rw.Reset(w)
-			return rw
-		}
+// getRecordWriter returns a pooled framed-record writer over w. Callers
+// must putRecordWriter it back after reading Records()/Bytes() and
+// before the data is reused.
+func getRecordWriter(w io.Writer) *bytesx.Writer {
+	if rw, ok := writerPool.Get().(*bytesx.Writer); ok {
+		rw.Reset(w)
+		return rw
 	}
 	return bytesx.NewWriter(w)
 }
 
-func putRecordWriter(job *Job, rw *bytesx.Writer) {
-	if job.DisablePooling {
-		return
-	}
+func putRecordWriter(rw *bytesx.Writer) {
 	rw.Reset(nil)
 	writerPool.Put(rw)
 }
 
-func getRecordReader(job *Job, r io.Reader) *bytesx.Reader {
-	if !job.DisablePooling {
-		if rr, ok := readerPool.Get().(*bytesx.Reader); ok {
-			rr.Reset(r)
-			return rr
-		}
+func getRecordReader(r io.Reader) *bytesx.Reader {
+	if rr, ok := readerPool.Get().(*bytesx.Reader); ok {
+		rr.Reset(r)
+		return rr
 	}
 	return bytesx.NewReader(r)
 }
 
-func putRecordReader(job *Job, rr *bytesx.Reader) {
-	if job.DisablePooling {
-		return
-	}
+func putRecordReader(rr *bytesx.Reader) {
 	rr.Reset(nil)
 	readerPool.Put(rr)
 }
 
 // getCopyBuf returns a 64 KiB scratch buffer for io.CopyBuffer on the
-// shuffle fetch path. job may be nil (job-independent callers).
-func getCopyBuf(job *Job) []byte {
-	if job != nil && job.DisablePooling {
-		return make([]byte, copyBufSize)
-	}
+// shuffle fetch path and for the checksum framing.
+func getCopyBuf() []byte {
 	if p, ok := copyBufPool.Get().(*[]byte); ok {
 		return *p
 	}
 	return make([]byte, copyBufSize)
 }
 
-func putCopyBuf(job *Job, b []byte) {
-	if (job != nil && job.DisablePooling) || cap(b) == 0 {
+func putCopyBuf(b []byte) {
+	if cap(b) == 0 {
 		return
 	}
 	b = b[:cap(b)]
+	if poisonOnPut {
+		for i := range b {
+			b[i] = poisonByte
+		}
+	}
 	copyBufPool.Put(&b)
 }
+
+// poisonOnPut makes every put scribble over the buffer it takes back,
+// so a view kept past the put reads poison — and breaks an output
+// digest or an index bound — instead of silently aliasing the next
+// owner's bytes. On in test binaries only; a built binary pays one
+// never-taken branch per put.
+var poisonOnPut = testing.Testing()
+
+const poisonByte = 0xDB
+
+// poisonEntry's negative offsets slice the arena out of range.
+var poisonEntry = bufEntry{partition: -1, keyOff: -1, keyLen: -1, valueOff: -1, valueLen: -1}
 
 // frameBufPool recycles the transport's length-prefixed frame buffers
 // (request names, error strings) so every fetch handshake stops paying

@@ -215,47 +215,6 @@ func removePrefix(fs iokit.FS, prefix string) {
 	}
 }
 
-// accountShuffle meters a reduce partition's incoming segments: wire
-// bytes (post-codec) and framed record counts.
-func accountShuffle(counters *Counters, fs iokit.FS, segs []segment) error {
-	for _, s := range segs {
-		size, err := fs.Size(s.file)
-		if err != nil {
-			return err
-		}
-		counters.shuffleBytes.Add(size)
-		counters.reduceInRecords.Add(s.records)
-	}
-	return nil
-}
-
-// runReduceTask executes one reduce task under the barrier scheduler:
-// meter the shuffle, fetch the partition's segments from every map task
-// over the transport, merge them in key order, and invoke Reduce per
-// key group. (The pipelined scheduler splits this into per-map fetch
-// tasks plus a reduceMerge task; see pipelined.go.)
-func runReduceTask(ctx context.Context, job *Job, fs iokit.FS, counters *Counters, transport Transport, partition int, segs []segment) ([]Record, error) {
-	start := time.Now()
-	defer func() { counters.reduceTaskNs.Add(time.Since(start).Nanoseconds()) }()
-
-	if err := accountShuffle(counters, fs, segs); err != nil {
-		return nil, err
-	}
-
-	// A non-local transport first copies each segment to a reducer-local
-	// file through the real network path (Hadoop's fetch phase).
-	if _, local := transport.(LocalTransport); !local {
-		prefix := fmt.Sprintf("%s/r%04d/fetch", job.Workspace, partition)
-		fetched, err := fetchSegments(ctx, fs, transport, job, counters, partition, prefix, segs)
-		if err != nil {
-			return nil, err
-		}
-		segs = fetched
-	}
-
-	return reduceMerge(ctx, job, fs, counters, partition, 0, segs)
-}
-
 // reduceMerge is the compute half of a reduce task: merge the
 // partition's (already local) sorted segments and invoke Reduce once
 // per key group. attempt scopes intermediate file names so scheduler
@@ -444,30 +403,61 @@ func placeRecord(buf, k, v []byte) ([]byte, Record) {
 	return buf, Record{Key: buf[i:j:j], Value: buf[j:len(buf):len(buf)]}
 }
 
+// CopySegment lands one fetched body in fs as local: it drains rc
+// (closing it) through a pooled copy buffer, CRC-verifying the framed
+// stream in flight when verify is set (pass-through, so the copy stays
+// framed), and insists on exactly size bytes. Corruption or truncation
+// fails with ErrIntegrity, a short body with errShortFetch — both
+// transient — and any failure removes the partial file. counters (may
+// be nil) gets the copy's raw-vs-wire byte pair when the transport
+// tracks it.
+func CopySegment(rc io.ReadCloser, size int64, fs iokit.FS, local string, verify bool, counters *Counters) (n int64, err error) {
+	defer func() {
+		if err != nil {
+			removeQuiet(fs, local)
+		}
+	}()
+	f, err := fs.Create(local)
+	if err != nil {
+		rc.Close()
+		return 0, err
+	}
+	var src io.Reader = rc
+	if verify {
+		src = NewIntegrityVerifier(rc)
+	}
+	buf := getCopyBuf()
+	n, err = io.CopyBuffer(f, src, buf)
+	putCopyBuf(buf)
+	if err == nil {
+		countWireBytes(counters, rc, n)
+	}
+	rc.Close()
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil && n != size {
+		err = fmt.Errorf("fetched %d bytes, want %d: %w", n, size, errShortFetch)
+	}
+	return n, err
+}
+
 // fetchSegments copies remote segments to reducer-local files over the
 // transport, returning local replacements. Local file names are derived
 // from prefix, which callers scope per (partition, map task, attempt).
-// Unless the job disables checksums, the byte stream is CRC-verified in
-// flight (pass-through, so the local copy stays framed): a corrupted or
-// truncated transfer fails the fetch with ErrIntegrity — a transient,
-// retryable fault — instead of landing bad bytes for the merge to trip
-// on. A failed fetch removes every local file the attempt created, so
-// no partial attempt orphans files.
-func fetchSegments(ctx context.Context, fs iokit.FS, transport Transport, job *Job, counters *Counters, partition int, prefix string, segs []segment) ([]segment, error) {
-	local := make([]segment, len(segs))
-	copyBuf := getCopyBuf(job)
-	defer putCopyBuf(job, copyBuf)
-	cleanup := func(fetched int, current string) {
-		if current != "" {
-			removeQuiet(fs, current)
+// A failed fetch removes every local file the attempt created, so no
+// partial attempt orphans files.
+func fetchSegments(ctx context.Context, fs iokit.FS, transport Transport, job *Job, counters *Counters, partition int, prefix string, segs []segment) (_ []segment, err error) {
+	local := make([]segment, 0, len(segs))
+	defer func() {
+		if err != nil {
+			for _, s := range local {
+				removeQuiet(fs, s.file)
+			}
 		}
-		for k := 0; k < fetched; k++ {
-			removeQuiet(fs, local[k].file)
-		}
-	}
+	}()
 	for i, s := range segs {
 		if err := ctx.Err(); err != nil {
-			cleanup(i, "")
 			return nil, fmt.Errorf("mr: reduce task %d fetch: %w", partition, err)
 		}
 		// The transport-level sub-span: one socket copy per segment,
@@ -477,57 +467,19 @@ func fetchSegments(ctx context.Context, fs iokit.FS, transport Transport, job *J
 		rc, size, err := transport.Fetch(ctx, fs, s.file)
 		if err != nil {
 			span.End(obs.Str("outcome", "failed"), obs.Str("err", err.Error()))
-			cleanup(i, "")
 			return nil, fmt.Errorf("mr: reduce task %d fetching %s: %w", partition, s.file, err)
 		}
 		name := fmt.Sprintf("%s%04d", prefix, i)
-		f, err := fs.Create(name)
-		if err != nil {
-			rc.Close()
-			span.End(obs.Str("outcome", "failed"), obs.Str("err", err.Error()))
-			cleanup(i, name)
-			return nil, err
-		}
-		var src io.Reader = rc
-		if !job.DisableChecksums {
-			src = NewIntegrityVerifier(rc)
-		}
-		n, err := io.CopyBuffer(f, src, copyBuf)
-		if err == nil {
-			countWireBytes(counters, rc, n)
-		}
-		rc.Close()
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err == nil && n != size {
-			err = fmt.Errorf("mr: reduce task %d fetched %d bytes of %s, want %d: %w",
-				partition, n, s.file, size, errShortFetch)
-		}
+		n, err := CopySegment(rc, size, fs, name, !job.DisableChecksums, counters)
 		if err != nil {
 			if errors.Is(err, ErrIntegrity) {
 				counters.AddExtra(CounterFetchIntegrity, 1)
 			}
 			span.End(obs.Str("outcome", "failed"), obs.Str("err", err.Error()))
-			cleanup(i, name)
 			return nil, fmt.Errorf("mr: reduce task %d copying %s: %w", partition, s.file, err)
 		}
 		span.End(obs.Int("bytes", n))
-		local[i] = segment{partition: partition, file: name, records: s.records, rawBytes: s.rawBytes}
+		local = append(local, segment{partition: partition, file: name, records: s.records, rawBytes: s.rawBytes})
 	}
 	return local, nil
-}
-
-// drainStreams is a helper for tests: it fully reads a record stream.
-func drainStreams(s recordStream) (n int, err error) {
-	for {
-		_, _, err := s.next()
-		if err == io.EOF {
-			return n, nil
-		}
-		if err != nil {
-			return n, err
-		}
-		n++
-	}
 }

@@ -283,8 +283,8 @@ func (s *SegmentServer) handleOne(conn net.Conn, name string, caps byte) bool {
 // single send instead of a header packet plus a body packet; the rest
 // of an OS-backed file is spliced with sendfile.
 func (s *SegmentServer) sendRaw(conn net.Conn, f io.ReadCloser, size int64, caps byte) bool {
-	buf := getCopyBuf(nil)
-	defer putCopyBuf(nil, buf)
+	buf := getCopyBuf()
+	defer putCopyBuf(buf)
 	hdr := binary.AppendUvarint(buf[:0], uint64(size)+1) // size+1: 0 means error
 	if caps&capCompress != 0 {
 		hdr = append(hdr, encodingRaw)
@@ -331,8 +331,8 @@ func (s *SegmentServer) sendRaw(conn net.Conn, f io.ReadCloser, size int64, caps
 // terminator: it reads blocks until their raw sizes sum to the
 // advertised body size, leaving the connection at a frame boundary.
 func (s *SegmentServer) sendCompressed(conn net.Conn, f io.ReadCloser, size int64) bool {
-	chunk := getCopyBuf(nil)
-	defer putCopyBuf(nil, chunk)
+	chunk := getCopyBuf()
+	defer putCopyBuf(chunk)
 	var out, block []byte
 	var raw, wire int64
 	hdrDone := false
@@ -922,7 +922,12 @@ func newTCPTransport(fs iokit.FS, wrap func(net.Listener) net.Listener, compress
 		return nil, err
 	}
 	if wrap != nil {
-		ln = wrap(ln)
+		wrapped := wrap(ln)
+		if wrapped == nil {
+			ln.Close()
+			return nil, errors.New("mr: WrapShuffleListener returned a nil listener")
+		}
+		ln = wrapped
 	}
 	pool := NewConnPool()
 	pool.WireCompression = compress

@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test vet staticcheck race verify bench bench-all test-short test-cluster test-chaos smoke-service smoke-pipeline
+.PHONY: build test vet staticcheck race verify bench bench-all test-short test-cluster test-chaos fuzz-smoke smoke-service smoke-pipeline
 
 build:
 	$(GO) build ./...
@@ -68,6 +68,22 @@ test-cluster:
 # `go test ./internal/chaos/ -run Soak -chaos-seed N`.
 test-chaos:
 	$(GO) test -race -timeout 600s ./internal/chaos/
+
+# Fuzz smoke: every Fuzz* target for FUZZTIME each. Plain `go test` only
+# replays the seed corpora; this is what lets the mutator look. `go test
+# -fuzz` takes one target per invocation, hence the loop.
+FUZZTIME ?= 5s
+FUZZ_TARGETS = \
+	internal/codec:FuzzSnappy internal/codec:FuzzBWSC \
+	internal/codec:FuzzSnappyDecompressBlock internal/codec:FuzzBWSCDecompressBlock \
+	internal/mr:FuzzReadLenPrefixed internal/mr:FuzzFrameRoundTrip internal/mr:FuzzServerConn \
+	internal/mr:FuzzSnappyUnitReader internal/mr:FuzzSegmentFrames \
+	internal/anticombine:FuzzDecodeValue
+fuzz-smoke:
+	@set -e; for t in $(FUZZ_TARGETS); do \
+		echo "fuzz $$t ($(FUZZTIME))"; \
+		$(GO) test -run '^$$' -fuzz "^$${t#*:}\$$" -fuzztime $(FUZZTIME) ./$${t%%:*}; \
+	done
 
 # Service smoke: a real antserve daemon with two antwork workers,
 # driven by antctl over the HTTP API — one job per tenant, quota

@@ -117,7 +117,6 @@ func buildSoakJob(spec []byte) (*mr.Job, []mr.Split, error) {
 		SortBufferBytes: 16 << 10,
 		MergeFactor:     3,
 		MaxTaskAttempts: 8,
-		RetryBackoff:    time.Millisecond,
 	}
 	return job, splits, nil
 }
@@ -209,7 +208,7 @@ func SoakInProcess(seed uint64, prof Profile, tracer *obs.Tracer) (*SoakReport, 
 }
 
 // SoakCluster runs one seeded soak on the multi-process runtime shape:
-// a coordinator and three in-process workers over real sockets, with
+// a fleet and three in-process workers over real sockets, with
 // chaos on every worker's filesystem and data-plane listener, plus at
 // most one scheduled worker crash and any number of stragglers.
 func SoakCluster(seed uint64, prof Profile, tracer *obs.Tracer) (*SoakReport, error) {
@@ -234,15 +233,14 @@ func SoakCluster(seed uint64, prof Profile, tracer *obs.Tracer) (*SoakReport, er
 	// Fast heartbeats find scheduled crashes quickly; the wide miss
 	// budget keeps slow-but-alive workers (race detector, loaded CI)
 	// from being declared dead spuriously.
-	coord, err := cluster.New(cluster.Config{
-		Job: ref, MinWorkers: nWorkers, MaxTaskAttempts: 8,
+	fleet, err := cluster.NewFleet(cluster.FleetConfig{
 		HeartbeatEvery: 25 * time.Millisecond, HeartbeatMiss: 20,
 		Tracer: tracer,
 	})
 	if err != nil {
 		return nil, err
 	}
-	defer coord.Close()
+	defer fleet.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
@@ -278,7 +276,7 @@ func SoakCluster(seed uint64, prof Profile, tracer *obs.Tracer) (*SoakReport, er
 			time.AfterFunc(plans[i].CrashAfter, wcancel)
 		}
 		opts := cluster.WorkerOptions{
-			Coordinator:     coord.Addr(),
+			Coordinator:     fleet.Addr(),
 			Slots:           2,
 			FS:              trackers[i],
 			WrapListener:    s.WrapListener,
@@ -287,7 +285,7 @@ func SoakCluster(seed uint64, prof Profile, tracer *obs.Tracer) (*SoakReport, er
 		go func() { workerErr <- cluster.RunWorker(wctx, opts) }()
 	}
 
-	res, err := coord.Run(ctx)
+	res, err := runExclusive(ctx, fleet, nWorkers, cluster.JobSpec{Ref: ref, MaxTaskAttempts: 8})
 	for i := 0; i < nWorkers; i++ {
 		<-workerErr // workers exit on shutdown, crash, or coordinator close
 	}
@@ -318,6 +316,22 @@ func SoakCluster(seed uint64, prof Profile, tracer *obs.Tracer) (*SoakReport, er
 		Seed: seed, Profile: s.prof.Name, Faults: s.InjectedFaults(),
 		Counts: s.Counts(), Attempts: len(res.Timeline), Schedule: s.Describe(),
 	}, nil
+}
+
+// runExclusive is the one-shot use of a fleet: wait for the workers,
+// run one exclusive job over them, release them.
+func runExclusive(ctx context.Context, fleet *cluster.Fleet, workers int, spec cluster.JobSpec) (*mr.Result, error) {
+	if err := fleet.WaitWorkers(ctx, workers); err != nil {
+		return nil, err
+	}
+	spec.Exclusive = true
+	h, err := fleet.Submit(ctx, spec)
+	if err != nil {
+		return nil, err
+	}
+	res, err := h.Wait(ctx)
+	fleet.Shutdown()
+	return res, err
 }
 
 // compareOutput checks byte-identical sorted output between the clean

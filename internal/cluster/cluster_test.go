@@ -143,7 +143,22 @@ func assertSameOutput(t *testing.T, got, want *mr.Result) {
 	}
 }
 
-// events wires a coordinator's OnEvent to a drop-on-full channel.
+// runExclusive is the one-shot use of a fleet: wait for n workers, run
+// ref as the fleet's only job, release the workers.
+func runExclusive(ctx context.Context, f *Fleet, n int, ref JobRef) (*mr.Result, error) {
+	if err := f.WaitWorkers(ctx, n); err != nil {
+		return nil, err
+	}
+	h, err := f.Submit(ctx, JobSpec{Ref: ref, Exclusive: true})
+	if err != nil {
+		return nil, err
+	}
+	res, err := h.Wait(ctx)
+	f.Shutdown()
+	return res, err
+}
+
+// events wires a fleet's OnEvent to a drop-on-full channel.
 func events() (func(Event), <-chan Event) {
 	ch := make(chan Event, 4096)
 	return func(e Event) {
@@ -178,22 +193,22 @@ func TestClusterMatchesSingleProcess(t *testing.T) {
 	ref := JobRef{Name: testJobName, Spec: mustSpec(t, testSpec{
 		Splits: 8, Lines: 120, Reducers: 4,
 	})}
-	coord, err := New(Config{Job: ref, MinWorkers: 2, HeartbeatEvery: 25 * time.Millisecond})
+	fleet, err := NewFleet(FleetConfig{HeartbeatEvery: 25 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer coord.Close()
+	defer fleet.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	workerErr := make(chan error, 2)
 	for i := 0; i < 2; i++ {
 		go func() {
-			workerErr <- RunWorker(ctx, WorkerOptions{Coordinator: coord.Addr(), Slots: 2})
+			workerErr <- RunWorker(ctx, WorkerOptions{Coordinator: fleet.Addr(), Slots: 2})
 		}()
 	}
 
-	res, err := coord.Run(ctx)
+	res, err := runExclusive(ctx, fleet, 2, ref)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,10 +245,15 @@ func TestClusterMatchesSingleProcess(t *testing.T) {
 	}
 }
 
-// TestClusterRejectsUnknownJob: a coordinator for an unregistered job
-// fails to construct instead of hanging workers.
+// TestClusterRejectsUnknownJob: submitting an unregistered job fails
+// at Submit instead of hanging workers.
 func TestClusterRejectsUnknownJob(t *testing.T) {
-	if _, err := New(Config{Job: JobRef{Name: "no-such-job"}}); err == nil {
+	fleet, err := NewFleet(FleetConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fleet.Close()
+	if _, err := fleet.Submit(context.Background(), JobSpec{Ref: JobRef{Name: "no-such-job"}}); err == nil {
 		t.Fatal("expected unknown-job error")
 	}
 }
@@ -241,11 +261,11 @@ func TestClusterRejectsUnknownJob(t *testing.T) {
 // killableCluster spawns n subprocess workers one at a time, waiting
 // for each registration so worker IDs map to processes
 // deterministically (ID i ↔ procs[i]).
-func killableCluster(t *testing.T, coord *Coordinator, ch <-chan Event, n int) []*Process {
+func killableCluster(t *testing.T, fleet *Fleet, ch <-chan Event, n int) []*Process {
 	t.Helper()
 	procs := make([]*Process, n)
 	for i := 0; i < n; i++ {
-		p, err := SpawnSelf(coord.Addr(), 2)
+		p, err := SpawnSelf(fleet.Addr(), 2)
 		if err != nil {
 			t.Fatalf("spawning worker: %v", err)
 		}
@@ -265,7 +285,7 @@ func killableCluster(t *testing.T, coord *Coordinator, ch <-chan Event, n int) [
 
 // TestWorkerKillMidMap kills a worker right after it commits its first
 // map task, while map tasks are still running everywhere. The
-// coordinator must detect the death via missed heartbeats, re-place
+// fleet must detect the death via missed heartbeats, re-place
 // the worker's in-flight leases, re-execute lost map output if any
 // fetches still needed it, and deliver byte-identical output.
 func TestWorkerKillMidMap(t *testing.T) {
@@ -276,16 +296,15 @@ func TestWorkerKillMidMap(t *testing.T) {
 		Splits: 12, Lines: 150, Reducers: 4, MapDelayUs: 300,
 	})}
 	onEvent, ch := events()
-	coord, err := New(Config{
-		Job: ref, MinWorkers: 3,
+	fleet, err := NewFleet(FleetConfig{
 		HeartbeatEvery: 25 * time.Millisecond,
 		OnEvent:        onEvent,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer coord.Close()
-	procs := killableCluster(t, coord, ch, 3)
+	defer fleet.Close()
+	procs := killableCluster(t, fleet, ch, 3)
 
 	done := make(chan struct{})
 	var res *mr.Result
@@ -293,7 +312,7 @@ func TestWorkerKillMidMap(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
 	go func() {
-		res, runErr = coord.Run(ctx)
+		res, runErr = runExclusive(ctx, fleet, 3, ref)
 		close(done)
 	}()
 
@@ -328,16 +347,15 @@ func TestWorkerKillMidShuffle(t *testing.T) {
 		Splits: 12, Lines: 150, Reducers: 4, MapDelayUs: 300,
 	})}
 	onEvent, ch := events()
-	coord, err := New(Config{
-		Job: ref, MinWorkers: 3,
+	fleet, err := NewFleet(FleetConfig{
 		HeartbeatEvery: 25 * time.Millisecond,
 		OnEvent:        onEvent,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer coord.Close()
-	procs := killableCluster(t, coord, ch, 3)
+	defer fleet.Close()
+	procs := killableCluster(t, fleet, ch, 3)
 
 	done := make(chan struct{})
 	var res *mr.Result
@@ -345,7 +363,7 @@ func TestWorkerKillMidShuffle(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
 	go func() {
-		res, runErr = coord.Run(ctx)
+		res, runErr = runExclusive(ctx, fleet, 3, ref)
 		close(done)
 	}()
 

@@ -369,8 +369,8 @@ func (f *Fleet) enqueueLocked(ql *queuedLease) {
 // cross-multiplied to stay in integers) wins; ties go to the higher
 // job priority, then FIFO.
 func (f *Fleet) betterLocked(a, b *queuedLease) bool {
-	ra, wa := int64(f.running[a.job.spec.Tenant]), int64(a.job.weight)
-	rb, wb := int64(f.running[b.job.spec.Tenant]), int64(b.job.weight)
+	ra, wa := int64(f.running[a.job.spec.Tenant]), int64(a.job.spec.Weight)
+	rb, wb := int64(f.running[b.job.spec.Tenant]), int64(b.job.spec.Weight)
 	if ra*wb != rb*wa {
 		return ra*wb < rb*wa
 	}

@@ -3,10 +3,14 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"net"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/iokit"
+	"repro/internal/mr"
 )
 
 // fleetWorkers starts n in-process workers on tracked filesystems and
@@ -116,7 +120,7 @@ func TestFleetFairShare(t *testing.T) {
 	f := &Fleet{running: map[string]int{"a": 4, "b": 1}}
 	mk := func(tenant string, weight, prio int, seq int64) *queuedLease {
 		return &queuedLease{
-			job: &jobRun{spec: JobSpec{Tenant: tenant, Priority: prio}, weight: weight},
+			job: &jobRun{spec: JobSpec{Tenant: tenant, Priority: prio, Weight: weight}},
 			seq: seq,
 		}
 	}
@@ -188,6 +192,174 @@ func TestFleetDrainMidStream(t *testing.T) {
 
 	f.Shutdown()
 	for i := 0; i < 3; i++ {
+		if err := <-workerErr; err != nil {
+			t.Errorf("worker: %v", err)
+		}
+	}
+}
+
+const passJobName = "cluster-test-passthrough"
+
+func init() {
+	RegisterJob(passJobName, func([]byte) (*mr.Job, []mr.Split, error) { return passJob(), nil, nil })
+}
+
+// passJob hands every record through map, shuffle and reduce unchanged,
+// over two partitions; it runs as a stage job (inputs on the spec).
+func passJob() *mr.Job {
+	return &mr.Job{
+		Name:      passJobName,
+		NewMapper: mr.NewMapFunc(func(key, value []byte, out mr.Emitter) error { return out.Emit(key, value) }),
+		NewReducer: mr.NewReduceFunc(func(key []byte, values mr.ValueIter, out mr.Emitter) error {
+			for {
+				v, ok := values.Next()
+				if !ok {
+					return nil
+				}
+				if err := out.Emit(key, v); err != nil {
+					return err
+				}
+			}
+		}),
+		NumReduceTasks: 2,
+		Deterministic:  true,
+	}
+}
+
+// flipOnce wraps data-plane listeners so that, once armed, exactly one
+// large payload write across all their connections has one bit flipped
+// — small writes (the wire protocol's headers) stay intact, so the
+// corruption lands in file payload, which only a checksum can catch.
+type flipOnce struct {
+	armed, spent atomic.Bool
+}
+
+func (f *flipOnce) wrap(ln net.Listener) net.Listener { return &flipListener{Listener: ln, f: f} }
+
+type flipListener struct {
+	net.Listener
+	f *flipOnce
+}
+
+func (l *flipListener) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &flipConn{Conn: conn, f: l.f}, nil
+}
+
+type flipConn struct {
+	net.Conn
+	f *flipOnce
+}
+
+func (c *flipConn) Write(p []byte) (int, error) {
+	if len(p) >= 1024 && c.f.armed.Load() && c.f.spent.CompareAndSwap(false, true) {
+		tampered := append([]byte(nil), p...)
+		tampered[len(tampered)/2] ^= 0x01
+		return c.Conn.Write(tampered)
+	}
+	return c.Conn.Write(p)
+}
+
+// TestHandoffBitFlipIsCaughtAndRetried: a pipeline handoff pulled from
+// another worker crosses the data plane under the same CRC framing as a
+// shuffle segment. One flipped bit in that transfer fails the map
+// attempt with an integrity error — it never reaches the mapper — and
+// the retried attempt pulls a clean copy, so the stage's output is
+// byte-identical to the in-process run.
+func TestHandoffBitFlipIsCaughtAndRetried(t *testing.T) {
+	inputs := make([][]mr.Record, 2)
+	for i := range inputs {
+		for r := 0; r < 200; r++ {
+			inputs[i] = append(inputs[i], mr.Record{
+				Key:   []byte(fmt.Sprintf("key-%d-%04d", i, r)),
+				Value: []byte(fmt.Sprintf("value %04d of input %d, long enough to fill a handoff", r, i)),
+			})
+		}
+	}
+	// Reference: the same two stages on the in-process engine.
+	stage1, err := mr.Run(passJob(), []mr.Split{&mr.MemSplit{Recs: inputs[0]}, &mr.MemSplit{Recs: inputs[1]}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := mr.Run(passJob(), []mr.Split{&mr.MemSplit{Recs: stage1.Output[0]}, &mr.MemSplit{Recs: stage1.Output[1]}})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	onEvent, ch := events()
+	f, err := NewFleet(FleetConfig{HeartbeatEvery: 50 * time.Millisecond, HeartbeatMiss: 40, OnEvent: onEvent})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	flip := &flipOnce{}
+	workerErr := make(chan error, 2)
+	for i := 0; i < 2; i++ {
+		go func() {
+			workerErr <- RunWorker(ctx, WorkerOptions{Coordinator: f.Addr(), Slots: 2, WrapListener: flip.wrap})
+		}()
+	}
+	if err := f.WaitWorkers(ctx, 2); err != nil {
+		t.Fatal(err)
+	}
+
+	// Stage 1 keeps its output on the workers as handoff files.
+	ref := JobRef{Name: passJobName}
+	h1, err := f.Submit(ctx, JobSpec{
+		Ref: ref, KeepOutput: true, RetainWorkspace: true,
+		Inputs: []StageInput{{Records: inputs[0]}, {Records: inputs[1]}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h1.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	handoffs := h1.Handoffs()
+	if len(handoffs) != 2 {
+		t.Fatalf("stage 1 kept %d handoffs, want 2", len(handoffs))
+	}
+
+	// Stage 2 reads them — each map lease sent to the worker that does
+	// NOT hold its handoff, so both are pulled over the data plane, and
+	// the first pull is corrupted in flight.
+	flip.armed.Store(true)
+	stage2 := JobSpec{Ref: ref, Exclusive: true, MaxTaskAttempts: 4, Inputs: make([]StageInput, 2)}
+	for p, hd := range handoffs {
+		seg := hd.Seg
+		stage2.Inputs[p] = StageInput{Handoff: &seg, Worker: 1 - hd.Worker}
+	}
+	h2, err := f.Submit(ctx, stage2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := h2.Wait(ctx)
+	if err != nil {
+		t.Fatalf("stage 2 did not survive one corrupted handoff transfer: %v", err)
+	}
+	assertSameOutput(t, got, want)
+
+	if !flip.spent.Load() {
+		t.Fatal("no handoff transfer was corrupted; the test exercised nothing")
+	}
+	failed := awaitEvent(t, ch, "the corrupted map attempt's failure", func(e Event) bool {
+		return e.Kind == "task-failed" && e.Job == h2.ID() && strings.HasPrefix(e.Task, "map/")
+	})
+	if !strings.Contains(failed.Detail, mr.ErrIntegrity.Error()) {
+		t.Errorf("map attempt failed with %q, want an integrity violation", failed.Detail)
+	}
+	if n := got.Stats.Extra[mr.CounterFetchIntegrity]; n != 1 {
+		t.Errorf("%s = %d, want 1", mr.CounterFetchIntegrity, n)
+	}
+
+	f.ReleaseWorkspace(h1.ID())
+	f.Shutdown()
+	for i := 0; i < 2; i++ {
 		if err := <-workerErr; err != nil {
 			t.Errorf("worker: %v", err)
 		}

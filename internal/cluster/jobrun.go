@@ -119,7 +119,7 @@ func (h *JobHandle) Progress() Progress { return h.j.progress() }
 // and the segment describing the retained record file.
 type Handoff struct {
 	Worker int
-	Seg    SegInfo
+	Seg    mr.SegmentInfo
 }
 
 // Handoffs returns the finished job's kept reduce output by partition
@@ -167,12 +167,9 @@ func (f *Fleet) Submit(ctx context.Context, spec JobSpec) (*JobHandle, error) {
 	} else if nMap == 0 {
 		return nil, fmt.Errorf("cluster: job %q built zero splits", spec.Ref.Name)
 	}
-	nRed := job.NumReduceTasks
-	if nRed <= 0 {
-		nRed = 4 // mirror mr's normalization default
-	}
-	if job.AlignedInput && nMap != nRed {
-		return nil, fmt.Errorf("cluster: aligned job %q needs %d inputs, got %d", spec.Ref.Name, nRed, nMap)
+	plan, err := mr.NewPlan(job, nMap)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: job %q: %w", spec.Ref.Name, err)
 	}
 	f.mu.Lock()
 	if f.shutdown {
@@ -182,16 +179,12 @@ func (f *Fleet) Submit(ctx context.Context, spec JobSpec) (*JobHandle, error) {
 	id := f.nextJob
 	f.nextJob++
 	j := &jobRun{
-		id: id, spec: spec, fleet: f, weight: spec.Weight,
-		nMap: nMap, nRed: nRed,
-		aligned:  job.AlignedInput,
-		keep:     spec.KeepOutput,
-		meta:     make(map[string]taskMeta),
+		id: id, spec: spec, fleet: f, plan: plan,
 		partHome: make(map[int]int),
 		doneTask: make(map[string]bool),
 	}
 	for p, wid := range spec.Homes {
-		if w := f.workers[wid]; w != nil && !w.dead && !w.draining && p >= 0 && p < nRed {
+		if w := f.workers[wid]; w != nil && !w.dead && !w.draining && p >= 0 && p < plan.Reduces {
 			j.partHome[p] = wid
 		}
 	}
@@ -215,29 +208,17 @@ func (f *Fleet) Submit(ctx context.Context, spec JobSpec) (*JobHandle, error) {
 // stage-level DepLostError.
 var ErrHandoffLost = errors.New("cluster: stage handoff input lost")
 
-type taskMeta struct {
-	group     string
-	mapTask   int
-	partition int
-	mapIndex  int
-}
-
-// jobRun is one job's private half of the runtime: its task graph and
-// metadata, partition homes, progress counters, and result assembly.
-// It implements sched.Executor — the job's own scheduler calls Execute,
-// which queues a lease with the fleet and blocks for the report.
-// partHome and enqueue/dispatch state are guarded by the fleet's mutex;
-// progress counters by the job's own.
+// jobRun is one job's private half of the runtime: its plan (the task
+// graph, laid out by mr), partition homes, progress counters, and
+// result assembly. It implements sched.Executor — the job's own
+// scheduler calls Execute, which queues a lease with the fleet and
+// blocks for the report. partHome and enqueue/dispatch state are
+// guarded by the fleet's mutex; progress counters by the job's own.
 type jobRun struct {
-	id      int
-	spec    JobSpec
-	fleet   *Fleet
-	weight  int
-	nMap    int
-	nRed    int
-	aligned bool // split i's map output routes wholly to partition i
-	keep    bool // reduce output retained worker-side as handoff files
-	meta    map[string]taskMeta
+	id    int
+	spec  JobSpec
+	fleet *Fleet
+	plan  mr.Plan
 
 	partHome map[int]int // reduce partition -> home worker id; fleet.mu
 
@@ -247,32 +228,16 @@ type jobRun struct {
 	handoffs map[int]Handoff // kept reduce output, by partition
 }
 
-// fetchTasks enumerates the (partition, map) fetch pairs the job's
-// graph contains: all-to-all normally, the diagonal alone when aligned.
-func (j *jobRun) fetchTasks(p int) []int {
-	if j.aligned {
-		return []int{p}
-	}
-	idx := make([]int, j.nMap)
-	for i := range idx {
-		idx[i] = i
-	}
-	return idx
-}
-
 func (j *jobRun) progress() Progress {
 	j.pmu.Lock()
 	defer j.pmu.Unlock()
-	fetchesTotal := j.nMap * j.nRed
-	if j.aligned {
-		fetchesTotal = j.nRed
-	}
 	p := Progress{
-		MapsTotal: j.nMap, FetchesTotal: fetchesTotal, ReducesTotal: j.nRed,
+		MapsTotal: j.plan.Maps, FetchesTotal: j.plan.Fetches(), ReducesTotal: j.plan.Reduces,
 		FailedAttempts: j.failed,
 	}
 	for name := range j.doneTask {
-		switch j.meta[name].group {
+		id, _ := j.plan.Lookup(name)
+		switch id.Group {
 		case mr.TaskGroupMap:
 			p.MapsDone++
 		case mr.TaskGroupFetch:
@@ -302,9 +267,11 @@ func (j *jobRun) run(ctx context.Context, width int) (*mr.Result, error) {
 	tracer := j.fleet.cfg.Tracer
 	jobSpan := tracer.Start(obs.KindJob, j.spec.Ref.Name+" (cluster)",
 		obs.Int("job", int64(j.id)),
-		obs.Int("splits", int64(j.nMap)), obs.Int("reducers", int64(j.nRed)))
+		obs.Int("splits", int64(j.plan.Maps)), obs.Int("reducers", int64(j.plan.Reduces)))
 
-	tasks := j.buildTasks()
+	// The plan's tasks carry no Run: every attempt dispatches through
+	// Execute.
+	tasks := j.plan.Tasks(j.spec.Speculative)
 	if !j.spec.Exclusive {
 		// Expose every runnable task to the fleet so fair share picks
 		// among all jobs' work; the fleet's slot count, not the
@@ -333,54 +300,19 @@ func (j *jobRun) run(ctx context.Context, width int) (*mr.Result, error) {
 	return res, nil
 }
 
-// buildTasks lays out the same DAG as the in-process pipelined
-// scheduler — map/i → fetch/p/i → reduce/p — with nil Run closures, so
-// every attempt dispatches through Execute.
-func (j *jobRun) buildTasks() []sched.Task {
-	tasks := make([]sched.Task, 0, j.nMap+j.nMap*j.nRed+j.nRed)
-	for i := 0; i < j.nMap; i++ {
-		name := mr.MapTaskName(i)
-		j.meta[name] = taskMeta{group: mr.TaskGroupMap, mapTask: i}
-		tasks = append(tasks, sched.Task{
-			Name: name, Group: mr.TaskGroupMap, Speculatable: j.spec.Speculative,
-		})
-	}
-	for p := 0; p < j.nRed; p++ {
-		for _, i := range j.fetchTasks(p) {
-			name := mr.FetchTaskName(p, i)
-			j.meta[name] = taskMeta{group: mr.TaskGroupFetch, partition: p, mapIndex: i}
-			tasks = append(tasks, sched.Task{
-				Name: name, Group: mr.TaskGroupFetch, Deps: []string{mr.MapTaskName(i)},
-			})
-		}
-	}
-	for p := 0; p < j.nRed; p++ {
-		name := mr.ReduceTaskName(p)
-		j.meta[name] = taskMeta{group: mr.TaskGroupReduce, partition: p}
-		idx := j.fetchTasks(p)
-		deps := make([]string, len(idx))
-		for d, i := range idx {
-			deps[d] = mr.FetchTaskName(p, i)
-		}
-		tasks = append(tasks, sched.Task{Name: name, Group: mr.TaskGroupReduce, Deps: deps})
-	}
-	return tasks
-}
-
 // Committed task values. Stats ride inside them so only winning
 // attempts contribute to job stats (a speculative loser's snapshot is
 // discarded with its value).
 type mapValue struct {
 	worker int
-	addr   string
-	segs   []SegInfo
+	segs   []mr.SegmentInfo
 	stats  mr.Stats
 	dur    time.Duration
 }
 
 type fetchValue struct {
 	worker    int
-	segs      []SegInfo
+	segs      []mr.SegmentInfo
 	flow      int64
 	fetchTime time.Duration
 	fetches   int
@@ -390,7 +322,7 @@ type fetchValue struct {
 type reduceValue struct {
 	worker  int
 	recs    []mr.Record
-	handoff *SegInfo // set instead of recs when the lease carried Keep
+	handoff *mr.SegmentInfo // set instead of recs when the lease carried Keep
 	stats   mr.Stats
 	dur     time.Duration
 }
@@ -402,7 +334,7 @@ type reduceValue struct {
 // committed upstream output turns out to live on a dead worker.
 func (j *jobRun) Execute(ctx context.Context, task *sched.Task, tc *sched.TaskContext) (any, error) {
 	f := j.fleet
-	meta := j.meta[task.Name]
+	id, _ := j.plan.Lookup(task.Name)
 	lease := TaskLease{JobID: j.id, Task: task.Name, Group: task.Group, Attempt: tc.Attempt}
 	pin := -1
 
@@ -411,11 +343,11 @@ func (j *jobRun) Execute(ctx context.Context, task *sched.Task, tc *sched.TaskCo
 		f.mu.Unlock()
 		return nil, &taskError{Msg: "cluster: fleet is shutting down", Transient: false}
 	}
-	switch meta.group {
+	switch id.Group {
 	case mr.TaskGroupMap:
-		lease.MapTask = meta.mapTask // any worker may take it
+		lease.MapTask = id.Map // any worker may take it
 		if len(j.spec.Inputs) > 0 {
-			in := j.spec.Inputs[meta.mapTask]
+			in := j.spec.Inputs[id.Map]
 			lease.Input = &in
 			if in.Handoff != nil {
 				// A handoff input lives on the worker that reduced the
@@ -428,7 +360,7 @@ func (j *jobRun) Execute(ctx context.Context, task *sched.Task, tc *sched.TaskCo
 				case holder == nil || holder.dead:
 					f.mu.Unlock()
 					return nil, fmt.Errorf("%w: map %d input on dead worker %d",
-						ErrHandoffLost, meta.mapTask, in.Worker)
+						ErrHandoffLost, id.Map, in.Worker)
 				case !holder.draining:
 					pin = holder.id
 				}
@@ -436,7 +368,7 @@ func (j *jobRun) Execute(ctx context.Context, task *sched.Task, tc *sched.TaskCo
 		}
 
 	case mr.TaskGroupFetch:
-		mv, ok := tc.Dep(mr.MapTaskName(meta.mapIndex)).(mapValue)
+		mv, ok := tc.Dep(mr.MapTaskName(id.Map)).(mapValue)
 		if !ok {
 			f.mu.Unlock()
 			return nil, fmt.Errorf("cluster: fetch %s missing map value", task.Name)
@@ -444,18 +376,18 @@ func (j *jobRun) Execute(ctx context.Context, task *sched.Task, tc *sched.TaskCo
 		if src := f.workers[mv.worker]; src == nil || src.dead {
 			f.mu.Unlock()
 			return nil, &sched.DepLostError{
-				Deps: []string{mr.MapTaskName(meta.mapIndex)},
+				Deps: []string{mr.MapTaskName(id.Map)},
 				Err:  fmt.Errorf("cluster: worker %d holding map output is dead", mv.worker),
 			}
 		}
-		lease.Partition = meta.partition
-		lease.MapIndex = meta.mapIndex
+		lease.Partition = id.Partition
+		lease.MapIndex = id.Map
 		for _, s := range mv.segs {
-			if s.Partition == meta.partition {
+			if s.Partition == id.Partition {
 				lease.Sources = append(lease.Sources, s)
 			}
 		}
-		home := j.homeLocked(meta.partition)
+		home := j.homeLocked(id.Partition)
 		if home == nil {
 			f.mu.Unlock()
 			return nil, &taskError{Msg: "cluster: no live workers", Transient: true}
@@ -470,22 +402,22 @@ func (j *jobRun) Execute(ctx context.Context, task *sched.Task, tc *sched.TaskCo
 		pin = home.id
 
 	case mr.TaskGroupReduce:
-		home, lost, locals, localTasks := j.reduceInputsLocked(meta.partition, tc)
+		home, lost, locals, localTasks := j.reduceInputsLocked(id.Partition, tc)
 		if len(lost) > 0 {
 			f.mu.Unlock()
 			return nil, &sched.DepLostError{
 				Deps: lost,
-				Err:  fmt.Errorf("cluster: partition %d inputs scattered or on dead workers", meta.partition),
+				Err:  fmt.Errorf("cluster: partition %d inputs scattered or on dead workers", id.Partition),
 			}
 		}
 		if home == nil {
 			f.mu.Unlock()
 			return nil, &taskError{Msg: "cluster: no live workers", Transient: true}
 		}
-		lease.Partition = meta.partition
+		lease.Partition = id.Partition
 		lease.Locals = locals
 		lease.LocalTasks = localTasks
-		lease.Keep = j.keep
+		lease.Keep = j.spec.KeepOutput
 		pin = home.id
 	}
 
@@ -539,14 +471,14 @@ func (j *jobRun) homeLocked(p int) *workerState {
 // reduceInputsLocked validates that every fetch value for partition p
 // is local to the partition's current live home, returning the lost
 // fetch task names otherwise.
-func (j *jobRun) reduceInputsLocked(p int, tc *sched.TaskContext) (home *workerState, lost []string, locals []SegInfo, localTasks []string) {
+func (j *jobRun) reduceInputsLocked(p int, tc *sched.TaskContext) (home *workerState, lost []string, locals []mr.SegmentInfo, localTasks []string) {
 	f := j.fleet
 	if id, ok := j.partHome[p]; ok {
 		if w := f.workers[id]; w != nil && !w.dead && !w.draining {
 			home = w
 		}
 	}
-	for _, i := range j.fetchTasks(p) {
+	for _, i := range j.plan.Sources(p) {
 		name := mr.FetchTaskName(p, i)
 		fv, ok := tc.Dep(name).(fetchValue)
 		if !ok {
@@ -593,14 +525,8 @@ func (j *jobRun) settle(task *sched.Task, pend *pendingLease, rep *ReportArgs) (
 		Task: task.Name, Attempt: rep.Attempt})
 	switch task.Group {
 	case mr.TaskGroupMap:
-		var addr string
-		f.mu.Lock()
-		if w := f.workers[rep.WorkerID]; w != nil {
-			addr = w.dataAddr
-		}
-		f.mu.Unlock()
 		return mapValue{
-			worker: rep.WorkerID, addr: addr, segs: rep.Segs,
+			worker: rep.WorkerID, segs: rep.Segs,
 			stats: rep.Stats, dur: time.Duration(rep.DurNs),
 		}, nil
 	case mr.TaskGroupFetch:
@@ -620,21 +546,21 @@ func (j *jobRun) settle(task *sched.Task, pend *pendingLease, rep *ReportArgs) (
 // assemble builds the job Result from committed task values.
 func (j *jobRun) assemble(report *sched.Report, start time.Time) *mr.Result {
 	res := &mr.Result{
-		Output:              make([][]mr.Record, j.nRed),
-		ShufflePerPartition: make([]int64, j.nRed),
-		ReduceTaskTimes:     make([]time.Duration, j.nRed),
-		MapTaskTimes:        make([]time.Duration, j.nMap),
+		Output:              make([][]mr.Record, j.plan.Reduces),
+		ShufflePerPartition: make([]int64, j.plan.Reduces),
+		ReduceTaskTimes:     make([]time.Duration, j.plan.Reduces),
+		MapTaskTimes:        make([]time.Duration, j.plan.Maps),
 		Timeline:            report.Attempts,
 	}
 	var stats mr.Stats
 	meas := &mr.ShuffleMeasurement{}
-	for i := 0; i < j.nMap; i++ {
+	for i := range res.MapTaskTimes {
 		mv := report.Value(mr.MapTaskName(i)).(mapValue)
 		stats.Accumulate(mv.stats)
 		res.MapTaskTimes[i] = mv.dur
 	}
-	for p := 0; p < j.nRed; p++ {
-		for _, i := range j.fetchTasks(p) {
+	for p := range res.Output {
+		for _, i := range j.plan.Sources(p) {
 			fv := report.Value(mr.FetchTaskName(p, i)).(fetchValue)
 			stats.Accumulate(fv.stats)
 			res.ShufflePerPartition[p] += fv.flow
@@ -649,7 +575,7 @@ func (j *jobRun) assemble(report *sched.Report, start time.Time) *mr.Result {
 		if rv.handoff != nil {
 			j.pmu.Lock()
 			if j.handoffs == nil {
-				j.handoffs = make(map[int]Handoff, j.nRed)
+				j.handoffs = make(map[int]Handoff, j.plan.Reduces)
 			}
 			j.handoffs[p] = Handoff{Worker: rv.worker, Seg: *rv.handoff}
 			j.pmu.Unlock()

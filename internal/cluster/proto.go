@@ -12,9 +12,13 @@
 // leave gracefully (drain: finish in-flight attempts, deregister) and
 // join at any time, so the fleet resizes under load.
 //
-// The single-job Coordinator API (New/Run) is kept as a thin wrapper —
-// one fleet, one exclusive job — for antibench, the chaos harness, and
-// anything else that wants the classic one-shot shape.
+// The MapReduce task graph itself — task names, dependencies, each
+// partition's sources, what a fetch task does — is internal/mr's
+// (mr.Plan, mr.ExecMapTask/ExecFetchTask/ExecReduceTask); this package
+// adds only what being distributed needs: leases, partition homes,
+// liveness, and assembling a Result from reports. A one-shot caller
+// writes NewFleet → WaitWorkers → Submit(JobSpec{Exclusive: true}) →
+// Wait → Shutdown.
 package cluster
 
 import (
@@ -36,17 +40,6 @@ type AttemptID struct {
 	Job     int
 	Task    string
 	Attempt int
-}
-
-// SegInfo describes one map-output segment: where it lives (a worker's
-// segment-server address), its file name in that worker's filesystem,
-// and its framed record count / pre-codec size.
-type SegInfo struct {
-	Addr      string
-	File      string
-	Partition int
-	Records   int64
-	RawBytes  int64
 }
 
 // RegisterArgs / RegisterReply: a worker joins the fleet. Job specs are
@@ -121,7 +114,7 @@ type LeaseReply struct {
 // draining holder's file is fetched over the segment server instead.
 type StageInput struct {
 	Records []mr.Record
-	Handoff *SegInfo
+	Handoff *mr.SegmentInfo
 	// Worker is the handoff holder's worker id (for liveness checks and
 	// placement pinning).
 	Worker int
@@ -143,7 +136,7 @@ type TaskLease struct {
 
 	// Keep marks a reduce lease of a stage job whose output feeds a
 	// later stage: the worker writes the reduce output to a handoff
-	// file in the job's workspace and reports its SegInfo instead of
+	// file in the job's workspace and reports where it is instead of
 	// shipping the records to the driver.
 	Keep bool
 
@@ -151,13 +144,13 @@ type TaskLease struct {
 	// files. MapIndex is the producing map task, for stable local names.
 	Partition int
 	MapIndex  int
-	Sources   []SegInfo
+	Sources   []mr.SegmentInfo
 
 	// Reduce leases: merge Locals, which the fleet placed on this
 	// worker via earlier fetch leases. LocalTasks names the fetch task
 	// that produced each Locals entry, so a missing file can be reported
 	// as that task's lost output.
-	Locals     []SegInfo
+	Locals     []mr.SegmentInfo
 	LocalTasks []string
 }
 
@@ -178,12 +171,12 @@ type ReportArgs struct {
 	Unreachable []string
 
 	// Success payloads by task group.
-	Segs      []SegInfo   // map: produced segments; fetch: localized segments
-	FlowBytes int64       // fetch: payload bytes moved over the wire
-	FetchNs   int64       // fetch: time spent in transfers
-	Fetches   int         // fetch: segment transfers performed
-	Records   []mr.Record // reduce: emitted output
-	Handoff   *SegInfo    // reduce with Keep: the retained handoff file
+	Segs      []mr.SegmentInfo // map: produced segments; fetch: localized segments
+	FlowBytes int64            // fetch: payload bytes moved over the wire
+	FetchNs   int64            // fetch: time spent in transfers
+	Fetches   int              // fetch: segment transfers performed
+	Records   []mr.Record      // reduce: emitted output
+	Handoff   *mr.SegmentInfo  // reduce with Keep: the retained handoff file
 
 	// Stats is the attempt's counter snapshot (fresh counters per
 	// attempt, so deltas sum cleanly across committed attempts).

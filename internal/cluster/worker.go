@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"runtime"
 	"strings"
@@ -427,37 +428,26 @@ func (w *worker) runLease(ctx context.Context, l TaskLease) *ReportArgs {
 		} else {
 			split = wj.splits[l.MapTask]
 		}
-		var segs []mr.SegmentInfo
-		segs, err = mr.ExecMapTask(actx, wj.job, afs, counters, l.MapTask, l.Attempt, split)
-		for _, s := range segs {
-			rep.Segs = append(rep.Segs, SegInfo{
-				Addr: w.srv.Addr(), File: s.File, Partition: s.Partition,
-				Records: s.Records, RawBytes: s.RawBytes,
-			})
+		rep.Segs, err = mr.ExecMapTask(actx, wj.job, afs, counters, l.MapTask, l.Attempt, split)
+		for i := range rep.Segs {
+			rep.Segs[i].Addr = w.srv.Addr() // peers fetch them from here
 		}
 
 	case mr.TaskGroupFetch:
 		err = w.runFetch(actx, wj, l, rep, counters)
-		counters.AddReduceCPU(time.Since(t0)) // fetch work is reduce-phase time
 
 	case mr.TaskGroupReduce:
-		var locals []mr.SegmentInfo
 		for i, s := range l.Locals {
 			if _, serr := w.fs.Size(s.File); serr != nil {
 				rep.LostDeps = appendUnique(rep.LostDeps, l.LocalTasks[i])
-				continue
 			}
-			locals = append(locals, mr.SegmentInfo{
-				Partition: s.Partition, File: s.File,
-				Records: s.Records, RawBytes: s.RawBytes,
-			})
 		}
 		if len(rep.LostDeps) > 0 {
 			rep.Errmsg = fmt.Sprintf("cluster: %d reduce input segments missing locally", len(rep.LostDeps))
 			return rep
 		}
 		var recs []mr.Record
-		recs, err = mr.ExecReduceTask(actx, wj.job, afs, counters, l.Partition, l.Attempt, locals)
+		recs, err = mr.ExecReduceTask(actx, wj.job, afs, counters, l.Partition, l.Attempt, l.Locals)
 		if err != nil {
 			break
 		}
@@ -474,7 +464,7 @@ func (w *worker) runLease(ctx context.Context, l TaskLease) *ReportArgs {
 			for _, r := range recs {
 				raw += int64(len(r.Key) + len(r.Value))
 			}
-			rep.Handoff = &SegInfo{
+			rep.Handoff = &mr.SegmentInfo{
 				Addr: w.srv.Addr(), File: name, Partition: l.Partition,
 				Records: int64(len(recs)), RawBytes: raw,
 			}
@@ -518,64 +508,41 @@ func (w *worker) stageSplit(ctx context.Context, wj *workerJob, l TaskLease, rep
 		rep.Unreachable = appendUnique(rep.Unreachable, h.Addr)
 		return nil, fmt.Errorf("cluster: fetching handoff %s from %s: %w", h.File, h.Addr, err)
 	}
-	// Handoff files are length-framed record files, not CRC32C-framed
-	// segments, so the transfer is guarded by the size check (and the
-	// record framing itself, which a truncated read trips on) rather
-	// than the segment integrity verifier.
-	if _, err := mr.CopySegment(rc, size, w.fs, local, false, nil); err != nil {
+	if _, err := mr.CopySegment(rc, size, w.fs, local, nil); err != nil {
+		if errors.Is(err, mr.ErrIntegrity) {
+			w.integrity.Add(1)
+		}
 		rep.Unreachable = appendUnique(rep.Unreachable, h.Addr)
 		return nil, fmt.Errorf("cluster: copying handoff %s from %s: %w", h.File, h.Addr, err)
 	}
 	return &mr.RecordFileSplit{FS: w.fs, Name: local}, nil
 }
 
-// runFetch pulls the lease's source segments from peer segment servers
-// into worker-local files — the cluster analogue of the in-process
-// engine's fetch tasks, with real sockets underneath. Local names live
-// under the job's workspace so concurrent jobs sharing this worker's
-// filesystem cannot collide. Each body lands through mr.CopySegment
-// (CRC32C-verified in flight unless the job disables checksums), so a
-// corrupted transfer is a fetch failure (feeding the fleet's
-// unreachable blacklist), never a poisoned reduce input. A failed
-// attempt removes every file it wrote, so retries cannot leak partial
-// segments.
-func (w *worker) runFetch(ctx context.Context, wj *workerJob, l TaskLease, rep *ReportArgs, counters *mr.Counters) (err error) {
-	var transferTime time.Duration
-	var local []string
-	defer func() {
-		if err != nil {
-			for _, name := range local {
-				w.fs.Remove(name)
-			}
-		}
-	}()
-	for i, src := range l.Sources {
-		fst := time.Now()
-		rc, size, err := w.fetcher.Fetch(ctx, src.Addr, src.File)
-		if err != nil {
-			rep.Unreachable = appendUnique(rep.Unreachable, src.Addr)
-			return fmt.Errorf("cluster: fetching %s from %s: %w", src.File, src.Addr, err)
-		}
-		name := fmt.Sprintf("%s/shuffle/r%04d/m%04d.a%d.%02d",
-			wj.job.Workspace, l.Partition, l.MapIndex, l.Attempt, i)
-		n, err := mr.CopySegment(rc, size, w.fs, name, !wj.job.DisableChecksums, counters)
-		if err != nil {
-			if errors.Is(err, mr.ErrIntegrity) {
-				w.integrity.Add(1)
-			}
-			rep.Unreachable = appendUnique(rep.Unreachable, src.Addr)
-			return fmt.Errorf("cluster: copying %s from %s: %w", src.File, src.Addr, err)
-		}
-		local = append(local, name)
-		transferTime += time.Since(fst)
-		counters.AddShuffle(n, src.Records)
-		rep.FlowBytes += n
-		rep.Segs = append(rep.Segs, SegInfo{
-			Addr: w.srv.Addr(), File: name, Partition: src.Partition,
-			Records: src.Records, RawBytes: src.RawBytes,
+// runFetch runs a fetch lease through mr.ExecFetchTask, pulling the
+// sources from their holders' segment servers through the shared
+// fetcher. What stays here is what only a fleet has: a failed source's
+// address is reported as unreachable (evidence toward declaring that
+// worker dead), and a checksum failure bumps the worker's gauge, since
+// the failed attempt's own stats are discarded. The copies land in the
+// unmetered filesystem: their bytes are the shuffle flow, not task I/O.
+func (w *worker) runFetch(ctx context.Context, wj *workerJob, l TaskLease, rep *ReportArgs, counters *mr.Counters) error {
+	got, err := mr.ExecFetchTask(ctx, wj.job, w.fs, counters, l.Partition, l.MapIndex, l.Attempt, l.Sources,
+		func(ctx context.Context, src mr.SegmentInfo) (io.ReadCloser, int64, error) {
+			return w.fetcher.Fetch(ctx, src.Addr, src.File)
 		})
+	if err != nil {
+		var fe *mr.FetchError
+		if errors.As(err, &fe) {
+			rep.Unreachable = appendUnique(rep.Unreachable, fe.Source.Addr)
+		}
+		if errors.Is(err, mr.ErrIntegrity) {
+			w.integrity.Add(1)
+		}
+		return err
 	}
-	rep.FetchNs = transferTime.Nanoseconds()
+	rep.Segs = got.Segs
+	rep.FlowBytes = got.Bytes
+	rep.FetchNs = got.Time.Nanoseconds()
 	rep.Fetches = len(l.Sources)
 	return nil
 }

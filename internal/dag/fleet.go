@@ -4,9 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 
-	"repro/internal/bytesx"
 	"repro/internal/cluster"
 	"repro/internal/mr"
 )
@@ -125,7 +123,7 @@ func (e *FleetEngine) RunStage(ctx context.Context, run StageRun) (*StageResult,
 }
 
 // Collect implements Engine: pull each partition's handoff file from
-// its worker's segment server and decode the framed records.
+// its worker's segment server and decode the records, CRC-verified.
 func (e *FleetEngine) Collect(ctx context.Context, res *StageResult) ([][]mr.Record, error) {
 	if res.Records != nil {
 		return res.Records, nil
@@ -156,20 +154,17 @@ func (e *FleetEngine) fetchRecords(ctx context.Context, addr, file string) ([]mr
 	}
 	defer rc.Close()
 	var recs []mr.Record
-	r := bytesx.NewReader(rc)
-	for {
-		key, value, err := r.ReadRecord()
-		if err == io.EOF {
-			return recs, nil
-		}
-		if err != nil {
-			return nil, fmt.Errorf("dag: decoding %s from %s: %w", file, addr, err)
-		}
+	err = mr.ReadRecords(rc, func(key, value []byte) error {
 		recs = append(recs, mr.Record{
 			Key:   append([]byte(nil), key...),
 			Value: append([]byte(nil), value...),
 		})
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("dag: decoding %s from %s: %w", file, addr, err)
 	}
+	return recs, nil
 }
 
 // Release implements Engine: sweep a kept result's retained job

@@ -13,15 +13,6 @@ import (
 	"repro/internal/obs"
 )
 
-// segment describes one sorted run of records for one reduce partition,
-// stored as a (possibly compressed) file of framed records.
-type segment struct {
-	partition int
-	file      string
-	records   int64
-	rawBytes  int64 // framed bytes before the codec
-}
-
 // mapBuffer is the map-side collect buffer: records accumulate in an
 // arena until SortBufferBytes is reached, then the buffer is bucketed
 // by partition, key-sorted per bucket, and spilled to one file per
@@ -44,7 +35,7 @@ type mapBuffer struct {
 	scratch []bufEntry // partition-bucketing scatter target
 	offs    []int      // per-partition counters/offsets scratch
 	spills  int
-	segs    []segment
+	segs    []SegmentInfo
 }
 
 type bufEntry struct {
@@ -173,7 +164,7 @@ func (b *mapBuffer) spill() error {
 		}
 		start = end
 	}
-	segs := make([]segment, len(runs))
+	segs := make([]SegmentInfo, len(runs))
 	err := runPool(context.Background(), b.spillWorkers(len(runs)), len(runs), func(_ context.Context, i int) error {
 		seg, err := b.writeRun(runs[i].name, runs[i].part, runs[i].entries)
 		if err != nil {
@@ -267,14 +258,14 @@ func (b *mapBuffer) sortByPartitionKey() []int {
 	return offs
 }
 
-// segmentSink is the write side of one segment file: file → optional
-// CRC32C framing (the outermost on-disk layer) → codec → framed-record
-// writer. It centralizes the layering and the close chain so spill runs
-// and merge outputs cannot drift apart.
+// segmentSink is the write side of one segment file: file → CRC32C
+// framing (the outermost on-disk layer) → codec → framed-record writer.
+// It centralizes the layering and the close chain so spill runs and
+// merge outputs cannot drift apart.
 type segmentSink struct {
 	f  io.WriteCloser
-	ck *checksumWriter // nil when the job disables checksums
-	cw io.WriteCloser  // codec writer
+	ck *checksumWriter
+	cw io.WriteCloser // codec writer
 	w  *bytesx.Writer
 }
 
@@ -286,19 +277,10 @@ func newSegmentSink(job *Job, fs iokit.FS, name string) (*segmentSink, error) {
 	if err != nil {
 		return nil, err
 	}
-	var (
-		ck   *checksumWriter
-		base io.Writer = f
-	)
-	if !job.DisableChecksums {
-		ck = newChecksumWriter(f)
-		base = ck
-	}
-	cw, err := job.Codec.NewWriter(base)
+	ck := newChecksumWriter(f)
+	cw, err := job.Codec.NewWriter(ck)
 	if err != nil {
-		if ck != nil {
-			ck.release()
-		}
+		ck.release()
 		f.Close()
 		removeQuiet(fs, name)
 		return nil, err
@@ -318,10 +300,8 @@ func (s *segmentSink) close(err error) (records, rawBytes int64, _ error) {
 	if cerr := s.cw.Close(); err == nil {
 		err = cerr
 	}
-	if s.ck != nil {
-		if cerr := s.ck.Close(); err == nil {
-			err = cerr
-		}
+	if cerr := s.ck.Close(); err == nil {
+		err = cerr
 	}
 	if cerr := s.f.Close(); err == nil {
 		err = cerr
@@ -331,10 +311,10 @@ func (s *segmentSink) close(err error) (records, rawBytes int64, _ error) {
 
 // writeRun writes one sorted partition run, applying the combiner when
 // configured. On error the partial run file is removed.
-func (b *mapBuffer) writeRun(name string, partition int, entries []bufEntry) (segment, error) {
+func (b *mapBuffer) writeRun(name string, partition int, entries []bufEntry) (SegmentInfo, error) {
 	sink, err := newSegmentSink(b.job, b.fs, name)
 	if err != nil {
-		return segment{}, err
+		return SegmentInfo{}, err
 	}
 	w := sink.w
 
@@ -356,9 +336,9 @@ func (b *mapBuffer) writeRun(name string, partition int, entries []bufEntry) (se
 	records, rawBytes, err := sink.close(err)
 	if err != nil {
 		removeQuiet(b.fs, name)
-		return segment{}, err
+		return SegmentInfo{}, err
 	}
-	return segment{partition: partition, file: name, records: records, rawBytes: rawBytes}, nil
+	return SegmentInfo{Partition: partition, File: name, Records: records, RawBytes: rawBytes}, nil
 }
 
 // combineRun groups the sorted entries by key and runs the combiner over
@@ -425,7 +405,7 @@ func (it *runValueIter) Next() ([]byte, bool) {
 // segment, mirroring Hadoop's final on-disk merge. Per-partition merges
 // are independent and run under the spill-parallelism bound. With a
 // single spill the spill files are the output.
-func (b *mapBuffer) finish() ([]segment, error) {
+func (b *mapBuffer) finish() ([]SegmentInfo, error) {
 	if err := b.spill(); err != nil {
 		return nil, err
 	}
@@ -433,9 +413,9 @@ func (b *mapBuffer) finish() ([]segment, error) {
 	if b.spills <= 1 {
 		return b.segs, nil
 	}
-	byPart := make(map[int][]segment)
+	byPart := make(map[int][]SegmentInfo)
 	for _, s := range b.segs {
-		byPart[s.partition] = append(byPart[s.partition], s)
+		byPart[s.Partition] = append(byPart[s.Partition], s)
 	}
 	parts := make([]int, 0, len(byPart))
 	for part := range byPart {
@@ -445,7 +425,7 @@ func (b *mapBuffer) finish() ([]segment, error) {
 	// Hadoop applies the combiner during the final merge only when
 	// enough spills occurred (min.num.spills.for.combine, default 3).
 	useCombiner := b.job.NewCombiner != nil && b.spills >= 3
-	out := make([]segment, len(parts))
+	out := make([]SegmentInfo, len(parts))
 	err := runPool(context.Background(), b.spillWorkers(len(parts)), len(parts), func(_ context.Context, i int) error {
 		part := parts[i]
 		merged, err := mergeSegments(b.job, b.fs, b.counters,
@@ -464,35 +444,24 @@ func (b *mapBuffer) finish() ([]segment, error) {
 }
 
 // openSegment opens a segment file for sorted streaming, verifying the
-// CRC32C framing as it reads unless the job disabled checksums — every
-// local merge read re-checks integrity, not just the shuffle fetch.
-func openSegment(job *Job, fs iokit.FS, seg segment) (recordStream, error) {
-	f, err := fs.Open(seg.file)
+// CRC32C framing as it reads — every local merge read re-checks
+// integrity, not just the shuffle fetch.
+func openSegment(job *Job, fs iokit.FS, seg SegmentInfo) (recordStream, error) {
+	f, err := fs.Open(seg.File)
 	if err != nil {
 		return nil, err
 	}
-	var (
-		ck   *checksumReader
-		base io.Reader = f
-	)
-	if !job.DisableChecksums {
-		ck = newChecksumReader(f)
-		base = ck
-	}
-	cr, err := job.Codec.NewReader(base)
+	ck := newCRCReader(f, false)
+	cr, err := job.Codec.NewReader(ck)
 	if err != nil {
-		if ck != nil {
-			ck.release()
-		}
+		ck.release()
 		f.Close()
 		return nil, err
 	}
 	rd := getRecordReader(cr)
 	return &readerStream{r: rd, close: func() error {
 		putRecordReader(rd)
-		if ck != nil {
-			ck.release()
-		}
+		ck.release()
 		if err := cr.Close(); err != nil {
 			f.Close()
 			return err
@@ -519,7 +488,7 @@ func removeQuiet(fs iokit.FS, name string) {
 // once the final pass succeeds, and on any error, so a failed merge
 // orphans nothing (the original inputs survive under the reduce-side
 // keep-inputs mode, letting a retry redo the merge).
-func mergeSegments(job *Job, fs iokit.FS, counters *Counters, name string, partition int, segs []segment, useCombiner bool, taskID int, removeInputs bool) (segment, error) {
+func mergeSegments(job *Job, fs iokit.FS, counters *Counters, name string, partition int, segs []SegmentInfo, useCombiner bool, taskID int, removeInputs bool) (SegmentInfo, error) {
 	pass := 0
 	var intermediates []string
 	cleanup := func() {
@@ -529,15 +498,15 @@ func mergeSegments(job *Job, fs iokit.FS, counters *Counters, name string, parti
 	}
 	for len(segs) > job.MergeFactor {
 		if pass == 0 {
-			segs = append([]segment(nil), segs...) // callers keep their slices
+			segs = append([]SegmentInfo(nil), segs...) // callers keep their slices
 		}
 		// Smallest-first batching; ties break on file name so batch
 		// composition — and thus output bytes — stays deterministic.
 		sort.SliceStable(segs, func(i, j int) bool {
-			if segs[i].rawBytes != segs[j].rawBytes {
-				return segs[i].rawBytes < segs[j].rawBytes
+			if segs[i].RawBytes != segs[j].RawBytes {
+				return segs[i].RawBytes < segs[j].RawBytes
 			}
-			return segs[i].file < segs[j].file
+			return segs[i].File < segs[j].File
 		})
 		batch := segs[:job.MergeFactor]
 		rest := segs[job.MergeFactor:]
@@ -546,7 +515,7 @@ func mergeSegments(job *Job, fs iokit.FS, counters *Counters, name string, parti
 		inter, err := mergeOnce(job, fs, counters, interName, partition, batch, false, taskID, removeInputs)
 		if err != nil {
 			cleanup()
-			return segment{}, err
+			return SegmentInfo{}, err
 		}
 		intermediates = append(intermediates, interName)
 		segs = append(rest, inter)
@@ -554,7 +523,7 @@ func mergeSegments(job *Job, fs iokit.FS, counters *Counters, name string, parti
 	final, err := mergeOnce(job, fs, counters, name, partition, segs, useCombiner, taskID, removeInputs)
 	if err != nil {
 		cleanup()
-		return segment{}, err
+		return SegmentInfo{}, err
 	}
 	// Pass files already consumed by a removeInputs merge are gone;
 	// under keep-inputs mode this is what deletes them.
@@ -565,7 +534,7 @@ func mergeSegments(job *Job, fs iokit.FS, counters *Counters, name string, parti
 // mergeOnce merges segs into one output segment. Every error path
 // closes all still-open input streams and removes the partial output,
 // so a failed merge leaks neither file handles nor orphan files.
-func mergeOnce(job *Job, fs iokit.FS, counters *Counters, name string, partition int, segs []segment, useCombiner bool, taskID int, removeInputs bool) (seg segment, err error) {
+func mergeOnce(job *Job, fs iokit.FS, counters *Counters, name string, partition int, segs []SegmentInfo, useCombiner bool, taskID int, removeInputs bool) (seg SegmentInfo, err error) {
 	streams := make([]recordStream, 0, len(segs))
 	defer func() {
 		if err != nil {
@@ -581,18 +550,18 @@ func mergeOnce(job *Job, fs iokit.FS, counters *Counters, name string, partition
 		st, oerr := openSegment(job, fs, s)
 		if oerr != nil {
 			err = oerr
-			return segment{}, err
+			return SegmentInfo{}, err
 		}
 		streams = append(streams, st)
 	}
 	merged, err := newMergeIter(streams, job.KeyCompare)
 	if err != nil {
-		return segment{}, err
+		return SegmentInfo{}, err
 	}
 
 	sink, err := newSegmentSink(job, fs, name)
 	if err != nil {
-		return segment{}, err
+		return SegmentInfo{}, err
 	}
 	w := sink.w
 
@@ -621,16 +590,16 @@ func mergeOnce(job *Job, fs iokit.FS, counters *Counters, name string, partition
 	}
 	records, rawBytes, err := sink.close(err)
 	if err != nil {
-		return segment{}, err
+		return SegmentInfo{}, err
 	}
 	if removeInputs {
 		for _, s := range segs {
-			if err = fs.Remove(s.file); err != nil {
-				return segment{}, err
+			if err = fs.Remove(s.File); err != nil {
+				return SegmentInfo{}, err
 			}
 		}
 	}
-	return segment{partition: partition, file: name, records: records, rawBytes: rawBytes}, nil
+	return SegmentInfo{Partition: partition, File: name, Records: records, RawBytes: rawBytes}, nil
 }
 
 // combineMerged runs the combiner over key groups of a merged stream.

@@ -33,7 +33,7 @@ func identityReduceJob() *Job {
 
 // writeSortedSegment writes n records of valueLen-byte values under
 // ascending keys to name.
-func writeSortedSegment(tb testing.TB, job *Job, fs iokit.FS, name string, n, valueLen int) segment {
+func writeSortedSegment(tb testing.TB, job *Job, fs iokit.FS, name string, n, valueLen int) SegmentInfo {
 	tb.Helper()
 	sink, err := newSegmentSink(job, fs, name)
 	if err != nil {
@@ -50,7 +50,7 @@ func writeSortedSegment(tb testing.TB, job *Job, fs iokit.FS, name string, n, va
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return segment{file: name, records: records, rawBytes: rawBytes}
+	return SegmentInfo{File: name, Records: records, RawBytes: rawBytes}
 }
 
 // BenchmarkSegmentRoundTrip writes a 4 MB segment through the full sink
@@ -63,7 +63,7 @@ func BenchmarkSegmentRoundTrip(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		seg := writeSortedSegment(b, job, fs, "seg", records, valueLen)
-		b.SetBytes(seg.rawBytes)
+		b.SetBytes(seg.RawBytes)
 		st, err := openSegment(job, fs, seg)
 		if err != nil {
 			b.Fatal(err)
@@ -85,7 +85,7 @@ func BenchmarkReduceCollect(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, err := reduceMerge(context.Background(), job, fs, &Counters{}, 0, 0, []segment{seg})
+		out, err := reduceMerge(context.Background(), job, fs, &Counters{}, 0, 0, []SegmentInfo{seg})
 		if err != nil || len(out) != records {
 			b.Fatalf("collected %d records, %v", len(out), err)
 		}

@@ -123,7 +123,7 @@ func TestReduceCollectAllocations(t *testing.T) {
 	var out []Record
 	var err error
 	n := mallocs(func() {
-		out, err = reduceMerge(context.Background(), job, fs, &Counters{}, 0, 0, []segment{seg})
+		out, err = reduceMerge(context.Background(), job, fs, &Counters{}, 0, 0, []SegmentInfo{seg})
 	})
 	if err != nil || len(out) != records {
 		t.Fatalf("collected %d records, %v", len(out), err)

@@ -8,8 +8,8 @@ import (
 	"io"
 )
 
-// Segment integrity framing. Every spill, merge, and map-output segment
-// is written as a sequence of CRC32C-protected blocks:
+// Integrity framing. Every spill, merge, and map-output segment and
+// every record file is written as a sequence of CRC32C-protected blocks:
 //
 //	uvarint(len+1) | crc32c (4 bytes, little-endian) | payload
 //
@@ -22,8 +22,9 @@ import (
 // the engine classifies as transient: local reads retry the attempt,
 // and cluster fetches feed the unreachable-source blacklist and the
 // DepLostError re-execution path instead of poisoning reduce output.
-// Job.DisableChecksums turns the framing off for byte-identical A/B
-// baselines against the historical on-disk layout.
+// Record files (WriteRecordFile: pipeline handoffs, job output) carry
+// the same framing without a codec layer, so they cross the data plane
+// under the same verifier.
 
 // ErrIntegrity marks structurally corrupt segment data: a bad frame
 // length, a checksum mismatch, a truncated frame, or trailing bytes
@@ -147,78 +148,87 @@ func (c *checksumWriter) release() {
 	c.buf = nil
 }
 
-// checksumReader verifies and strips the CRC32C framing, delivering the
-// original payload stream. Any structural fault is sticky and surfaces
-// as ErrIntegrity; underlying I/O errors pass through unwrapped.
-type checksumReader struct {
-	br   byteReader
-	buf  []byte // pooled payload buffer
-	pos  int
-	n    int
-	err  error // sticky
-	done bool
+// crcReader parses and verifies a CRC32C-framed stream — the one
+// parser behind both ways the engine reads one. Stripping (local merge
+// reads) it delivers the payload stream; raw (shuffle fetches, see
+// NewIntegrityVerifier) it delivers the stream unchanged, framing
+// included, so the copy that lands on disk is still framed and a later
+// local read re-verifies it. Either way no byte of a frame is delivered
+// before the whole frame verified, the stream must end at its
+// terminator (a premature EOF and trailing data are both corruption),
+// any structural fault is sticky and surfaces as ErrIntegrity, and
+// underlying I/O errors pass through unwrapped.
+type crcReader struct {
+	r    io.Reader
+	raw  bool
+	buf  []byte // pooled payload buffer; nil once released
+	head []byte // raw mode: pending framing bytes (header+CRC, or the terminator)
+	body []byte // pending payload
+	hdr  [binary.MaxVarintLen64 + 4]byte
+	err  error // sticky; may be set while head still holds the terminator
 }
 
-func newChecksumReader(r io.Reader) *checksumReader {
-	return &checksumReader{br: byteReader{r: r}, buf: getCopyBuf()}
+func newCRCReader(r io.Reader, raw bool) *crcReader {
+	return &crcReader{r: r, raw: raw, buf: getCopyBuf()}
 }
+
+// NewIntegrityVerifier wraps a framed stream (a segment or a record
+// file) in a verifying pass-through: the raw mode of the engine's one
+// frame reader. Every fetch that crosses a socket lands through it.
+func NewIntegrityVerifier(r io.Reader) io.Reader { return newCRCReader(r, true) }
 
 // Read implements io.Reader.
-func (c *checksumReader) Read(p []byte) (int, error) {
-	if c.err != nil {
-		return 0, c.err
-	}
-	for c.pos >= c.n {
-		if err := c.fill(); err != nil {
-			c.err = err
-			return 0, err
+func (f *crcReader) Read(p []byte) (int, error) {
+	for len(f.head) == 0 && len(f.body) == 0 {
+		if f.err != nil {
+			f.release()
+			return 0, f.err
 		}
+		f.err = f.next()
 	}
-	n := copy(p, c.buf[c.pos:c.n])
-	c.pos += n
+	n := copy(p, f.head)
+	if f.head = f.head[n:]; len(f.head) == 0 {
+		m := copy(p[n:], f.body)
+		f.body = f.body[m:]
+		n += m
+	}
 	return n, nil
 }
 
-// readFrameLen parses the frame-length uvarint, classifying overflow as
-// corruption (binary.ReadUvarint's overflow error is untyped) and EOF
-// as truncation.
-func (c *checksumReader) readFrameLen() (uint64, error) {
-	var x uint64
-	var shift uint
-	for i := 0; ; i++ {
-		b, err := c.br.ReadByte()
-		if err != nil {
-			return 0, integrityTruncated(err, "frame header")
+// next reads and verifies one frame into head/body. At the terminator
+// it returns io.EOF (leaving the terminator byte in head in raw mode).
+func (f *crcReader) next() error {
+	// Frame length: a uvarint read byte by byte, so overflow is
+	// classified as corruption (binary.ReadUvarint's overflow error is
+	// untyped) and nothing past the header is consumed.
+	var lenPlus uint64
+	n := 0
+	for shift := uint(0); ; shift += 7 {
+		if _, err := io.ReadFull(f.r, f.hdr[n:n+1]); err != nil {
+			if n == 0 && errors.Is(err, io.EOF) {
+				return fmt.Errorf("%w: stream ended without terminator", ErrIntegrity)
+			}
+			return integrityTruncated(err, "frame header")
 		}
-		if i == binary.MaxVarintLen64-1 && b > 1 {
-			return 0, fmt.Errorf("%w: frame header overflow", ErrIntegrity)
+		b := f.hdr[n]
+		if n++; n == binary.MaxVarintLen64 && b > 1 {
+			return fmt.Errorf("%w: frame header overflow", ErrIntegrity)
 		}
+		lenPlus |= uint64(b&0x7f) << shift
 		if b < 0x80 {
-			return x | uint64(b)<<shift, nil
+			break
 		}
-		if i == binary.MaxVarintLen64-1 {
-			return 0, fmt.Errorf("%w: frame header overflow", ErrIntegrity)
-		}
-		x |= uint64(b&0x7f) << shift
-		shift += 7
-	}
-}
-
-// fill reads and verifies the next frame into c.buf.
-func (c *checksumReader) fill() error {
-	lenPlus, err := c.readFrameLen()
-	if err != nil {
-		return err
 	}
 	if lenPlus == 0 {
 		// Terminator. A well-formed stream ends exactly here; any
 		// trailing byte is corruption a plain EOF check would miss.
-		c.done = true
-		var one [1]byte
-		switch _, err := io.ReadFull(c.br.r, one[:]); {
+		switch _, err := io.ReadFull(f.r, f.hdr[n:n+1]); {
 		case err == nil:
-			return fmt.Errorf("%w: trailing data after segment terminator", ErrIntegrity)
+			return fmt.Errorf("%w: trailing data after stream terminator", ErrIntegrity)
 		case errors.Is(err, io.EOF):
+			if f.raw {
+				f.head = f.hdr[:n]
+			}
 			return io.EOF
 		default:
 			return err
@@ -228,130 +238,36 @@ func (c *checksumReader) fill() error {
 	if size > maxChecksumBlock {
 		return fmt.Errorf("%w: frame of %d bytes exceeds limit %d", ErrIntegrity, size, maxChecksumBlock)
 	}
-	var crcBuf [4]byte
-	if _, err := io.ReadFull(c.br.r, crcBuf[:]); err != nil {
+	if _, err := io.ReadFull(f.r, f.hdr[n:n+4]); err != nil {
 		return integrityTruncated(err, "frame checksum")
 	}
-	want := binary.LittleEndian.Uint32(crcBuf[:])
-	if int(size) > cap(c.buf) {
-		c.buf = make([]byte, size)
+	want := binary.LittleEndian.Uint32(f.hdr[n:])
+	if int(size) > cap(f.buf) {
+		f.buf = make([]byte, size) // the pooled buffer is dropped, as a foreign writer's frame is rare
 	}
-	payload := c.buf[:size]
-	if _, err := io.ReadFull(c.br.r, payload); err != nil {
+	payload := f.buf[:size]
+	if _, err := io.ReadFull(f.r, payload); err != nil {
 		return integrityTruncated(err, "frame payload")
 	}
 	if got := crc32.Checksum(payload, castagnoli); got != want {
 		return fmt.Errorf("%w: checksum mismatch (got %08x, want %08x)", ErrIntegrity, got, want)
 	}
-	c.buf = c.buf[:cap(c.buf)]
-	c.pos, c.n = 0, int(size)
+	if f.raw {
+		f.head = f.hdr[:n+4]
+	}
+	f.body = payload
 	return nil
 }
 
-// release returns the pooled buffer. The reader is unusable afterwards.
-func (c *checksumReader) release() {
-	if cap(c.buf) == copyBufSize {
-		putCopyBuf(c.buf)
+// release returns the pooled buffer; the reader is unusable afterwards.
+// Read calls it once the stream has ended (either way); a reader that
+// may be abandoned mid-stream is released by its owner.
+func (f *crcReader) release() {
+	if cap(f.buf) == copyBufSize {
+		putCopyBuf(f.buf)
 	}
-	c.buf = nil
-	c.err = errors.New("mr: checksum reader released")
-}
-
-// NewIntegrityVerifier wraps a framed segment stream in a verifying
-// pass-through: the returned reader parses and CRC-checks each frame
-// but emits the raw bytes unchanged (headers and terminator included),
-// so a fetched segment lands on local disk still framed and a later
-// local read re-verifies it. No byte of a frame is emitted before the
-// whole frame verified, a premature EOF (missing terminator) and
-// trailing data both surface as ErrIntegrity, and underlying I/O errors
-// pass through unwrapped. The cluster worker's fetch path and the
-// in-process shuffle both use it.
-func NewIntegrityVerifier(r io.Reader) io.Reader {
-	return &verifyReader{r: r}
-}
-
-type verifyReader struct {
-	r    io.Reader
-	out  []byte // verified raw bytes of the current frame
-	pos  int
-	err  error // sticky
-	done bool  // terminator seen
-	one  [1]byte
-}
-
-// Read implements io.Reader.
-func (v *verifyReader) Read(p []byte) (int, error) {
-	if v.err != nil {
-		return 0, v.err
+	f.buf, f.head, f.body = nil, nil, nil
+	if f.err == nil {
+		f.err = errors.New("mr: frame reader released")
 	}
-	for v.pos >= len(v.out) {
-		if err := v.fill(); err != nil {
-			v.err = err
-			return 0, err
-		}
-	}
-	n := copy(p, v.out[v.pos:])
-	v.pos += n
-	return n, nil
-}
-
-// fill parses and verifies one frame, capturing its raw bytes into
-// v.out for pass-through delivery.
-func (v *verifyReader) fill() error {
-	v.out = v.out[:0]
-	v.pos = 0
-	// Uvarint header, read byte-by-byte so the raw bytes are captured.
-	var lenPlus uint64
-	var shift uint
-	for i := 0; ; i++ {
-		if _, err := io.ReadFull(v.r, v.one[:]); err != nil {
-			if i == 0 && errors.Is(err, io.EOF) {
-				if v.done {
-					return io.EOF
-				}
-				return fmt.Errorf("%w: segment ended without terminator", ErrIntegrity)
-			}
-			return integrityTruncated(err, "frame header")
-		}
-		if i >= binary.MaxVarintLen64 {
-			return fmt.Errorf("%w: frame header overflow", ErrIntegrity)
-		}
-		b := v.one[0]
-		v.out = append(v.out, b)
-		if b < 0x80 {
-			lenPlus |= uint64(b) << shift
-			break
-		}
-		lenPlus |= uint64(b&0x7f) << shift
-		shift += 7
-	}
-	if v.done {
-		return fmt.Errorf("%w: trailing data after segment terminator", ErrIntegrity)
-	}
-	if lenPlus == 0 {
-		// Terminator: deliver the zero byte; the next fill expects EOF.
-		v.done = true
-		return nil
-	}
-	size := lenPlus - 1
-	if size > maxChecksumBlock {
-		return fmt.Errorf("%w: frame of %d bytes exceeds limit %d", ErrIntegrity, size, maxChecksumBlock)
-	}
-	hdrLen := len(v.out)
-	need := int(size) + 4
-	if cap(v.out) < hdrLen+need {
-		grown := make([]byte, hdrLen, hdrLen+need)
-		copy(grown, v.out)
-		v.out = grown
-	}
-	frame := v.out[hdrLen : hdrLen+need]
-	if _, err := io.ReadFull(v.r, frame); err != nil {
-		return integrityTruncated(err, "frame payload")
-	}
-	want := binary.LittleEndian.Uint32(frame[:4])
-	if got := crc32.Checksum(frame[4:], castagnoli); got != want {
-		return fmt.Errorf("%w: checksum mismatch (got %08x, want %08x)", ErrIntegrity, got, want)
-	}
-	v.out = v.out[:hdrLen+need]
-	return nil
 }

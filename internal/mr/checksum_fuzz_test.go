@@ -7,8 +7,8 @@ import (
 	"testing"
 )
 
-// FuzzSegmentFrames hammers the CRC32C segment-frame parsers with
-// arbitrary bytes: both the stripping reader and the pass-through
+// FuzzSegmentFrames hammers the CRC32C frame reader with arbitrary
+// bytes in both of its modes: the stripping reader and the pass-through
 // verifier must either succeed (and agree byte-for-byte with a
 // re-framed round trip) or fail with a typed error — ErrIntegrity for
 // structural corruption — and never panic or silently accept a
@@ -32,9 +32,11 @@ func FuzzSegmentFrames(f *testing.F) {
 	f.Add(frame([]byte("truncate me"))[:5])                                   // mid-frame cut
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F}) // huge length prefix
 	f.Add(append(frame([]byte("trail")), 'x'))                                // trailing garbage
+	f.Add(overflowingFrameHeader)                                             // shift wraps to 0: not a terminator
+	f.Add([]byte{0x80, 0x00})                                                 // terminator in two bytes: passed through as written
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		cr := newChecksumReader(bytes.NewReader(data))
+		cr := newCRCReader(bytes.NewReader(data), false)
 		payload, rerr := io.ReadAll(cr)
 		cr.release()
 
@@ -62,7 +64,7 @@ func FuzzSegmentFrames(f *testing.F) {
 		if !bytes.Equal(raw, data) {
 			t.Fatalf("verifier not pass-through: %d bytes out of %d in", len(raw), len(data))
 		}
-		cr2 := newChecksumReader(bytes.NewReader(frame(payload)))
+		cr2 := newCRCReader(bytes.NewReader(frame(payload)), false)
 		payload2, err := io.ReadAll(cr2)
 		cr2.release()
 		if err != nil {

@@ -49,7 +49,7 @@ func TestChecksumRoundTrip(t *testing.T) {
 		}
 		framed := frameStream(t, payload)
 
-		cr := newChecksumReader(bytes.NewReader(framed))
+		cr := newCRCReader(bytes.NewReader(framed), false)
 		got, err := io.ReadAll(cr)
 		cr.release()
 		if err != nil {
@@ -79,7 +79,7 @@ func TestChecksumDetectsCorruption(t *testing.T) {
 		corrupt := append([]byte(nil), framed...)
 		corrupt[off] ^= 0x40
 
-		cr := newChecksumReader(bytes.NewReader(corrupt))
+		cr := newCRCReader(bytes.NewReader(corrupt), false)
 		got, err := io.ReadAll(cr)
 		cr.release()
 		if err == nil {
@@ -105,7 +105,7 @@ func TestChecksumDetectsCorruption(t *testing.T) {
 func TestChecksumDetectsTruncation(t *testing.T) {
 	framed := frameStream(t, []byte(strings.Repeat("cut here ", 30)))
 	for n := 0; n < len(framed); n++ {
-		cr := newChecksumReader(bytes.NewReader(framed[:n]))
+		cr := newCRCReader(bytes.NewReader(framed[:n]), false)
 		_, err := io.ReadAll(cr)
 		cr.release()
 		if !errors.Is(err, ErrIntegrity) {
@@ -117,7 +117,7 @@ func TestChecksumDetectsTruncation(t *testing.T) {
 	}
 	// Trailing garbage after the terminator is corruption too.
 	trailing := append(append([]byte(nil), framed...), 'x')
-	cr := newChecksumReader(bytes.NewReader(trailing))
+	cr := newCRCReader(bytes.NewReader(trailing), false)
 	if _, err := io.ReadAll(cr); !errors.Is(err, ErrIntegrity) {
 		t.Fatalf("trailing data: error is not ErrIntegrity: %v", err)
 	}
@@ -149,7 +149,7 @@ func TestChecksumPassesThroughIOErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	cr := newChecksumReader(r)
+	cr := newCRCReader(r, false)
 	defer cr.release()
 	_, err = io.ReadAll(cr)
 	if !errors.Is(err, iokit.ErrInjected) {
@@ -160,53 +160,24 @@ func TestChecksumPassesThroughIOErrors(t *testing.T) {
 	}
 }
 
-// TestDisableChecksumsPreservesRawLayout pins the A/B baseline: with
-// checksums disabled a segment file is the raw framed-record stream —
-// byte-identical to the historical layout — and with them enabled the
-// same records are recovered through the verified path.
-func TestDisableChecksumsPreservesRawLayout(t *testing.T) {
-	job := wordCountJob(false)
-	job.DisableChecksums = true
-	j, err := job.normalized()
-	if err != nil {
-		t.Fatal(err)
-	}
-	mem := iokit.NewMemFS()
-	seg, err := writeTestSegment(j, mem, "seg", 0, 0, 25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	size, err := mem.Size("seg")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if size != seg.rawBytes {
-		t.Fatalf("raw layout: file is %d bytes, framed records are %d", size, seg.rawBytes)
-	}
+// overflowingFrameHeader is a ten-byte uvarint whose last byte carries
+// bits past the 64th: decoded with a wrapping shift it reads as 0, the
+// stream terminator.
+var overflowingFrameHeader = []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x02}
 
-	jc := checksumTestJob(t)
-	memc := iokit.NewMemFS()
-	segc, err := writeTestSegment(jc, memc, "seg", 0, 0, 25)
-	if err != nil {
-		t.Fatal(err)
+// TestFrameHeaderOverflowRejected: an overflowing length header is
+// corruption in both reader modes — never a terminator, so never a
+// clean empty stream.
+func TestFrameHeaderOverflowRejected(t *testing.T) {
+	for _, raw := range []bool{false, true} {
+		r := newCRCReader(bytes.NewReader(overflowingFrameHeader), raw)
+		got, err := io.ReadAll(r)
+		if !errors.Is(err, ErrIntegrity) {
+			t.Errorf("raw=%v: read %d bytes, err = %v; want ErrIntegrity", raw, len(got), err)
+		}
 	}
-	sizec, err := memc.Size("seg")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sizec <= seg.rawBytes {
-		t.Fatalf("checksummed layout: file is %d bytes, want larger than raw %d", sizec, seg.rawBytes)
-	}
-	st, err := openSegment(jc, memc, segc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := drainStreams(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if int64(n) != segc.records {
-		t.Fatalf("verified read returned %d records, want %d", n, segc.records)
+	if _, err := io.ReadAll(NewIntegrityVerifier(bytes.NewReader(overflowingFrameHeader))); !errors.Is(err, ErrIntegrity) {
+		t.Errorf("NewIntegrityVerifier: err = %v, want ErrIntegrity", err)
 	}
 }
 

@@ -95,19 +95,12 @@ func (c *Counters) AddMapOutputPartition(p int, bytes int64) {
 }
 
 // AddShuffle meters fetched shuffle data arriving at the reduce side:
-// wire bytes (post-codec) and framed record counts. The in-process
-// engine calls it through accountShuffle; cluster workers call it when
-// a fetch task lands a remote segment locally.
+// wire bytes (post-codec) and framed record counts. ExecFetchTask calls
+// it per source; an executor with a fetch loop of its own calls it
+// directly.
 func (c *Counters) AddShuffle(bytes, records int64) {
 	c.shuffleBytes.Add(bytes)
 	c.reduceInRecords.Add(records)
-}
-
-// AddReduceCPU charges d to the reduce-phase CPU total. Remote
-// executors use it for fetch work that happens outside ExecReduceTask,
-// matching the engine's accounting of fetch-task time.
-func (c *Counters) AddReduceCPU(d time.Duration) {
-	c.reduceTaskNs.Add(d.Nanoseconds())
 }
 
 // AddExtra adds n to a named auxiliary counter (e.g. Anti-Combining's

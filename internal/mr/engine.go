@@ -3,19 +3,13 @@ package mr
 import (
 	"context"
 	"fmt"
+	"io"
 	"sync"
 	"time"
 
 	"repro/internal/iokit"
 	"repro/internal/obs"
 	"repro/internal/sched"
-)
-
-// Task timeline groups, as they appear in Result.Timeline.
-const (
-	TaskGroupMap    = "map"
-	TaskGroupFetch  = "fetch"
-	TaskGroupReduce = "reduce"
 )
 
 // Result carries a finished job's output and metrics.
@@ -72,11 +66,11 @@ type ShuffleMeasurement struct {
 
 // Run executes a MapReduce job over the given input splits and waits
 // for completion — the analogue of submitting a job to a Hadoop
-// cluster. The job runs as an event-driven task graph (runPipelined):
-// each reduce partition's segment fetches start as soon as the map
-// tasks feeding it complete, with per-task retries and optional
-// speculative execution, on at most Job.Parallelism workers. Output
-// does not depend on the worker count or on which attempt wins.
+// cluster. The job runs as an event-driven task graph (Plan): each
+// reduce partition's segment fetches start as soon as the map tasks
+// feeding it complete, with per-task retries and optional speculative
+// execution, on at most Job.Parallelism workers. Output does not
+// depend on the worker count or on which attempt wins.
 func Run(job *Job, splits []Split) (_ *Result, err error) {
 	j, err := job.normalized()
 	if err != nil {
@@ -85,9 +79,9 @@ func Run(job *Job, splits []Split) (_ *Result, err error) {
 	if len(splits) == 0 {
 		splits = []Split{&MemSplit{}}
 	}
-	if j.AlignedInput && len(splits) != j.NumReduceTasks {
-		return nil, fmt.Errorf("%w: AlignedInput needs exactly NumReduceTasks (%d) splits, got %d",
-			errJob, j.NumReduceTasks, len(splits))
+	plan, err := NewPlan(j, len(splits))
+	if err != nil {
+		return nil, err
 	}
 
 	j.bufs = newRunBuffers(j.Parallelism)
@@ -121,17 +115,21 @@ func Run(job *Job, splits []Split) (_ *Result, err error) {
 		}
 	}()
 
-	var transport Transport = LocalTransport{}
+	// Without TCPShuffle a reduce reads map output where it lies: the
+	// fetch tasks only meter it.
+	var fetch FetchFunc
 	if j.TCPShuffle {
 		tcp, err := newTCPTransport(fs, j.WrapShuffleListener, j.WireCompression)
 		if err != nil {
 			return nil, fmt.Errorf("mr: starting shuffle transport: %w", err)
 		}
 		defer tcp.Close()
-		transport = tcp
+		fetch = func(ctx context.Context, src SegmentInfo) (io.ReadCloser, int64, error) {
+			return tcp.Fetch(ctx, fs, src.File)
+		}
 	}
 
-	res, err := runPipelined(context.Background(), j, fs, counters, transport, splits)
+	res, err := runPipelined(context.Background(), j, fs, counters, fetch, plan, splits)
 	if err != nil {
 		return nil, err
 	}

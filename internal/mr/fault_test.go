@@ -63,7 +63,6 @@ func TestFaultInjectionParallelPipelined(t *testing.T) {
 		job := jobForFaults(fs)
 		job.Parallelism = 4
 		job.MaxTaskAttempts = 3
-		job.RetryBackoff = 1
 		return job
 	}
 	baseline, err := Run(mk(nil), input)
@@ -118,7 +117,6 @@ func TestFaultInjectionTransientSweep(t *testing.T) {
 			}
 			job := jobForFaults(flaky)
 			job.MaxTaskAttempts = 3
-			job.RetryBackoff = 1
 			res, err := Run(job, input)
 			if err != nil {
 				t.Fatalf("%s@%d: transient fault not recovered: %v", mode, n, err)

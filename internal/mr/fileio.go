@@ -34,7 +34,7 @@ func (s *LineSplit) Records(fn func(key, value []byte) error) error {
 	return sc.Err()
 }
 
-// RecordFileSplit streams length-framed (key, value) records written by
+// RecordFileSplit streams the (key, value) records of a file written by
 // WriteRecordFile, the engine's SequenceFile analogue.
 type RecordFileSplit struct {
 	FS   iokit.FS
@@ -48,7 +48,17 @@ func (s *RecordFileSplit) Records(fn func(key, value []byte) error) error {
 		return err
 	}
 	defer f.Close()
-	r := bytesx.NewReader(f)
+	return ReadRecords(f, fn)
+}
+
+// ReadRecords streams the records of a record file's bytes — read from
+// a local file or straight off a fetch — verifying the CRC32C framing
+// as it goes: corruption or truncation fails with ErrIntegrity before
+// any record of the bad frame reaches fn.
+func ReadRecords(src io.Reader, fn func(key, value []byte) error) error {
+	ck := newCRCReader(src, false)
+	defer ck.release()
+	r := bytesx.NewReader(ck)
 	for {
 		k, v, err := r.ReadRecord()
 		if err == io.EOF {
@@ -63,25 +73,34 @@ func (s *RecordFileSplit) Records(fn func(key, value []byte) error) error {
 	}
 }
 
-// WriteRecordFile writes records as a framed record file readable by
-// RecordFileSplit.
+// WriteRecordFile writes records as a record file readable by
+// RecordFileSplit: length-framed records under the same CRC32C framing
+// as segments (no codec), so a record file served to another process —
+// a pipeline handoff — is verified in flight like any shuffle fetch.
 func WriteRecordFile(fs iokit.FS, name string, recs []Record) error {
 	f, err := fs.Create(name)
 	if err != nil {
 		return err
 	}
-	w := bytesx.NewWriter(f)
+	ck := newChecksumWriter(f)
+	w := bytesx.NewWriter(ck)
 	for _, r := range recs {
-		if err := w.WriteRecord(r.Key, r.Value); err != nil {
-			f.Close()
-			return err
+		if err = w.WriteRecord(r.Key, r.Value); err != nil {
+			break
 		}
 	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return err
+	if err == nil {
+		err = w.Flush()
 	}
-	return f.Close()
+	if err == nil {
+		err = ck.Close()
+	} else {
+		ck.release()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // WriteLines writes newline-separated text readable by LineSplit.

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net"
 	"runtime"
-	"time"
 
 	"repro/internal/bytesx"
 	"repro/internal/codec"
@@ -83,20 +82,11 @@ type Job struct {
 	// shrink, reported by the mr.shuffleWireBytes / mr.shuffleRawBytes
 	// extra counters.
 	WireCompression bool
-	// DisableChecksums turns off the CRC32C segment framing that spill,
-	// merge, and map-output files carry by default (verified on local
-	// merge reads and on shuffle fetches). It exists as the A/B baseline
-	// preserving the historical byte-identical on-disk layout; logical
-	// output is identical either way.
-	DisableChecksums bool
 	// MaxTaskAttempts caps execution attempts per task (map, fetch,
 	// reduce). Attempts beyond the first are made only for transient
 	// errors (injected I/O faults, connection-level fetch failures),
-	// with exponential backoff. Defaults to 1 (no retries).
+	// with exponential backoff from 1ms. Defaults to 1 (no retries).
 	MaxTaskAttempts int
-	// RetryBackoff is the delay before a task's first retry, doubling
-	// per subsequent failure. Defaults to 1ms.
-	RetryBackoff time.Duration
 	// Speculative enables speculative re-execution of straggler map
 	// attempts: when a map attempt runs well past its siblings' median
 	// duration a duplicate attempt is launched, the first finisher
@@ -164,7 +154,7 @@ func (j *Job) normalized() (*Job, error) {
 		c.Partitioner = HashPartitioner{}
 	}
 	if c.NumReduceTasks <= 0 {
-		c.NumReduceTasks = 4
+		c.NumReduceTasks = defaultReduceTasks
 	}
 	if c.KeyCompare == nil {
 		c.KeyCompare = bytesx.Bytes
@@ -193,9 +183,6 @@ func (j *Job) normalized() (*Job, error) {
 	}
 	if c.MaxTaskAttempts <= 0 {
 		c.MaxTaskAttempts = 1
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = time.Millisecond
 	}
 	if c.bufs == nil {
 		c.bufs = outsideRun

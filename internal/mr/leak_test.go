@@ -28,7 +28,7 @@ func TestMergeFaultCleanup(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			segs := make([]segment, 6)
+			segs := make([]SegmentInfo, 6)
 			var inputs []string
 			for i := range segs {
 				name := fmt.Sprintf("in%02d", i)

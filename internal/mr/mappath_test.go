@@ -192,20 +192,17 @@ func TestMultiPassMergeSmallestFirst(t *testing.T) {
 	fs := iokit.Metered(mem, meter)
 	job := wordCountJob(false)
 	job.MergeFactor = 3
-	// Checksum framing off: the simulation below assumes an
-	// intermediate's file size is exactly the sum of its inputs, which
-	// only holds for the raw identity-codec layout.
-	job.DisableChecksums = true
 	j, err := job.normalized()
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Seven segments, biggest first, with one shared key range so the
-	// merged output interleaves. Identity codec: file size == framed
-	// bytes, and an intermediate's size is exactly the sum of its inputs.
+	// merged output interleaves. Identity codec: an intermediate's
+	// framed-record bytes are exactly the sum of its inputs', and a
+	// file's size is framedSize of them.
 	recCounts := []int{100, 80, 60, 1, 1, 1, 1}
-	segs := make([]segment, len(recCounts))
+	segs := make([]SegmentInfo, len(recCounts))
 	var wantRecords int64
 	for i, n := range recCounts {
 		name := fmt.Sprintf("seg%02d", i)
@@ -218,12 +215,13 @@ func TestMultiPassMergeSmallestFirst(t *testing.T) {
 	}
 	sizes := make([]int64, len(segs))
 	for i, s := range segs {
-		if sizes[i], err = fs.Size(s.file); err != nil {
-			t.Fatal(err)
+		sizes[i] = s.RawBytes
+		if size, err := fs.Size(s.File); err != nil || size != framedSize(s.RawBytes) {
+			t.Fatalf("%s is %d bytes (%v), want framedSize(%d) = %d", s.File, size, err, s.RawBytes, framedSize(s.RawBytes))
 		}
 	}
 
-	// Simulate both batching policies over the real file sizes.
+	// Simulate both batching policies over the segments' raw sizes.
 	firstK := simulateMergeReads(sizes, j.MergeFactor, false)
 	smallest := simulateMergeReads(sizes, j.MergeFactor, true)
 	if smallest >= firstK {
@@ -236,8 +234,8 @@ func TestMultiPassMergeSmallestFirst(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if merged.records != wantRecords {
-		t.Fatalf("merged %d records, want %d", merged.records, wantRecords)
+	if merged.Records != wantRecords {
+		t.Fatalf("merged %d records, want %d", merged.Records, wantRecords)
 	}
 	if got := meter.ReadBytes(); got != smallest {
 		t.Errorf("merge read %d bytes, want smallest-first total %d (first-K would read %d)",
@@ -263,10 +261,10 @@ func TestMultiPassMergeSmallestFirst(t *testing.T) {
 // returns its segment descriptor. It goes through the real segment sink
 // so the file carries whatever layering (checksums, codec) the job is
 // configured with.
-func writeTestSegment(job *Job, fs iokit.FS, name string, partition, id, n int) (segment, error) {
+func writeTestSegment(job *Job, fs iokit.FS, name string, partition, id, n int) (SegmentInfo, error) {
 	sink, err := newSegmentSink(job, fs, name)
 	if err != nil {
-		return segment{}, err
+		return SegmentInfo{}, err
 	}
 	var werr error
 	for i := 0; i < n; i++ {
@@ -279,15 +277,29 @@ func writeTestSegment(job *Job, fs iokit.FS, name string, partition, id, n int) 
 	records, rawBytes, err := sink.close(werr)
 	if err != nil {
 		removeQuiet(fs, name)
-		return segment{}, err
+		return SegmentInfo{}, err
 	}
-	return segment{partition: partition, file: name, records: records, rawBytes: rawBytes}, nil
+	return SegmentInfo{Partition: partition, File: name, Records: records, RawBytes: rawBytes}, nil
+}
+
+// framedSize is the on-disk size of raw identity-codec bytes under the
+// CRC32C framing: per block of up to 64 KiB a uvarint(len+1) header and
+// four checksum bytes, then the one-byte terminator.
+func framedSize(raw int64) int64 {
+	size := int64(1)
+	for raw > 0 {
+		n := min(raw, 64<<10)
+		size += uvarintLen(uint64(n)+1) + 4 + n
+		raw -= n
+	}
+	return size
 }
 
 // simulateMergeReads predicts the total bytes a multi-pass merge reads
-// from disk given segment sizes, the merge factor, and the batching
-// policy (first K in order, or smallest K first). With the identity
-// codec an intermediate's size is the sum of its inputs.
+// from disk given the segments' raw (pre-framing) sizes, the merge
+// factor, and the batching policy (first K in order, or smallest K
+// first). With the identity codec an intermediate's raw size is the sum
+// of its inputs', and every file read costs framedSize of its raw size.
 func simulateMergeReads(sizes []int64, factor int, smallestFirst bool) int64 {
 	segs := append([]int64(nil), sizes...)
 	var read int64
@@ -302,12 +314,12 @@ func simulateMergeReads(sizes []int64, factor int, smallestFirst bool) int64 {
 		var inter int64
 		for _, s := range segs[:factor] {
 			inter += s
+			read += framedSize(s)
 		}
-		read += inter
 		segs = append(segs[factor:], inter)
 	}
 	for _, s := range segs {
-		read += s
+		read += framedSize(s)
 	}
 	return read
 }

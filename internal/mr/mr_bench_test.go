@@ -162,7 +162,7 @@ func BenchmarkMergeIterSegments(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	segs := make([]segment, 16)
+	segs := make([]SegmentInfo, 16)
 	for i := range segs {
 		seg, err := writeTestSegment(j, j.FS, fmt.Sprintf("seg%02d", i), 0, i, 1000)
 		if err != nil {

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/bytesx"
 	"repro/internal/iokit"
-	"repro/internal/obs"
 )
 
 // ctxCheckInterval is how many records (or key groups) a task processes
@@ -77,7 +76,7 @@ func mapTaskDir(job *Job, taskID, attempt int) string {
 // per-partition segments. The task's single-threaded wall time is
 // charged as map CPU. ctx cancellation is observed between input
 // records so cancelled attempts stop promptly.
-func runMapTask(ctx context.Context, job *Job, fs iokit.FS, counters *Counters, taskID, attempt int, split Split) (segs []segment, err error) {
+func runMapTask(ctx context.Context, job *Job, fs iokit.FS, counters *Counters, taskID, attempt int, split Split) (segs []SegmentInfo, err error) {
 	start := time.Now()
 	defer func() { counters.mapTaskNs.Add(time.Since(start).Nanoseconds()) }()
 	if err := ctx.Err(); err != nil {
@@ -219,7 +218,7 @@ func removePrefix(fs iokit.FS, prefix string) {
 // partition's (already local) sorted segments and invoke Reduce once
 // per key group. attempt scopes intermediate file names so scheduler
 // retries never collide with a previous attempt's partial output.
-func reduceMerge(ctx context.Context, job *Job, fs iokit.FS, counters *Counters, partition, attempt int, segs []segment) (_ []Record, err error) {
+func reduceMerge(ctx context.Context, job *Job, fs iokit.FS, counters *Counters, partition, attempt int, segs []SegmentInfo) (_ []Record, err error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("mr: reduce task %d: %w", partition, err)
 	}
@@ -248,7 +247,7 @@ func reduceMerge(ctx context.Context, job *Job, fs iokit.FS, counters *Counters,
 			return nil, err
 		}
 		mergedName = name
-		segs = []segment{merged}
+		segs = []SegmentInfo{merged}
 	}
 
 	streams := make([]recordStream, 0, len(segs))
@@ -403,15 +402,15 @@ func placeRecord(buf, k, v []byte) ([]byte, Record) {
 	return buf, Record{Key: buf[i:j:j], Value: buf[j:len(buf):len(buf)]}
 }
 
-// CopySegment lands one fetched body in fs as local: it drains rc
-// (closing it) through a pooled copy buffer, CRC-verifying the framed
-// stream in flight when verify is set (pass-through, so the copy stays
-// framed), and insists on exactly size bytes. Corruption or truncation
-// fails with ErrIntegrity, a short body with errShortFetch — both
-// transient — and any failure removes the partial file. counters (may
-// be nil) gets the copy's raw-vs-wire byte pair when the transport
-// tracks it.
-func CopySegment(rc io.ReadCloser, size int64, fs iokit.FS, local string, verify bool, counters *Counters) (n int64, err error) {
+// CopySegment lands one fetched body — a segment or a record file, both
+// CRC-framed — in fs as local: it drains rc (closing it) through a
+// pooled copy buffer, verifying the frames in flight (pass-through, so
+// the copy stays framed), and insists on exactly size bytes. Corruption
+// or truncation fails with ErrIntegrity, a short body with
+// errShortFetch — both transient — and any failure removes the partial
+// file. counters (may be nil) gets the copy's raw-vs-wire byte pair
+// when the transport tracks it.
+func CopySegment(rc io.ReadCloser, size int64, fs iokit.FS, local string, counters *Counters) (n int64, err error) {
 	defer func() {
 		if err != nil {
 			removeQuiet(fs, local)
@@ -422,12 +421,8 @@ func CopySegment(rc io.ReadCloser, size int64, fs iokit.FS, local string, verify
 		rc.Close()
 		return 0, err
 	}
-	var src io.Reader = rc
-	if verify {
-		src = NewIntegrityVerifier(rc)
-	}
 	buf := getCopyBuf()
-	n, err = io.CopyBuffer(f, src, buf)
+	n, err = io.CopyBuffer(f, NewIntegrityVerifier(rc), buf)
 	putCopyBuf(buf)
 	if err == nil {
 		countWireBytes(counters, rc, n)
@@ -440,46 +435,4 @@ func CopySegment(rc io.ReadCloser, size int64, fs iokit.FS, local string, verify
 		err = fmt.Errorf("fetched %d bytes, want %d: %w", n, size, errShortFetch)
 	}
 	return n, err
-}
-
-// fetchSegments copies remote segments to reducer-local files over the
-// transport, returning local replacements. Local file names are derived
-// from prefix, which callers scope per (partition, map task, attempt).
-// A failed fetch removes every local file the attempt created, so no
-// partial attempt orphans files.
-func fetchSegments(ctx context.Context, fs iokit.FS, transport Transport, job *Job, counters *Counters, partition int, prefix string, segs []segment) (_ []segment, err error) {
-	local := make([]segment, 0, len(segs))
-	defer func() {
-		if err != nil {
-			for _, s := range local {
-				removeQuiet(fs, s.file)
-			}
-		}
-	}()
-	for i, s := range segs {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("mr: reduce task %d fetch: %w", partition, err)
-		}
-		// The transport-level sub-span: one socket copy per segment,
-		// nested (time-wise) inside the scheduler's fetch-task span.
-		span := job.Tracer.Start(obs.KindFetch, "copy "+s.file,
-			obs.Int("partition", int64(partition)))
-		rc, size, err := transport.Fetch(ctx, fs, s.file)
-		if err != nil {
-			span.End(obs.Str("outcome", "failed"), obs.Str("err", err.Error()))
-			return nil, fmt.Errorf("mr: reduce task %d fetching %s: %w", partition, s.file, err)
-		}
-		name := fmt.Sprintf("%s%04d", prefix, i)
-		n, err := CopySegment(rc, size, fs, name, !job.DisableChecksums, counters)
-		if err != nil {
-			if errors.Is(err, ErrIntegrity) {
-				counters.AddExtra(CounterFetchIntegrity, 1)
-			}
-			span.End(obs.Str("outcome", "failed"), obs.Str("err", err.Error()))
-			return nil, fmt.Errorf("mr: reduce task %d copying %s: %w", partition, s.file, err)
-		}
-		span.End(obs.Int("bytes", n))
-		local = append(local, segment{partition: partition, file: name, records: s.records, rawBytes: s.rawBytes})
-	}
-	return local, nil
 }

@@ -17,41 +17,6 @@ import (
 	"repro/internal/iokit"
 )
 
-// Transport is how reduce tasks fetch map output segments. The default
-// LocalTransport reads them straight from the task filesystem (the
-// single-process analogue of a local fetch); TCPTransport serves them
-// over a real socket, exercising a genuine network path like Hadoop's
-// shuffle ServletFetcher. Fetch honors ctx: cancelling it aborts an
-// in-flight transfer, not just the gap between transfers.
-type Transport interface {
-	// Fetch opens a segment for reading and reports its transfer size.
-	Fetch(ctx context.Context, fs iokit.FS, name string) (io.ReadCloser, int64, error)
-	// Close releases transport resources after the job completes.
-	Close() error
-}
-
-// LocalTransport fetches segments directly from the filesystem.
-type LocalTransport struct{}
-
-// Fetch implements Transport.
-func (LocalTransport) Fetch(ctx context.Context, fs iokit.FS, name string) (io.ReadCloser, int64, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, 0, err
-	}
-	size, err := fs.Size(name)
-	if err != nil {
-		return nil, 0, err
-	}
-	r, err := fs.Open(name)
-	if err != nil {
-		return nil, 0, err
-	}
-	return r, size, nil
-}
-
-// Close implements Transport.
-func (LocalTransport) Close() error { return nil }
-
 // Wire protocol. The base frame shapes are v1's: the client sends a
 // uvarint-length-prefixed file name, the server answers uvarint(size+1)
 // then the body, or uvarint(0) plus a length-prefixed error string.
@@ -428,18 +393,6 @@ func readLenPrefixed(r frameReader, max uint64) ([]byte, error) {
 	return buf, nil
 }
 
-type byteReader struct {
-	r   io.Reader
-	one [1]byte
-}
-
-func (b *byteReader) ReadByte() (byte, error) {
-	if _, err := io.ReadFull(b.r, b.one[:]); err != nil {
-		return 0, err
-	}
-	return b.one[0], nil
-}
-
 // uvarintLen reports how many bytes binary.AppendUvarint emits for v —
 // used to post-count wire framing without materializing it twice.
 func uvarintLen(v uint64) int64 {
@@ -460,32 +413,27 @@ func uvarintLen(v uint64) int64 {
 // immediately.
 const (
 	fetchAttempts       = 3
-	fetchRetryBackoff   = 2 * time.Millisecond
+	fetchBackoffBase    = 2 * time.Millisecond
 	fetchBackoffCeiling = 250 * time.Millisecond
 )
 
 // ConnPool is a keyed client-connection pool for the segment protocol:
 // connections are pooled per server address with keep-alive, a fetch
 // whose body is fully consumed returns its connection for reuse, and
-// idle connections past IdleTimeout are discarded on next use. Pooling
+// connections idle for more than 30s are discarded on next use. Pooling
 // matters on multi-reduce jobs: without it every (partition, map task)
 // segment fetch pays a fresh TCP dial to the same few servers — and
 // with protocol v2 a pooled connection also keeps its negotiated
 // capabilities, so the handshake is paid once per connection, not per
 // fetch.
 type ConnPool struct {
-	// IdleTimeout discards pooled connections idle longer than this.
-	// Defaults to 30s.
-	IdleTimeout time.Duration
-	// MaxIdlePerHost caps pooled connections per server address.
-	// Defaults to 8.
-	MaxIdlePerHost int
 	// WireCompression requests Snappy-compressed bodies during the
 	// connection handshake. Transparent to callers: fetch readers always
 	// yield raw bytes; only the bytes on the wire change.
 	WireCompression bool
 
-	dials atomic.Int64
+	idleTimeout time.Duration // poolIdleTimeout, shortened by tests
+	dials       atomic.Int64
 
 	mu     sync.Mutex
 	idle   map[string][]pooledConn
@@ -507,29 +455,22 @@ type pooledConn struct {
 	parked time.Time
 }
 
-// NewConnPool returns an empty pool with default limits.
+// A pool keeps at most poolMaxIdle idle connections per server
+// address, each for at most poolIdleTimeout.
+const (
+	poolIdleTimeout = 30 * time.Second
+	poolMaxIdle     = 8
+)
+
+// NewConnPool returns an empty pool.
 func NewConnPool() *ConnPool {
-	return &ConnPool{idle: make(map[string][]pooledConn)}
+	return &ConnPool{idle: make(map[string][]pooledConn), idleTimeout: poolIdleTimeout}
 }
 
 // Dials reports how many TCP dials the pool has performed — the pool's
 // miss count. A multi-reduce job with pooling performs far fewer dials
 // than it performs fetches.
 func (p *ConnPool) Dials() int64 { return p.dials.Load() }
-
-func (p *ConnPool) idleTimeout() time.Duration {
-	if p.IdleTimeout > 0 {
-		return p.IdleTimeout
-	}
-	return 30 * time.Second
-}
-
-func (p *ConnPool) maxIdle() int {
-	if p.MaxIdlePerHost > 0 {
-		return p.MaxIdlePerHost
-	}
-	return 8
-}
 
 // clientCaps is what this pool asks for in a hello frame.
 func (p *ConnPool) clientCaps() byte {
@@ -544,7 +485,7 @@ func (p *ConnPool) clientCaps() byte {
 // forces a dial (used after a pooled connection turned out stale).
 func (p *ConnPool) get(ctx context.Context, addr string, fresh bool) (*wireConn, error) {
 	if !fresh {
-		cutoff := time.Now().Add(-p.idleTimeout())
+		cutoff := time.Now().Add(-p.idleTimeout)
 		p.mu.Lock()
 		conns := p.idle[addr]
 		for len(conns) > 0 {
@@ -579,7 +520,7 @@ func (p *ConnPool) put(addr string, wc *wireConn) {
 		return
 	}
 	p.mu.Lock()
-	if p.closed || len(p.idle[addr]) >= p.maxIdle() {
+	if p.closed || len(p.idle[addr]) >= poolMaxIdle {
 		p.mu.Unlock()
 		wc.conn.Close()
 		return
@@ -613,7 +554,7 @@ func (p *ConnPool) Fetch(ctx context.Context, addr, name string) (io.ReadCloser,
 	for attempt := 0; attempt < fetchAttempts; attempt++ {
 		if attempt > 0 {
 			select {
-			case <-time.After(backoff.Exp(fetchRetryBackoff, attempt, fetchBackoffCeiling)):
+			case <-time.After(backoff.Exp(fetchBackoffBase, attempt, fetchBackoffCeiling)):
 			case <-ctx.Done():
 				return nil, 0, ctx.Err()
 			}
@@ -940,14 +881,14 @@ func (t *TCPTransport) Addr() string { return t.srv.Addr() }
 // Dials reports the TCP dials performed by the transport's pool.
 func (t *TCPTransport) Dials() int64 { return t.pool.Dials() }
 
-// Fetch implements Transport: it requests the segment from the loopback
+// Fetch requests the segment from the loopback
 // server over a pooled socket, riding a multiplexed batch when other
 // fetches to the server are in flight.
 func (t *TCPTransport) Fetch(ctx context.Context, _ iokit.FS, name string) (io.ReadCloser, int64, error) {
 	return t.mux.Fetch(ctx, t.srv.Addr(), name)
 }
 
-// Close implements Transport: discards pooled connections, stops the
+// Close discards pooled connections, stops the
 // listener, and waits for in-flight connections.
 func (t *TCPTransport) Close() error {
 	t.pool.Close()

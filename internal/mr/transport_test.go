@@ -137,7 +137,7 @@ func TestConnPoolIdleTimeout(t *testing.T) {
 	}
 	defer srv.Close()
 	pool := NewConnPool()
-	pool.IdleTimeout = 10 * time.Millisecond
+	pool.idleTimeout = 10 * time.Millisecond
 	defer pool.Close()
 
 	fetch := func() {
@@ -217,25 +217,6 @@ func TestTCPTransportDoubleClose(t *testing.T) {
 	}
 	if err := tr.Close(); err != nil {
 		t.Errorf("second close: %v", err)
-	}
-}
-
-func TestLocalTransport(t *testing.T) {
-	fs := iokit.NewMemFS()
-	w, _ := fs.Create("f")
-	w.Write([]byte("data"))
-	w.Close()
-	rc, size, err := LocalTransport{}.Fetch(context.Background(), fs, "f")
-	if err != nil || size != 4 {
-		t.Fatalf("Fetch: size=%d err=%v", size, err)
-	}
-	got, _ := io.ReadAll(rc)
-	rc.Close()
-	if string(got) != "data" {
-		t.Error("local fetch mismatch")
-	}
-	if err := (LocalTransport{}).Close(); err != nil {
-		t.Error(err)
 	}
 }
 

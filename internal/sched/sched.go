@@ -129,17 +129,9 @@ type Config struct {
 	// outputs (stage handoffs on remote workers) may raise it
 	// independently of the retry budget.
 	MaxReexecs int
-	// Backoff is the delay before the first retry, doubling per
-	// subsequent failure up to MaxBackoff. Defaults to 1ms / 250ms.
-	Backoff    time.Duration
-	MaxBackoff time.Duration
 	// Speculate enables speculative duplicate attempts for tasks marked
 	// Speculatable.
 	Speculate bool
-	// SpeculationFactor is the multiple of the group's median winning
-	// duration a running attempt must exceed to be considered a
-	// straggler (default 2).
-	SpeculationFactor float64
 	// SpeculationMin is the minimum elapsed time before speculation
 	// (default 20ms), so short tasks never speculate.
 	SpeculationMin time.Duration
@@ -156,6 +148,16 @@ type Config struct {
 	Executor Executor
 }
 
+const (
+	// retryDelay is the delay before a task's first retry; it doubles
+	// per subsequent failure up to maxRetryDelay.
+	retryDelay    = time.Millisecond
+	maxRetryDelay = 250 * time.Millisecond
+	// stragglerFactor is the multiple of its group's median winning
+	// duration a running attempt must exceed to be speculated on.
+	stragglerFactor = 2
+)
+
 func (c Config) normalized() Config {
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
@@ -165,15 +167,6 @@ func (c Config) normalized() Config {
 	}
 	if c.MaxReexecs <= 0 {
 		c.MaxReexecs = c.MaxAttempts
-	}
-	if c.Backoff <= 0 {
-		c.Backoff = time.Millisecond
-	}
-	if c.MaxBackoff <= 0 {
-		c.MaxBackoff = 250 * time.Millisecond
-	}
-	if c.SpeculationFactor <= 1 {
-		c.SpeculationFactor = 2
 	}
 	if c.SpeculationMin <= 0 {
 		c.SpeculationMin = 20 * time.Millisecond
@@ -492,9 +485,9 @@ func (s *scheduler) run(ctx context.Context) (*Report, error) {
 					a.Outcome = OutcomeRetrying
 					n.retryPending = true
 					pendingRetries++
-					backoff := s.cfg.Backoff << (n.failures - 1)
-					if backoff > s.cfg.MaxBackoff || backoff <= 0 {
-						backoff = s.cfg.MaxBackoff
+					backoff := retryDelay << (n.failures - 1)
+					if backoff > maxRetryDelay || backoff <= 0 {
+						backoff = maxRetryDelay
 					}
 					nn := n
 					time.AfterFunc(backoff, func() { s.retries <- nn })
@@ -592,7 +585,7 @@ func (s *scheduler) speculate(launch func(*node, bool)) {
 		if len(durs) == 0 {
 			continue // no finished sibling to compare against
 		}
-		threshold := time.Duration(s.cfg.SpeculationFactor * float64(median(durs)))
+		threshold := stragglerFactor * median(durs)
 		if threshold < s.cfg.SpeculationMin {
 			threshold = s.cfg.SpeculationMin
 		}

@@ -110,7 +110,7 @@ func TestRetryRecovers(t *testing.T) {
 		},
 	}}
 	rep, err := Run(context.Background(), tasks, Config{
-		Workers: 2, MaxAttempts: 3, Backoff: time.Microsecond,
+		Workers: 2, MaxAttempts: 3,
 		Retryable: func(err error) bool { return errors.Is(err, transient) },
 	})
 	if err != nil {
@@ -145,8 +145,8 @@ func TestRetryBudgetExhausted(t *testing.T) {
 		},
 	}}
 	_, err := Run(context.Background(), tasks, Config{
-		MaxAttempts: 3, Backoff: time.Microsecond,
-		Retryable: func(err error) bool { return errors.Is(err, transient) },
+		MaxAttempts: 3,
+		Retryable:   func(err error) bool { return errors.Is(err, transient) },
 	})
 	if !errors.Is(err, transient) {
 		t.Fatalf("err = %v, want wrapped transient", err)

@@ -7,19 +7,9 @@ import (
 	"repro/internal/mr"
 )
 
-// instanceSeq disambiguates Shared spill-file prefixes across the many
-// reducer/combiner instances a job creates.
+// instanceSeq disambiguates Shared spill-file prefixes across the
+// reducer/combiner instances that share one task attempt's scratch.
 var instanceSeq atomic.Int64
-
-// antiWorkspace roots Shared scratch files in the job's file namespace
-// (TaskInfo.Workspace), falling back to JobName for callers that build a
-// TaskInfo by hand without one.
-func antiWorkspace(info *mr.TaskInfo) string {
-	if info.Workspace != "" {
-		return info.Workspace
-	}
-	return info.JobName
-}
 
 // antiReducer is the paper's AntiReducer (Figure 8). It also serves as
 // the transformed Combiner (§6.1: "a Combiner is defined as a reducer
@@ -74,12 +64,13 @@ func (r *antiReducer) Setup(info *mr.TaskInfo, out mr.Emitter) error {
 	return r.inner.Setup(info, r.wrapOut(out))
 }
 
-// spillPrefix names Shared's spill files. It is asked for at the first
-// spill: most instances — every transformed combiner whose run fits
-// Shared — never spill, and do not pay for formatting a name.
+// spillPrefix names Shared's spill files, under the task attempt's
+// scratch directory, which the engine clears when the attempt fails. It
+// is asked for at the first spill: most instances — every transformed
+// combiner whose run fits Shared — never spill, and do not pay for
+// formatting a name.
 func (r *antiReducer) spillPrefix() string {
-	return fmt.Sprintf("%s/anti/t%04d-p%04d-i%d",
-		antiWorkspace(r.info), r.info.TaskID, r.info.Partition, instanceSeq.Add(1))
+	return fmt.Sprintf("%s/anti/p%04d-i%d", r.info.Scratch, r.info.Partition, instanceSeq.Add(1))
 }
 
 // plainEmitter re-encodes emitted values as plain records. A combiner's

@@ -2,8 +2,10 @@ package anticombine
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"sort"
 	"strconv"
@@ -85,7 +87,7 @@ func (lastBytePartitioner) Partition(key []byte, n int) int { return int(key[len
 
 func harnessInfo(groupCmp bytesx.Compare, fs iokit.FS) *mr.TaskInfo {
 	return &mr.TaskInfo{
-		JobName: "harness", Workspace: "harness", NumPartitions: 2,
+		JobName: "harness", Scratch: "harness", NumPartitions: 2,
 		Partitioner: lastBytePartitioner{}, KeyCompare: bytesx.Bytes, GroupCompare: groupCmp,
 		Counters: &mr.Counters{}, FS: fs,
 	}
@@ -527,6 +529,82 @@ func TestJobReduceErrorLeavesNoSharedFiles(t *testing.T) {
 		t.Errorf("%d file handles left open", n)
 	}
 	for _, name := range listFiles(t, track) {
+		if strings.Contains(name, "/anti/") {
+			t.Errorf("Shared file left behind: %s", name)
+		}
+	}
+}
+
+// failAfterSpillFS fails every read of an engine file — a segment, not
+// one of Shared's own — once Shared has created its first spill file.
+type failAfterSpillFS struct {
+	iokit.FS
+	spilled bool // the reduce task runs on one goroutine
+}
+
+func (f *failAfterSpillFS) Create(name string) (io.WriteCloser, error) {
+	if strings.Contains(name, "/anti/") {
+		f.spilled = true
+	}
+	return f.FS.Create(name)
+}
+
+func (f *failAfterSpillFS) Open(name string) (io.ReadCloser, error) {
+	r, err := f.FS.Open(name)
+	if err != nil || strings.Contains(name, "/anti/") {
+		return r, err
+	}
+	return &failAfterSpillReader{ReadCloser: r, fs: f}, nil
+}
+
+type failAfterSpillReader struct {
+	io.ReadCloser
+	fs *failAfterSpillFS
+}
+
+func (r *failAfterSpillReader) Read(p []byte) (int, error) {
+	if r.fs.spilled {
+		return 0, iokit.ErrInjected
+	}
+	return r.ReadCloser.Read(p)
+}
+
+// TestReduceMergeErrorLeavesNoSharedFiles is the leak a reduce attempt
+// that fails outside the reducer used to have: a segment read fails in
+// the merge after Shared has spilled, so the task ends without any
+// reducer call failing and without Cleanup. The engine must close
+// Shared's open runs and remove its files all the same.
+func TestReduceMergeErrorLeavesNoSharedFiles(t *testing.T) {
+	job := Wrap(prefixJob(nil, 1), Options{Strategy: Adaptive, SharedMemLimitBytes: 1 << 10})
+	mem := iokit.NewMemFS()
+	// Segments of more than one CRC frame each, so the merge is still
+	// reading them when Shared first spills.
+	var segs []mr.SegmentInfo
+	for i, split := range queries(30000) {
+		out, err := mr.ExecMapTask(context.Background(), job, mem, &mr.Counters{}, i, 0, split)
+		if err != nil {
+			t.Fatal(err)
+		}
+		segs = append(segs, out...)
+	}
+	faults := &failAfterSpillFS{FS: mem}
+	track := &iokit.TrackFS{Inner: faults}
+	_, err := mr.ExecReduceTask(context.Background(), job, track, &mr.Counters{}, 0, 0, segs)
+	if !errors.Is(err, iokit.ErrInjected) {
+		t.Fatalf("reduce error = %v, want the injected segment read failure", err)
+	}
+	for _, s := range segs {
+		if s.RawBytes <= 64<<10 {
+			t.Fatalf("setup: segment %s is %d bytes, one CRC frame", s.File, s.RawBytes)
+		}
+	}
+	if !faults.spilled {
+		t.Fatal("setup: Shared never spilled")
+	}
+	if n := track.OpenHandles(); n != 0 {
+		t.Errorf("%d file handles left open", n)
+	}
+	for _, name := range listFiles(t, mem) {
 		if strings.Contains(name, "/anti/") {
 			t.Errorf("Shared file left behind: %s", name)
 		}

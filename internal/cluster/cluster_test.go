@@ -3,14 +3,19 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/iokit"
 	"repro/internal/mr"
 	"repro/internal/sched"
 )
@@ -218,7 +223,8 @@ func TestClusterMatchesSingleProcess(t *testing.T) {
 		}
 	}
 
-	assertSameOutput(t, res, singleProcessRun(t, ref))
+	single := singleProcessRun(t, ref)
+	assertSameOutput(t, res, single)
 
 	m := res.MeasuredShuffle
 	if m == nil {
@@ -242,6 +248,160 @@ func TestClusterMatchesSingleProcess(t *testing.T) {
 	}
 	if shufflePer != m.Bytes {
 		t.Errorf("ShufflePerPartition sums to %d, measured %d", shufflePer, m.Bytes)
+	}
+	// The fleet's tasks read and write what the in-process engine's do;
+	// on top, the segment servers read exactly the bytes the fetches
+	// moved — nothing else a clean Exclusive job's disk lines include.
+	if res.Stats.DiskWriteBytes != single.Stats.DiskWriteBytes ||
+		res.Stats.DiskReadBytes != single.Stats.DiskReadBytes+m.Bytes {
+		t.Errorf("disk read/write %d/%d, want in-process %d/%d plus %d served",
+			res.Stats.DiskReadBytes, res.Stats.DiskWriteBytes,
+			single.Stats.DiskReadBytes, single.Stats.DiskWriteBytes, m.Bytes)
+	}
+}
+
+const bigJobName = "cluster-test-bigsort"
+
+// bigSpec sizes the registered sort job: Splits × Records records of
+// 10-byte keys and 135-byte values — the shape of the benchmark's
+// sort_cluster lines — sorted into Reducers partitions.
+type bigSpec struct{ Splits, Records, Reducers int }
+
+func init() {
+	RegisterJob(bigJobName, func(raw []byte) (*mr.Job, []mr.Split, error) {
+		var s bigSpec
+		if err := json.Unmarshal(raw, &s); err != nil {
+			return nil, nil, err
+		}
+		job := passJob()
+		job.Name = bigJobName
+		job.NumReduceTasks = s.Reducers
+		splits := make([]mr.Split, s.Splits)
+		for i := range splits {
+			splits[i] = sortSplit{seed: uint64(i + 1), n: s.Records}
+		}
+		return job, splits, nil
+	})
+}
+
+// sortSplit generates its records on demand, so the job's input costs
+// no memory in any of the processes that build it.
+type sortSplit struct {
+	seed uint64
+	n    int
+}
+
+func (s sortSplit) Records(fn func(k, v []byte) error) error {
+	x := s.seed
+	next := func() byte {
+		x = x*6364136223846793005 + 1442695040888963407
+		return byte(x >> 56)
+	}
+	key, value := make([]byte, 10), make([]byte, 135)
+	for i := 0; i < s.n; i++ {
+		for j := range key {
+			key[j] = next()
+		}
+		for j := range value {
+			value[j] = 'a' + next()%26
+		}
+		if err := fn(key, value); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// outputDigest hashes a result's output, partition by partition and in
+// order, so two outputs match only if they are byte-identical.
+func outputDigest(res *mr.Result) string {
+	h := sha256.New()
+	var n [binary.MaxVarintLen64]byte
+	for _, part := range res.Output {
+		h.Write(n[:binary.PutUvarint(n[:], uint64(len(part)))])
+		for _, r := range part {
+			h.Write(n[:binary.PutUvarint(n[:], uint64(len(r.Key)))])
+			h.Write(r.Key)
+			h.Write(n[:binary.PutUvarint(n[:], uint64(len(r.Value)))])
+			h.Write(r.Value)
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestLargeOutputUnderDefaultLiveness runs the benchmark's
+// sort_cluster at -scale 4 — 4 splits × 200 k records sorted into 2
+// partitions, ≈ 58 MB of output per reduce — on the benchmark's fleet
+// shape, two disk-backed in-process workers of one slot each, with
+// every liveness setting at its default. Reduce output leaves a worker
+// as a served file, so nothing the job produces rides the control
+// plane: every attempt succeeds first time, and the output is
+// byte-identical to mr.Run's. (When a reduce report carried its
+// records, a report this size could hold a worker's RPC connection past
+// the 4 × 50 ms liveness window; the fleet then declared the worker
+// dead, re-ran its work, and the job could go on that way forever.)
+func TestLargeOutputUnderDefaultLiveness(t *testing.T) {
+	if testing.Short() {
+		t.Skip("sorts ≈ 116 MB twice; skipped in -short mode")
+	}
+	spec, err := json.Marshal(bigSpec{Splits: 4, Records: 200_000, Reducers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := JobRef{Name: bigJobName, Spec: spec}
+
+	job, splits, err := BuildJob(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job.FS = iokit.NewOSFS(t.TempDir())
+	want, err := mr.Run(job, splits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p, part := range want.Output {
+		var n int
+		for _, r := range part {
+			n += len(r.Key) + len(r.Value)
+		}
+		if n < 50<<20 {
+			t.Fatalf("setup: reduce %d emitted %d bytes, want ≈ 58 MB", p, n)
+		}
+	}
+	wantDigest := outputDigest(want)
+	want = nil
+	runtime.GC() // the fleet's copy is the only one held from here on
+
+	fleet, err := NewFleet(FleetConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fleet.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	workerErr := make(chan error, 2)
+	for i := 0; i < 2; i++ {
+		fs := iokit.NewOSFS(t.TempDir())
+		go func() {
+			workerErr <- RunWorker(ctx, WorkerOptions{Coordinator: fleet.Addr(), Slots: 1, FS: fs})
+		}()
+	}
+	got, err := runExclusive(ctx, fleet, 2, ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if err := <-workerErr; err != nil {
+			t.Errorf("worker: %v", err)
+		}
+	}
+	if d := outputDigest(got); d != wantDigest {
+		t.Errorf("fleet output digest %s, mr.Run's %s", d, wantDigest)
+	}
+	for _, a := range got.Timeline {
+		if a.Outcome != sched.OutcomeSuccess {
+			t.Errorf("%s attempt %d: %s %s", a.Task, a.Attempt, a.Outcome, a.Err)
+		}
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/mr"
 	"repro/internal/obs"
 )
 
@@ -99,7 +100,6 @@ type workerState struct {
 
 	// Last-observed cumulative gauges from this worker's reports.
 	lastDials      int64
-	lastServed     int64
 	lastRPCRetries int64
 	lastIntegrity  int64
 
@@ -136,8 +136,9 @@ type pendingLease struct {
 // blacklisting, and graceful drain/join. Per-job state — task graph,
 // partition homes, stats, DepLostError recovery — lives in jobRun.
 type Fleet struct {
-	cfg FleetConfig
-	ln  net.Listener
+	cfg  FleetConfig
+	ln   net.Listener
+	pool *mr.ConnPool // pulls reduce output off the workers
 
 	stopMon context.CancelFunc
 
@@ -163,6 +164,7 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 	cfg = cfg.normalized()
 	f := &Fleet{
 		cfg:        cfg,
+		pool:       mr.NewConnPool(),
 		workers:    make(map[int]*workerState),
 		registered: make(chan struct{}, 64),
 		jobs:       make(map[int]*jobRun),
@@ -209,12 +211,29 @@ func (f *Fleet) Shutdown() {
 	f.mu.Unlock()
 }
 
-// Close shuts the fleet down and stops its RPC listener and heartbeat
-// monitor.
+// Close shuts the fleet down and stops its RPC listener, heartbeat
+// monitor and data-plane connections.
 func (f *Fleet) Close() error {
 	f.Shutdown()
 	f.stopMon()
+	f.pool.Close()
 	return f.ln.Close()
+}
+
+// ReadOutput pulls one reduce partition's output file from the segment
+// server of the worker holding it, verifying its framing as it decodes:
+// the one way reduce output reaches the fleet's side.
+func (f *Fleet) ReadOutput(ctx context.Context, seg mr.SegmentInfo) ([]mr.Record, error) {
+	rc, _, err := f.pool.Fetch(ctx, seg.Addr, seg.File)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: pulling %s from %s: %w", seg.File, seg.Addr, err)
+	}
+	defer rc.Close()
+	recs, err := mr.CollectRecords(rc)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: reading %s from %s: %w", seg.File, seg.Addr, err)
+	}
+	return recs, nil
 }
 
 func (f *Fleet) event(e Event) {
@@ -542,7 +561,7 @@ func (f *Fleet) markDeadLocked(w *workerState, why string) {
 func (f *Fleet) finishJob(j *jobRun) {
 	f.mu.Lock()
 	delete(f.jobs, j.id)
-	if !j.spec.RetainWorkspace {
+	if !j.spec.KeepOutput {
 		for _, w := range f.workers {
 			if !w.dead {
 				w.cleanups = append(w.cleanups, j.id)
@@ -552,7 +571,7 @@ func (f *Fleet) finishJob(j *jobRun) {
 	f.mu.Unlock()
 }
 
-// ReleaseWorkspace sweeps a RetainWorkspace job's worker-side files —
+// ReleaseWorkspace sweeps a KeepOutput job's worker-side files —
 // called by the pipeline runner once no later stage still reads the
 // job's handoff output. Safe to call for unknown or already-swept job
 // ids (the worker-side sweep is an idempotent prefix delete).
@@ -720,7 +739,6 @@ func (r *clusterRPC) Report(args *ReportArgs, reply *ReportReply) error {
 	w.outstanding--
 	f.running[pend.job.spec.Tenant]--
 	w.lastDials = args.PoolDials
-	w.lastServed = args.ServedBytes
 	w.lastRPCRetries = args.RPCRetries
 	w.lastIntegrity = args.IntegrityFaults
 	f.mu.Unlock()

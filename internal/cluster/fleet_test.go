@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -198,6 +199,38 @@ func TestFleetDrainMidStream(t *testing.T) {
 	}
 }
 
+// TestReportCarriesNoRecords: a report names the files a task wrote and
+// never carries their records, whatever field they might hide in.
+func TestReportCarriesNoRecords(t *testing.T) {
+	record := reflect.TypeOf(mr.Record{})
+	seen := map[reflect.Type]bool{}
+	var walk func(typ reflect.Type, path string)
+	walk = func(typ reflect.Type, path string) {
+		if typ == record {
+			t.Errorf("ReportArgs carries records at %s", path)
+			return
+		}
+		if seen[typ] {
+			return
+		}
+		seen[typ] = true
+		switch typ.Kind() {
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				walk(typ.Field(i).Type, path+"."+typ.Field(i).Name)
+			}
+		case reflect.Pointer, reflect.Slice, reflect.Array:
+			walk(typ.Elem(), path+"[]")
+		case reflect.Map:
+			walk(typ.Key(), path+"{key}")
+			walk(typ.Elem(), path+"{}")
+		case reflect.Interface, reflect.Chan, reflect.Func:
+			t.Errorf("ReportArgs field %s has kind %s, which could carry anything", path, typ.Kind())
+		}
+	}
+	walk(reflect.TypeOf(ReportArgs{}), "ReportArgs")
+}
+
 const passJobName = "cluster-test-passthrough"
 
 func init() {
@@ -268,7 +301,8 @@ func (c *flipConn) Write(p []byte) (int, error) {
 // shuffle segment. One flipped bit in that transfer fails the map
 // attempt with an integrity error — it never reaches the mapper — and
 // the retried attempt pulls a clean copy, so the stage's output is
-// byte-identical to the in-process run.
+// byte-identical to the in-process run. The same holds for the fleet's
+// pull of a reduce's output.
 func TestHandoffBitFlipIsCaughtAndRetried(t *testing.T) {
 	inputs := make([][]mr.Record, 2)
 	for i := range inputs {
@@ -289,15 +323,24 @@ func TestHandoffBitFlipIsCaughtAndRetried(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	flip := &flipOnce{}
+	// armAfterFetches counts down the fetch commits after which the flip
+	// arms itself: the reduce-output case below wants the corruption on
+	// a pull, after every shuffle transfer is done.
+	var armAfterFetches atomic.Int64
 	onEvent, ch := events()
-	f, err := NewFleet(FleetConfig{HeartbeatEvery: 50 * time.Millisecond, HeartbeatMiss: 40, OnEvent: onEvent})
+	f, err := NewFleet(FleetConfig{HeartbeatEvery: 50 * time.Millisecond, HeartbeatMiss: 40, OnEvent: func(e Event) {
+		if e.Kind == "task-done" && strings.HasPrefix(e.Task, "fetch/") && armAfterFetches.Add(-1) == 0 {
+			flip.armed.Store(true)
+		}
+		onEvent(e)
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	flip := &flipOnce{}
 	workerErr := make(chan error, 2)
 	for i := 0; i < 2; i++ {
 		go func() {
@@ -311,7 +354,7 @@ func TestHandoffBitFlipIsCaughtAndRetried(t *testing.T) {
 	// Stage 1 keeps its output on the workers as handoff files.
 	ref := JobRef{Name: passJobName}
 	h1, err := f.Submit(ctx, JobSpec{
-		Ref: ref, KeepOutput: true, RetainWorkspace: true,
+		Ref: ref, KeepOutput: true,
 		Inputs: []StageInput{{Records: inputs[0]}, {Records: inputs[1]}},
 	})
 	if err != nil {
@@ -355,6 +398,34 @@ func TestHandoffBitFlipIsCaughtAndRetried(t *testing.T) {
 	}
 	if n := got.Stats.Extra[mr.CounterFetchIntegrity]; n != 1 {
 		t.Errorf("%s = %d, want 1", mr.CounterFetchIntegrity, n)
+	}
+
+	// Reduce output crosses the same data plane: a job's reduces report
+	// a record file, and the fleet pulls it before committing. A bit
+	// flipped in a pull fails that reduce attempt with an integrity
+	// error, the retried attempt is pulled clean, and the output is the
+	// in-process run's.
+	flip.armed.Store(false)
+	flip.spent.Store(false)
+	armAfterFetches.Store(4) // 2 maps × 2 partitions, every pair non-empty
+	h3, err := f.Submit(ctx, JobSpec{Ref: ref, Exclusive: true, MaxTaskAttempts: 4,
+		Inputs: []StageInput{{Records: inputs[0]}, {Records: inputs[1]}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err = h3.Wait(ctx)
+	if err != nil {
+		t.Fatalf("job did not survive one corrupted reduce-output pull: %v", err)
+	}
+	assertSameOutput(t, got, stage1)
+	if !flip.spent.Load() {
+		t.Fatal("no reduce-output pull was corrupted; the case exercised nothing")
+	}
+	failed = awaitEvent(t, ch, "the corrupted reduce attempt's failure", func(e Event) bool {
+		return e.Kind == "task-failed" && e.Job == h3.ID()
+	})
+	if !strings.HasPrefix(failed.Task, "reduce/") || !strings.Contains(failed.Detail, mr.ErrIntegrity.Error()) {
+		t.Errorf("%s failed with %q, want a reduce failing on an integrity violation", failed.Task, failed.Detail)
 	}
 
 	f.ReleaseWorkspace(h1.ID())

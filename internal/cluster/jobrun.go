@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"sync"
 	"time"
 
@@ -33,24 +34,21 @@ type JobSpec struct {
 	Speculative bool
 	// Exclusive marks the classic one-shot shape (one fleet, one job):
 	// the scheduler is bounded to the fleet's slot count, and the fleet's
-	// worker-wide gauges (pool dials, serve-side disk reads, RPC retries,
-	// integrity faults) are folded into the Result — attributable only
-	// when no other job shares the workers.
+	// worker-wide gauges (pool dials, RPC retries, integrity faults) are
+	// folded into the Result — attributable only when no other job
+	// shares the workers — as are the segment servers' disk reads.
 	Exclusive bool
 	// Inputs, when non-empty, makes this a pipeline stage job: one map
 	// task per entry, fed from the entry (inline records or a retained
 	// handoff) instead of registry-built splits. The registry builder may
 	// then return zero splits.
 	Inputs []StageInput
-	// KeepOutput retains reduce output as per-partition handoff files in
-	// the job's worker workspaces (reported via JobHandle.Handoffs)
-	// instead of shipping records to the driver — the no-re-spill path a
-	// downstream stage consumes.
+	// KeepOutput leaves reduce output where the reduces wrote it: the
+	// per-partition handoff files in the job's worker workspaces
+	// (reported via JobHandle.Handoffs), the no-re-spill path a
+	// downstream stage consumes. The job's Result carries no records, and
+	// its workspace outlives the job until Fleet.ReleaseWorkspace.
 	KeepOutput bool
-	// RetainWorkspace defers the finished job's workspace sweep until
-	// Fleet.ReleaseWorkspace — required while a later stage still reads
-	// this job's handoff files.
-	RetainWorkspace bool
 	// Homes seeds partition→worker placement (a previous stage's homes),
 	// so a stage's fetches and reduces land where its inputs already
 	// live. Dead or unknown workers are re-elected as usual.
@@ -127,14 +125,7 @@ type Handoff struct {
 func (h *JobHandle) Handoffs() map[int]Handoff {
 	h.j.pmu.Lock()
 	defer h.j.pmu.Unlock()
-	if h.j.handoffs == nil {
-		return nil
-	}
-	out := make(map[int]Handoff, len(h.j.handoffs))
-	for p, hd := range h.j.handoffs {
-		out[p] = hd
-	}
-	return out
+	return maps.Clone(h.j.handoffs)
 }
 
 // Homes returns the job's final partition→worker placement, for seeding
@@ -143,11 +134,7 @@ func (h *JobHandle) Homes() map[int]int {
 	f := h.j.fleet
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	out := make(map[int]int, len(h.j.partHome))
-	for p, w := range h.j.partHome {
-		out[p] = w
-	}
-	return out
+	return maps.Clone(h.j.partHome)
 }
 
 // Submit registers a job with the fleet and starts running it under
@@ -321,8 +308,8 @@ type fetchValue struct {
 
 type reduceValue struct {
 	worker  int
-	recs    []mr.Record
-	handoff *mr.SegmentInfo // set instead of recs when the lease carried Keep
+	recs    []mr.Record // pulled from handoff, unless the job keeps its output
+	handoff *mr.SegmentInfo
 	stats   mr.Stats
 	dur     time.Duration
 }
@@ -417,7 +404,6 @@ func (j *jobRun) Execute(ctx context.Context, task *sched.Task, tc *sched.TaskCo
 		lease.Partition = id.Partition
 		lease.Locals = locals
 		lease.LocalTasks = localTasks
-		lease.Keep = j.spec.KeepOutput
 		pin = home.id
 	}
 
@@ -432,7 +418,7 @@ func (j *jobRun) Execute(ctx context.Context, task *sched.Task, tc *sched.TaskCo
 
 	select {
 	case rep := <-pend.ch:
-		return j.settle(task, pend, rep)
+		return j.settle(ctx, task, pend, rep)
 	case <-ctx.Done():
 		// Revoke: a granted lease is aborted by its worker on the next
 		// heartbeat; a queued one is simply pruned.
@@ -497,9 +483,23 @@ func (j *jobRun) reduceInputsLocked(p int, tc *sched.TaskContext) (home *workerS
 	return home, lost, locals, localTasks
 }
 
-// settle turns a worker's report into Execute's return value.
-func (j *jobRun) settle(task *sched.Task, pend *pendingLease, rep *ReportArgs) (any, error) {
+// settle turns a worker's report into Execute's return value. A
+// reduce's output is pulled here, before the attempt commits, and a
+// pull that fails fails the attempt like a failed fetch. The pull is
+// transport, not job work: no counter or meter sees it.
+func (j *jobRun) settle(ctx context.Context, task *sched.Task, pend *pendingLease, rep *ReportArgs) (any, error) {
 	f := j.fleet
+	var recs []mr.Record
+	if rep.Errmsg == "" && task.Group == mr.TaskGroupReduce && !j.spec.KeepOutput {
+		var err error
+		if recs, err = f.ReadOutput(ctx, *rep.Handoff); err != nil {
+			if ctx.Err() != nil {
+				return nil, ctx.Err()
+			}
+			rep.Errmsg, rep.Transient = err.Error(), true
+			rep.Unreachable = []string{rep.Handoff.Addr}
+		}
+	}
 	now := time.Now()
 	if f.cfg.Tracer != nil && !pend.granted.IsZero() {
 		f.cfg.Tracer.Record(obs.KindLease, task.Name, pend.granted, now,
@@ -537,7 +537,7 @@ func (j *jobRun) settle(task *sched.Task, pend *pendingLease, rep *ReportArgs) (
 		}, nil
 	default:
 		return reduceValue{
-			worker: rep.WorkerID, recs: rep.Records, handoff: rep.Handoff,
+			worker: rep.WorkerID, recs: recs, handoff: rep.Handoff,
 			stats: rep.Stats, dur: time.Duration(rep.DurNs),
 		}, nil
 	}
@@ -570,9 +570,9 @@ func (j *jobRun) assemble(report *sched.Report, start time.Time) *mr.Result {
 		}
 		rv := report.Value(mr.ReduceTaskName(p)).(reduceValue)
 		stats.Accumulate(rv.stats)
-		res.Output[p] = rv.recs // nil when the partition was kept as a handoff
+		res.Output[p] = rv.recs
 		res.ReduceTaskTimes[p] = rv.dur
-		if rv.handoff != nil {
+		if j.spec.KeepOutput {
 			j.pmu.Lock()
 			if j.handoffs == nil {
 				j.handoffs = make(map[int]Handoff, j.plan.Reduces)
@@ -584,18 +584,19 @@ func (j *jobRun) assemble(report *sched.Report, start time.Time) *mr.Result {
 	if s, e, ok := sched.Span(report.Attempts, mr.TaskGroupFetch); ok {
 		meas.Extent = e.Sub(s)
 	}
-	// Worker-wide gauges (pool dials, serve-side disk reads, RPC
-	// retries, integrity faults) are fleet-scoped: a worker serves many
-	// jobs, so only an Exclusive job can claim them in its Result.
+	// Worker-wide gauges (pool dials, RPC retries, integrity faults) are
+	// fleet-scoped: a worker serves many jobs, so only an Exclusive job
+	// can claim them in its Result.
 	if j.spec.Exclusive {
+		// The segment servers read the map segments off the producers'
+		// disks outside any attempt's metered view, and they read exactly
+		// the bytes the fetches moved.
+		stats.DiskReadBytes += meas.Bytes
 		f := j.fleet
 		f.mu.Lock()
 		var rpcRetries, integrity int64
 		for _, w := range f.workers {
 			meas.Dials += w.lastDials
-			// Serve-side reads happen on the producing worker's disk,
-			// outside any attempt's metered view; fold the gauge in.
-			stats.DiskReadBytes += w.lastServed
 			rpcRetries += w.lastRPCRetries
 			integrity += w.lastIntegrity
 		}

@@ -2,7 +2,9 @@
 // one pool of worker processes and runs many jobs over it concurrently.
 // Workers register once, heartbeat, long-poll for task leases, execute
 // map/fetch/reduce attempts against the internal/mr task code, and
-// serve their map-output segments to peers through mr.SegmentServer.
+// serve their files through mr.SegmentServer: map-output segments to
+// peers, reduce output to the fleet, which pulls it over that same data
+// plane before it commits the reduce.
 // Each job keeps its own task graph, placement, and stats (a jobRun
 // implementing sched.Executor, so internal/sched's retries, backoff,
 // speculation, and DepLostError re-execution all apply per job), while
@@ -134,12 +136,6 @@ type TaskLease struct {
 	MapTask int
 	Input   *StageInput
 
-	// Keep marks a reduce lease of a stage job whose output feeds a
-	// later stage: the worker writes the reduce output to a handoff
-	// file in the job's workspace and reports where it is instead of
-	// shipping the records to the driver.
-	Keep bool
-
 	// Fetch leases: pull Sources (segments on peer workers) to local
 	// files. MapIndex is the producing map task, for stable local names.
 	Partition int
@@ -154,7 +150,9 @@ type TaskLease struct {
 	LocalTasks []string
 }
 
-// ReportArgs delivers an attempt's outcome back to the fleet.
+// ReportArgs delivers an attempt's outcome back to the fleet. It names
+// the files a task wrote and never carries their data, so no report
+// grows with a task's output and heartbeats never queue behind one.
 type ReportArgs struct {
 	WorkerID int
 	JobID    int
@@ -175,8 +173,9 @@ type ReportArgs struct {
 	FlowBytes int64            // fetch: payload bytes moved over the wire
 	FetchNs   int64            // fetch: time spent in transfers
 	Fetches   int              // fetch: segment transfers performed
-	Records   []mr.Record      // reduce: emitted output
-	Handoff   *mr.SegmentInfo  // reduce with Keep: the retained handoff file
+	// Handoff is a reduce's output: a record file in the job's workspace
+	// on this worker, served by its segment server.
+	Handoff *mr.SegmentInfo
 
 	// Stats is the attempt's counter snapshot (fresh counters per
 	// attempt, so deltas sum cleanly across committed attempts).
@@ -185,15 +184,13 @@ type ReportArgs struct {
 
 	// Cumulative per-worker gauges, reported on every report so the
 	// fleet's last observation is current: connection-pool dials,
-	// serve-side disk bytes read by the segment server, control-plane
-	// RPC retries spent by this worker, and fetches that failed checksum
-	// verification. The last two ride as gauges, not attempt stats,
-	// because the attempts that produce them fail — and failed attempts'
-	// stats are (rightly) discarded. Gauges are fleet-wide (a worker
-	// serves many jobs), so only an Exclusive job folds them into its
-	// Result.
+	// control-plane RPC retries spent by this worker, and fetches that
+	// failed checksum verification. The last two ride as gauges, not
+	// attempt stats, because the attempts that produce them fail — and
+	// failed attempts' stats are (rightly) discarded. Gauges are
+	// fleet-wide (a worker serves many jobs), so only an Exclusive job
+	// folds them into its Result.
 	PoolDials       int64
-	ServedBytes     int64
 	RPCRetries      int64
 	IntegrityFaults int64
 }

@@ -59,9 +59,10 @@ type WorkerOptions struct {
 // RunWorker joins the fleet at opts.Coordinator and serves task leases
 // — across every job the fleet runs — until told to shut down, told to
 // drain, the context is cancelled, or the fleet becomes unreachable.
-// Map output is produced into the worker's own filesystem and served
-// to peers via mr.SegmentServer; fetch leases pull peer segments
-// through a shared mr.ConnPool. Job build specs are resolved through
+// Map and reduce output are produced into the worker's own filesystem
+// and served via mr.SegmentServer — segments to peers, reduce output to
+// the fleet; fetch leases pull peer segments through a shared
+// mr.ConnPool. Job build specs are resolved through
 // Cluster.GetJob on first contact and cached until the fleet announces
 // the job finished (heartbeat Cleanup), at which point the job's
 // workspace files are deleted.
@@ -84,7 +85,6 @@ func RunWorker(ctx context.Context, opts WorkerOptions) error {
 	client := newRPCClient(opts.Coordinator, opts.RPCTimeout)
 	defer client.Close()
 
-	serveMeter := &iokit.Meter{}
 	ln, err := net.Listen("tcp", dataAddr)
 	if err != nil {
 		return fmt.Errorf("cluster: starting segment server: %w", err)
@@ -92,7 +92,7 @@ func RunWorker(ctx context.Context, opts WorkerOptions) error {
 	if opts.WrapListener != nil {
 		ln = opts.WrapListener(ln)
 	}
-	srv := mr.NewSegmentServerOn(fs, ln, serveMeter)
+	srv := mr.NewSegmentServerOn(fs, ln, nil)
 	defer srv.Close()
 	pool := mr.NewConnPool()
 	pool.WireCompression = opts.WireCompression
@@ -112,7 +112,7 @@ func RunWorker(ctx context.Context, opts WorkerOptions) error {
 
 	w := &worker{
 		id: reg.WorkerID,
-		fs: fs, pool: pool, fetcher: fetcher, srv: srv, serveMeter: serveMeter,
+		fs: fs, pool: pool, fetcher: fetcher, srv: srv,
 		client:  client,
 		jobs:    make(map[int]*workerJob),
 		running: make(map[AttemptID]context.CancelFunc),
@@ -250,15 +250,14 @@ type workerJob struct {
 }
 
 type worker struct {
-	id         int
-	fs         iokit.FS
-	pool       *mr.ConnPool
-	fetcher    *mr.MuxFetcher
-	srv        *mr.SegmentServer
-	serveMeter *iokit.Meter
-	client     *rpcClient
-	integrity  atomic.Int64 // fetches failed by checksum, across attempts
-	drainKill  atomic.Bool  // drain timeout fired; cancellations are hand-backs
+	id        int
+	fs        iokit.FS
+	pool      *mr.ConnPool
+	fetcher   *mr.MuxFetcher
+	srv       *mr.SegmentServer
+	client    *rpcClient
+	integrity atomic.Int64 // fetches failed by checksum, across attempts
+	drainKill atomic.Bool  // drain timeout fired; cancellations are hand-backs
 
 	mu      sync.Mutex
 	jobs    map[int]*workerJob
@@ -418,7 +417,7 @@ func (w *worker) runLease(ctx context.Context, l TaskLease) *ReportArgs {
 		if l.Input != nil {
 			// Stage jobs carry their input on the lease (inline records or
 			// a handoff reference) instead of registry-built splits.
-			split, err = w.stageSplit(actx, wj, l, rep)
+			split, err = w.stageSplit(actx, l, rep)
 			if err != nil {
 				break
 			}
@@ -451,32 +450,21 @@ func (w *worker) runLease(ctx context.Context, l TaskLease) *ReportArgs {
 		if err != nil {
 			break
 		}
-		if l.Keep {
-			// The output feeds a later pipeline stage: retain it here as a
-			// handoff file (attempt-scoped, so a speculative loser's write
-			// cannot clobber the winner's) and report its location instead
-			// of shipping the records to the driver.
-			name := fmt.Sprintf("%s/handoff/p%04d.a%d", wj.job.Workspace, l.Partition, l.Attempt)
-			if err = mr.WriteRecordFile(afs, name, recs); err != nil {
-				break
-			}
-			var raw int64
-			for _, r := range recs {
-				raw += int64(len(r.Key) + len(r.Value))
-			}
-			rep.Handoff = &mr.SegmentInfo{
-				Addr: w.srv.Addr(), File: name, Partition: l.Partition,
-				Records: int64(len(recs)), RawBytes: raw,
-			}
-		} else {
-			rep.Records = recs
+		// The output leaves as map output does: an attempt-scoped file
+		// the segment server serves, named in the report. Like a fetch
+		// copy it is transport, not task I/O, so it is written unmetered.
+		name := fmt.Sprintf("%s/handoff/p%04d.a%d", wj.job.Workspace, l.Partition, l.Attempt)
+		if err = mr.WriteRecordFile(w.fs, name, recs); err != nil {
+			break
+		}
+		rep.Handoff = &mr.SegmentInfo{
+			Addr: w.srv.Addr(), File: name, Partition: l.Partition, Records: int64(len(recs)),
 		}
 	}
 
 	rep.DurNs = time.Since(t0).Nanoseconds()
 	rep.Stats = counters.Snapshot()
 	rep.PoolDials = w.pool.Dials()
-	rep.ServedBytes = w.serveMeter.ReadBytes()
 	if err != nil {
 		rep.Errmsg = err.Error()
 		// Cancelled attempts are not worth retrying (the fleet revoked
@@ -491,9 +479,10 @@ func (w *worker) runLease(ctx context.Context, l TaskLease) *ReportArgs {
 // inline records become a MemSplit; a handoff reference resolves to the
 // local record file when this worker holds it (the common, pinned case
 // — zero bytes moved between stages), and is otherwise pulled from the
-// holder's segment server into this job's workspace. A failed pull
-// marks the holder unreachable, feeding the fleet's liveness evidence.
-func (w *worker) stageSplit(ctx context.Context, wj *workerJob, l TaskLease, rep *ReportArgs) (mr.Split, error) {
+// holder's segment server into memory, as the fleet pulls reduce
+// output. A failed pull marks the holder unreachable, feeding the
+// fleet's liveness evidence.
+func (w *worker) stageSplit(ctx context.Context, l TaskLease, rep *ReportArgs) (mr.Split, error) {
 	in := l.Input
 	if in.Handoff == nil {
 		return &mr.MemSplit{Recs: in.Records}, nil
@@ -502,20 +491,20 @@ func (w *worker) stageSplit(ctx context.Context, wj *workerJob, l TaskLease, rep
 	if _, err := w.fs.Size(h.File); err == nil {
 		return &mr.RecordFileSplit{FS: w.fs, Name: h.File}, nil
 	}
-	local := fmt.Sprintf("%s/handin/m%04d.a%d", wj.job.Workspace, l.MapTask, l.Attempt)
-	rc, size, err := w.fetcher.Fetch(ctx, h.Addr, h.File)
-	if err != nil {
-		rep.Unreachable = appendUnique(rep.Unreachable, h.Addr)
-		return nil, fmt.Errorf("cluster: fetching handoff %s from %s: %w", h.File, h.Addr, err)
+	rc, _, err := w.fetcher.Fetch(ctx, h.Addr, h.File)
+	var recs []mr.Record
+	if err == nil {
+		recs, err = mr.CollectRecords(rc)
+		rc.Close()
 	}
-	if _, err := mr.CopySegment(rc, size, w.fs, local, nil); err != nil {
+	if err != nil {
 		if errors.Is(err, mr.ErrIntegrity) {
 			w.integrity.Add(1)
 		}
 		rep.Unreachable = appendUnique(rep.Unreachable, h.Addr)
-		return nil, fmt.Errorf("cluster: copying handoff %s from %s: %w", h.File, h.Addr, err)
+		return nil, fmt.Errorf("cluster: pulling handoff %s from %s: %w", h.File, h.Addr, err)
 	}
-	return &mr.RecordFileSplit{FS: w.fs, Name: local}, nil
+	return &mr.MemSplit{Recs: recs}, nil
 }
 
 // runFetch runs a fetch lease through mr.ExecFetchTask, pulling the

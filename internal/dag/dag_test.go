@@ -236,8 +236,7 @@ func TestPipelineFleetMatchesInProcess(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
 	f, trackers, workerErr := startFleet(t, ctx, 3, 2)
-	eng := dag.NewFleetEngine(f)
-	defer eng.Close()
+	eng := &dag.FleetEngine{Fleet: f}
 
 	got, err := dag.Run(ctx, pagerank.NewIterPipeline(spec), pagerank.IterInputs(spec),
 		dag.Config{Engine: eng})
@@ -382,9 +381,7 @@ func TestPipelineFleetSweepsOnStageFailure(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	f, trackers, workerErr := startFleet(t, ctx, 2, 2)
-	eng := dag.NewFleetEngine(f)
-	eng.MaxTaskAttempts = 1
-	defer eng.Close()
+	eng := &dag.FleetEngine{Fleet: f, MaxTaskAttempts: 1}
 
 	p, inputs := failingPipeline()
 	_, err := dag.Run(ctx, p, inputs, dag.Config{Engine: eng})

@@ -10,8 +10,8 @@ import (
 )
 
 // FleetEngine runs stage jobs on a cluster.Fleet. Kept stages submit
-// with KeepOutput+RetainWorkspace: reduce output stays on the workers
-// as handoff record files, and the next stage's map leases are pinned
+// with KeepOutput: reduce output stays on the workers as handoff
+// record files, and the next stage's map leases are pinned
 // to the holding workers (with the previous stage's partition homes
 // seeding placement), so stage-to-stage data moves zero bytes in the
 // steady state. A handoff that died with its worker surfaces as
@@ -28,20 +28,6 @@ type FleetEngine struct {
 	Priority int
 	// MaxTaskAttempts is passed through to each stage job's spec.
 	MaxTaskAttempts int
-
-	pool *mr.ConnPool
-}
-
-// NewFleetEngine wraps a fleet for pipeline execution.
-func NewFleetEngine(f *cluster.Fleet) *FleetEngine {
-	return &FleetEngine{Fleet: f, pool: mr.NewConnPool()}
-}
-
-// Close releases the engine's collection connections.
-func (e *FleetEngine) Close() {
-	if e.pool != nil {
-		e.pool.Close()
-	}
 }
 
 // fleetKept locates a kept stage's output: the finished job whose
@@ -69,7 +55,6 @@ func (e *FleetEngine) RunStage(ctx context.Context, run StageRun) (*StageResult,
 		Priority:        e.Priority,
 		MaxTaskAttempts: e.MaxTaskAttempts,
 		KeepOutput:      run.Keep,
-		RetainWorkspace: run.Keep,
 	}
 	if run.Input != nil {
 		k, ok := run.Input.kept.(*fleetKept)
@@ -122,8 +107,8 @@ func (e *FleetEngine) RunStage(ctx context.Context, run StageRun) (*StageResult,
 	return sr, nil
 }
 
-// Collect implements Engine: pull each partition's handoff file from
-// its worker's segment server and decode the records, CRC-verified.
+// Collect implements Engine: pull each partition's handoff file through
+// the fleet's reader, as the fleet pulls any reduce's output.
 func (e *FleetEngine) Collect(ctx context.Context, res *StageResult) ([][]mr.Record, error) {
 	if res.Records != nil {
 		return res.Records, nil
@@ -138,33 +123,13 @@ func (e *FleetEngine) Collect(ctx context.Context, res *StageResult) ([][]mr.Rec
 		if !ok {
 			return nil, fmt.Errorf("%w: no handoff for partition %d", ErrInputLost, p)
 		}
-		recs, err := e.fetchRecords(ctx, h.Seg.Addr, h.Seg.File)
+		recs, err := e.Fleet.ReadOutput(ctx, h.Seg)
 		if err != nil {
 			return nil, err
 		}
 		out[p] = recs
 	}
 	return out, nil
-}
-
-func (e *FleetEngine) fetchRecords(ctx context.Context, addr, file string) ([]mr.Record, error) {
-	rc, _, err := e.pool.Fetch(ctx, addr, file)
-	if err != nil {
-		return nil, fmt.Errorf("dag: collecting %s from %s: %w", file, addr, err)
-	}
-	defer rc.Close()
-	var recs []mr.Record
-	err = mr.ReadRecords(rc, func(key, value []byte) error {
-		recs = append(recs, mr.Record{
-			Key:   append([]byte(nil), key...),
-			Value: append([]byte(nil), value...),
-		})
-		return nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("dag: decoding %s from %s: %w", file, addr, err)
-	}
-	return recs, nil
 }
 
 // Release implements Engine: sweep a kept result's retained job

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"path"
 	"slices"
 	"sort"
 
@@ -347,7 +348,7 @@ func (b *mapBuffer) combineRun(partition int, entries []bufEntry, w *bytesx.Writ
 	combiner := b.job.NewCombiner()
 	info := &TaskInfo{
 		JobName:       b.job.Name,
-		Workspace:     b.job.Workspace,
+		Scratch:       b.dir,
 		TaskID:        b.taskID,
 		Partition:     partition,
 		Attempt:       b.attempt,
@@ -567,7 +568,9 @@ func mergeOnce(job *Job, fs iokit.FS, counters *Counters, name string, partition
 
 	if useCombiner {
 		span := job.Tracer.Start(obs.KindCombine, name)
-		err = combineMerged(job, fs, counters, partition, merged, w, taskID)
+		// A combining merge is a map task's final merge: its output lies
+		// in the attempt's directory, which is the combiner's scratch.
+		err = combineMerged(job, fs, counters, partition, merged, w, taskID, path.Dir(name))
 		if err == nil {
 			span.End(obs.Int("records_out", w.Records()))
 		} else {
@@ -603,11 +606,11 @@ func mergeOnce(job *Job, fs iokit.FS, counters *Counters, name string, partition
 }
 
 // combineMerged runs the combiner over key groups of a merged stream.
-func combineMerged(job *Job, fs iokit.FS, counters *Counters, partition int, merged *mergeIter, w *bytesx.Writer, taskID int) error {
+func combineMerged(job *Job, fs iokit.FS, counters *Counters, partition int, merged *mergeIter, w *bytesx.Writer, taskID int, scratch string) error {
 	combiner := job.NewCombiner()
 	info := &TaskInfo{
 		JobName:       job.Name,
-		Workspace:     job.Workspace,
+		Scratch:       scratch,
 		TaskID:        taskID,
 		Partition:     partition,
 		NumPartitions: job.NumReduceTasks,

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/bytesx"
 	"repro/internal/iokit"
 )
 
@@ -54,11 +53,13 @@ func (s *RecordFileSplit) Records(fn func(key, value []byte) error) error {
 // ReadRecords streams the records of a record file's bytes — read from
 // a local file or straight off a fetch — verifying the CRC32C framing
 // as it goes: corruption or truncation fails with ErrIntegrity before
-// any record of the bad frame reaches fn.
+// any record of the bad frame reaches fn. The key and value fn gets are
+// valid only until it returns.
 func ReadRecords(src io.Reader, fn func(key, value []byte) error) error {
 	ck := newCRCReader(src, false)
 	defer ck.release()
-	r := bytesx.NewReader(ck)
+	r := getRecordReader(ck)
+	defer putRecordReader(r)
 	for {
 		k, v, err := r.ReadRecord()
 		if err == io.EOF {
@@ -73,6 +74,18 @@ func ReadRecords(src io.Reader, fn func(key, value []byte) error) error {
 	}
 }
 
+// CollectRecords reads a whole record file's bytes into records the
+// way a reduce task collects its output: one copy per byte, into the
+// shared chunks of an output arena, with each Key and Value clipped to
+// its own bytes. On any error it returns nothing.
+func CollectRecords(src io.Reader) ([]Record, error) {
+	var a outputArena
+	if err := ReadRecords(src, func(k, v []byte) error { a.add(k, v); return nil }); err != nil {
+		return nil, err
+	}
+	return a.records(), nil
+}
+
 // WriteRecordFile writes records as a record file readable by
 // RecordFileSplit: length-framed records under the same CRC32C framing
 // as segments (no codec), so a record file served to another process —
@@ -83,7 +96,7 @@ func WriteRecordFile(fs iokit.FS, name string, recs []Record) error {
 		return err
 	}
 	ck := newChecksumWriter(f)
-	w := bytesx.NewWriter(ck)
+	w := getRecordWriter(ck)
 	for _, r := range recs {
 		if err = w.WriteRecord(r.Key, r.Value); err != nil {
 			break
@@ -92,6 +105,7 @@ func WriteRecordFile(fs iokit.FS, name string, recs []Record) error {
 	if err == nil {
 		err = w.Flush()
 	}
+	putRecordWriter(w)
 	if err == nil {
 		err = ck.Close()
 	} else {
@@ -159,6 +173,7 @@ func FileSplits(fs iokit.FS, names []string, framed bool) []Split {
 // wrapped) job for each round, and each round consumes the previous
 // round's output records. It returns the final result and the summed
 // stats of all rounds — the driver pattern PageRank-style jobs need.
+// Rounds run one after another, so their wall times add up.
 func Iterate(rounds int, initial []Record, splitsPer int, build func(round int) *Job) (*Result, Stats, error) {
 	var total Stats
 	recs := initial
@@ -169,31 +184,10 @@ func Iterate(rounds int, initial []Record, splitsPer int, build func(round int) 
 		if err != nil {
 			return nil, total, fmt.Errorf("mr: iteration %d: %w", round, err)
 		}
-		addStats(&total, res.Stats)
+		wall := total.WallTime + res.Stats.WallTime
+		total.Accumulate(res.Stats)
+		total.WallTime = wall
 		recs = res.SortedOutput()
 	}
 	return res, total, nil
-}
-
-func addStats(dst *Stats, s Stats) {
-	dst.MapInputRecords += s.MapInputRecords
-	dst.MapOutputRecords += s.MapOutputRecords
-	dst.MapOutputBytes += s.MapOutputBytes
-	dst.ShuffleBytes += s.ShuffleBytes
-	dst.Spills += s.Spills
-	dst.CombineInputRecords += s.CombineInputRecords
-	dst.CombineOutputRecords += s.CombineOutputRecords
-	dst.ReduceInputRecords += s.ReduceInputRecords
-	dst.ReduceOutputRecords += s.ReduceOutputRecords
-	dst.DiskReadBytes += s.DiskReadBytes
-	dst.DiskWriteBytes += s.DiskWriteBytes
-	dst.MapCPU += s.MapCPU
-	dst.ReduceCPU += s.ReduceCPU
-	dst.WallTime += s.WallTime
-	if dst.Extra == nil {
-		dst.Extra = map[string]int64{}
-	}
-	for k, v := range s.Extra {
-		dst.Extra[k] += v
-	}
 }

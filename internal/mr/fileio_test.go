@@ -1,6 +1,8 @@
 package mr
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -152,6 +154,88 @@ func TestIterate(t *testing.T) {
 	}
 	if stats.WallTime <= 0 {
 		t.Error("summed WallTime should be positive")
+	}
+	// Every round's map output is metered per partition; the rounds'
+	// meters sum into the total just as the byte counts do.
+	if len(stats.MapOutputPerPartition) != 2 {
+		t.Fatalf("summed MapOutputPerPartition = %v, want 2 partitions", stats.MapOutputPerPartition)
+	}
+	var perPart int64
+	for _, b := range stats.MapOutputPerPartition {
+		perPart += b
+	}
+	if perPart != stats.MapOutputBytes {
+		t.Errorf("per-partition map output sums to %d, MapOutputBytes = %d", perPart, stats.MapOutputBytes)
+	}
+}
+
+// TestCollectRecords: a record file read back through CollectRecords
+// holds the written records, each clipped to its own bytes, and a
+// corrupted file yields ErrIntegrity and no records.
+func TestCollectRecords(t *testing.T) {
+	fs := iokit.NewMemFS()
+	var recs []Record
+	for i := 0; i < 500; i++ {
+		recs = append(recs, Record{Key: []byte(fmt.Sprintf("key-%04d", i)), Value: []byte(strings.Repeat("v", i%50))})
+	}
+	if err := WriteRecordFile(fs, "recs", recs); err != nil {
+		t.Fatal(err)
+	}
+	f, _ := fs.Open("recs")
+	got, err := CollectRecords(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(recs) {
+		t.Fatalf("collected %d records, want %d", len(got), len(recs))
+	}
+	for i := range got {
+		if !bytes.Equal(got[i].Key, recs[i].Key) || !bytes.Equal(got[i].Value, recs[i].Value) {
+			t.Fatalf("record %d = %s, want %s", i, FormatRecord(got[i]), FormatRecord(recs[i]))
+		}
+		if cap(got[i].Key) != len(got[i].Key) || cap(got[i].Value) != len(got[i].Value) {
+			t.Fatalf("record %d is not clipped to its own bytes", i)
+		}
+	}
+
+	raw, err := readAllFile(fs, "recs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)/2] ^= 0x01
+	got, err = CollectRecords(bytes.NewReader(raw))
+	if !errors.Is(err, ErrIntegrity) || got != nil {
+		t.Errorf("corrupted file: %d records, err %v; want none and ErrIntegrity", len(got), err)
+	}
+}
+
+// TestRecordFileAllocations: writing a small record file and reading it
+// back through CollectRecords reuses the pooled record writer and
+// reader, so the round trip allocates about what the records it returns
+// take (≈ 68 KB here, chunks and headers), not two 64 KiB buffers more.
+func TestRecordFileAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under the race detector")
+	}
+	fs := iokit.NewMemFS()
+	recs := make([]Record, 300)
+	for i := range recs {
+		recs[i] = Record{Key: []byte(fmt.Sprintf("key-%04d", i)), Value: []byte("a value of modest size")}
+	}
+	roundTrip := func() {
+		if err := WriteRecordFile(fs, "out", recs); err != nil {
+			t.Fatal(err)
+		}
+		f, _ := fs.Open("out")
+		if _, err := CollectRecords(f); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+	}
+	roundTrip() // warm the pools
+	if n := allocatedBytes(roundTrip); n > 96<<10 {
+		t.Errorf("record file round trip of %d records allocated %d bytes, want at most 96 KiB", len(recs), n)
 	}
 }
 

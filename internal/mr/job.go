@@ -118,8 +118,9 @@ type Job struct {
 	// claim is enforced, not trusted: a map emission routed off the
 	// diagonal fails the task with ErrMisaligned.
 	AlignedInput bool
-	// CollectOutput controls whether reduce output records are gathered
-	// into Result.Output. Defaults to true; large jobs can disable it.
+	// DiscardOutput drops reduce output records instead of gathering
+	// them into Result.Output (they are still counted). Off by default;
+	// large jobs that only need their stats can turn it on.
 	DiscardOutput bool
 
 	// rawKeyOrder is set by normalized when KeyCompare was left nil: the

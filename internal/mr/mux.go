@@ -252,8 +252,8 @@ func (b *batchSender) serveStream(idx int, name string) {
 	chunk := getCopyBuf()
 	defer putCopyBuf(chunk)
 	var out, block []byte
-	var raw, wire int64
-	defer func() { b.s.count(raw, wire) }()
+	var raw int64
+	defer func() { b.s.count(raw) }()
 	for raw < size {
 		n := size - raw
 		if n > int64(len(chunk)) {
@@ -280,10 +280,6 @@ func (b *batchSender) serveStream(idx int, name string) {
 			return
 		}
 		raw += n
-		wire += int64(len(payload))
-		if compress {
-			wire += uvarintLen(uint64(len(payload))) // as sendCompressed counts a unit
-		}
 	}
 	end := []byte{muxEnd}
 	end = binary.AppendUvarint(end, uint64(idx))

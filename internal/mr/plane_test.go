@@ -242,10 +242,6 @@ func TestWireCompressionRoundTrip(t *testing.T) {
 			t.Errorf("%s: wire = %d, want < raw %d", name, wire, size)
 		}
 	}
-	// The server's ledger must agree: raw served exceeds wire served.
-	if raw, w := srv.ServedBytes(), srv.ServedWireBytes(); w >= raw {
-		t.Errorf("server wire bytes %d should be below raw %d", w, raw)
-	}
 }
 
 // TestJobOverTCPShuffleCompressed: wire compression is invisible to the

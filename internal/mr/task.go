@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/bytesx"
@@ -96,7 +97,7 @@ func runMapTask(ctx context.Context, job *Job, fs iokit.FS, counters *Counters, 
 	mapper := job.NewMapper()
 	info := &TaskInfo{
 		JobName:       job.Name,
-		Workspace:     job.Workspace,
+		Scratch:       buf.dir,
 		TaskID:        taskID,
 		Partition:     -1,
 		Attempt:       attempt,
@@ -223,6 +224,18 @@ func reduceMerge(ctx context.Context, job *Job, fs iokit.FS, counters *Counters,
 		return nil, fmt.Errorf("mr: reduce task %d: %w", partition, err)
 	}
 
+	// A reducer closes its scratch files in Cleanup, or when one of its
+	// calls fails; an attempt that fails elsewhere — a merge read, a
+	// cancellation — reaches neither, so it closes and removes them here.
+	scratch := &scratchFS{FS: fs}
+	scratchDir := fmt.Sprintf("%s/r%04d/a%d", job.Workspace, partition, attempt)
+	defer func() {
+		if err != nil {
+			scratch.closeAll()
+			removePrefix(fs, scratchDir+"/")
+		}
+	}()
+
 	// A very wide shuffle is first merged down on "disk" so the final
 	// streaming merge stays within the merge factor (Hadoop's
 	// reduce-side merge). When retries are enabled the merge keeps its
@@ -277,7 +290,7 @@ func reduceMerge(ctx context.Context, job *Job, fs iokit.FS, counters *Counters,
 	reducer := job.NewReducer()
 	info := &TaskInfo{
 		JobName:       job.Name,
-		Workspace:     job.Workspace,
+		Scratch:       scratchDir,
 		TaskID:        partition,
 		Partition:     partition,
 		Attempt:       attempt,
@@ -286,7 +299,7 @@ func reduceMerge(ctx context.Context, job *Job, fs iokit.FS, counters *Counters,
 		KeyCompare:    job.KeyCompare,
 		GroupCompare:  job.GroupCompare,
 		Counters:      counters,
-		FS:            fs,
+		FS:            scratch,
 		Tracer:        job.Tracer,
 	}
 	var collected outputArena
@@ -326,6 +339,50 @@ func reduceMerge(ctx context.Context, job *Job, fs iokit.FS, counters *Counters,
 		return nil, fmt.Errorf("mr: reduce task %d cleanup: %w", partition, err)
 	}
 	return collected.records(), nil
+}
+
+// scratchFS is the filesystem a reducer sees: fs itself, except that it
+// keeps a handle on every file the reducer opens for reading, so that a
+// failed attempt can close those still open. (The files a reducer
+// creates, it closes on every path.)
+type scratchFS struct {
+	iokit.FS
+	mu     sync.Mutex
+	opened []*scratchReader
+}
+
+// Open implements iokit.FS.
+func (s *scratchFS) Open(name string) (io.ReadCloser, error) {
+	r, err := s.FS.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	h := &scratchReader{ReadCloser: r}
+	s.mu.Lock()
+	s.opened = append(s.opened, h)
+	s.mu.Unlock()
+	return h, nil
+}
+
+func (s *scratchFS) closeAll() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, h := range s.opened {
+		h.Close()
+	}
+}
+
+// scratchReader lets go of its file at Close, so the handles scratchFS
+// keeps do not keep closed files' contents alive.
+type scratchReader struct{ io.ReadCloser }
+
+func (h *scratchReader) Close() error {
+	r := h.ReadCloser
+	if r == nil {
+		return nil
+	}
+	h.ReadCloser = nil
+	return r.Close()
 }
 
 // outputArena collects a reduce task's output records. Keys and values

@@ -85,9 +85,6 @@ type SegmentServer struct {
 	meter *iokit.Meter // optional: meters serve-side disk reads
 	ln    net.Listener
 
-	served     atomic.Int64
-	servedWire atomic.Int64
-
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{}
 	closed bool
@@ -118,27 +115,13 @@ func NewSegmentServerOn(fs iokit.FS, ln net.Listener, meter *iokit.Meter) *Segme
 // Addr reports the listener address, in a form peers can dial.
 func (s *SegmentServer) Addr() string { return s.ln.Addr().String() }
 
-// ServedBytes reports the total raw payload bytes served to clients.
-func (s *SegmentServer) ServedBytes() int64 { return s.served.Load() }
-
-// ServedWireBytes reports the body bytes actually written to sockets;
-// on compression-negotiated connections this is the post-Snappy count,
-// so ServedBytes-ServedWireBytes is the shuffle traffic saved.
-func (s *SegmentServer) ServedWireBytes() int64 { return s.servedWire.Load() }
-
-// count post-counts one served body: raw payload bytes and the bytes
-// that hit the wire for them. Post-counting (instead of a metering
-// reader wrapped around the file) is what keeps the raw *os.File
-// visible to io.Copy for the sendfile fast path.
-func (s *SegmentServer) count(raw, wire int64) {
-	if raw > 0 {
-		s.served.Add(raw)
-		if s.meter != nil {
-			s.meter.AddRead(raw)
-		}
-	}
-	if wire > 0 {
-		s.servedWire.Add(wire)
+// count meters one served body's raw bytes as serve-side disk reads.
+// Post-counting (instead of a metering reader wrapped around the file)
+// is what keeps the raw *os.File visible to io.Copy for the sendfile
+// fast path.
+func (s *SegmentServer) count(raw int64) {
+	if raw > 0 && s.meter != nil {
+		s.meter.AddRead(raw)
 	}
 }
 
@@ -287,7 +270,7 @@ func (s *SegmentServer) sendRaw(conn net.Conn, f io.ReadCloser, size int64, caps
 		sent += m
 		ok = err == nil && m == remaining
 	}
-	s.count(sent, sent)
+	s.count(sent)
 	return ok
 }
 
@@ -299,7 +282,7 @@ func (s *SegmentServer) sendCompressed(conn net.Conn, f io.ReadCloser, size int6
 	chunk := getCopyBuf()
 	defer putCopyBuf(chunk)
 	var out, block []byte
-	var raw, wire int64
+	var raw int64
 	hdrDone := false
 	for raw < size {
 		n := size - raw
@@ -310,7 +293,7 @@ func (s *SegmentServer) sendCompressed(conn net.Conn, f io.ReadCloser, size int6
 			if !hdrDone && (errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF)) {
 				return writeError(conn, err) // file shrank: stable, reportable
 			}
-			s.count(raw, wire)
+			s.count(raw)
 			return false
 		}
 		block = codec.AppendSnappyBlock(block[:0], chunk[:n])
@@ -320,17 +303,15 @@ func (s *SegmentServer) sendCompressed(conn net.Conn, f io.ReadCloser, size int6
 			out = append(out, encodingSnappy)
 			hdrDone = true
 		}
-		unitStart := len(out)
 		out = binary.AppendUvarint(out, uint64(len(block)))
 		out = append(out, block...)
 		if _, err := conn.Write(out); err != nil {
-			s.count(raw, wire)
+			s.count(raw)
 			return false
 		}
 		raw += n
-		wire += int64(len(out) - unitStart)
 	}
-	s.count(raw, wire)
+	s.count(raw)
 	return true
 }
 

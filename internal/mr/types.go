@@ -37,12 +37,13 @@ func (f EmitterFunc) Emit(key, value []byte) error { return f(key, value) }
 // AntiMapper and AntiReducer do through Hadoop's context object.
 type TaskInfo struct {
 	JobName string
-	// Workspace is the job's file-name prefix (Job.Workspace after
-	// normalization) — wrappers that create scratch files must root
-	// them here, not under JobName, so concurrent jobs sharing one
-	// worker filesystem stay disjoint and per-job cleanup is a single
-	// prefix sweep.
-	Workspace string
+	// Scratch is the task attempt's scratch directory, inside the job's
+	// workspace: wrappers that create scratch files (Anti-Combining's
+	// Shared spills) name them "<Scratch>/...". It is private to the
+	// attempt, and an attempt that fails has everything under it
+	// removed — also when it fails outside the Mapper or Reducer, which
+	// then never reaches Cleanup.
+	Scratch   string
 	TaskID    int
 	Partition int
 	// Attempt is the 0-based execution attempt of the enclosing task
@@ -54,8 +55,8 @@ type TaskInfo struct {
 	KeyCompare    bytesx.Compare
 	GroupCompare  bytesx.Compare
 	Counters      *Counters
-	// FS is the task's metered local filesystem, available to wrappers
-	// that need scratch files (e.g. Anti-Combining's Shared spills).
+	// FS is the task's metered local filesystem, where the Scratch files
+	// live.
 	FS iokit.FS
 	// Tracer is the job's trace sink (nil when tracing is disabled), so
 	// wrappers can emit their own spans — Anti-Combining's Shared uses

@@ -54,7 +54,7 @@ func Sample(job *mr.Job, splits []mr.Split, opts SampleOptions) (*Sketch, error)
 		mapper := job.NewMapper()
 		info := &mr.TaskInfo{
 			JobName:       job.Name + "/sample",
-			Workspace:     job.Name + "/sample",
+			Scratch:       job.Name + "/sample",
 			TaskID:        i,
 			Partition:     -1,
 			NumPartitions: reducers,

@@ -334,7 +334,7 @@ func Recombine(job *mr.Job, plan *SplitPlan, res *mr.Result) error {
 		red := job.NewReducer()
 		info := &mr.TaskInfo{
 			JobName:       job.Name + "/recombine",
-			Workspace:     job.Name + "/recombine",
+			Scratch:       job.Name + "/recombine",
 			Partition:     home,
 			NumPartitions: plan.reducers,
 			Partitioner:   plan,

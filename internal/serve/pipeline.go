@@ -33,11 +33,10 @@ func (s *Server) startPipelineLocked(j *job) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	tc := s.tenant(j.rec.Tenant)
-	eng := dag.NewFleetEngine(s.fleet)
-	eng.Tenant = j.rec.Tenant
-	eng.Weight = tc.Weight
-	eng.Priority = j.rec.Priority
-	eng.MaxTaskAttempts = s.cfg.MaxTaskAttempts
+	eng := &dag.FleetEngine{
+		Fleet: s.fleet, Tenant: j.rec.Tenant, Weight: tc.Weight,
+		Priority: j.rec.Priority, MaxTaskAttempts: s.cfg.MaxTaskAttempts,
+	}
 
 	j.cancel = cancel
 	j.rec.State = StateRunning
@@ -45,7 +44,6 @@ func (s *Server) startPipelineLocked(j *job) {
 	s.journalLocked(journalEntry{Op: "state", ID: j.rec.ID, State: StateRunning, Time: j.rec.StartedAt})
 	go func() {
 		res, rerr := dag.Run(ctx, p, inputs, dag.Config{Engine: eng})
-		eng.Close()
 		cancel()
 		var out *mr.Result
 		if rerr == nil {

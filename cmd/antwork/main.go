@@ -38,7 +38,7 @@ func main() {
 		slots    = flag.Int("slots", runtime.GOMAXPROCS(0), "concurrent task slots")
 		data     = flag.String("data-addr", "127.0.0.1:0", "segment server bind address; use a routable host:0 to serve remote peers")
 		drainTO  = flag.Duration("drain-timeout", 30*time.Second, "how long a drain lets running attempts finish before handing them back")
-		compress = flag.Bool("wire-compress", true, "negotiate Snappy compression on shuffle fetches (output is identical; only bytes on the wire change)")
+		compress = flag.Bool("wire-compress", true, "request Snappy compression on shuffle fetches (output is identical; only bytes on the wire change)")
 	)
 	flag.Parse()
 	if *coord == "" {

@@ -1,0 +1,220 @@
+package repro
+
+import (
+	"encoding/json"
+	"go/ast"
+	"go/build"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// TestDocsNameLiveSymbols keeps the prose from naming code that no
+// longer exists. Every back-ticked `pkg.Name` or `Type.Member` token in
+// README.md, DESIGN.md and EXPERIMENTS.md must resolve to one of: a
+// declaration in the tree (test files included), a declaration of a
+// standard-library package the tree imports, a Go string literal (such
+// as a counter name), a metric name in BENCHMARK.json, or the name of a
+// file in the tree.
+func TestDocsNameLiveSymbols(t *testing.T) {
+	idx := newSymbolIndex(t)
+	span := regexp.MustCompile("`([^`\n]+)`")
+	tok := regexp.MustCompile(`^([A-Za-z_][A-Za-z0-9_]*)\.([A-Za-z_][A-Za-z0-9_]*)(?:\(\))?$`)
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+		data, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(data), "\n") {
+			for _, s := range span.FindAllStringSubmatch(line, -1) {
+				if m := tok.FindStringSubmatch(s[1]); m != nil && !idx.resolves(t, m[1], m[2]) {
+					t.Errorf("%s:%d: `%s` names nothing in the tree", doc, i+1, s[1])
+				}
+			}
+		}
+	}
+}
+
+// symbolIndex is every name a doc token may resolve to.
+type symbolIndex struct {
+	fset    *token.FileSet
+	names   map[string]bool   // "pkg.Name", "Type.Member", string literals, metrics, file names
+	aliases map[string]string // alias type name → aliased type name
+	stdlib  map[string]string // package name → import path, for standard-library imports
+	parsed  map[string]bool   // standard-library packages already indexed
+}
+
+func newSymbolIndex(t *testing.T) *symbolIndex {
+	idx := &symbolIndex{
+		fset:    token.NewFileSet(),
+		names:   make(map[string]bool),
+		aliases: make(map[string]string),
+		stdlib:  make(map[string]string),
+		parsed:  make(map[string]bool),
+	}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		idx.names[d.Name()] = true
+		if strings.HasSuffix(path, ".go") {
+			f, err := parser.ParseFile(idx.fset, path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				return err
+			}
+			idx.addFile(f, true)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	data, err := os.ReadFile("BENCHMARK.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bench struct {
+		EndToEnd []struct{ Name string } `json:"end_to_end"`
+		PerLayer []struct{ Name string } `json:"per_layer"`
+	}
+	if err := json.Unmarshal(data, &bench); err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range append(bench.EndToEnd, bench.PerLayer...) {
+		idx.names[m.Name] = true
+	}
+	return idx
+}
+
+// addFile indexes one parsed file's declarations; tree files also
+// contribute their string literals and standard-library imports.
+func (idx *symbolIndex) addFile(f *ast.File, tree bool) {
+	pkg := strings.TrimSuffix(f.Name.Name, "_test")
+	for _, decl := range f.Decls {
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			if d.Recv == nil {
+				idx.names[pkg+"."+d.Name.Name] = true
+			} else {
+				idx.names[recvName(d.Recv.List[0].Type)+"."+d.Name.Name] = true
+			}
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch s := spec.(type) {
+				case *ast.ValueSpec:
+					for _, n := range s.Names {
+						idx.names[pkg+"."+n.Name] = true
+					}
+				case *ast.TypeSpec:
+					idx.names[pkg+"."+s.Name.Name] = true
+					if s.Assign.IsValid() {
+						idx.aliases[s.Name.Name] = recvName(s.Type)
+					}
+					idx.addMembers(s.Name.Name, s.Type)
+				}
+			}
+		}
+	}
+	if !tree {
+		return
+	}
+	for _, imp := range f.Imports {
+		path, _ := strconv.Unquote(imp.Path.Value)
+		if first, _, _ := strings.Cut(path, "/"); !strings.Contains(first, ".") && first != "repro" {
+			idx.stdlib[path[strings.LastIndex(path, "/")+1:]] = path
+		}
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+			if s, err := strconv.Unquote(lit.Value); err == nil {
+				idx.names[s] = true
+			}
+		}
+		return true
+	})
+}
+
+// addMembers indexes a struct type's fields (embedded ones by type
+// name) or an interface type's methods as "Type.Member".
+func (idx *symbolIndex) addMembers(typ string, expr ast.Expr) {
+	var fields *ast.FieldList
+	switch x := expr.(type) {
+	case *ast.StructType:
+		fields = x.Fields
+	case *ast.InterfaceType:
+		fields = x.Methods
+	default:
+		return
+	}
+	for _, fld := range fields.List {
+		if len(fld.Names) == 0 {
+			idx.names[typ+"."+recvName(fld.Type)] = true
+		}
+		for _, n := range fld.Names {
+			idx.names[typ+"."+n.Name] = true
+		}
+	}
+}
+
+// recvName is the bare type name of a receiver or embedded field:
+// pointers, package qualifiers and type parameters stripped.
+func recvName(expr ast.Expr) string {
+	switch x := expr.(type) {
+	case *ast.StarExpr:
+		return recvName(x.X)
+	case *ast.SelectorExpr:
+		return x.Sel.Name
+	case *ast.IndexExpr:
+		return recvName(x.X)
+	case *ast.IndexListExpr:
+		return recvName(x.X)
+	case *ast.Ident:
+		return x.Name
+	}
+	return ""
+}
+
+// resolves reports whether x.y names something, looking through type
+// aliases and indexing the standard-library package x on first use.
+func (idx *symbolIndex) resolves(t *testing.T, x, y string) bool {
+	if idx.names[x+"."+y] || idx.names[idx.aliases[x]+"."+y] {
+		return true
+	}
+	path, ok := idx.stdlib[x]
+	if !ok || idx.parsed[path] {
+		return false
+	}
+	idx.parsed[path] = true
+	p, err := build.Import(path, "", build.FindOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files, err := filepath.Glob(filepath.Join(p.Dir, "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(idx.fset, name, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		idx.addFile(f, false)
+	}
+	return idx.names[x+"."+y]
+}

@@ -174,7 +174,7 @@ func SoakInProcess(seed uint64, prof Profile, tracer *obs.Tracer) (*SoakReport, 
 	job.FS = tracked
 	job.TCPShuffle = true
 	job.WrapShuffleListener = s.WrapListener
-	// Compression is negotiated only on the chaotic run: output must
+	// Compression is requested only on the chaotic run: output must
 	// stay byte-identical to the uncompressed clean reference, which is
 	// exactly the transparency the wire codec promises — and it puts
 	// compressed frames in the fault path.

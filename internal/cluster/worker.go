@@ -35,8 +35,8 @@ type WorkerOptions struct {
 	// listener — the chaos harness's injection point for connection
 	// drops, stalls, truncations, and bit-flips.
 	WrapListener func(net.Listener) net.Listener
-	// WireCompression negotiates Snappy compression on this worker's
-	// outbound shuffle connections. Transparent to job output; it trades
+	// WireCompression requests Snappy compression on this worker's
+	// outbound shuffle fetches. Transparent to job output; it trades
 	// CPU on both sides for bytes on the wire, which is the right trade
 	// whenever workers are not sharing a loopback.
 	WireCompression bool
@@ -97,9 +97,6 @@ func RunWorker(ctx context.Context, opts WorkerOptions) error {
 	pool := mr.NewConnPool()
 	pool.WireCompression = opts.WireCompression
 	defer pool.Close()
-	// All segment fetches go through the multiplexer: concurrent slots
-	// pulling from the same peer share one connection and one batch.
-	fetcher := mr.NewMuxFetcher(pool)
 
 	var reg RegisterReply
 	if err := client.Call(ctx, "Cluster.Register", &RegisterArgs{DataAddr: srv.Addr(), Slots: opts.Slots}, &reg); err != nil {
@@ -112,7 +109,7 @@ func RunWorker(ctx context.Context, opts WorkerOptions) error {
 
 	w := &worker{
 		id: reg.WorkerID,
-		fs: fs, pool: pool, fetcher: fetcher, srv: srv,
+		fs: fs, pool: pool, srv: srv,
 		client:  client,
 		jobs:    make(map[int]*workerJob),
 		running: make(map[AttemptID]context.CancelFunc),
@@ -253,7 +250,6 @@ type worker struct {
 	id        int
 	fs        iokit.FS
 	pool      *mr.ConnPool
-	fetcher   *mr.MuxFetcher
 	srv       *mr.SegmentServer
 	client    *rpcClient
 	integrity atomic.Int64 // fetches failed by checksum, across attempts
@@ -491,7 +487,7 @@ func (w *worker) stageSplit(ctx context.Context, l TaskLease, rep *ReportArgs) (
 	if _, err := w.fs.Size(h.File); err == nil {
 		return &mr.RecordFileSplit{FS: w.fs, Name: h.File}, nil
 	}
-	rc, _, err := w.fetcher.Fetch(ctx, h.Addr, h.File)
+	rc, _, err := w.pool.Fetch(ctx, h.Addr, h.File)
 	var recs []mr.Record
 	if err == nil {
 		recs, err = mr.CollectRecords(rc)
@@ -509,7 +505,7 @@ func (w *worker) stageSplit(ctx context.Context, l TaskLease, rep *ReportArgs) (
 
 // runFetch runs a fetch lease through mr.ExecFetchTask, pulling the
 // sources from their holders' segment servers through the shared
-// fetcher. What stays here is what only a fleet has: a failed source's
+// ConnPool. What stays here is what only a fleet has: a failed source's
 // address is reported as unreachable (evidence toward declaring that
 // worker dead), and a checksum failure bumps the worker's gauge, since
 // the failed attempt's own stats are discarded. The copies land in the
@@ -517,7 +513,7 @@ func (w *worker) stageSplit(ctx context.Context, l TaskLease, rep *ReportArgs) (
 func (w *worker) runFetch(ctx context.Context, wj *workerJob, l TaskLease, rep *ReportArgs, counters *mr.Counters) error {
 	got, err := mr.ExecFetchTask(ctx, wj.job, w.fs, counters, l.Partition, l.MapIndex, l.Attempt, l.Sources,
 		func(ctx context.Context, src mr.SegmentInfo) (io.ReadCloser, int64, error) {
-			return w.fetcher.Fetch(ctx, src.Addr, src.File)
+			return w.pool.Fetch(ctx, src.Addr, src.File)
 		})
 	if err != nil {
 		var fe *mr.FetchError

@@ -125,7 +125,7 @@ func Run(job *Job, splits []Split) (_ *Result, err error) {
 		}
 		defer tcp.Close()
 		fetch = func(ctx context.Context, src SegmentInfo) (io.ReadCloser, int64, error) {
-			return tcp.Fetch(ctx, fs, src.File)
+			return tcp.Fetch(ctx, src.File)
 		}
 	}
 

@@ -76,8 +76,8 @@ type Job struct {
 	// the chaos harness uses to inject data-plane faults (connection
 	// drops, stalls, truncations, bit-flips) into the in-process engine.
 	WrapShuffleListener func(net.Listener) net.Listener
-	// WireCompression, with TCPShuffle, negotiates Snappy compression of
-	// segment bodies on the shuffle connections. Transparent: fetched
+	// WireCompression, with TCPShuffle, requests Snappy compression of
+	// segment bodies on every shuffle fetch. Transparent: fetched
 	// bytes (and job output) are identical; only bytes on the wire
 	// shrink, reported by the mr.shuffleWireBytes / mr.shuffleRawBytes
 	// extra counters.

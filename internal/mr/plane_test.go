@@ -11,15 +11,15 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/iokit"
 )
 
 // truncatingServer speaks just enough of the wire protocol to betray a
-// client: it completes the v2 handshake (granting no capabilities, so
-// the body is raw), answers the first request with a header advertising
-// the full size, writes only the first keep bytes of the body, and
-// slams the connection shut.
+// client: it answers the first request with a raw-body header
+// advertising the full size, writes only the first keep bytes of the
+// body, and slams the connection shut.
 func truncatingServer(t *testing.T, payload []byte, keep int) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -33,18 +33,14 @@ func truncatingServer(t *testing.T, payload []byte, keep int) string {
 			return
 		}
 		defer conn.Close()
-		r := make([]byte, 3)
-		if _, err := io.ReadFull(conn, r); err != nil || r[0] != wireHello || r[1] != wireMagic {
-			return
-		}
-		conn.Write([]byte{wireMagicAck, 0}) // grant nothing: raw body, no mux
-		// Request frame: uvarint(len) + name. Names are short; one read
-		// suffices for a test client.
+		// Request frame: accept byte + uvarint(len) + name. Names are
+		// short; one read suffices for a test client.
 		buf := make([]byte, 256)
 		if _, err := conn.Read(buf); err != nil {
 			return
 		}
 		out := binary.AppendUvarint(nil, uint64(len(payload))+1)
+		out = append(out, encodingRaw)
 		out = append(out, payload[:keep]...)
 		conn.Write(out)
 	}()
@@ -126,9 +122,10 @@ func TestFetchZeroByteSegment(t *testing.T) {
 	}
 }
 
-// TestPooledReuseAfterErrorFrameCompressed: a server error frame on a
-// compression-negotiated connection leaves it at a frame boundary; the
-// subsequent fetch reuses it and decodes a compressed body correctly.
+// TestPooledReuseAfterErrorFrameCompressed: a server error frame
+// answering a compression-requesting fetch leaves the connection at a
+// frame boundary; the subsequent fetch reuses it and decodes a
+// compressed body correctly.
 func TestPooledReuseAfterErrorFrameCompressed(t *testing.T) {
 	fs := iokit.NewMemFS()
 	payload := strings.Repeat("compressible error-frame interleaving ", 300)
@@ -193,7 +190,7 @@ func TestConnPoolCloseRacesPut(t *testing.T) {
 	}
 }
 
-// TestWireCompressionRoundTrip: a compression-negotiated fetch delivers
+// TestWireCompressionRoundTrip: a compression-requesting fetch delivers
 // byte-identical data while moving fewer bytes on the wire, across
 // bodies spanning one unit, many units, and the don't-compress floor.
 func TestWireCompressionRoundTrip(t *testing.T) {
@@ -283,22 +280,20 @@ func TestJobOverTCPShuffleCompressed(t *testing.T) {
 	if raw == 0 || wire == 0 || wire >= raw {
 		t.Errorf("compressed run counters: raw %d, wire %d; want 0 < wire < raw", raw, wire)
 	}
-	// Whether a fetch rode a mux batch or went alone is a matter of timing;
-	// what its body counts for on the wire must not be.
+	// Without compression a body occupies exactly its raw bytes on the wire.
 	if praw, pwire := plain.Stats.Extra[CounterShuffleRawBytes], plain.Stats.Extra[CounterShuffleWireBytes]; praw != pwire {
 		t.Errorf("plain run moved %d wire bytes for %d raw; want equal", pwire, praw)
 	}
 }
 
-// muxTestServer stands up a MemFS-backed segment server plus a pool and
-// fetcher, with distinct per-segment contents sized to span several
-// window grants.
-func muxTestServer(t testing.TB, n, size int, compress bool) (*SegmentServer, *MuxFetcher, map[string][]byte) {
+// burstTestServer stands up a MemFS-backed segment server plus a pool,
+// with distinct per-segment contents, for concurrent-fetch tests.
+func burstTestServer(t testing.TB, n, size int, compress bool) (*SegmentServer, *ConnPool, map[string][]byte) {
 	t.Helper()
 	fs := iokit.NewMemFS()
 	bodies := make(map[string][]byte, n)
 	for i := 0; i < n; i++ {
-		name := fmt.Sprintf("mux/seg%02d", i)
+		name := fmt.Sprintf("burst/seg%02d", i)
 		pat := fmt.Sprintf("segment %02d payload ", i)
 		body := bytes.Repeat([]byte(pat), size/len(pat)+1)[:size]
 		bodies[name] = body
@@ -314,189 +309,201 @@ func muxTestServer(t testing.TB, n, size int, compress bool) (*SegmentServer, *M
 	pool := NewConnPool()
 	pool.WireCompression = compress
 	t.Cleanup(func() { pool.Close() })
-	return srv, NewMuxFetcher(pool), bodies
+	return srv, pool, bodies
 }
 
-// TestMuxBatchDelivers drives runMux directly — a deterministic batch
-// of every segment on one session — and checks each stream returns its
-// exact body, including a zero-byte member, with wire accounting.
+// fetchAll reads one segment through fetch and checks it against want
+// (a nil want expects a zero-byte body), returning its wire bytes.
+func fetchAll(ctx context.Context, fetch func(context.Context, string, string) (io.ReadCloser, int64, error), addr, name string, want []byte) (int64, error) {
+	rc, size, err := fetch(ctx, addr, name)
+	if err != nil {
+		return 0, err
+	}
+	defer rc.Close()
+	got, err := io.ReadAll(rc)
+	if err != nil {
+		return 0, fmt.Errorf("%s: %w", name, err)
+	}
+	if size != int64(len(want)) || !bytes.Equal(got, want) {
+		return 0, fmt.Errorf("%s: body mismatch (%d bytes, size %d, want %d)", name, len(got), size, len(want))
+	}
+	wire, ok := WireBytes(rc)
+	if !ok {
+		return 0, fmt.Errorf("%s: reader should report wire bytes", name)
+	}
+	return wire, nil
+}
+
+// TestMuxBatchDelivers: a concurrent burst of fetches to one server —
+// the load shape a multiplexed batch once served — returns every exact
+// body, including a zero-byte one, with per-body wire accounting.
 func TestMuxBatchDelivers(t *testing.T) {
 	for _, compress := range []bool{false, true} {
-		srv, m, bodies := muxTestServer(t, 6, int(muxWindow)*2+123, compress)
-		w, _ := srv.fs.(*iokit.MemFS).Create("mux/empty")
+		srv, pool, bodies := burstTestServer(t, 6, 2*wireChunk+123, compress)
+		w, _ := srv.fs.(*iokit.MemFS).Create("burst/empty")
 		w.Close()
-		bodies["mux/empty"] = nil
+		bodies["burst/empty"] = nil
 
-		var names []string
-		for name := range bodies {
-			names = append(names, name)
+		var wg sync.WaitGroup
+		for name, body := range bodies {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				wire, err := fetchAll(context.Background(), pool.Fetch, srv.Addr(), name, body)
+				switch {
+				case err != nil:
+					t.Errorf("compress=%v: %v", compress, err)
+				case compress && len(body) >= wireCompressMin && wire >= int64(len(body)):
+					t.Errorf("compress=%v %s: wire %d, want < raw %d", compress, name, wire, len(body))
+				case (!compress || len(body) < wireCompressMin) && wire != int64(len(body)):
+					t.Errorf("compress=%v %s: wire %d, want raw %d", compress, name, wire, len(body))
+				}
+			}()
 		}
-		reqs := make([]*muxReq, len(names))
-		for i, name := range names {
-			reqs[i] = &muxReq{ctx: context.Background(), name: name, res: make(chan muxRes, 1)}
-		}
-		go m.runMux(srv.Addr(), reqs)
-		for i, r := range reqs {
-			res := <-r.res
-			if res.fallback || res.err != nil {
-				t.Fatalf("compress=%v stream %s: fallback=%v err=%v", compress, names[i], res.fallback, res.err)
-			}
-			got, err := io.ReadAll(res.rc)
-			if err != nil {
-				t.Fatalf("compress=%v stream %s: %v", compress, names[i], err)
-			}
-			if !bytes.Equal(got, bodies[names[i]]) {
-				t.Fatalf("compress=%v stream %s: body mismatch (%d bytes)", compress, names[i], len(got))
-			}
-			wire, ok := WireBytes(res.rc)
-			if !ok {
-				t.Fatalf("compress=%v: mux stream should report wire bytes", compress)
-			}
-			if compress && res.size >= wireCompressMin && wire >= res.size {
-				t.Errorf("compress=%v stream %s: wire %d, want < raw %d", compress, names[i], wire, res.size)
-			}
-			res.rc.Close()
-		}
-		if m.Sessions() != 1 || m.Muxed() != int64(len(names)) {
-			t.Errorf("compress=%v: sessions=%d muxed=%d, want 1/%d", compress, m.Sessions(), m.Muxed(), len(names))
-		}
+		wg.Wait()
 	}
 }
 
-// TestMuxBatchStreamError: a missing segment inside a batch fails only
-// its own stream — the siblings deliver, and the session still winds
-// down cleanly enough to pool the connection (next fetch, no new dial).
+// TestMuxBatchStreamError: in a concurrent burst, a missing segment fails
+// only its own fetch — the siblings deliver — and its connection goes
+// back to the pool at a frame boundary, so the next fetch dials nothing.
 func TestMuxBatchStreamError(t *testing.T) {
-	srv, m, bodies := muxTestServer(t, 3, 8<<10, false)
-	names := []string{"mux/seg00", "mux/nope", "mux/seg02"}
-	reqs := make([]*muxReq, len(names))
+	srv, pool, bodies := burstTestServer(t, 3, 8<<10, false)
+	names := []string{"burst/seg00", "burst/nope", "burst/seg02"}
+	errs := make([]error, len(names))
+	var wg sync.WaitGroup
 	for i, name := range names {
-		reqs[i] = &muxReq{ctx: context.Background(), name: name, res: make(chan muxRes, 1)}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[i] = fetchAll(context.Background(), pool.Fetch, srv.Addr(), name, bodies[name])
+		}()
 	}
-	// The streams end before the session does: it still has DONE to read
-	// and the ack to write before it parks the connection.
-	sessionDone := make(chan struct{})
-	go func() {
-		m.runMux(srv.Addr(), reqs)
-		close(sessionDone)
-	}()
-	for i, r := range reqs {
-		res := <-r.res
-		if names[i] == "mux/nope" {
-			if res.err == nil || res.fallback {
-				t.Fatalf("missing segment: err=%v fallback=%v", res.err, res.fallback)
-			}
-			continue
-		}
-		if res.err != nil || res.fallback {
-			t.Fatalf("stream %s: err=%v fallback=%v", names[i], res.err, res.fallback)
-		}
-		got, _ := io.ReadAll(res.rc)
-		res.rc.Close()
-		if !bytes.Equal(got, bodies[names[i]]) {
-			t.Fatalf("stream %s: body mismatch", names[i])
+	wg.Wait()
+	for i, name := range names {
+		if missing := name == "burst/nope"; missing != (errs[i] != nil) {
+			t.Fatalf("%s: err = %v", name, errs[i])
 		}
 	}
-	<-sessionDone
-	dials := m.pool.Dials()
-	rc, _, err := m.pool.Fetch(context.Background(), srv.Addr(), "mux/seg00")
-	if err != nil {
+	// Every connection the burst dialed, the error one included, is idle.
+	dials := pool.Dials()
+	pool.mu.Lock()
+	idle := int64(len(pool.idle[srv.Addr()]))
+	pool.mu.Unlock()
+	if idle != dials {
+		t.Errorf("%d dials but %d pooled connections; a fetch failed to return its conn", dials, idle)
+	}
+	if _, err := fetchAll(context.Background(), pool.Fetch, srv.Addr(), names[0], bodies[names[0]]); err != nil {
 		t.Fatal(err)
 	}
-	io.Copy(io.Discard, rc)
-	rc.Close()
-	if d := m.pool.Dials(); d != dials {
-		t.Errorf("post-batch fetch dialed (total %d, was %d); session should have pooled its conn", d, dials)
+	if d := pool.Dials(); d != dials {
+		t.Errorf("post-burst fetches dialed (total %d, was %d)", d, dials)
 	}
 }
 
-// TestMuxSessionOutlivesEarlyRequester: a batch's connection belongs to
-// all of its streams. The scheduler cancels a fetch attempt's context as
-// soon as the attempt completes, which for the batch's first request
-// used to close the connection under its siblings — their bodies then
-// failed with that request's context.Canceled, which no retry policy
-// treats as transient.
+// TestMuxSessionOutlivesEarlyRequester: the scheduler cancels a fetch
+// attempt's context as soon as the attempt completes. Cancelling one
+// fetch of a concurrent pair — mid-body here — must fail only that
+// fetch; its sibling's body arrives intact.
 func TestMuxSessionOutlivesEarlyRequester(t *testing.T) {
-	for _, first := range []int{0, 1} { // the early finisher: the batch's first request, or another
-		srv, m, bodies := muxTestServer(t, 2, int(muxWindow)*2+123, false)
-		names := []string{"mux/seg00", "mux/seg01"}
-		reqs := make([]*muxReq, len(names))
+	for _, first := range []int{0, 1} { // the fetch whose context is cancelled
+		srv, pool, bodies := burstTestServer(t, 2, 8*wireChunk+123, false)
+		names := []string{"burst/seg00", "burst/seg01"}
+		rcs := make([]io.ReadCloser, len(names))
 		cancels := make([]context.CancelFunc, len(names))
+		var wg sync.WaitGroup
 		for i, name := range names {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
-			reqs[i], cancels[i] = &muxReq{ctx: ctx, name: name, res: make(chan muxRes, 1)}, cancel
+			cancels[i] = cancel
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				rc, _, err := pool.Fetch(ctx, srv.Addr(), name)
+				if err != nil {
+					t.Errorf("%s: %v", name, err)
+					return
+				}
+				rcs[i] = rc
+			}()
 		}
-		go m.runMux(srv.Addr(), reqs)
-		for _, i := range []int{first, 1 - first} {
-			res := <-reqs[i].res
-			if res.err != nil || res.fallback {
-				t.Fatalf("stream %s: err=%v fallback=%v", names[i], res.err, res.fallback)
-			}
-			got, err := io.ReadAll(res.rc)
-			res.rc.Close()
-			cancels[i]() // the attempt is over
-			if err != nil || !bytes.Equal(got, bodies[names[i]]) {
-				t.Fatalf("stream %s after its sibling finished: %d of %d bytes, err %v", names[i], len(got), len(bodies[names[i]]), err)
-			}
+		wg.Wait()
+		if t.Failed() {
+			return
+		}
+		if _, err := io.ReadFull(rcs[first], make([]byte, 4096)); err != nil {
+			t.Fatalf("%s: first read: %v", names[first], err)
+		}
+		cancels[first]()
+		if _, err := io.ReadAll(rcs[first]); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s after cancel: err = %v, want context.Canceled", names[first], err)
+		}
+		rcs[first].Close()
+		other := names[1-first]
+		got, err := io.ReadAll(rcs[1-first])
+		rcs[1-first].Close()
+		if err != nil || !bytes.Equal(got, bodies[other]) {
+			t.Fatalf("%s after its sibling was cancelled: %d of %d bytes, err %v", other, len(got), len(bodies[other]), err)
 		}
 	}
 }
 
-// TestMuxFetcherConcurrent: the public Fetch path under a concurrent
-// burst — every body arrives intact, and the group-commit dispatcher
-// coalesces at least one burst into a multiplexed session.
+// TestMuxFetcherConcurrent: the deprecated MuxFetcher alias under a
+// concurrent burst delivers every body intact and reports no sessions.
 func TestMuxFetcherConcurrent(t *testing.T) {
-	srv, m, bodies := muxTestServer(t, 8, 64<<10, false)
-	var names []string
-	for name := range bodies {
-		names = append(names, name)
-	}
-	for round := 0; round < 20 && m.Sessions() == 0; round++ {
-		errs := make(chan error, 2*len(names))
-		for i := 0; i < 2*len(names); i++ {
-			name := names[i%len(names)]
+	srv, pool, bodies := burstTestServer(t, 8, 64<<10, false)
+	m := NewMuxFetcher(pool)
+	errs := make(chan error, 2*len(bodies))
+	for i := 0; i < 2; i++ {
+		for name, body := range bodies {
 			go func() {
-				rc, size, err := m.Fetch(context.Background(), srv.Addr(), name)
-				if err != nil {
-					errs <- err
-					return
-				}
-				got, err := io.ReadAll(rc)
-				rc.Close()
-				if err == nil && (int64(len(got)) != size || !bytes.Equal(got, bodies[name])) {
-					err = fmt.Errorf("body mismatch for %s", name)
-				}
+				_, err := fetchAll(context.Background(), m.Fetch, srv.Addr(), name, body)
 				errs <- err
 			}()
 		}
-		for i := 0; i < 2*len(names); i++ {
-			if err := <-errs; err != nil {
-				t.Fatal(err)
-			}
+	}
+	for i := 0; i < 2*len(bodies); i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
 		}
 	}
-	if m.Sessions() == 0 {
-		t.Error("20 concurrent bursts never coalesced into a mux session")
+	if m.Sessions() != 0 || m.Muxed() != 0 {
+		t.Errorf("sessions=%d muxed=%d, want 0/0", m.Sessions(), m.Muxed())
 	}
-	t.Logf("sessions=%d muxed=%d dials=%d", m.Sessions(), m.Muxed(), m.pool.Dials())
 }
 
-// TestMuxFetcherSingleUsesSequentialPath: a lone fetch gains nothing
-// from mux framing and must ride the plain pooled exchange.
+// TestMuxFetcherSingleUsesSequentialPath: a lone fetch through the alias
+// is one plain pooled exchange.
 func TestMuxFetcherSingleUsesSequentialPath(t *testing.T) {
-	srv, m, bodies := muxTestServer(t, 1, 4<<10, false)
-	rc, _, err := m.Fetch(context.Background(), srv.Addr(), "mux/seg00")
-	if err != nil {
+	srv, pool, bodies := burstTestServer(t, 1, 4<<10, false)
+	m := NewMuxFetcher(pool)
+	if _, err := fetchAll(context.Background(), m.Fetch, srv.Addr(), "burst/seg00", bodies["burst/seg00"]); err != nil {
 		t.Fatal(err)
 	}
-	got, _ := io.ReadAll(rc)
-	rc.Close()
-	if !bytes.Equal(got, bodies["mux/seg00"]) {
-		t.Fatal("body mismatch")
+	if m.Sessions() != 0 || m.Muxed() != 0 || pool.Dials() != 1 {
+		t.Errorf("sessions=%d muxed=%d dials=%d, want 0/0/1", m.Sessions(), m.Muxed(), pool.Dials())
 	}
-	if m.Muxed() != 0 {
-		t.Errorf("single fetch muxed %d streams, want 0", m.Muxed())
+}
+
+// TestRequestUnknownAcceptByteDropsConn: a request whose accept byte
+// names no encoding is not this protocol; the server writes nothing and
+// closes the connection.
+func TestRequestUnknownAcceptByteDropsConn(t *testing.T) {
+	srv, _, _ := burstTestServer(t, 1, 4<<10, false)
+	for _, accept := range []byte{encodingSnappy + 1, 0xA5, 0xFF} {
+		conn, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn.SetDeadline(time.Now().Add(5 * time.Second))
+		if _, err := conn.Write(appendRequest(nil, accept, "burst/seg00")); err != nil {
+			t.Fatal(err)
+		}
+		n, err := io.ReadAll(conn)
+		conn.Close()
+		if err != nil || len(n) != 0 {
+			t.Errorf("accept 0x%02x: server wrote %d bytes, err %v; want nothing, then close", accept, len(n), err)
+		}
 	}
 }
 
@@ -506,7 +513,7 @@ func TestMuxFetcherSingleUsesSequentialPath(t *testing.T) {
 // *os.File), and the Snappy wire-compression plane. Each variant
 // reports bytes-on-wire per op next to throughput, so the
 // raw-vs-sendfile-vs-compressed table in EXPERIMENTS.md reads straight
-// off this benchmark (BENCH_7.json).
+// off this benchmark (BENCH_transport.json).
 func BenchmarkShuffleDataPlane(b *testing.B) {
 	const segSize = 8 << 20
 	row := []byte("shuffle data plane benchmark payload row 0123456789 ")
@@ -557,9 +564,9 @@ func BenchmarkShuffleDataPlane(b *testing.B) {
 	b.Run("compressed-memfs", func(b *testing.B) { bench(b, iokit.NewMemFS(), true) })
 	b.Run("compressed-osfs", func(b *testing.B) { bench(b, iokit.NewOSFS(b.TempDir()), true) })
 
-	// The multiplexed plane: eight concurrent streams batched onto
-	// shared sessions instead of eight sequential exchanges.
-	b.Run("mux-8way-memfs", func(b *testing.B) {
+	// The concurrent plane: the same bytes as eight segments fetched by
+	// eight goroutines at once, each on its own pooled connection.
+	b.Run("concurrent-8way-memfs", func(b *testing.B) {
 		const nSeg = 8
 		fs := iokit.NewMemFS()
 		var names []string
@@ -575,15 +582,13 @@ func BenchmarkShuffleDataPlane(b *testing.B) {
 		defer srv.Close()
 		pool := NewConnPool()
 		defer pool.Close()
-		m := NewMuxFetcher(pool)
 		b.SetBytes(segSize)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			errs := make(chan error, nSeg)
 			for _, name := range names {
-				name := name
 				go func() {
-					rc, _, err := m.Fetch(context.Background(), srv.Addr(), name)
+					rc, _, err := pool.Fetch(context.Background(), srv.Addr(), name)
 					if err == nil {
 						_, err = io.Copy(io.Discard, rc)
 						rc.Close()
@@ -597,6 +602,6 @@ func BenchmarkShuffleDataPlane(b *testing.B) {
 				}
 			}
 		}
-		b.ReportMetric(float64(m.Muxed())/float64(m.Sessions()+1), "streams/session")
+		b.ReportMetric(float64(pool.Dials())/float64(b.N), "dials/op")
 	})
 }

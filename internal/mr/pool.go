@@ -188,7 +188,7 @@ const poisonByte = 0xDB
 var poisonEntry = bufEntry{partition: -1, keyOff: -1, keyLen: -1, valueOff: -1, valueLen: -1}
 
 // frameBufPool recycles the transport's length-prefixed frame buffers
-// (request names, error strings) so every fetch handshake stops paying
+// (request names, error strings) so every fetch request stops paying
 // a per-frame allocation. Frames are small (≤ maxErrFrame) and their
 // contents are always copied into a string before release.
 var frameBufPool sync.Pool // *[]byte

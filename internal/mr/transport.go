@@ -17,37 +17,20 @@ import (
 	"repro/internal/iokit"
 )
 
-// Wire protocol. The base frame shapes are v1's: the client sends a
-// uvarint-length-prefixed file name, the server answers uvarint(size+1)
-// then the body, or uvarint(0) plus a length-prefixed error string.
+// Wire protocol: one request frame and one response frame per fetch,
+// on a persistent connection that many fetches reuse in turn.
 //
-// v2 adds a capability handshake without costing a round trip. Names
-// are never empty, so a first byte of 0x00 can never start a legal v1
-// request; v2 clients use it as a control escape. At connect the client
-// pipelines a hello — 0x00, wireMagic, caps — in the same write as its
-// first request, and reads the server's two-byte ack (wireMagicAck,
-// granted caps) before the first response header. Every later frame
-// beginning 0x00 is a control frame (today: a mux batch open, mux.go).
-// A v2 server that never sees a hello serves the connection as pure v1,
-// which is the compatibility fallback for old clients.
+//	request  := accept | uvarint(len) | name
+//	response := uvarint(size+1) | enc | body
+//	          | uvarint(0) | uvarint(len) | msg      (server-reported error)
 //
-// Negotiable capabilities:
-//
-//   - capCompress: response bodies may be Snappy-compressed. The
-//     response header gains one encoding byte after the size, and a
-//     compressed body is a sequence of uvarint(len)-prefixed Snappy
-//     blocks that decode to exactly the advertised raw size.
-//   - capMux: the client may multiplex many segment requests onto the
-//     connection as one batch with per-stream flow control (mux.go).
+// accept is the body encoding the client takes (encodingRaw or
+// encodingSnappy); any other byte makes the server drop the connection.
+// enc is the encoding the server chose: a raw body is size bytes
+// verbatim, a Snappy body is a sequence of uvarint(len)-prefixed Snappy
+// blocks that decode to exactly size raw bytes. A Snappy-accepting
+// request still gets a raw body below wireCompressMin.
 const (
-	wireHello    = 0x00
-	wireMagic    = 0xA5
-	wireMagicAck = 0x5A
-
-	capCompress = 0x01
-	capMux      = 0x02
-	serverCaps  = capCompress | capMux
-
 	encodingRaw    = 0x00
 	encodingSnappy = 0x01
 
@@ -55,8 +38,8 @@ const (
 	// the encoding byte says raw and the body is verbatim.
 	wireCompressMin = 512
 
-	// wireChunk is the body chunk size: the unit of compression, of mux
-	// DATA frames, and of the coalesced header+first-bytes write.
+	// wireChunk is the body chunk size: the unit of compression and of
+	// the coalesced header+first-bytes write.
 	wireChunk = copyBufSize
 
 	// maxWireUnit bounds one compressed unit: a wireChunk of
@@ -74,12 +57,11 @@ const (
 )
 
 // SegmentServer serves segment files from an FS over TCP, speaking the
-// persistent length-prefixed protocol above. After a response the
-// connection returns to a clean frame boundary and the client may issue
-// the next request on it, which is what makes connection pooling
-// possible. It is the addressable generalization of the loopback-only
-// shuffle server: cluster workers bind it on a routable address and
-// peer workers fetch from it directly.
+// frame pair above. After a response the connection returns to a clean
+// frame boundary and the client may issue the next request on it, which
+// is what makes connection pooling possible. It is the addressable
+// generalization of the loopback-only shuffle server: cluster workers
+// bind it on a routable address and peer workers fetch from it directly.
 type SegmentServer struct {
 	fs    iokit.FS
 	meter *iokit.Meter // optional: meters serve-side disk reads
@@ -160,57 +142,47 @@ func (s *SegmentServer) serve() {
 // bytes it reads ahead stay on this connection's frame stream.
 func (s *SegmentServer) handleConn(conn net.Conn) {
 	br := bufio.NewReaderSize(conn, 32<<10)
-	var caps byte
 	for {
-		b0, err := br.ReadByte()
+		accept, name, err := readRequest(br)
 		if err != nil {
-			return // client done (EOF) or dead
+			return // client done (EOF), dead, or speaking something else
 		}
-		if b0 == wireHello {
-			ctrl, err := br.ReadByte()
-			if err != nil {
-				return
-			}
-			switch ctrl {
-			case wireMagic:
-				want, err := br.ReadByte()
-				if err != nil {
-					return
-				}
-				caps = want & serverCaps
-				if _, err := conn.Write([]byte{wireMagicAck, caps}); err != nil {
-					return
-				}
-			case ctrlBatch:
-				if caps&capMux == 0 {
-					return // batch frame without negotiating mux
-				}
-				if !s.handleBatch(conn, br, caps) {
-					return
-				}
-			default:
-				return // unknown control frame
-			}
-			continue
-		}
-		if err := br.UnreadByte(); err != nil {
-			return
-		}
-		nameBuf, err := readLenPrefixed(br, maxNameFrame)
-		if err != nil {
-			return
-		}
-		name := string(nameBuf)
-		putFrameBuf(nameBuf)
-		if !s.handleOne(conn, name, caps) {
+		if !s.handleOne(conn, name, accept == encodingSnappy) {
 			return
 		}
 	}
 }
 
+// appendRequest appends one request frame — the accepted body encoding,
+// then the length-prefixed segment name — to dst.
+func appendRequest(dst []byte, accept byte, name string) []byte {
+	dst = append(dst, accept)
+	dst = binary.AppendUvarint(dst, uint64(len(name)))
+	return append(dst, name...)
+}
+
+// readRequest parses one request frame. An accept byte that names no
+// encoding means the peer is not speaking this protocol.
+func readRequest(r frameReader) (accept byte, name string, err error) {
+	accept, err = r.ReadByte()
+	if err != nil {
+		return 0, "", err
+	}
+	if accept != encodingRaw && accept != encodingSnappy {
+		return 0, "", fmt.Errorf("mr: unknown accept byte 0x%02x", accept)
+	}
+	buf, err := readLenPrefixed(r, maxNameFrame)
+	if err != nil {
+		return 0, "", err
+	}
+	name = string(buf)
+	putFrameBuf(buf)
+	return accept, name, nil
+}
+
 // handleOne answers a single request; it reports whether the connection
 // is still at a clean frame boundary and may serve another.
-func (s *SegmentServer) handleOne(conn net.Conn, name string, caps byte) bool {
+func (s *SegmentServer) handleOne(conn net.Conn, name string, compress bool) bool {
 	size, err := s.fs.Size(name)
 	if err != nil {
 		return writeError(conn, err)
@@ -220,23 +192,21 @@ func (s *SegmentServer) handleOne(conn net.Conn, name string, caps byte) bool {
 		return writeError(conn, err)
 	}
 	defer f.Close()
-	if caps&capCompress != 0 && size >= wireCompressMin {
+	if compress && size >= wireCompressMin {
 		return s.sendCompressed(conn, f, size)
 	}
-	return s.sendRaw(conn, f, size, caps)
+	return s.sendRaw(conn, f, size)
 }
 
 // sendRaw streams a body verbatim. The response header and the first
 // body chunk are coalesced into one write, so small segments cost a
 // single send instead of a header packet plus a body packet; the rest
 // of an OS-backed file is spliced with sendfile.
-func (s *SegmentServer) sendRaw(conn net.Conn, f io.ReadCloser, size int64, caps byte) bool {
+func (s *SegmentServer) sendRaw(conn net.Conn, f io.ReadCloser, size int64) bool {
 	buf := getCopyBuf()
 	defer putCopyBuf(buf)
 	hdr := binary.AppendUvarint(buf[:0], uint64(size)+1) // size+1: 0 means error
-	if caps&capCompress != 0 {
-		hdr = append(hdr, encodingRaw)
-	}
+	hdr = append(hdr, encodingRaw)
 	first := int64(len(buf) - len(hdr))
 	if first > size {
 		first = size
@@ -403,14 +373,12 @@ const (
 // whose body is fully consumed returns its connection for reuse, and
 // connections idle for more than 30s are discarded on next use. Pooling
 // matters on multi-reduce jobs: without it every (partition, map task)
-// segment fetch pays a fresh TCP dial to the same few servers — and
-// with protocol v2 a pooled connection also keeps its negotiated
-// capabilities, so the handshake is paid once per connection, not per
-// fetch.
+// segment fetch pays a fresh TCP dial to the same few servers.
+// Concurrent fetches to one server each hold their own connection.
 type ConnPool struct {
-	// WireCompression requests Snappy-compressed bodies during the
-	// connection handshake. Transparent to callers: fetch readers always
-	// yield raw bytes; only the bytes on the wire change.
+	// WireCompression requests Snappy-compressed bodies in every fetch's
+	// accept byte. Transparent to callers: fetch readers always yield
+	// raw bytes; only the bytes on the wire change.
 	WireCompression bool
 
 	idleTimeout time.Duration // poolIdleTimeout, shortened by tests
@@ -421,14 +389,11 @@ type ConnPool struct {
 	closed bool
 }
 
-// wireConn is a pooled client connection plus its negotiated state: the
-// connection-lifetime buffered reader every response is parsed through,
-// and the capability set agreed at handshake.
+// wireConn is a pooled client connection plus the connection-lifetime
+// buffered reader every response is parsed through.
 type wireConn struct {
-	conn       net.Conn
-	br         *bufio.Reader
-	caps       byte
-	handshaken bool
+	conn net.Conn
+	br   *bufio.Reader
 }
 
 type pooledConn struct {
@@ -452,15 +417,6 @@ func NewConnPool() *ConnPool {
 // miss count. A multi-reduce job with pooling performs far fewer dials
 // than it performs fetches.
 func (p *ConnPool) Dials() int64 { return p.dials.Load() }
-
-// clientCaps is what this pool asks for in a hello frame.
-func (p *ConnPool) clientCaps() byte {
-	caps := byte(capMux)
-	if p.WireCompression {
-		caps |= capCompress
-	}
-	return caps
-}
 
 // get returns a pooled connection to addr, or dials a fresh one. fresh
 // forces a dial (used after a pooled connection turned out stale).
@@ -559,21 +515,6 @@ func (p *ConnPool) Fetch(ctx context.Context, addr, name string) (io.ReadCloser,
 		name, addr, fetchAttempts, lastErr)
 }
 
-// readAck consumes the server's two-byte handshake ack and records the
-// granted capabilities on the connection.
-func (wc *wireConn) readAck(want byte) error {
-	var ack [2]byte
-	if _, err := io.ReadFull(wc.br, ack[:]); err != nil {
-		return err
-	}
-	if ack[0] != wireMagicAck {
-		return fmt.Errorf("mr: bad handshake ack 0x%02x", ack[0])
-	}
-	wc.caps = ack[1] & want
-	wc.handshaken = true
-	return nil
-}
-
 // fetchOnce performs a single fetch exchange. retryable reports whether
 // the failure happened at the connection level (before a valid response
 // header), where a retry may see a healthy connection.
@@ -594,22 +535,12 @@ func (p *ConnPool) fetchOnce(ctx context.Context, addr, name string, fresh bool)
 		}
 		return nil, 0, err, retryable
 	}
-	// A fresh connection pipelines the hello with the request in one
-	// write; the handshake costs no extra round trip.
-	var req []byte
-	want := p.clientCaps()
-	if !wc.handshaken {
-		req = append(req, wireHello, wireMagic, want)
+	accept := byte(encodingRaw)
+	if p.WireCompression {
+		accept = encodingSnappy
 	}
-	req = binary.AppendUvarint(req, uint64(len(name)))
-	req = append(req, name...)
-	if _, err := conn.Write(req); err != nil {
+	if _, err := conn.Write(appendRequest(nil, accept, name)); err != nil {
 		return fail(err, true)
-	}
-	if !wc.handshaken {
-		if err := wc.readAck(want); err != nil {
-			return fail(err, true)
-		}
 	}
 	sizePlus, err := binary.ReadUvarint(wc.br)
 	if err != nil {
@@ -629,19 +560,17 @@ func (p *ConnPool) fetchOnce(ctx context.Context, addr, name string, fresh bool)
 		return nil, 0, ferr, false
 	}
 	size = int64(sizePlus - 1)
+	enc, err := wc.br.ReadByte()
+	if err != nil {
+		return fail(err, true)
+	}
 	fr := &fetchReader{pool: p, addr: addr, wc: wc, ctx: ctx, stop: stop, size: size, remaining: size}
-	if wc.caps&capCompress != 0 {
-		enc, err := wc.br.ReadByte()
-		if err != nil {
-			return fail(err, true)
-		}
-		switch enc {
-		case encodingRaw:
-		case encodingSnappy:
-			fr.dec = &snappyUnitReader{br: wc.br, remaining: size}
-		default:
-			return fail(fmt.Errorf("mr: unknown body encoding 0x%02x", enc), true)
-		}
+	switch enc {
+	case encodingRaw:
+	case encodingSnappy:
+		fr.dec = &snappyUnitReader{br: wc.br, remaining: size}
+	default:
+		return fail(fmt.Errorf("mr: unknown body encoding 0x%02x", enc), true)
 	}
 	return fr, size, nil, false
 }
@@ -790,9 +719,9 @@ func (f *fetchReader) Close() error {
 }
 
 // WireBytes reports the bytes a fetched body occupied on the network,
-// when rc came from a wire transport that tracks them (pooled and
-// multiplexed fetch readers do). Callers feed this into the shuffle
-// wire counters next to the raw size.
+// when rc came from a wire transport that tracks them (ConnPool's fetch
+// readers do). Callers feed this into the shuffle wire counters next to
+// the raw size.
 func WireBytes(rc io.ReadCloser) (int64, bool) {
 	if w, ok := rc.(interface{ WireBytes() int64 }); ok {
 		return w.WireBytes(), true
@@ -801,7 +730,7 @@ func WireBytes(rc io.ReadCloser) (int64, bool) {
 }
 
 // Extra counters for the shuffle wire: raw body bytes fetched versus
-// bytes those bodies occupied on the wire. With compression negotiated
+// bytes those bodies occupied on the wire. With compression requested
 // the wire count drops below raw; without it they match.
 const (
 	CounterShuffleRawBytes  = "mr.shuffleRawBytes"
@@ -821,12 +750,10 @@ func countWireBytes(counters *Counters, rc io.ReadCloser, raw int64) {
 }
 
 // TCPTransport is the single-process shuffle-over-sockets transport: a
-// SegmentServer on loopback plus a pooled, multiplexing client fetching
-// from it.
+// SegmentServer on loopback plus a pooled client fetching from it.
 type TCPTransport struct {
 	srv  *SegmentServer
 	pool *ConnPool
-	mux  *MuxFetcher
 }
 
 // NewTCPTransport starts a loopback listener serving fs.
@@ -836,7 +763,7 @@ func NewTCPTransport(fs iokit.FS) (*TCPTransport, error) {
 
 // newTCPTransport starts the loopback transport, optionally wrapping
 // the listener (Job.WrapShuffleListener — the chaos harness's
-// data-plane injection point) and negotiating wire compression
+// data-plane injection point) and requesting wire compression
 // (Job.WireCompression).
 func newTCPTransport(fs iokit.FS, wrap func(net.Listener) net.Listener, compress bool) (*TCPTransport, error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -853,7 +780,7 @@ func newTCPTransport(fs iokit.FS, wrap func(net.Listener) net.Listener, compress
 	}
 	pool := NewConnPool()
 	pool.WireCompression = compress
-	return &TCPTransport{srv: NewSegmentServerOn(fs, ln, nil), pool: pool, mux: NewMuxFetcher(pool)}, nil
+	return &TCPTransport{srv: NewSegmentServerOn(fs, ln, nil), pool: pool}, nil
 }
 
 // Addr reports the listener address (tests and diagnostics).
@@ -862,11 +789,10 @@ func (t *TCPTransport) Addr() string { return t.srv.Addr() }
 // Dials reports the TCP dials performed by the transport's pool.
 func (t *TCPTransport) Dials() int64 { return t.pool.Dials() }
 
-// Fetch requests the segment from the loopback
-// server over a pooled socket, riding a multiplexed batch when other
-// fetches to the server are in flight.
-func (t *TCPTransport) Fetch(ctx context.Context, _ iokit.FS, name string) (io.ReadCloser, int64, error) {
-	return t.mux.Fetch(ctx, t.srv.Addr(), name)
+// Fetch requests the segment from the loopback server over a pooled
+// socket.
+func (t *TCPTransport) Fetch(ctx context.Context, name string) (io.ReadCloser, int64, error) {
+	return t.pool.Fetch(ctx, t.srv.Addr(), name)
 }
 
 // Close discards pooled connections, stops the
@@ -875,3 +801,18 @@ func (t *TCPTransport) Close() error {
 	t.pool.Close()
 	return t.srv.Close()
 }
+
+// MuxFetcher is the name ConnPool.Fetch went by while a multiplexing
+// client existed. Only the benchmark module still compiles against it.
+//
+// Deprecated: call ConnPool.Fetch. ROADMAP item 1A deletes this alias.
+type MuxFetcher struct{ pool *ConnPool }
+
+func NewMuxFetcher(pool *ConnPool) *MuxFetcher { return &MuxFetcher{pool: pool} }
+
+func (m *MuxFetcher) Fetch(ctx context.Context, addr, name string) (io.ReadCloser, int64, error) {
+	return m.pool.Fetch(ctx, addr, name)
+}
+
+func (m *MuxFetcher) Sessions() int64 { return 0 }
+func (m *MuxFetcher) Muxed() int64    { return 0 }

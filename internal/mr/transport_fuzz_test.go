@@ -51,7 +51,7 @@ func FuzzReadLenPrefixed(f *testing.F) {
 	})
 }
 
-// FuzzFrameRoundTrip drives full request/response handshakes with
+// FuzzFrameRoundTrip drives full request/response exchanges with
 // fuzzed segment names and payloads through an in-memory pipe,
 // asserting the framing layer reproduces both sides byte-for-byte and
 // rejects (rather than mangles) names over the frame limit.
@@ -63,10 +63,13 @@ func FuzzFrameRoundTrip(f *testing.F) {
 	f.Add("jobs/m0001/out.p0003", bytes.Repeat([]byte{0xab}, 4096))
 
 	f.Fuzz(func(t *testing.T, name string, payload []byte) {
-		// Request frame: uvarint(len(name)) + name, as fetchOnce writes it.
-		req := binary.AppendUvarint(nil, uint64(len(name)))
-		req = append(req, name...)
-		got, err := readLenPrefixed(bytes.NewReader(req), maxNameFrame)
+		// Request frame, built by the encoder fetchOnce uses and parsed by
+		// the server's decoder.
+		accept := byte(encodingRaw)
+		if len(payload)%2 == 1 {
+			accept = encodingSnappy
+		}
+		gotAccept, got, err := readRequest(bytes.NewReader(appendRequest(nil, accept, name)))
 		if len(name) > maxNameFrame {
 			if err == nil {
 				t.Fatalf("name of %d bytes accepted past the %d cap", len(name), maxNameFrame)
@@ -75,8 +78,8 @@ func FuzzFrameRoundTrip(f *testing.F) {
 			if err != nil {
 				t.Fatalf("round-tripping %d-byte name: %v", len(name), err)
 			}
-			if string(got) != name {
-				t.Fatal("name mangled in round trip")
+			if got != name || gotAccept != accept {
+				t.Fatal("request mangled in round trip")
 			}
 		}
 
@@ -102,13 +105,17 @@ func FuzzFrameRoundTrip(f *testing.F) {
 			t.Fatal("error message mangled in round trip")
 		}
 
-		// Response header + body: uvarint(size+1) + payload.
+		// Response header + raw body: uvarint(size+1) + enc + payload.
 		resp := binary.AppendUvarint(nil, uint64(len(payload))+1)
+		resp = append(resp, encodingRaw)
 		resp = append(resp, payload...)
 		rbr := bytes.NewReader(resp)
 		sizePlus, err := binary.ReadUvarint(rbr)
 		if err != nil || sizePlus == 0 {
 			t.Fatalf("response header: %d, %v", sizePlus, err)
+		}
+		if enc, err := rbr.ReadByte(); err != nil || enc != encodingRaw {
+			t.Fatalf("response encoding: 0x%02x, %v", enc, err)
 		}
 		body := make([]byte, sizePlus-1)
 		if _, err := io.ReadFull(rbr, body); err != nil {
@@ -155,37 +162,18 @@ type fuzzAddr struct{}
 func (fuzzAddr) Network() string { return "fuzz" }
 func (fuzzAddr) String() string  { return "fuzz" }
 
-// FuzzServerConn feeds arbitrary byte streams — hostile hellos, mangled
-// capability negotiation, malformed batch-open and grant frames —
+// FuzzServerConn feeds arbitrary byte streams — unknown accept bytes,
+// mangled or oversized name lengths, truncated and pipelined requests —
 // straight into the server's per-connection loop. The server must
-// always return (EOF terminates every read path) and never panic, no
-// matter how the negotiation or multiplex framing is corrupted.
+// always return (EOF terminates every read path) and never panic.
 func FuzzServerConn(f *testing.F) {
-	// A clean v1 request, no hello.
-	req := binary.AppendUvarint(nil, 3)
-	req = append(req, "seg"...)
-	f.Add(req)
-	// Hello negotiating everything, then the same request.
-	f.Add(append([]byte{wireHello, wireMagic, serverCaps}, req...))
-	// Hello, then a batch of two streams with a legal window and a
-	// couple of grants plus the final ack.
-	batch := []byte{wireHello, wireMagic, serverCaps, wireHello, ctrlBatch}
-	batch = binary.AppendUvarint(batch, 2)
-	batch = binary.AppendUvarint(batch, wireChunk)
-	for _, name := range []string{"seg", "z"} {
-		batch = binary.AppendUvarint(batch, uint64(len(name)))
-		batch = append(batch, name...)
-	}
-	batch = binary.AppendUvarint(batch, 0) // grant: stream 0
-	batch = binary.AppendUvarint(batch, wireChunk)
-	batch = binary.AppendUvarint(batch, 2) // final ack: idx == count
-	batch = binary.AppendUvarint(batch, 0)
-	f.Add(batch)
-	// Batch frame without negotiating mux first; undersized window;
-	// unknown control byte.
-	f.Add([]byte{wireHello, ctrlBatch, 2, 1})
-	f.Add([]byte{wireHello, wireMagic, serverCaps, wireHello, ctrlBatch, 1, 1})
-	f.Add([]byte{wireHello, 0xEE})
+	raw := appendRequest(nil, encodingRaw, "seg")
+	f.Add(raw)                                                       // raw request
+	f.Add(appendRequest(nil, encodingSnappy, "seg"))                 // Snappy request
+	f.Add(appendRequest(raw, encodingSnappy, "z"))                   // two pipelined requests
+	f.Add(appendRequest(nil, encodingSnappy+1, "seg"))               // unknown accept byte
+	f.Add(binary.AppendUvarint([]byte{encodingRaw}, maxNameFrame+1)) // oversized name length
+	f.Add([]byte{})                                                  // empty input
 
 	fs := iokit.NewMemFS()
 	w, _ := fs.Create("seg")

@@ -28,7 +28,7 @@ func TestTCPTransportFetch(t *testing.T) {
 		t.Error("Addr should be set")
 	}
 
-	rc, size, err := tr.Fetch(context.Background(), fs, "seg1")
+	rc, size, err := tr.Fetch(context.Background(), "seg1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestTCPTransportMissingFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tr.Close()
-	if _, _, err := tr.Fetch(context.Background(), fs, "nope"); err == nil {
+	if _, _, err := tr.Fetch(context.Background(), "nope"); err == nil {
 		t.Error("missing file should produce a fetch error")
 	}
 }
@@ -73,7 +73,7 @@ func TestTCPTransportConcurrentFetches(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		name := string(rune('a' + i%4))
 		go func() {
-			rc, size, err := tr.Fetch(context.Background(), fs, name)
+			rc, size, err := tr.Fetch(context.Background(), name)
 			if err != nil {
 				errs <- err
 				return
@@ -109,13 +109,13 @@ func TestConnPoolReusesConnections(t *testing.T) {
 	defer tr.Close()
 
 	for i := 0; i < 10; i++ {
-		rc, _, err := tr.Fetch(context.Background(), fs, "seg")
+		rc, _, err := tr.Fetch(context.Background(), "seg")
 		if err != nil {
 			t.Fatal(err)
 		}
 		io.Copy(io.Discard, rc)
 		rc.Close()
-		if _, _, err := tr.Fetch(context.Background(), fs, "missing"); err == nil {
+		if _, _, err := tr.Fetch(context.Background(), "missing"); err == nil {
 			t.Fatal("expected error for missing segment")
 		}
 	}
@@ -278,7 +278,7 @@ func TestJobShuffleDialsPooled(t *testing.T) {
 		p := p
 		go func() {
 			for m := 0; m < nMap; m++ {
-				rc, _, err := tr.Fetch(context.Background(), fs, segName(m, p))
+				rc, _, err := tr.Fetch(context.Background(), segName(m, p))
 				if err != nil {
 					errs <- err
 					return

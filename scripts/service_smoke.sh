@@ -66,7 +66,10 @@ if [ "$lines" -lt 1 ]; then echo "job $first_id output is empty" >&2; exit 1; fi
 echo "   job $first_id: $lines output lines"
 
 echo "== quota enforcement (max_running=1, max_queued=1)"
-slow='{"Scale":3,"Seed":7,"Splits":8,"Reducers":4}'
+# The first job must still be running when the third submission lands:
+# at Scale 3 a job ran in ~0.2 s, about as long as two antctl launches
+# on a loaded machine, and the check flaked. Scale 8 runs ~0.5 s.
+slow='{"Scale":8,"Seed":7,"Splits":8,"Reducers":4}'
 l1=$(ctl submit -job exp/wordcount -spec "$slow" -tenant limited | job_id)
 l2=$(ctl submit -job exp/wordcount -spec "$slow" -tenant limited | job_id)
 if ctl submit -job exp/wordcount -spec "$slow" -tenant limited 2>"$workdir/quota.err"; then

@@ -41,13 +41,13 @@ verify: build vet staticcheck race
 # pipeline handoff; BENCH_transport.json the shuffle data plane (raw vs
 # sendfile vs compressed throughput with bytes-on-wire per op);
 # BENCH_anticombine.json the anti-combining primitives, against the
-# map+heap Shared, stage-everything AntiReducer and sort-and-map
-# AntiMapper that are gone from the tree.
+# commit before Shared stored its bytes in pooled blocks instead of a
+# doubling arena.
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkMapBufferSpill|BenchmarkMapPathE2E|BenchmarkMergeIter|BenchmarkSegmentRoundTrip|BenchmarkReduceCollect|BenchmarkMemFSWrite' -benchmem ./internal/mr/ ./internal/iokit/ | tee /dev/stderr | $(GO) run ./cmd/benchjson -baseline BENCH_mr.json -out BENCH_mr.json
 	$(GO) test -run '^$$' -bench 'BenchmarkSkewPartition|BenchmarkPipelineHandoff' -benchmem ./internal/experiments/ | tee /dev/stderr | $(GO) run ./cmd/benchjson -baseline BENCH_experiments.json -out BENCH_experiments.json
 	$(GO) test -run '^$$' -bench 'BenchmarkShuffleDataPlane' -benchmem ./internal/mr/ | tee /dev/stderr | $(GO) run ./cmd/benchjson -baseline BENCH_transport.json -out BENCH_transport.json
-	$(GO) test -run '^$$' -bench 'BenchmarkEagerEncode|BenchmarkDecodeEager|BenchmarkSharedAddPop|BenchmarkAntiReducePlain|BenchmarkAntiMapCall|BenchmarkAntiCombineRun' -benchmem ./internal/anticombine/ | tee /dev/stderr | $(GO) run ./cmd/benchjson -baseline BENCH_anticombine.json -out BENCH_anticombine.json
+	$(GO) test -run '^$$' -bench 'BenchmarkEagerEncode|BenchmarkDecodeEager|BenchmarkSharedAddPop|BenchmarkSharedFill|BenchmarkAntiReducePlain|BenchmarkAntiMapCall|BenchmarkAntiCombineRun' -benchmem ./internal/anticombine/ | tee /dev/stderr | $(GO) run ./cmd/benchjson -baseline BENCH_anticombine.json -out BENCH_anticombine.json
 
 # Every benchmark in the repository, human-readable.
 bench-all:
@@ -78,7 +78,7 @@ FUZZ_TARGETS = \
 	internal/codec:FuzzSnappyDecompressBlock internal/codec:FuzzBWSCDecompressBlock \
 	internal/mr:FuzzReadLenPrefixed internal/mr:FuzzFrameRoundTrip internal/mr:FuzzServerConn \
 	internal/mr:FuzzSnappyUnitReader internal/mr:FuzzSegmentFrames \
-	internal/anticombine:FuzzDecodeValue
+	internal/anticombine:FuzzDecodeValue internal/anticombine:FuzzShared
 fuzz-smoke:
 	@set -e; for t in $(FUZZ_TARGETS); do \
 		echo "fuzz $$t ($(FUZZTIME))"; \

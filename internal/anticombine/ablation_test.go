@@ -2,6 +2,7 @@ package anticombine
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/bytesx"
@@ -116,6 +117,39 @@ func BenchmarkSharedAddPop(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+	}
+}
+
+// BenchmarkSharedFill is a reduce task's Shared from Setup to Cleanup:
+// a cold instance filled with 1 KiB values under distinct keys to the
+// size named, then drained in key order and closed.
+func BenchmarkSharedFill(b *testing.B) {
+	for _, size := range []struct {
+		name  string
+		bytes int
+	}{{"256KiB", 256 << 10}, {"8MiB", 8 << 20}} {
+		b.Run(size.name, func(b *testing.B) {
+			value := make([]byte, 1<<10)
+			keys := make([][]byte, size.bytes/len(value))
+			for i, j := range rand.New(rand.NewSource(1)).Perm(len(keys)) {
+				keys[i] = []byte(fmt.Sprintf("key%06d", j))
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s := NewShared(SharedConfig{KeyCompare: bytesx.Bytes, MemLimitBytes: 1 << 30})
+				for _, k := range keys {
+					if err := s.Add(k, value); err != nil {
+						b.Fatal(err)
+					}
+				}
+				for !s.Empty() {
+					if _, _, err := s.PopMinKeyValues(); err != nil {
+						b.Fatal(err)
+					}
+				}
+				s.Close()
+			}
+		})
 	}
 }
 

@@ -635,9 +635,9 @@ func TestPooledSharedStartsEmpty(t *testing.T) {
 
 		// What it left in the pool is empty, slot for slot.
 		if box, _ := sharedPool.Get().(*sharedBufs); box != nil { // the race detector drops some Puts
-			if len(box.arena) != 0 || len(box.heap) != 0 || len(box.free) != len(box.ents) {
-				t.Errorf("round %d: pooled buffers not empty: arena %d, heap %d, %d of %d slots free",
-					round, len(box.arena), len(box.heap), len(box.free), len(box.ents))
+			if len(box.blocks)+len(box.emptied) != 0 || len(box.heap) != 0 || len(box.free) != len(box.ents) {
+				t.Errorf("round %d: pooled buffers not empty: %d blocks, %d emptied, heap %d, %d of %d slots free",
+					round, len(box.blocks), len(box.emptied), len(box.heap), len(box.free), len(box.ents))
 			}
 			for _, b := range box.buckets {
 				if b != 0 {

@@ -6,7 +6,10 @@ import (
 	"fmt"
 	"hash/maphash"
 	"io"
+	"math"
 	"sync"
+	"testing"
+	"unsafe"
 
 	"repro/internal/bytesx"
 	"repro/internal/iokit"
@@ -29,15 +32,17 @@ const combineBatch = 16
 // ascending key order — PeekMinKey / PopMinKeyValues — so spilled runs
 // are consumed by buffered sequential reads, never random access.
 //
-// The in-memory part is laid out like the engine's mapBuffer: key and
-// value bytes live in one arena, entries address them by offset, and
-// arena, entries, value lists, heap and hash index are all recycled, so
-// a warm Shared adds and pops without allocating. Popped entries leave
-// dead bytes behind; they are reclaimed wholesale when memory empties
-// (every spill, and whenever the reducer catches up) and by compaction
-// when the arena is mostly dead. Close hands the buffers to the next
-// Shared (see sharedBufs), so of the many short-lived instances a job
-// creates — one per transformed combiner — only the first few grow them.
+// The in-memory part stores key and value bytes in fixed 64 KiB blocks,
+// taken when needed and never copied to grow; an entry holds its key as
+// a view of its block and addresses each value by (block, offset,
+// length), and blocks, entries, value lists, heap and hash index are all
+// recycled, so a warm Shared adds and pops without allocating. Popped
+// entries leave dead bytes behind; they are reclaimed wholesale when
+// memory empties (every spill, and whenever the reducer catches up) and
+// by compaction when the blocks are mostly dead. Close hands the blocks
+// to blockPool and the rest of its buffers to the next Shared (see
+// sharedBufs), so of the many short-lived instances a job creates — one
+// per transformed combiner — only the first few grow them.
 //
 // With a combiner attached, values are combined on insert so each key
 // keeps (nearly) a single record ("Using Combine in the Reduce Phase",
@@ -47,8 +52,9 @@ type Shared struct {
 	groupCmp bytesx.Compare
 
 	sharedBufs
-	box *sharedBufs // where Close leaves the buffers for the next Shared
-	mem int         // live key+value bytes: the quantity memLimit bounds
+	box    *sharedBufs // where Close leaves the buffers for the next Shared
+	mem    int         // live key+value bytes: the quantity memLimit bounds
+	stored int         // bytes stored since the blocks last emptied, live and dead
 
 	memLimit    int
 	mergeFactor int
@@ -61,23 +67,30 @@ type Shared struct {
 	tracer      *obs.Tracer
 
 	combiner   mr.Reducer
-	combineOut mr.Emitter // appends the combiner's output to arena and combined
+	combineOut mr.Emitter // stores the combiner's output and appends it to combined
 	combineIn  sliceIter
 	spills     int64
 }
 
-// sharedBufs is the memory a Shared works in. It outlives the Shared:
-// Close empties it and puts it in sharedPool, and the next Shared starts
-// with its capacity — arena, entry slots with their value lists, heap,
-// hash index and pop buffers already as large as the last one needed.
+// sharedBufs is the memory a Shared works in besides its blocks. It
+// outlives the Shared: Close empties it and puts it in sharedPool, and
+// the next Shared starts with its capacity — entry slots with their
+// value lists, heap, hash index and pop buffers already as large as the
+// last one needed.
 type sharedBufs struct {
-	arena    []byte        // key and value bytes, live and dead
-	spare    []byte        // compaction target, swapped with arena
+	// blocks hold the key and value bytes, live and dead; a block's
+	// length is how far it is filled, and the last one takes new bytes.
+	blocks [][]byte
+	// emptied are blocks of blockSize whose bytes are dead but intact: a
+	// view handed out before they emptied stays readable until the next
+	// Add takes one. spareBlocks is compaction's second block list.
+	emptied, spareBlocks [][]byte
+
 	ents     []sharedEntry // entry slots; a slot keeps its value list's capacity across reuse
 	free     []int32       // slots of ents not in use
 	heap     []int32       // min-heap of live slots by key
 	buckets  []int32       // chained hash index over live slots: slot+1, 0 = end of chain
-	combined []valSpan     // the value list a combine is building
+	combined []blockSpan   // the value list a combine is building
 
 	// PopMinKeyValues' result storage: the group key and spilled values
 	// in popBuf, the value views in popVals.
@@ -91,14 +104,40 @@ type sharedBufs struct {
 
 var sharedPool sync.Pool // *sharedBufs
 
-// Buffers worth more than this are dropped at Close, not pooled: a
-// reduce task's Shared may hold tens of megabytes (theta-join runs it
-// with a 64 MiB budget), which one task in a job needs and no
-// combiner-sized Shared after it should pin.
+// Buffers larger than this are dropped at Close, not pooled: a reduce
+// task's Shared may index millions of values, which one task in a job
+// needs and no combiner-sized Shared after it should pin. Besides the
+// entry slots, the bound counts the bytes of every slot's value-list
+// capacity and of the pop buffers, so a few slots with one huge list are
+// dropped too.
 const (
-	maxPooledArenaBytes = 4 << 20
-	maxPooledEntries    = 1 << 15
+	maxPooledEntries = 1 << 15
+	maxPooledBytes   = 4 << 20
 )
+
+// blockSize is the size of the blocks Shared stores bytes in. A key or
+// value longer than a block gets an exact-size block of its own, which
+// is never pooled.
+const blockSize = 64 << 10
+
+// block is what blockPool holds: a pointer to an array, so that putting
+// one back costs no allocation.
+type block [blockSize]byte
+
+// blockPool holds the blocks closed Shareds gave back, for any Shared to
+// take: a reduce task's Shared of tens of megabytes leaves its blocks to
+// the next task, a combiner-sized one takes a single block.
+var blockPool sync.Pool // *block
+
+// poisonBlocks makes Close overwrite every block it pools, so a view
+// kept past Close reads poison instead of silently aliasing the next
+// owner's bytes. On in test binaries only.
+var poisonBlocks = testing.Testing()
+
+const poisonByte = 0xDB
+
+// maxSpan is the longest key or value a span can address.
+const maxSpan = math.MaxInt32
 
 // combineSink is the Emitter combineEntry hands the combiner.
 type combineSink struct{ s *Shared }
@@ -109,20 +148,22 @@ func (c combineSink) Emit(_, v []byte) error { return c.s.addCombined(v) }
 // indexSeed keys every Shared's hash index.
 var indexSeed = maphash.MakeSeed()
 
-// valSpan addresses one value in the arena.
-type valSpan struct{ off, n int }
+// blockSpan addresses one key or value: n bytes at off in blocks[blk].
+type blockSpan struct{ blk, off, n int32 }
 
 // sharedEntry is one distinct in-memory key and its values in arrival
-// order. combinedLen remembers the value count the last combine
-// produced, so keys whose values the combiner cannot shrink (e.g.
-// distinct-query lists) are recombined only after the list doubles —
-// amortized linear instead of quadratic.
+// order. The key is held as a view of its block, because the heap
+// compares keys far more often than anything reads a value. combinedLen
+// remembers the value count the last combine produced, so keys whose
+// values the combiner cannot shrink (e.g. distinct-query lists) are
+// recombined only after the list doubles — amortized linear instead of
+// quadratic.
 type sharedEntry struct {
-	keyOff, keyLen int
-	hash           uint64
-	next           int32 // hash chain: slot+1, 0 = end
-	vals           []valSpan
-	combinedLen    int
+	key         []byte
+	vals        []blockSpan
+	hash        uint64
+	next        int32 // hash chain: slot+1, 0 = end
+	combinedLen int32
 }
 
 // SharedConfig configures a Shared instance.
@@ -190,20 +231,68 @@ func (s *Shared) init(cfg SharedConfig) {
 	}
 }
 
-func (s *Shared) key(e *sharedEntry) []byte { return s.arena[e.keyOff : e.keyOff+e.keyLen] }
+func (s *Shared) view(sp blockSpan) []byte { return s.blocks[sp.blk][sp.off : sp.off+sp.n] }
 
-func (s *Shared) value(v valSpan) []byte { return s.arena[v.off : v.off+v.n] }
+// store copies b into the last block, or into a new one when it does not
+// fit, and returns where it went.
+func (s *Shared) store(b []byte) blockSpan {
+	last := len(s.blocks) - 1
+	if last < 0 || len(s.blocks[last])+len(b) > cap(s.blocks[last]) {
+		s.blocks = append(s.blocks, s.newBlock(len(b)))
+		last++
+	}
+	off := len(s.blocks[last])
+	s.blocks[last] = append(s.blocks[last], b...)
+	s.stored += len(b)
+	return blockSpan{int32(last), int32(off), int32(len(b))}
+}
 
-// compactSlack is how far the arena may outgrow twice its live bytes
-// before Add compacts it: small enough that a Shared that never empties
-// stays within a constant factor of memLimit, large enough that the
-// copy is amortized over at least as many dead bytes as it moves.
+// newBlock returns an empty block with room for n bytes: an emptied
+// block, a pooled one, or a new one.
+func (s *Shared) newBlock(n int) []byte {
+	if n > blockSize {
+		return make([]byte, 0, n)
+	}
+	if k := len(s.emptied) - 1; k >= 0 {
+		b := s.emptied[k]
+		s.emptied[k], s.emptied = nil, s.emptied[:k]
+		return b
+	}
+	if p, ok := blockPool.Get().(*block); ok {
+		return p[:0]
+	}
+	return make([]byte, 0, blockSize)
+}
+
+// retire drops the blocks of list — those of blockSize go to the emptied
+// list with their bytes intact, exact-size ones to the garbage collector
+// — and returns list emptied.
+func (s *Shared) retire(list [][]byte) [][]byte {
+	for i, b := range list {
+		if cap(b) == blockSize {
+			s.emptied = append(s.emptied, b[:0])
+		}
+		list[i] = nil
+	}
+	return list[:0]
+}
+
+// compactSlack is how far the stored bytes may outgrow twice the live
+// ones before Add compacts them: small enough that a Shared that never
+// empties stays within a constant factor of memLimit, large enough that
+// the copy is amortized over at least as many dead bytes as it moves.
 const compactSlack = 64 << 10
+
+// errSpanTooLarge refuses a key or value a span cannot address.
+var errSpanTooLarge = errors.New("anticombine: Shared cannot hold a key or value of 2 GiB or more")
 
 // Add inserts one decoded key/value pair. Both slices are copied. It
 // invalidates the views a previous PopMinKeyValues returned.
 func (s *Shared) Add(key, value []byte) error {
-	if len(s.arena) > 2*s.mem+compactSlack {
+	if len(key) > maxSpan || len(value) > maxSpan {
+		return errSpanTooLarge
+	}
+	if s.stored > 2*s.mem+compactSlack {
 		s.compact()
 	}
 	h := maphash.Bytes(indexSeed, key)
@@ -212,10 +301,9 @@ func (s *Shared) Add(key, value []byte) error {
 		id = s.insert(key, h)
 	}
 	e := &s.ents[id]
-	e.vals = append(e.vals, valSpan{len(s.arena), len(value)})
-	s.arena = append(grow(s.arena, len(value)), value...)
+	e.vals = append(e.vals, s.store(value))
 	s.mem += len(value)
-	if s.combiner != nil && len(e.vals) >= combineBatch && len(e.vals) >= 2*e.combinedLen {
+	if s.combiner != nil && len(e.vals) >= combineBatch && len(e.vals) >= 2*int(e.combinedLen) {
 		if err := s.combineEntry(e); err != nil {
 			return err
 		}
@@ -226,29 +314,18 @@ func (s *Shared) Add(key, value []byte) error {
 	return nil
 }
 
-// grow returns b with room for n more bytes. It doubles: append grows a
-// large slice by a quarter, which over an arena's growth to tens of
-// megabytes allocates five times its final size, where doubling
-// allocates twice.
-func grow(b []byte, n int) []byte {
-	if len(b)+n <= cap(b) {
-		return b
-	}
-	return append(make([]byte, 0, max(2*cap(b), len(b)+n)), b...)
-}
-
 // find returns the live slot holding key, or -1.
 func (s *Shared) find(key []byte, h uint64) int32 {
 	for id := s.buckets[h&uint64(len(s.buckets)-1)] - 1; id >= 0; id = s.ents[id].next - 1 {
-		if e := &s.ents[id]; e.hash == h && bytes.Equal(s.key(e), key) {
+		if e := &s.ents[id]; e.hash == h && bytes.Equal(e.key, key) {
 			return id
 		}
 	}
 	return -1
 }
 
-// insert copies key into the arena under a recycled (or new) slot and
-// links the slot into the heap and the hash index.
+// insert stores key under a recycled (or new) slot and links the slot
+// into the heap and the hash index.
 func (s *Shared) insert(key []byte, h uint64) int32 {
 	id := int32(len(s.ents))
 	if n := len(s.free); n > 0 {
@@ -257,8 +334,7 @@ func (s *Shared) insert(key []byte, h uint64) int32 {
 		s.ents = append(s.ents, sharedEntry{})
 	}
 	e := &s.ents[id]
-	*e = sharedEntry{keyOff: len(s.arena), keyLen: len(key), hash: h, vals: e.vals[:0]}
-	s.arena = append(grow(s.arena, len(key)), key...)
+	*e = sharedEntry{key: s.view(s.store(key)), vals: e.vals[:0], hash: h}
 	s.mem += len(key)
 
 	if len(s.heap) >= len(s.buckets) {
@@ -270,7 +346,7 @@ func (s *Shared) insert(key []byte, h uint64) int32 {
 	s.heap = append(s.heap, id)
 	for i := len(s.heap) - 1; i > 0; {
 		parent := (i - 1) / 2
-		if s.cmp(s.key(&s.ents[s.heap[i]]), s.key(&s.ents[s.heap[parent]])) >= 0 {
+		if s.cmp(s.ents[s.heap[i]].key, s.ents[s.heap[parent]].key) >= 0 {
 			break
 		}
 		s.heap[i], s.heap[parent] = s.heap[parent], s.heap[i]
@@ -301,10 +377,10 @@ func (s *Shared) popHeap() int32 {
 		if child >= n {
 			break
 		}
-		if r := child + 1; r < n && s.cmp(s.key(&s.ents[s.heap[r]]), s.key(&s.ents[s.heap[child]])) < 0 {
+		if r := child + 1; r < n && s.cmp(s.ents[s.heap[r]].key, s.ents[s.heap[child]].key) < 0 {
 			child = r
 		}
-		if s.cmp(s.key(&s.ents[s.heap[child]]), s.key(&s.ents[s.heap[i]])) >= 0 {
+		if s.cmp(s.ents[s.heap[child]].key, s.ents[s.heap[i]].key) >= 0 {
 			break
 		}
 		s.heap[i], s.heap[child] = s.heap[child], s.heap[i]
@@ -327,40 +403,47 @@ func (s *Shared) release(id int32) {
 // resetMem drops the whole in-memory part, keeping every buffer.
 func (s *Shared) resetMem() {
 	s.free = append(s.free, s.heap...)
-	s.arena, s.heap, s.mem = s.arena[:0], s.heap[:0], 0
+	s.heap, s.mem = s.heap[:0], 0
 	clear(s.buckets)
+	s.blocks, s.stored = s.retire(s.blocks), 0
 }
 
-// compact copies the live keys and values into the spare arena, in heap
-// order, and swaps the two.
+// compact copies the live keys and values into fresh blocks, in heap
+// order, and empties the old ones. An exact-size block holds one key or
+// value, live or dead, so a live one moves to the new list uncopied.
 func (s *Shared) compact() {
-	dst := grow(s.spare[:0], s.mem)
+	old := s.blocks
+	s.blocks, s.stored = s.spareBlocks, 0
+	restore := func(b []byte) blockSpan {
+		if len(b) <= blockSize {
+			return s.store(b)
+		}
+		s.blocks = append(s.blocks, b)
+		s.stored += len(b)
+		return blockSpan{int32(len(s.blocks) - 1), 0, int32(len(b))}
+	}
 	for _, id := range s.heap {
 		e := &s.ents[id]
-		off := len(dst)
-		dst = append(dst, s.key(e)...)
-		e.keyOff = off
+		e.key = s.view(restore(e.key))
 		for i, v := range e.vals {
-			e.vals[i].off = len(dst)
-			dst = append(dst, s.value(v)...)
+			e.vals[i] = restore(old[v.blk][v.off : v.off+v.n])
 		}
 	}
-	s.arena, s.spare = dst, s.arena
+	s.spareBlocks = s.retire(old)
 }
 
 // combineEntry folds an entry's values into the combiner's output,
 // keeping (usually) a single record per key. The combiner reads views of
-// the old values while its output is appended to the arena behind them
-// (a regrown arena leaves the views the old array).
+// the old values while its output is stored behind them.
 func (s *Shared) combineEntry(e *sharedEntry) error {
 	old := s.popVals[:0]
 	for _, v := range e.vals {
-		s.mem -= v.n
-		old = append(old, s.value(v))
+		s.mem -= int(v.n)
+		old = append(old, s.view(v))
 	}
 	s.popVals, s.combineIn = old, sliceIter{vals: old}
 	s.combined = s.combined[:0]
-	if err := s.combiner.Reduce(s.key(e), &s.combineIn, s.combineOut); err != nil {
+	if err := s.combiner.Reduce(e.key, &s.combineIn, s.combineOut); err != nil {
 		return err
 	}
 	if len(s.combined) == 0 {
@@ -369,14 +452,16 @@ func (s *Shared) combineEntry(e *sharedEntry) error {
 	// Copied, not swapped: the slot keeps the capacity its value list has
 	// grown to, for this key's next batch and for the slot's next key.
 	e.vals = append(e.vals[:0], s.combined...)
-	e.combinedLen = len(e.vals)
+	e.combinedLen = int32(len(e.vals))
 	return nil
 }
 
 // addCombined takes one value of the combiner's output.
 func (s *Shared) addCombined(v []byte) error {
-	s.combined = append(s.combined, valSpan{len(s.arena), len(v)})
-	s.arena = append(grow(s.arena, len(v)), v...)
+	if len(v) > maxSpan {
+		return errSpanTooLarge
+	}
+	s.combined = append(s.combined, s.store(v))
 	s.mem += len(v)
 	return nil
 }
@@ -401,7 +486,7 @@ func (s *Shared) minRun() *sharedRun {
 func (s *Shared) peekMin() ([]byte, bool) {
 	r := s.minRun()
 	if len(s.heap) > 0 {
-		if k := s.key(&s.ents[s.heap[0]]); r == nil || s.cmp(k, r.headKey) <= 0 {
+		if k := s.ents[s.heap[0]].key; r == nil || s.cmp(k, r.headKey) <= 0 {
 			return k, true
 		}
 	}
@@ -441,13 +526,13 @@ func (s *Shared) PopMinKeyValues() (key []byte, values [][]byte, err error) {
 		// Drain the in-memory entry for exactly this key first, then
 		// matching spill-run heads (duplicate-key order between the two
 		// sources is unspecified, as in Hadoop).
-		for len(s.heap) > 0 && s.cmp(s.key(&s.ents[s.heap[0]]), cur) == 0 {
+		for len(s.heap) > 0 && s.cmp(s.ents[s.heap[0]].key, cur) == 0 {
 			id := s.popHeap()
 			e := &s.ents[id]
-			s.mem -= e.keyLen
+			s.mem -= len(e.key)
 			for _, v := range e.vals {
-				s.mem -= v.n
-				values = append(values, s.value(v))
+				s.mem -= int(v.n)
+				values = append(values, s.view(v))
 			}
 			s.release(id)
 		}
@@ -475,10 +560,10 @@ func (s *Shared) PopMinKeyValues() (key []byte, values [][]byte, err error) {
 	}
 	s.popBuf, s.popVals = buf, values
 	if len(s.heap) == 0 {
-		// Everything in the arena is dead, and release has already emptied
-		// the index. The views just handed out stay intact until the next
-		// Add writes over them.
-		s.arena, s.mem = s.arena[:0], 0
+		// Every stored byte is dead, and release has already emptied the
+		// index. The views just handed out stay intact until the next Add
+		// writes over them.
+		s.blocks, s.stored, s.mem = s.retire(s.blocks), 0, 0
 	}
 	return key, values, nil
 }
@@ -522,13 +607,13 @@ func (s *Shared) spill() error {
 		s.counters.AddExtra(CounterSharedSpills, 1)
 	}
 	span := s.tracer.Start(obs.KindSharedSpill, name)
-	w, err := s.writeRun(name, func(w *bytesx.Writer) error {
+	records, written, err := s.writeRun(name, func(w *bytesx.Writer) error {
 		for len(s.heap) > 0 {
 			id := s.popHeap()
 			s.free = append(s.free, id)
 			e := &s.ents[id]
 			for _, v := range e.vals {
-				if err := w.WriteRecord(s.key(e), s.value(v)); err != nil {
+				if err := w.WriteRecord(e.key, s.view(v)); err != nil {
 					return err
 				}
 			}
@@ -541,7 +626,7 @@ func (s *Shared) spill() error {
 		span.End(obs.Str("outcome", "failed"), obs.Str("err", err.Error()))
 		return err
 	}
-	span.End(obs.Int("records", w.Records()), obs.Int("bytes", w.Bytes()))
+	span.End(obs.Int("records", records), obs.Int("bytes", written))
 	if err := s.openRun(name); err != nil {
 		return err
 	}
@@ -551,17 +636,20 @@ func (s *Shared) spill() error {
 	return nil
 }
 
-// writeRun creates name, lets fill write its records and closes it. On
-// any error the partially written file is closed and best-effort removed.
-func (s *Shared) writeRun(name string, fill func(*bytesx.Writer) error) (*bytesx.Writer, error) {
+// writeRun creates name, lets fill write its records and closes it,
+// reporting the records and bytes written. On any error the partially
+// written file is closed and best-effort removed.
+func (s *Shared) writeRun(name string, fill func(*bytesx.Writer) error) (records, written int64, err error) {
 	f, err := s.fs.Create(name)
 	if err != nil {
-		return nil, err
+		return 0, 0, err
 	}
-	w := bytesx.NewWriter(f)
+	w := bytesx.GetWriter(f)
 	if err = fill(w); err == nil {
 		err = w.Flush()
 	}
+	records, written = w.Records(), w.Bytes()
+	bytesx.PutWriter(w)
 	if err != nil {
 		f.Close()
 	} else {
@@ -569,9 +657,9 @@ func (s *Shared) writeRun(name string, fill func(*bytesx.Writer) error) (*bytesx
 	}
 	if err != nil {
 		s.fs.Remove(name)
-		return nil, err
+		return 0, 0, err
 	}
-	return w, nil
+	return records, written, nil
 }
 
 // openRun appends the run file name to the live runs (an empty one is
@@ -597,7 +685,7 @@ func (s *Shared) mergeRuns() error {
 		s.counters.AddExtra(CounterSharedMerges, 1)
 	}
 	span := s.tracer.Start(obs.KindSharedMerge, name, obs.Int("runs", int64(len(s.runs))))
-	w, err := s.writeRun(name, func(w *bytesx.Writer) error {
+	records, written, err := s.writeRun(name, func(w *bytesx.Writer) error {
 		for r := s.minRun(); r != nil; r = s.minRun() {
 			if err := w.WriteRecord(r.headKey, r.headVal); err != nil {
 				return err
@@ -612,7 +700,7 @@ func (s *Shared) mergeRuns() error {
 		span.End(obs.Str("outcome", "failed"), obs.Str("err", err.Error()))
 		return err
 	}
-	span.End(obs.Int("records", w.Records()), obs.Int("bytes", w.Bytes()))
+	span.End(obs.Int("records", records), obs.Int("bytes", written))
 	// The merge succeeded: the source runs are fully consumed (their
 	// readers closed at EOF), so delete their files before swapping in
 	// the merged run.
@@ -624,9 +712,10 @@ func (s *Shared) mergeRuns() error {
 
 // Close releases any open spill run readers and deletes their backing
 // files — long jobs create and close many Shared instances, so leaving
-// run files behind would leak disk linearly — and gives the emptied
-// buffers to the next Shared. It ends the Shared's life: the views a
-// PopMinKeyValues returned are invalid after it.
+// run files behind would leak disk linearly — puts its blocks in
+// blockPool and gives the emptied buffers to the next Shared. It ends the
+// Shared's life: the views a PopMinKeyValues returned are invalid after
+// it.
 func (s *Shared) Close() error {
 	var firstErr error
 	for _, r := range s.runs {
@@ -639,10 +728,17 @@ func (s *Shared) Close() error {
 	}
 	s.runs = nil
 	if s.box != nil {
-		if cap(s.arena)+cap(s.spare)+cap(s.popBuf) <= maxPooledArenaBytes && cap(s.ents) <= maxPooledEntries {
-			s.resetMem()
-			// Views that would keep an outgrown arena, or the engine's
-			// buffers, alive.
+		s.resetMem()
+		for i, b := range s.emptied {
+			putBlock(b)
+			s.emptied[i] = nil
+		}
+		s.emptied = s.emptied[:0]
+		if s.poolable() {
+			// Views that would keep a block, or the engine's buffers, alive.
+			for i := range s.ents {
+				s.ents[i].key = nil
+			}
 			clear(s.popVals[:cap(s.popVals)])
 			clear(s.decodeKeys[:cap(s.decodeKeys)])
 			*s.box = s.sharedBufs
@@ -651,6 +747,31 @@ func (s *Shared) Close() error {
 		s.box, s.sharedBufs = nil, sharedBufs{}
 	}
 	return firstErr
+}
+
+// putBlock gives an emptied block of blockSize to blockPool.
+func putBlock(b []byte) {
+	p := (*block)(b[:blockSize])
+	if poisonBlocks {
+		p[0] = poisonByte
+		for n := 1; n < blockSize; n *= 2 {
+			copy(p[n:], p[:n])
+		}
+	}
+	blockPool.Put(p)
+}
+
+// poolable reports whether the buffers are within the bounds for pooling.
+func (s *Shared) poolable() bool {
+	if cap(s.ents) > maxPooledEntries {
+		return false
+	}
+	spans := 0
+	for i := range s.ents {
+		spans += cap(s.ents[i].vals)
+	}
+	n := uintptr(spans)*unsafe.Sizeof(blockSpan{}) + uintptr(cap(s.popBuf)) + uintptr(cap(s.popVals))*unsafe.Sizeof([]byte(nil))
+	return n <= maxPooledBytes
 }
 
 // sharedRun is a buffered sequential cursor over one sorted spill file.
@@ -671,7 +792,7 @@ func openSharedRun(fs iokit.FS, name string) (*sharedRun, error) {
 		fs.Remove(name)
 		return nil, err
 	}
-	run := &sharedRun{r: bytesx.NewReader(f), closer: f, name: name}
+	run := &sharedRun{r: bytesx.GetReader(f), closer: f, name: name}
 	if err := run.advance(); err != nil {
 		fs.Remove(name)
 		return nil, err
@@ -706,5 +827,7 @@ func (r *sharedRun) close() error {
 	}
 	c := r.closer
 	r.closer = nil
+	bytesx.PutReader(r.r)
+	r.r = nil
 	return c.Close()
 }

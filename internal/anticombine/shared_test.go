@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"strconv"
 	"testing"
+	"unsafe"
 
 	"repro/internal/bytesx"
 	"repro/internal/iokit"
@@ -272,10 +274,10 @@ func TestSharedPeekEmpty(t *testing.T) {
 	}
 }
 
-// TestSharedWarmAddPopDoesNotAllocate: once the arena, the entry slots
+// TestSharedWarmAddPopDoesNotAllocate: once the blocks, the entry slots
 // and the index have grown to a workload's size, adding and popping it
 // again allocates nothing — including re-adding popped keys, compaction
-// of a never-empty arena, and value lists that grow.
+// of a Shared that never empties, and value lists that grow.
 func TestSharedWarmAddPopDoesNotAllocate(t *testing.T) {
 	s := NewShared(SharedConfig{KeyCompare: bytesx.Bytes, MemLimitBytes: 1 << 30})
 	keys := make([][]byte, 64)
@@ -294,8 +296,8 @@ func TestSharedWarmAddPopDoesNotAllocate(t *testing.T) {
 			}
 		}
 	}
-	// A key larger than all others stays behind for good, so the arena
-	// never empties and reclaiming its dead bytes is compaction's job.
+	// A key larger than all others stays behind for good, so the blocks
+	// never empty and reclaiming their dead bytes is compaction's job.
 	s.Add([]byte("zzz"), value)
 	for i := 0; i < 8; i++ {
 		round()
@@ -304,7 +306,116 @@ func TestSharedWarmAddPopDoesNotAllocate(t *testing.T) {
 		t.Errorf("a warm Shared allocates %v times per 128 adds + 64 pops, want 0", allocs)
 	}
 	peak := len(keys)*(len(keys[0])+len(value)+9) + s.mem
-	if len(s.arena) > 2*peak+compactSlack {
-		t.Errorf("arena holds %d bytes after rounds of %d live: compaction is not reclaiming dead space", len(s.arena), peak)
+	if s.stored > 2*peak+compactSlack {
+		t.Errorf("blocks hold %d bytes after rounds of %d live: compaction is not reclaiming dead space", s.stored, peak)
+	}
+}
+
+// TestSharedGrowthAllocatesOnce: filling a cold Shared with 8 MiB
+// allocates each block once — what it holds, plus the value list —
+// because nothing is copied to grow.
+func TestSharedGrowthAllocatesOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates behind the measurement")
+	}
+	const fill = 8 << 20
+	s := NewShared(SharedConfig{KeyCompare: bytesx.Bytes, MemLimitBytes: 1 << 30})
+	defer s.Close()
+	key, value := []byte("key"), make([]byte, 16<<10)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := s.Add(key, value[len(key):])
+	for err == nil && s.mem < fill {
+		err = s.Add(key, value)
+	}
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > fill+2*blockSize {
+		t.Errorf("filling a Shared with %d MiB allocated %.2f MiB, want at most %d MiB + 2 blocks",
+			fill>>20, float64(got)/(1<<20), fill>>20)
+	}
+}
+
+// TestSharedPoisonsBlocksAtClose keeps a view PopMinKeyValues returned
+// past Close, which ends its life: in a test binary the block under it
+// went back to the pool poisoned, so the view reads poison rather than
+// the next owner's bytes.
+func TestSharedPoisonsBlocksAtClose(t *testing.T) {
+	if !poisonBlocks {
+		t.Fatal("poisonBlocks is off in a test binary")
+	}
+	s := newTestShared(1 << 20)
+	if err := s.Add([]byte("k"), []byte("a value kept too long")); err != nil {
+		t.Fatal(err)
+	}
+	_, vals, err := s.PopMinKeyValues()
+	if err != nil || len(vals) != 1 {
+		t.Fatalf("pop: %d values, %v", len(vals), err)
+	}
+	kept := vals[0]
+	if string(kept) != "a value kept too long" {
+		t.Fatalf("view reads %q before Close", kept)
+	}
+	s.Close()
+	if want := bytes.Repeat([]byte{poisonByte}, len(kept)); !bytes.Equal(kept, want) {
+		t.Errorf("view kept past Close reads %q, want poison", kept)
+	}
+}
+
+// TestSharedHugeValueListIsNotPooled: the pooling bound counts value-list
+// capacity, so a Shared with one slot whose list grew to half a million
+// values is dropped at Close, while a small one is pooled.
+func TestSharedHugeValueListIsNotPooled(t *testing.T) {
+	// Pooled on one P, so that draining the pool finds every Put.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	pooled := func(values int) bool {
+		s := newTestShared(1 << 30)
+		for i := 0; i < values; i++ {
+			if err := s.Add([]byte("k"), []byte{'v'}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		box := s.box
+		s.Close()
+		found := false
+		for {
+			b, _ := sharedPool.Get().(*sharedBufs)
+			if b == nil {
+				return found
+			}
+			found = found || b == box
+		}
+	}
+	if pooled(1 << 19) {
+		t.Error("a Shared with one slot of 2^19 values was pooled")
+	}
+	// The race detector drops some Puts at random.
+	if !raceEnabled && !pooled(100) {
+		t.Error("a Shared with one slot of 100 values was not pooled")
+	}
+}
+
+// TestSharedRejectsOversizeSpan: a span addresses at most 2 GiB − 1
+// bytes, and Add refuses longer keys and values instead of wrapping an
+// offset. The slices only claim that length: Add must refuse them before
+// reading a byte.
+func TestSharedRejectsOversizeSpan(t *testing.T) {
+	if raceEnabled {
+		t.Skip("checkptr rejects a slice longer than its allocation")
+	}
+	var b [1]byte
+	huge := unsafe.Slice(&b[0], maxSpan+1)
+	s := newTestShared(1 << 20)
+	defer s.Close()
+	if err := s.Add(huge, nil); err != errSpanTooLarge {
+		t.Errorf("Add with a 2 GiB key: %v, want errSpanTooLarge", err)
+	}
+	if err := s.Add([]byte("k"), huge); err != errSpanTooLarge {
+		t.Errorf("Add with a 2 GiB value: %v, want errSpanTooLarge", err)
+	}
+	if !s.Empty() {
+		t.Error("a refused Add left content behind")
 	}
 }

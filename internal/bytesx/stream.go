@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 )
 
 // Writer writes framed (key, value) records to an underlying stream.
@@ -49,6 +50,44 @@ func (w *Writer) Reset(dst io.Writer) {
 	}
 	w.records = 0
 	w.bytes = 0
+}
+
+// Record writers and readers are pooled with their 64 KiB buffers: a
+// spill, a merge or an opened segment takes one for its life and puts it
+// back, instead of allocating a fresh buffer per file.
+var writerPool, readerPool sync.Pool // *Writer, *Reader
+
+// GetWriter returns a pooled record writer over dst. Read Records and
+// Bytes before PutWriter gives it back.
+func GetWriter(dst io.Writer) *Writer {
+	if w, ok := writerPool.Get().(*Writer); ok {
+		w.Reset(dst)
+		return w
+	}
+	return NewWriter(dst)
+}
+
+// PutWriter parks w and pools it. Buffered records not yet flushed are
+// discarded.
+func PutWriter(w *Writer) {
+	w.Reset(nil)
+	writerPool.Put(w)
+}
+
+// GetReader returns a pooled record reader over src.
+func GetReader(src io.Reader) *Reader {
+	if r, ok := readerPool.Get().(*Reader); ok {
+		r.Reset(src)
+		return r
+	}
+	return NewReader(src)
+}
+
+// PutReader parks r and pools it. The records it returned are invalid
+// after.
+func PutReader(r *Reader) {
+	r.Reset(nil)
+	readerPool.Put(r)
 }
 
 // Records reports how many records have been written.

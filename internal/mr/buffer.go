@@ -286,7 +286,7 @@ func newSegmentSink(job *Job, fs iokit.FS, name string) (*segmentSink, error) {
 		removeQuiet(fs, name)
 		return nil, err
 	}
-	return &segmentSink{f: f, ck: ck, cw: cw, w: getRecordWriter(cw)}, nil
+	return &segmentSink{f: f, ck: ck, cw: cw, w: bytesx.GetWriter(cw)}, nil
 }
 
 // close flushes and closes every layer in order (err carries the
@@ -297,7 +297,7 @@ func (s *segmentSink) close(err error) (records, rawBytes int64, _ error) {
 		err = s.w.Flush()
 	}
 	records, rawBytes = s.w.Records(), s.w.Bytes()
-	putRecordWriter(s.w)
+	bytesx.PutWriter(s.w)
 	if cerr := s.cw.Close(); err == nil {
 		err = cerr
 	}
@@ -459,9 +459,9 @@ func openSegment(job *Job, fs iokit.FS, seg SegmentInfo) (recordStream, error) {
 		f.Close()
 		return nil, err
 	}
-	rd := getRecordReader(cr)
+	rd := bytesx.GetReader(cr)
 	return &readerStream{r: rd, close: func() error {
-		putRecordReader(rd)
+		bytesx.PutReader(rd)
 		ck.release()
 		if err := cr.Close(); err != nil {
 			f.Close()

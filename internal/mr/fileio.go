@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/bytesx"
 	"repro/internal/iokit"
 )
 
@@ -58,8 +59,8 @@ func (s *RecordFileSplit) Records(fn func(key, value []byte) error) error {
 func ReadRecords(src io.Reader, fn func(key, value []byte) error) error {
 	ck := newCRCReader(src, false)
 	defer ck.release()
-	r := getRecordReader(ck)
-	defer putRecordReader(r)
+	r := bytesx.GetReader(ck)
+	defer bytesx.PutReader(r)
 	for {
 		k, v, err := r.ReadRecord()
 		if err == io.EOF {
@@ -96,7 +97,7 @@ func WriteRecordFile(fs iokit.FS, name string, recs []Record) error {
 		return err
 	}
 	ck := newChecksumWriter(f)
-	w := getRecordWriter(ck)
+	w := bytesx.GetWriter(ck)
 	for _, r := range recs {
 		if err = w.WriteRecord(r.Key, r.Value); err != nil {
 			break
@@ -105,7 +106,7 @@ func WriteRecordFile(fs iokit.FS, name string, recs []Record) error {
 	if err == nil {
 		err = w.Flush()
 	}
-	putRecordWriter(w)
+	bytesx.PutWriter(w)
 	if err == nil {
 		err = ck.Close()
 	} else {

@@ -1,17 +1,14 @@
 package mr
 
 import (
-	"io"
 	"sync"
 	"testing"
-
-	"repro/internal/bytesx"
 )
 
 // Steady-state buffer pools for the map-output hot path. A map task's
-// lifetime churns through a collect arena, entry index slices, one
-// framed-record writer per spill run, one framed-record reader per
-// opened segment, and one copy buffer per shuffle fetch; pooling them
+// lifetime churns through a collect arena, entry index slices and one
+// copy buffer per shuffle fetch (its record writers and readers come
+// from bytesx's pools); pooling them
 // makes a steady-state task allocate O(1) per spill instead of
 // O(records). Pools never affect output bytes — they only recycle
 // scratch memory, and test binaries poison it on the way back in (see
@@ -28,8 +25,6 @@ import (
 var (
 	arenaPool   sync.Pool // *[]byte, collect arenas (cap ~SortBufferBytes)
 	entriesPool sync.Pool // *[]bufEntry, collect/bucket index slices
-	writerPool  sync.Pool // *bytesx.Writer, spill/merge run writers
-	readerPool  sync.Pool // *bytesx.Reader, segment readers
 	copyBufPool sync.Pool // *[]byte, fixed-size shuffle copy buffers
 )
 
@@ -122,35 +117,6 @@ func (f *freeList[T]) drain() {
 	for _, s := range items {
 		f.pool.Put(&s)
 	}
-}
-
-// getRecordWriter returns a pooled framed-record writer over w. Callers
-// must putRecordWriter it back after reading Records()/Bytes() and
-// before the data is reused.
-func getRecordWriter(w io.Writer) *bytesx.Writer {
-	if rw, ok := writerPool.Get().(*bytesx.Writer); ok {
-		rw.Reset(w)
-		return rw
-	}
-	return bytesx.NewWriter(w)
-}
-
-func putRecordWriter(rw *bytesx.Writer) {
-	rw.Reset(nil)
-	writerPool.Put(rw)
-}
-
-func getRecordReader(r io.Reader) *bytesx.Reader {
-	if rr, ok := readerPool.Get().(*bytesx.Reader); ok {
-		rr.Reset(r)
-		return rr
-	}
-	return bytesx.NewReader(r)
-}
-
-func putRecordReader(rr *bytesx.Reader) {
-	rr.Reset(nil)
-	readerPool.Put(rr)
 }
 
 // getCopyBuf returns a 64 KiB scratch buffer for io.CopyBuffer on the

@@ -33,9 +33,9 @@ verify: build vet staticcheck race
 # baseline section, or its benchmark rows when it has none yet) into the
 # refreshed report and compares every row both have. BENCH_mr.json is the
 # map path and the storage byte path (mr + iokit); its baseline section
-# is the commit before MemFS became a block store and reduce output an
-# arena, and still holds the `.../baseline` rows of the sequential,
-# unpooled configuration that no longer exists, as the historical record.
+# is the commit before spills and merges ordered keys by an 8-byte prefix
+# (older baselines, down to the sequential unpooled configuration, are in
+# git history).
 # BENCH_experiments.json is skew partitioning (hash vs range vs split
 # max/mean partition bytes, via custom ReportMetric units) and the dag
 # pipeline handoff; BENCH_transport.json the shuffle data plane (raw vs
@@ -44,7 +44,7 @@ verify: build vet staticcheck race
 # commit before Shared stored its bytes in pooled blocks instead of a
 # doubling arena.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkMapBufferSpill|BenchmarkMapPathE2E|BenchmarkMergeIter|BenchmarkSegmentRoundTrip|BenchmarkReduceCollect|BenchmarkMemFSWrite' -benchmem ./internal/mr/ ./internal/iokit/ | tee /dev/stderr | $(GO) run ./cmd/benchjson -baseline BENCH_mr.json -out BENCH_mr.json
+	$(GO) test -run '^$$' -bench 'BenchmarkMapBufferSpill|BenchmarkSpillSort|BenchmarkMapPathE2E|BenchmarkMergeIter|BenchmarkSegmentRoundTrip|BenchmarkReduceCollect|BenchmarkMemFSWrite' -benchmem ./internal/mr/ ./internal/iokit/ | tee /dev/stderr | $(GO) run ./cmd/benchjson -baseline BENCH_mr.json -out BENCH_mr.json
 	$(GO) test -run '^$$' -bench 'BenchmarkSkewPartition|BenchmarkPipelineHandoff' -benchmem ./internal/experiments/ | tee /dev/stderr | $(GO) run ./cmd/benchjson -baseline BENCH_experiments.json -out BENCH_experiments.json
 	$(GO) test -run '^$$' -bench 'BenchmarkShuffleDataPlane' -benchmem ./internal/mr/ | tee /dev/stderr | $(GO) run ./cmd/benchjson -baseline BENCH_transport.json -out BENCH_transport.json
 	$(GO) test -run '^$$' -bench 'BenchmarkEagerEncode|BenchmarkDecodeEager|BenchmarkSharedAddPop|BenchmarkSharedFill|BenchmarkAntiReducePlain|BenchmarkAntiMapCall|BenchmarkAntiCombineRun' -benchmem ./internal/anticombine/ | tee /dev/stderr | $(GO) run ./cmd/benchjson -baseline BENCH_anticombine.json -out BENCH_anticombine.json
@@ -77,7 +77,7 @@ FUZZ_TARGETS = \
 	internal/codec:FuzzSnappy internal/codec:FuzzBWSC \
 	internal/codec:FuzzSnappyDecompressBlock internal/codec:FuzzBWSCDecompressBlock \
 	internal/mr:FuzzReadLenPrefixed internal/mr:FuzzFrameRoundTrip internal/mr:FuzzServerConn \
-	internal/mr:FuzzSnappyUnitReader internal/mr:FuzzSegmentFrames \
+	internal/mr:FuzzSnappyUnitReader internal/mr:FuzzSegmentFrames internal/mr:FuzzSpillSort \
 	internal/anticombine:FuzzDecodeValue internal/anticombine:FuzzShared
 fuzz-smoke:
 	@set -e; for t in $(FUZZ_TARGETS); do \

@@ -3,8 +3,11 @@ package mr
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"path"
 	"slices"
 	"sort"
@@ -39,10 +42,26 @@ type mapBuffer struct {
 	segs    []SegmentInfo
 }
 
+// bufEntry indexes one buffered record: its key is arena[keyOff:][:keyLen]
+// and its value follows the key directly. prefix is the key's first 8
+// bytes, big-endian and zero-padded, so comparing two prefixes as
+// integers orders the keys as bytes.Compare does whenever they differ.
 type bufEntry struct {
-	partition          int32
-	keyOff, keyLen     int32
-	valueOff, valueLen int32
+	prefix         uint64
+	partition      int32
+	keyOff, keyLen int32
+	valueLen       int32
+}
+
+// keyPrefix returns key's first 8 bytes as a big-endian integer,
+// zero-padded when the key is shorter.
+func keyPrefix(key []byte) uint64 {
+	if len(key) >= 8 {
+		return binary.BigEndian.Uint64(key)
+	}
+	var p [8]byte
+	copy(p[:], key)
+	return binary.BigEndian.Uint64(p[:])
 }
 
 func newMapBuffer(job *Job, fs iokit.FS, counters *Counters, taskID, attempt int) *mapBuffer {
@@ -70,13 +89,20 @@ func (b *mapBuffer) key(e bufEntry) []byte {
 }
 
 func (b *mapBuffer) value(e bufEntry) []byte {
-	return b.arena[e.valueOff : e.valueOff+e.valueLen]
+	off := e.keyOff + e.keyLen
+	return b.arena[off : off+e.valueLen]
 }
 
 // recordMetaBytes charges each buffered record for its index entry,
 // mirroring Hadoop's 16-byte kvmeta accounting — record count, not just
 // payload, drives spill frequency.
 const recordMetaBytes = 16
+
+// maxArenaBytes is what a bufEntry's int32 offsets can address.
+const maxArenaBytes = math.MaxInt32
+
+// errRecordTooLarge reports a record the collect buffer cannot address.
+var errRecordTooLarge = errors.New("mr: map output record too large for the collect buffer")
 
 // add copies one record into the buffer, spilling first if it is full.
 func (b *mapBuffer) add(partition int, key, value []byte) error {
@@ -86,17 +112,21 @@ func (b *mapBuffer) add(partition int, key, value []byte) error {
 			return err
 		}
 	}
-	if need := len(b.arena) + len(key) + len(value); need > cap(b.arena) {
+	need := len(b.arena) + len(key) + len(value)
+	if need > maxArenaBytes {
+		return fmt.Errorf("%w: %d key and %d value bytes", errRecordTooLarge, len(key), len(value))
+	}
+	if need > cap(b.arena) {
 		b.growArena(need)
 	}
 	ko := int32(len(b.arena))
 	b.arena = append(b.arena, key...)
-	vo := int32(len(b.arena))
 	b.arena = append(b.arena, value...)
 	b.entries = append(b.entries, bufEntry{
+		prefix:    keyPrefix(key),
 		partition: int32(partition),
 		keyOff:    ko, keyLen: int32(len(key)),
-		valueOff: vo, valueLen: int32(len(value)),
+		valueLen: int32(len(value)),
 	})
 	return nil
 }
@@ -190,10 +220,12 @@ func (b *mapBuffer) spill() error {
 // over the composite (partition, key), it buckets by partition with a
 // stable O(n) counting scatter and then key-sorts each bucket. Within a
 // bucket, equal keys keep insertion order: entries are appended to the
-// arena in emission order, so keyOff is a unique, monotone insertion
-// stamp (entries with equal keyOff are fully empty records, where order
-// cannot matter) and serves as the tie-break — an unstable sort with
-// this tie-break reproduces the stable sort's order exactly.
+// arena in emission order, so keyOff is a monotone insertion stamp
+// (compareInsertion settles the one shared offset) and serves as the
+// tie-break — an unstable sort with this tie-break reproduces the
+// stable sort's order exactly. That comparison sort serves a custom
+// KeyCompare; under the default raw-bytes order each bucket is
+// radix-sorted on the key prefix instead (sortBucketRaw).
 func (b *mapBuffer) sortByPartitionKey() []int {
 	nPart := b.job.NumReduceTasks
 	n := len(b.entries)
@@ -222,22 +254,15 @@ func (b *mapBuffer) sortByPartitionKey() []int {
 	}
 	// After the scatter offs[p] is bucket p's end offset. Swap the
 	// scatter target in as the live entry slice; the old one becomes
-	// next spill's scratch.
+	// next spill's scratch, and the radix sort's ping-pong buffer now.
 	b.entries, b.scratch = scratch, b.entries[:0]
 
 	if b.job.rawKeyOrder {
-		// Fast path: the default raw-bytes order inlines bytes.Compare
-		// instead of calling through the comparator function value.
-		arena := b.arena
+		tmp := b.scratch[:n]
 		start := 0
 		for _, end := range offs {
 			if end-start > 1 {
-				slices.SortFunc(b.entries[start:end], func(x, y bufEntry) int {
-					if c := bytes.Compare(arena[x.keyOff:x.keyOff+x.keyLen], arena[y.keyOff:y.keyOff+y.keyLen]); c != 0 {
-						return c
-					}
-					return int(x.keyOff - y.keyOff)
-				})
+				b.sortBucketRaw(b.entries[start:end], tmp[start:end])
 			}
 			start = end
 		}
@@ -251,12 +276,111 @@ func (b *mapBuffer) sortByPartitionKey() []int {
 				if c := cmp(b.key(x), b.key(y)); c != 0 {
 					return c
 				}
-				return int(x.keyOff - y.keyOff)
+				return compareInsertion(x, y)
 			})
 		}
 		start = end
 	}
 	return offs
+}
+
+// sortBucketRaw sorts one partition bucket, which the scatter left in
+// insertion order, by raw key bytes with equal keys kept in that order;
+// tmp is scratch of the same length. A stable radix sort on the prefix
+// decides every pair whose prefixes differ. A run of equal prefixes is
+// already in order when its keys are identical — all of one length, at
+// most 8 bytes — and is comparison-sorted on the bytes past the prefix
+// otherwise: a key longer than 8 bytes, or lengths that differ, as in
+// "ab" vs "ab\x00".
+func (b *mapBuffer) sortBucketRaw(es, tmp []bufEntry) {
+	radixSortPrefix(es, tmp)
+	for i := 0; i < len(es); {
+		j, decided := i+1, es[i].keyLen <= 8
+		for j < len(es) && es[j].prefix == es[i].prefix {
+			decided = decided && es[j].keyLen == es[i].keyLen
+			j++
+		}
+		if !decided && j-i > 1 {
+			slices.SortFunc(es[i:j], b.compareTail)
+		}
+		i = j
+	}
+}
+
+// radixSortPrefix stably sorts es by prefix, least significant byte
+// first, ping-ponging between es and tmp. One pass counts all eight
+// digits; a digit every entry shares would move nothing and is skipped.
+func radixSortPrefix(es, tmp []bufEntry) {
+	var counts [8][256]uint32
+	for _, e := range es {
+		p := e.prefix
+		counts[0][byte(p)]++
+		counts[1][byte(p>>8)]++
+		counts[2][byte(p>>16)]++
+		counts[3][byte(p>>24)]++
+		counts[4][byte(p>>32)]++
+		counts[5][byte(p>>40)]++
+		counts[6][byte(p>>48)]++
+		counts[7][byte(p>>56)]++
+	}
+	src, dst := es, tmp
+	for d := range counts {
+		c, shift := &counts[d], 8*d
+		if c[byte(src[0].prefix>>shift)] == uint32(len(src)) {
+			continue
+		}
+		var sum uint32
+		for i, v := range c {
+			c[i], sum = sum, sum+v
+		}
+		for _, e := range src {
+			k := byte(e.prefix >> shift)
+			dst[c[k]] = e
+			c[k]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &es[0] {
+		copy(es, src)
+	}
+}
+
+// compareTail orders entries of equal prefix: by the key bytes past the
+// prefix, then by key length — equal prefixes and tails leave only
+// zero padding to tell keys of at most 8 bytes apart — then by
+// insertion order.
+func (b *mapBuffer) compareTail(x, y bufEntry) int {
+	if c := bytes.Compare(b.keyTail(x), b.keyTail(y)); c != 0 {
+		return c
+	}
+	if x.keyLen != y.keyLen {
+		return int(x.keyLen - y.keyLen)
+	}
+	return compareInsertion(x, y)
+}
+
+// compareInsertion orders entries by when they were added. keyOff is
+// that stamp, except that a record with no bytes at all shares its
+// offset with the record added after it; the empty one came first.
+func compareInsertion(x, y bufEntry) int {
+	if x.keyOff != y.keyOff {
+		return int(x.keyOff - y.keyOff)
+	}
+	return int(x.valueLen - y.valueLen)
+}
+
+// keyTail is the part of e's key its prefix does not hold.
+func (b *mapBuffer) keyTail(e bufEntry) []byte {
+	if e.keyLen <= 8 {
+		return nil
+	}
+	return b.arena[e.keyOff+8 : e.keyOff+e.keyLen]
+}
+
+// sameRawKey reports whether two entries hold byte-identical keys.
+func (b *mapBuffer) sameRawKey(x, y bufEntry) bool {
+	return x.prefix == y.prefix && x.keyLen == y.keyLen &&
+		(x.keyLen <= 8 || bytes.Equal(b.keyTail(x), b.keyTail(y)))
 }
 
 // segmentSink is the write side of one segment file: file → CRC32C
@@ -367,13 +491,20 @@ func (b *mapBuffer) combineRun(partition int, entries []bufEntry, w *bytesx.Writ
 	if err := combiner.Setup(info, out); err != nil {
 		return err
 	}
-	cmp := b.job.KeyCompare
+	cmp, raw := b.job.KeyCompare, b.job.rawKeyOrder
 	vi := &runValueIter{b: b} // one iterator, re-pointed at each group
 	for start := 0; start < len(entries); {
-		end := start
-		key := b.key(entries[start])
-		for end < len(entries) && cmp(b.key(entries[end]), key) == 0 {
-			end++
+		end := start + 1
+		first := entries[start]
+		key := b.key(first)
+		if raw {
+			for end < len(entries) && b.sameRawKey(entries[end], first) {
+				end++
+			}
+		} else {
+			for end < len(entries) && cmp(b.key(entries[end]), key) == 0 {
+				end++
+			}
 		}
 		b.counters.combineInRecords.Add(int64(end - start))
 		vi.group = entries[start:end]
@@ -555,7 +686,7 @@ func mergeOnce(job *Job, fs iokit.FS, counters *Counters, name string, partition
 		}
 		streams = append(streams, st)
 	}
-	merged, err := newMergeIter(streams, job.KeyCompare)
+	merged, err := newMergeIter(streams, job.mergeCompare())
 	if err != nil {
 		return SegmentInfo{}, err
 	}

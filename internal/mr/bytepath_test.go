@@ -138,7 +138,10 @@ func TestReduceCollectAllocations(t *testing.T) {
 // empty a sync.Pool — do not make later tasks grow new ones. Eight
 // tasks on two workers grow two arenas, three at most; with only the
 // cross-run pools to go through (no run, as for a task executed outside
-// one) they grow eight. Every hand-over is through a poisoned put.
+// one) they grow eight. That reference runs on one worker: on two, a
+// task could put its arena into the pool just after its sibling's
+// collections and the sibling's next task take it, so how many it grew
+// depended on timing. Every hand-over is through a poisoned put.
 func TestMapArenasStayWithTheRun(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation sizes differ under the race detector")
@@ -155,7 +158,7 @@ func TestMapArenasStayWithTheRun(t *testing.T) {
 	for r := range split.Recs {
 		split.Recs[r] = Record{Key: []byte{byte(r >> 8), byte(r)}, Value: value}
 	}
-	run := func(bufs *runBuffers) uint64 {
+	run := func(bufs *runBuffers, workers int) uint64 {
 		job := identityReduceJob()
 		job.bufs = bufs
 		fs := iokit.NewMemFS()
@@ -173,7 +176,7 @@ func TestMapArenasStayWithTheRun(t *testing.T) {
 			}
 		})
 	}
-	poolOnly, owned := run(outsideRun), run(newRunBuffers(workers)) // the latter is what Run does
+	poolOnly, owned := run(outsideRun, 1), run(newRunBuffers(workers), workers) // the latter is what Run does
 	// Both runs store the same files; the arenas are the difference.
 	if saved := int64(poolOnly) - int64(owned); saved < (tasks-3)*arenaCost*9/10 {
 		t.Errorf("run-owned buffers allocated %d MB, sync.Pool alone %d MB: reuse saved %d MB, want about %d (%d of %d arenas)",

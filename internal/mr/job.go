@@ -123,14 +123,26 @@ type Job struct {
 	// large jobs that only need their stats can turn it on.
 	DiscardOutput bool
 
-	// rawKeyOrder is set by normalized when KeyCompare was left nil: the
-	// default bytesx.Bytes order lets the spill sort inline bytes.Compare
-	// instead of calling through the comparator function pointer.
+	// rawKeyOrder is set by normalized when KeyCompare was left nil. Under
+	// the default bytesx.Bytes order the spill radix-sorts each bucket on
+	// its entries' 8-byte key prefixes, the combiner groups by prefix and
+	// length, and merges compare cached prefixes before key bytes — none
+	// of it calls through the comparator function pointer.
 	rawKeyOrder bool
 	// bufs is the free list a run's map tasks pass their arenas
 	// through: Run sets its own on its normalized copy; a task executed
 	// outside a Run keeps normalized's outsideRun.
 	bufs *runBuffers
+}
+
+// mergeCompare is the order newMergeIter takes for this normalized job:
+// nil under the raw-bytes order, so the merge heap compares cached key
+// prefixes, and KeyCompare otherwise.
+func (j *Job) mergeCompare() bytesx.Compare {
+	if j.rawKeyOrder {
+		return nil
+	}
+	return j.KeyCompare
 }
 
 // errJob reports an invalid job configuration.
@@ -169,6 +181,9 @@ func (j *Job) normalized() (*Job, error) {
 	}
 	if c.SortBufferBytes <= 0 {
 		c.SortBufferBytes = 4 << 20
+	}
+	if c.SortBufferBytes > maxArenaBytes {
+		return nil, fmt.Errorf("%w: SortBufferBytes %d exceeds the collect buffer's %d addressable bytes", errJob, c.SortBufferBytes, maxArenaBytes)
 	}
 	if c.MergeFactor < 2 {
 		c.MergeFactor = 10

@@ -1,7 +1,7 @@
 package mr
 
 import (
-	"container/heap"
+	"bytes"
 	"errors"
 	"io"
 
@@ -66,14 +66,18 @@ func closeRecordStream(s recordStream) {
 
 // mergeIter merges multiple sorted record streams into one sorted
 // stream, breaking key ties by stream index so merging is deterministic
-// and stable.
+// and stable. Its min-heap is typed: under the raw-bytes order (a nil
+// cmp) each item caches its key's 8-byte prefix (keyPrefix), so most
+// comparisons are one integer compare; otherwise it calls cmp.
 type mergeIter struct {
-	items mergeHeap
+	items []*mergeItem
+	cmp   bytesx.Compare // nil: raw key bytes
 	err   error
 }
 
 type mergeItem struct {
 	key, value []byte
+	prefix     uint64 // keyPrefix(key), kept under the raw order only
 	// spareKey/spareVal double-buffer the stream's records: the slices
 	// handed to the caller at call n are recycled as the copy target at
 	// call n+1, honoring the documented one-call validity window with
@@ -83,32 +87,10 @@ type mergeItem struct {
 	index              int
 }
 
-type mergeHeap struct {
-	items []*mergeItem
-	cmp   bytesx.Compare
-}
-
-func (h mergeHeap) Len() int { return len(h.items) }
-func (h mergeHeap) Less(i, j int) bool {
-	c := h.cmp(h.items[i].key, h.items[j].key)
-	if c != 0 {
-		return c < 0
-	}
-	return h.items[i].index < h.items[j].index
-}
-func (h mergeHeap) Swap(i, j int)       { h.items[i], h.items[j] = h.items[j], h.items[i] }
-func (h *mergeHeap) Push(x interface{}) { h.items = append(h.items, x.(*mergeItem)) }
-func (h *mergeHeap) Pop() interface{} {
-	old := h.items
-	n := len(old)
-	it := old[n-1]
-	h.items = old[:n-1]
-	return it
-}
-
-// newMergeIter primes one heap entry per non-empty stream.
+// newMergeIter primes one heap entry per non-empty stream. A nil cmp
+// merges by raw key bytes (Job.mergeCompare).
 func newMergeIter(streams []recordStream, cmp bytesx.Compare) (*mergeIter, error) {
-	m := &mergeIter{items: mergeHeap{cmp: cmp}}
+	m := &mergeIter{cmp: cmp}
 	for i, s := range streams {
 		k, v, err := s.next()
 		if errors.Is(err, io.EOF) {
@@ -117,15 +99,58 @@ func newMergeIter(streams []recordStream, cmp bytesx.Compare) (*mergeIter, error
 		if err != nil {
 			return nil, err
 		}
-		m.items.items = append(m.items.items, &mergeItem{
+		it := &mergeItem{
 			key:    bytesx.Clone(k),
 			value:  bytesx.Clone(v),
 			stream: s,
 			index:  i,
-		})
+		}
+		if cmp == nil {
+			it.prefix = keyPrefix(it.key)
+		}
+		m.items = append(m.items, it)
 	}
-	heap.Init(&m.items)
+	for i := len(m.items)/2 - 1; i >= 0; i-- {
+		m.down(i)
+	}
 	return m, nil
+}
+
+// less orders items by key, then stream index.
+func (m *mergeIter) less(a, b *mergeItem) bool {
+	var c int
+	if m.cmp == nil {
+		if a.prefix != b.prefix {
+			return a.prefix < b.prefix
+		}
+		c = bytes.Compare(a.key, b.key)
+	} else {
+		c = m.cmp(a.key, b.key)
+	}
+	if c != 0 {
+		return c < 0
+	}
+	return a.index < b.index
+}
+
+// down sifts the item at i toward the leaves until the heap holds.
+func (m *mergeIter) down(i int) {
+	h := m.items
+	for {
+		l := 2*i + 1
+		if l >= len(h) {
+			return
+		}
+		j := l
+		if r := l + 1; r < len(h) && m.less(h[r], h[l]) {
+			j = r
+		}
+		if !m.less(h[j], h[i]) {
+			return
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
 }
 
 // next returns the globally smallest record, or io.EOF. The returned
@@ -134,10 +159,10 @@ func (m *mergeIter) next() ([]byte, []byte, error) {
 	if m.err != nil {
 		return nil, nil, m.err
 	}
-	if m.items.Len() == 0 {
+	if len(m.items) == 0 {
 		return nil, nil, io.EOF
 	}
-	top := m.items.items[0]
+	top := m.items[0]
 	key, value := top.key, top.value
 	// Advance the winning stream and restore the heap. The popped
 	// key/value are handed to the caller; the stream's next record is
@@ -146,7 +171,9 @@ func (m *mergeIter) next() ([]byte, []byte, error) {
 	// nothing.
 	k, v, err := top.stream.next()
 	if errors.Is(err, io.EOF) {
-		heap.Pop(&m.items)
+		last := len(m.items) - 1
+		m.items[0], m.items[last] = m.items[last], nil
+		m.items = m.items[:last]
 	} else if err != nil {
 		m.err = err
 		return nil, nil, err
@@ -155,8 +182,11 @@ func (m *mergeIter) next() ([]byte, []byte, error) {
 		top.spareVal = append(top.spareVal[:0], v...)
 		top.key, top.spareKey = top.spareKey, top.key
 		top.value, top.spareVal = top.spareVal, top.value
-		heap.Fix(&m.items, 0)
+		if m.cmp == nil {
+			top.prefix = keyPrefix(top.key)
+		}
 	}
+	m.down(0)
 	return key, value, nil
 }
 

@@ -3,8 +3,12 @@ package mr
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/bytesx"
+	"repro/internal/datagen"
 )
 
 // BenchmarkWordCountPipeline drives the full engine — collect, sort,
@@ -92,10 +96,55 @@ func BenchmarkMapPathE2E(b *testing.B) {
 	}
 }
 
+// BenchmarkSpillSort isolates the spill's (partition, key) sort over one
+// full collect buffer of 8 partitions: "words" holds zipf-drawn words of
+// at most 8 bytes (wc_eager's map output), "lines" whole lines of 10–29
+// words (sort_plain's). Each op restores insertion order and sorts.
+func BenchmarkSpillSort(b *testing.B) {
+	text := datagen.NewRandomText(datagen.RandomTextConfig{Seed: 7, Lines: 20_000, WordsPerLine: 20})
+	rng := datagen.NewRNG(7)
+	zipf := datagen.NewZipf(10_000, 1.05)
+	vocab := make([][]byte, zipf.N())
+	for i := range vocab {
+		vocab[i] = make([]byte, 1+rng.Intn(8))
+		for j := range vocab[i] {
+			vocab[i][j] = byte('a' + rng.Intn(26))
+		}
+	}
+	for _, bc := range []struct {
+		name string
+		key  func(i int) []byte
+		n    int
+	}{
+		{"words", func(int) []byte { return vocab[zipf.Sample(rng)] }, 200_000},
+		{"lines", func(i int) []byte { return []byte(text.Line(i)) }, text.Len()},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			buf := sortTestBuffer(b, 8)
+			part := HashPartitioner{}
+			for i := 0; i < bc.n; i++ {
+				k := bc.key(i)
+				if err := buf.add(part.Partition(k, 8), k, []byte("1")); err != nil {
+					b.Fatal(err)
+				}
+			}
+			input := slices.Clone(buf.entries)
+			buf.sortByPartitionKey() // warm: grows the bucketing scratch
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				buf.entries = append(buf.entries[:0], input...)
+				buf.sortByPartitionKey()
+			}
+		})
+	}
+}
+
 // BenchmarkMergeIter isolates the k-way merge: "merge" drains the merged
 // stream record by record, "grouped" walks it the way a reduce task
 // does, one single-record key group at a time (Sort's shape), where the
-// only allocations left are the merge's own set-up.
+// only allocations left are the merge's own set-up. Both call a custom
+// comparator; "raw" drains the merge under the default raw-bytes order.
 func BenchmarkMergeIter(b *testing.B) {
 	const streams, perStream = 16, 1000
 	keys := make([][]byte, streams*perStream)
@@ -103,7 +152,7 @@ func BenchmarkMergeIter(b *testing.B) {
 		keys[i] = []byte(fmt.Sprintf("k%06d", i))
 	}
 	cmp := func(a, b []byte) int { return stringsCompare(string(a), string(b)) }
-	newMerge := func(b *testing.B) *mergeIter {
+	newMerge := func(b *testing.B, cmp bytesx.Compare) *mergeIter {
 		in := make([]recordStream, streams)
 		for s := range in {
 			i := s
@@ -125,7 +174,7 @@ func BenchmarkMergeIter(b *testing.B) {
 	b.Run("merge", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := drainStreams(mergeAsStream{newMerge(b)}); err != nil {
+			if _, err := drainStreams(mergeAsStream{newMerge(b, cmp)}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -133,7 +182,7 @@ func BenchmarkMergeIter(b *testing.B) {
 	b.Run("grouped", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			g := newGroupedIter(newMerge(b), cmp)
+			g := newGroupedIter(newMerge(b, cmp), cmp)
 			groups := 0
 			for {
 				_, ok, err := g.nextGroup()
@@ -150,6 +199,14 @@ func BenchmarkMergeIter(b *testing.B) {
 			}
 			if groups != len(keys) {
 				b.Fatalf("%d groups, want %d", groups, len(keys))
+			}
+		}
+	})
+	b.Run("raw", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := drainStreams(mergeAsStream{newMerge(b, nil)}); err != nil {
+				b.Fatal(err)
 			}
 		}
 	})
@@ -180,7 +237,7 @@ func BenchmarkMergeIterSegments(b *testing.B) {
 			}
 			streams[s] = st
 		}
-		m, err := newMergeIter(streams, j.KeyCompare)
+		m, err := newMergeIter(streams, j.mergeCompare())
 		if err != nil {
 			b.Fatal(err)
 		}

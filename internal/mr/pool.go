@@ -1,6 +1,7 @@
 package mr
 
 import (
+	"math"
 	"sync"
 	"testing"
 )
@@ -151,7 +152,7 @@ var poisonOnPut = testing.Testing()
 const poisonByte = 0xDB
 
 // poisonEntry's negative offsets slice the arena out of range.
-var poisonEntry = bufEntry{partition: -1, keyOff: -1, keyLen: -1, valueOff: -1, valueLen: -1}
+var poisonEntry = bufEntry{prefix: math.MaxUint64, partition: -1, keyOff: -1, keyLen: -1, valueLen: -1}
 
 // frameBufPool recycles the transport's length-prefixed frame buffers
 // (request names, error strings) so every fetch request stops paying

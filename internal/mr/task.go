@@ -281,7 +281,7 @@ func reduceMerge(ctx context.Context, job *Job, fs iokit.FS, counters *Counters,
 		}
 		streams = append(streams, st)
 	}
-	merged, err := newMergeIter(streams, job.KeyCompare)
+	merged, err := newMergeIter(streams, job.mergeCompare())
 	if err != nil {
 		return nil, err
 	}

@@ -153,6 +153,45 @@ func BenchmarkSharedFill(b *testing.B) {
 	}
 }
 
+// BenchmarkSharedSpill is a qs_lazy-shaped reduce task's Shared: a
+// 256 KiB budget and merge factor 10, filled with query-sized values
+// under 4 000 prefix-like keys until it has spilled 12 times (so its runs
+// are merged once), then drained in key order and closed.
+func BenchmarkSharedSpill(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	keys := make([][]byte, 90000)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("q%04d", rng.Intn(4000)))
+	}
+	value := []byte("watch how i met your mother online")
+	fs := iokit.NewMemFS()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := NewShared(SharedConfig{
+			KeyCompare:    bytesx.Bytes,
+			MemLimitBytes: 256 << 10,
+			MergeFactor:   10,
+			FS:            fs,
+			Prefix:        "bench",
+		})
+		for _, k := range keys {
+			if err := s.Add(k, value); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for !s.Empty() {
+			if _, _, err := s.PopMinKeyValues(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if s.Spills() != 12 {
+			b.Fatalf("%d spills, want 12", s.Spills())
+		}
+		s.Close()
+	}
+}
+
 // oneValueIter serves a single value, over and over after each rewind.
 type oneValueIter struct {
 	value []byte

@@ -95,45 +95,58 @@ func TestSharedMergeRemovesSourceRuns(t *testing.T) {
 	s := spillingShared(fs)
 	fillShared(t, s, 400)
 	names := listFiles(t, fs)
-	if len(names) != len(s.runs) {
-		t.Errorf("%d files on disk for %d live runs: %v", len(names), len(s.runs), names)
+	if len(names) != s.runs.Len() {
+		t.Errorf("%d files on disk for %d live runs: %v", len(names), s.runs.Len(), names)
 	}
 	s.Close()
 }
 
 // TestSharedMergeErrorCleanup: a write failure mid-merge must surface
-// the error, remove the partially written merge file, and leave the
-// source runs intact on disk for the caller (Close) to release.
+// the error and remove the partially written merge file. The source runs
+// the merge had not finished reading stay open, on disk, until Close
+// releases their handles and removes their files.
 func TestSharedMergeErrorCleanup(t *testing.T) {
 	mem := iokit.NewMemFS()
 	flaky := &iokit.FlakyFS{Inner: mem}
+	track := &iokit.TrackFS{Inner: flaky}
 	s := NewShared(SharedConfig{
 		KeyCompare:    bytesx.Bytes,
-		MemLimitBytes: 64,
+		MemLimitBytes: 8 << 10,
 		MergeFactor:   100, // no merges during fill
-		FS:            flaky,
+		FS:            track,
 		Prefix:        "mergefail",
 	})
-	fillShared(t, s, 200)
-	before := listFiles(t, mem)
+	value := bytes.Repeat([]byte("v"), 100)
+	for i := 0; i < 2000; i++ {
+		if err := s.Add([]byte(fmt.Sprintf("key%03d", i%40)), value); err != nil {
+			t.Fatal(err)
+		}
+	}
 
+	// About 200 KiB of runs, each holding every key: the merge's first
+	// write is its first 64 KiB frame, with every run still being read.
+	runs := s.runs.Len()
 	flaky.FailWriteAt = 1 // every write from now on fails
 	err := s.mergeRuns()
 	if !errors.Is(err, iokit.ErrInjected) {
 		t.Fatalf("mergeRuns error = %v, want injected", err)
 	}
 	after := listFiles(t, mem)
-	if len(after) != len(before) {
-		t.Errorf("file set changed across failed merge: before %v, after %v", before, after)
-	}
 	for _, name := range after {
 		if strings.Contains(name, "shared-merge") {
 			t.Errorf("partial merge file %s left behind", name)
 		}
 	}
+	if open := s.runs.Len(); open != runs || len(after) != runs || track.OpenHandles() != int64(runs) {
+		t.Errorf("after the failed merge: %d runs open, %d files, %d handles; want all %d source runs",
+			open, len(after), track.OpenHandles(), runs)
+	}
 	flaky.FailWriteAt = 0
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if n := track.OpenHandles(); n != 0 {
+		t.Errorf("Close after failed merge left %d handles open", n)
 	}
 	if names := listFiles(t, mem); len(names) != 0 {
 		t.Errorf("Close after failed merge left files: %v", names)
@@ -145,9 +158,11 @@ func TestSharedMergeErrorCleanup(t *testing.T) {
 // and end the shared-spill span — the spill-side twin of
 // TestSharedMergeErrorCleanup.
 func TestSharedSpillErrorCleanup(t *testing.T) {
-	// The first spill is ~200 KiB through a 64 KiB record writer: writes
-	// 1-3 happen inside WriteRecord, write 4 is the final Flush.
-	for _, failAt := range []int64{1, 4} {
+	// The first spill is ~215 KiB of records, written as 64 KiB CRC
+	// frames of two writes each (header, payload): writes 1-6 happen
+	// inside a record write, writes 7-9 are the final flush (the last
+	// frame and the terminator).
+	for _, failAt := range []int64{1, 9} {
 		mem := iokit.NewMemFS()
 		track := &iokit.TrackFS{Inner: &iokit.FlakyFS{Inner: mem, FailWriteAt: failAt}}
 		tracer := obs.NewTracer()
@@ -181,50 +196,34 @@ func TestSharedSpillErrorCleanup(t *testing.T) {
 	}
 }
 
-// errAfterReader serves its buffered bytes, then fails every further
-// read with ErrInjected, and records whether it was closed.
-type errAfterReader struct {
-	data   *bytes.Reader
-	closed bool
-}
-
-func (e *errAfterReader) Read(p []byte) (int, error) {
-	if e.data.Len() > 0 {
-		return e.data.Read(p)
-	}
-	return 0, iokit.ErrInjected
-}
-
-func (e *errAfterReader) Close() error {
-	e.closed = true
-	return nil
-}
-
-// TestSharedAdvanceClosesReaderOnError: a non-EOF read error is fatal
-// for the run, so advance must release the file handle instead of
-// leaking it.
+// TestSharedAdvanceClosesReaderOnError: a read fault in a spill run
+// while PopMinKeyValues drains it surfaces as the error, and Close
+// still releases every run's handle and file.
 func TestSharedAdvanceClosesReaderOnError(t *testing.T) {
-	var buf bytes.Buffer
-	w := bytesx.NewWriter(&buf)
-	if err := w.WriteRecord([]byte("key"), []byte("value")); err != nil {
+	mem := iokit.NewMemFS()
+	flaky := &iokit.FlakyFS{Inner: mem}
+	track := &iokit.TrackFS{Inner: flaky}
+	s := spillingShared(track)
+	fillShared(t, s, 400)
+	if track.OpenHandles() == 0 {
+		t.Fatal("setup: no spill run open")
+	}
+	flaky.FailReadAt = 1 // every read from now on fails
+	var err error
+	for err == nil && !s.Empty() {
+		_, _, err = s.PopMinKeyValues()
+	}
+	if !errors.Is(err, iokit.ErrInjected) {
+		t.Fatalf("PopMinKeyValues error = %v, want injected", err)
+	}
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
+	if n := track.OpenHandles(); n != 0 {
+		t.Errorf("%d handles left open after Close", n)
 	}
-	src := &errAfterReader{data: bytes.NewReader(buf.Bytes())}
-	run := &sharedRun{r: bytesx.NewReader(src), closer: src, name: "readfail"}
-	if err := run.advance(); err != nil {
-		t.Fatalf("first advance (valid record): %v", err)
-	}
-	if string(run.headKey) != "key" {
-		t.Fatalf("headKey = %q", run.headKey)
-	}
-	if err := run.advance(); !errors.Is(err, iokit.ErrInjected) {
-		t.Fatalf("advance error = %v, want injected", err)
-	}
-	if run.closer != nil || !src.closed {
-		t.Error("advance leaked the run's reader on a read error")
+	if names := listFiles(t, mem); len(names) != 0 {
+		t.Errorf("Close left files: %v", names)
 	}
 }
 

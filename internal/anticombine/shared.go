@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/maphash"
-	"io"
 	"math"
 	"sync"
 	"testing"
@@ -26,11 +25,13 @@ const combineBatch = 16
 // Shared is the reduce-task-level structure of §5 that carries decoded
 // key/value pairs between Reduce calls: a min-heap over distinct keys
 // plus a hash index from key to values. When the memory budget is
-// exceeded, the content is written to a spill file in sorted key order
-// (mirroring the map phase's sort-and-spill), and spill files are
-// merged when they exceed the merge threshold. Reads are strictly in
-// ascending key order — PeekMinKey / PopMinKeyValues — so spilled runs
-// are consumed by buffered sequential reads, never random access.
+// exceeded, the content is written in sorted key order to a spill run,
+// a CRC32C-framed mr record file (mirroring the map phase's
+// sort-and-spill), and the runs are merged into one when they exceed the
+// merge threshold; the engine's merge heap (mr.RunMerger) reads them
+// back. Reads are strictly in ascending key order — PeekMinKey /
+// PopMinKeyValues — so spilled runs are consumed by buffered sequential
+// reads, never random access.
 //
 // The in-memory part stores key and value bytes in fixed 64 KiB blocks,
 // taken when needed and never copied to grow; an entry holds its key as
@@ -62,7 +63,7 @@ type Shared struct {
 	prefix      string
 	owner       *antiReducer // names the spill files at the first spill, when prefix is empty
 	spillSeq    int
-	runs        []*sharedRun
+	runs        mr.RunMerger // the spilled runs
 	counters    *mr.Counters
 	tracer      *obs.Tracer
 
@@ -216,6 +217,7 @@ func (s *Shared) init(cfg SharedConfig) {
 		mergeFactor: cfg.MergeFactor,
 		fs:          cfg.FS,
 		prefix:      cfg.Prefix,
+		runs:        mr.NewRunMerger(cfg.FS, cfg.KeyCompare),
 		counters:    cfg.Counters,
 		tracer:      cfg.Tracer,
 		combiner:    cfg.Combiner,
@@ -467,33 +469,18 @@ func (s *Shared) addCombined(v []byte) error {
 }
 
 // Empty reports whether no keys remain, in memory or spilled.
-func (s *Shared) Empty() bool { return len(s.heap) == 0 && len(s.runs) == 0 }
-
-// minRun returns the live spill run with the smallest head key (the
-// first of equals), or nil.
-func (s *Shared) minRun() *sharedRun {
-	var best *sharedRun
-	for _, r := range s.runs {
-		if !r.done && (best == nil || s.cmp(r.headKey, best.headKey) < 0) {
-			best = r
-		}
-	}
-	return best
-}
+func (s *Shared) Empty() bool { return len(s.heap) == 0 && s.runs.Len() == 0 }
 
 // peekMin returns the smallest key present without copying it. The
 // slice is only valid until the next mutation.
 func (s *Shared) peekMin() ([]byte, bool) {
-	r := s.minRun()
+	rk, ok := s.runs.Peek()
 	if len(s.heap) > 0 {
-		if k := s.ents[s.heap[0]].key; r == nil || s.cmp(k, r.headKey) <= 0 {
+		if k := s.ents[s.heap[0]].key; !ok || s.cmp(k, rk) <= 0 {
 			return k, true
 		}
 	}
-	if r == nil {
-		return nil, false
-	}
-	return r.headKey, true
+	return rk, ok
 }
 
 // PeekMinKey returns (a copy of) the smallest key present.
@@ -536,19 +523,15 @@ func (s *Shared) PopMinKeyValues() (key []byte, values [][]byte, err error) {
 			}
 			s.release(id)
 		}
-		// The head buffers are reused by advance, so run values are copied.
-		for _, r := range s.runs {
-			for !r.done && s.cmp(r.headKey, cur) == 0 {
-				off := len(buf)
-				buf = append(buf, r.headVal...)
-				values = append(values, buf[off:len(buf):len(buf)])
-				if err := r.advance(); err != nil {
-					return nil, nil, err
-				}
+		// The merger reuses its buffers, so run values are copied.
+		for rk, ok := s.runs.Peek(); ok && s.cmp(rk, cur) == 0; rk, ok = s.runs.Peek() {
+			_, v, err := s.runs.Next()
+			if err != nil {
+				return nil, nil, err
 			}
-		}
-		if err := s.dropFinishedRuns(); err != nil {
-			return nil, nil, err
+			off := len(buf)
+			buf = append(buf, v...)
+			values = append(values, buf[off:len(buf):len(buf)])
 		}
 		next, ok := s.peekMin()
 		if !ok || s.groupCmp(next, key) != 0 {
@@ -568,31 +551,11 @@ func (s *Shared) PopMinKeyValues() (key []byte, values [][]byte, err error) {
 	return key, values, nil
 }
 
-// dropFinishedRuns prunes fully consumed runs and deletes their spill
-// files — a long job cycles through many runs, and keeping consumed
-// files would leak disk linearly with spill count.
-func (s *Shared) dropFinishedRuns() error {
-	live := s.runs[:0]
-	var firstErr error
-	for _, r := range s.runs {
-		if r.done {
-			if err := s.fs.Remove(r.name); err != nil && firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		live = append(live, r)
-	}
-	s.runs = live
-	return firstErr
-}
-
 // Spills reports how many times Shared spilled to disk.
 func (s *Shared) Spills() int { return int(s.spills) }
 
 // spill writes the in-memory content to a new sorted run, then merges
-// runs if they exceed the merge factor. On a write error the partial run
-// file is closed and removed, like mergeRuns' partial output.
+// runs if they exceed the merge factor.
 func (s *Shared) spill() error {
 	if s.fs == nil {
 		return errors.New("anticombine: Shared memory limit exceeded and no spill FS configured")
@@ -607,107 +570,62 @@ func (s *Shared) spill() error {
 		s.counters.AddExtra(CounterSharedSpills, 1)
 	}
 	span := s.tracer.Start(obs.KindSharedSpill, name)
-	records, written, err := s.writeRun(name, func(w *bytesx.Writer) error {
-		for len(s.heap) > 0 {
-			id := s.popHeap()
-			s.free = append(s.free, id)
-			e := &s.ents[id]
-			for _, v := range e.vals {
-				if err := w.WriteRecord(e.key, s.view(v)); err != nil {
-					return err
-				}
+	w, err := mr.CreateRecordFile(s.fs, name)
+	for err == nil && len(s.heap) > 0 {
+		id := s.popHeap()
+		s.free = append(s.free, id)
+		e := &s.ents[id]
+		for _, v := range e.vals {
+			if err = w.Write(e.key, s.view(v)); err != nil {
+				break
 			}
 		}
-		return nil
-	})
+	}
 	// Written or lost, the in-memory content is gone.
 	s.resetMem()
-	if err != nil {
-		span.End(obs.Str("outcome", "failed"), obs.Str("err", err.Error()))
+	if err = s.addRun(span, name, w, err); err != nil || s.runs.Len() <= s.mergeFactor {
 		return err
 	}
-	span.End(obs.Int("records", records), obs.Int("bytes", written))
-	if err := s.openRun(name); err != nil {
-		return err
-	}
-	if len(s.runs) > s.mergeFactor {
-		return s.mergeRuns()
-	}
-	return nil
+	return s.mergeRuns()
 }
 
-// writeRun creates name, lets fill write its records and closes it,
-// reporting the records and bytes written. On any error the partially
-// written file is closed and best-effort removed.
-func (s *Shared) writeRun(name string, fill func(*bytesx.Writer) error) (records, written int64, err error) {
-	f, err := s.fs.Create(name)
-	if err != nil {
-		return 0, 0, err
-	}
-	w := bytesx.GetWriter(f)
-	if err = fill(w); err == nil {
-		err = w.Flush()
-	}
-	records, written = w.Records(), w.Bytes()
-	bytesx.PutWriter(w)
-	if err != nil {
-		f.Close()
-	} else {
-		err = f.Close()
-	}
-	if err != nil {
-		s.fs.Remove(name)
-		return 0, 0, err
-	}
-	return records, written, nil
-}
-
-// openRun appends the run file name to the live runs (an empty one is
-// deleted instead).
-func (s *Shared) openRun(name string) error {
-	run, err := openSharedRun(s.fs, name)
-	if run != nil {
-		s.runs = append(s.runs, run)
-	}
-	return err
-}
-
-// mergeRuns merges all current runs into a single sorted run, mirroring
-// the map phase's spill merge (§5). The consumed pre-merge run files
-// are deleted only after the merged run is durably written; on a
-// mid-merge error the partially written merge file is closed and
-// removed while the source runs stay intact on disk (their readers, if
-// still open, are released by Close).
+// mergeRuns merges all runs into one, mirroring the map phase's spill
+// merge (§5): it drains the merger into a new run, and the merger removes
+// each source run's file as the run is exhausted. On a mid-merge error
+// the partial merge file is removed; the source runs still open are left
+// for Close.
 func (s *Shared) mergeRuns() error {
 	name := fmt.Sprintf("%s/shared-merge%04d", s.prefix, s.spillSeq)
 	s.spillSeq++
 	if s.counters != nil {
 		s.counters.AddExtra(CounterSharedMerges, 1)
 	}
-	span := s.tracer.Start(obs.KindSharedMerge, name, obs.Int("runs", int64(len(s.runs))))
-	records, written, err := s.writeRun(name, func(w *bytesx.Writer) error {
-		for r := s.minRun(); r != nil; r = s.minRun() {
-			if err := w.WriteRecord(r.headKey, r.headVal); err != nil {
-				return err
-			}
-			if err := r.advance(); err != nil {
-				return err
-			}
+	span := s.tracer.Start(obs.KindSharedMerge, name, obs.Int("runs", int64(s.runs.Len())))
+	w, err := mr.CreateRecordFile(s.fs, name)
+	for err == nil && s.runs.Len() > 0 {
+		var k, v []byte
+		if k, v, err = s.runs.Next(); err == nil {
+			err = w.Write(k, v)
 		}
-		return nil
-	})
+	}
+	return s.addRun(span, name, w, err)
+}
+
+// addRun finishes the run w was writing to name — err is the error
+// writing it, if any, and w is nil when the file was never created —
+// ends span with the outcome, and pushes the run onto the merger. A
+// failed run's file is removed.
+func (s *Shared) addRun(span *obs.SpanRef, name string, w *mr.RecordWriter, err error) error {
+	var records, written int64
+	if w != nil {
+		records, written, err = w.Close(err)
+	}
 	if err != nil {
 		span.End(obs.Str("outcome", "failed"), obs.Str("err", err.Error()))
 		return err
 	}
 	span.End(obs.Int("records", records), obs.Int("bytes", written))
-	// The merge succeeded: the source runs are fully consumed (their
-	// readers closed at EOF), so delete their files before swapping in
-	// the merged run.
-	if err := s.dropFinishedRuns(); err != nil {
-		return err
-	}
-	return s.openRun(name)
+	return s.runs.Push(name)
 }
 
 // Close releases any open spill run readers and deletes their backing
@@ -717,16 +635,7 @@ func (s *Shared) mergeRuns() error {
 // Shared's life: the views a PopMinKeyValues returned are invalid after
 // it.
 func (s *Shared) Close() error {
-	var firstErr error
-	for _, r := range s.runs {
-		if err := r.close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-		if err := s.fs.Remove(r.name); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	s.runs = nil
+	err := s.runs.Close()
 	if s.box != nil {
 		s.resetMem()
 		for i, b := range s.emptied {
@@ -746,7 +655,7 @@ func (s *Shared) Close() error {
 		}
 		s.box, s.sharedBufs = nil, sharedBufs{}
 	}
-	return firstErr
+	return err
 }
 
 // putBlock gives an emptied block of blockSize to blockPool.
@@ -772,62 +681,4 @@ func (s *Shared) poolable() bool {
 	}
 	n := uintptr(spans)*unsafe.Sizeof(blockSpan{}) + uintptr(cap(s.popBuf)) + uintptr(cap(s.popVals))*unsafe.Sizeof([]byte(nil))
 	return n <= maxPooledBytes
-}
-
-// sharedRun is a buffered sequential cursor over one sorted spill file.
-type sharedRun struct {
-	r                *bytesx.Reader
-	closer           io.Closer
-	name             string
-	headKey, headVal []byte
-	done             bool
-}
-
-// openSharedRun opens a run and primes its head record. A run with no
-// records is closed, deleted, and returned as nil; so is one whose first
-// read fails, since no Shared will ever own it.
-func openSharedRun(fs iokit.FS, name string) (*sharedRun, error) {
-	f, err := fs.Open(name)
-	if err != nil {
-		fs.Remove(name)
-		return nil, err
-	}
-	run := &sharedRun{r: bytesx.GetReader(f), closer: f, name: name}
-	if err := run.advance(); err != nil {
-		fs.Remove(name)
-		return nil, err
-	}
-	if run.done {
-		return nil, fs.Remove(name)
-	}
-	return run, nil
-}
-
-// advance reads the next head record, closing the reader on every
-// terminal path: EOF and read errors alike (an error here is fatal for
-// the run, so holding the file open would leak the handle).
-func (r *sharedRun) advance() error {
-	k, v, err := r.r.ReadRecord()
-	if errors.Is(err, io.EOF) {
-		r.done = true
-		return r.close()
-	}
-	if err != nil {
-		r.close()
-		return err
-	}
-	r.headKey = append(r.headKey[:0], k...)
-	r.headVal = append(r.headVal[:0], v...)
-	return nil
-}
-
-func (r *sharedRun) close() error {
-	if r.closer == nil {
-		return nil
-	}
-	c := r.closer
-	r.closer = nil
-	bytesx.PutReader(r.r)
-	r.r = nil
-	return c.Close()
 }

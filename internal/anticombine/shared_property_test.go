@@ -1,7 +1,9 @@
 package anticombine
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -9,6 +11,7 @@ import (
 
 	"repro/internal/bytesx"
 	"repro/internal/iokit"
+	"repro/internal/mr"
 )
 
 // sharedValueSizes are the value lengths the reference checks run
@@ -21,28 +24,33 @@ var sharedValueSizes = []int{7, 7, 7, 7, 7, 7, 7, 0, blockSize - 1, blockSize, b
 // sorted-multimap reference. A popped group is a set of views into
 // Shared's buffers, valid until the next mutation: it is checked only
 // after the non-mutating calls that follow the pop, and — as long as
-// nothing has spilled — must list the values in arrival order.
+// nothing has spilled — must list the values in arrival order. On a
+// flipFS that has flipped a spill byte, an op may instead fail with
+// ErrIntegrity, which ends the run.
 type sharedRef struct {
 	t    testing.TB
 	name string // the run, for failure messages
+	fs   iokit.FS
 	s    *Shared
 	ref  map[string][]string
 	ops  int
+	dead bool // an op failed on a flipped byte
 	// floor is the last popped key. Adds only use keys >= it (the
 	// drain-in-order discipline AntiReducer guarantees), and popped keys
 	// must be >= it.
 	floor string
 }
 
-func newSharedRef(t testing.TB, name string, memLimit, mergeFactor int) *sharedRef {
+func newSharedRef(t testing.TB, name string, memLimit, mergeFactor int, fs iokit.FS) *sharedRef {
 	return &sharedRef{
 		t:    t,
 		name: name,
+		fs:   fs,
 		s: NewShared(SharedConfig{
 			KeyCompare:    bytesx.Bytes,
 			MemLimitBytes: memLimit,
 			MergeFactor:   mergeFactor,
-			FS:            iokit.NewMemFS(),
+			FS:            fs,
 			Prefix:        name,
 		}),
 		ref: map[string][]string{},
@@ -52,6 +60,21 @@ func newSharedRef(t testing.TB, name string, memLimit, mergeFactor int) *sharedR
 func (c *sharedRef) fatalf(format string, args ...any) {
 	c.t.Helper()
 	c.t.Fatalf("%s op %d: %s", c.name, c.ops, fmt.Sprintf(format, args...))
+}
+
+// ok accepts an op's error only as the ErrIntegrity a flipped spill byte
+// must cause, after which the Shared is dead and later ops are skipped.
+func (c *sharedRef) ok(op string, err error) bool {
+	c.t.Helper()
+	if err == nil {
+		return true
+	}
+	if f, _ := c.fs.(*flipFS); f != nil && f.flipped.Load() && errors.Is(err, mr.ErrIntegrity) {
+		c.dead = true
+		return false
+	}
+	c.fatalf("%s: %v", op, err)
+	return false
 }
 
 func (c *sharedRef) minKey() (string, bool) {
@@ -69,6 +92,9 @@ func (c *sharedRef) minKey() (string, bool) {
 // add adds a value of size bytes, made distinct by id, under one of 40
 // keys above the floor.
 func (c *sharedRef) add(key, size, id int) {
+	if c.dead {
+		return
+	}
 	c.ops++
 	k := fmt.Sprintf("%s%02d", c.floor, key%40)
 	v := fmt.Sprintf("v%06d", id)
@@ -77,13 +103,15 @@ func (c *sharedRef) add(key, size, id int) {
 	} else {
 		v += strings.Repeat(string(rune('a'+id%26)), size-len(v))
 	}
-	if err := c.s.Add([]byte(k), []byte(v)); err != nil {
-		c.fatalf("Add: %v", err)
+	if c.ok("Add", c.s.Add([]byte(k), []byte(v))) {
+		c.ref[k] = append(c.ref[k], v)
 	}
-	c.ref[k] = append(c.ref[k], v)
 }
 
 func (c *sharedRef) peek() {
+	if c.dead {
+		return
+	}
 	c.ops++
 	want, wantOK := c.minKey()
 	got, ok := c.s.PeekMinKey()
@@ -93,14 +121,17 @@ func (c *sharedRef) peek() {
 }
 
 func (c *sharedRef) pop() {
+	if c.dead {
+		return
+	}
 	c.ops++
 	want, ok := c.minKey()
 	if !ok {
 		return
 	}
 	k, vals, err := c.s.PopMinKeyValues()
-	if err != nil {
-		c.fatalf("Pop: %v", err)
+	if !c.ok("Pop", err) {
+		return
 	}
 	c.s.PeekMinKey()
 	c.s.Empty()
@@ -129,17 +160,20 @@ func (c *sharedRef) pop() {
 	c.floor = want
 }
 
-// drain pops the remainder, checks nothing is left on either side and
-// closes the Shared.
+// drain pops the remainder, checks nothing is left on either side,
+// closes the Shared and checks it left no file behind.
 func (c *sharedRef) drain() {
-	for !c.s.Empty() {
+	for !c.dead && !c.s.Empty() {
 		c.pop()
 	}
-	if len(c.ref) != 0 {
+	if !c.dead && len(c.ref) != 0 {
 		c.fatalf("%d keys never surfaced", len(c.ref))
 	}
 	if err := c.s.Close(); err != nil {
 		c.fatalf("Close: %v", err)
+	}
+	if names, err := c.fs.List(); err != nil || len(names) != 0 {
+		c.fatalf("Close left files %v (%v)", names, err)
 	}
 }
 
@@ -152,7 +186,7 @@ func TestSharedRandomizedAgainstReference(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(trial)))
 		memLimit := []int{32, 100, 1000, 1 << 20}[trial%4]
 		mergeFactor := []int{2, 3, 10}[trial%3]
-		c := newSharedRef(t, fmt.Sprintf("rand%04d", trial), memLimit, mergeFactor)
+		c := newSharedRef(t, fmt.Sprintf("rand%04d", trial), memLimit, mergeFactor, iokit.NewMemFS())
 		for op := 0; op < 300; op++ {
 			switch rng.Intn(4) {
 			case 0, 1:
@@ -169,16 +203,21 @@ func TestSharedRandomizedAgainstReference(t *testing.T) {
 
 // FuzzShared runs an op sequence against the reference: each op is two
 // bytes, the first choosing Add / PeekMinKey / PopMinKeyValues and an
-// Add's value size, the second an Add's key.
+// Add's value size, the second an Add's key. One byte of the first spill
+// run is flipped at flipAt, if the run is that long; then the sequence
+// must either match the reference or fail with ErrIntegrity.
 func FuzzShared(f *testing.F) {
-	f.Add(uint16(32), uint8(2), []byte("\x00\x01\x04\x02\x08\x01\x02\x00\x03\x00\x03\x00"))
-	f.Add(uint16(1000), uint8(3), []byte("\x1c\x05\x20\x05\x24\x06\x2c\x07\x03\x00\x01\x05\x03\x00"))
-	f.Add(uint16(0), uint8(10), []byte("\x2c\x01\x28\x02\x24\x03\x20\x04\x1c\x05\x03\x00\x00\x06\x03\x00\x03\x00"))
-	f.Fuzz(func(t *testing.T, memLimit uint16, mergeFactor uint8, ops []byte) {
+	f.Add(uint16(32), uint8(2), uint32(math.MaxUint32), []byte("\x00\x01\x04\x02\x08\x01\x02\x00\x03\x00\x03\x00"))
+	f.Add(uint16(1000), uint8(3), uint32(math.MaxUint32), []byte("\x1c\x05\x20\x05\x24\x06\x2c\x07\x03\x00\x01\x05\x03\x00"))
+	f.Add(uint16(0), uint8(10), uint32(math.MaxUint32), []byte("\x2c\x01\x28\x02\x24\x03\x20\x04\x1c\x05\x03\x00\x00\x06\x03\x00\x03\x00"))
+	f.Add(uint16(1), uint8(2), uint32(9), []byte("\x00\x01\x00\x02\x00\x03\x03\x00\x03\x00\x03\x00"))
+	f.Add(uint16(1000), uint8(10), uint32(70000), []byte("\x2c\x01\x2c\x02\x2c\x03\x2c\x04\x03\x00\x03\x00\x03\x00"))
+	f.Fuzz(func(t *testing.T, memLimit uint16, mergeFactor uint8, flipAt uint32, ops []byte) {
 		if len(ops) > 400 {
 			ops = ops[:400]
 		}
-		c := newSharedRef(t, "fuzz", int(memLimit), int(mergeFactor))
+		fs := &flipFS{FS: iokit.NewMemFS(), match: "shared-spill", at: int64(flipAt)}
+		c := newSharedRef(t, "fuzz", int(memLimit), int(mergeFactor), fs)
 		for i := 0; i+1 < len(ops); i += 2 {
 			switch op := ops[i]; op % 4 {
 			case 0, 1:

@@ -13,6 +13,7 @@ import (
 	"sort"
 
 	"repro/internal/bytesx"
+	"repro/internal/codec"
 	"repro/internal/iokit"
 	"repro/internal/obs"
 )
@@ -383,47 +384,66 @@ func (b *mapBuffer) sameRawKey(x, y bufEntry) bool {
 		(x.keyLen <= 8 || bytes.Equal(b.keyTail(x), b.keyTail(y)))
 }
 
-// segmentSink is the write side of one segment file: file → CRC32C
+// RecordWriter is the write side of one framed file: file → CRC32C
 // framing (the outermost on-disk layer) → codec → framed-record writer.
-// It centralizes the layering and the close chain so spill runs and
-// merge outputs cannot drift apart.
-type segmentSink struct {
-	f  io.WriteCloser
-	ck *checksumWriter
-	cw io.WriteCloser // codec writer
-	w  *bytesx.Writer
+// A record file has no codec layer. Every spill run, merge output, map
+// output segment and record file is written through it, so their
+// layering and close chain cannot drift apart.
+type RecordWriter struct {
+	fs   iokit.FS
+	name string
+	f    io.WriteCloser
+	ck   *checksumWriter
+	cw   io.WriteCloser // codec writer; nil for a record file
+	w    *bytesx.Writer
 }
 
-// newSegmentSink creates name on fs and stacks the segment write layers
-// over it. On error nothing is left open and the partial file is
-// removed.
-func newSegmentSink(job *Job, fs iokit.FS, name string) (*segmentSink, error) {
+// CreateRecordFile creates name on fs for writing a record file (see
+// WriteRecordFile) one record at a time.
+func CreateRecordFile(fs iokit.FS, name string) (*RecordWriter, error) {
+	return newSegmentSink(nil, fs, name)
+}
+
+// newSegmentSink creates name on fs and stacks the write layers over it,
+// with c's compression (a nil c: a record file). On error nothing is
+// left open and the partial file is removed.
+func newSegmentSink(c codec.Codec, fs iokit.FS, name string) (*RecordWriter, error) {
 	f, err := fs.Create(name)
 	if err != nil {
 		return nil, err
 	}
-	ck := newChecksumWriter(f)
-	cw, err := job.Codec.NewWriter(ck)
-	if err != nil {
-		ck.release()
-		f.Close()
-		removeQuiet(fs, name)
-		return nil, err
+	s := &RecordWriter{fs: fs, name: name, f: f, ck: newChecksumWriter(f)}
+	var dst io.Writer = s.ck
+	if c != nil {
+		if s.cw, err = c.NewWriter(s.ck); err != nil {
+			s.ck.release()
+			f.Close()
+			removeQuiet(fs, name)
+			return nil, err
+		}
+		dst = s.cw
 	}
-	return &segmentSink{f: f, ck: ck, cw: cw, w: bytesx.GetWriter(cw)}, nil
+	s.w = bytesx.GetWriter(dst)
+	return s, nil
 }
 
-// close flushes and closes every layer in order (err carries the
-// caller's write error, if any, so close errors never mask it) and
-// reports the framed record count and pre-codec bytes.
-func (s *segmentSink) close(err error) (records, rawBytes int64, _ error) {
+// Write appends one record.
+func (s *RecordWriter) Write(key, value []byte) error { return s.w.WriteRecord(key, value) }
+
+// Close flushes and closes every layer in order and reports the records
+// written and their pre-codec bytes. err is the caller's write error, if
+// any, so close errors never mask it; on any error the partial file is
+// removed.
+func (s *RecordWriter) Close(err error) (records, rawBytes int64, _ error) {
 	if err == nil {
 		err = s.w.Flush()
 	}
 	records, rawBytes = s.w.Records(), s.w.Bytes()
 	bytesx.PutWriter(s.w)
-	if cerr := s.cw.Close(); err == nil {
-		err = cerr
+	if s.cw != nil {
+		if cerr := s.cw.Close(); err == nil {
+			err = cerr
+		}
 	}
 	if cerr := s.ck.Close(); err == nil {
 		err = cerr
@@ -431,13 +451,16 @@ func (s *segmentSink) close(err error) (records, rawBytes int64, _ error) {
 	if cerr := s.f.Close(); err == nil {
 		err = cerr
 	}
+	if err != nil {
+		removeQuiet(s.fs, s.name)
+	}
 	return records, rawBytes, err
 }
 
 // writeRun writes one sorted partition run, applying the combiner when
 // configured. On error the partial run file is removed.
 func (b *mapBuffer) writeRun(name string, partition int, entries []bufEntry) (SegmentInfo, error) {
-	sink, err := newSegmentSink(b.job, b.fs, name)
+	sink, err := newSegmentSink(b.job.Codec, b.fs, name)
 	if err != nil {
 		return SegmentInfo{}, err
 	}
@@ -458,9 +481,8 @@ func (b *mapBuffer) writeRun(name string, partition int, entries []bufEntry) (Se
 			}
 		}
 	}
-	records, rawBytes, err := sink.close(err)
+	records, rawBytes, err := sink.Close(err)
 	if err != nil {
-		removeQuiet(b.fs, name)
 		return SegmentInfo{}, err
 	}
 	return SegmentInfo{Partition: partition, File: name, Records: records, RawBytes: rawBytes}, nil
@@ -575,30 +597,46 @@ func (b *mapBuffer) finish() ([]SegmentInfo, error) {
 	return out, nil
 }
 
-// openSegment opens a segment file for sorted streaming, verifying the
-// CRC32C framing as it reads — every local merge read re-checks
-// integrity, not just the shuffle fetch.
-func openSegment(job *Job, fs iokit.FS, seg SegmentInfo) (recordStream, error) {
-	f, err := fs.Open(seg.File)
+// openSegment opens a segment file compressed by c (a nil c: a record
+// file) for sorted streaming, verifying the CRC32C framing as it reads —
+// every local merge read re-checks integrity, not just the shuffle
+// fetch.
+func openSegment(c codec.Codec, fs iokit.FS, name string) (*readerStream, error) {
+	f, err := fs.Open(name)
 	if err != nil {
 		return nil, err
 	}
+	return readSegment(c, f)
+}
+
+// readSegment stacks the read layers RecordWriter wrote over f: the
+// stripping CRC32C parser, c's decompression unless c is nil, and the
+// framed-record reader. Closing the stream closes f.
+func readSegment(c codec.Codec, f io.ReadCloser) (*readerStream, error) {
 	ck := newCRCReader(f, false)
-	cr, err := job.Codec.NewReader(ck)
-	if err != nil {
-		ck.release()
-		f.Close()
-		return nil, err
+	var src io.Reader = ck
+	var cr io.ReadCloser
+	if c != nil {
+		var err error
+		if cr, err = c.NewReader(ck); err != nil {
+			ck.release()
+			f.Close()
+			return nil, err
+		}
+		src = cr
 	}
-	rd := bytesx.GetReader(cr)
+	rd := bytesx.GetReader(src)
 	return &readerStream{r: rd, close: func() error {
 		bytesx.PutReader(rd)
 		ck.release()
-		if err := cr.Close(); err != nil {
-			f.Close()
-			return err
+		var err error
+		if cr != nil {
+			err = cr.Close()
 		}
-		return f.Close()
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		return err
 	}}, nil
 }
 
@@ -679,7 +717,7 @@ func mergeOnce(job *Job, fs iokit.FS, counters *Counters, name string, partition
 		}
 	}()
 	for _, s := range segs {
-		st, oerr := openSegment(job, fs, s)
+		st, oerr := openSegment(job.Codec, fs, s.File)
 		if oerr != nil {
 			err = oerr
 			return SegmentInfo{}, err
@@ -691,7 +729,7 @@ func mergeOnce(job *Job, fs iokit.FS, counters *Counters, name string, partition
 		return SegmentInfo{}, err
 	}
 
-	sink, err := newSegmentSink(job, fs, name)
+	sink, err := newSegmentSink(job.Codec, fs, name)
 	if err != nil {
 		return SegmentInfo{}, err
 	}
@@ -722,7 +760,7 @@ func mergeOnce(job *Job, fs iokit.FS, counters *Counters, name string, partition
 			}
 		}
 	}
-	records, rawBytes, err := sink.close(err)
+	records, rawBytes, err := sink.Close(err)
 	if err != nil {
 		return SegmentInfo{}, err
 	}

@@ -35,7 +35,7 @@ func identityReduceJob() *Job {
 // ascending keys to name.
 func writeSortedSegment(tb testing.TB, job *Job, fs iokit.FS, name string, n, valueLen int) SegmentInfo {
 	tb.Helper()
-	sink, err := newSegmentSink(job, fs, name)
+	sink, err := newSegmentSink(job.Codec, fs, name)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func writeSortedSegment(tb testing.TB, job *Job, fs iokit.FS, name string, n, va
 		}
 		err = sink.w.WriteRecord(key, value)
 	}
-	records, rawBytes, err := sink.close(err)
+	records, rawBytes, err := sink.Close(err)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func BenchmarkSegmentRoundTrip(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		seg := writeSortedSegment(b, job, fs, "seg", records, valueLen)
 		b.SetBytes(seg.RawBytes)
-		st, err := openSegment(job, fs, seg)
+		st, err := openSegment(job.Codec, fs, seg.File)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -22,9 +22,10 @@ import (
 // the engine classifies as transient: local reads retry the attempt,
 // and cluster fetches feed the unreachable-source blacklist and the
 // DepLostError re-execution path instead of poisoning reduce output.
-// Record files (WriteRecordFile: pipeline handoffs, job output) carry
-// the same framing without a codec layer, so they cross the data plane
-// under the same verifier.
+// Record files (RecordWriter with no codec: pipeline handoffs, job
+// output, and anticombine's Shared spill and merge runs) carry the same
+// framing without a codec layer, so they cross the data plane under the
+// same verifier and a flipped bit in a Shared run is ErrIntegrity too.
 
 // ErrIntegrity marks structurally corrupt segment data: a bad frame
 // length, a checksum mismatch, a truncated frame, or trailing bytes

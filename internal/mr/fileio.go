@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/bytesx"
 	"repro/internal/iokit"
 )
 
@@ -57,12 +56,10 @@ func (s *RecordFileSplit) Records(fn func(key, value []byte) error) error {
 // any record of the bad frame reaches fn. The key and value fn gets are
 // valid only until it returns.
 func ReadRecords(src io.Reader, fn func(key, value []byte) error) error {
-	ck := newCRCReader(src, false)
-	defer ck.release()
-	r := bytesx.GetReader(ck)
-	defer bytesx.PutReader(r)
+	st, _ := readSegment(nil, io.NopCloser(src)) // with no codec it cannot fail
+	defer st.closeStream()
 	for {
-		k, v, err := r.ReadRecord()
+		k, v, err := st.next()
 		if err == io.EOF {
 			return nil
 		}
@@ -90,31 +87,19 @@ func CollectRecords(src io.Reader) ([]Record, error) {
 // WriteRecordFile writes records as a record file readable by
 // RecordFileSplit: length-framed records under the same CRC32C framing
 // as segments (no codec), so a record file served to another process —
-// a pipeline handoff — is verified in flight like any shuffle fetch.
+// a pipeline handoff — is verified in flight like any shuffle fetch. On
+// error the partial file is removed.
 func WriteRecordFile(fs iokit.FS, name string, recs []Record) error {
-	f, err := fs.Create(name)
+	w, err := CreateRecordFile(fs, name)
 	if err != nil {
 		return err
 	}
-	ck := newChecksumWriter(f)
-	w := bytesx.GetWriter(ck)
 	for _, r := range recs {
-		if err = w.WriteRecord(r.Key, r.Value); err != nil {
+		if err = w.Write(r.Key, r.Value); err != nil {
 			break
 		}
 	}
-	if err == nil {
-		err = w.Flush()
-	}
-	bytesx.PutWriter(w)
-	if err == nil {
-		err = ck.Close()
-	} else {
-		ck.release()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
+	_, _, err = w.Close(err)
 	return err
 }
 

@@ -262,7 +262,7 @@ func TestMultiPassMergeSmallestFirst(t *testing.T) {
 // so the file carries whatever layering (checksums, codec) the job is
 // configured with.
 func writeTestSegment(job *Job, fs iokit.FS, name string, partition, id, n int) (SegmentInfo, error) {
-	sink, err := newSegmentSink(job, fs, name)
+	sink, err := newSegmentSink(job.Codec, fs, name)
 	if err != nil {
 		return SegmentInfo{}, err
 	}
@@ -274,9 +274,8 @@ func writeTestSegment(job *Job, fs iokit.FS, name string, partition, id, n int) 
 			break
 		}
 	}
-	records, rawBytes, err := sink.close(werr)
+	records, rawBytes, err := sink.Close(werr)
 	if err != nil {
-		removeQuiet(fs, name)
 		return SegmentInfo{}, err
 	}
 	return SegmentInfo{Partition: partition, File: name, Records: records, RawBytes: rawBytes}, nil

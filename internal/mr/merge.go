@@ -6,6 +6,7 @@ import (
 	"io"
 
 	"repro/internal/bytesx"
+	"repro/internal/iokit"
 )
 
 // recordStream yields framed records in key order. Implementations
@@ -70,9 +71,10 @@ func closeRecordStream(s recordStream) {
 // cmp) each item caches its key's 8-byte prefix (keyPrefix), so most
 // comparisons are one integer compare; otherwise it calls cmp.
 type mergeIter struct {
-	items []*mergeItem
-	cmp   bytesx.Compare // nil: raw key bytes
-	err   error
+	items  []*mergeItem
+	cmp    bytesx.Compare // nil: raw key bytes
+	err    error
+	pushed int // streams pushed so far: the next one's index
 }
 
 type mergeItem struct {
@@ -91,29 +93,45 @@ type mergeItem struct {
 // merges by raw key bytes (Job.mergeCompare).
 func newMergeIter(streams []recordStream, cmp bytesx.Compare) (*mergeIter, error) {
 	m := &mergeIter{cmp: cmp}
-	for i, s := range streams {
-		k, v, err := s.next()
-		if errors.Is(err, io.EOF) {
-			continue
-		}
-		if err != nil {
+	for _, s := range streams {
+		if err := m.push(s); err != nil {
 			return nil, err
 		}
-		it := &mergeItem{
-			key:    bytesx.Clone(k),
-			value:  bytesx.Clone(v),
-			stream: s,
-			index:  i,
-		}
-		if cmp == nil {
-			it.prefix = keyPrefix(it.key)
-		}
-		m.items = append(m.items, it)
-	}
-	for i := len(m.items)/2 - 1; i >= 0; i-- {
-		m.down(i)
 	}
 	return m, nil
+}
+
+// push primes s's first record into the heap, tying after every stream
+// pushed before it. An empty s is dropped.
+func (m *mergeIter) push(s recordStream) error {
+	index := m.pushed
+	m.pushed++
+	k, v, err := s.next()
+	if errors.Is(err, io.EOF) {
+		return nil
+	}
+	if err != nil {
+		return err
+	}
+	it := &mergeItem{
+		key:    bytesx.Clone(k),
+		value:  bytesx.Clone(v),
+		stream: s,
+		index:  index,
+	}
+	if m.cmp == nil {
+		it.prefix = keyPrefix(it.key)
+	}
+	m.items = append(m.items, it)
+	for i := len(m.items) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !m.less(m.items[i], m.items[parent]) {
+			break
+		}
+		m.items[i], m.items[parent] = m.items[parent], m.items[i]
+		i = parent
+	}
+	return nil
 }
 
 // less orders items by key, then stream index.
@@ -178,16 +196,94 @@ func (m *mergeIter) next() ([]byte, []byte, error) {
 		m.err = err
 		return nil, nil, err
 	} else {
+		same := bytes.Equal(k, key)
 		top.spareKey = append(top.spareKey[:0], k...)
 		top.spareVal = append(top.spareVal[:0], v...)
 		top.key, top.spareKey = top.spareKey, top.key
 		top.value, top.spareVal = top.spareVal, top.value
+		if same {
+			// The stream repeated its key byte for byte, which every order
+			// holds equal: the item's (key, index) is unchanged, so it still
+			// heads the heap, and a run of one key costs no sift per record.
+			return key, value, nil
+		}
 		if m.cmp == nil {
 			top.prefix = keyPrefix(top.key)
 		}
 	}
 	m.down(0)
 	return key, value, nil
+}
+
+// RunMerger is a cursor over the engine's merge heap for a caller that
+// spills sorted runs of its own (anticombine's Shared). The runs are
+// record files (CreateRecordFile) that the merger owns: it reads them
+// through the CRC32C verifier, removes a run's file as soon as the run
+// is exhausted, and removes the rest at Close. Equal keys come from
+// earlier pushed runs first, and in file order within a run.
+type RunMerger struct {
+	fs iokit.FS
+	m  mergeIter
+}
+
+// NewRunMerger returns an empty merger of record files on fs, ordered by
+// cmp (nil: raw key bytes).
+func NewRunMerger(fs iokit.FS, cmp bytesx.Compare) RunMerger {
+	return RunMerger{fs: fs, m: mergeIter{cmp: cmp}}
+}
+
+// Push adds the record file name as the newest run. A file with no
+// records, or one that cannot be read, is removed instead.
+func (c *RunMerger) Push(name string) error {
+	st, err := openSegment(nil, c.fs, name)
+	if err != nil {
+		removeQuiet(c.fs, name)
+		return err
+	}
+	closeFile := st.close
+	st.close = func() error {
+		err := closeFile()
+		if rerr := c.fs.Remove(name); err == nil {
+			err = rerr
+		}
+		return err
+	}
+	if err := c.m.push(st); err != nil {
+		st.closeStream()
+		return err
+	}
+	return nil
+}
+
+// Len reports how many runs are not yet exhausted.
+func (c *RunMerger) Len() int { return len(c.m.items) }
+
+// Peek returns the smallest key without consuming it, valid until the
+// next Next.
+func (c *RunMerger) Peek() ([]byte, bool) {
+	if len(c.m.items) == 0 {
+		return nil, false
+	}
+	return c.m.items[0].key, true
+}
+
+// Next pops the smallest record, or returns io.EOF once every run is
+// exhausted. Its slices are valid until the following Next. An error is
+// sticky.
+func (c *RunMerger) Next() (key, value []byte, err error) { return c.m.next() }
+
+// Close closes the runs not yet exhausted and removes their files,
+// leaving the merger empty.
+func (c *RunMerger) Close() error {
+	var firstErr error
+	for i, it := range c.m.items {
+		if err := it.stream.(*readerStream).closeStream(); err != nil && firstErr == nil {
+			firstErr = err
+		}
+		c.m.items[i] = nil
+	}
+	c.m.items = c.m.items[:0]
+	return firstErr
 }
 
 // groupedIter walks a merged stream one key group at a time, where a

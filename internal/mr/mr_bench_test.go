@@ -231,7 +231,7 @@ func BenchmarkMergeIterSegments(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		streams := make([]recordStream, len(segs))
 		for s, seg := range segs {
-			st, err := openSegment(j, j.FS, seg)
+			st, err := openSegment(j.Codec, j.FS, seg.File)
 			if err != nil {
 				b.Fatal(err)
 			}

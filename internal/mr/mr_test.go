@@ -642,6 +642,63 @@ func TestMergeIterOrder(t *testing.T) {
 	}
 }
 
+// TestRunMerger: runs pushed at any time merge by key, equal keys in push
+// order (also while a run repeats a key); Peek does not consume; an
+// exhausted run's file is removed at once, and Close removes the files of
+// the runs still open.
+func TestRunMerger(t *testing.T) {
+	fs := iokit.NewMemFS()
+	push := func(c *RunMerger, name string, recs ...string) {
+		t.Helper()
+		var rs []Record
+		for _, r := range recs {
+			k, v, _ := strings.Cut(r, "=")
+			rs = append(rs, Record{Key: []byte(k), Value: []byte(v)})
+		}
+		if err := WriteRecordFile(fs, name, rs); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Push(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pop := func(c *RunMerger) string {
+		t.Helper()
+		k, v, err := c.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(k) + "=" + string(v)
+	}
+	c := NewRunMerger(fs, nil)
+	push(&c, "r0", "b=0a", "b=0b", "d=0")
+	push(&c, "r1", "a=1", "b=1", "z=1")
+	push(&c, "empty")
+	if k, ok := c.Peek(); !ok || string(k) != "a" || c.Len() != 2 {
+		t.Fatalf("Peek = %q/%v with %d runs, want a/true with 2", k, ok, c.Len())
+	}
+	var got []string
+	for i := 0; i < 2; i++ {
+		got = append(got, pop(&c))
+	}
+	push(&c, "r2", "b=2", "c=2")
+	for i := 0; i < 5; i++ {
+		got = append(got, pop(&c))
+	}
+	if want := "a=1 b=0a b=0b b=1 b=2 c=2 d=0"; strings.Join(got, " ") != want {
+		t.Errorf("merged %q, want %q", strings.Join(got, " "), want)
+	}
+	if names, _ := fs.List(); strings.Join(names, ",") != "r1" {
+		t.Errorf("files after exhausting r0 and r2: %v, want [r1]", names)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if names, _ := fs.List(); len(names) != 0 || c.Len() != 0 {
+		t.Errorf("after Close: files %v, %d runs", names, c.Len())
+	}
+}
+
 type streamFunc func() ([]byte, []byte, error)
 
 func (f streamFunc) next() ([]byte, []byte, error) { return f() }

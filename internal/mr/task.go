@@ -274,7 +274,7 @@ func reduceMerge(ctx context.Context, job *Job, fs iokit.FS, counters *Counters,
 		}
 	}()
 	for _, s := range segs {
-		st, oerr := openSegment(job, fs, s)
+		st, oerr := openSegment(job.Codec, fs, s.File)
 		if oerr != nil {
 			err = oerr
 			return nil, err

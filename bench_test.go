@@ -254,17 +254,3 @@ func BenchmarkExtCrossCallWindow(b *testing.B) {
 	}
 	b.ReportMetric(f, "window-records-x")
 }
-
-// BenchmarkExtTCPShuffle runs the engine with the shuffle routed through
-// real loopback TCP sockets (Hadoop-style fetch phase).
-func BenchmarkExtTCPShuffle(b *testing.B) {
-	text := datagen.NewRandomText(datagen.RandomTextConfig{Seed: 92, Lines: 2000})
-	for i := 0; i < b.N; i++ {
-		job := wordcount.NewJob(4)
-		job.TCPShuffle = true
-		job.DiscardOutput = true
-		if _, err := mr.Run(job, wordcount.Splits(text, 4)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

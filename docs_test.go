@@ -21,11 +21,18 @@ import (
 // declaration in the tree (test files included), a declaration of a
 // standard-library package the tree imports, a Go string literal (such
 // as a counter name), a metric name in BENCHMARK.json, or the name of a
-// file in the tree.
+// file in the tree. A back-ticked repository path (under internal/ or
+// scripts/, or naming a .go or .json file) must exist, or be a package
+// directory followed by one of its declarations; a back-ticked
+// `make target` must name a Makefile target.
 func TestDocsNameLiveSymbols(t *testing.T) {
 	idx := newSymbolIndex(t)
+	targets := makeTargets(t)
 	span := regexp.MustCompile("`([^`\n]+)`")
 	tok := regexp.MustCompile(`^([A-Za-z_][A-Za-z0-9_]*)\.([A-Za-z_][A-Za-z0-9_]*)(?:\(\))?$`)
+	path := regexp.MustCompile(`^(?:(?:internal|scripts)/[A-Za-z0-9_./-]*|[A-Za-z0-9_./-]+\.(?:go|json))$`)
+	pkgSym := regexp.MustCompile(`^(.+/[a-z0-9]+)\.([A-Za-z_][A-Za-z0-9_]*)$`)
+	mk := regexp.MustCompile(`^make ([A-Za-z0-9_-]+)`)
 	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
 		data, err := os.ReadFile(doc)
 		if err != nil {
@@ -33,12 +40,45 @@ func TestDocsNameLiveSymbols(t *testing.T) {
 		}
 		for i, line := range strings.Split(string(data), "\n") {
 			for _, s := range span.FindAllStringSubmatch(line, -1) {
-				if m := tok.FindStringSubmatch(s[1]); m != nil && !idx.resolves(t, m[1], m[2]) {
+				var ok bool
+				if m := tok.FindStringSubmatch(s[1]); m != nil {
+					ok = idx.resolves(t, m[1], m[2])
+				} else if path.MatchString(s[1]) {
+					ok = exists(s[1]) || !strings.Contains(s[1], "/") && idx.names[s[1]]
+					if m := pkgSym.FindStringSubmatch(s[1]); !ok && m != nil {
+						ok = exists(m[1]) && idx.resolves(t, filepath.Base(m[1]), m[2])
+					}
+				} else if m := mk.FindStringSubmatch(s[1]); m != nil {
+					ok = targets[m[1]]
+				} else {
+					continue
+				}
+				if !ok {
 					t.Errorf("%s:%d: `%s` names nothing in the tree", doc, i+1, s[1])
 				}
 			}
 		}
 	}
+}
+
+// exists reports whether a path relative to the repository root exists.
+func exists(path string) bool {
+	_, err := os.Stat(path)
+	return err == nil
+}
+
+// makeTargets is the set of targets the Makefile defines.
+func makeTargets(t *testing.T) map[string]bool {
+	data, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rule := regexp.MustCompile(`(?m)^([A-Za-z0-9_-]+):`)
+	targets := make(map[string]bool)
+	for _, m := range rule.FindAllStringSubmatch(string(data), -1) {
+		targets[m[1]] = true
+	}
+	return targets
 }
 
 // symbolIndex is every name a doc token may resolve to.

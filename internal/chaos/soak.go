@@ -137,8 +137,9 @@ func soakErr(s *Schedule, format string, args ...any) error {
 }
 
 // SoakInProcess runs one seeded soak on the in-process engine: chaos on
-// the task filesystem and the TCP shuffle data plane, invariants
-// checked against a clean run of the identical job.
+// the task filesystem, invariants checked against a clean run of the
+// identical job. The in-process engine has no data plane; SoakCluster
+// injects the network faults.
 func SoakInProcess(seed uint64, prof Profile, tracer *obs.Tracer) (*SoakReport, error) {
 	spec, err := json.Marshal(defaultSoakSpec())
 	if err != nil {
@@ -151,9 +152,6 @@ func SoakInProcess(seed uint64, prof Profile, tracer *obs.Tracer) (*SoakReport, 
 	}
 	cleanFS := iokit.NewMemFS()
 	cleanJob.FS = cleanFS
-	// Same transport as the chaotic run, so the two leave the same
-	// on-disk layout (fetch files included) for the orphan comparison.
-	cleanJob.TCPShuffle = true
 	clean, err := mr.Run(cleanJob, cleanSplits)
 	if err != nil {
 		return nil, fmt.Errorf("chaos: clean reference run failed: %w", err)
@@ -172,13 +170,6 @@ func SoakInProcess(seed uint64, prof Profile, tracer *obs.Tracer) (*SoakReport, 
 	mem := iokit.NewMemFS()
 	tracked := &iokit.TrackFS{Inner: s.WrapFS(mem)}
 	job.FS = tracked
-	job.TCPShuffle = true
-	job.WrapShuffleListener = s.WrapListener
-	// Compression is requested only on the chaotic run: output must
-	// stay byte-identical to the uncompressed clean reference, which is
-	// exactly the transparency the wire codec promises — and it puts
-	// compressed frames in the fault path.
-	job.WireCompression = true
 	job.Tracer = tracer
 
 	res, err := mr.Run(job, splits)

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/codec"
 	"repro/internal/iokit"
 	"repro/internal/mr"
 	"repro/internal/sched"
@@ -36,7 +37,9 @@ type testSpec struct {
 	Splits     int
 	Lines      int // per split
 	Reducers   int
-	MapDelayUs int // per-record mapper sleep, to stretch map tasks
+	MapDelayUs int  // per-record mapper sleep, to stretch map tasks
+	Snappy     bool // Snappy map-output codec
+	Combine    bool // a combiner under a 1 KiB sort buffer and merge factor 2
 }
 
 const testJobName = "cluster-test-wordcount"
@@ -107,6 +110,14 @@ func buildTestJob(spec []byte) (*mr.Job, []mr.Split, error) {
 		NewReducer:     sum,
 		NumReduceTasks: s.Reducers,
 		Deterministic:  true,
+	}
+	if s.Snappy {
+		job.Codec = codec.Snappy{}
+	}
+	if s.Combine {
+		job.NewCombiner = sum
+		job.SortBufferBytes = 1 << 10
+		job.MergeFactor = 2
 	}
 	return job, splits, nil
 }
@@ -191,72 +202,112 @@ func awaitEvent(t *testing.T, ch <-chan Event, what string, pred func(Event) boo
 }
 
 // TestClusterMatchesSingleProcess: two in-process workers execute the
-// job over real TCP shuffle; output must be byte-identical to the
-// single-process engine, and the measured shuffle must be populated
-// with pooled (dials < fetches) transfers.
+// job over real TCP shuffle, across map-output codecs × wire
+// compression and a spilling, combining job. Output, shuffle bytes and
+// per-partition flows must equal the single-process engine's, the
+// measured shuffle must be populated with pooled (dials < fetches)
+// transfers, and a compressing wire must move fewer bytes than it
+// delivers.
 func TestClusterMatchesSingleProcess(t *testing.T) {
-	ref := JobRef{Name: testJobName, Spec: mustSpec(t, testSpec{
-		Splits: 8, Lines: 120, Reducers: 4,
-	})}
-	fleet, err := NewFleet(FleetConfig{HeartbeatEvery: 25 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fleet.Close()
+	for _, c := range []struct {
+		name         string
+		snappy, wire bool
+		combine      bool
+	}{
+		{name: "identity/wire=false"},
+		{name: "identity/wire=true", wire: true},
+		{name: "snappy/wire=false", snappy: true},
+		{name: "snappy/wire=true", snappy: true, wire: true},
+		{name: "combiner/tiny-sort", combine: true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			// 600 lines per split put Snappy-coded segments over the
+			// wire's compression floor; the spilling case needs fewer.
+			lines := 600
+			if c.combine {
+				lines = 120
+			}
+			ref := JobRef{Name: testJobName, Spec: mustSpec(t, testSpec{
+				Splits: 8, Lines: lines, Reducers: 4, Snappy: c.snappy, Combine: c.combine,
+			})}
+			// The wide miss budget keeps a worker busy spilling under the
+			// race detector from being declared dead between heartbeats.
+			fleet, err := NewFleet(FleetConfig{HeartbeatEvery: 25 * time.Millisecond, HeartbeatMiss: 20})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer fleet.Close()
 
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	workerErr := make(chan error, 2)
-	for i := 0; i < 2; i++ {
-		go func() {
-			workerErr <- RunWorker(ctx, WorkerOptions{Coordinator: fleet.Addr(), Slots: 2})
-		}()
-	}
+			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+			defer cancel()
+			workerErr := make(chan error, 2)
+			for i := 0; i < 2; i++ {
+				go func() {
+					workerErr <- RunWorker(ctx, WorkerOptions{Coordinator: fleet.Addr(), Slots: 2, WireCompression: c.wire})
+				}()
+			}
 
-	res, err := runExclusive(ctx, fleet, 2, ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		if err := <-workerErr; err != nil {
-			t.Errorf("worker: %v", err)
-		}
-	}
+			res, err := runExclusive(ctx, fleet, 2, ref)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 2; i++ {
+				if err := <-workerErr; err != nil {
+					t.Errorf("worker: %v", err)
+				}
+			}
 
-	single := singleProcessRun(t, ref)
-	assertSameOutput(t, res, single)
+			single := singleProcessRun(t, ref)
+			assertSameOutput(t, res, single)
+			if res.Stats.ShuffleBytes != single.Stats.ShuffleBytes {
+				t.Errorf("shuffle bytes %d, in-process %d", res.Stats.ShuffleBytes, single.Stats.ShuffleBytes)
+			}
+			if fmt.Sprint(res.ShufflePerPartition) != fmt.Sprint(single.ShufflePerPartition) {
+				t.Errorf("per-partition flows %v, in-process %v", res.ShufflePerPartition, single.ShufflePerPartition)
+			}
+			raw := res.Stats.Extra[mr.CounterShuffleRawBytes]
+			wire := res.Stats.Extra[mr.CounterShuffleWireBytes]
+			if raw != res.Stats.ShuffleBytes {
+				t.Errorf("%s = %d, want the shuffle's %d bytes", mr.CounterShuffleRawBytes, raw, res.Stats.ShuffleBytes)
+			}
+			if c.wire && wire >= raw {
+				t.Errorf("compressed wire moved %d bytes for %d raw; want fewer", wire, raw)
+			}
+			if !c.wire && wire != raw {
+				t.Errorf("uncompressed wire moved %d bytes for %d raw; want equal", wire, raw)
+			}
+			if c.combine && (single.Stats.Spills <= 8 || res.Stats.Spills != single.Stats.Spills) {
+				t.Errorf("spills: fleet %d, in-process %d; want equal and more than one per map task",
+					res.Stats.Spills, single.Stats.Spills)
+			}
 
-	m := res.MeasuredShuffle
-	if m == nil {
-		t.Fatal("cluster run must populate MeasuredShuffle")
-	}
-	if m.Bytes <= 0 || m.Fetches <= 0 {
-		t.Errorf("measured shuffle empty: %+v", m)
-	}
-	if m.Bytes != res.Stats.ShuffleBytes {
-		t.Errorf("measured bytes %d != metered shuffle bytes %d", m.Bytes, res.Stats.ShuffleBytes)
-	}
-	if m.Dials <= 0 || m.Dials >= int64(m.Fetches) {
-		t.Errorf("dials %d vs fetches %d: connection pool should dial fewer times than it fetches", m.Dials, m.Fetches)
-	}
-	if m.Extent <= 0 || m.FetchTime <= 0 {
-		t.Errorf("measured shuffle times empty: %+v", m)
-	}
-	var shufflePer int64
-	for _, b := range res.ShufflePerPartition {
-		shufflePer += b
-	}
-	if shufflePer != m.Bytes {
-		t.Errorf("ShufflePerPartition sums to %d, measured %d", shufflePer, m.Bytes)
-	}
-	// The fleet's tasks read and write what the in-process engine's do;
-	// on top, the segment servers read exactly the bytes the fetches
-	// moved — nothing else a clean Exclusive job's disk lines include.
-	if res.Stats.DiskWriteBytes != single.Stats.DiskWriteBytes ||
-		res.Stats.DiskReadBytes != single.Stats.DiskReadBytes+m.Bytes {
-		t.Errorf("disk read/write %d/%d, want in-process %d/%d plus %d served",
-			res.Stats.DiskReadBytes, res.Stats.DiskWriteBytes,
-			single.Stats.DiskReadBytes, single.Stats.DiskWriteBytes, m.Bytes)
+			m := res.MeasuredShuffle
+			if m == nil {
+				t.Fatal("cluster run must populate MeasuredShuffle")
+			}
+			if m.Bytes <= 0 || m.Fetches <= 0 {
+				t.Errorf("measured shuffle empty: %+v", m)
+			}
+			if m.Bytes != res.Stats.ShuffleBytes {
+				t.Errorf("measured bytes %d != metered shuffle bytes %d", m.Bytes, res.Stats.ShuffleBytes)
+			}
+			if m.Dials <= 0 || m.Dials >= int64(m.Fetches) {
+				t.Errorf("dials %d vs fetches %d: connection pool should dial fewer times than it fetches", m.Dials, m.Fetches)
+			}
+			if m.Extent <= 0 || m.FetchTime <= 0 {
+				t.Errorf("measured shuffle times empty: %+v", m)
+			}
+			// The fleet's tasks read and write what the in-process engine's
+			// do; on top, the segment servers read exactly the bytes the
+			// fetches moved — nothing else a clean Exclusive job's disk
+			// lines include.
+			if res.Stats.DiskWriteBytes != single.Stats.DiskWriteBytes ||
+				res.Stats.DiskReadBytes != single.Stats.DiskReadBytes+m.Bytes {
+				t.Errorf("disk read/write %d/%d, want in-process %d/%d plus %d served",
+					res.Stats.DiskReadBytes, res.Stats.DiskWriteBytes,
+					single.Stats.DiskReadBytes, single.Stats.DiskWriteBytes, m.Bytes)
+			}
+		})
 	}
 }
 

@@ -730,8 +730,8 @@ func (r *clusterRPC) Report(args *ReportArgs, reply *ReportReply) error {
 	w := f.workers[args.WorkerID]
 	pend := f.pending[key]
 	if w == nil || pend == nil || pend.worker != args.WorkerID {
-		// Stale: a cancelled attempt, a lost race, or a worker already
-		// declared dead. Drop it; the authoritative outcome is elsewhere.
+		// Stale: a cancelled attempt, or a worker already declared
+		// dead. Drop it; the authoritative outcome is elsewhere.
 		f.mu.Unlock()
 		return nil
 	}

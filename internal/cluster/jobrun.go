@@ -30,8 +30,6 @@ type JobSpec struct {
 	// MaxTaskAttempts caps attempts per task, counting both retries and
 	// re-executions after output loss (default 4).
 	MaxTaskAttempts int
-	// Speculative enables speculative duplicates of straggling map tasks.
-	Speculative bool
 	// Exclusive marks the classic one-shot shape (one fleet, one job):
 	// the scheduler is bounded to the fleet's slot count, and the fleet's
 	// worker-wide gauges (pool dials, RPC retries, integrity faults) are
@@ -258,7 +256,7 @@ func (j *jobRun) run(ctx context.Context, width int) (*mr.Result, error) {
 
 	// The plan's tasks carry no Run: every attempt dispatches through
 	// Execute.
-	tasks := j.plan.Tasks(j.spec.Speculative)
+	tasks := j.plan.Tasks()
 	if !j.spec.Exclusive {
 		// Expose every runnable task to the fleet so fair share picks
 		// among all jobs' work; the fleet's slot count, not the
@@ -268,7 +266,6 @@ func (j *jobRun) run(ctx context.Context, width int) (*mr.Result, error) {
 	cfg := sched.Config{
 		Workers:     width,
 		MaxAttempts: j.spec.MaxTaskAttempts,
-		Speculate:   j.spec.Speculative,
 		Tracer:      tracer,
 		Executor:    j,
 		Retryable: func(err error) bool {
@@ -287,9 +284,9 @@ func (j *jobRun) run(ctx context.Context, width int) (*mr.Result, error) {
 	return res, nil
 }
 
-// Committed task values. Stats ride inside them so only winning
-// attempts contribute to job stats (a speculative loser's snapshot is
-// discarded with its value).
+// Committed task values. Stats ride inside them so only committed
+// attempts contribute to job stats (a failed attempt's snapshot is
+// discarded with its report).
 type mapValue struct {
 	worker int
 	segs   []mr.SegmentInfo

@@ -7,7 +7,7 @@
 // plane before it commits the reduce.
 // Each job keeps its own task graph, placement, and stats (a jobRun
 // implementing sched.Executor, so internal/sched's retries, backoff,
-// speculation, and DepLostError re-execution all apply per job), while
+// and DepLostError re-execution all apply per job), while
 // the fleet arbitrates task leases across jobs with per-tenant
 // weighted fair share. Worker death is recovered the way Hadoop
 // re-runs completed maps when a tasktracker is lost; workers can also
@@ -72,8 +72,8 @@ type GetJobReply struct {
 }
 
 // HeartbeatArgs / HeartbeatReply: liveness plus the fleet's worker-bound
-// back-channels — attempt cancellations (lost speculative races,
-// cancelled jobs), finished-job cleanup announcements, and
+// back-channels — attempt cancellations (revoked leases, cancelled
+// jobs), finished-job cleanup announcements, and
 // fleet-initiated drain requests all piggyback on heartbeat replies.
 type HeartbeatArgs struct {
 	WorkerID int

@@ -84,9 +84,10 @@ func TestSkewShape(t *testing.T) {
 		t.Errorf("lazy transfer %d not well below eager %d",
 			r.MapOutputBytes[idx[VariantLazy]], r.MapOutputBytes[idx[VariantEager]])
 	}
-	// At least +25% even under instrumented (-race) builds; the
-	// uninstrumented effect at scale is far larger (see EXPERIMENTS.md).
-	if float64(r.MaxTask[idx[VariantLazy]]) < 1.25*float64(r.MaxTask[idx[VariantEager]]) {
+	// At least +25% uninstrumented; the effect at scale is far larger
+	// (see EXPERIMENTS.md). The race detector's uneven slowdown blurs a
+	// wall-time ratio this small, so -race builds check only the bytes.
+	if !raceEnabled && float64(r.MaxTask[idx[VariantLazy]]) < 1.25*float64(r.MaxTask[idx[VariantEager]]) {
 		t.Errorf("lazy max task %v not above eager %v: skew effect missing",
 			r.MaxTask[idx[VariantLazy]], r.MaxTask[idx[VariantEager]])
 	}

@@ -2,6 +2,7 @@ package mr
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"io"
 	"net"
@@ -181,42 +182,51 @@ func TestFrameHeaderOverflowRejected(t *testing.T) {
 	}
 }
 
-// TestFetchCorruptionRetries runs a TCP-shuffle job whose shuffle
-// listener flips one bit in the first large payload write: the fetch
-// must detect the corruption via checksum, count it, retry, and the job
-// must still produce output identical to a clean run.
+// TestFetchCorruptionRetries serves two segments through a listener
+// that flips one bit in the first large payload write: the first fetch
+// attempt must detect the corruption by checksum, count it and leave no
+// file behind, and the retried attempt must land byte-identical copies.
 func TestFetchCorruptionRetries(t *testing.T) {
-	input := lines(
-		strings.Repeat("alpha beta gamma delta ", 200),
-		strings.Repeat("epsilon zeta eta theta ", 200),
-	)
-	clean, err := Run(wordCountJob(false), input)
+	job := checksumTestJob(t)
+	remote, local := iokit.NewMemFS(), iokit.NewMemFS()
+	sources := fetchTestSources(t, job, remote)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv := NewSegmentServerOn(remote, corruptOnceListener(ln), nil)
+	defer srv.Close()
+	pool := NewConnPool()
+	defer pool.Close()
+	fetch := func(ctx context.Context, src SegmentInfo) (io.ReadCloser, int64, error) {
+		return pool.Fetch(ctx, srv.Addr(), src.File)
+	}
 
-	job := wordCountJob(false)
-	job.TCPShuffle = true
-	job.MaxTaskAttempts = 4
-	job.WrapShuffleListener = corruptOnceListener
-	res, err := Run(job, input)
-	if err != nil {
-		t.Fatalf("job did not survive one-shot corruption: %v", err)
+	counters := &Counters{}
+	_, err = ExecFetchTask(context.Background(), job, local, counters, 1, 3, 0, sources, fetch)
+	if !errors.Is(err, ErrIntegrity) || !isTransientErr(err) {
+		t.Fatalf("attempt 0: err = %v, want a retryable ErrIntegrity", err)
 	}
-	// Output must be byte-identical; work counters legitimately inflate
-	// on the retried fetch, so only the output is compared.
-	co, ro := clean.SortedOutput(), res.SortedOutput()
-	if len(co) != len(ro) {
-		t.Fatalf("output length differs: clean %d, corrupted-once %d", len(co), len(ro))
-	}
-	for i := range co {
-		if !bytes.Equal(co[i].Key, ro[i].Key) || !bytes.Equal(co[i].Value, ro[i].Value) {
-			t.Fatalf("record %d differs: clean %q=%q, corrupted-once %q=%q",
-				i, co[i].Key, co[i].Value, ro[i].Key, ro[i].Value)
-		}
-	}
-	if got := res.Stats.Extra[CounterFetchIntegrity]; got != 1 {
+	if got := counters.Extra(CounterFetchIntegrity); got != 1 {
 		t.Errorf("%s = %d, want 1", CounterFetchIntegrity, got)
+	}
+	if files, _ := local.List(); len(files) != 0 {
+		t.Errorf("failed attempt left files behind: %v", files)
+	}
+
+	got, err := ExecFetchTask(context.Background(), job, local, counters, 1, 3, 1, sources, fetch)
+	if err != nil {
+		t.Fatalf("attempt 1: %v", err)
+	}
+	if len(got.Segs) != len(sources) {
+		t.Fatalf("attempt 1 fetched %d segments, want %d", len(got.Segs), len(sources))
+	}
+	for i, s := range got.Segs {
+		want, _ := readAllFile(remote, sources[i].File)
+		copied, err := readAllFile(local, s.File)
+		if err != nil || !bytes.Equal(copied, want) {
+			t.Errorf("segment %d: the retried copy differs from its source (%v)", i, err)
+		}
 	}
 }
 

@@ -3,7 +3,6 @@ package mr
 import (
 	"context"
 	"fmt"
-	"io"
 	"sync"
 	"time"
 
@@ -33,7 +32,7 @@ type Result struct {
 	MapTaskTimes []time.Duration
 	// Timeline is the per-attempt task event log: queued/start/finish
 	// timestamps and outcome for every map, fetch, and reduce attempt,
-	// including retries and speculative duplicates. Consumers (cost
+	// including retries and re-executions. Consumers (cost
 	// model, experiments) can measure real phase overlap from it
 	// instead of assuming phase serialization.
 	Timeline []sched.Attempt
@@ -68,9 +67,10 @@ type ShuffleMeasurement struct {
 // for completion — the analogue of submitting a job to a Hadoop
 // cluster. The job runs as an event-driven task graph (Plan): each
 // reduce partition's segment fetches start as soon as the map tasks
-// feeding it complete, with per-task retries and optional speculative
-// execution, on at most Job.Parallelism workers. Output does not
-// depend on the worker count or on which attempt wins.
+// feeding it complete, with per-task retries, on at most
+// Job.Parallelism workers. A reduce reads map output where it lies, in
+// the job's FS. Output does not depend on the worker count or on which
+// attempt succeeds.
 func Run(job *Job, splits []Split) (_ *Result, err error) {
 	j, err := job.normalized()
 	if err != nil {
@@ -115,21 +115,7 @@ func Run(job *Job, splits []Split) (_ *Result, err error) {
 		}
 	}()
 
-	// Without TCPShuffle a reduce reads map output where it lies: the
-	// fetch tasks only meter it.
-	var fetch FetchFunc
-	if j.TCPShuffle {
-		tcp, err := newTCPTransport(fs, j.WrapShuffleListener, j.WireCompression)
-		if err != nil {
-			return nil, fmt.Errorf("mr: starting shuffle transport: %w", err)
-		}
-		defer tcp.Close()
-		fetch = func(ctx context.Context, src SegmentInfo) (io.ReadCloser, int64, error) {
-			return tcp.Fetch(ctx, src.File)
-		}
-	}
-
-	res, err := runPipelined(context.Background(), j, fs, counters, fetch, plan, splits)
+	res, err := runPipelined(context.Background(), j, fs, counters, plan, splits)
 	if err != nil {
 		return nil, err
 	}

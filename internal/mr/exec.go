@@ -61,8 +61,7 @@ func ExecReduceTask(ctx context.Context, job *Job, fs iokit.FS, counters *Counte
 }
 
 // FetchFunc opens one source segment's body for a fetch task and
-// reports its transfer size: the loopback TCPTransport in-process, a
-// pooled fetch from src.Addr on a fleet.
+// reports its transfer size: on a fleet, a pooled fetch from src.Addr.
 type FetchFunc func(ctx context.Context, src SegmentInfo) (io.ReadCloser, int64, error)
 
 // Fetched is what a fetch task commits: the partition's segments from
@@ -99,8 +98,8 @@ func (e *FetchError) Unwrap() error { return e.Err }
 // CopySegment, CRC-verified in flight, to an attempt-scoped name under
 // the job's workspace; a failed attempt removes every file it wrote
 // and returns a *FetchError. With a nil fetch the sources are already
-// in fs — the in-process engine without TCPShuffle — and stay where
-// they are. The attempt's wall time is charged as reduce CPU.
+// in fs — the in-process engine — and stay where they are. The
+// attempt's wall time is charged as reduce CPU.
 func ExecFetchTask(ctx context.Context, job *Job, fs iokit.FS, counters *Counters, partition, mapTask, attempt int, sources []SegmentInfo, fetch FetchFunc) (Fetched, error) {
 	j, err := job.normalized()
 	if err != nil {

@@ -8,7 +8,8 @@ import (
 	"repro/internal/codec"
 )
 
-// TestFullPipelineMatrix drives the engine end-to-end across transports,
+// TestFullPipelineMatrix drives the engine end-to-end across transports
+// (the in-process engine, and the fleet's task path over the wire),
 // codecs, and buffer pressure simultaneously, checking results against a
 // single uncompressed local baseline. This is the engine's widest
 // configuration sweep; the anticombine package runs the analogous sweep
@@ -37,12 +38,15 @@ func TestFullPipelineMatrix(t *testing.T) {
 					}
 					job := wordCountJob(true)
 					job.Codec = c
-					job.TCPShuffle = tcp
 					if tinyBuf {
 						job.SortBufferBytes = 512
 						job.MergeFactor = 2
 					}
-					res, err := Run(job, input)
+					run := runner(Run)
+					if tcp {
+						run = overWire(false)
+					}
+					res, err := run(job, input)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -3,7 +3,6 @@ package mr
 import (
 	"errors"
 	"fmt"
-	"net"
 	"runtime"
 
 	"repro/internal/bytesx"
@@ -66,34 +65,12 @@ type Job struct {
 	// Defaults to runtime.GOMAXPROCS(0); 1 reproduces the historical
 	// strictly sequential spill/merge path.
 	SpillParallelism int
-	// TCPShuffle routes the shuffle through a real loopback TCP
-	// listener (map output segments are served over sockets and copied
-	// to reducer-local files before merging, like Hadoop's fetch phase)
-	// instead of direct filesystem reads.
-	TCPShuffle bool
-	// WrapShuffleListener, when non-nil and TCPShuffle is set, wraps the
-	// shuffle server's listener before it starts accepting — the hook
-	// the chaos harness uses to inject data-plane faults (connection
-	// drops, stalls, truncations, bit-flips) into the in-process engine.
-	WrapShuffleListener func(net.Listener) net.Listener
-	// WireCompression, with TCPShuffle, requests Snappy compression of
-	// segment bodies on every shuffle fetch. Transparent: fetched
-	// bytes (and job output) are identical; only bytes on the wire
-	// shrink, reported by the mr.shuffleWireBytes / mr.shuffleRawBytes
-	// extra counters.
-	WireCompression bool
 	// MaxTaskAttempts caps execution attempts per task (map, fetch,
-	// reduce). Attempts beyond the first are made only for transient
-	// errors (injected I/O faults, connection-level fetch failures),
-	// with exponential backoff from 1ms. Defaults to 1 (no retries).
+	// reduce). A task runs one attempt at a time; attempts beyond the
+	// first are made only for transient errors (injected I/O faults,
+	// integrity violations), with exponential backoff from 1ms.
+	// Defaults to 1 (no retries).
 	MaxTaskAttempts int
-	// Speculative enables speculative re-execution of straggler map
-	// attempts: when a map attempt runs well past its siblings' median
-	// duration a duplicate attempt is launched, the first finisher
-	// wins, and the loser is cancelled. Output is unaffected; duplicate
-	// attempts do inflate work counters (map input/output records,
-	// spills), as they do on Hadoop.
-	Speculative bool
 	// Tracer, when non-nil, receives typed trace spans from every layer
 	// of the run — job, map/fetch/reduce attempts, combiner passes, and
 	// anticombine's Shared spills — exportable as Chrome trace-event

@@ -54,38 +54,59 @@ func assertSameRun(t *testing.T, aName string, a *Result, bName string, b *Resul
 	}
 }
 
+// runner executes a job: Run, or the fleet's task path over the wire.
+type runner func(*Job, []Split) (*Result, error)
+
+// overWire is runOverWire as a runner.
+func overWire(compress bool) runner {
+	return func(job *Job, splits []Split) (*Result, error) { return runOverWire(job, splits, compress) }
+}
+
 // engineShapes calls fn once per codec × transport × spill-pressure
-// combination with a subtest name prefix and a constructor for that
-// shape's word-count job.
-func engineShapes(fn func(name string, mk func(combiner bool) *Job)) {
+// combination with a subtest name prefix, a constructor for that
+// shape's word-count job, and the runner for its transport: tcp=true
+// moves every segment through ExecFetchTask over a SegmentServer, as a
+// fleet does, Snappy-compressed on the wire when the map output codec
+// leaves it uncompressed.
+func engineShapes(fn func(name string, mk func(combiner bool) *Job, run runner)) {
 	for _, cc := range []struct {
 		name string
 		c    codec.Codec
 	}{{"identity", nil}, {"snappy", codec.Snappy{}}} {
 		for _, tcp := range []bool{false, true} {
+			run := runner(Run)
+			if tcp {
+				run = overWire(cc.c == nil)
+			}
 			for _, tinyBuf := range []bool{false, true} {
 				fn(fmt.Sprintf("%s/tcp=%v/tiny=%v", cc.name, tcp, tinyBuf), func(combiner bool) *Job {
 					job := wordCountJob(combiner)
 					job.Codec = cc.c
-					job.TCPShuffle = tcp
 					if tinyBuf {
 						job.SortBufferBytes = 1 << 10
 					}
 					return job
-				})
+				}, run)
 			}
 		}
 	}
 }
 
-// assertSequentialSame runs job twice — as configured, and one task at
-// a time with sequential spills and merges — and asserts the two runs
-// are the same run.
-func assertSequentialSame(t *testing.T, mk func() *Job, input []Split) {
+// assertSequentialSame runs job twice through run — as configured, and
+// one task at a time with sequential spills and merges — and asserts
+// the two runs are the same run.
+func assertSequentialSame(t *testing.T, run runner, mk func() *Job, input []Split) {
 	t.Helper()
 	seq := mk()
 	seq.Parallelism, seq.SpillParallelism = 1, 1
-	assertSameRun(t, "sequential", mustRun(t, seq, input), "configured", mustRun(t, mk(), input))
+	must := func(job *Job) *Result {
+		res, err := run(job, input)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	assertSameRun(t, "sequential", must(seq), "configured", must(mk()))
 }
 
 // TestMapPathEquivalence: across codecs, transports, spill pressure and
@@ -95,10 +116,10 @@ func assertSequentialSame(t *testing.T, mk func() *Job, input []Split) {
 // per-partition flows of the strictly sequential configuration.
 func TestMapPathEquivalence(t *testing.T) {
 	input := mapPathInput()
-	engineShapes(func(name string, mk func(combiner bool) *Job) {
+	engineShapes(func(name string, mk func(combiner bool) *Job, run runner) {
 		for _, combiner := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/combiner=%v", name, combiner), func(t *testing.T) {
-				assertSequentialSame(t, func() *Job { return mk(combiner) }, input)
+				assertSequentialSame(t, run, func() *Job { return mk(combiner) }, input)
 			})
 		}
 	})
@@ -109,10 +130,10 @@ func TestMapPathEquivalence(t *testing.T) {
 // workers reproduces the sequential run.
 func TestSchedulerEquivalence(t *testing.T) {
 	input := mapPathInput()
-	engineShapes(func(name string, mk func(combiner bool) *Job) {
+	engineShapes(func(name string, mk func(combiner bool) *Job, run runner) {
 		for _, par := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/par=%d", name, par), func(t *testing.T) {
-				assertSequentialSame(t, func() *Job {
+				assertSequentialSame(t, run, func() *Job {
 					job := mk(true)
 					job.Parallelism = par
 					return job
@@ -126,7 +147,7 @@ func TestSchedulerEquivalence(t *testing.T) {
 // sort path: a custom (reverse) comparator must disable the inlined
 // bytes.Compare fast path and still reproduce the sequential run.
 func TestMapPathEquivalenceCustomComparator(t *testing.T) {
-	assertSequentialSame(t, func() *Job {
+	assertSequentialSame(t, Run, func() *Job {
 		job := wordCountJob(true)
 		job.KeyCompare = func(a, b []byte) int { return bytes.Compare(b, a) }
 		job.SortBufferBytes = 1 << 10
@@ -138,7 +159,7 @@ func TestMapPathEquivalenceCustomComparator(t *testing.T) {
 // buffer, MergeFactor 2) so the smallest-first pass policy runs under
 // both configurations.
 func TestMapPathEquivalenceMultiPass(t *testing.T) {
-	assertSequentialSame(t, func() *Job {
+	assertSequentialSame(t, Run, func() *Job {
 		job := wordCountJob(true)
 		job.SortBufferBytes = 1 << 10
 		job.MergeFactor = 2

@@ -1,7 +1,7 @@
 package mr
 
 import (
-	"net"
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -310,15 +310,16 @@ func BenchmarkRunTraced(b *testing.B) {
 }
 
 // TestFailedStartKeepsJobSpan: spans are recorded when they end, so a
-// Run that fails before any task starts — here the shuffle transport
-// refuses to come up — must still end its job span, as failed.
+// Run that fails — here its only map task — must still end its job
+// span, as failed.
 func TestFailedStartKeepsJobSpan(t *testing.T) {
 	job := wordCountJob(false)
 	job.Tracer = obs.NewTracer()
-	job.TCPShuffle = true
-	job.WrapShuffleListener = func(net.Listener) net.Listener { return nil }
+	job.NewMapper = NewMapFunc(func(key, value []byte, out Emitter) error {
+		return errors.New("map fails")
+	})
 	if _, err := Run(job, lines("a b")); err == nil {
-		t.Fatal("Run succeeded without a shuffle listener")
+		t.Fatal("Run succeeded with a failing map task")
 	}
 	var jobs []obs.Span
 	for _, sp := range job.Tracer.Spans() {

@@ -18,14 +18,13 @@ type mapOut struct {
 // runPipelined executes the job's Plan on the in-process scheduler: it
 // attaches a closure to each of the plan's tasks and runs them on at
 // most Job.Parallelism workers. Task failures retry with backoff when
-// transient and the job's attempt budget allows; straggling map
-// attempts may be speculatively re-executed when Job.Speculative is
-// set.
-func runPipelined(ctx context.Context, j *Job, fs iokit.FS, counters *Counters, fetch FetchFunc, plan Plan, splits []Split) (*Result, error) {
+// transient and the job's attempt budget allows. Fetch tasks leave map
+// output where it lies in fs and only meter it.
+func runPipelined(ctx context.Context, j *Job, fs iokit.FS, counters *Counters, plan Plan, splits []Split) (*Result, error) {
 	// shufflePer is written concurrently by a partition's fetch tasks.
 	shufflePer := make([]int64, plan.Reduces)
 
-	tasks := plan.Tasks(j.Speculative)
+	tasks := plan.Tasks()
 	for t := range tasks {
 		task := &tasks[t]
 		id, _ := plan.Lookup(task.Name)
@@ -48,7 +47,7 @@ func runPipelined(ctx context.Context, j *Job, fs iokit.FS, counters *Counters, 
 						sources = append(sources, s)
 					}
 				}
-				got, err := runFetchTask(ctx, j, fs, counters, p, i, tc.Attempt, sources, fetch)
+				got, err := runFetchTask(ctx, j, fs, counters, p, i, tc.Attempt, sources, nil)
 				if err != nil {
 					return nil, err
 				}
@@ -72,7 +71,6 @@ func runPipelined(ctx context.Context, j *Job, fs iokit.FS, counters *Counters, 
 	cfg := sched.Config{
 		Workers:     j.Parallelism,
 		MaxAttempts: j.MaxTaskAttempts,
-		Speculate:   j.Speculative,
 		Tracer:      j.Tracer,
 	}
 	if j.MaxTaskAttempts > 1 {

@@ -84,12 +84,11 @@ func (pl Plan) Fetches() int {
 // Tasks returns the graph — maps, then each partition's fetches, then
 // reduces — with nil Run: the caller attaches closures or dispatches
 // through a sched.Executor. A reduce task's Deps are its partition's
-// fetch tasks in Sources order. speculative marks the map tasks
-// eligible for duplicate attempts.
-func (pl Plan) Tasks(speculative bool) []sched.Task {
+// fetch tasks in Sources order.
+func (pl Plan) Tasks() []sched.Task {
 	tasks := make([]sched.Task, 0, pl.Maps+pl.Fetches()+pl.Reduces)
 	for i := 0; i < pl.Maps; i++ {
-		tasks = append(tasks, sched.Task{Name: MapTaskName(i), Group: TaskGroupMap, Speculatable: speculative})
+		tasks = append(tasks, sched.Task{Name: MapTaskName(i), Group: TaskGroupMap})
 	}
 	reduces := make([]sched.Task, pl.Reduces)
 	for p := range reduces {

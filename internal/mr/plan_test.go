@@ -116,23 +116,18 @@ func TestPlanLayout(t *testing.T) {
 			if pl != c.want {
 				t.Fatalf("plan = %+v, want %+v", pl, c.want)
 			}
-			for _, speculative := range []bool{false, true} {
-				got := pl.Tasks(speculative)
-				if len(got) != len(c.tasks) || len(got) != c.total {
-					t.Fatalf("%d tasks, want %d (total %d)", len(got), len(c.tasks), c.total)
+			got := pl.Tasks()
+			if len(got) != len(c.tasks) || len(got) != c.total {
+				t.Fatalf("%d tasks, want %d (total %d)", len(got), len(c.tasks), c.total)
+			}
+			for i, want := range c.tasks {
+				g := got[i]
+				if g.Name != want.name || g.Group != want.group || strings.Join(g.Deps, " ") != want.deps {
+					t.Errorf("task %d = %s (%s) deps %v, want %s (%s) deps [%s]",
+						i, g.Name, g.Group, g.Deps, want.name, want.group, want.deps)
 				}
-				for i, want := range c.tasks {
-					g := got[i]
-					if g.Name != want.name || g.Group != want.group || strings.Join(g.Deps, " ") != want.deps {
-						t.Errorf("task %d = %s (%s) deps %v, want %s (%s) deps [%s]",
-							i, g.Name, g.Group, g.Deps, want.name, want.group, want.deps)
-					}
-					if g.Run != nil {
-						t.Errorf("task %s has a Run", g.Name)
-					}
-					if g.Speculatable != (speculative && want.group == "map") {
-						t.Errorf("task %s Speculatable = %v with speculative=%v", g.Name, g.Speculatable, speculative)
-					}
+				if g.Run != nil {
+					t.Errorf("task %s has a Run", g.Name)
 				}
 			}
 			if pl.Fetches() != c.fetches {
@@ -179,7 +174,7 @@ func TestPlanLookup(t *testing.T) {
 		t.Errorf("aligned Lookup(fetch/1/1) = %+v, %v", got, ok)
 	}
 	// Tasks and Lookup agree: every laid-out name resolves.
-	for _, task := range pl.Tasks(false) {
+	for _, task := range pl.Tasks() {
 		if id, ok := pl.Lookup(task.Name); !ok || id.Group != task.Group {
 			t.Errorf("Lookup(%q) = %+v, %v for a %s task", task.Name, id, ok, task.Group)
 		}

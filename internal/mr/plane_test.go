@@ -245,24 +245,18 @@ func TestWireCompressionRoundTrip(t *testing.T) {
 // job — output matches an uncompressed run key for key — while the wire
 // byte counters record the savings.
 func TestJobOverTCPShuffleCompressed(t *testing.T) {
-	mk := func(compress bool) *Job {
-		// No combiner: every emission crosses the shuffle, so segments
-		// are large enough to clear the compression floor.
-		job := wordCountJob(false)
-		job.TCPShuffle = true
-		job.WireCompression = compress
-		return job
-	}
 	var words strings.Builder
 	for i := 0; i < 4000; i++ {
 		fmt.Fprintf(&words, "word%05d ", i%1300)
 	}
 	input := lines(words.String())
-	plain, err := Run(mk(false), input)
+	// No combiner: every emission crosses the shuffle, so segments are
+	// large enough to clear the compression floor.
+	plain, err := runOverWire(wordCountJob(false), input, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	compressed, err := Run(mk(true), input)
+	compressed, err := runOverWire(wordCountJob(false), input, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"strings"
 	"sync"
 	"time"
@@ -21,7 +20,7 @@ const ctxCheckInterval = 64
 
 // errShortFetch marks a shuffle fetch that delivered fewer bytes than
 // the server advertised — a connection-level fault (the peer died or
-// its read failed mid-stream), so it is classified transient.
+// its read failed mid-stream).
 var errShortFetch = errors.New("mr: short shuffle fetch")
 
 // ErrMisaligned reports a Job.AlignedInput violation: a map emission
@@ -31,40 +30,26 @@ var errShortFetch = errors.New("mr: short shuffle fetch")
 // never collect.
 var ErrMisaligned = errors.New("mr: aligned-input job emitted off-diagonal record")
 
-// isTransientErr classifies errors worth retrying: injected I/O faults
-// from the fault-injection harness and connection-level shuffle
-// failures. Context cancellation is never transient — it means the job
-// (or a speculative race) already decided this attempt's fate.
+// isTransientErr classifies the in-process engine's errors worth
+// retrying: injected I/O faults from the fault-injection harness, reads
+// that ended short, and integrity violations. Context cancellation is
+// never transient — it means the job already decided this attempt's
+// fate.
 func isTransientErr(err error) bool {
 	if err == nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		return false
 	}
-	if errors.Is(err, iokit.ErrInjected) || errors.Is(err, errShortFetch) {
-		return true
-	}
-	// A truncated transfer — the transport surfaced fewer bytes than the
-	// peer advertised — is a connection-level fault, same as errShortFetch.
-	if errors.Is(err, io.ErrUnexpectedEOF) {
+	if errors.Is(err, iokit.ErrInjected) || errors.Is(err, io.ErrUnexpectedEOF) {
 		return true
 	}
 	// Integrity violations (checksum mismatch, truncation) mean the
-	// bytes are bad, not the computation: a retry re-fetches or re-reads
-	// and — on the cluster — feeds the source-blacklist/DepLostError
-	// re-execution path.
-	if errors.Is(err, ErrIntegrity) {
-		return true
-	}
-	var nerr net.Error
-	if errors.As(err, &nerr) {
-		return true
-	}
-	var operr *net.OpError
-	return errors.As(err, &operr)
+	// bytes are bad, not the computation: a retry re-reads them.
+	return errors.Is(err, ErrIntegrity)
 }
 
 // mapTaskDir names a map task's output directory. Attempt 0 keeps the
-// historical layout; retries and speculative duplicates get their own
-// directory so concurrent attempts never clobber each other's files.
+// historical layout; a retry or re-execution gets its own directory, so
+// no attempt writes over another's files.
 func mapTaskDir(job *Job, taskID, attempt int) string {
 	if attempt == 0 {
 		return fmt.Sprintf("%s/m%04d", job.Workspace, taskID)

@@ -59,9 +59,8 @@ const (
 // SegmentServer serves segment files from an FS over TCP, speaking the
 // frame pair above. After a response the connection returns to a clean
 // frame boundary and the client may issue the next request on it, which
-// is what makes connection pooling possible. It is the addressable
-// generalization of the loopback-only shuffle server: cluster workers
-// bind it on a routable address and peer workers fetch from it directly.
+// is what makes connection pooling possible. Cluster workers bind it on
+// a routable address and peer workers fetch from it directly.
 type SegmentServer struct {
 	fs    iokit.FS
 	meter *iokit.Meter // optional: meters serve-side disk reads
@@ -483,9 +482,8 @@ func (p *ConnPool) Close() error {
 
 // Fetch requests one segment from the server at addr and streams its
 // body, retrying connection-level failures with backoff. Cancelling ctx
-// closes the in-flight connection, so a fetch that lost a speculative
-// race or belongs to a cancelled job aborts mid-transfer instead of
-// running to completion.
+// closes the in-flight connection, so a fetch whose attempt or job was
+// cancelled aborts mid-transfer instead of running to completion.
 func (p *ConnPool) Fetch(ctx context.Context, addr, name string) (io.ReadCloser, int64, error) {
 	var lastErr error
 	for attempt := 0; attempt < fetchAttempts; attempt++ {
@@ -747,59 +745,6 @@ func countWireBytes(counters *Counters, rc io.ReadCloser, raw int64) {
 		counters.AddExtra(CounterShuffleRawBytes, raw)
 		counters.AddExtra(CounterShuffleWireBytes, wire)
 	}
-}
-
-// TCPTransport is the single-process shuffle-over-sockets transport: a
-// SegmentServer on loopback plus a pooled client fetching from it.
-type TCPTransport struct {
-	srv  *SegmentServer
-	pool *ConnPool
-}
-
-// NewTCPTransport starts a loopback listener serving fs.
-func NewTCPTransport(fs iokit.FS) (*TCPTransport, error) {
-	return newTCPTransport(fs, nil, false)
-}
-
-// newTCPTransport starts the loopback transport, optionally wrapping
-// the listener (Job.WrapShuffleListener — the chaos harness's
-// data-plane injection point) and requesting wire compression
-// (Job.WireCompression).
-func newTCPTransport(fs iokit.FS, wrap func(net.Listener) net.Listener, compress bool) (*TCPTransport, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	if wrap != nil {
-		wrapped := wrap(ln)
-		if wrapped == nil {
-			ln.Close()
-			return nil, errors.New("mr: WrapShuffleListener returned a nil listener")
-		}
-		ln = wrapped
-	}
-	pool := NewConnPool()
-	pool.WireCompression = compress
-	return &TCPTransport{srv: NewSegmentServerOn(fs, ln, nil), pool: pool}, nil
-}
-
-// Addr reports the listener address (tests and diagnostics).
-func (t *TCPTransport) Addr() string { return t.srv.Addr() }
-
-// Dials reports the TCP dials performed by the transport's pool.
-func (t *TCPTransport) Dials() int64 { return t.pool.Dials() }
-
-// Fetch requests the segment from the loopback server over a pooled
-// socket.
-func (t *TCPTransport) Fetch(ctx context.Context, name string) (io.ReadCloser, int64, error) {
-	return t.pool.Fetch(ctx, t.srv.Addr(), name)
-}
-
-// Close discards pooled connections, stops the
-// listener, and waits for in-flight connections.
-func (t *TCPTransport) Close() error {
-	t.pool.Close()
-	return t.srv.Close()
 }
 
 // MuxFetcher is the name ConnPool.Fetch went by while a multiplexing

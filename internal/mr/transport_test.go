@@ -10,7 +10,114 @@ import (
 	"time"
 
 	"repro/internal/iokit"
+	"repro/internal/sched"
 )
+
+// runOverWire runs job the way a fleet worker runs its tasks, in one
+// process: the plan's tasks on the scheduler, each map task through
+// ExecMapTask, each fetch task through ExecFetchTask pulling its map's
+// segments with ConnPool.Fetch from a SegmentServer over the job's
+// filesystem (with Snappy wire compression when compress is set), and
+// each reduce task through ExecReduceTask over the fetched copies.
+func runOverWire(job *Job, splits []Split, compress bool) (*Result, error) {
+	j, err := job.normalized()
+	if err != nil {
+		return nil, err
+	}
+	plan, err := NewPlan(j, len(splits))
+	if err != nil {
+		return nil, err
+	}
+	meter := &iokit.Meter{}
+	fs := iokit.Metered(j.FS, meter)
+	counters := &Counters{}
+	counters.InitPartitions(j.NumReduceTasks)
+	counters.SetDiskMeter(meter)
+	counters.MarkStart(time.Now())
+
+	srv, err := NewSegmentServer(fs, "127.0.0.1:0", nil)
+	if err != nil {
+		return nil, err
+	}
+	defer srv.Close()
+	pool := NewConnPool()
+	pool.WireCompression = compress
+	defer pool.Close()
+	fetch := func(ctx context.Context, src SegmentInfo) (io.ReadCloser, int64, error) {
+		return pool.Fetch(ctx, srv.Addr(), src.File)
+	}
+
+	shufflePer := make([]int64, plan.Reduces)
+	tasks := plan.Tasks()
+	for t := range tasks {
+		task := &tasks[t]
+		id, _ := plan.Lookup(task.Name)
+		i, p := id.Map, id.Partition
+		switch id.Group {
+		case TaskGroupMap:
+			task.Run = func(ctx context.Context, tc *sched.TaskContext) (any, error) {
+				return ExecMapTask(ctx, j, fs, counters, i, tc.Attempt, splits[i])
+			}
+		case TaskGroupFetch:
+			task.Run = func(ctx context.Context, tc *sched.TaskContext) (any, error) {
+				var sources []SegmentInfo
+				for _, s := range tc.Dep(MapTaskName(i)).([]SegmentInfo) {
+					if s.Partition == p {
+						sources = append(sources, s)
+					}
+				}
+				got, err := ExecFetchTask(ctx, j, fs, counters, p, i, tc.Attempt, sources, fetch)
+				if err != nil {
+					return nil, err
+				}
+				atomic.AddInt64(&shufflePer[p], got.Bytes)
+				return got.Segs, nil
+			}
+		case TaskGroupReduce:
+			fetches := task.Deps
+			task.Run = func(ctx context.Context, tc *sched.TaskContext) (any, error) {
+				var segs []SegmentInfo
+				for _, dep := range fetches {
+					segs = append(segs, tc.Dep(dep).([]SegmentInfo)...)
+				}
+				return ExecReduceTask(ctx, j, fs, counters, p, tc.Attempt, segs)
+			}
+		}
+	}
+	cfg := sched.Config{Workers: j.Parallelism, MaxAttempts: j.MaxTaskAttempts}
+	if j.MaxTaskAttempts > 1 {
+		cfg.Retryable = isTransientErr
+	}
+	report, err := sched.Run(context.Background(), tasks, cfg)
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{
+		Output:              make([][]Record, plan.Reduces),
+		ShufflePerPartition: shufflePer,
+		Timeline:            report.Attempts,
+	}
+	for p := range res.Output {
+		res.Output[p] = report.Value(ReduceTaskName(p)).([]Record)
+	}
+	counters.MarkEnd(time.Now())
+	res.Stats = counters.Snapshot()
+	return res, nil
+}
+
+// loopback serves fs on a loopback SegmentServer and returns it with a
+// fresh pool; both close when the test ends.
+func loopback(t *testing.T, fs iokit.FS) (*SegmentServer, *ConnPool) {
+	t.Helper()
+	srv, err := NewSegmentServer(fs, "127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	pool := NewConnPool()
+	t.Cleanup(func() { pool.Close() })
+	return srv, pool
+}
 
 func TestTCPTransportFetch(t *testing.T) {
 	fs := iokit.NewMemFS()
@@ -19,16 +126,12 @@ func TestTCPTransportFetch(t *testing.T) {
 	w.Write([]byte(payload))
 	w.Close()
 
-	tr, err := NewTCPTransport(fs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
-	if tr.Addr() == "" {
+	srv, pool := loopback(t, fs)
+	if srv.Addr() == "" {
 		t.Error("Addr should be set")
 	}
 
-	rc, size, err := tr.Fetch(context.Background(), "seg1")
+	rc, size, err := pool.Fetch(context.Background(), srv.Addr(), "seg1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,13 +149,8 @@ func TestTCPTransportFetch(t *testing.T) {
 }
 
 func TestTCPTransportMissingFile(t *testing.T) {
-	fs := iokit.NewMemFS()
-	tr, err := NewTCPTransport(fs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
-	if _, _, err := tr.Fetch(context.Background(), "nope"); err == nil {
+	srv, pool := loopback(t, iokit.NewMemFS())
+	if _, _, err := pool.Fetch(context.Background(), srv.Addr(), "nope"); err == nil {
 		t.Error("missing file should produce a fetch error")
 	}
 }
@@ -64,16 +162,12 @@ func TestTCPTransportConcurrentFetches(t *testing.T) {
 		w.Write([]byte(strings.Repeat(name, 5000)))
 		w.Close()
 	}
-	tr, err := NewTCPTransport(fs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
+	srv, pool := loopback(t, fs)
 	errs := make(chan error, 16)
 	for i := 0; i < 16; i++ {
 		name := string(rune('a' + i%4))
 		go func() {
-			rc, size, err := tr.Fetch(context.Background(), name)
+			rc, size, err := pool.Fetch(context.Background(), srv.Addr(), name)
 			if err != nil {
 				errs <- err
 				return
@@ -102,24 +196,20 @@ func TestConnPoolReusesConnections(t *testing.T) {
 	w, _ := fs.Create("seg")
 	w.Write([]byte(strings.Repeat("pooled ", 2000)))
 	w.Close()
-	tr, err := NewTCPTransport(fs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
+	srv, pool := loopback(t, fs)
 
 	for i := 0; i < 10; i++ {
-		rc, _, err := tr.Fetch(context.Background(), "seg")
+		rc, _, err := pool.Fetch(context.Background(), srv.Addr(), "seg")
 		if err != nil {
 			t.Fatal(err)
 		}
 		io.Copy(io.Discard, rc)
 		rc.Close()
-		if _, _, err := tr.Fetch(context.Background(), "missing"); err == nil {
+		if _, _, err := pool.Fetch(context.Background(), srv.Addr(), "missing"); err == nil {
 			t.Fatal("expected error for missing segment")
 		}
 	}
-	if d := tr.Dials(); d != 1 {
+	if d := pool.Dials(); d != 1 {
 		t.Errorf("10 fetches + 10 error round-trips dialed %d times, want 1", d)
 	}
 }
@@ -208,30 +298,30 @@ func TestFetchCancelledMidTransfer(t *testing.T) {
 }
 
 func TestTCPTransportDoubleClose(t *testing.T) {
-	tr, err := NewTCPTransport(iokit.NewMemFS())
+	srv, err := NewSegmentServer(iokit.NewMemFS(), "127.0.0.1:0", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Close(); err != nil {
-		t.Errorf("second close: %v", err)
+	pool := NewConnPool()
+	for i := 0; i < 2; i++ {
+		if err := pool.Close(); err != nil {
+			t.Errorf("pool close %d: %v", i, err)
+		}
+		if err := srv.Close(); err != nil {
+			t.Errorf("server close %d: %v", i, err)
+		}
 	}
 }
 
+// TestJobOverTCPShuffle: a job whose fetch tasks copy segments over the
+// wire produces the in-process engine's output and shuffle accounting.
 func TestJobOverTCPShuffle(t *testing.T) {
-	mk := func(tcp bool) *Job {
-		job := wordCountJob(true)
-		job.TCPShuffle = tcp
-		return job
-	}
 	input := lines(strings.Repeat("network shuffle words ", 500))
-	local, err := Run(mk(false), input)
+	local, err := Run(wordCountJob(true), input)
 	if err != nil {
 		t.Fatal(err)
 	}
-	networked, err := Run(mk(true), input)
+	networked, err := runOverWire(wordCountJob(true), input, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,18 +357,14 @@ func TestJobShuffleDialsPooled(t *testing.T) {
 			w.Close()
 		}
 	}
-	tr, err := NewTCPTransport(fs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
+	srv, pool := loopback(t, fs)
 
 	errs := make(chan error, nRed)
 	for p := 0; p < nRed; p++ {
 		p := p
 		go func() {
 			for m := 0; m < nMap; m++ {
-				rc, _, err := tr.Fetch(context.Background(), segName(m, p))
+				rc, _, err := pool.Fetch(context.Background(), srv.Addr(), segName(m, p))
 				if err != nil {
 					errs <- err
 					return
@@ -295,10 +381,10 @@ func TestJobShuffleDialsPooled(t *testing.T) {
 		}
 	}
 	fetches := int64(nMap * nRed)
-	if d := tr.Dials(); d >= fetches {
+	if d := pool.Dials(); d >= fetches {
 		t.Errorf("%d fetches took %d dials; pooling should dial fewer times than fetches", fetches, d)
 	} else {
-		t.Logf("%d fetches over %d dials", fetches, tr.Dials())
+		t.Logf("%d fetches over %d dials", fetches, d)
 	}
 }
 

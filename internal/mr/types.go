@@ -47,8 +47,8 @@ type TaskInfo struct {
 	TaskID    int
 	Partition int
 	// Attempt is the 0-based execution attempt of the enclosing task
-	// (>0 after scheduler retries or for speculative duplicates; always
-	// 0 for merge-time combiner instances).
+	// (>0 after scheduler retries or re-executions; always 0 for
+	// merge-time combiner instances).
 	Attempt       int
 	NumPartitions int
 	Partitioner   Partitioner

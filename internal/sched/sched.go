@@ -6,10 +6,8 @@
 //
 //   - retry with exponential backoff for attempts that fail with an
 //     error the caller classifies as transient;
-//   - speculative re-execution of stragglers (Hadoop's speculative
-//     tasks): a duplicate attempt is launched when a running attempt
-//     exceeds a multiple of its group's median duration, the first
-//     finisher wins, and the loser's context is cancelled;
+//   - re-execution of a committed task whose output a consumer reports
+//     lost (DepLostError);
 //   - prompt job-wide cancellation on fatal failure, plumbed to every
 //     in-flight attempt via context.Context;
 //   - a structured per-attempt timeline (queued/start/finish, outcome)
@@ -26,42 +24,34 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
 )
 
-// Task is one node of the DAG. Run is invoked once per attempt; it must
-// honor ctx cancellation promptly (a loser of a speculative race or a
-// sibling of a failed task is cancelled, not killed). The returned value
-// is committed only for the winning attempt and is visible to dependent
-// tasks via TaskContext.Dep.
+// Task is one node of the DAG. Run is invoked once per attempt, and at
+// most one attempt of a task is in flight at a time; it must honor ctx
+// cancellation promptly (a sibling of a failed task is cancelled, not
+// killed). The value of the attempt that succeeds is committed and is
+// visible to dependent tasks via TaskContext.Dep.
 type Task struct {
 	// Name uniquely identifies the task and keys Dep lookups.
 	Name string
-	// Group labels the task for timeline analysis and speculation
-	// statistics (e.g. "map", "fetch", "reduce").
+	// Group labels the task for timeline analysis (e.g. "map", "fetch",
+	// "reduce").
 	Group string
 	// Deps lists task names that must commit before this task runs.
 	Deps []string
-	// Speculatable marks the task eligible for speculative duplicate
-	// attempts when it straggles behind its group's median duration.
-	Speculatable bool
-	// Run executes one attempt. Attempts of one task may run
-	// concurrently (speculation), so Run must not share mutable state
-	// across attempts except through attempt-scoped names. Run may be
-	// nil when Config.Executor is set; such tasks are dispatched to the
-	// executor instead.
+	// Run executes one attempt. Run may be nil when Config.Executor is
+	// set; such tasks are dispatched to the executor instead.
 	Run func(ctx context.Context, tc *TaskContext) (any, error)
 }
 
 // Executor dispatches task attempts somewhere other than an in-process
 // closure — the cluster coordinator implements it to lease tasks to
 // remote worker processes. Execute is invoked under the same worker
-// semaphore, retry, and speculation machinery as Task.Run; it must
+// semaphore and retry machinery as Task.Run; it must
 // honor ctx cancellation (the lease should be revoked) and may return
 // a *DepLostError to signal that an already-committed dependency's
 // output has become unreachable and must be re-executed.
@@ -100,11 +90,8 @@ func lostDeps(err error) []string {
 // TaskContext carries per-attempt information into Run.
 type TaskContext struct {
 	// Attempt is the 0-based attempt index, unique per task across
-	// retries and speculative duplicates (use it to scope file names).
+	// retries and re-executions (use it to scope file names).
 	Attempt int
-	// Speculative reports whether this attempt is a speculative
-	// duplicate of a still-running attempt.
-	Speculative bool
 
 	s *scheduler
 }
@@ -114,7 +101,7 @@ type TaskContext struct {
 func (tc *TaskContext) Dep(name string) any { return tc.s.value(name) }
 
 // Config tunes a scheduler run. The zero value is usable: GOMAXPROCS
-// workers, no retries, no speculation.
+// workers, no retries.
 type Config struct {
 	// Workers bounds concurrently executing attempts.
 	Workers int
@@ -129,17 +116,9 @@ type Config struct {
 	// outputs (stage handoffs on remote workers) may raise it
 	// independently of the retry budget.
 	MaxReexecs int
-	// Speculate enables speculative duplicate attempts for tasks marked
-	// Speculatable.
-	Speculate bool
-	// SpeculationMin is the minimum elapsed time before speculation
-	// (default 20ms), so short tasks never speculate.
-	SpeculationMin time.Duration
-	// SpeculationInterval is the straggler scan period (default 5ms).
-	SpeculationInterval time.Duration
 	// Tracer, when non-nil, receives one span per attempt (kind = the
-	// task's Group, name = the task name) with attempt index,
-	// speculative flag, and outcome attributes — the trace-sink
+	// task's Group, name = the task name) with attempt index and
+	// outcome attributes — the trace-sink
 	// generalization of the Attempts timeline.
 	Tracer *obs.Tracer
 	// Executor, when non-nil, runs attempts of tasks whose Run is nil.
@@ -153,9 +132,6 @@ const (
 	// per subsequent failure up to maxRetryDelay.
 	retryDelay    = time.Millisecond
 	maxRetryDelay = 250 * time.Millisecond
-	// stragglerFactor is the multiple of its group's median winning
-	// duration a running attempt must exceed to be speculated on.
-	stragglerFactor = 2
 )
 
 func (c Config) normalized() Config {
@@ -167,12 +143,6 @@ func (c Config) normalized() Config {
 	}
 	if c.MaxReexecs <= 0 {
 		c.MaxReexecs = c.MaxAttempts
-	}
-	if c.SpeculationMin <= 0 {
-		c.SpeculationMin = 20 * time.Millisecond
-	}
-	if c.SpeculationInterval <= 0 {
-		c.SpeculationInterval = 5 * time.Millisecond
 	}
 	return c
 }
@@ -189,7 +159,7 @@ type Report struct {
 // Value returns the committed value of a task by name.
 func (r *Report) Value(name string) any { return r.values[name] }
 
-// TaskDuration returns the winning attempt's Run duration for a task.
+// TaskDuration returns the committed attempt's Run duration for a task.
 func (r *Report) TaskDuration(name string) time.Duration { return r.durations[name] }
 
 type node struct {
@@ -198,12 +168,11 @@ type node struct {
 	dependents []*node
 
 	done         bool
-	failures     int // attempts that genuinely failed (not cancelled/lost)
-	attempts     int // attempts launched (numbers the next attempt)
-	running      int // attempts in flight
-	specLaunched bool
+	failures     int  // attempts that genuinely failed (not cancelled/lost)
+	attempts     int  // attempts launched (numbers the next attempt)
+	running      bool // an attempt is in flight
 	retryPending bool
-	cancels      map[int]context.CancelFunc
+	cancel       context.CancelFunc // the in-flight attempt's
 	winDur       time.Duration
 
 	// Dependency re-execution state. everCommitted guards the one-time
@@ -217,22 +186,16 @@ type node struct {
 	reexecs       int
 	waiters       []*node
 	redoWait      int
-
-	// curStart is the unix-nano start time of the attempt currently
-	// running (0 when none); written by worker goroutines, read by the
-	// coordinator's straggler scan.
-	curStart atomic.Int64
 }
 
 type completion struct {
-	n           *node
-	attempt     int
-	speculative bool
-	value       any
-	err         error
-	queued      time.Time
-	started     time.Time
-	finished    time.Time
+	n        *node
+	attempt  int
+	value    any
+	err      error
+	queued   time.Time
+	started  time.Time
+	finished time.Time
 }
 
 type scheduler struct {
@@ -248,7 +211,6 @@ type scheduler struct {
 	values map[string]any
 
 	attemptsLog []Attempt
-	groupDur    map[string][]time.Duration
 }
 
 func (s *scheduler) value(name string) any {
@@ -278,13 +240,12 @@ func Run(ctx context.Context, tasks []Task, cfg Config) (*Report, error) {
 
 func newScheduler(tasks []Task, cfg Config) (*scheduler, error) {
 	s := &scheduler{
-		cfg:      cfg,
-		nodes:    make(map[string]*node, len(tasks)),
-		sem:      make(chan struct{}, cfg.Workers),
-		events:   make(chan completion),
-		retries:  make(chan *node),
-		values:   make(map[string]any, len(tasks)),
-		groupDur: make(map[string][]time.Duration),
+		cfg:     cfg,
+		nodes:   make(map[string]*node, len(tasks)),
+		sem:     make(chan struct{}, cfg.Workers),
+		events:  make(chan completion),
+		retries: make(chan *node),
+		values:  make(map[string]any, len(tasks)),
 	}
 	for _, t := range tasks {
 		if t.Name == "" {
@@ -296,7 +257,7 @@ func newScheduler(tasks []Task, cfg Config) (*scheduler, error) {
 		if _, dup := s.nodes[t.Name]; dup {
 			return nil, fmt.Errorf("sched: duplicate task %s", t.Name)
 		}
-		n := &node{task: t, cancels: make(map[int]context.CancelFunc)}
+		n := &node{task: t}
 		s.nodes[t.Name] = n
 		s.order = append(s.order, n)
 	}
@@ -350,19 +311,20 @@ func (s *scheduler) run(ctx context.Context) (*Report, error) {
 
 	doneCount, inflight, pendingRetries := 0, 0, 0
 
-	launch := func(n *node, speculative bool) {
+	// launch starts n's next attempt. Every caller first checks that n
+	// has no attempt in flight and no retry pending.
+	launch := func(n *node) {
 		attempt := n.attempts
 		n.attempts++
-		n.running++
+		n.running = true
 		inflight++
 		actx, acancel := context.WithCancel(jobCtx)
-		n.cancels[attempt] = acancel
+		n.cancel = acancel
 		queued := time.Now()
-		tc := &TaskContext{Attempt: attempt, Speculative: speculative, s: s}
+		tc := &TaskContext{Attempt: attempt, s: s}
 		go func() {
 			s.sem <- struct{}{}
 			started := time.Now()
-			n.curStart.CompareAndSwap(0, started.UnixNano())
 			var v any
 			var err error
 			if cerr := actx.Err(); cerr != nil {
@@ -374,8 +336,7 @@ func (s *scheduler) run(ctx context.Context) (*Report, error) {
 			}
 			<-s.sem
 			s.events <- completion{
-				n: n, attempt: attempt, speculative: speculative,
-				value: v, err: err,
+				n: n, attempt: attempt, value: v, err: err,
 				queued: queued, started: started, finished: time.Now(),
 			}
 		}()
@@ -384,57 +345,41 @@ func (s *scheduler) run(ctx context.Context) (*Report, error) {
 	handle := func(c completion) {
 		n := c.n
 		inflight--
-		n.running--
-		if cf, ok := n.cancels[c.attempt]; ok {
-			cf()
-			delete(n.cancels, c.attempt)
-		}
-		if n.running == 0 {
-			n.curStart.Store(0)
-		}
+		n.running = false
+		n.cancel()
+		n.cancel = nil
 		a := Attempt{
-			Task: n.task.Name, Group: n.task.Group,
-			Attempt: c.attempt, Speculative: c.speculative,
+			Task: n.task.Name, Group: n.task.Group, Attempt: c.attempt,
 			Queued: c.queued, Started: c.started, Finished: c.finished,
 		}
 		if c.err == nil {
-			if n.done {
-				a.Outcome = OutcomeLostRace
-			} else {
-				n.done = true
-				doneCount++
-				a.Outcome = OutcomeSuccess
-				s.commit(n.task.Name, c.value)
-				n.winDur = c.finished.Sub(c.started)
-				s.groupDur[n.task.Group] = append(s.groupDur[n.task.Group], n.winDur)
-				for _, cf := range n.cancels {
-					cf() // first finisher wins; cancel racing attempts
-				}
-				if jobErr == nil && !n.everCommitted {
-					n.everCommitted = true
-					for _, d := range n.dependents {
-						if d.waiting--; d.waiting == 0 {
-							launch(d, false)
-						}
+			n.done = true
+			doneCount++
+			a.Outcome = OutcomeSuccess
+			s.commit(n.task.Name, c.value)
+			n.winDur = c.finished.Sub(c.started)
+			if jobErr == nil && !n.everCommitted {
+				n.everCommitted = true
+				for _, d := range n.dependents {
+					if d.waiting--; d.waiting == 0 {
+						launch(d)
 					}
 				}
-				// Re-commit after output loss: relaunch waiters whose
-				// lost dependencies are all available again.
-				if len(n.waiters) > 0 {
-					waiters := n.waiters
-					n.waiters = nil
-					for _, w := range waiters {
-						if w.redoWait--; jobErr == nil && w.redoWait == 0 && !w.done && w.running == 0 && !w.retryPending {
-							launch(w, false)
-						}
+			}
+			// Re-commit after output loss: relaunch waiters whose
+			// lost dependencies are all available again.
+			if len(n.waiters) > 0 {
+				waiters := n.waiters
+				n.waiters = nil
+				for _, w := range waiters {
+					if w.redoWait--; jobErr == nil && w.redoWait == 0 && !w.done && !w.running && !w.retryPending {
+						launch(w)
 					}
 				}
 			}
 		} else {
 			a.Err = c.err.Error()
 			switch {
-			case n.done:
-				a.Outcome = OutcomeLostRace
 			case jobErr != nil:
 				a.Outcome = OutcomeCancelled
 			case lostDeps(c.err) != nil:
@@ -471,16 +416,13 @@ func (s *scheduler) run(ctx context.Context) (*Report, error) {
 							obs.Str("lost-by", n.task.Name),
 							obs.Int("re-execution", int64(dep.reexecs)))
 					}
-					if dep.running == 0 && !dep.retryPending {
-						launch(dep, false)
+					if !dep.running && !dep.retryPending {
+						launch(dep)
 					}
 				}
 			default:
 				n.failures++
 				switch {
-				case n.running > 0:
-					// A racing attempt may still win; defer judgment.
-					a.Outcome = OutcomeFailed
 				case s.cfg.Retryable != nil && s.cfg.Retryable(c.err) && n.failures < s.cfg.MaxAttempts:
 					a.Outcome = OutcomeRetrying
 					n.retryPending = true
@@ -503,9 +445,6 @@ func (s *scheduler) run(ctx context.Context) (*Report, error) {
 				obs.Int("attempt", int64(c.attempt)),
 				obs.Str("outcome", string(a.Outcome)),
 			}
-			if c.speculative {
-				attrs = append(attrs, obs.Bool("speculative", true))
-			}
 			if a.Err != "" {
 				attrs = append(attrs, obs.Str("err", a.Err))
 			}
@@ -516,16 +455,10 @@ func (s *scheduler) run(ctx context.Context) (*Report, error) {
 
 	for _, n := range s.order {
 		if n.waiting == 0 {
-			launch(n, false)
+			launch(n)
 		}
 	}
 
-	var tickCh <-chan time.Time
-	if s.cfg.Speculate {
-		t := time.NewTicker(s.cfg.SpeculationInterval)
-		defer t.Stop()
-		tickCh = t.C
-	}
 	extDone := ctx.Done()
 
 	for {
@@ -543,11 +476,7 @@ func (s *scheduler) run(ctx context.Context) (*Report, error) {
 			pendingRetries--
 			n.retryPending = false
 			if jobErr == nil && !n.done {
-				launch(n, false)
-			}
-		case <-tickCh:
-			if jobErr == nil {
-				s.speculate(launch)
+				launch(n)
 			}
 		case <-extDone:
 			fail(ctx.Err())
@@ -567,38 +496,4 @@ func (s *scheduler) run(ctx context.Context) (*Report, error) {
 		rep.durations[n.task.Name] = n.winDur
 	}
 	return rep, nil
-}
-
-// speculate launches a duplicate attempt for each running Speculatable
-// task whose elapsed time exceeds the straggler threshold for its group.
-func (s *scheduler) speculate(launch func(*node, bool)) {
-	now := time.Now()
-	for _, n := range s.order {
-		if n.done || n.specLaunched || n.retryPending || n.running != 1 || !n.task.Speculatable {
-			continue
-		}
-		st := n.curStart.Load()
-		if st == 0 {
-			continue
-		}
-		durs := s.groupDur[n.task.Group]
-		if len(durs) == 0 {
-			continue // no finished sibling to compare against
-		}
-		threshold := stragglerFactor * median(durs)
-		if threshold < s.cfg.SpeculationMin {
-			threshold = s.cfg.SpeculationMin
-		}
-		if now.Sub(time.Unix(0, st)) > threshold {
-			n.specLaunched = true
-			launch(n, true)
-		}
-	}
-}
-
-func median(durs []time.Duration) time.Duration {
-	sorted := make([]time.Duration, len(durs))
-	copy(sorted, durs)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	return sorted[len(sorted)/2]
 }

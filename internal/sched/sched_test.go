@@ -4,11 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // TestDAGOrdering: every task runs exactly once, and no task starts
@@ -225,59 +228,131 @@ func TestExternalCancellation(t *testing.T) {
 	}
 }
 
-// TestSpeculativeFirstFinisherWins: a straggling attempt is duplicated;
-// the fast duplicate commits and the straggler is cancelled and logged
-// as having lost the race.
-func TestSpeculativeFirstFinisherWins(t *testing.T) {
-	tasks := []Task{
-		// Fast siblings establish the group's median duration.
-		{Name: "fast1", Group: "g", Speculatable: true,
-			Run: func(ctx context.Context, tc *TaskContext) (any, error) { return 1, nil }},
-		{Name: "fast2", Group: "g", Speculatable: true,
-			Run: func(ctx context.Context, tc *TaskContext) (any, error) { return 2, nil }},
-		{Name: "straggler", Group: "g", Speculatable: true,
-			Run: func(ctx context.Context, tc *TaskContext) (any, error) {
-				if tc.Attempt == 0 {
-					// First attempt hangs until cancelled.
-					select {
-					case <-ctx.Done():
-						return nil, ctx.Err()
-					case <-time.After(10 * time.Second):
-						return "slow", nil
-					}
+// TestAttemptsNeverOverlap: a task has at most one attempt in flight.
+// Under transient retries, DepLostError re-execution and external
+// cancellation, no two attempts of one task overlap in [Started,
+// Finished], on the timeline and on the trace alike, and Run returns
+// only once every attempt has.
+func TestAttemptsNeverOverlap(t *testing.T) {
+	var mu sync.Mutex
+	inFlight := map[string]int{}
+	var overlaps atomic.Int64
+	// enter marks an attempt of name running for a millisecond, long
+	// enough that a second concurrent attempt would be caught in it.
+	enter := func(ctx context.Context, name string) {
+		mu.Lock()
+		if inFlight[name]++; inFlight[name] > 1 {
+			overlaps.Add(1)
+		}
+		mu.Unlock()
+		select {
+		case <-ctx.Done():
+		case <-time.After(time.Millisecond):
+		}
+		mu.Lock()
+		inFlight[name]--
+		mu.Unlock()
+	}
+	assertSerial := func(t *testing.T, what string, spans []obs.Span) {
+		t.Helper()
+		byTask := map[string][]obs.Span{}
+		for _, sp := range spans {
+			byTask[sp.Name] = append(byTask[sp.Name], sp)
+		}
+		for name, sps := range byTask {
+			sort.Slice(sps, func(i, j int) bool { return sps[i].Start.Before(sps[j].Start) })
+			for i := 1; i < len(sps); i++ {
+				if sps[i].Start.Before(sps[i-1].End) {
+					t.Errorf("%s: %s attempts %s and %s overlap: [%v, %v] and [%v, %v]", what, name,
+						sps[i-1].Attr("attempt"), sps[i].Attr("attempt"),
+						sps[i-1].Start, sps[i-1].End, sps[i].Start, sps[i].End)
 				}
-				if !tc.Speculative {
-					return nil, errors.New("second attempt not marked speculative")
+			}
+		}
+		if n := overlaps.Load(); n != 0 {
+			t.Errorf("%s: %d attempts started while another attempt of their task ran", what, n)
+		}
+	}
+
+	t.Run("retries and re-execution", func(t *testing.T) {
+		transient := errors.New("transient")
+		var flaky, consumed atomic.Int64
+		tasks := []Task{
+			{Name: "flaky", Group: "g", Run: func(ctx context.Context, tc *TaskContext) (any, error) {
+				enter(ctx, "flaky")
+				if flaky.Add(1) <= 2 {
+					return nil, transient
 				}
-				return "spec", nil
+				return "ok", nil
 			}},
-	}
-	rep, err := Run(context.Background(), tasks, Config{
-		Workers: 4, Speculate: true,
-		SpeculationMin: 10 * time.Millisecond, SpeculationInterval: 2 * time.Millisecond,
+			{Name: "producer", Group: "g", Run: func(ctx context.Context, tc *TaskContext) (any, error) {
+				enter(ctx, "producer")
+				return tc.Attempt, nil
+			}},
+			{Name: "consumer", Group: "g", Deps: []string{"producer", "flaky"}, Run: func(ctx context.Context, tc *TaskContext) (any, error) {
+				enter(ctx, "consumer")
+				switch consumed.Add(1) {
+				case 1, 2:
+					return nil, &DepLostError{Deps: []string{"producer"}, Err: errors.New("gone")}
+				case 3:
+					return nil, transient
+				}
+				return tc.Dep("producer"), nil
+			}},
+		}
+		rep, err := Run(context.Background(), tasks, Config{
+			Workers: 4, MaxAttempts: 4,
+			Retryable: func(err error) bool { return errors.Is(err, transient) },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v := rep.Value("consumer"); v != 2 {
+			t.Errorf("consumer value = %v, want the producer's third attempt (2)", v)
+		}
+		var spans []obs.Span
+		for _, a := range rep.Attempts {
+			spans = append(spans, obs.Span{Name: a.Task, Start: a.Started, End: a.Finished,
+				Attrs: []obs.Attr{obs.Int("attempt", int64(a.Attempt))}})
+		}
+		if len(spans) != 3+3+4 {
+			t.Errorf("%d attempts, want 3 flaky + 3 producer + 4 consumer", len(spans))
+		}
+		assertSerial(t, "timeline", spans)
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Value("straggler") != "spec" {
-		t.Errorf("value = %v, want speculative result", rep.Value("straggler"))
-	}
-	var sawSpecWin, sawLoser bool
-	for _, a := range rep.Attempts {
-		if a.Task != "straggler" {
-			continue
+
+	t.Run("external cancellation", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		tracer := obs.NewTracer()
+		var attempts atomic.Int64
+		var running atomic.Int64
+		tasks := []Task{{Name: "doomed", Group: "g", Run: func(actx context.Context, tc *TaskContext) (any, error) {
+			running.Add(1)
+			defer running.Add(-1)
+			enter(actx, "doomed")
+			if attempts.Add(1) == 3 {
+				cancel()
+				<-actx.Done()
+				return nil, actx.Err()
+			}
+			return nil, errors.New("transient")
+		}}}
+		_, err := Run(ctx, tasks, Config{
+			Workers: 4, MaxAttempts: 10, Tracer: tracer,
+			Retryable: func(err error) bool { return !errors.Is(err, context.Canceled) },
+		})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
 		}
-		if a.Speculative && a.Outcome == OutcomeSuccess {
-			sawSpecWin = true
+		if n := running.Load(); n != 0 {
+			t.Errorf("Run returned with %d attempts still running", n)
 		}
-		if !a.Speculative && a.Outcome == OutcomeLostRace {
-			sawLoser = true
+		if got := len(tracer.Spans()); got != 3 {
+			t.Errorf("%d attempt spans, want 3", got)
 		}
-	}
-	if !sawSpecWin || !sawLoser {
-		t.Errorf("timeline missing speculative win (%v) or lost race (%v): %+v",
-			sawSpecWin, sawLoser, rep.Attempts)
-	}
+		assertSerial(t, "trace", tracer.Spans())
+	})
 }
 
 // TestTimelineTimestamps: attempts carry ordered queued/start/finish

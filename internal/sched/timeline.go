@@ -9,17 +9,13 @@ const (
 	// OutcomeSuccess marks the attempt that committed the task's value.
 	OutcomeSuccess Outcome = "success"
 	// OutcomeFailed marks an attempt that errored with no retry
-	// scheduled from it (the task may still have been saved by a racing
-	// attempt, or it failed the whole job).
+	// scheduled from it: it failed the whole job.
 	OutcomeFailed Outcome = "failed"
 	// OutcomeRetrying marks a failed attempt whose error was classified
 	// transient and for which a retry was scheduled.
 	OutcomeRetrying Outcome = "retrying"
 	// OutcomeCancelled marks an attempt aborted because the job failed.
 	OutcomeCancelled Outcome = "cancelled"
-	// OutcomeLostRace marks an attempt that finished after another
-	// attempt of the same task had already committed.
-	OutcomeLostRace Outcome = "lost-race"
 	// OutcomeDepLost marks an attempt that could not run because a
 	// committed dependency's output had vanished (e.g. a cluster worker
 	// died with its map segments); the scheduler re-executes the
@@ -35,8 +31,6 @@ type Attempt struct {
 	Group string
 	// Attempt is the 0-based attempt index within the task.
 	Attempt int
-	// Speculative reports a speculative duplicate attempt.
-	Speculative bool
 	// Queued is when the attempt was dispatched to the worker pool,
 	// Started when a worker picked it up, Finished when Run returned.
 	Queued   time.Time

@@ -77,7 +77,7 @@ FUZZ_TARGETS = \
 	internal/codec:FuzzSnappy internal/codec:FuzzBWSC \
 	internal/codec:FuzzSnappyDecompressBlock internal/codec:FuzzBWSCDecompressBlock \
 	internal/mr:FuzzReadLenPrefixed internal/mr:FuzzFrameRoundTrip internal/mr:FuzzServerConn \
-	internal/mr:FuzzSnappyUnitReader internal/mr:FuzzSegmentFrames internal/mr:FuzzSpillSort \
+	internal/mr:FuzzCompressedBody internal/mr:FuzzSegmentFrames internal/mr:FuzzSpillSort \
 	internal/anticombine:FuzzDecodeValue internal/anticombine:FuzzShared
 fuzz-smoke:
 	@set -e; for t in $(FUZZ_TARGETS); do \

@@ -108,7 +108,7 @@ type workerState struct {
 
 // queuedLease is one task attempt waiting for a worker slot. It sits in
 // the fleet's dispatch queues until a worker's long-poll claims it (or
-// its worker dies / its Execute is cancelled first).
+// its worker dies / its execute is cancelled first).
 type queuedLease struct {
 	job       *jobRun
 	lease     TaskLease
@@ -118,7 +118,7 @@ type queuedLease struct {
 	cancelled bool  // skipped (and pruned) by grant
 }
 
-// pendingLease tracks one Execute call from enqueue to report. worker
+// pendingLease tracks one execute call from enqueue to report. worker
 // is -1 while the lease is queued and the granted worker's id after
 // dispatch; ch delivers the (possibly synthetic) report exactly once.
 type pendingLease struct {
@@ -262,20 +262,6 @@ func (f *Fleet) WaitWorkers(ctx context.Context, n int) error {
 			return fmt.Errorf("cluster: waiting for %d workers: %w", n, ctx.Err())
 		}
 	}
-}
-
-// totalSlotsLocked is the fleet's live task capacity.
-func (f *Fleet) totalSlotsLocked() int {
-	slots := 0
-	for _, w := range f.workers {
-		if !w.dead && !w.draining {
-			slots += w.slots
-		}
-	}
-	if slots < 1 {
-		slots = 1
-	}
-	return slots
 }
 
 // WorkerInfo is one worker's externally visible state.
@@ -441,7 +427,7 @@ func (f *Fleet) grantLocked(w *workerState) (TaskLease, bool) {
 	return best.lease, true
 }
 
-// dropLease abandons a pending lease after its Execute was cancelled;
+// dropLease abandons a pending lease after its execute was cancelled;
 // a granted lease additionally queues an abort for the worker's next
 // heartbeat.
 func (f *Fleet) dropLease(key AttemptID, pend *pendingLease) {

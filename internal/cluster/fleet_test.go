@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/iokit"
 	"repro/internal/mr"
+	"repro/internal/sched"
 )
 
 // fleetWorkers starts n in-process workers on tracked filesystems and
@@ -108,6 +109,51 @@ func TestFleetConcurrentJobsByteIdentical(t *testing.T) {
 
 	f.Shutdown()
 	for i := 0; i < 3; i++ {
+		if err := <-workerErr; err != nil {
+			t.Errorf("worker: %v", err)
+		}
+	}
+}
+
+// TestExclusiveJobBeforeWorkersUsesEverySlot: the fleet's slots are a
+// job's only concurrency bound, also for an Exclusive job submitted
+// before any worker registered — such a job once kept the one-slot
+// width of the empty fleet it was submitted to for its whole run.
+func TestExclusiveJobBeforeWorkersUsesEverySlot(t *testing.T) {
+	f, err := NewFleet(FleetConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	ref := JobRef{Name: testJobName, Spec: mustSpec(t, testSpec{Splits: 4, Lines: 20, Reducers: 2, MapDelayUs: 5000})}
+	h, err := f.Submit(ctx, JobSpec{Ref: ref, Exclusive: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, workerErr := fleetWorkers(t, ctx, f, 2, 2)
+	res, err := h.Wait(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var maps []sched.Attempt
+	for _, a := range res.Timeline {
+		if a.Group == mr.TaskGroupMap && a.Outcome == sched.OutcomeSuccess {
+			maps = append(maps, a)
+		}
+	}
+	overlapped := false
+	for i, a := range maps {
+		for _, b := range maps[i+1:] {
+			overlapped = overlapped || (a.Started.Before(b.Finished) && b.Started.Before(a.Finished))
+		}
+	}
+	if !overlapped {
+		t.Errorf("no two of %d map attempts overlapped on 2 workers x 2 slots", len(maps))
+	}
+	f.Shutdown()
+	for i := 0; i < 2; i++ {
 		if err := <-workerErr; err != nil {
 			t.Errorf("worker: %v", err)
 		}

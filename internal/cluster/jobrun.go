@@ -31,10 +31,10 @@ type JobSpec struct {
 	// re-executions after output loss (default 4).
 	MaxTaskAttempts int
 	// Exclusive marks the classic one-shot shape (one fleet, one job):
-	// the scheduler is bounded to the fleet's slot count, and the fleet's
-	// worker-wide gauges (pool dials, RPC retries, integrity faults) are
-	// folded into the Result — attributable only when no other job
-	// shares the workers — as are the segment servers' disk reads.
+	// the fleet's worker-wide gauges (pool dials, RPC retries, integrity
+	// faults) are folded into the Result — attributable only when no
+	// other job shares the workers — as are the segment servers' disk
+	// reads.
 	Exclusive bool
 	// Inputs, when non-empty, makes this a pipeline stage job: one map
 	// task per entry, fed from the entry (inline records or a retained
@@ -174,13 +174,12 @@ func (f *Fleet) Submit(ctx context.Context, spec JobSpec) (*JobHandle, error) {
 		}
 	}
 	f.jobs[id] = j
-	width := f.totalSlotsLocked()
 	f.mu.Unlock()
 
 	h := &JobHandle{id: id, j: j, done: make(chan struct{})}
 	go func() {
 		defer close(h.done)
-		h.res, h.err = j.run(ctx, width)
+		h.res, h.err = j.run(ctx)
 		f.finishJob(j)
 	}()
 	return h, nil
@@ -195,10 +194,10 @@ var ErrHandoffLost = errors.New("cluster: stage handoff input lost")
 
 // jobRun is one job's private half of the runtime: its plan (the task
 // graph, laid out by mr), partition homes, progress counters, and
-// result assembly. It implements sched.Executor — the job's own
-// scheduler calls Execute, which queues a lease with the fleet and
-// blocks for the report. partHome and enqueue/dispatch state are
-// guarded by the fleet's mutex; progress counters by the job's own.
+// result assembly. Every task's Run is execute: the job's own scheduler
+// calls it, and it queues a lease with the fleet and blocks for the
+// report. partHome and enqueue/dispatch state are guarded by the
+// fleet's mutex; progress counters by the job's own.
 type jobRun struct {
 	id    int
 	spec  JobSpec
@@ -247,27 +246,27 @@ func (j *jobRun) event(e Event) {
 // mr.Result whose output is byte-identical to a single-process run of
 // the same job — MeasuredShuffle additionally records the real network
 // transfer.
-func (j *jobRun) run(ctx context.Context, width int) (*mr.Result, error) {
+func (j *jobRun) run(ctx context.Context) (*mr.Result, error) {
 	start := time.Now()
 	tracer := j.fleet.cfg.Tracer
 	jobSpan := tracer.Start(obs.KindJob, j.spec.Ref.Name+" (cluster)",
 		obs.Int("job", int64(j.id)),
 		obs.Int("splits", int64(j.plan.Maps)), obs.Int("reducers", int64(j.plan.Reduces)))
 
-	// The plan's tasks carry no Run: every attempt dispatches through
-	// Execute.
+	// Every attempt is a lease. Every runnable task is exposed to the
+	// fleet, so fair share picks among all jobs' work and the fleet's
+	// slots, not the scheduler's worker bound, are the concurrency limit.
 	tasks := j.plan.Tasks()
-	if !j.spec.Exclusive {
-		// Expose every runnable task to the fleet so fair share picks
-		// among all jobs' work; the fleet's slot count, not the
-		// scheduler's worker bound, is the real concurrency limit.
-		width = len(tasks)
+	for i := range tasks {
+		task := &tasks[i]
+		task.Run = func(ctx context.Context, tc *sched.TaskContext) (any, error) {
+			return j.execute(ctx, task, tc)
+		}
 	}
 	cfg := sched.Config{
-		Workers:     width,
+		Workers:     len(tasks),
 		MaxAttempts: j.spec.MaxTaskAttempts,
 		Tracer:      tracer,
-		Executor:    j,
 		Retryable: func(err error) bool {
 			var te *taskError
 			return errors.As(err, &te) && te.Transient
@@ -311,12 +310,12 @@ type reduceValue struct {
 	dur     time.Duration
 }
 
-// Execute implements sched.Executor: queue the task as a lease with the
+// execute runs one attempt of task: queue it as a lease with the
 // fleet (pinned to the partition home for fetch and reduce tasks),
 // block for the worker's report (or cancellation), and translate the
 // outcome into the scheduler's vocabulary — including DepLostError when
 // committed upstream output turns out to live on a dead worker.
-func (j *jobRun) Execute(ctx context.Context, task *sched.Task, tc *sched.TaskContext) (any, error) {
+func (j *jobRun) execute(ctx context.Context, task *sched.Task, tc *sched.TaskContext) (any, error) {
 	f := j.fleet
 	id, _ := j.plan.Lookup(task.Name)
 	lease := TaskLease{JobID: j.id, Task: task.Name, Group: task.Group, Attempt: tc.Attempt}
@@ -480,7 +479,7 @@ func (j *jobRun) reduceInputsLocked(p int, tc *sched.TaskContext) (home *workerS
 	return home, lost, locals, localTasks
 }
 
-// settle turns a worker's report into Execute's return value. A
+// settle turns a worker's report into execute's return value. A
 // reduce's output is pulled here, before the attempt commits, and a
 // pull that fails fails the attempt like a failed fetch. The pull is
 // transport, not job work: no counter or meter sees it.

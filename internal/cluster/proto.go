@@ -6,8 +6,9 @@
 // peers, reduce output to the fleet, which pulls it over that same data
 // plane before it commits the reduce.
 // Each job keeps its own task graph, placement, and stats (a jobRun
-// implementing sched.Executor, so internal/sched's retries, backoff,
-// and DepLostError re-execution all apply per job), while
+// whose tasks' Run closures lease attempts to workers, so
+// internal/sched's retries, backoff, and DepLostError re-execution all
+// apply per job), while
 // the fleet arbitrates task leases across jobs with per-tenant
 // weighted fair share. Worker death is recovered the way Hadoop
 // re-runs completed maps when a tasktracker is lost; workers can also

@@ -94,7 +94,8 @@ func TestBlockFormatBoundsHold(t *testing.T) {
 
 // TestBlockStreamsReuseBuffers: a stream's blocks share one raw and one
 // compressed buffer in each direction, so what a stream allocates does
-// not grow with its length.
+// not grow with its length; and Close gives them back, so the next
+// stream allocates next to nothing.
 func TestBlockStreamsReuseBuffers(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation sizes differ under the race detector")
@@ -131,6 +132,7 @@ func TestBlockStreamsReuseBuffers(t *testing.T) {
 					break
 				}
 			}
+			r.Close()
 		})
 		if n != len(data) {
 			t.Fatalf("read back %d of %d bytes", n, len(data))
@@ -138,8 +140,107 @@ func TestBlockStreamsReuseBuffers(t *testing.T) {
 		return wrote, read
 	}
 	// Per-block buffers would be 100 x 64 KiB in each direction.
-	wrote, read := roundTrip(text(100))
+	data := text(100)
+	wrote, read := roundTrip(data)
 	if limit := uint64(4 * snappyBlockSize); wrote > limit || read > limit {
 		t.Errorf("a 100-block stream allocated %d bytes writing, %d reading; want under %d", wrote, read, limit)
+	}
+	wrote, read = roundTrip(data)
+	if limit := uint64(4 << 10); wrote > limit || read > limit {
+		t.Errorf("the next stream allocated %d bytes writing, %d reading; want under %d", wrote, read, limit)
+	}
+}
+
+// TestBlockStreamClosePoisons: Close hands a stream's buffers back, and
+// in test binaries poisons them, so a stream used after Close errors
+// instead of reading or writing bytes another stream now owns.
+func TestBlockStreamClosePoisons(t *testing.T) {
+	var comp bytes.Buffer
+	w, _ := Snappy{}.NewWriter(&comp)
+	w.Write([]byte("a block that goes back to the pool"))
+	w.Close()
+	if _, err := w.Write([]byte("x")); !errors.Is(err, errClosed) {
+		t.Errorf("write after Close: err = %v, want errClosed", err)
+	}
+	r, _ := Snappy{}.NewReader(bytes.NewReader(comp.Bytes()))
+	br := r.(*blockReader)
+	if _, err := io.ReadFull(r, make([]byte, 5)); err != nil {
+		t.Fatal(err)
+	}
+	raw := br.bufs.raw
+	r.Close()
+	if raw[0] != poisonByte {
+		t.Errorf("closed reader's raw buffer starts %q, want poison", raw[:5])
+	}
+	if _, err := r.Read(make([]byte, 1)); !errors.Is(err, errClosed) {
+		t.Errorf("read after Close: err = %v, want errClosed", err)
+	}
+}
+
+// failingReader yields r's bytes, then err in place of io.EOF.
+type failingReader struct {
+	r   io.Reader
+	err error
+}
+
+func (f *failingReader) Read(p []byte) (int, error) {
+	n, err := f.r.Read(p)
+	if err == io.EOF {
+		err = f.err
+	}
+	return n, err
+}
+
+// TestBlockReaderTruncation: a source that stops inside a block is
+// corruption that says why — io.ErrUnexpectedEOF when it merely ended,
+// its own error when it failed — so a layer below (a checksum, an
+// injected fault) keeps its meaning for whoever decides on a retry.
+func TestBlockReaderTruncation(t *testing.T) {
+	errSource := errors.New("source failed")
+	for _, c := range []Codec{Snappy{}, BWSC{}} {
+		var comp bytes.Buffer
+		w, _ := c.NewWriter(&comp)
+		w.Write(bytes.Repeat([]byte("cut inside a block "), 100))
+		w.Close()
+		for _, cut := range []int{1, 3, comp.Len() - 1} {
+			for _, want := range []error{io.ErrUnexpectedEOF, errSource} {
+				src := io.Reader(bytes.NewReader(comp.Bytes()[:cut]))
+				if want == errSource {
+					src = &failingReader{r: src, err: errSource}
+				}
+				r, _ := c.NewReader(src)
+				_, err := io.Copy(io.Discard, r)
+				r.Close()
+				if !errors.Is(err, errBlockCorrupt) || !errors.Is(err, want) {
+					t.Errorf("%s cut at %d: err = %v, want errBlockCorrupt and %v", c.Name(), cut, err, want)
+				}
+			}
+		}
+	}
+}
+
+// TestBlockStreamBuffersFitTheData: a stream's buffers are sized to the
+// blocks it holds, not to its codec's block size, so a small BWSC
+// stream does not take a 256 KiB raw buffer and a 1 MiB coded one.
+func TestBlockStreamBuffersFitTheData(t *testing.T) {
+	f := &blockFormat{blockSize: bwscFormat.blockSize, maxEncoded: bwscFormat.maxEncoded,
+		compress: bwscFormat.compress, decompress: bwscFormat.decompress}
+	data := bytes.Repeat([]byte("a small stream "), 70)
+	var comp bytes.Buffer
+	w := newBlockWriter(&comp, f)
+	w.Write(data)
+	w.flushBlock()
+	wraw, wcoded := cap(w.bufs.raw), cap(w.bufs.coded)
+	w.Close()
+	r := newBlockReader(bytes.NewReader(comp.Bytes()), f)
+	got, err := io.ReadAll(r)
+	if err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("round trip: %d bytes, err %v", len(got), err)
+	}
+	rraw, rcoded := cap(r.bufs.raw), cap(r.bufs.coded)
+	r.Close()
+	if limit := 4 << 10; wraw > limit || wcoded > limit || rraw > limit || rcoded > limit {
+		t.Errorf("a %d-byte stream took raw/coded buffers of %d/%d bytes writing, %d/%d reading; want each under %d",
+			len(data), wraw, wcoded, rraw, rcoded, limit)
 	}
 }

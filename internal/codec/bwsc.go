@@ -33,16 +33,18 @@ func (BWSC) NewReader(r io.Reader) (io.ReadCloser, error) {
 // stays well under bwscMaxCodeLen (log_phi(262144) ≈ 26).
 const bwscBlockSize = 256 << 10
 
-// bwscFormat plugs BWSC into the block container. Each stage of the
-// pipeline builds its own output, so the container's buffers go unused.
+// bwscFormat plugs BWSC into the block container. The compress
+// pipeline builds its own output, which is copied behind the
+// container's header room; the inverse BWT decodes straight into the
+// container's raw buffer.
 // A block codes to at most the single-table form (bwscCompress emits
 // the smaller of the two): format byte, primary index, code lengths,
 // and at most one bwscMaxCodeLen-bit code per input byte plus EOB.
 var bwscFormat = blockFormat{
 	blockSize:  bwscBlockSize,
 	maxEncoded: 4 + bwscAlphabet + (bwscBlockSize+1)*bwscMaxCodeLen/8 + 8,
-	compress:   func(_, src []byte) []byte { return bwscCompress(src) },
-	decompress: func(_, src []byte, rawLen int) ([]byte, error) { return bwscDecompress(src, rawLen) },
+	compress:   func(dst, src []byte) []byte { return append(dst, bwscCompress(src)...) },
+	decompress: bwscDecompress,
 }
 
 // The RLE0 alphabet: runs of MTF zeros are written in bijective base 2
@@ -126,8 +128,9 @@ func decodeSingle(src []byte) (primary int, syms []int, err error) {
 	}
 }
 
-// bwscDecompress reverses bwscCompress, dispatching on the format byte.
-func bwscDecompress(src []byte, rawLen int) ([]byte, error) {
+// bwscDecompress reverses bwscCompress, dispatching on the format byte,
+// into dst's storage when it holds rawLen bytes.
+func bwscDecompress(dst, src []byte, rawLen int) ([]byte, error) {
 	if len(src) == 0 {
 		return nil, fmt.Errorf("%w: empty bwsc block", errBlockCorrupt)
 	}
@@ -155,7 +158,7 @@ func bwscDecompress(src []byte, rawLen int) ([]byte, error) {
 	if primary >= len(bwt) && len(bwt) > 0 {
 		return nil, fmt.Errorf("%w: bwsc primary index %d out of range", errBlockCorrupt, primary)
 	}
-	return bwtInverse(bwt, primary), nil
+	return bwtInverse(dst, bwt, primary), nil
 }
 
 // rle0Encode rewrites MTF output into the RLE0 alphabet.

@@ -10,7 +10,7 @@ import (
 func TestBWTKnown(t *testing.T) {
 	// Classic example: rotations of "banana".
 	bwt, primary := bwtForward([]byte("banana"))
-	got := bwtInverse(bwt, primary)
+	got := bwtInverse(nil, bwt, primary)
 	if string(got) != "banana" {
 		t.Errorf("inverse = %q", got)
 	}
@@ -33,7 +33,7 @@ func TestBWTEdgeCases(t *testing.T) {
 	}
 	for _, s := range cases {
 		bwt, primary := bwtForward(s)
-		got := bwtInverse(bwt, primary)
+		got := bwtInverse(nil, bwt, primary)
 		if !bytes.Equal(got, s) {
 			t.Errorf("BWT round trip failed for %d-byte input %q...", len(s), truncate(s))
 		}
@@ -50,7 +50,7 @@ func truncate(b []byte) []byte {
 func TestBWTPropertyRoundTrip(t *testing.T) {
 	f := func(s []byte) bool {
 		bwt, primary := bwtForward(s)
-		return bytes.Equal(bwtInverse(bwt, primary), s)
+		return bytes.Equal(bwtInverse(nil, bwt, primary), s)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -227,7 +227,7 @@ func TestBitReaderExhaustion(t *testing.T) {
 }
 
 func TestBWSCDecompressCorrupt(t *testing.T) {
-	if _, err := bwscDecompress([]byte{0, 0}, 10); err == nil {
+	if _, err := bwscDecompress(nil, []byte{0, 0}, 10); err == nil {
 		t.Error("short block should error")
 	}
 	// A well-formed header with garbage code lengths.
@@ -235,7 +235,7 @@ func TestBWSCDecompressCorrupt(t *testing.T) {
 	for i := 3; i < 3+bwscAlphabet; i++ {
 		bad[i] = 200 // over max code length
 	}
-	if _, err := bwscDecompress(bad, 10); err == nil {
+	if _, err := bwscDecompress(nil, bad, 10); err == nil {
 		t.Error("over-length codes should error")
 	}
 }
@@ -256,7 +256,7 @@ func TestMultiTableRoundTrip(t *testing.T) {
 	if comp[0] != bwscFormatMulti {
 		t.Logf("single-table chosen (format %d); multi not cheaper here", comp[0])
 	}
-	got, err := bwscDecompress(comp, len(data))
+	got, err := bwscDecompress(nil, comp, len(data))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,8 +67,9 @@ func bwtForward(s []byte) (bwt []byte, primary int) {
 	return bwt, primary
 }
 
-// bwtInverse reverses bwtForward using the classic LF mapping.
-func bwtInverse(bwt []byte, primary int) []byte {
+// bwtInverse reverses bwtForward using the classic LF mapping, into
+// dst's storage when it holds len(bwt) bytes.
+func bwtInverse(dst, bwt []byte, primary int) []byte {
 	n := len(bwt)
 	if n == 0 {
 		return nil
@@ -89,7 +90,7 @@ func bwtInverse(bwt []byte, primary int) []byte {
 		lf[i] = base[c] + occ[c]
 		occ[c]++
 	}
-	out := make([]byte, n)
+	out := append(dst[:0], make([]byte, n)...)
 	i := primary
 	for j := n - 1; j >= 0; j-- {
 		out[j] = bwt[i]

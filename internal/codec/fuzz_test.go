@@ -71,6 +71,6 @@ func FuzzBWSCDecompressBlock(f *testing.F) {
 		if rawLen < 0 || rawLen > 1<<20 {
 			return
 		}
-		bwscDecompress(data, rawLen) // must not panic
+		bwscDecompress(nil, data, rawLen) // must not panic
 	})
 }

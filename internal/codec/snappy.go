@@ -57,25 +57,6 @@ func load32(b []byte, i int) uint32 {
 	return binary.LittleEndian.Uint32(b[i:])
 }
 
-// AppendSnappyBlock appends src compressed as one self-framed Snappy
-// block (uvarint raw length + literal/copy elements) to dst. The block
-// carries its own raw length, so a transport exchanging blocks only
-// needs to delimit the compressed bytes. This is the unit the shuffle
-// wire compression sends per chunk.
-func AppendSnappyBlock(dst, src []byte) []byte {
-	return snappyAppendBlock(dst, src)
-}
-
-// DecompressSnappyBlock decodes one block produced by
-// AppendSnappyBlock, using the raw length carried in its preamble.
-func DecompressSnappyBlock(src []byte) ([]byte, error) {
-	rawLen, n := binary.Uvarint(src)
-	if n <= 0 || rawLen > 1<<30 {
-		return nil, fmt.Errorf("%w: bad snappy preamble", errBlockCorrupt)
-	}
-	return snappyDecompress(nil, src, int(rawLen))
-}
-
 // snappyAppendBlock appends src to dst coded as one Snappy block: a
 // uvarint with the uncompressed length followed by literal/copy
 // elements. A dst too small for the worst case is replaced by one that

@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/mr"
 	"repro/internal/netsim"
-	"repro/internal/obs"
 	"repro/internal/sched"
 )
 
@@ -120,12 +119,4 @@ func PartitionSkew(flows []int64) (maxBytes, meanBytes int64, ratio float64) {
 // Estimate is optimistic by up to NetTime.
 func ObservedOverlap(timeline []sched.Attempt) time.Duration {
 	return sched.Overlap(timeline, mr.TaskGroupMap, mr.TaskGroupFetch)
-}
-
-// ObservedOverlapSpans is ObservedOverlap over a trace: when a run was
-// captured with an obs.Tracer, the map/fetch overlap can be measured
-// from the span log directly — the same spans a Chrome trace shows
-// visually — without threading Result.Timeline around.
-func ObservedOverlapSpans(spans []obs.Span) time.Duration {
-	return obs.Overlap(spans, obs.KindMap, obs.KindFetch)
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/iokit"
 )
 
@@ -98,7 +99,8 @@ func TestFaultInjectionParallelPipelined(t *testing.T) {
 
 // TestFaultInjectionTransientSweep: with FailOnce faults every run must
 // succeed under a retry budget — a single glitch is always recoverable
-// regardless of where in the pipeline it lands.
+// regardless of where in the pipeline it lands, including under a block
+// codec, whose reader must not turn the glitch into permanent corruption.
 func TestFaultInjectionTransientSweep(t *testing.T) {
 	input := lines(strings.Repeat("transient sweep words ", 200))
 	baseline, err := Run(jobForFaults(nil), input)
@@ -107,24 +109,27 @@ func TestFaultInjectionTransientSweep(t *testing.T) {
 	}
 	want := outputMap(t, baseline)
 
-	for _, mode := range []string{"write", "read"} {
-		for n := int64(1); n <= 120; n += 11 {
-			flaky := &iokit.FlakyFS{Inner: iokit.NewMemFS(), FailOnce: true}
-			if mode == "write" {
-				flaky.FailWriteAt = n
-			} else {
-				flaky.FailReadAt = n
-			}
-			job := jobForFaults(flaky)
-			job.MaxTaskAttempts = 3
-			res, err := Run(job, input)
-			if err != nil {
-				t.Fatalf("%s@%d: transient fault not recovered: %v", mode, n, err)
-			}
-			got := outputMap(t, res)
-			for k, v := range want {
-				if got[k] != v {
-					t.Fatalf("%s@%d: silent corruption after retry: %q=%q want %q", mode, n, k, got[k], v)
+	for _, c := range []codec.Codec{codec.Identity{}, codec.Snappy{}} {
+		for _, mode := range []string{"write", "read"} {
+			for n := int64(1); n <= 120; n += 11 {
+				flaky := &iokit.FlakyFS{Inner: iokit.NewMemFS(), FailOnce: true}
+				if mode == "write" {
+					flaky.FailWriteAt = n
+				} else {
+					flaky.FailReadAt = n
+				}
+				job := jobForFaults(flaky)
+				job.Codec = c
+				job.MaxTaskAttempts = 3
+				res, err := Run(job, input)
+				if err != nil {
+					t.Fatalf("%s, %s@%d: transient fault not recovered: %v", c.Name(), mode, n, err)
+				}
+				got := outputMap(t, res)
+				for k, v := range want {
+					if got[k] != v {
+						t.Fatalf("%s, %s@%d: silent corruption after retry: %q=%q want %q", c.Name(), mode, n, k, got[k], v)
+					}
 				}
 			}
 		}

@@ -2,6 +2,7 @@ package mr
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"strings"
 	"sync"
@@ -309,7 +310,7 @@ func framedSize(raw int64) int64 {
 	size := int64(1)
 	for raw > 0 {
 		n := min(raw, 64<<10)
-		size += uvarintLen(uint64(n)+1) + 4 + n
+		size += int64(len(binary.AppendUvarint(nil, uint64(n)+1))) + 4 + n
 		raw -= n
 	}
 	return size

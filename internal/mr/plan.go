@@ -82,9 +82,8 @@ func (pl Plan) Fetches() int {
 }
 
 // Tasks returns the graph — maps, then each partition's fetches, then
-// reduces — with nil Run: the caller attaches closures or dispatches
-// through a sched.Executor. A reduce task's Deps are its partition's
-// fetch tasks in Sources order.
+// reduces — with nil Run: the caller attaches the closures. A reduce
+// task's Deps are its partition's fetch tasks in Sources order.
 func (pl Plan) Tasks() []sched.Task {
 	tasks := make([]sched.Task, 0, pl.Maps+pl.Fetches()+pl.Reduces)
 	for i := 0; i < pl.Maps; i++ {

@@ -13,14 +13,45 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/codec"
 	"repro/internal/iokit"
 )
 
+// wireBlock is codec.Snappy's block size: the unit a compressed body
+// is coded and sent in.
+const wireBlock = 64 << 10
+
 // truncatingServer speaks just enough of the wire protocol to betray a
-// client: it answers the first request with a raw-body header
-// advertising the full size, writes only the first keep bytes of the
-// body, and slams the connection shut.
-func truncatingServer(t *testing.T, payload []byte, keep int) string {
+// client: it answers the first request with a header advertising the
+// full size, writes only the first keep bytes of the body — payload
+// verbatim for encodingRaw, its codec.Snappy stream for encodingSnappy —
+// and slams the connection shut.
+func truncatingServer(t *testing.T, payload []byte, enc byte, keep int) string {
+	out := binary.AppendUvarint(nil, uint64(len(payload))+1)
+	out = append(out, enc)
+	return scriptedServer(t, append(out, encodeBody(t, payload, enc)[:keep]...))
+}
+
+// encodeBody is payload as a body in encoding enc.
+func encodeBody(t *testing.T, payload []byte, enc byte) []byte {
+	t.Helper()
+	if enc == encodingRaw {
+		return payload
+	}
+	var body bytes.Buffer
+	zw, _ := codec.Snappy{}.NewWriter(&body)
+	if _, err := zw.Write(payload); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return body.Bytes()
+}
+
+// scriptedServer answers the first request on the first connection with
+// resp, whatever was asked, then closes the connection.
+func scriptedServer(t *testing.T, resp []byte) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -39,10 +70,7 @@ func truncatingServer(t *testing.T, payload []byte, keep int) string {
 		if _, err := conn.Read(buf); err != nil {
 			return
 		}
-		out := binary.AppendUvarint(nil, uint64(len(payload))+1)
-		out = append(out, encodingRaw)
-		out = append(out, payload[:keep]...)
-		conn.Write(out)
+		conn.Write(resp)
 	}()
 	return ln.Addr().String()
 }
@@ -51,27 +79,41 @@ func truncatingServer(t *testing.T, payload []byte, keep int) string {
 // truncation-masking bug: a server that dies after delivering a valid
 // header and a partial body must surface io.ErrUnexpectedEOF from the
 // reader — a clean io.EOF would let a short body masquerade as a
-// complete one.
+// complete one. A compressed body is cut inside a block header, inside
+// a block, and at a block boundary, where the decoder itself sees a
+// clean end.
 func TestFetchTruncationIsUnexpectedEOF(t *testing.T) {
 	payload := []byte(strings.Repeat("truncated body ", 200))
-	for _, keep := range []int{0, 1, 100, len(payload) - 1} {
-		addr := truncatingServer(t, payload, keep)
-		pool := NewConnPool()
-		rc, size, err := pool.Fetch(context.Background(), addr, "seg")
-		if err != nil {
-			t.Fatalf("keep=%d: header should arrive intact: %v", keep, err)
-		}
-		if size != int64(len(payload)) {
-			t.Fatalf("keep=%d: advertised size = %d, want %d", keep, size, len(payload))
-		}
-		got, err := io.ReadAll(rc)
-		rc.Close()
-		pool.Close()
-		if !errors.Is(err, io.ErrUnexpectedEOF) {
-			t.Errorf("keep=%d: read error = %v, want io.ErrUnexpectedEOF", keep, err)
-		}
-		if len(got) > keep {
-			t.Errorf("keep=%d: read %d bytes past the truncation point", keep, len(got))
+	long := bytes.Repeat(payload, 60) // several Snappy blocks
+	firstBlock := len(encodeBody(t, long[:wireBlock], encodingSnappy))
+	for _, tc := range []struct {
+		enc     byte
+		payload []byte
+		keeps   []int
+	}{
+		{encodingRaw, payload, []int{0, 1, 100, len(payload) - 1}},
+		{encodingSnappy, long, []int{0, 1, 100, firstBlock, len(encodeBody(t, long, encodingSnappy)) - 1}},
+	} {
+		for _, keep := range tc.keeps {
+			addr := truncatingServer(t, tc.payload, tc.enc, keep)
+			pool := NewConnPool()
+			pool.WireCompression = tc.enc == encodingSnappy
+			rc, size, err := pool.Fetch(context.Background(), addr, "seg")
+			if err != nil {
+				t.Fatalf("enc=%d keep=%d: header should arrive intact: %v", tc.enc, keep, err)
+			}
+			if size != int64(len(tc.payload)) {
+				t.Fatalf("enc=%d keep=%d: advertised size = %d, want %d", tc.enc, keep, size, len(tc.payload))
+			}
+			got, err := io.ReadAll(rc)
+			rc.Close()
+			pool.Close()
+			if !errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Errorf("enc=%d keep=%d: read error = %v, want io.ErrUnexpectedEOF", tc.enc, keep, err)
+			}
+			if tc.enc == encodingRaw && len(got) > keep || len(got) >= len(tc.payload) {
+				t.Errorf("enc=%d keep=%d: read %d bytes past the truncation point", tc.enc, keep, len(got))
+			}
 		}
 	}
 }
@@ -192,13 +234,16 @@ func TestConnPoolCloseRacesPut(t *testing.T) {
 
 // TestWireCompressionRoundTrip: a compression-requesting fetch delivers
 // byte-identical data while moving fewer bytes on the wire, across
-// bodies spanning one unit, many units, and the don't-compress floor.
+// bodies spanning one block, many blocks, and the don't-compress floor.
+// The bodies compress well, so a body that moves exactly its raw size
+// was sent raw.
 func TestWireCompressionRoundTrip(t *testing.T) {
 	fs := iokit.NewMemFS()
 	sizes := map[string]int{
 		"tiny":  wireCompressMin - 1, // below the floor: sent raw
-		"one":   4 << 10,             // single compressed unit
-		"multi": 3*wireChunk + 17,    // several units, ragged tail
+		"floor": wireCompressMin,     // at the floor: compressed
+		"one":   4 << 10,             // single compressed block
+		"multi": 3*wireBlock + 17,    // several blocks, ragged tail
 	}
 	bodies := map[string][]byte{}
 	for name, n := range sizes {
@@ -238,6 +283,78 @@ func TestWireCompressionRoundTrip(t *testing.T) {
 		} else if wire >= size {
 			t.Errorf("%s: wire = %d, want < raw %d", name, wire, size)
 		}
+	}
+}
+
+// overstatedFS reports every file longer than it is, as a file that
+// shrank between the server's Size and its read looks.
+type overstatedFS struct{ iokit.FS }
+
+func (fs overstatedFS) Size(name string) (int64, error) {
+	n, err := fs.FS.Size(name)
+	return n + 100, err
+}
+
+// TestShrankFileIsServerError: a file shorter than its Size fails a
+// fetch with a server-reported error — compressed or not — because the
+// server reads the body's first chunk before it commits to a header.
+// The error frame leaves the connection reusable.
+func TestShrankFileIsServerError(t *testing.T) {
+	mem := iokit.NewMemFS()
+	w, _ := mem.Create("seg")
+	w.Write(bytes.Repeat([]byte("shrank "), 600))
+	w.Close()
+	srv, err := NewSegmentServer(overstatedFS{mem}, "127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	for _, compress := range []bool{false, true} {
+		pool := NewConnPool()
+		pool.WireCompression = compress
+		for i := 0; i < 2; i++ {
+			_, _, err := pool.Fetch(context.Background(), srv.Addr(), "seg")
+			if err == nil || !strings.Contains(err.Error(), "unexpected EOF") {
+				t.Fatalf("compress=%v: err = %v, want the server's unexpected EOF", compress, err)
+			}
+		}
+		if d := pool.Dials(); d != 1 {
+			t.Errorf("compress=%v: %d dials, want 1 (an error frame keeps the connection)", compress, d)
+		}
+		pool.Close()
+	}
+}
+
+// TestCompressedBodyPastSizeFails: a Snappy body whose blocks decode to
+// more bytes than its header advertised fails the fetch, and the
+// connection it came on is not pooled.
+func TestCompressedBodyPastSizeFails(t *testing.T) {
+	payload := bytes.Repeat([]byte("overlong "), 100)
+	resp := binary.AppendUvarint(nil, uint64(len(payload)-1)+1)
+	resp = append(resp, encodingSnappy)
+	body := bytes.NewBuffer(resp)
+	zw, _ := codec.Snappy{}.NewWriter(body)
+	zw.Write(payload)
+	zw.Close()
+	addr := scriptedServer(t, body.Bytes())
+
+	pool := NewConnPool()
+	defer pool.Close()
+	pool.WireCompression = true
+	rc, size, err := pool.Fetch(context.Background(), addr, "seg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := io.ReadAll(rc)
+	rc.Close()
+	if err == nil || int64(len(got)) > size {
+		t.Errorf("read %d bytes of a %d-byte body, err %v; want an error and no more than the size", len(got), size, err)
+	}
+	pool.mu.Lock()
+	idle := len(pool.idle[addr])
+	pool.mu.Unlock()
+	if idle != 0 {
+		t.Errorf("%d pooled connections after an overrunning body, want 0", idle)
 	}
 }
 
@@ -333,7 +450,7 @@ func fetchAll(ctx context.Context, fetch func(context.Context, string, string) (
 // body, including a zero-byte one, with per-body wire accounting.
 func TestMuxBatchDelivers(t *testing.T) {
 	for _, compress := range []bool{false, true} {
-		srv, pool, bodies := burstTestServer(t, 6, 2*wireChunk+123, compress)
+		srv, pool, bodies := burstTestServer(t, 6, 2*wireBlock+123, compress)
 		w, _ := srv.fs.(*iokit.MemFS).Create("burst/empty")
 		w.Close()
 		bodies["burst/empty"] = nil
@@ -401,7 +518,7 @@ func TestMuxBatchStreamError(t *testing.T) {
 // fetch; its sibling's body arrives intact.
 func TestMuxSessionOutlivesEarlyRequester(t *testing.T) {
 	for _, first := range []int{0, 1} { // the fetch whose context is cancelled
-		srv, pool, bodies := burstTestServer(t, 2, 8*wireChunk+123, false)
+		srv, pool, bodies := burstTestServer(t, 2, 8*wireBlock+123, false)
 		names := []string{"burst/seg00", "burst/seg01"}
 		rcs := make([]io.ReadCloser, len(names))
 		cancels := make([]context.CancelFunc, len(names))

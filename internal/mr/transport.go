@@ -27,9 +27,10 @@ import (
 // accept is the body encoding the client takes (encodingRaw or
 // encodingSnappy); any other byte makes the server drop the connection.
 // enc is the encoding the server chose: a raw body is size bytes
-// verbatim, a Snappy body is a sequence of uvarint(len)-prefixed Snappy
-// blocks that decode to exactly size raw bytes. A Snappy-accepting
-// request still gets a raw body below wireCompressMin.
+// verbatim, a Snappy body is a codec.Snappy stream — the block container
+// map-output segments use — whose blocks decode to exactly size raw
+// bytes. A Snappy-accepting request still gets a raw body below
+// wireCompressMin.
 const (
 	encodingRaw    = 0x00
 	encodingSnappy = 0x01
@@ -37,15 +38,6 @@ const (
 	// wireCompressMin is the smallest body worth compressing; below it
 	// the encoding byte says raw and the body is verbatim.
 	wireCompressMin = 512
-
-	// wireChunk is the body chunk size: the unit of compression and of
-	// the coalesced header+first-bytes write.
-	wireChunk = copyBufSize
-
-	// maxWireUnit bounds one compressed unit: a wireChunk of
-	// incompressible bytes grows only by the block preamble and literal
-	// headers, so anything larger is a corrupt or hostile length.
-	maxWireUnit = wireChunk + 64
 )
 
 // Wire protocol frame limits. Request frames carry file names; error
@@ -191,26 +183,25 @@ func (s *SegmentServer) handleOne(conn net.Conn, name string, compress bool) boo
 		return writeError(conn, err)
 	}
 	defer f.Close()
+	enc := byte(encodingRaw)
 	if compress && size >= wireCompressMin {
-		return s.sendCompressed(conn, f, size)
+		enc = encodingSnappy
 	}
-	return s.sendRaw(conn, f, size)
+	return s.send(conn, f, size, enc)
 }
 
-// sendRaw streams a body verbatim. The response header and the first
-// body chunk are coalesced into one write, so small segments cost a
-// single send instead of a header packet plus a body packet; the rest
-// of an OS-backed file is spliced with sendfile.
-func (s *SegmentServer) sendRaw(conn net.Conn, f io.ReadCloser, size int64) bool {
+// send streams one body in encoding enc. The header goes out only once
+// the first chunk is in hand, so a file that shrank since Size is still
+// a reportable error, and then in one send with the first chunk (raw)
+// or first block (Snappy), so a small segment costs a single send. The
+// rest of an OS-backed raw file is spliced with sendfile. A Snappy body
+// is a codec.Snappy stream; its blocks carry their raw lengths, so the
+// client needs no terminator: it decodes until they sum to size,
+// leaving the connection at a frame boundary.
+func (s *SegmentServer) send(conn net.Conn, f io.ReadCloser, size int64, enc byte) bool {
 	buf := getCopyBuf()
 	defer putCopyBuf(buf)
-	hdr := binary.AppendUvarint(buf[:0], uint64(size)+1) // size+1: 0 means error
-	hdr = append(hdr, encodingRaw)
-	first := int64(len(buf) - len(hdr))
-	if first > size {
-		first = size
-	}
-	n, err := io.ReadFull(f, buf[len(hdr):int64(len(hdr))+first])
+	n, err := io.ReadFull(f, buf[:min(size, int64(len(buf)))])
 	if err != nil {
 		// Nothing is on the wire yet. A shrank file is a stable fact the
 		// client should hear about; any other read fault drops the
@@ -221,67 +212,52 @@ func (s *SegmentServer) sendRaw(conn net.Conn, f io.ReadCloser, size int64) bool
 		}
 		return false
 	}
-	if _, err := conn.Write(buf[:len(hdr)+n]); err != nil {
-		return false
+	hf := &headFirst{w: conn, head: append(binary.AppendUvarint(nil, uint64(size)+1), enc)} // size+1: 0 means error
+	var body io.Writer = hf
+	var zw io.WriteCloser
+	if enc == encodingSnappy {
+		zw, _ = codec.Snappy{}.NewWriter(hf)
+		body = zw
 	}
+	_, err = body.Write(buf[:n])
 	sent := int64(n)
-	ok := true
-	if remaining := size - sent; remaining > 0 {
+	if remaining := size - sent; err == nil && remaining > 0 {
 		var m int64
-		if osf, raw := iokit.RawFile(f); raw {
+		if osf, raw := iokit.RawFile(f); raw && zw == nil {
 			// Zero-copy: a LimitedReader directly over the *os.File lets
 			// io.Copy reach TCPConn.ReadFrom, which splices the file to
 			// the socket (sendfile) without passing through user space.
 			m, err = io.Copy(conn, &io.LimitedReader{R: osf, N: remaining})
 		} else {
-			m, err = io.CopyBuffer(conn, io.LimitReader(f, remaining), buf)
+			m, err = io.CopyBuffer(body, io.LimitReader(f, remaining), buf)
 		}
 		sent += m
-		ok = err == nil && m == remaining
+	}
+	if zw != nil {
+		if cerr := zw.Close(); err == nil {
+			err = cerr
+		}
 	}
 	s.count(sent)
-	return ok
+	return err == nil && sent == size
 }
 
-// sendCompressed streams a body as uvarint(len)-prefixed Snappy blocks.
-// Each block carries its own raw length, so the client needs no
-// terminator: it reads blocks until their raw sizes sum to the
-// advertised body size, leaving the connection at a frame boundary.
-func (s *SegmentServer) sendCompressed(conn net.Conn, f io.ReadCloser, size int64) bool {
-	chunk := getCopyBuf()
-	defer putCopyBuf(chunk)
-	var out, block []byte
-	var raw int64
-	hdrDone := false
-	for raw < size {
-		n := size - raw
-		if n > int64(len(chunk)) {
-			n = int64(len(chunk))
-		}
-		if _, err := io.ReadFull(f, chunk[:n]); err != nil {
-			if !hdrDone && (errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF)) {
-				return writeError(conn, err) // file shrank: stable, reportable
-			}
-			s.count(raw)
-			return false
-		}
-		block = codec.AppendSnappyBlock(block[:0], chunk[:n])
-		out = out[:0]
-		if !hdrDone {
-			out = binary.AppendUvarint(out, uint64(size)+1)
-			out = append(out, encodingSnappy)
-			hdrDone = true
-		}
-		out = binary.AppendUvarint(out, uint64(len(block)))
-		out = append(out, block...)
-		if _, err := conn.Write(out); err != nil {
-			s.count(raw)
-			return false
-		}
-		raw += n
+// headFirst sends a response header in front of the first Write's
+// bytes, in one writev, so the header never costs a send of its own.
+type headFirst struct {
+	w    io.Writer
+	head []byte // nil once sent
+}
+
+func (h *headFirst) Write(p []byte) (int, error) {
+	if h.head == nil {
+		return h.w.Write(p)
 	}
-	s.count(raw)
-	return true
+	bufs := net.Buffers{h.head, p}
+	sent, err := bufs.WriteTo(h.w)
+	sent -= int64(len(h.head))
+	h.head = nil
+	return int(max(sent, 0)), err
 }
 
 // Close stops the listener, severs live connections — remote clients
@@ -341,17 +317,6 @@ func readLenPrefixed(r frameReader, max uint64) ([]byte, error) {
 		return nil, err
 	}
 	return buf, nil
-}
-
-// uvarintLen reports how many bytes binary.AppendUvarint emits for v —
-// used to post-count wire framing without materializing it twice.
-func uvarintLen(v uint64) int64 {
-	n := int64(1)
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
 }
 
 // Fetch retry policy: connection-level failures (dial errors, a peer
@@ -563,83 +528,10 @@ func (p *ConnPool) fetchOnce(ctx context.Context, addr, name string, fresh bool)
 		return fail(err, true)
 	}
 	fr := &fetchReader{pool: p, addr: addr, wc: wc, ctx: ctx, stop: stop, size: size, remaining: size}
-	switch enc {
-	case encodingRaw:
-	case encodingSnappy:
-		fr.dec = &snappyUnitReader{br: wc.br, remaining: size}
-	default:
-		return fail(fmt.Errorf("mr: unknown body encoding 0x%02x", enc), true)
+	if err := fr.decode(enc); err != nil {
+		return fail(err, true)
 	}
 	return fr, size, nil, false
-}
-
-// snappyUnitReader decodes a compressed body: uvarint(len)-prefixed
-// Snappy blocks whose raw sizes sum to exactly remaining. It consumes
-// nothing past the final block, so the connection lands on a clean
-// frame boundary.
-type snappyUnitReader struct {
-	br        *bufio.Reader
-	remaining int64 // raw bytes the stream still owes
-	wire      int64 // framed bytes consumed off the socket
-	block     []byte
-	pos       int
-	err       error
-}
-
-func (d *snappyUnitReader) Read(p []byte) (int, error) {
-	for d.pos >= len(d.block) {
-		if d.err != nil {
-			return 0, d.err
-		}
-		if d.remaining <= 0 {
-			d.err = io.EOF
-			return 0, io.EOF
-		}
-		if err := d.fill(); err != nil {
-			d.err = err
-			return 0, err
-		}
-	}
-	n := copy(p, d.block[d.pos:])
-	d.pos += n
-	return n, nil
-}
-
-func (d *snappyUnitReader) fill() error {
-	compLen, err := binary.ReadUvarint(d.br)
-	if err != nil {
-		return unexpectedEOF(err)
-	}
-	if compLen == 0 || compLen > maxWireUnit {
-		return fmt.Errorf("mr: compressed wire unit of %d bytes exceeds limit %d", compLen, maxWireUnit)
-	}
-	buf := getFrameBuf(int(compLen))
-	if _, err := io.ReadFull(d.br, buf); err != nil {
-		putFrameBuf(buf)
-		return unexpectedEOF(err)
-	}
-	block, err := codec.DecompressSnappyBlock(buf)
-	putFrameBuf(buf)
-	if err != nil {
-		return fmt.Errorf("mr: wire decompression: %w", err)
-	}
-	if len(block) == 0 || int64(len(block)) > d.remaining {
-		return fmt.Errorf("mr: wire unit decoded to %d raw bytes with %d expected", len(block), d.remaining)
-	}
-	d.wire += uvarintLen(compLen) + int64(compLen)
-	d.remaining -= int64(len(block))
-	d.block, d.pos = block, 0
-	return nil
-}
-
-// unexpectedEOF maps a clean EOF mid-structure to ErrUnexpectedEOF:
-// for a reader that still owes bytes, a peer hanging up early is a
-// truncation, never a clean end.
-func unexpectedEOF(err error) error {
-	if err == io.EOF {
-		return io.ErrUnexpectedEOF
-	}
-	return err
 }
 
 // fetchReader streams one fetch body. Closing it after the body is
@@ -653,8 +545,48 @@ type fetchReader struct {
 	stop      func() bool
 	size      int64
 	remaining int64
-	dec       *snappyUnitReader // nil for raw bodies
+	body      wireBody      // the body's bytes off the connection
+	dec       io.ReadCloser // codec.Snappy decoder over body; nil for raw bodies
+	overrun   bool          // dec held bytes past size
 	closed    bool
+}
+
+// wireBody is a body's view of the connection: it counts the bytes
+// taken off the socket, and once ended it starts no block header, so
+// asking a Snappy decoder for bytes past the body's size can neither
+// block on nor consume the next response.
+type wireBody struct {
+	br    *bufio.Reader
+	n     int64
+	ended bool
+}
+
+func (b *wireBody) Read(p []byte) (int, error) {
+	n, err := b.br.Read(p)
+	b.n += int64(n)
+	return n, err
+}
+
+func (b *wireBody) ReadByte() (byte, error) {
+	if b.ended {
+		return 0, io.EOF
+	}
+	c, err := b.br.ReadByte()
+	if err == nil {
+		b.n++
+	}
+	return c, err
+}
+
+// decode sets up the reader for a body in encoding enc.
+func (f *fetchReader) decode(enc byte) error {
+	f.body.br = f.wc.br
+	if enc == encodingSnappy {
+		f.dec, _ = codec.Snappy{}.NewReader(&f.body)
+	} else if enc != encodingRaw {
+		return fmt.Errorf("mr: unknown body encoding 0x%02x", enc)
+	}
+	return nil
 }
 
 func (f *fetchReader) Read(p []byte) (int, error) {
@@ -669,24 +601,31 @@ func (f *fetchReader) Read(p []byte) (int, error) {
 	if int64(len(p)) > f.remaining {
 		p = p[:f.remaining]
 	}
-	var n int
-	var err error
+	var src io.Reader = &f.body
 	if f.dec != nil {
-		n, err = f.dec.Read(p)
-	} else {
-		n, err = f.wc.br.Read(p)
+		src = f.dec
 	}
+	n, err := src.Read(p)
 	f.remaining -= int64(n)
+	if err == nil && f.remaining == 0 && f.dec != nil {
+		// The body is complete; its blocks must be too. A decoder that
+		// still holds bytes has decoded past the advertised size.
+		f.body.ended = true
+		if m, _ := f.dec.Read(make([]byte, 1)); m > 0 {
+			f.overrun = true
+			err = fmt.Errorf("mr: compressed body decodes past its %d bytes", f.size)
+		}
+	}
 	if err != nil {
 		// Surface cancellation as the cause when it closed the conn.
 		if cerr := f.ctx.Err(); cerr != nil {
 			return n, cerr
 		}
-		if f.remaining > 0 {
+		if f.remaining > 0 && err == io.EOF {
 			// The peer ended the stream while still owing bytes: that is
 			// a truncation and must fail loudly (io.Copy treats a bare
 			// io.EOF as a clean end).
-			return n, unexpectedEOF(err)
+			err = io.ErrUnexpectedEOF
 		}
 		return n, err
 	}
@@ -694,14 +633,9 @@ func (f *fetchReader) Read(p []byte) (int, error) {
 }
 
 // WireBytes reports the socket bytes consumed for the body so far: the
-// raw count for uncompressed fetches, the framed compressed count
-// otherwise. Meaningful once the body is fully read.
-func (f *fetchReader) WireBytes() int64 {
-	if f.dec != nil {
-		return f.dec.wire
-	}
-	return f.size - f.remaining
-}
+// raw count for uncompressed fetches, the compressed stream's otherwise.
+// Meaningful once the body is fully read.
+func (f *fetchReader) WireBytes() int64 { return f.body.n }
 
 func (f *fetchReader) Close() error {
 	if f.closed {
@@ -709,7 +643,10 @@ func (f *fetchReader) Close() error {
 	}
 	f.closed = true
 	f.stop()
-	if f.remaining == 0 && f.ctx.Err() == nil {
+	if f.dec != nil {
+		f.dec.Close()
+	}
+	if f.remaining == 0 && !f.overrun && f.ctx.Err() == nil {
 		f.pool.put(f.addr, f.wc)
 		return nil
 	}

@@ -3,6 +3,7 @@ package mr
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"io"
@@ -188,30 +189,43 @@ func FuzzServerConn(f *testing.F) {
 	})
 }
 
-// FuzzSnappyUnitReader decodes arbitrary bytes as a compressed body
-// stream. However corrupt the unit framing or block contents, the
-// reader must error out (or finish) without panicking and without
-// yielding more raw bytes than the advertised body size.
-func FuzzSnappyUnitReader(f *testing.F) {
-	valid := binary.AppendUvarint(nil, 0)
-	block := codec.AppendSnappyBlock(nil, bytes.Repeat([]byte("unit "), 100))
-	valid = binary.AppendUvarint(valid[:0], uint64(len(block)))
-	valid = append(valid, block...)
-	f.Add(valid, uint32(500))
-	f.Add(valid, uint32(10)) // stream owes fewer bytes than one unit holds
+// FuzzCompressedBody decodes arbitrary bytes as a Snappy-encoded fetch
+// body of an advertised size, through the client's own fetch reader.
+// However corrupt the block framing or contents, the reader must error
+// out (or finish) without panicking, never yield more raw bytes than
+// the advertised size, and end cleanly only at exactly that size.
+func FuzzCompressedBody(f *testing.F) {
+	var valid bytes.Buffer
+	w, _ := codec.Snappy{}.NewWriter(&valid)
+	w.Write(bytes.Repeat([]byte("unit "), 100))
+	w.Close()
+	f.Add(valid.Bytes(), uint32(500))
+	f.Add(valid.Bytes(), uint32(10)) // stream owes fewer bytes than one block holds
+	f.Add(valid.Bytes(), uint32(501))
 	f.Add([]byte{0x00}, uint32(1))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff}, uint32(64))
 	f.Add([]byte(nil), uint32(0))
 
 	f.Fuzz(func(t *testing.T, data []byte, size uint32) {
-		remaining := int64(size % (1 << 20))
-		d := &snappyUnitReader{br: bufio.NewReaderSize(bytes.NewReader(data), 64), remaining: remaining}
-		n, err := io.Copy(io.Discard, d)
-		if n > remaining {
-			t.Fatalf("decoded %d raw bytes past the advertised %d", n, remaining)
+		fr := fuzzBody(data, int64(size%(1<<20)))
+		n, err := io.Copy(io.Discard, fr)
+		fr.Close()
+		if n > fr.size {
+			t.Fatalf("decoded %d raw bytes past the advertised %d", n, fr.size)
 		}
-		if err == nil && n != remaining {
-			t.Fatalf("clean EOF after %d of %d raw bytes", n, remaining)
+		if err == nil && n != fr.size {
+			t.Fatalf("clean EOF after %d of %d raw bytes", n, fr.size)
 		}
 	})
+}
+
+// fuzzBody is the fetch reader fetchOnce returns for a Snappy body of
+// size bytes arriving as data, on a connection no pool keeps.
+func fuzzBody(data []byte, size int64) *fetchReader {
+	wc := &wireConn{conn: &fuzzConn{r: bytes.NewReader(nil)}, br: bufio.NewReaderSize(bytes.NewReader(data), 64)}
+	pool := NewConnPool()
+	pool.Close()
+	fr := &fetchReader{pool: pool, wc: wc, ctx: context.Background(), stop: func() bool { return true }, size: size, remaining: size}
+	fr.decode(encodingSnappy)
+	return fr
 }

@@ -181,48 +181,3 @@ func (s *SpanRef) End(attrs ...Attr) {
 	}
 	s.t.Record(s.kind, s.name, s.start, time.Now(), append(s.attrs, attrs...)...)
 }
-
-// SpanExtent reports the wall-clock interval covered by spans of one
-// kind: earliest start to latest end. ok is false when no span of the
-// kind exists.
-func SpanExtent(spans []Span, kind string) (start, end time.Time, ok bool) {
-	for _, s := range spans {
-		if s.Kind != kind {
-			continue
-		}
-		if !ok || s.Start.Before(start) {
-			start = s.Start
-		}
-		if !ok || s.End.After(end) {
-			end = s.End
-		}
-		ok = true
-	}
-	return start, end, ok
-}
-
-// Overlap reports how long the extents of two span kinds intersected —
-// e.g. Overlap(spans, KindMap, KindFetch) > 0 proves shuffle fetches
-// ran while map tasks were still executing. It is the span analogue of
-// sched.Overlap over Result.Timeline.
-func Overlap(spans []Span, kindA, kindB string) time.Duration {
-	aStart, aEnd, ok := SpanExtent(spans, kindA)
-	if !ok {
-		return 0
-	}
-	bStart, bEnd, ok := SpanExtent(spans, kindB)
-	if !ok {
-		return 0
-	}
-	start, end := aStart, aEnd
-	if bStart.After(start) {
-		start = bStart
-	}
-	if bEnd.Before(end) {
-		end = bEnd
-	}
-	if d := end.Sub(start); d > 0 {
-		return d
-	}
-	return 0
-}

@@ -76,24 +76,6 @@ func TestTracerConcurrent(t *testing.T) {
 	}
 }
 
-func TestOverlap(t *testing.T) {
-	t0 := time.Unix(0, 0)
-	spans := []Span{
-		{Kind: KindMap, Start: t0, End: t0.Add(100 * time.Millisecond)},
-		{Kind: KindFetch, Start: t0.Add(60 * time.Millisecond), End: t0.Add(160 * time.Millisecond)},
-		{Kind: KindReduce, Start: t0.Add(200 * time.Millisecond), End: t0.Add(300 * time.Millisecond)},
-	}
-	if got := Overlap(spans, KindMap, KindFetch); got != 40*time.Millisecond {
-		t.Fatalf("map/fetch overlap = %v, want 40ms", got)
-	}
-	if got := Overlap(spans, KindMap, KindReduce); got != 0 {
-		t.Fatalf("map/reduce overlap = %v, want 0", got)
-	}
-	if got := Overlap(spans, KindMap, "absent"); got != 0 {
-		t.Fatalf("overlap with absent kind = %v, want 0", got)
-	}
-}
-
 func TestChromeTraceExport(t *testing.T) {
 	tr := NewTracer()
 	t0 := time.Now()

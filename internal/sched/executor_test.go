@@ -10,43 +10,8 @@ import (
 	"testing"
 )
 
-// recordingExecutor runs tasks through a function, counting dispatches.
-type recordingExecutor struct {
-	fn    func(ctx context.Context, task *Task, tc *TaskContext) (any, error)
-	calls atomic.Int64
-}
-
-func (e *recordingExecutor) Execute(ctx context.Context, task *Task, tc *TaskContext) (any, error) {
-	e.calls.Add(1)
-	return e.fn(ctx, task, tc)
-}
-
-// TestExecutorDispatch: tasks without Run go to the Executor; tasks
-// with Run keep their closure. Dependency values flow across both.
-func TestExecutorDispatch(t *testing.T) {
-	ex := &recordingExecutor{fn: func(ctx context.Context, task *Task, tc *TaskContext) (any, error) {
-		return "exec:" + task.Name, nil
-	}}
-	tasks := []Task{
-		{Name: "remote"},
-		{Name: "local", Deps: []string{"remote"}, Run: func(ctx context.Context, tc *TaskContext) (any, error) {
-			return tc.Dep("remote").(string) + "+local", nil
-		}},
-	}
-	rep, err := Run(context.Background(), tasks, Config{Executor: ex})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v := rep.Value("local"); v != "exec:remote+local" {
-		t.Errorf("local value = %v", v)
-	}
-	if c := ex.calls.Load(); c != 1 {
-		t.Errorf("executor ran %d tasks, want 1", c)
-	}
-}
-
-// TestExecutorRequired: a Run-less task without an Executor is a
-// configuration error, caught before anything launches.
+// TestExecutorRequired: a task without Run is a configuration error,
+// caught before anything launches.
 func TestExecutorRequired(t *testing.T) {
 	_, err := Run(context.Background(), []Task{{Name: "t"}}, Config{})
 	if err == nil {

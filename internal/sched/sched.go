@@ -43,20 +43,10 @@ type Task struct {
 	Group string
 	// Deps lists task names that must commit before this task runs.
 	Deps []string
-	// Run executes one attempt. Run may be nil when Config.Executor is
-	// set; such tasks are dispatched to the executor instead.
+	// Run executes one attempt; it is required. It may return a
+	// *DepLostError to report that an already-committed dependency's
+	// output has become unreachable and must be re-executed.
 	Run func(ctx context.Context, tc *TaskContext) (any, error)
-}
-
-// Executor dispatches task attempts somewhere other than an in-process
-// closure — the cluster coordinator implements it to lease tasks to
-// remote worker processes. Execute is invoked under the same worker
-// semaphore and retry machinery as Task.Run; it must
-// honor ctx cancellation (the lease should be revoked) and may return
-// a *DepLostError to signal that an already-committed dependency's
-// output has become unreachable and must be re-executed.
-type Executor interface {
-	Execute(ctx context.Context, task *Task, tc *TaskContext) (any, error)
 }
 
 // DepLostError reports that a task attempt could not run because the
@@ -121,10 +111,6 @@ type Config struct {
 	// outcome attributes — the trace-sink
 	// generalization of the Attempts timeline.
 	Tracer *obs.Tracer
-	// Executor, when non-nil, runs attempts of tasks whose Run is nil.
-	// Tasks with a Run closure keep using it, so in-process and
-	// executor-dispatched tasks can share one DAG.
-	Executor Executor
 }
 
 const (
@@ -251,8 +237,8 @@ func newScheduler(tasks []Task, cfg Config) (*scheduler, error) {
 		if t.Name == "" {
 			return nil, fmt.Errorf("sched: task with empty name")
 		}
-		if t.Run == nil && cfg.Executor == nil {
-			return nil, fmt.Errorf("sched: task %s has no Run and no Executor is configured", t.Name)
+		if t.Run == nil {
+			return nil, fmt.Errorf("sched: task %s has no Run", t.Name)
 		}
 		if _, dup := s.nodes[t.Name]; dup {
 			return nil, fmt.Errorf("sched: duplicate task %s", t.Name)
@@ -329,10 +315,8 @@ func (s *scheduler) run(ctx context.Context) (*Report, error) {
 			var err error
 			if cerr := actx.Err(); cerr != nil {
 				err = cerr // cancelled while queued for a worker slot
-			} else if n.task.Run != nil {
-				v, err = n.task.Run(actx, tc)
 			} else {
-				v, err = s.cfg.Executor.Execute(actx, &n.task, tc)
+				v, err = n.task.Run(actx, tc)
 			}
 			<-s.sem
 			s.events <- completion{

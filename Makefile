@@ -78,7 +78,8 @@ FUZZ_TARGETS = \
 	internal/codec:FuzzSnappyDecompressBlock internal/codec:FuzzBWSCDecompressBlock \
 	internal/mr:FuzzReadLenPrefixed internal/mr:FuzzFrameRoundTrip internal/mr:FuzzServerConn \
 	internal/mr:FuzzCompressedBody internal/mr:FuzzSegmentFrames internal/mr:FuzzSpillSort \
-	internal/anticombine:FuzzDecodeValue internal/anticombine:FuzzShared
+	internal/anticombine:FuzzDecodeValue internal/anticombine:FuzzShared \
+	internal/monoid:FuzzFoldTable internal/datagen:FuzzParseCloudLine
 fuzz-smoke:
 	@set -e; for t in $(FUZZ_TARGETS); do \
 		echo "fuzz $$t ($(FUZZTIME))"; \

@@ -1,6 +1,7 @@
 package anticombine
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -23,6 +24,12 @@ import (
 // enough to spill and merge in several passes, and Anti-Combining
 // options small enough to spill Shared — and runs it Original,
 // EagerOnly, LazyOnly and Adaptive through mr.Run.
+//
+// The combiner axis decides which transformed map-side combiner runs:
+// none; wordcount.Sum declared as a monoid, which Wrap folds into typed
+// state (foldCombiner); the same Sum behind an opaque mr.Reducer, which
+// takes the AntiReducer's Shared path; and the declared Sum under a
+// custom (byte-equal) KeyCompare, for which Wrap declines the fold.
 
 // contractSeeds is how many generated jobs plain `go test` checks.
 const contractSeeds = 60
@@ -30,10 +37,34 @@ const contractSeeds = 60
 // contractCase is one generated job: the job itself is rebuilt per run
 // (build), since a Job's factories are consumed by one Run at a time.
 type contractCase struct {
-	desc   string
-	splits []mr.Split
-	build  func() *mr.Job
-	opts   Options
+	desc     string
+	splits   []mr.Split
+	build    func() *mr.Job
+	opts     Options
+	combiner combinerKind
+	valueLen int
+}
+
+// combinerKind is the contract test's combiner axis.
+type combinerKind int
+
+const (
+	combinerNone       combinerKind = iota
+	combinerDeclared                // monoid.Combiner(wordcount.Sum{}): the fold path
+	combinerOpaque                  // the same, hidden behind opaqueReducer: the Shared path
+	combinerKeyCompare              // declared, but under a custom KeyCompare: fold declined
+)
+
+var combinerNames = [...]string{"none", "declared", "opaque", "keyCompare"}
+
+// opaqueReducer hides everything of a reducer but mr.Reducer, so Wrap
+// cannot tell it is a monoid's.
+type opaqueReducer struct{ mr.Reducer }
+
+// wantFold reports whether Wrap should pick the fold path for the case
+// under opts.
+func (c contractCase) wantFold(opts Options) bool {
+	return c.combiner == combinerDeclared && opts.MapCombiner && !opts.DisableSharedCombine
 }
 
 // firstBytePartitioner routes by the key's first byte — a partitioner
@@ -59,7 +90,8 @@ func genContractCase(seed int64) contractCase {
 		keyLen   = 1 + rng.Intn(12)
 		valueLen = rng.Intn(41)
 		dupPct   = pick(0, 30, 70, 100)
-		combine  = rng.Intn(2) == 0
+		combiner = combinerKind(rng.Intn(4))
+		combine  = combiner != combinerNone
 		prefix   = rng.Intn(2) == 0
 		reducers = 1 + rng.Intn(5)
 		sortBuf  = pick(1<<10, 2<<10, 4<<20)
@@ -114,10 +146,18 @@ func genContractCase(seed int64) contractCase {
 			MergeFactor:     mergeF,
 			Deterministic:   true,
 		}
-		if combine {
-			// A declared monoid: the combiner is lawful by construction.
+		switch combiner {
+		case combinerDeclared, combinerKeyCompare:
 			job.NewCombiner = monoid.Combiner(wordcount.Sum{})
+		case combinerOpaque:
+			sum := monoid.Combiner(wordcount.Sum{})
+			job.NewCombiner = func() mr.Reducer { return opaqueReducer{sum()} }
+		}
+		if combine {
 			job.NewReducer = monoid.Reducer(wordcount.Sum{}, nil)
+		}
+		if combiner == combinerKeyCompare {
+			job.KeyCompare = func(a, b []byte) int { return bytes.Compare(a, b) }
 		}
 		if prefix {
 			job.Partitioner = firstBytePartitioner{}
@@ -127,10 +167,10 @@ func genContractCase(seed int64) contractCase {
 		}
 		return job
 	}
-	desc := fmt.Sprintf("splits=%d×%d fan≤%d keys=%d/len%d valueLen=%d dup=%d%% combiner=%v prefixPartitioner=%v reducers=%d sortBuf=%d mergeFactor=%d snappy=%v T=%v mapCombiner=%v sharedMem=%d",
-		nSplits, perSplit, maxFan, nKeys, keyLen, valueLen, dupPct, combine, prefix, reducers, sortBuf, mergeF, snappy,
+	desc := fmt.Sprintf("splits=%d×%d fan≤%d keys=%d/len%d valueLen=%d dup=%d%% combiner=%s prefixPartitioner=%v reducers=%d sortBuf=%d mergeFactor=%d snappy=%v T=%v mapCombiner=%v sharedMem=%d",
+		nSplits, perSplit, maxFan, nKeys, keyLen, valueLen, dupPct, combinerNames[combiner], prefix, reducers, sortBuf, mergeF, snappy,
 		opts.T, opts.MapCombiner, opts.SharedMemLimitBytes)
-	return contractCase{desc: desc, splits: splits, build: build, opts: opts}
+	return contractCase{desc: desc, splits: splits, build: build, opts: opts, combiner: combiner, valueLen: valueLen}
 }
 
 // genValue draws one map-output value: a decimal count when the job
@@ -172,10 +212,35 @@ func TestContractOriginalEqualsAntiCombined(t *testing.T) {
 				t.Fatalf("Original failed: %v\n%s", err, replay)
 			}
 			want := orig.SortedOutput()
+			if c.combiner != combinerNone {
+				// The generated values must be in the declared monoid's
+				// value space, and the monoid lawful over them.
+				err := monoid.CheckLaws(wordcount.Sum{}, monoid.LawConfig{
+					Seed:   seed,
+					Trials: 16,
+					Values: func(r *rand.Rand) [][]byte {
+						vals := make([][]byte, 1+r.Intn(8))
+						for i := range vals {
+							vals[i] = genValue(r, true, c.valueLen)
+						}
+						return vals
+					},
+				})
+				if err != nil {
+					t.Fatalf("%v\n%s", err, replay)
+				}
+			}
 			for _, strategy := range []Strategy{EagerOnly, LazyOnly, Adaptive} {
 				opts := c.opts
 				opts.Strategy = strategy
-				res, err := mr.Run(Wrap(c.build(), opts), c.splits)
+				wjob := Wrap(c.build(), opts)
+				if wjob.NewCombiner != nil {
+					_, folds := wjob.NewCombiner().(*foldCombiner)
+					if folds != c.wantFold(opts) {
+						t.Fatalf("%v: Wrap folds = %v, want %v\n%s", strategy, folds, c.wantFold(opts), replay)
+					}
+				}
+				res, err := mr.Run(wjob, c.splits)
 				if err != nil {
 					t.Fatalf("%v failed: %v\n%s", strategy, err, replay)
 				}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync/atomic"
 
+	"repro/internal/monoid"
 	"repro/internal/mr"
 )
 
@@ -26,17 +27,14 @@ type antiReducer struct {
 	opts        Options
 	combineMode bool
 
-	info    *mr.TaskInfo
-	oMapper mr.Mapper // the reducer-side Map object, made by the first LazySH record
-	shared  Shared
+	info   *mr.TaskInfo
+	shared Shared
+	reexec mapReexec
 
 	// Per-call state kept here so a Reduce call allocates nothing.
 	plain  plainEmitter // combiner mode's output adapter
 	group  groupIter    // the incoming group, as the original Reduce sees it
 	popped sliceIter    // a group popped from Shared
-
-	reexecErr error // a Shared error keepLocal returned during the current re-execution
-	nReexec   int64 // batched CounterMapReexec, flushed at Cleanup
 }
 
 // Setup implements mr.Reducer.
@@ -61,6 +59,7 @@ func (r *antiReducer) Setup(info *mr.TaskInfo, out mr.Emitter) error {
 		Tracer:        info.Tracer,
 	})
 	r.shared.owner = r
+	r.reexec = mapReexec{newMapper: r.newMapper, info: info, shared: &r.shared}
 	return r.inner.Setup(info, r.wrapOut(out))
 }
 
@@ -107,9 +106,7 @@ func (r *antiReducer) wrapOut(out mr.Emitter) mr.Emitter {
 // since the engine does not call Cleanup after an error. It returns err.
 func (r *antiReducer) fail(err error) error {
 	r.shared.Close()
-	if r.oMapper != nil {
-		r.oMapper.Cleanup(discardEmitter{})
-	}
+	r.reexec.abort()
 	return err
 }
 
@@ -247,7 +244,7 @@ func (r *antiReducer) addDecoded(key []byte, dec Decoded) error {
 		}
 		return r.addOthers(dec)
 	case EncLazy:
-		return r.reexecuteMap(dec.InputKey, dec.InputValue)
+		return r.reexec.run(dec.InputKey, dec.InputValue)
 	}
 	return fmt.Errorf("%w: flag %d", ErrBadEncoding, dec.Enc)
 }
@@ -264,40 +261,74 @@ func (r *antiReducer) addOthers(dec Decoded) error {
 	return nil
 }
 
-// reexecuteMap regenerates a LazySH record's Map output on this reducer,
-// keeping only the pairs the Partitioner assigns here (Algorithm 4,
-// lines 6-10). The original Map object it needs is made here, by the
-// first LazySH record: a job whose stream carries none — and each of the
-// many transformed combiners that meet none — does without.
-func (r *antiReducer) reexecuteMap(inputKey, inputValue []byte) error {
-	if r.oMapper == nil {
-		m := r.newMapper()
-		if err := m.Setup(r.info, discardEmitter{}); err != nil {
+// mapReexec regenerates LazySH records' Map output on a reducer or a
+// transformed combiner, keeping only the pairs the Partitioner assigns
+// there (Algorithm 4, lines 6-10): they go to the AntiReducer's Shared,
+// or into the fold combiner's table. The original Map object it needs is
+// made by the first LazySH record: a job whose stream carries none — and
+// each of the many transformed combiners that meet none — does without.
+type mapReexec struct {
+	newMapper func() mr.Mapper
+	info      *mr.TaskInfo
+	shared    *Shared
+	table     monoid.FoldTable
+
+	m   mr.Mapper // the reducer-side Map object
+	err error     // an error keeping a pair returned during the current run
+	n   int64     // batched CounterMapReexec, flushed by cleanup
+}
+
+// run re-executes Map on one LazySH record's input.
+func (x *mapReexec) run(inputKey, inputValue []byte) error {
+	if x.m == nil {
+		m := x.newMapper()
+		if err := m.Setup(x.info, discardEmitter{}); err != nil {
 			return err
 		}
-		r.oMapper = m
+		x.m = m
 	}
-	r.nReexec++
-	r.reexecErr = nil
-	err := r.oMapper.Map(inputKey, inputValue, keepLocal{r})
-	if r.reexecErr != nil {
+	x.n++
+	x.err = nil
+	err := x.m.Map(inputKey, inputValue, x)
+	if x.err != nil {
 		// Reported even when the original Map swallowed it.
-		return r.reexecErr
+		return x.err
 	}
 	return err
 }
 
-// keepLocal receives the re-executed Map's output.
-type keepLocal struct{ r *antiReducer }
-
-// Emit implements mr.Emitter.
-func (e keepLocal) Emit(k, v []byte) error {
-	r := e.r
-	if r.info.Partitioner.Partition(k, r.info.NumPartitions) != r.info.Partition {
+// Emit implements mr.Emitter for the re-executed Map's output.
+func (x *mapReexec) Emit(k, v []byte) error {
+	if x.info.Partitioner.Partition(k, x.info.NumPartitions) != x.info.Partition {
 		return nil
 	}
-	r.reexecErr = r.shared.Add(k, v)
-	return r.reexecErr
+	if x.table != nil {
+		x.err = x.table.Absorb(k, v)
+	} else {
+		x.err = x.shared.Add(k, v)
+	}
+	return x.err
+}
+
+// cleanup runs the Map object's Cleanup and publishes the
+// re-execution count.
+func (x *mapReexec) cleanup() error {
+	if x.m != nil {
+		if err := x.m.Cleanup(discardEmitter{}); err != nil {
+			return err
+		}
+	}
+	x.info.Counters.AddExtra(CounterMapReexec, x.n)
+	x.n = 0
+	return nil
+}
+
+// abort is cleanup for a failing task: the Map object is cleaned up and
+// nothing is published.
+func (x *mapReexec) abort() {
+	if x.m != nil {
+		x.m.Cleanup(discardEmitter{})
+	}
 }
 
 // reduceMin pops Shared's smallest group and runs the original Reduce
@@ -338,13 +369,9 @@ func (r *antiReducer) Cleanup(out mr.Emitter) error {
 	if err := r.shared.Close(); err != nil {
 		return r.fail(err)
 	}
-	if r.oMapper != nil {
-		if err := r.oMapper.Cleanup(discardEmitter{}); err != nil {
-			return err
-		}
+	if err := r.reexec.cleanup(); err != nil {
+		return err
 	}
-	r.info.Counters.AddExtra(CounterMapReexec, r.nReexec)
-	r.nReexec = 0
 	return r.inner.Cleanup(wrapped)
 }
 

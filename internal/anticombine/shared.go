@@ -105,17 +105,6 @@ type sharedBufs struct {
 
 var sharedPool sync.Pool // *sharedBufs
 
-// Buffers larger than this are dropped at Close, not pooled: a reduce
-// task's Shared may index millions of values, which one task in a job
-// needs and no combiner-sized Shared after it should pin. Besides the
-// entry slots, the bound counts the bytes of every slot's value-list
-// capacity and of the pop buffers, so a few slots with one huge list are
-// dropped too.
-const (
-	maxPooledEntries = 1 << 15
-	maxPooledBytes   = 4 << 20
-)
-
 // blockSize is the size of the blocks Shared stores bytes in. A key or
 // value longer than a block gets an exact-size block of its own, which
 // is never pooled.
@@ -670,9 +659,12 @@ func putBlock(b []byte) {
 	blockPool.Put(p)
 }
 
-// poolable reports whether the buffers are within the bounds for pooling.
+// poolable reports whether the buffers are within the bounds for
+// pooling. Besides the entry slots, the byte bound counts every slot's
+// value-list capacity and the pop buffers, so a few slots with one huge
+// list are dropped too.
 func (s *Shared) poolable() bool {
-	if cap(s.ents) > maxPooledEntries {
+	if cap(s.ents) > bytesx.MaxPooledEntries {
 		return false
 	}
 	spans := 0
@@ -680,5 +672,5 @@ func (s *Shared) poolable() bool {
 		spans += cap(s.ents[i].vals)
 	}
 	n := uintptr(spans)*unsafe.Sizeof(blockSpan{}) + uintptr(cap(s.popBuf)) + uintptr(cap(s.popVals))*unsafe.Sizeof([]byte(nil))
-	return n <= maxPooledBytes
+	return n <= bytesx.MaxPooledBytes
 }

@@ -1,6 +1,9 @@
 package anticombine
 
-import "repro/internal/mr"
+import (
+	"repro/internal/monoid"
+	"repro/internal/mr"
+)
 
 // Wrap applies the Anti-Combining program transformation of §6.1 to a
 // job, treating its Mapper, Reducer, Combiner and Partitioner as black
@@ -16,6 +19,10 @@ import "repro/internal/mr"
 // opts.MapCombiner (the paper's flag C) is set, in which case it is
 // wrapped by the same transformation; either way it is used to collapse
 // Shared in the reduce phase unless opts.DisableSharedCombine is set.
+// When the combiner is a commutative monoid's (monoid.Folder) and keys
+// compare as raw bytes, the transformed map-side combiner folds every
+// record into the monoid's typed per-key state instead (foldCombiner);
+// the outcome is the same records.
 func Wrap(job *mr.Job, opts Options) *mr.Job {
 	w := *job
 	w.Name = job.Name + "-anti-" + opts.Strategy.String()
@@ -37,7 +44,10 @@ func Wrap(job *mr.Job, opts Options) *mr.Job {
 			opts:        opts,
 		}
 	}
-	if newCombiner != nil && opts.MapCombiner {
+	switch fold := foldOf(job, opts); {
+	case fold != nil:
+		w.NewCombiner = func() mr.Reducer { return newFoldCombiner(fold, newMapper) }
+	case newCombiner != nil && opts.MapCombiner:
 		w.NewCombiner = func() mr.Reducer {
 			return &antiReducer{
 				inner:       newCombiner(),
@@ -47,8 +57,22 @@ func Wrap(job *mr.Job, opts Options) *mr.Job {
 				combineMode: true,
 			}
 		}
-	} else {
+	default:
 		w.NewCombiner = nil
 	}
 	return &w
+}
+
+// foldOf returns the fold tables the transformed map-side combiner
+// folds into, or nil when it must run as the AntiReducer's combine mode.
+// Folding needs a map-side combiner that is a monoid.Folder and key
+// equality that is byte equality (no KeyCompare, no GroupCompare); the
+// DisableSharedCombine ablation keeps the Shared path.
+func foldOf(job *mr.Job, opts Options) monoid.Folder {
+	if job.NewCombiner == nil || !opts.MapCombiner || opts.DisableSharedCombine ||
+		job.KeyCompare != nil || job.GroupCompare != nil {
+		return nil
+	}
+	fold, _ := job.NewCombiner().(monoid.Folder)
+	return fold
 }

@@ -104,3 +104,14 @@ func Clone(b []byte) []byte {
 	copy(c, b)
 	return c
 }
+
+// The bounds past which a per-instance buffer set — Anti-Combining's
+// Shared, a monoid fold table — is dropped at close instead of pooled: a
+// reduce task may index millions of values, which one task in a job
+// needs and no combiner-sized instance after it should pin.
+// MaxPooledEntries bounds the entry slots, MaxPooledBytes every byte the
+// set holds besides them.
+const (
+	MaxPooledEntries = 1 << 15
+	MaxPooledBytes   = 4 << 20
+)

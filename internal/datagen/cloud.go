@@ -1,6 +1,8 @@
 package datagen
 
 import (
+	"bytes"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -56,19 +58,59 @@ func (r CloudRecord) Line() string {
 	return b.String()
 }
 
-// ParseCloudLine parses the first three attributes of a record line.
+// ParseCloudLine parses the first three attributes of a record line:
+// the comma-separated fields before the third comma (the third runs to
+// the end of the line when there is none). Each must be what
+// strconv.Atoi accepts — an optional sign and decimal digits, within the
+// int64 range — and is truncated to int32 as a conversion would. It
+// scans line in place and allocates nothing.
 func ParseCloudLine(line []byte) (date, longitude, latitude int32, ok bool) {
-	fields := strings.SplitN(string(line), ",", 4)
-	if len(fields) < 3 {
-		return 0, 0, 0, false
+	var v [3]int32
+	for i := range v {
+		end := bytes.IndexByte(line, ',')
+		if end < 0 {
+			if i < 2 {
+				return 0, 0, 0, false
+			}
+			end = len(line)
+		}
+		n, ok := atoi(line[:end])
+		if !ok {
+			return 0, 0, 0, false
+		}
+		v[i] = int32(n)
+		line = line[min(end+1, len(line)):]
 	}
-	d, err1 := strconv.Atoi(fields[0])
-	lon, err2 := strconv.Atoi(fields[1])
-	lat, err3 := strconv.Atoi(fields[2])
-	if err1 != nil || err2 != nil || err3 != nil {
-		return 0, 0, 0, false
+	return v[0], v[1], v[2], true
+}
+
+// atoi is strconv.Atoi's accept set on bytes: an optional '+' or '-',
+// then one or more decimal digits, within the int64 range.
+func atoi(b []byte) (int64, bool) {
+	neg := false
+	if len(b) > 0 && (b[0] == '+' || b[0] == '-') {
+		neg = b[0] == '-'
+		b = b[1:]
 	}
-	return int32(d), int32(lon), int32(lat), true
+	if len(b) == 0 {
+		return 0, false
+	}
+	limit := uint64(math.MaxInt64)
+	if neg {
+		limit++
+	}
+	var n uint64
+	for _, c := range b {
+		d := uint64(c - '0')
+		if d > 9 || n > (limit-d)/10 {
+			return 0, false
+		}
+		n = n*10 + d
+	}
+	if neg {
+		return -int64(n), true
+	}
+	return int64(n), true
 }
 
 // Cloud is a deterministic report generator.

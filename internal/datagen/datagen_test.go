@@ -2,6 +2,7 @@ package datagen
 
 import (
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -224,5 +225,51 @@ func TestParseCloudLineBad(t *testing.T) {
 		if _, _, _, ok := ParseCloudLine([]byte(bad)); ok {
 			t.Errorf("ParseCloudLine(%q) should fail", bad)
 		}
+	}
+}
+
+// parseCloudLineRef is ParseCloudLine as it was written before it
+// scanned in place: the reference FuzzParseCloudLine holds it to.
+func parseCloudLineRef(line []byte) (date, longitude, latitude int32, ok bool) {
+	fields := strings.SplitN(string(line), ",", 4)
+	if len(fields) < 3 {
+		return 0, 0, 0, false
+	}
+	d, err1 := strconv.Atoi(fields[0])
+	lon, err2 := strconv.Atoi(fields[1])
+	lat, err3 := strconv.Atoi(fields[2])
+	if err1 != nil || err2 != nil || err3 != nil {
+		return 0, 0, 0, false
+	}
+	return int32(d), int32(lon), int32(lat), true
+}
+
+// FuzzParseCloudLine checks the in-place parser against the
+// SplitN+Atoi reference: signs, overflow, empty fields, a third field
+// running to the end of the line.
+func FuzzParseCloudLine(f *testing.F) {
+	for _, seed := range []string{
+		NewCloud(CloudConfig{Seed: 1, Records: 1}).Record(0).Line(),
+		"", "1,2", "1,2,3", "1,2,3,", ",,", "+1,-2,+0", "-,+,1", "1,2,3\n",
+		"9223372036854775807,-9223372036854775808,1",
+		"9223372036854775808,1,1", "1,-9223372036854775809,1",
+		"4294967296,2147483648,-2147483649", "00012,0x1f,1_000", "1, 2,3",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, line []byte) {
+		d, lon, lat, ok := ParseCloudLine(line)
+		wd, wlon, wlat, wok := parseCloudLineRef(line)
+		if d != wd || lon != wlon || lat != wlat || ok != wok {
+			t.Fatalf("ParseCloudLine(%q) = %d %d %d %v, reference %d %d %d %v",
+				line, d, lon, lat, ok, wd, wlon, wlat, wok)
+		}
+	})
+}
+
+func TestParseCloudLineDoesNotAllocate(t *testing.T) {
+	line := []byte(NewCloud(CloudConfig{Seed: 3, Records: 1}).Record(0).Line())
+	if n := testing.AllocsPerRun(50, func() { ParseCloudLine(line) }); n != 0 {
+		t.Errorf("ParseCloudLine allocates %v times per call, want 0", n)
 	}
 }

@@ -1,19 +1,21 @@
 package monoid
 
 import (
+	"sync"
+
 	"repro/internal/mr"
 )
 
-// combinerReducer is the mr.Reducer derived from a Monoid: fold every
-// value of the group into a fresh state and emit its encoding.
-type combinerReducer struct {
-	m     Monoid
-	final func(key []byte, s any, out mr.Emitter) error
+// reducer is the mr.Reducer derived from a Monoid: fold every value of
+// the group into a fresh state and emit it, through final when set.
+type reducer[S any] struct {
+	m     Monoid[S]
+	final func(key []byte, s S, out mr.Emitter) error
 }
 
-func (r *combinerReducer) Setup(*mr.TaskInfo, mr.Emitter) error { return nil }
+func (r *reducer[S]) Setup(*mr.TaskInfo, mr.Emitter) error { return nil }
 
-func (r *combinerReducer) Reduce(key []byte, values mr.ValueIter, out mr.Emitter) error {
+func (r *reducer[S]) Reduce(key []byte, values mr.ValueIter, out mr.Emitter) error {
 	s := r.m.Identity()
 	var err error
 	for {
@@ -21,27 +23,48 @@ func (r *combinerReducer) Reduce(key []byte, values mr.ValueIter, out mr.Emitter
 		if !ok {
 			break
 		}
-		s, err = r.m.Absorb(s, v)
-		if err != nil {
+		if s, err = r.m.Absorb(s, v); err != nil {
 			return err
 		}
 	}
 	if r.final != nil {
 		return r.final(key, s, out)
 	}
-	return r.m.EmitState(key, s, out)
+	return r.m.Emit(key, s, out)
 }
 
-func (r *combinerReducer) Cleanup(mr.Emitter) error { return nil }
+func (r *reducer[S]) Cleanup(mr.Emitter) error { return nil }
+
+// foldingReducer is the combiner derived from a Commutative monoid: the
+// same reducer, which also hands out fold tables over the monoid.
+type foldingReducer[S any] struct {
+	reducer[S]
+	tables *sync.Pool // *foldTable[S], shared by every instance of one Combiner
+}
+
+// FoldTable implements Folder.
+func (r *foldingReducer[S]) FoldTable() FoldTable { return getTable(r.m, r.tables) }
+
+// Folder is implemented by the combiner Combiner derives from a
+// Commutative monoid. Anti-Combining's transformed map-side combiner
+// folds each incoming record into the tables it hands out instead of
+// staging every key in Shared. FoldTable is safe for concurrent use.
+type Folder interface {
+	FoldTable() FoldTable
+}
 
 // Combiner derives the classic map-side combiner from a monoid
 // declaration: per key group, absorb all values and emit the partial
-// state. Because EmitState round-trips through Absorb, the derived
-// combiner is safe to apply repeatedly (map spills, merged spills,
-// reduce-side partial aggregation) — exactly the closure property the
-// law checkers verify.
-func Combiner(m Monoid) func() mr.Reducer {
-	return func() mr.Reducer { return &combinerReducer{m: m} }
+// state. Because Emit round-trips through Absorb, the derived combiner
+// is safe to apply repeatedly (map spills, merged spills, reduce-side
+// partial aggregation) — exactly the closure property the law checkers
+// verify. For a Commutative monoid the combiner is also a Folder.
+func Combiner[S any](m Monoid[S]) func() mr.Reducer {
+	if _, ok := m.(Commutative[S]); ok {
+		tables := new(sync.Pool)
+		return func() mr.Reducer { return &foldingReducer[S]{reducer[S]{m: m}, tables} }
+	}
+	return func() mr.Reducer { return &reducer[S]{m: m} }
 }
 
 // Reducer derives the final reducer. With final == nil the reduce
@@ -49,19 +72,62 @@ func Combiner(m Monoid) func() mr.Reducer {
 // and skewagg, whose reducer IS their combiner). A non-nil final
 // renders the fully merged state into the job's output format instead
 // (querysuggest's top-k rendering, pagerank's rank update).
-func Reducer(m Monoid, final func(key []byte, s any, out mr.Emitter) error) func() mr.Reducer {
-	return func() mr.Reducer { return &combinerReducer{m: m, final: final} }
+func Reducer[S any](m Monoid[S], final func(key []byte, s S, out mr.Emitter) error) func() mr.Reducer {
+	return func() mr.Reducer { return &reducer[S]{m: m, final: final} }
 }
 
-// InMapper derives the in-mapper combining wrapper
-// (mr.InMapperCombining) from a monoid: the per-mapper hash table's
-// fold is FoldValue over m. Requires a single-valued monoid — states
-// must emit exactly one record — which holds for sum-like aggregates;
-// FoldValue errors loudly otherwise, failing the map task rather than
-// silently corrupting output.
-func InMapper(newMapper func() mr.Mapper, m Monoid, maxEntries int) func() mr.Mapper {
-	combine := func(key, acc, v []byte) ([]byte, error) {
-		return FoldValue(m, key, acc, v)
+// InMapper derives the in-mapper combining pattern (Lin & Dyer,
+// referenced in the paper's §1) from a monoid: the mapper's emissions
+// are absorbed into a fold table, which is emitted — in ascending key
+// order — whenever it holds maxEntries keys and at task cleanup.
+// maxEntries <= 0 means 64 Ki.
+func InMapper[S any](newMapper func() mr.Mapper, m Monoid[S], maxEntries int) func() mr.Mapper {
+	if maxEntries <= 0 {
+		maxEntries = 64 << 10
 	}
-	return mr.InMapperCombiningErr(newMapper, combine, maxEntries)
+	tables := new(sync.Pool)
+	return func() mr.Mapper {
+		return &inMapper[S]{inner: newMapper(), table: getTable(m, tables), maxEntries: maxEntries}
+	}
+}
+
+type inMapper[S any] struct {
+	inner      mr.Mapper
+	table      *foldTable[S]
+	maxEntries int
+}
+
+// absorbInto is the Emitter the wrapped mapper writes into a table
+// through.
+type absorbInto[S any] struct{ t *foldTable[S] }
+
+// Emit implements mr.Emitter.
+func (a absorbInto[S]) Emit(k, v []byte) error { return a.t.Absorb(k, v) }
+
+// Setup implements mr.Mapper.
+func (m *inMapper[S]) Setup(info *mr.TaskInfo, _ mr.Emitter) error {
+	return m.inner.Setup(info, absorbInto[S]{m.table})
+}
+
+// Map implements mr.Mapper.
+func (m *inMapper[S]) Map(key, value []byte, out mr.Emitter) error {
+	if err := m.inner.Map(key, value, absorbInto[S]{m.table}); err != nil {
+		return err
+	}
+	if m.table.Len() >= m.maxEntries {
+		return m.table.Emit(out)
+	}
+	return nil
+}
+
+// Cleanup implements mr.Mapper: the inner cleanup's emissions are
+// absorbed too, then the table is emitted and released.
+func (m *inMapper[S]) Cleanup(out mr.Emitter) error {
+	if err := m.inner.Cleanup(absorbInto[S]{m.table}); err != nil {
+		return err
+	}
+	err := m.table.Emit(out)
+	m.table.Release()
+	m.table = nil
+	return err
 }

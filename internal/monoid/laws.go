@@ -28,11 +28,13 @@ type LawConfig struct {
 
 // CheckLaws property-tests a monoid declaration under seeded random
 // inputs: associativity and identity of Merge, commutativity when the
-// Commutative marker is claimed, and closure (EmitState output absorbs
-// back into an equivalent state — the property that makes the derived
-// combiner safe to reapply). States are compared through their
+// Commutative marker is claimed, that absorbing a value is merging its
+// singleton state (what the fold table's AbsorbShared relies on), that
+// Merge leaves its second argument as it was, and closure (Emit output
+// absorbs back into an equivalent state — the property that makes the
+// derived combiner safe to reapply). States are compared through their
 // canonical encoding (EmitRecords). Returns the first violation found.
-func CheckLaws(m Monoid, cfg LawConfig) error {
+func CheckLaws[S any](m Monoid[S], cfg LawConfig) error {
 	seed := cfg.Seed
 	if seed == 0 {
 		seed = 1
@@ -52,7 +54,7 @@ func CheckLaws(m Monoid, cfg LawConfig) error {
 	if equal == nil {
 		equal = RecordsEqual
 	}
-	_, isCommutative := m.(Commutative)
+	_, isCommutative := m.(Commutative[S])
 
 	r := rand.New(rand.NewSource(seed))
 	for trial := 0; trial < trials; trial++ {
@@ -61,35 +63,35 @@ func CheckLaws(m Monoid, cfg LawConfig) error {
 		// States are rebuilt from their batches before every Merge:
 		// Merge may mutate its arguments, so no state is reused across
 		// law evaluations.
-		build := func(i int) (any, error) {
+		build := func(i int) (S, error) {
 			s := m.Identity()
 			var err error
 			for _, v := range batches[i] {
 				if s, err = m.Absorb(s, v); err != nil {
-					return nil, fmt.Errorf("monoid: Absorb failed (trial %d): %w", trial, err)
+					return s, fmt.Errorf("monoid: Absorb failed (trial %d): %w", trial, err)
 				}
 			}
 			return s, nil
 		}
-		emit := func(s any) ([]mr.Record, error) {
+		emit := func(s S) ([]mr.Record, error) {
 			recs, err := EmitRecords(m, k, s)
 			if err != nil {
-				return nil, fmt.Errorf("monoid: EmitState failed (trial %d): %w", trial, err)
+				return nil, fmt.Errorf("monoid: Emit failed (trial %d): %w", trial, err)
 			}
 			return recs, nil
 		}
-		merge2 := func(i, j int) (any, error) {
+		merge2 := func(i, j int) (S, error) {
 			a, err := build(i)
 			if err != nil {
-				return nil, err
+				return a, err
 			}
 			b, err := build(j)
 			if err != nil {
-				return nil, err
+				return b, err
 			}
 			s, err := m.Merge(a, b)
 			if err != nil {
-				return nil, fmt.Errorf("monoid: Merge failed (trial %d): %w", trial, err)
+				return s, fmt.Errorf("monoid: Merge failed (trial %d): %w", trial, err)
 			}
 			return s, nil
 		}
@@ -144,7 +146,7 @@ func CheckLaws(m Monoid, cfg LawConfig) error {
 			if err != nil {
 				return err
 			}
-			var merged any
+			var merged S
 			if side == "left" {
 				merged, err = m.Merge(m.Identity(), s)
 			} else {
@@ -187,13 +189,63 @@ func CheckLaws(m Monoid, cfg LawConfig) error {
 			}
 		}
 
+		// Absorbing is merging the singleton state, and Merge leaves its
+		// second argument as it was: the fold table absorbs an EagerSH
+		// value once and merges that one state into every key sharing it.
+		merged, err := build(1)
+		if err != nil {
+			return err
+		}
+		for _, v := range batches[0] {
+			one, err := m.Absorb(m.Identity(), v)
+			if err != nil {
+				return fmt.Errorf("monoid: Absorb failed (trial %d): %w", trial, err)
+			}
+			before, err := emit(one)
+			if err != nil {
+				return err
+			}
+			if merged, err = m.Merge(merged, one); err != nil {
+				return fmt.Errorf("monoid: Merge failed (trial %d): %w", trial, err)
+			}
+			after, err := emit(one)
+			if err != nil {
+				return err
+			}
+			if !equal(after, before) {
+				return fmt.Errorf("monoid: Merge mutated its second argument (trial %d, seed %d):\n before = %s\n  after = %s",
+					trial, seed, formatRecords(before), formatRecords(after))
+			}
+		}
+		absorbed, err := build(1)
+		if err != nil {
+			return err
+		}
+		for _, v := range batches[0] {
+			if absorbed, err = m.Absorb(absorbed, v); err != nil {
+				return fmt.Errorf("monoid: Absorb failed (trial %d): %w", trial, err)
+			}
+		}
+		arecs, err := emit(absorbed)
+		if err != nil {
+			return err
+		}
+		mrecs, err := emit(merged)
+		if err != nil {
+			return err
+		}
+		if !equal(arecs, mrecs) {
+			return fmt.Errorf("monoid: Absorb is not Merge of the singleton state (trial %d, seed %d):\n absorb = %s\n  merge = %s",
+				trial, seed, formatRecords(arecs), formatRecords(mrecs))
+		}
+
 		// Closure: re-absorbing the emitted encoding reproduces the
 		// state. This is what lets combiner output feed later combiner
 		// passes.
 		s := m.Identity()
 		for _, rec := range baseRecs {
 			if s, err = m.Absorb(s, rec.Value); err != nil {
-				return fmt.Errorf("monoid: closure violated — Absorb rejected EmitState output (trial %d, seed %d): %w", trial, seed, err)
+				return fmt.Errorf("monoid: closure violated — Absorb rejected Emit output (trial %d, seed %d): %w", trial, seed, err)
 			}
 		}
 		round, err := emit(s)
@@ -209,8 +261,7 @@ func CheckLaws(m Monoid, cfg LawConfig) error {
 }
 
 // RecordsEqual is the default state comparison: exact byte equality of
-// the emitted records, order-sensitive (EmitState must be
-// deterministic).
+// the emitted records, order-sensitive (Emit must be deterministic).
 func RecordsEqual(a, b []mr.Record) bool {
 	if len(a) != len(b) {
 		return false

@@ -90,17 +90,14 @@ func TestQuerySuggestCountsLaws(t *testing.T) {
 // both the bogus commutativity claim and the broken identity law.
 type subMonoid struct{}
 
-func (subMonoid) Identity() any { return int64(0) }
-func (subMonoid) Absorb(s any, v []byte) (any, error) {
+func (subMonoid) Identity() int64 { return 0 }
+func (subMonoid) Absorb(s int64, v []byte) (int64, error) {
 	n, err := strconv.ParseInt(string(v), 10, 64)
-	if err != nil {
-		return nil, err
-	}
-	return s.(int64) + n, nil
+	return s + n, err
 }
-func (subMonoid) Merge(a, b any) (any, error) { return a.(int64) - b.(int64), nil }
-func (subMonoid) EmitState(key []byte, s any, out mr.Emitter) error {
-	return out.Emit(key, []byte(strconv.FormatInt(s.(int64), 10)))
+func (subMonoid) Merge(a, b int64) (int64, error) { return a - b, nil }
+func (subMonoid) Emit(key []byte, s int64, out mr.Emitter) error {
+	return out.Emit(key, []byte(strconv.FormatInt(s, 10)))
 }
 func (subMonoid) CommutativeMonoid() {}
 
@@ -108,23 +105,41 @@ func (subMonoid) CommutativeMonoid() {}
 // less: e·a = a holds but only because identity is special-cased wrong.
 type firstMonoid struct{}
 
-func (firstMonoid) Identity() any { return []byte(nil) }
-func (firstMonoid) Absorb(s any, v []byte) (any, error) {
-	if s.([]byte) == nil {
+func (firstMonoid) Identity() []byte { return nil }
+func (firstMonoid) Absorb(s []byte, v []byte) ([]byte, error) {
+	if s == nil {
 		return append([]byte(nil), v...), nil
 	}
 	return s, nil
 }
-func (firstMonoid) Merge(a, b any) (any, error) {
-	if a.([]byte) == nil {
+func (firstMonoid) Merge(a, b []byte) ([]byte, error) {
+	if a == nil {
 		return b, nil
 	}
 	return a, nil
 }
-func (firstMonoid) EmitState(key []byte, s any, out mr.Emitter) error {
-	return out.Emit(key, s.([]byte))
+func (firstMonoid) Emit(key []byte, s []byte, out mr.Emitter) error {
+	return out.Emit(key, s)
 }
 func (firstMonoid) CommutativeMonoid() {}
+
+// aliasMonoid sums like wordcount.Sum but keeps its state in a shared
+// slice, so Merge writes through to its second argument.
+type aliasMonoid struct{}
+
+func (aliasMonoid) Identity() []int64 { return []int64{0} }
+func (aliasMonoid) Absorb(s []int64, v []byte) ([]int64, error) {
+	n, err := strconv.ParseInt(string(v), 10, 64)
+	s[0] += n
+	return s, err
+}
+func (aliasMonoid) Merge(a, b []int64) ([]int64, error) {
+	b[0] += a[0]
+	return b, nil
+}
+func (aliasMonoid) Emit(key []byte, s []int64, out mr.Emitter) error {
+	return out.Emit(key, []byte(strconv.FormatInt(s[0], 10)))
+}
 
 // TestCheckLawsCatchesViolations proves the checker actually rejects
 // broken algebras instead of rubber-stamping them.
@@ -154,6 +169,12 @@ func TestCheckLawsCatchesViolations(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "commutativity") {
 		t.Fatalf("expected commutativity violation, got: %v", err)
+	}
+	// A Merge that writes into its second argument breaks the fold
+	// table's one-absorb, many-merges EagerSH fold.
+	err = monoid.CheckLaws(aliasMonoid{}, monoid.LawConfig{Values: decimalValues})
+	if err == nil || !strings.Contains(err.Error(), "second argument") {
+		t.Fatalf("expected a Merge-mutates-b violation, got: %v", err)
 	}
 }
 
@@ -196,22 +217,48 @@ func TestDerivedCombinerMatchesHandWritten(t *testing.T) {
 	}
 }
 
-// TestFoldValueSingleValued covers the in-mapper fold: single-valued
-// monoids fold, multi-record states error loudly.
-func TestFoldValueSingleValued(t *testing.T) {
-	v, err := monoid.FoldValue(wordcount.Sum{}, []byte("w"), []byte("2"), []byte("40"))
-	if err != nil {
+// TestInMapperFoldsMultiRecordStates runs in-mapper combining over a
+// monoid whose state emits several records: the fold table holds the
+// state, so no single-value restriction applies.
+func TestInMapperFoldsMultiRecordStates(t *testing.T) {
+	newMapper := mr.NewMapFunc(func(_, value []byte, out mr.Emitter) error {
+		for _, q := range strings.Fields(string(value)) {
+			if err := out.Emit([]byte("g"), querysuggest.EncodeValue(1, []byte(q))); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	m := monoid.InMapper(newMapper, querysuggest.Counts{}, 0)()
+	var got []mr.Record
+	out := mr.EmitterFunc(func(k, v []byte) error {
+		got = append(got, mr.Record{Key: append([]byte(nil), k...), Value: append([]byte(nil), v...)})
+		return nil
+	})
+	if err := m.Setup(&mr.TaskInfo{}, out); err != nil {
 		t.Fatal(err)
 	}
-	if string(v) != "42" {
-		t.Fatalf("FoldValue = %q, want 42", v)
+	for _, line := range []string{"go golf go", "gold go"} {
+		if err := m.Map(nil, []byte(line), out); err != nil {
+			t.Fatal(err)
+		}
 	}
-	_, err = monoid.FoldValue(querysuggest.Counts{},
-		[]byte("p"),
-		querysuggest.EncodeValue(1, []byte("a")),
-		querysuggest.EncodeValue(1, []byte("b")))
-	if err == nil {
-		t.Fatal("FoldValue accepted a multi-record state")
+	if len(got) != 0 {
+		t.Fatalf("emitted %d records before Cleanup", len(got))
+	}
+	if err := m.Cleanup(out); err != nil {
+		t.Fatal(err)
+	}
+	var rendered []string
+	for _, r := range got {
+		c, q, err := querysuggest.DecodeValue(r.Value)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rendered = append(rendered, fmt.Sprintf("%s:%s=%d", r.Key, q, c))
+	}
+	if want := "g:go=3 g:gold=1 g:golf=1"; strings.Join(rendered, " ") != want {
+		t.Fatalf("in-mapper output %v, want %s", rendered, want)
 	}
 }
 

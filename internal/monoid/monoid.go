@@ -3,65 +3,68 @@
 // merge are all instances of (Lin's "Monoidify!", PAPERS.md): an
 // associative Merge with an Identity element over a workload-defined
 // aggregation state. A workload declares its monoid once; the adapters
-// in this package derive the classic map-side Combiner, the in-mapper
-// combining pattern, and the EagerSH partial-merge wiring from that one
+// in this package derive the classic map-side Combiner, the reducer, the
+// in-mapper combining pattern and the typed fold table the transformed
+// map-side combiner folds EagerSH records into from that one
 // declaration, and the law checkers verify (rather than assume) the
 // algebra every derived strategy depends on.
 //
 // The contract is byte-oriented on the outside — mr jobs move raw
 // []byte values — but state-typed on the inside: Absorb decodes one
 // encoded value (a raw map emission or a previously emitted partial)
-// into the aggregation state, Merge combines states, and EmitState
-// encodes a state back into output records. Workloads whose partials
-// collapse to a single record (wordcount's sum, skewagg's
-// count/sum/xor) additionally satisfy the single-value fold used by
-// in-mapper combining; multi-record states (querysuggest's per-query
-// count table) still get the derived Combiner and law checks.
+// into the aggregation state S, Merge combines states, and Emit encodes
+// a state back into output records. Multi-record states (querysuggest's
+// per-query count table) are as welcome as single-valued ones
+// (wordcount's sum).
 package monoid
 
 import (
-	"fmt"
-
 	"repro/internal/mr"
 )
 
-// Monoid is the aggregation contract one workload declares once.
+// Monoid is the aggregation contract one workload declares once, over
+// its state type S.
 //
 // Laws (verified by CheckLaws, not assumed):
 //
-//	Merge(a, Merge(b, c)) == Merge(Merge(a, b), c)   associativity
+//	Merge(a, Merge(b, c)) == Merge(Merge(a, b), c)    associativity
 //	Merge(Identity(), a) == a == Merge(a, Identity()) identity
+//	Absorb(s, v) == Merge(s, Absorb(Identity(), v))   absorb is a merge
 //
 // Absorb must accept every value the workload's map phase emits AND
-// every encoding EmitState produces — a combiner's output feeds later
+// every encoding Emit produces — a combiner's output feeds later
 // combiner passes (merged spills, reduce-side partial aggregation), so
 // the value space must be closed under partial aggregation.
-type Monoid interface {
-	// Identity returns the empty aggregation state.
-	Identity() any
+type Monoid[S any] interface {
+	// Identity returns a fresh empty aggregation state.
+	Identity() S
 	// Absorb folds one encoded value into the state, returning the
-	// (possibly replaced) state.
-	Absorb(s any, value []byte) (any, error)
+	// (possibly replaced) state. It may mutate s; it must not retain
+	// value, which is only valid for the call.
+	Absorb(s S, value []byte) (S, error)
 	// Merge combines two states, returning the merged state. It may
-	// mutate and return either argument.
-	Merge(a, b any) (any, error)
-	// EmitState encodes the state as output records for key. The
-	// encoding must round-trip through Absorb.
-	EmitState(key []byte, s any, out mr.Emitter) error
+	// mutate and return a, but never mutates or retains b: the fold
+	// path merges one absorbed EagerSH value into every key that shares
+	// it.
+	Merge(a, b S) (S, error)
+	// Emit encodes the state as output records for key. The encoding
+	// must round-trip through Absorb.
+	Emit(key []byte, s S, out mr.Emitter) error
 }
 
 // Commutative marks a Monoid whose Merge is also commutative:
 // Merge(a, b) == Merge(b, a). Commutativity is what lets partial
 // aggregates be recombined regardless of grouping order — the contract
-// heavy-hitter splitting (internal/partition) and cross-worker partial
-// merges rely on. CheckLaws verifies the claim.
-type Commutative interface {
-	Monoid
+// heavy-hitter splitting (internal/partition), cross-worker partial
+// merges and the transformed combiner's fold table rely on. CheckLaws
+// verifies the claim.
+type Commutative[S any] interface {
+	Monoid[S]
 	// CommutativeMonoid is a marker; implementations return nothing.
 	CommutativeMonoid()
 }
 
-// captureEmitter collects EmitState output in memory.
+// captureEmitter collects Emit output in memory.
 type captureEmitter struct {
 	recs []mr.Record
 }
@@ -74,37 +77,12 @@ func (c *captureEmitter) Emit(key, value []byte) error {
 	return nil
 }
 
-// EmitRecords runs EmitState into memory — the canonical encoding of a
-// state, used by the law checkers and the single-value fold.
-func EmitRecords(m Monoid, key []byte, s any) ([]mr.Record, error) {
+// EmitRecords runs Emit into memory — the canonical encoding of a
+// state, used by the law checkers.
+func EmitRecords[S any](m Monoid[S], key []byte, s S) ([]mr.Record, error) {
 	cap := &captureEmitter{}
-	if err := m.EmitState(key, s, cap); err != nil {
+	if err := m.Emit(key, s, cap); err != nil {
 		return nil, err
 	}
 	return cap.recs, nil
-}
-
-// FoldValue folds encoded values a and b into one encoded value through
-// the monoid: absorb both into a fresh state and emit. It requires the
-// state to emit exactly one record (a "single-valued" monoid — true for
-// sum-like aggregates, false for e.g. per-query count tables) and is
-// the combine function in-mapper combining needs.
-func FoldValue(m Monoid, key, a, b []byte) ([]byte, error) {
-	s := m.Identity()
-	s, err := m.Absorb(s, a)
-	if err != nil {
-		return nil, err
-	}
-	s, err = m.Absorb(s, b)
-	if err != nil {
-		return nil, err
-	}
-	recs, err := EmitRecords(m, key, s)
-	if err != nil {
-		return nil, err
-	}
-	if len(recs) != 1 {
-		return nil, fmt.Errorf("monoid: state emitted %d records; in-mapper folding needs a single-valued monoid", len(recs))
-	}
-	return recs[0].Value, nil
 }

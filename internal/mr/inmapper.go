@@ -15,17 +15,6 @@ import "repro/internal/bytesx"
 // combine(b,c)). The mapper must emit values already in combinable form
 // (e.g. counts, not raw tokens).
 func InMapperCombining(newMapper func() Mapper, combine func(acc, v []byte) []byte, maxEntries int) func() Mapper {
-	return InMapperCombiningErr(newMapper, func(_, acc, v []byte) ([]byte, error) {
-		return combine(acc, v), nil
-	}, maxEntries)
-}
-
-// InMapperCombiningErr is InMapperCombining for fold functions that can
-// fail (e.g. decoding structured partials): combine receives the output
-// key alongside the accumulated and incoming values, and an error fails
-// the map task. internal/monoid derives this fold from a workload's
-// monoid declaration.
-func InMapperCombiningErr(newMapper func() Mapper, combine func(key, acc, v []byte) ([]byte, error), maxEntries int) func() Mapper {
 	if maxEntries <= 0 {
 		maxEntries = 64 << 10
 	}
@@ -41,7 +30,7 @@ func InMapperCombiningErr(newMapper func() Mapper, combine func(key, acc, v []by
 
 type inMapperCombiner struct {
 	inner      Mapper
-	combine    func(key, acc, v []byte) ([]byte, error)
+	combine    func(acc, v []byte) []byte
 	maxEntries int
 	table      map[string][]byte
 }
@@ -63,22 +52,19 @@ func (m *inMapperCombiner) Map(key, value []byte, out Emitter) error {
 	return nil
 }
 
-// Cleanup implements Mapper: flush the table, then run the inner cleanup.
+// Cleanup implements Mapper: run the inner cleanup, whose emissions are
+// folded too, then flush the table.
 func (m *inMapperCombiner) Cleanup(out Emitter) error {
-	if err := m.flush(out); err != nil {
+	if err := m.inner.Cleanup(m.wrap(out)); err != nil {
 		return err
 	}
-	return m.inner.Cleanup(m.wrap(out))
+	return m.flush(out)
 }
 
 func (m *inMapperCombiner) wrap(out Emitter) Emitter {
 	return EmitterFunc(func(k, v []byte) error {
 		if acc, ok := m.table[string(k)]; ok {
-			merged, err := m.combine(k, acc, v)
-			if err != nil {
-				return err
-			}
-			m.table[string(k)] = merged
+			m.table[string(k)] = m.combine(acc, v)
 			return nil
 		}
 		m.table[string(k)] = bytesx.Clone(v)

@@ -61,3 +61,24 @@ func TestInMapperCombiningFlushesAtCapacity(t *testing.T) {
 		t.Errorf("records = %d; tiny table should flush often", res.Stats.MapOutputRecords)
 	}
 }
+
+// cleanupEmitter emits one count from Cleanup, as a mapper that flushes
+// its own state at the end of the task does.
+type cleanupEmitter struct{ MapperBase }
+
+func (cleanupEmitter) Map(_, _ []byte, _ Emitter) error { return nil }
+func (cleanupEmitter) Cleanup(out Emitter) error        { return out.Emit([]byte("tail"), []byte("7")) }
+
+// TestInMapperCombiningKeepsCleanupEmissions: what the inner mapper
+// emits from Cleanup is folded and flushed too, not dropped.
+func TestInMapperCombiningKeepsCleanupEmissions(t *testing.T) {
+	job := wordCountJob(false)
+	job.NewMapper = InMapperCombining(func() Mapper { return cleanupEmitter{} }, sumCombine, 0)
+	res, err := Run(job, lines("x"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := outputMap(t, res)["tail"]; got != "7" {
+		t.Errorf("tail = %q, want 7 (the inner Cleanup's emission)", got)
+	}
+}

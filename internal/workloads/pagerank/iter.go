@@ -138,41 +138,39 @@ type rankState struct {
 type RankFold struct{}
 
 // Identity implements monoid.Monoid.
-func (RankFold) Identity() any { return &rankState{} }
+func (RankFold) Identity() rankState { return rankState{} }
 
 // Absorb implements monoid.Monoid, accepting the map phase's 'S' and
-// 'R' records — which are also exactly what EmitState produces.
-func (RankFold) Absorb(s any, value []byte) (any, error) {
-	st := s.(*rankState)
+// 'R' records — which are also exactly what Emit produces.
+func (RankFold) Absorb(st rankState, value []byte) (rankState, error) {
 	switch {
 	case len(value) == 9 && value[0] == tagContrib:
 		st.sum += math.Float64frombits(binary.BigEndian.Uint64(value[1:]))
 	case len(value) > 0 && value[0] == tagStruct:
 		prev, adj, err := DecodeStruct(value)
 		if err != nil {
-			return nil, err
+			return st, err
 		}
 		st.hasStruct, st.prev, st.adj = true, prev, adj
 	default:
-		return nil, fmt.Errorf("pagerank: unknown record tag")
+		return st, fmt.Errorf("pagerank: unknown record tag")
 	}
 	return st, nil
 }
 
-// Merge implements monoid.Monoid.
-func (RankFold) Merge(a, b any) (any, error) {
-	x, y := a.(*rankState), b.(*rankState)
+// Merge implements monoid.Monoid. y's adjacency is copied, not shared:
+// Merge never retains its second argument.
+func (RankFold) Merge(x, y rankState) (rankState, error) {
 	x.sum += y.sum
 	if y.hasStruct {
-		x.hasStruct, x.prev, x.adj = true, y.prev, y.adj
+		x.hasStruct, x.prev, x.adj = true, y.prev, append([]int32(nil), y.adj...)
 	}
 	return x, nil
 }
 
-// EmitState implements monoid.Monoid: a partial state re-encodes as at
-// most one struct and one contribution record, both absorbable.
-func (RankFold) EmitState(key []byte, s any, out mr.Emitter) error {
-	st := s.(*rankState)
+// Emit implements monoid.Monoid: a partial state re-encodes as at most
+// one struct and one contribution record, both absorbable.
+func (RankFold) Emit(key []byte, st rankState, out mr.Emitter) error {
 	if st.hasStruct {
 		if err := out.Emit(key, EncodeStruct(st.prev, st.adj)); err != nil {
 			return err
@@ -189,9 +187,8 @@ func (RankFold) CommutativeMonoid() {}
 
 // finalRank renders the fully merged state as the stage output: a 'P'
 // record pairing the damped new rank with the rank the node had.
-func finalRank(nodes int) func(key []byte, s any, out mr.Emitter) error {
-	return func(key []byte, s any, out mr.Emitter) error {
-		st := s.(*rankState)
+func finalRank(nodes int) func(key []byte, st rankState, out mr.Emitter) error {
+	return func(key []byte, st rankState, out mr.Emitter) error {
 		if !st.hasStruct {
 			return fmt.Errorf("pagerank: contributions for unknown node %d", NodeID(key))
 		}
@@ -218,20 +215,21 @@ func NewRankJob(nodes, reducers int) *mr.Job {
 // over EncodeDelta records. Commutative; associative to rounding.
 type DeltaSum struct{}
 
-func (DeltaSum) Identity() any { return float64(0) }
+// Identity implements monoid.Monoid.
+func (DeltaSum) Identity() float64 { return 0 }
 
-func (DeltaSum) Absorb(s any, value []byte) (any, error) {
+// Absorb implements monoid.Monoid.
+func (DeltaSum) Absorb(s float64, value []byte) (float64, error) {
 	d, err := DecodeDelta(value)
-	if err != nil {
-		return nil, err
-	}
-	return s.(float64) + d, nil
+	return s + d, err
 }
 
-func (DeltaSum) Merge(a, b any) (any, error) { return a.(float64) + b.(float64), nil }
+// Merge implements monoid.Monoid.
+func (DeltaSum) Merge(a, b float64) (float64, error) { return a + b, nil }
 
-func (DeltaSum) EmitState(key []byte, s any, out mr.Emitter) error {
-	return out.Emit(key, EncodeDelta(s.(float64)))
+// Emit implements monoid.Monoid.
+func (DeltaSum) Emit(key []byte, s float64, out mr.Emitter) error {
+	return out.Emit(key, EncodeDelta(s))
 }
 
 // CommutativeMonoid marks DeltaSum commutative.

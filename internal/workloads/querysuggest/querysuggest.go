@@ -99,31 +99,28 @@ func (mapper) Map(key, value []byte, out mr.Emitter) error {
 type Counts struct{}
 
 // Identity implements monoid.Monoid.
-func (Counts) Identity() any { return map[string]uint64{} }
+func (Counts) Identity() map[string]uint64 { return map[string]uint64{} }
 
 // Absorb implements monoid.Monoid.
-func (Counts) Absorb(s any, v []byte) (any, error) {
-	counts := s.(map[string]uint64)
+func (Counts) Absorb(counts map[string]uint64, v []byte) (map[string]uint64, error) {
 	count, query, err := DecodeValue(v)
 	if err != nil {
-		return nil, err
+		return counts, err
 	}
 	counts[string(query)] += count
 	return counts, nil
 }
 
 // Merge implements monoid.Monoid.
-func (Counts) Merge(a, b any) (any, error) {
-	x, y := a.(map[string]uint64), b.(map[string]uint64)
+func (Counts) Merge(x, y map[string]uint64) (map[string]uint64, error) {
 	for q, c := range y {
 		x[q] += c
 	}
 	return x, nil
 }
 
-// EmitState implements monoid.Monoid.
-func (Counts) EmitState(key []byte, s any, out mr.Emitter) error {
-	counts := s.(map[string]uint64)
+// Emit implements monoid.Monoid.
+func (Counts) Emit(key []byte, counts map[string]uint64, out mr.Emitter) error {
 	queries := make([]string, 0, len(counts))
 	for q := range counts {
 		queries = append(queries, q)
@@ -142,9 +139,9 @@ func (Counts) CommutativeMonoid() {}
 
 // finalTop renders a fully merged count table as the job's top-k output
 // line — the `final` argument to monoid.Reducer.
-func finalTop(topK int) func(key []byte, s any, out mr.Emitter) error {
-	return func(key []byte, s any, out mr.Emitter) error {
-		return out.Emit(key, []byte(FormatTop(s.(map[string]uint64), topK)))
+func finalTop(topK int) func(key []byte, counts map[string]uint64, out mr.Emitter) error {
+	return func(key []byte, counts map[string]uint64, out mr.Emitter) error {
+		return out.Emit(key, []byte(FormatTop(counts, topK)))
 	}
 }
 

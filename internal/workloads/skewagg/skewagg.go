@@ -147,27 +147,26 @@ type aggState struct {
 type Agg struct{}
 
 // Identity implements monoid.Monoid.
-func (Agg) Identity() any { return &aggState{} }
+func (Agg) Identity() aggState { return aggState{} }
 
 // Absorb implements monoid.Monoid.
-func (Agg) Absorb(s any, v []byte) (any, error) {
-	st := s.(*aggState)
+func (Agg) Absorb(st aggState, v []byte) (aggState, error) {
 	if bytes.HasPrefix(v, []byte("a:")) {
 		parts := bytes.Split(v, []byte(":"))
 		if len(parts) != 4 {
-			return nil, fmt.Errorf("skewagg: bad partial %q", v)
+			return st, fmt.Errorf("skewagg: bad partial %q", v)
 		}
 		c, err := strconv.ParseInt(string(parts[1]), 10, 64)
 		if err != nil {
-			return nil, fmt.Errorf("skewagg: bad partial count %q: %w", v, err)
+			return st, fmt.Errorf("skewagg: bad partial count %q: %w", v, err)
 		}
 		sum, err := strconv.ParseInt(string(parts[2]), 10, 64)
 		if err != nil {
-			return nil, fmt.Errorf("skewagg: bad partial sum %q: %w", v, err)
+			return st, fmt.Errorf("skewagg: bad partial sum %q: %w", v, err)
 		}
 		x, err := strconv.ParseUint(string(parts[3]), 16, 64)
 		if err != nil {
-			return nil, fmt.Errorf("skewagg: bad partial xor %q: %w", v, err)
+			return st, fmt.Errorf("skewagg: bad partial xor %q: %w", v, err)
 		}
 		st.count += c
 		st.sum += sum
@@ -176,11 +175,11 @@ func (Agg) Absorb(s any, v []byte) (any, error) {
 	}
 	colon := bytes.IndexByte(v, ':')
 	if colon < 0 {
-		return nil, fmt.Errorf("skewagg: bad record %q", v)
+		return st, fmt.Errorf("skewagg: bad record %q", v)
 	}
 	n, err := strconv.ParseInt(string(v[:colon]), 10, 64)
 	if err != nil {
-		return nil, fmt.Errorf("skewagg: bad record count %q: %w", v, err)
+		return st, fmt.Errorf("skewagg: bad record count %q: %w", v, err)
 	}
 	st.count++
 	st.sum += n
@@ -189,17 +188,15 @@ func (Agg) Absorb(s any, v []byte) (any, error) {
 }
 
 // Merge implements monoid.Monoid.
-func (Agg) Merge(a, b any) (any, error) {
-	x, y := a.(*aggState), b.(*aggState)
+func (Agg) Merge(x, y aggState) (aggState, error) {
 	x.count += y.count
 	x.sum += y.sum
 	x.xor ^= y.xor
 	return x, nil
 }
 
-// EmitState implements monoid.Monoid.
-func (Agg) EmitState(key []byte, s any, out mr.Emitter) error {
-	st := s.(*aggState)
+// Emit implements monoid.Monoid.
+func (Agg) Emit(key []byte, st aggState, out mr.Emitter) error {
 	return out.Emit(key, []byte(fmt.Sprintf("a:%d:%d:%016x", st.count, st.sum, st.xor)))
 }
 

@@ -17,11 +17,11 @@ func testGen() *Gen {
 
 // TestAggLaws property-tests the aggregate over what the workload
 // really feeds it: the generator's own record values mixed with
-// partials in EmitState's encoding. Agg claims commutativity — heavy
+// partials in Emit's encoding. Agg claims commutativity — heavy
 // -hitter splitting recombines partials in arrival order — so the claim
 // itself is asserted, which is what makes CheckLaws test it.
 func TestAggLaws(t *testing.T) {
-	if _, ok := monoid.Monoid(Agg{}).(monoid.Commutative); !ok {
+	if _, ok := monoid.Monoid[aggState](Agg{}).(monoid.Commutative[aggState]); !ok {
 		t.Fatal("Agg no longer claims commutativity; partition.SplitJob relies on it")
 	}
 	g := testGen()

@@ -6,6 +6,7 @@
 package wordcount
 
 import (
+	"fmt"
 	"strconv"
 	"strings"
 	"unicode"
@@ -61,24 +62,60 @@ func (mapper) Map(key, value []byte, out mr.Emitter) error {
 type Sum struct{}
 
 // Identity implements monoid.Monoid.
-func (Sum) Identity() any { return uint64(0) }
+func (Sum) Identity() uint64 { return 0 }
 
 // Absorb implements monoid.Monoid: values are decimal counts ("1" from
 // the mapper, partial sums from earlier combiner passes).
-func (Sum) Absorb(s any, value []byte) (any, error) {
-	n, err := strconv.ParseUint(string(value), 10, 64)
+func (Sum) Absorb(s uint64, value []byte) (uint64, error) {
+	n, err := parseCount(value)
 	if err != nil {
-		return nil, err
+		return s, err
 	}
-	return s.(uint64) + n, nil
+	return s + n, nil
+}
+
+// parseCount is strconv.ParseUint(value, 10, 64) without converting
+// value to a string: up to 19 digits cannot overflow, and anything else
+// — longer, empty, or not all digits — is left to strconv, for its
+// verdict and its error.
+func parseCount(value []byte) (uint64, error) {
+	if len(value) == 0 || len(value) > 19 {
+		return strconv.ParseUint(string(value), 10, 64)
+	}
+	var n uint64
+	for _, c := range value {
+		if c < '0' || c > '9' {
+			return strconv.ParseUint(string(value), 10, 64)
+		}
+		n = n*10 + uint64(c-'0')
+	}
+	return n, nil
 }
 
 // Merge implements monoid.Monoid.
-func (Sum) Merge(a, b any) (any, error) { return a.(uint64) + b.(uint64), nil }
+func (Sum) Merge(a, b uint64) (uint64, error) { return a + b, nil }
 
-// EmitState implements monoid.Monoid.
-func (Sum) EmitState(key []byte, s any, out mr.Emitter) error {
-	return out.Emit(key, []byte(strconv.FormatUint(s.(uint64), 10)))
+// decimals holds every count below 10 000 as four digits, so that Emit
+// hands out a count's decimal form as a view, as Map shares one, instead
+// of allocating it per key.
+var decimals = func() []byte {
+	b := make([]byte, 0, 4*10000)
+	for n := 0; n < 10000; n++ {
+		b = fmt.Appendf(b, "%04d", n)
+	}
+	return b
+}()
+
+// Emit implements monoid.Monoid.
+func (Sum) Emit(key []byte, s uint64, out mr.Emitter) error {
+	if s >= 10000 {
+		return out.Emit(key, strconv.AppendUint(nil, s, 10))
+	}
+	lead := 3 // zeros before s's first digit
+	for p := uint64(10); p <= s; p *= 10 {
+		lead--
+	}
+	return out.Emit(key, decimals[4*s+uint64(lead):4*s+4:4*s+4])
 }
 
 // CommutativeMonoid marks integer addition as commutative.

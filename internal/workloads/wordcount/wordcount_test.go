@@ -67,28 +67,6 @@ func TestInMapperDerivedFromMonoid(t *testing.T) {
 	}
 }
 
-func TestWrapMonoidDerivesCombiner(t *testing.T) {
-	// anticombine.WrapMonoid must behave like Wrap over the hand-wired
-	// combiner: correct output, encoded map records well below original.
-	text := testText()
-	base := NewJob(4)
-	base.NewCombiner = nil
-	job := anticombine.WrapMonoid(base, Sum{}, anticombine.Options{
-		Strategy:    anticombine.Adaptive,
-		MapCombiner: true,
-	})
-	res, err := mr.Run(job, Splits(text, 5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	check(t, res, text)
-	orig := res.Stats.Extra[anticombine.CounterOrigMapRecords]
-	if res.Stats.MapOutputRecords*2 > orig {
-		t.Errorf("encoded records %d not well below original %d",
-			res.Stats.MapOutputRecords, orig)
-	}
-}
-
 func TestAntiCombinedWithMapCombiner(t *testing.T) {
 	// §7.7.1's configuration: effective combiner kept in the map phase
 	// (C=1), operating on encoded records via the transformed combiner.
@@ -123,5 +101,38 @@ func TestAntiCombinedStrategies(t *testing.T) {
 			t.Fatal(err)
 		}
 		check(t, res, text)
+	}
+}
+
+// TestSumEmitDecimal: Emit renders every count as strconv does, across
+// the table's edges.
+func TestSumEmitDecimal(t *testing.T) {
+	for _, n := range []uint64{0, 1, 9, 10, 11, 99, 100, 999, 1000, 4321, 9999, 10000, 10001, 1<<64 - 1} {
+		var got []byte
+		err := Sum{}.Emit([]byte("k"), n, mr.EmitterFunc(func(_, v []byte) error {
+			got = append([]byte(nil), v...)
+			return nil
+		}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := strconv.FormatUint(n, 10); string(got) != want {
+			t.Errorf("Emit(%d) = %q, want %q", n, got, want)
+		}
+	}
+}
+
+// TestSumAbsorbMatchesParseUint: Absorb accepts exactly what
+// strconv.ParseUint(v, 10, 64) accepts, with its value.
+func TestSumAbsorbMatchesParseUint(t *testing.T) {
+	for _, v := range []string{
+		"", "0", "1", "0042", "9999999999999999999", "18446744073709551615",
+		"18446744073709551616", "99999999999999999999", "+1", "-1", "1a", " 1", "1_0", "0x1",
+	} {
+		got, err := Sum{}.Absorb(0, []byte(v))
+		want, werr := strconv.ParseUint(v, 10, 64)
+		if (err == nil) != (werr == nil) || err == nil && got != want {
+			t.Errorf("Absorb(%q) = %d, %v; ParseUint = %d, %v", v, got, err, want, werr)
+		}
 	}
 }

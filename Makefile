@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test vet staticcheck race verify bench bench-all test-short test-cluster test-chaos fuzz-smoke smoke-service smoke-pipeline loc
+.PHONY: build test vet staticcheck race verify bench bench-e2e bench-all test-short test-cluster test-chaos fuzz-smoke smoke-service smoke-pipeline loc
 
 build:
 	$(GO) build ./...
@@ -48,6 +48,15 @@ bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkSkewPartition|BenchmarkPipelineHandoff' -benchmem ./internal/experiments/ | tee /dev/stderr | $(GO) run ./cmd/benchjson -baseline BENCH_experiments.json -out BENCH_experiments.json
 	$(GO) test -run '^$$' -bench 'BenchmarkShuffleDataPlane' -benchmem ./internal/mr/ | tee /dev/stderr | $(GO) run ./cmd/benchjson -baseline BENCH_transport.json -out BENCH_transport.json
 	$(GO) test -run '^$$' -bench 'BenchmarkEagerEncode|BenchmarkDecodeEager|BenchmarkSharedAddPop|BenchmarkSharedFill|BenchmarkSharedSpill|BenchmarkAntiReducePlain|BenchmarkAntiMapCall|BenchmarkAntiCombineRun' -benchmem ./internal/anticombine/ | tee /dev/stderr | $(GO) run ./cmd/benchjson -baseline BENCH_anticombine.json -out BENCH_anticombine.json
+
+# End-to-end before/after rows: alternating benchmark/run.sh pairs of
+# BASE and this checkout, written to BENCH_e2e.json with both sides'
+# medians and quartiles and the pairs won (scripts/e2e_pairs.sh).
+# WORKLOADS is a comma-separated subset (default: all).
+BASE ?= HEAD~1
+PAIRS ?= 10
+bench-e2e:
+	./scripts/e2e_pairs.sh $(BASE) "$(WORKLOADS)" $(PAIRS)
 
 # Every benchmark in the repository, human-readable.
 bench-all:

@@ -40,6 +40,7 @@ type testSpec struct {
 	MapDelayUs int  // per-record mapper sleep, to stretch map tasks
 	Snappy     bool // Snappy map-output codec
 	Combine    bool // a combiner under a 1 KiB sort buffer and merge factor 2
+	SpillBytes int  // the maps' sort buffer, when set: maps spill several times
 }
 
 const testJobName = "cluster-test-wordcount"
@@ -113,6 +114,9 @@ func buildTestJob(spec []byte) (*mr.Job, []mr.Split, error) {
 	}
 	if s.Snappy {
 		job.Codec = codec.Snappy{}
+	}
+	if s.SpillBytes > 0 {
+		job.SortBufferBytes = s.SpillBytes
 	}
 	if s.Combine {
 		job.NewCombiner = sum
@@ -500,12 +504,53 @@ func killableCluster(t *testing.T, fleet *Fleet, ch <-chan Event, n int) []*Proc
 // the worker's in-flight leases, re-execute lost map output if any
 // fetches still needed it, and deliver byte-identical output.
 func TestWorkerKillMidMap(t *testing.T) {
-	if testing.Short() {
-		t.Skip("subprocess cluster test; skipped in -short mode")
-	}
 	ref := JobRef{Name: testJobName, Spec: mustSpec(t, testSpec{
 		Splits: 12, Lines: 150, Reducers: 4, MapDelayUs: 300,
 	})}
+	res, _ := killMidMap(t, ref)
+	assertSameOutput(t, res, singleProcessRun(t, ref))
+}
+
+// TestWorkerKillMidMapMultiSpill is TestWorkerKillMidMap over maps
+// whose sort buffer holds a fraction of their output, so each hands the
+// reducers several spill runs per partition. The map the killed worker
+// committed must run again (its fetches had not all landed), serve
+// every one of its runs again, and the fleet's output must equal
+// mr.Run's byte for byte, order included.
+func TestWorkerKillMidMapMultiSpill(t *testing.T) {
+	ref := JobRef{Name: testJobName, Spec: mustSpec(t, testSpec{
+		Splits: 12, Lines: 150, Reducers: 4, MapDelayUs: 300, SpillBytes: 8 << 10,
+	})}
+	res, lost := killMidMap(t, ref)
+	local := singleProcessRun(t, ref)
+	if local.Stats.Spills < 3*12 {
+		t.Fatalf("setup: %d spills over 12 maps, want at least 3 each", local.Stats.Spills)
+	}
+	runs := 0
+	for _, a := range res.Timeline {
+		if a.Task == lost && a.Outcome == sched.OutcomeSuccess {
+			runs++
+		}
+	}
+	if runs < 2 {
+		t.Errorf("%s, committed by the killed worker, succeeded %d times; want a re-execution", lost, runs)
+	}
+	if got, want := res.Stats.ReduceInputRecords, local.Stats.ReduceInputRecords; got != want {
+		t.Errorf("fleet reduces read %d records, mr.Run's %d", got, want)
+	}
+	if got, want := outputDigest(res), outputDigest(local); got != want {
+		t.Errorf("fleet output digest %s, mr.Run's %s", got, want)
+	}
+}
+
+// killMidMap runs ref on three subprocess workers and kills the one
+// that commits the first map task. It returns the fleet's result and
+// the name of that map task.
+func killMidMap(t *testing.T, ref JobRef) (*mr.Result, string) {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("subprocess cluster test; skipped in -short mode")
+	}
 	onEvent, ch := events()
 	fleet, err := NewFleet(FleetConfig{
 		HeartbeatEvery: 25 * time.Millisecond,
@@ -542,7 +587,7 @@ func TestWorkerKillMidMap(t *testing.T) {
 	if runErr != nil {
 		t.Fatalf("job failed after worker kill: %v", runErr)
 	}
-	assertSameOutput(t, res, singleProcessRun(t, ref))
+	return res, e.Task
 }
 
 // TestWorkerKillMidShuffle kills the worker that just localized the

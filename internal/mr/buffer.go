@@ -10,7 +10,6 @@ import (
 	"math"
 	"path"
 	"slices"
-	"sort"
 
 	"repro/internal/bytesx"
 	"repro/internal/codec"
@@ -22,11 +21,12 @@ import (
 // arena until SortBufferBytes is reached, then the buffer is bucketed
 // by partition, key-sorted per bucket, and spilled to one file per
 // partition, optionally running the combiner over each sorted key
-// group — Hadoop's collect / sort-and-spill pipeline. The arena, entry
-// index, and bucketing scratch come from the run's free list or the
-// cross-run pools (unless the job disables pooling) and are released by
-// finish, so steady-state tasks reuse each other's buffers instead of
-// growing fresh ones.
+// group — Hadoop's collect / sort-and-spill pipeline. The spill files
+// are the task's output unless finish merges them to combine. The
+// arena, entry index, and bucketing scratch come from the run's free
+// list or the cross-run pools and are released by finish, so
+// steady-state tasks reuse each other's buffers instead of growing
+// fresh ones.
 type mapBuffer struct {
 	job      *Job
 	fs       iokit.FS
@@ -555,41 +555,41 @@ func (it *runValueIter) Next() ([]byte, bool) {
 }
 
 // finish spills any buffered records, releases the pooled buffers, and
-// merges each partition's spill segments into a single map output
-// segment, mirroring Hadoop's final on-disk merge. Per-partition merges
-// are independent and run under the spill-parallelism bound. With a
-// single spill the spill files are the output.
+// returns the task's spill runs ordered by (partition, spill): a reduce
+// merges them with the other map tasks' runs, so merging them here would
+// only write and read every record once more. The exception is a merge
+// that combines: Hadoop applies the combiner in its final on-disk merge
+// once enough spills occurred (min.num.spills.for.combine, default 3),
+// and so does finish, one merge per partition under the
+// spill-parallelism bound.
 func (b *mapBuffer) finish() ([]SegmentInfo, error) {
 	if err := b.spill(); err != nil {
 		return nil, err
 	}
 	b.release()
-	if b.spills <= 1 {
+	slices.SortStableFunc(b.segs, func(x, y SegmentInfo) int { return x.Partition - y.Partition })
+	if b.job.NewCombiner == nil || b.spills < 3 {
 		return b.segs, nil
 	}
-	byPart := make(map[int][]SegmentInfo)
-	for _, s := range b.segs {
-		byPart[s.Partition] = append(byPart[s.Partition], s)
+	var parts [][]SegmentInfo
+	for rest := b.segs; len(rest) > 0; {
+		n := 1
+		for n < len(rest) && rest[n].Partition == rest[0].Partition {
+			n++
+		}
+		parts, rest = append(parts, rest[:n]), rest[n:]
 	}
-	parts := make([]int, 0, len(byPart))
-	for part := range byPart {
-		parts = append(parts, part)
-	}
-	sort.Ints(parts)
-	// Hadoop applies the combiner during the final merge only when
-	// enough spills occurred (min.num.spills.for.combine, default 3).
-	useCombiner := b.job.NewCombiner != nil && b.spills >= 3
 	out := make([]SegmentInfo, len(parts))
 	err := runPool(context.Background(), b.spillWorkers(len(parts)), len(parts), func(_ context.Context, i int) error {
-		part := parts[i]
-		merged, err := mergeSegments(b.job, b.fs, b.counters,
-			fmt.Sprintf("%s/out.p%04d", b.dir, part),
-			part, byPart[part], useCombiner, b.taskID, true)
+		part := parts[i][0].Partition
+		name := fmt.Sprintf("%s/out.p%04d", b.dir, part)
+		segs, passes, err := mergePasses(b.job, b.fs, b.counters, name, part, parts[i], b.taskID, true)
+		defer removeAll(b.fs, passes)
 		if err != nil {
 			return err
 		}
-		out[i] = merged
-		return nil
+		out[i], err = mergeOnce(b.job, b.fs, b.counters, name, part, segs, true, b.taskID, true)
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -646,59 +646,44 @@ func removeQuiet(fs iokit.FS, name string) {
 	_ = fs.Remove(name)
 }
 
-// mergeSegments k-way merges sorted segments of one partition into a new
-// segment file, optionally combining key groups. removeInputs deletes
-// consumed input files (the map-side behaviour); reduce-side merges keep
-// them when task retries are enabled so a retried attempt can redo the
-// merge from intact files. When the input count exceeds the job's merge
-// factor, intermediate passes reduce it first (Hadoop's multi-pass
-// merge), each pass consuming the smallest candidates — Hadoop's
-// Merger policy — so the bytes re-read per extra pass are minimized.
-// Intermediate pass files are internal to the merge: they are removed
-// once the final pass succeeds, and on any error, so a failed merge
-// orphans nothing (the original inputs survive under the reduce-side
-// keep-inputs mode, letting a retry redo the merge).
-func mergeSegments(job *Job, fs iokit.FS, counters *Counters, name string, partition int, segs []SegmentInfo, useCombiner bool, taskID int, removeInputs bool) (SegmentInfo, error) {
-	pass := 0
-	var intermediates []string
-	cleanup := func() {
-		for _, f := range intermediates {
-			removeQuiet(fs, f)
-		}
-	}
+// mergePasses merges segs down to at most job.MergeFactor segments
+// (Hadoop's multi-pass merge) and returns them with the pass files it
+// wrote, which the caller removes once it has read them — also on error,
+// when the pass files are those written so far. Each pass merges the
+// contiguous window of segments with the fewest raw bytes and puts its
+// output where the window was, so equal keys keep their order across
+// segments (Plan.Sources), and it merges no more segments than it takes
+// to reach the merge factor, so the bytes passes re-read stay small.
+// removeInputs deletes the segments a pass consumed.
+func mergePasses(job *Job, fs iokit.FS, counters *Counters, name string, partition int, segs []SegmentInfo, taskID int, removeInputs bool) (_ []SegmentInfo, passes []string, _ error) {
 	for len(segs) > job.MergeFactor {
-		if pass == 0 {
-			segs = append([]SegmentInfo(nil), segs...) // callers keep their slices
-		}
-		// Smallest-first batching; ties break on file name so batch
-		// composition — and thus output bytes — stays deterministic.
-		sort.SliceStable(segs, func(i, j int) bool {
-			if segs[i].RawBytes != segs[j].RawBytes {
-				return segs[i].RawBytes < segs[j].RawBytes
+		width := min(job.MergeFactor, len(segs)-job.MergeFactor+1)
+		at, least := 0, int64(math.MaxInt64)
+		for i := 0; i+width <= len(segs); i++ {
+			var raw int64
+			for _, s := range segs[i : i+width] {
+				raw += s.RawBytes
 			}
-			return segs[i].File < segs[j].File
-		})
-		batch := segs[:job.MergeFactor]
-		rest := segs[job.MergeFactor:]
-		interName := fmt.Sprintf("%s.pass%04d", name, pass)
-		pass++
-		inter, err := mergeOnce(job, fs, counters, interName, partition, batch, false, taskID, removeInputs)
-		if err != nil {
-			cleanup()
-			return SegmentInfo{}, err
+			if raw < least {
+				at, least = i, raw
+			}
 		}
-		intermediates = append(intermediates, interName)
-		segs = append(rest, inter)
+		passName := fmt.Sprintf("%s.pass%04d", name, len(passes))
+		merged, err := mergeOnce(job, fs, counters, passName, partition, segs[at:at+width], false, taskID, removeInputs)
+		if err != nil {
+			return nil, passes, err
+		}
+		passes = append(passes, passName)
+		segs = slices.Concat(segs[:at], []SegmentInfo{merged}, segs[at+width:]) // callers keep their slices
 	}
-	final, err := mergeOnce(job, fs, counters, name, partition, segs, useCombiner, taskID, removeInputs)
-	if err != nil {
-		cleanup()
-		return SegmentInfo{}, err
+	return segs, passes, nil
+}
+
+// removeAll best-effort deletes files.
+func removeAll(fs iokit.FS, files []string) {
+	for _, f := range files {
+		removeQuiet(fs, f)
 	}
-	// Pass files already consumed by a removeInputs merge are gone;
-	// under keep-inputs mode this is what deletes them.
-	cleanup()
-	return final, nil
 }
 
 // mergeOnce merges segs into one output segment. Every error path

@@ -49,8 +49,10 @@ type Job struct {
 	// SortBufferBytes caps the map-side collect buffer before a spill.
 	// Defaults to 4 MiB.
 	SortBufferBytes int
-	// MergeFactor caps how many spill segments a single merge pass
-	// consumes. Defaults to 10.
+	// MergeFactor is a reduce's streaming fan-in: the most segments it
+	// merges straight into Reduce. A reduce with more first merges some
+	// of them on disk, and so does a map task's combining final merge.
+	// Defaults to 10.
 	MergeFactor int
 	// FS is the local "disk" for spills and map output segments.
 	// Defaults to a fresh in-memory filesystem.

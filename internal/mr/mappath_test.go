@@ -13,8 +13,9 @@ import (
 )
 
 // mapPathInput is sized to force several spills under a tiny sort
-// buffer, so the runs under comparison exercise bucketing, parallel run writes, and
-// the per-partition final merges — not just the single-spill shortcut.
+// buffer, so the runs under comparison exercise bucketing, parallel run
+// writes, and reduces that merge several runs per map task — not just
+// one segment per map.
 func mapPathInput() []Split {
 	return lines(
 		strings.Repeat("alpha beta gamma delta epsilon ", 120),
@@ -157,8 +158,8 @@ func TestMapPathEquivalenceCustomComparator(t *testing.T) {
 }
 
 // TestMapPathEquivalenceMultiPass forces multi-pass merges (tiny sort
-// buffer, MergeFactor 2) so the smallest-first pass policy runs under
-// both configurations.
+// buffer, MergeFactor 2) so the merge passes run under both
+// configurations.
 func TestMapPathEquivalenceMultiPass(t *testing.T) {
 	assertSequentialSame(t, Run, func() *Job {
 		job := wordCountJob(true)
@@ -202,13 +203,13 @@ func TestMapPathParallelRace(t *testing.T) {
 	}
 }
 
-// TestMultiPassMergeSmallestFirst pins the Hadoop merge policy: when a
-// multi-pass merge is forced, each intermediate pass must consume the
-// smallest candidate segments, not the first K in slice order. The
-// metered filesystem proves it — with large segments listed first, the
-// bytes re-read by the merge shrink strictly versus the first-K
-// batching, and match the smallest-first simulation exactly.
-func TestMultiPassMergeSmallestFirst(t *testing.T) {
+// TestMultiPassMergeContiguousWindow pins the multi-pass merge policy:
+// each pass merges the contiguous window of segments with the fewest
+// bytes, and no more segments than it takes to reach the merge factor.
+// The metered filesystem proves it — with large segments between the
+// small ones, the bytes re-read by the merge shrink strictly versus
+// merging the first window, and match the policy's simulation exactly.
+func TestMultiPassMergeContiguousWindow(t *testing.T) {
 	mem := iokit.NewMemFS()
 	meter := &iokit.Meter{}
 	fs := iokit.Metered(mem, meter)
@@ -219,11 +220,11 @@ func TestMultiPassMergeSmallestFirst(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Seven segments, biggest first, with one shared key range so the
-	// merged output interleaves. Identity codec: an intermediate's
-	// framed-record bytes are exactly the sum of its inputs', and a
-	// file's size is framedSize of them.
-	recCounts := []int{100, 80, 60, 1, 1, 1, 1}
+	// Seven segments, small ones among big ones, with one shared key
+	// range so the merged output interleaves. Identity codec: an
+	// intermediate's framed-record bytes are exactly the sum of its
+	// inputs', and a file's size is framedSize of them.
+	recCounts := []int{100, 1, 80, 1, 1, 60, 1}
 	segs := make([]SegmentInfo, len(recCounts))
 	var wantRecords int64
 	for i, n := range recCounts {
@@ -243,28 +244,25 @@ func TestMultiPassMergeSmallestFirst(t *testing.T) {
 		}
 	}
 
-	// Simulate both batching policies over the segments' raw sizes.
-	firstK := simulateMergeReads(sizes, j.MergeFactor, false)
-	smallest := simulateMergeReads(sizes, j.MergeFactor, true)
-	if smallest >= firstK {
-		t.Fatalf("test fixture does not separate policies: smallest-first %d, first-K %d", smallest, firstK)
+	// Simulate both window choices over the segments' raw sizes.
+	first := simulateMergeReads(sizes, j.MergeFactor, false)
+	fewest := simulateMergeReads(sizes, j.MergeFactor, true)
+	if fewest >= first {
+		t.Fatalf("test fixture does not separate policies: fewest-bytes window %d, first window %d", fewest, first)
 	}
 
 	meter.Reset()
 	counters := &Counters{}
-	merged, err := mergeSegments(j, fs, counters, "merged", 0, segs, false, 0, false)
+	merged, err := mergeKeepingInputs(j, fs, counters, "merged", segs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if merged.Records != wantRecords {
 		t.Fatalf("merged %d records, want %d", merged.Records, wantRecords)
 	}
-	if got := meter.ReadBytes(); got != smallest {
-		t.Errorf("merge read %d bytes, want smallest-first total %d (first-K would read %d)",
-			got, smallest, firstK)
-	}
-	if got := meter.ReadBytes(); got >= firstK {
-		t.Errorf("merge read %d bytes, not below the first-K policy's %d", got, firstK)
+	if got := meter.ReadBytes(); got != fewest {
+		t.Errorf("merge read %d bytes, want the fewest-bytes windows' total %d (the first windows would read %d)",
+			got, fewest, first)
 	}
 
 	// Intermediate pass files are internal: none may survive the merge.
@@ -318,26 +316,33 @@ func framedSize(raw int64) int64 {
 
 // simulateMergeReads predicts the total bytes a multi-pass merge reads
 // from disk given the segments' raw (pre-framing) sizes, the merge
-// factor, and the batching policy (first K in order, or smallest K
-// first). With the identity codec an intermediate's raw size is the sum
-// of its inputs', and every file read costs framedSize of its raw size.
-func simulateMergeReads(sizes []int64, factor int, smallestFirst bool) int64 {
+// factor, and the window each pass merges (the contiguous one of fewest
+// bytes, or the first). A pass merges just enough segments to reach the
+// factor, at most factor of them. With the identity codec an
+// intermediate's raw size is the sum of its inputs', and every file read
+// costs framedSize of its raw size.
+func simulateMergeReads(sizes []int64, factor int, fewestBytes bool) int64 {
 	segs := append([]int64(nil), sizes...)
 	var read int64
 	for len(segs) > factor {
-		if smallestFirst {
-			for i := 1; i < len(segs); i++ { // insertion sort: sizes are few
-				for j := i; j > 0 && segs[j] < segs[j-1]; j-- {
-					segs[j], segs[j-1] = segs[j-1], segs[j]
-				}
+		width := min(factor, len(segs)-factor+1)
+		sum := func(at int) (s int64) {
+			for _, v := range segs[at : at+width] {
+				s += v
+			}
+			return s
+		}
+		at := 0
+		for i := 1; fewestBytes && i+width <= len(segs); i++ {
+			if sum(i) < sum(at) {
+				at = i
 			}
 		}
-		var inter int64
-		for _, s := range segs[:factor] {
-			inter += s
+		inter := sum(at)
+		for _, s := range segs[at : at+width] {
 			read += framedSize(s)
 		}
-		segs = append(segs[factor:], inter)
+		segs = append(append(segs[:at:at], inter), segs[at+width:]...)
 	}
 	for _, s := range segs {
 		read += framedSize(s)

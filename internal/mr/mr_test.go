@@ -207,6 +207,52 @@ func TestSpillsProduceSameResult(t *testing.T) {
 	}
 }
 
+// TestReduceOutputIndependentOfMergeFactor: equal keys reach Reduce in
+// map-task order (Plan.Sources) whether a reduce streams all of its
+// inputs at once or merges some of them first, so a reducer that
+// concatenates its values gives the same output at every merge factor.
+// The splits differ in size, so a pass that picked inputs by size
+// alone would reorder them.
+func TestReduceOutputIndependentOfMergeFactor(t *testing.T) {
+	splits := make([]Split, 12)
+	for i := range splits {
+		var recs []Record
+		for j := 0; j < 1+(i*5)%12*3; j++ {
+			recs = append(recs, Record{
+				Key:   []byte{"abc"[j%3]},
+				Value: []byte(fmt.Sprintf("m%02d.%d", i, j)),
+			})
+		}
+		splits[i] = &MemSplit{Recs: recs}
+	}
+	run := func(mergeFactor int) [][]Record {
+		job := &Job{
+			Name: "concat",
+			NewMapper: NewMapFunc(func(k, v []byte, out Emitter) error {
+				return out.Emit(k, v)
+			}),
+			NewReducer: NewReduceFunc(func(key []byte, values ValueIter, out Emitter) error {
+				var all []byte
+				for v, ok := values.Next(); ok; v, ok = values.Next() {
+					all = append(append(all, v...), ',')
+				}
+				return out.Emit(key, all)
+			}),
+			NumReduceTasks: 2,
+			MergeFactor:    mergeFactor,
+		}
+		res, err := Run(job, splits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Output
+	}
+	narrow, wide := run(3), run(100)
+	if fmt.Sprint(narrow) != fmt.Sprint(wide) {
+		t.Errorf("output at MergeFactor 3 differs from MergeFactor 100:\n%q\n%q", narrow, wide)
+	}
+}
+
 func TestCombinerReducesShuffle(t *testing.T) {
 	// One split with heavy key repetition: combining shrinks the shuffle.
 	line := strings.Repeat("alpha beta ", 2000)

@@ -164,6 +164,50 @@ func TestFetchZeroByteSegment(t *testing.T) {
 	}
 }
 
+// TestCopySegmentUsesPooledBuffer: CopySegment copies through its
+// pooled buffer, never through the local file's ReadFrom — *os.File has
+// one, and it allocates a fresh 32 KiB buffer per segment.
+func TestCopySegmentUsesPooledBuffer(t *testing.T) {
+	body := bytes.Repeat([]byte("pooled copy "), 10000)
+	fs := readFromFS{FS: iokit.NewMemFS(), calls: new(int)}
+	raw := &bytes.Buffer{}
+	w := newChecksumWriter(raw)
+	if _, err := w.Write(body); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	n, err := CopySegment(io.NopCloser(bytes.NewReader(raw.Bytes())), int64(raw.Len()), fs, "local", nil)
+	if err != nil || n != int64(raw.Len()) {
+		t.Fatalf("CopySegment = %d, %v; want %d bytes", n, err, raw.Len())
+	}
+	if *fs.calls != 0 {
+		t.Errorf("CopySegment called the local file's ReadFrom %d times", *fs.calls)
+	}
+}
+
+// readFromFS hands out files with a ReadFrom, as an OSFS's *os.File.
+type readFromFS struct {
+	iokit.FS
+	calls *int
+}
+
+func (f readFromFS) Create(name string) (io.WriteCloser, error) {
+	w, err := f.FS.Create(name)
+	return readFromFile{w, f.calls}, err
+}
+
+type readFromFile struct {
+	io.WriteCloser
+	calls *int
+}
+
+func (f readFromFile) ReadFrom(r io.Reader) (int64, error) {
+	*f.calls++
+	return io.Copy(f.WriteCloser, r)
+}
+
 // TestPooledReuseAfterErrorFrameCompressed: a server error frame
 // answering a compression-requesting fetch leaves the connection at a
 // frame boundary; the subsequent fetch reuses it and decodes a

@@ -202,8 +202,8 @@ func removePrefix(fs iokit.FS, prefix string) {
 
 // reduceMerge is the compute half of a reduce task: merge the
 // partition's (already local) sorted segments and invoke Reduce once
-// per key group. attempt scopes intermediate file names so scheduler
-// retries never collide with a previous attempt's partial output.
+// per key group. attempt scopes pass file names so scheduler retries
+// never collide with a previous attempt's partial output.
 func reduceMerge(ctx context.Context, job *Job, fs iokit.FS, counters *Counters, partition, attempt int, segs []SegmentInfo) (_ []Record, err error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("mr: reduce task %d: %w", partition, err)
@@ -221,31 +221,16 @@ func reduceMerge(ctx context.Context, job *Job, fs iokit.FS, counters *Counters,
 		}
 	}()
 
-	// A very wide shuffle is first merged down on "disk" so the final
-	// streaming merge stays within the merge factor (Hadoop's
-	// reduce-side merge). When retries are enabled the merge keeps its
-	// inputs so a later attempt can redo the pass from intact files.
-	var mergedName string
-	defer func() {
-		// A reduce attempt that fails after its pre-merge succeeded must
-		// not orphan the merged file: the name is attempt-scoped, so a
-		// retry rebuilds it from the kept inputs.
-		if err != nil && mergedName != "" {
-			removeQuiet(fs, mergedName)
-		}
-	}()
-	if len(segs) > job.MergeFactor {
-		name := fmt.Sprintf("%s/r%04d/merged", job.Workspace, partition)
-		if attempt > 0 {
-			name = fmt.Sprintf("%s.a%d", name, attempt)
-		}
-		merged, err := mergeSegments(job, fs, counters, name,
-			partition, segs, false, partition, job.MaxTaskAttempts == 1)
-		if err != nil {
-			return nil, err
-		}
-		mergedName = name
-		segs = []SegmentInfo{merged}
+	// A shuffle wider than the merge factor is first merged down on
+	// "disk" (Hadoop's reduce-side merge); Reduce then streams the rest.
+	// The pass files belong to this attempt and go when it ends, either
+	// way. When retries are enabled the passes keep their inputs so a
+	// later attempt can redo them from intact files.
+	passName := fmt.Sprintf("%s/r%04d/merge.a%d", job.Workspace, partition, attempt)
+	segs, passes, err := mergePasses(job, fs, counters, passName, partition, segs, partition, job.MaxTaskAttempts == 1)
+	defer removeAll(fs, passes)
+	if err != nil {
+		return nil, err
 	}
 
 	streams := make([]recordStream, 0, len(segs))
@@ -464,7 +449,9 @@ func CopySegment(rc io.ReadCloser, size int64, fs iokit.FS, local string, counte
 		return 0, err
 	}
 	buf := getCopyBuf()
-	n, err = io.CopyBuffer(f, NewIntegrityVerifier(rc), buf)
+	// Hiding f's ReadFrom keeps io.CopyBuffer on buf: *os.File's would
+	// copy through a fresh 32 KiB buffer per segment instead.
+	n, err = io.CopyBuffer(struct{ io.Writer }{f}, NewIntegrityVerifier(rc), buf)
 	putCopyBuf(buf)
 	if err == nil {
 		countWireBytes(counters, rc, n)

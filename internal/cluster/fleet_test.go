@@ -245,46 +245,83 @@ func TestFleetDrainMidStream(t *testing.T) {
 	}
 }
 
-// TestReportCarriesNoRecords: a report names the files a task wrote and
-// never carries their records, whatever field they might hide in.
+// TestReportCarriesNoRecords: no control-plane message carries records,
+// whatever field they might hide in. A report names the files a task
+// wrote, a lease names the split or handoff a map reads, and a job spec
+// names a registered job and the handoffs a stage reads. Wire messages
+// may hold no interface, channel or func; a JobSpec never crosses the
+// wire, and its OnEvent callback is walked through its signature.
 func TestReportCarriesNoRecords(t *testing.T) {
 	record := reflect.TypeOf(mr.Record{})
-	seen := map[reflect.Type]bool{}
-	var walk func(typ reflect.Type, path string)
-	walk = func(typ reflect.Type, path string) {
-		if typ == record {
-			t.Errorf("ReportArgs carries records at %s", path)
-			return
-		}
-		if seen[typ] {
-			return
-		}
-		seen[typ] = true
-		switch typ.Kind() {
-		case reflect.Struct:
-			for i := 0; i < typ.NumField(); i++ {
-				walk(typ.Field(i).Type, path+"."+typ.Field(i).Name)
+	for _, msg := range []any{ReportArgs{}, LeaseReply{}, JobSpec{}} {
+		root := reflect.TypeOf(msg)
+		wire := root != reflect.TypeOf(JobSpec{})
+		seen := map[reflect.Type]bool{}
+		var walk func(typ reflect.Type, path string)
+		walk = func(typ reflect.Type, path string) {
+			if typ == record {
+				t.Errorf("%s carries records at %s", root.Name(), path)
+				return
 			}
-		case reflect.Pointer, reflect.Slice, reflect.Array:
-			walk(typ.Elem(), path+"[]")
-		case reflect.Map:
-			walk(typ.Key(), path+"{key}")
-			walk(typ.Elem(), path+"{}")
-		case reflect.Interface, reflect.Chan, reflect.Func:
-			t.Errorf("ReportArgs field %s has kind %s, which could carry anything", path, typ.Kind())
+			if seen[typ] {
+				return
+			}
+			seen[typ] = true
+			switch typ.Kind() {
+			case reflect.Struct:
+				for i := 0; i < typ.NumField(); i++ {
+					walk(typ.Field(i).Type, path+"."+typ.Field(i).Name)
+				}
+			case reflect.Pointer, reflect.Slice, reflect.Array:
+				walk(typ.Elem(), path+"[]")
+			case reflect.Map:
+				walk(typ.Key(), path+"{key}")
+				walk(typ.Elem(), path+"{}")
+			case reflect.Func:
+				if wire {
+					t.Errorf("%s field %s has kind %s, which could carry anything", root.Name(), path, typ.Kind())
+					return
+				}
+				for i := 0; i < typ.NumIn(); i++ {
+					walk(typ.In(i), fmt.Sprintf("%s(in %d)", path, i))
+				}
+				for i := 0; i < typ.NumOut(); i++ {
+					walk(typ.Out(i), fmt.Sprintf("%s(out %d)", path, i))
+				}
+			case reflect.Interface, reflect.Chan:
+				t.Errorf("%s field %s has kind %s, which could carry anything", root.Name(), path, typ.Kind())
+			}
 		}
+		walk(root, root.Name())
 	}
-	walk(reflect.TypeOf(ReportArgs{}), "ReportArgs")
 }
 
 const passJobName = "cluster-test-passthrough"
 
 func init() {
-	RegisterJob(passJobName, func([]byte) (*mr.Job, []mr.Split, error) { return passJob(), nil, nil })
+	RegisterJob(passJobName, func([]byte) (*mr.Job, []mr.Split, error) { return passJob(), passSplits(), nil })
+}
+
+// passSplits is the registered pass job's input: two splits of 200
+// records each, long enough to fill a handoff.
+func passSplits() []mr.Split {
+	splits := make([]mr.Split, 2)
+	for i := range splits {
+		var recs []mr.Record
+		for r := 0; r < 200; r++ {
+			recs = append(recs, mr.Record{
+				Key:   []byte(fmt.Sprintf("key-%d-%04d", i, r)),
+				Value: []byte(fmt.Sprintf("value %04d of input %d, long enough to fill a handoff", r, i)),
+			})
+		}
+		splits[i] = &mr.MemSplit{Recs: recs}
+	}
+	return splits
 }
 
 // passJob hands every record through map, shuffle and reduce unchanged,
-// over two partitions; it runs as a stage job (inputs on the spec).
+// over two partitions. Submitted plainly it reads passSplits; as a
+// stage job it reads the handoffs on its spec.
 func passJob() *mr.Job {
 	return &mr.Job{
 		Name:      passJobName,
@@ -350,20 +387,9 @@ func (c *flipConn) Write(p []byte) (int, error) {
 // byte-identical to the in-process run. The same holds for the fleet's
 // pull of a reduce's output.
 func TestHandoffBitFlipIsCaughtAndRetried(t *testing.T) {
-	inputs := make([][]mr.Record, 2)
-	for i := range inputs {
-		for r := 0; r < 200; r++ {
-			inputs[i] = append(inputs[i], mr.Record{
-				Key:   []byte(fmt.Sprintf("key-%d-%04d", i, r)),
-				Value: []byte(fmt.Sprintf("value %04d of input %d, long enough to fill a handoff", r, i)),
-			})
-		}
-	}
 	// Reference: the same two stages on the in-process engine.
-	stage1, err := mr.Run(passJob(), []mr.Split{&mr.MemSplit{Recs: inputs[0]}, &mr.MemSplit{Recs: inputs[1]}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := JobRef{Name: passJobName}
+	stage1 := singleProcessRun(t, ref)
 	want, err := mr.Run(passJob(), []mr.Split{&mr.MemSplit{Recs: stage1.Output[0]}, &mr.MemSplit{Recs: stage1.Output[1]}})
 	if err != nil {
 		t.Fatal(err)
@@ -397,12 +423,9 @@ func TestHandoffBitFlipIsCaughtAndRetried(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Stage 1 keeps its output on the workers as handoff files.
-	ref := JobRef{Name: passJobName}
-	h1, err := f.Submit(ctx, JobSpec{
-		Ref: ref, KeepOutput: true,
-		Inputs: []StageInput{{Records: inputs[0]}, {Records: inputs[1]}},
-	})
+	// Stage 1 reads the registered splits and keeps its output on the
+	// workers as handoff files.
+	h1, err := f.Submit(ctx, JobSpec{Ref: ref, KeepOutput: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,10 +441,9 @@ func TestHandoffBitFlipIsCaughtAndRetried(t *testing.T) {
 	// NOT hold its handoff, so both are pulled over the data plane, and
 	// the first pull is corrupted in flight.
 	flip.armed.Store(true)
-	stage2 := JobSpec{Ref: ref, Exclusive: true, MaxTaskAttempts: 4, Inputs: make([]StageInput, 2)}
+	stage2 := JobSpec{Ref: ref, Exclusive: true, MaxTaskAttempts: 4, Inputs: make([]Handoff, 2)}
 	for p, hd := range handoffs {
-		seg := hd.Seg
-		stage2.Inputs[p] = StageInput{Handoff: &seg, Worker: 1 - hd.Worker}
+		stage2.Inputs[p] = Handoff{Seg: hd.Seg, Worker: 1 - hd.Worker}
 	}
 	h2, err := f.Submit(ctx, stage2)
 	if err != nil {
@@ -454,8 +476,7 @@ func TestHandoffBitFlipIsCaughtAndRetried(t *testing.T) {
 	flip.armed.Store(false)
 	flip.spent.Store(false)
 	armAfterFetches.Store(4) // 2 maps × 2 partitions, every pair non-empty
-	h3, err := f.Submit(ctx, JobSpec{Ref: ref, Exclusive: true, MaxTaskAttempts: 4,
-		Inputs: []StageInput{{Records: inputs[0]}, {Records: inputs[1]}}})
+	h3, err := f.Submit(ctx, JobSpec{Ref: ref, Exclusive: true, MaxTaskAttempts: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,10 +37,13 @@ type JobSpec struct {
 	// reads.
 	Exclusive bool
 	// Inputs, when non-empty, makes this a pipeline stage job: one map
-	// task per entry, fed from the entry (inline records or a retained
-	// handoff) instead of registry-built splits. The registry builder may
-	// then return zero splits.
-	Inputs []StageInput
+	// task per entry, fed from the entry's handoff (a previous job's
+	// retained reduce output) instead of registry-built splits. The
+	// registry builder may then return zero splits. A handoff is leased
+	// to the worker holding it when that worker is alive, so
+	// stage-to-stage data never moves; a draining holder's file is
+	// fetched over the segment server instead.
+	Inputs []Handoff
 	// KeepOutput leaves reduce output where the reduces wrote it: the
 	// per-partition handoff files in the job's worker workspaces
 	// (reported via JobHandle.Handoffs), the no-re-spill path a
@@ -188,7 +191,7 @@ func (f *Fleet) Submit(ctx context.Context, spec JobSpec) (*JobHandle, error) {
 // ErrHandoffLost marks a stage job whose handoff input died with its
 // holding worker. It is terminal for this job — the upstream stage's
 // output is gone, and only the pipeline runner (which still owns the
-// producing stage) can re-run it; dag.Runner converts it into a
+// producing stage) can re-run it; dag.Run converts it into a
 // stage-level DepLostError.
 var ErrHandoffLost = errors.New("cluster: stage handoff input lost")
 
@@ -331,22 +334,20 @@ func (j *jobRun) execute(ctx context.Context, task *sched.Task, tc *sched.TaskCo
 		lease.MapTask = id.Map // any worker may take it
 		if len(j.spec.Inputs) > 0 {
 			in := j.spec.Inputs[id.Map]
-			lease.Input = &in
-			if in.Handoff != nil {
-				// A handoff input lives on the worker that reduced the
-				// previous stage. Pin the lease there when it is alive so
-				// stage-to-stage data never moves; a draining holder still
-				// serves segment fetches, so any worker can pull the file
-				// remotely. A dead holder means the bytes are gone — only
-				// the pipeline runner can rebuild them.
-				switch holder := f.workers[in.Worker]; {
-				case holder == nil || holder.dead:
-					f.mu.Unlock()
-					return nil, fmt.Errorf("%w: map %d input on dead worker %d",
-						ErrHandoffLost, id.Map, in.Worker)
-				case !holder.draining:
-					pin = holder.id
-				}
+			lease.Input = &in.Seg
+			// A handoff input lives on the worker that reduced the
+			// previous stage. Pin the lease there when it is alive so
+			// stage-to-stage data never moves; a draining holder still
+			// serves segment fetches, so any worker can pull the file
+			// remotely. A dead holder means the bytes are gone — only the
+			// pipeline runner can rebuild them.
+			switch holder := f.workers[in.Worker]; {
+			case holder == nil || holder.dead:
+				f.mu.Unlock()
+				return nil, fmt.Errorf("%w: map %d input on dead worker %d",
+					ErrHandoffLost, id.Map, in.Worker)
+			case !holder.draining:
+				pin = holder.id
 			}
 		}
 

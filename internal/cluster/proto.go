@@ -108,21 +108,6 @@ type LeaseReply struct {
 	Lease   TaskLease
 }
 
-// StageInput is one map task's input when a job runs as a pipeline
-// stage: either inline records shipped from the driver (a pipeline's
-// initial input) or a handoff — a previous stage job's reduce output,
-// retained as a framed record file in that job's workspace on the
-// worker that reduced it. Handoff inputs are leased to the holding
-// worker when it is alive, so stage-to-stage data never moves; a
-// draining holder's file is fetched over the segment server instead.
-type StageInput struct {
-	Records []mr.Record
-	Handoff *mr.SegmentInfo
-	// Worker is the handoff holder's worker id (for liveness checks and
-	// placement pinning).
-	Worker int
-}
-
 // TaskLease is one task attempt of one job assigned to a worker.
 type TaskLease struct {
 	JobID   int
@@ -131,11 +116,11 @@ type TaskLease struct {
 	Attempt int
 
 	// Map leases: the split index. Workers rebuild splits from the job
-	// registry, so only the index travels — except for pipeline stage
-	// jobs, whose Input carries the stage's real input (inline records
-	// or a handoff reference) instead.
+	// registry, so only the index travels — except for a pipeline stage
+	// reading an upstream stage, whose Input names the handoff (a
+	// previous job's reduce output file) the map task reads instead.
 	MapTask int
-	Input   *StageInput
+	Input   *mr.SegmentInfo
 
 	// Fetch leases: pull Sources (segments on peer workers) to local
 	// files. MapIndex is the producing map task, for stable local names.

@@ -411,9 +411,9 @@ func (w *worker) runLease(ctx context.Context, l TaskLease) *ReportArgs {
 	case mr.TaskGroupMap:
 		var split mr.Split
 		if l.Input != nil {
-			// Stage jobs carry their input on the lease (inline records or
-			// a handoff reference) instead of registry-built splits.
-			split, err = w.stageSplit(actx, l, rep)
+			// A stage reading an upstream stage names its handoff on the
+			// lease instead of using registry-built splits.
+			split, err = w.stageSplit(actx, l.Input, rep)
 			if err != nil {
 				break
 			}
@@ -471,19 +471,13 @@ func (w *worker) runLease(ctx context.Context, l TaskLease) *ReportArgs {
 	return rep
 }
 
-// stageSplit materializes a stage map lease's input as an mr.Split:
-// inline records become a MemSplit; a handoff reference resolves to the
-// local record file when this worker holds it (the common, pinned case
-// — zero bytes moved between stages), and is otherwise pulled from the
-// holder's segment server into memory, as the fleet pulls reduce
-// output. A failed pull marks the holder unreachable, feeding the
-// fleet's liveness evidence.
-func (w *worker) stageSplit(ctx context.Context, l TaskLease, rep *ReportArgs) (mr.Split, error) {
-	in := l.Input
-	if in.Handoff == nil {
-		return &mr.MemSplit{Recs: in.Records}, nil
-	}
-	h := in.Handoff
+// stageSplit materializes a stage map lease's handoff as an mr.Split:
+// the local record file when this worker holds it (the common, pinned
+// case — zero bytes moved between stages), and otherwise a copy pulled
+// from the holder's segment server into memory, as the fleet pulls
+// reduce output. A failed pull marks the holder unreachable, feeding
+// the fleet's liveness evidence.
+func (w *worker) stageSplit(ctx context.Context, h *mr.SegmentInfo, rep *ReportArgs) (mr.Split, error) {
 	if _, err := w.fs.Size(h.File); err == nil {
 		return &mr.RecordFileSplit{FS: w.fs, Name: h.File}, nil
 	}

@@ -35,19 +35,18 @@ type Stage struct {
 	// Name identifies the stage within its pipeline.
 	Name string
 	// From names the upstream stage whose reduce output this stage maps
-	// over; "" means the pipeline's input (the initial records on
-	// iteration 0, the Carry stage's previous output afterwards).
+	// over; "" means the pipeline's input: on iteration 0 the splits the
+	// stage's own registered job builds, afterwards the Carry stage's
+	// previous output.
 	From string
-	// Build constructs the stage's job for one iteration — the
-	// in-process engine's builder. The job's input arrives as one split
-	// per upstream partition, so builders typically return a job whose
-	// NumReduceTasks matches the upstream stage's (and may set
-	// AlignedInput when the stage preserves partitioning).
-	Build func(iter int) *mr.Job
-	// Ref names the registered cluster job for one iteration — the
-	// fleet engine's builder. The registered builder may return zero
-	// splits: stage inputs travel through JobSpec.Inputs.
-	Ref func(iter int) cluster.JobRef
+	// Job names the stage's registered cluster job. Both engines build
+	// it through cluster.BuildJob, the in-process engine here and a
+	// fleet's workers on their side. A stage that reads an upstream
+	// stage gets one split per upstream partition, so its job typically
+	// sets NumReduceTasks to match (and may set AlignedInput when the
+	// stage preserves partitioning); the registered builder's own splits
+	// are read only by a From=="" stage on iteration 0.
+	Job cluster.JobRef
 }
 
 // Pipeline is a DAG of stages, run once or iterated to convergence.
@@ -68,9 +67,10 @@ type Pipeline struct {
 	Until func(iter int, terminal map[string][][]mr.Record) (bool, error)
 }
 
-// consumers returns, per stage name, whether any same-iteration stage
-// or the carry edge consumes its output (kept engine-side), and
-// whether the stage is terminal (records collected to the driver).
+// kept reports whether a same-iteration stage or the carry edge
+// consumes the named stage's output, which the engine then keeps on
+// its side; a stage that is not kept is terminal, and its records are
+// collected to the driver.
 func (p *Pipeline) kept(name string) bool {
 	for _, s := range p.Stages {
 		if s.From == name {

@@ -100,7 +100,7 @@ func TestPipelineInProcessMatchesNaiveChain(t *testing.T) {
 	spec := pagerank.IterSpec{Nodes: 240, AvgDegree: 6, Seed: 7, Parts: 4, MaxIters: 4}
 	tracker := &iokit.TrackFS{Inner: iokit.NewMemFS()}
 
-	res, err := dag.Run(context.Background(), pagerank.NewIterPipeline(spec), pagerank.IterInputs(spec),
+	res, err := dag.Run(context.Background(), pagerank.NewIterPipeline(spec),
 		dag.Config{Engine: &dag.InProcess{FS: tracker}})
 	if err != nil {
 		t.Fatal(err)
@@ -155,7 +155,7 @@ func TestPipelineInProcessMatchesNaiveChain(t *testing.T) {
 // before MaxIters.
 func TestPipelineUntilStopsEarly(t *testing.T) {
 	spec := pagerank.IterSpec{Nodes: 200, AvgDegree: 5, Seed: 11, Parts: 3, MaxIters: 50, Epsilon: 0.05}
-	res, err := dag.Run(context.Background(), pagerank.NewIterPipeline(spec), pagerank.IterInputs(spec),
+	res, err := dag.Run(context.Background(), pagerank.NewIterPipeline(spec),
 		dag.Config{Engine: &dag.InProcess{}})
 	if err != nil {
 		t.Fatal(err)
@@ -227,7 +227,7 @@ func pollSwept(t *testing.T, trackers []*iokit.TrackFS) {
 // retained workspace swept once the pipeline finishes.
 func TestPipelineFleetMatchesInProcess(t *testing.T) {
 	spec := pagerank.IterSpec{Nodes: 180, AvgDegree: 5, Seed: 3, Parts: 3, MaxIters: 3}
-	want, err := dag.Run(context.Background(), pagerank.NewIterPipeline(spec), pagerank.IterInputs(spec),
+	want, err := dag.Run(context.Background(), pagerank.NewIterPipeline(spec),
 		dag.Config{Engine: &dag.InProcess{}})
 	if err != nil {
 		t.Fatal(err)
@@ -238,7 +238,7 @@ func TestPipelineFleetMatchesInProcess(t *testing.T) {
 	f, trackers, workerErr := startFleet(t, ctx, 3, 2)
 	eng := &dag.FleetEngine{Fleet: f}
 
-	got, err := dag.Run(ctx, pagerank.NewIterPipeline(spec), pagerank.IterInputs(spec),
+	got, err := dag.Run(ctx, pagerank.NewIterPipeline(spec),
 		dag.Config{Engine: eng})
 	if err != nil {
 		t.Fatal(err)
@@ -270,15 +270,26 @@ func TestPipelineFleetMatchesInProcess(t *testing.T) {
 	}
 }
 
-// failSpec configures the dagtest jobs registered in init below.
+// The dagtest jobs registered in init below: gen builds failInputs as
+// its splits, boom builds none (it reads gen's output).
 const (
 	genJobName  = "dagtest/gen"
 	boomJobName = "dagtest/boom"
 )
 
+// failInputs is the gen job's input, two splits.
+var failInputs = [][]mr.Record{
+	{{Key: []byte("a"), Value: []byte("1")}, {Key: []byte("b"), Value: []byte("2")}},
+	{{Key: []byte("c"), Value: []byte("3")}},
+}
+
 func init() {
 	cluster.RegisterJob(genJobName, func([]byte) (*mr.Job, []mr.Split, error) {
-		return genJob(), nil, nil
+		splits := make([]mr.Split, len(failInputs))
+		for i := range failInputs {
+			splits[i] = &mr.MemSplit{Recs: failInputs[i]}
+		}
+		return genJob(), splits, nil
 	})
 	cluster.RegisterJob(boomJobName, func([]byte) (*mr.Job, []mr.Split, error) {
 		return boomJob(), nil, nil
@@ -323,28 +334,15 @@ func boomJob() *mr.Job {
 	}
 }
 
-func failingPipeline() (*dag.Pipeline, [][]mr.Record) {
-	p := &dag.Pipeline{
+func failingPipeline() *dag.Pipeline {
+	return &dag.Pipeline{
 		Name: "dagtest-fail",
 		Stages: []dag.Stage{
-			{
-				Name:  "gen",
-				Build: func(int) *mr.Job { return genJob() },
-				Ref:   func(int) cluster.JobRef { return cluster.JobRef{Name: genJobName} },
-			},
-			{
-				Name: "boom", From: "gen",
-				Build: func(int) *mr.Job { return boomJob() },
-				Ref:   func(int) cluster.JobRef { return cluster.JobRef{Name: boomJobName} },
-			},
+			{Name: "gen", Job: cluster.JobRef{Name: genJobName}},
+			{Name: "boom", From: "gen", Job: cluster.JobRef{Name: boomJobName}},
 		},
 		Output: "boom",
 	}
-	inputs := [][]mr.Record{
-		{{Key: []byte("a"), Value: []byte("1")}, {Key: []byte("b"), Value: []byte("2")}},
-		{{Key: []byte("c"), Value: []byte("3")}},
-	}
-	return p, inputs
 }
 
 // TestPipelineSweepsOnStageFailure is the leak regression test: when a
@@ -353,8 +351,7 @@ func failingPipeline() (*dag.Pipeline, [][]mr.Record) {
 // remain on the shared filesystem by the time Run returns.
 func TestPipelineSweepsOnStageFailure(t *testing.T) {
 	tracker := &iokit.TrackFS{Inner: iokit.NewMemFS()}
-	p, inputs := failingPipeline()
-	_, err := dag.Run(context.Background(), p, inputs, dag.Config{Engine: &dag.InProcess{FS: tracker}})
+	_, err := dag.Run(context.Background(), failingPipeline(), dag.Config{Engine: &dag.InProcess{FS: tracker}})
 	if err == nil {
 		t.Fatal("pipeline with a failing stage reported success")
 	}
@@ -383,8 +380,7 @@ func TestPipelineFleetSweepsOnStageFailure(t *testing.T) {
 	f, trackers, workerErr := startFleet(t, ctx, 2, 2)
 	eng := &dag.FleetEngine{Fleet: f, MaxTaskAttempts: 1}
 
-	p, inputs := failingPipeline()
-	_, err := dag.Run(ctx, p, inputs, dag.Config{Engine: eng})
+	_, err := dag.Run(ctx, failingPipeline(), dag.Config{Engine: eng})
 	if err == nil {
 		t.Fatal("pipeline with a failing stage reported success")
 	}
@@ -422,12 +418,12 @@ func (e *lossyEngine) RunStage(ctx context.Context, run dag.StageRun) (*dag.Stag
 }
 
 func TestRunnerRerunsProducerOnInputLost(t *testing.T) {
-	p, inputs := failingPipeline()
+	p := failingPipeline()
 	// Make the downstream stage viable: replace boom with gen's job.
-	p.Stages[1].Build = func(int) *mr.Job { return genJob() }
+	p.Stages[1].Job = cluster.JobRef{Name: genJobName}
 	eng := &lossyEngine{runs: make(map[string]int)}
 
-	res, err := dag.Run(context.Background(), p, inputs, dag.Config{Engine: eng})
+	res, err := dag.Run(context.Background(), p, dag.Config{Engine: eng})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,7 +441,7 @@ func TestRunnerRerunsProducerOnInputLost(t *testing.T) {
 // TestValidate covers the pipeline shape checks.
 func TestValidate(t *testing.T) {
 	stage := func(name, from string) dag.Stage {
-		return dag.Stage{Name: name, From: from, Build: func(int) *mr.Job { return genJob() }}
+		return dag.Stage{Name: name, From: from, Job: cluster.JobRef{Name: genJobName}}
 	}
 	cases := []struct {
 		name string
@@ -474,5 +470,54 @@ func TestValidate(t *testing.T) {
 	ok := dag.Pipeline{Name: "p", Stages: []dag.Stage{stage("a", ""), stage("b", "a")}, Carry: "a", Output: "b", MaxIters: 2}
 	if err := ok.Validate(); err != nil {
 		t.Errorf("Validate rejected a well-formed pipeline: %v", err)
+	}
+}
+
+func init() {
+	dag.RegisterPipeline("dagtest/fail", func([]byte) (*dag.Pipeline, error) { return failingPipeline(), nil })
+	dag.RegisterPipeline("dagtest/unregistered-stage", func([]byte) (*dag.Pipeline, error) {
+		p := failingPipeline()
+		p.Stages[1].Job = cluster.JobRef{Name: "dagtest/no-such-job"}
+		return p, nil
+	})
+	dag.RegisterPipeline("dagtest/no-input", func([]byte) (*dag.Pipeline, error) {
+		p := failingPipeline()
+		p.Stages[0].Job = cluster.JobRef{Name: boomJobName} // builds no splits
+		return p, nil
+	})
+}
+
+// TestValidatePipelineBuildsStageJobs: admission builds every stage's
+// job, so a stage naming an unregistered job, or a source stage whose
+// job builds no input, is refused before anything runs. Run refuses the
+// source stage without input too, as a fleet's Submit does.
+func TestValidatePipelineBuildsStageJobs(t *testing.T) {
+	for _, name := range []string{"dagtest/fail", "pagerank-iter"} {
+		if err := dag.ValidatePipeline(name, nil); err != nil {
+			t.Errorf("%s: ValidatePipeline rejected a runnable pipeline: %v", name, err)
+		}
+	}
+	cases := []struct{ name, want string }{
+		{"dagtest/no-such-pipeline", "no pipeline registered"},
+		{"dagtest/unregistered-stage", "no job registered"},
+		{"dagtest/no-input", "zero splits"},
+	}
+	for _, tc := range cases {
+		err := dag.ValidatePipeline(tc.name, nil)
+		if err == nil {
+			t.Errorf("%s: ValidatePipeline admitted it", tc.name)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
+		}
+	}
+	p, err := dag.BuildPipeline("dagtest/no-input", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dag.Run(context.Background(), p, dag.Config{Engine: &dag.InProcess{}}); err == nil ||
+		!strings.Contains(err.Error(), "zero splits") {
+		t.Errorf("in-process run of a source stage without input: %v, want a zero-splits error", err)
 	}
 }

@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/cluster"
 	"repro/internal/iokit"
 	"repro/internal/mr"
+	"repro/internal/obs"
 )
 
 // StageRun describes one stage job execution to an engine.
@@ -14,13 +16,15 @@ type StageRun struct {
 	Pipeline string
 	Stage    *Stage
 	Iter     int
-	// Input is the upstream stage's result; nil when Inline carries the
-	// pipeline's initial records instead.
-	Input  *StageResult
-	Inline [][]mr.Record
+	// Input is the upstream stage's result; nil when the stage reads
+	// the splits its own registered job builds.
+	Input *StageResult
 	// Keep asks the engine to retain the stage's partitioned output for
 	// downstream consumption instead of collecting records.
 	Keep bool
+	// Tracer receives the stage job's spans when the engine runs the job
+	// in this process (nil-safe).
+	Tracer *obs.Tracer
 }
 
 // StageResult is one stage job's outcome. Kept results hold their
@@ -52,7 +56,8 @@ type Engine interface {
 	Release(res *StageResult)
 }
 
-// InProcess runs stage jobs through mr.Run in this process. A kept
+// InProcess runs stage jobs through mr.Run in this process, building
+// each from its registered job as a fleet worker would. A kept
 // stage's output partitions stay in memory and become the next stage's
 // splits directly — no re-spill, no driver round trip — and each stage
 // job's workspace files are swept as soon as the job finishes, success
@@ -68,14 +73,15 @@ type inProcKept struct{ parts [][]mr.Record }
 
 // RunStage implements Engine.
 func (e *InProcess) RunStage(ctx context.Context, run StageRun) (*StageResult, error) {
-	if run.Stage.Build == nil {
-		return nil, fmt.Errorf("dag: stage %q has no Build (in-process engine)", run.Stage.Name)
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	job := run.Stage.Build(run.Iter)
+	job, splits, err := cluster.BuildJob(run.Stage.Job)
+	if err != nil {
+		return nil, err
+	}
 	job.Workspace = stageWorkspace(run.Pipeline, run.Iter, run.Stage.Name)
+	job.Tracer = run.Tracer
 	if e.FS != nil {
 		job.FS = e.FS
 		// The stage's intermediate files (spills, shuffle segments) are
@@ -83,16 +89,17 @@ func (e *InProcess) RunStage(ctx context.Context, run StageRun) (*StageResult, e
 		// so sweep them now whether the job succeeded or not.
 		defer sweepPrefix(e.FS, job.Workspace+"/")
 	}
-	parts := run.Inline
 	if run.Input != nil {
-		parts = run.Input.parts()
+		parts := run.Input.parts()
 		if parts == nil {
 			return nil, fmt.Errorf("%w: stage %q input has no in-process partitions", ErrInputLost, run.Stage.Name)
 		}
-	}
-	splits := make([]mr.Split, len(parts))
-	for i := range parts {
-		splits[i] = &mr.MemSplit{Recs: parts[i]}
+		splits = make([]mr.Split, len(parts))
+		for i := range parts {
+			splits[i] = &mr.MemSplit{Recs: parts[i]}
+		}
+	} else if len(splits) == 0 {
+		return nil, fmt.Errorf("dag: stage %q: job %q built zero splits", run.Stage.Name, run.Stage.Job.Name)
 	}
 	res, err := mr.Run(job, splits)
 	if err != nil {

@@ -41,41 +41,34 @@ type fleetKept struct {
 
 // RunStage implements Engine.
 func (e *FleetEngine) RunStage(ctx context.Context, run StageRun) (*StageResult, error) {
-	if run.Stage.Ref == nil {
-		return nil, fmt.Errorf("dag: stage %q has no Ref (fleet engine)", run.Stage.Name)
-	}
 	tenant := e.Tenant
 	if tenant == "" {
 		tenant = run.Pipeline
 	}
 	spec := cluster.JobSpec{
-		Ref:             run.Stage.Ref(run.Iter),
+		Ref:             run.Stage.Job,
 		Tenant:          tenant,
 		Weight:          e.Weight,
 		Priority:        e.Priority,
 		MaxTaskAttempts: e.MaxTaskAttempts,
 		KeepOutput:      run.Keep,
 	}
+	// Without an upstream result the stage is an ordinary job: workers
+	// rebuild its splits from the registry.
 	if run.Input != nil {
 		k, ok := run.Input.kept.(*fleetKept)
 		if !ok {
 			return nil, fmt.Errorf("dag: stage %q input was not kept on this fleet", run.Stage.Name)
 		}
 		spec.Homes = k.homes
-		spec.Inputs = make([]cluster.StageInput, run.Input.Partitions)
-		for p := 0; p < run.Input.Partitions; p++ {
+		spec.Inputs = make([]cluster.Handoff, run.Input.Partitions)
+		for p := range spec.Inputs {
 			h, ok := k.handoffs[p]
 			if !ok {
 				return nil, fmt.Errorf("%w: stage %q has no handoff for partition %d",
 					ErrInputLost, run.Stage.From, p)
 			}
-			seg := h.Seg
-			spec.Inputs[p] = cluster.StageInput{Handoff: &seg, Worker: h.Worker}
-		}
-	} else {
-		spec.Inputs = make([]cluster.StageInput, len(run.Inline))
-		for i, part := range run.Inline {
-			spec.Inputs[i] = cluster.StageInput{Records: part}
+			spec.Inputs[p] = h
 		}
 	}
 	h, err := e.Fleet.Submit(ctx, spec)

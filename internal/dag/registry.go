@@ -4,23 +4,22 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/mr"
+	"repro/internal/cluster"
 )
 
 // The pipeline registry mirrors cluster's job registry: named builders
-// turn an opaque spec into a Pipeline plus its initial inputs, so a
-// job service can admit and run pipelines from a wire reference
-// without shipping closures. Builders must be deterministic in the
-// spec, and every stage they produce must register its per-iteration
-// cluster jobs too when the pipeline is meant to run on a fleet.
+// turn an opaque spec into a Pipeline, so a job service can admit and
+// run pipelines from a wire reference without shipping closures or
+// input data. Builders must be deterministic in the spec, and every
+// stage's job must be registered with cluster.RegisterJob.
 var (
 	regMu    sync.RWMutex
-	builders = make(map[string]func(spec []byte) (*Pipeline, [][]mr.Record, error))
+	builders = make(map[string]func(spec []byte) (*Pipeline, error))
 )
 
 // RegisterPipeline installs a pipeline builder under name. Duplicate
 // registration panics, matching cluster.RegisterJob.
-func RegisterPipeline(name string, build func(spec []byte) (*Pipeline, [][]mr.Record, error)) {
+func RegisterPipeline(name string, build func(spec []byte) (*Pipeline, error)) {
 	regMu.Lock()
 	defer regMu.Unlock()
 	if _, dup := builders[name]; dup {
@@ -30,22 +29,22 @@ func RegisterPipeline(name string, build func(spec []byte) (*Pipeline, [][]mr.Re
 }
 
 // BuildPipeline materializes a registered pipeline from its spec.
-func BuildPipeline(name string, spec []byte) (*Pipeline, [][]mr.Record, error) {
+func BuildPipeline(name string, spec []byte) (*Pipeline, error) {
 	regMu.RLock()
 	build := builders[name]
 	regMu.RUnlock()
 	if build == nil {
-		return nil, nil, fmt.Errorf("dag: no pipeline registered as %q", name)
+		return nil, fmt.Errorf("dag: no pipeline registered as %q", name)
 	}
 	return build(spec)
 }
 
 // ValidatePipeline checks that a reference builds a well-formed
 // pipeline without running it — admission-time validation for job
-// services. fleet additionally requires every stage to carry a fleet
-// job reference.
-func ValidatePipeline(name string, spec []byte, fleet bool) error {
-	p, _, err := BuildPipeline(name, spec)
+// services. Every stage's job must build, and a stage that reads the
+// pipeline's input (From == "") must build at least one split.
+func ValidatePipeline(name string, spec []byte) error {
+	p, err := BuildPipeline(name, spec)
 	if err != nil {
 		return err
 	}
@@ -53,11 +52,13 @@ func ValidatePipeline(name string, spec []byte, fleet bool) error {
 		return err
 	}
 	for _, s := range p.Stages {
-		if fleet && s.Ref == nil {
-			return fmt.Errorf("dag: pipeline %q stage %q cannot run on a fleet (no job ref)", name, s.Name)
+		if s.From == "" {
+			err = cluster.ValidateJob(s.Job)
+		} else {
+			_, _, err = cluster.BuildJob(s.Job)
 		}
-		if !fleet && s.Build == nil {
-			return fmt.Errorf("dag: pipeline %q stage %q cannot run in process (no builder)", name, s.Name)
+		if err != nil {
+			return fmt.Errorf("dag: pipeline %q stage %q: %w", name, s.Name, err)
 		}
 	}
 	return nil

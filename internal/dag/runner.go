@@ -50,17 +50,17 @@ type Result struct {
 	// Stages logs every successful stage job run in completion order.
 	Stages []StageStat
 	// DriverBytes counts record bytes that crossed the driver boundary:
-	// inline inputs shipped in, terminal and collected outputs shipped
-	// back. The re-spill traffic a naive job-per-stage chain pays — every
-	// stage's full output in and out — shows up here.
+	// terminal and collected outputs shipped back. The pipeline's input
+	// never passes through the driver (the first stage's job builds its
+	// own splits), while a naive job-per-stage chain pays every stage's
+	// full output in and out.
 	DriverBytes int64
 }
 
-// Run executes the pipeline over inputs (pre-partitioned: one record
-// slice per map task of the From=="" stages) until Until fires or
-// MaxIters is reached. Stage outputs flow engine-side between stages;
-// only terminal stages' records visit the driver.
-func Run(ctx context.Context, p *Pipeline, inputs [][]mr.Record, cfg Config) (*Result, error) {
+// Run executes the pipeline until Until fires or MaxIters is reached.
+// Stage outputs flow engine-side between stages; only terminal stages'
+// records visit the driver.
+func Run(ctx context.Context, p *Pipeline, cfg Config) (*Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -125,21 +125,15 @@ func Run(ctx context.Context, p *Pipeline, inputs [][]mr.Record, cfg Config) (*R
 			tasks = append(tasks, sched.Task{
 				Name: s.Name, Group: "stage", Deps: deps,
 				Run: func(ctx context.Context, tc *sched.TaskContext) (any, error) {
-					run := StageRun{Pipeline: p.Name, Stage: s, Iter: iter, Keep: keep}
-					switch {
-					case s.From != "":
+					run := StageRun{Pipeline: p.Name, Stage: s, Iter: iter, Keep: keep, Tracer: cfg.Tracer}
+					if s.From != "" {
 						in, ok := tc.Dep(s.From).(*StageResult)
 						if !ok {
 							return nil, fmt.Errorf("dag: stage %q missing input from %q", s.Name, s.From)
 						}
 						run.Input = in
-					case carry != nil:
+					} else if carry != nil {
 						run.Input = carry
-					default:
-						run.Inline = inputs
-						mu.Lock()
-						res.DriverBytes += partsBytes(inputs)
-						mu.Unlock()
 					}
 					sp := cfg.Tracer.Start(obs.KindStage,
 						fmt.Sprintf("%s/%s", p.Name, s.Name),

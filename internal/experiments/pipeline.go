@@ -42,7 +42,8 @@ type PipelineHandoffResult struct {
 type PipelineHandoffRow struct {
 	Name string
 	// DriverBytes is the record volume that crossed the driver boundary
-	// (inputs fed in, stage outputs collected back).
+	// (inputs fed in, stage outputs collected back; the pipeline's input
+	// is built by its first stage's job and never crosses it).
 	DriverBytes int64
 	// ShuffleBytes is the jobs' own total shuffle volume (identical
 	// map→reduce work in both strategies).
@@ -61,12 +62,11 @@ func PipelineHandoff(cfg Config) (*PipelineHandoffResult, error) {
 		Parts:     cfg.Reducers,
 		MaxIters:  5,
 	}
-	inputs := pagerank.IterInputs(spec)
-
 	// Chained baseline: one driver round trip per stage per iteration.
+	// Both strategies generate the graph inside their timed section.
 	chained := PipelineHandoffRow{Name: "chained jobs"}
 	start := time.Now()
-	parts := inputs
+	parts := pagerank.IterInputs(spec)
 	chained.DriverBytes += recordPartsBytes(parts)
 	chainIters := 0
 	for i := 0; i < spec.MaxIters; i++ {
@@ -89,18 +89,11 @@ func PipelineHandoff(cfg Config) (*PipelineHandoffResult, error) {
 	}
 	chained.Wall = time.Since(start)
 
-	// Pipeline: same jobs, stage outputs handed off engine-side.
-	p := pagerank.NewIterPipeline(spec)
-	for si := range p.Stages {
-		build := p.Stages[si].Build
-		p.Stages[si].Build = func(iter int) *mr.Job {
-			job := build(iter)
-			applyConfig(cfg, job)
-			return job
-		}
-	}
+	// Pipeline: same jobs, stage outputs handed off engine-side; the rank
+	// stage's job builds the same graph splits on iteration 0.
 	start = time.Now()
-	pres, err := dag.Run(context.Background(), p, inputs, dag.Config{Engine: &dag.InProcess{}, Tracer: cfg.Tracer})
+	pres, err := dag.Run(context.Background(), pagerank.NewIterPipeline(spec),
+		dag.Config{Engine: &dag.InProcess{}, Tracer: cfg.Tracer})
 	if err != nil {
 		return nil, fmt.Errorf("experiment x7 pipeline: %w", err)
 	}
@@ -121,9 +114,10 @@ func PipelineHandoff(cfg Config) (*PipelineHandoffResult, error) {
 	return out, nil
 }
 
-// chainStage runs one baseline job over driver-held partitions.
+// chainStage runs one baseline job over driver-held partitions, with
+// the job settings a pipeline stage runs with.
 func chainStage(cfg Config, name string, job *mr.Job, parts [][]mr.Record) (*mr.Result, error) {
-	applyConfig(cfg, job)
+	job.Tracer = cfg.Tracer
 	splits := make([]mr.Split, len(parts))
 	for i := range parts {
 		splits[i] = &mr.MemSplit{Recs: parts[i]}
@@ -134,22 +128,6 @@ func chainStage(cfg Config, name string, job *mr.Job, parts [][]mr.Record) (*mr.
 	}
 	cfg.Digests.Record(name, res)
 	return res, nil
-}
-
-// applyConfig applies the experiment-wide engine knobs to a stage job.
-func applyConfig(cfg Config, job *mr.Job) {
-	if cfg.Parallelism > 0 {
-		job.Parallelism = cfg.Parallelism
-	}
-	if cfg.SpillParallelism > 0 {
-		job.SpillParallelism = cfg.SpillParallelism
-	}
-	if cfg.Tracer != nil {
-		job.Tracer = cfg.Tracer
-	}
-	if cfg.Metrics != nil {
-		job.Metrics = cfg.Metrics
-	}
 }
 
 func recordPartsBytes(parts [][]mr.Record) int64 {

@@ -154,26 +154,3 @@ func FileSplits(fs iokit.FS, names []string, framed bool) []Split {
 	}
 	return splits
 }
-
-// Iterate runs an iterative dataflow: build constructs the (possibly
-// wrapped) job for each round, and each round consumes the previous
-// round's output records. It returns the final result and the summed
-// stats of all rounds — the driver pattern PageRank-style jobs need.
-// Rounds run one after another, so their wall times add up.
-func Iterate(rounds int, initial []Record, splitsPer int, build func(round int) *Job) (*Result, Stats, error) {
-	var total Stats
-	recs := initial
-	var res *Result
-	for round := 0; round < rounds; round++ {
-		var err error
-		res, err = Run(build(round), SplitRecords(recs, splitsPer))
-		if err != nil {
-			return nil, total, fmt.Errorf("mr: iteration %d: %w", round, err)
-		}
-		wall := total.WallTime + res.Stats.WallTime
-		total.Accumulate(res.Stats)
-		total.WallTime = wall
-		recs = res.SortedOutput()
-	}
-	return res, total, nil
-}

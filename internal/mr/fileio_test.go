@@ -111,67 +111,6 @@ func TestJobFromFilesAndWriteOutput(t *testing.T) {
 	}
 }
 
-func TestIterate(t *testing.T) {
-	// Each round doubles a counter per key.
-	initial := []Record{
-		{Key: []byte("a"), Value: []byte("1")},
-		{Key: []byte("b"), Value: []byte("1")},
-	}
-	build := func(round int) *Job {
-		return &Job{
-			NewMapper: NewMapFunc(func(k, v []byte, out Emitter) error {
-				if err := out.Emit(k, v); err != nil {
-					return err
-				}
-				return out.Emit(k, v)
-			}),
-			NewReducer: NewReduceFunc(func(k []byte, vals ValueIter, out Emitter) error {
-				n := 0
-				for {
-					v, ok := vals.Next()
-					if !ok {
-						break
-					}
-					var x int
-					fmt.Sscanf(string(v), "%d", &x)
-					n += x
-				}
-				return out.Emit(k, []byte(fmt.Sprintf("%d", n)))
-			}),
-			NumReduceTasks: 2,
-		}
-	}
-	res, stats, err := Iterate(4, initial, 2, build)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := outputMap(t, res)
-	if got["a"] != "16" || got["b"] != "16" { // ×2 per round, 4 rounds
-		t.Errorf("final = %v, want 16s", got)
-	}
-	if stats.MapInputRecords != 8 { // 2 records × 4 rounds
-		t.Errorf("summed MapInputRecords = %d", stats.MapInputRecords)
-	}
-	if stats.WallTime <= 0 {
-		t.Error("summed WallTime should be positive")
-	}
-	// Every round's map output is metered per partition; the rounds'
-	// meters sum into the total just as the byte counts do.
-	if len(stats.MapOutputPerPartition) != 2 {
-		t.Fatalf("summed MapOutputPerPartition = %v, want 2 partitions", stats.MapOutputPerPartition)
-	}
-	var perPart int64
-	for _, b := range stats.MapOutputPerPartition {
-		perPart += b
-	}
-	if perPart != stats.MapOutputBytes {
-		t.Errorf("per-partition map output sums to %d, MapOutputBytes = %d", perPart, stats.MapOutputBytes)
-	}
-}
-
-// TestCollectRecords: a record file read back through CollectRecords
-// holds the written records, each clipped to its own bytes, and a
-// corrupted file yields ErrIntegrity and no records.
 func TestCollectRecords(t *testing.T) {
 	fs := iokit.NewMemFS()
 	var recs []Record
@@ -236,12 +175,5 @@ func TestRecordFileAllocations(t *testing.T) {
 	roundTrip() // warm the pools
 	if n := allocatedBytes(roundTrip); n > 96<<10 {
 		t.Errorf("record file round trip of %d records allocated %d bytes, want at most 96 KiB", len(recs), n)
-	}
-}
-
-func TestIterateError(t *testing.T) {
-	bad := func(round int) *Job { return &Job{} } // invalid: no mapper
-	if _, _, err := Iterate(1, nil, 1, bad); err == nil {
-		t.Error("invalid job should surface an error")
 	}
 }

@@ -10,11 +10,12 @@ import (
 
 // SubmitPipeline admits one dag pipeline into the same queue as plain
 // jobs: it shares the tenant quotas, the journal, the dispatch caps,
-// and the status/cancel/output API. Admission validates the registered
-// pipeline for fleet execution (every stage must carry a cluster job
-// ref), so unknown pipelines and in-process-only definitions fail fast.
+// and the status/cancel/output API. Admission builds the registered
+// pipeline and every stage's job, so an unknown pipeline, a stage
+// naming an unregistered job, or a source stage with no input fails
+// fast instead of when the stage runs.
 func (s *Server) SubmitPipeline(req SubmitRequest) (JobRecord, error) {
-	if err := dag.ValidatePipeline(req.Name, []byte(req.Spec), true); err != nil {
+	if err := dag.ValidatePipeline(req.Name, []byte(req.Spec)); err != nil {
 		return JobRecord{}, err
 	}
 	return s.admit(req, KindPipeline)
@@ -26,7 +27,7 @@ func (s *Server) SubmitPipeline(req SubmitRequest) (JobRecord, error) {
 // arbitrates them against everything else under the same tenant
 // weight.
 func (s *Server) startPipelineLocked(j *job) {
-	p, inputs, err := dag.BuildPipeline(j.rec.Name, []byte(j.rec.Spec))
+	p, err := dag.BuildPipeline(j.rec.Name, []byte(j.rec.Spec))
 	if err != nil {
 		s.finishLocked(j, nil, err)
 		return
@@ -43,7 +44,7 @@ func (s *Server) startPipelineLocked(j *job) {
 	j.rec.StartedAt = time.Now()
 	s.journalLocked(journalEntry{Op: "state", ID: j.rec.ID, State: StateRunning, Time: j.rec.StartedAt})
 	go func() {
-		res, rerr := dag.Run(ctx, p, inputs, dag.Config{Engine: eng})
+		res, rerr := dag.Run(ctx, p, dag.Config{Engine: eng})
 		cancel()
 		var out *mr.Result
 		if rerr == nil {

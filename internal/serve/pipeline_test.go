@@ -62,8 +62,7 @@ func TestServePipeline(t *testing.T) {
 	}
 
 	// The service's retained result must match the in-process run.
-	want, err := dag.Run(ctx, pagerank.NewIterPipeline(iterSpec), pagerank.IterInputs(iterSpec),
-		dag.Config{Engine: &dag.InProcess{}})
+	want, err := dag.Run(ctx, pagerank.NewIterPipeline(iterSpec), dag.Config{Engine: &dag.InProcess{}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/cluster"
 	"repro/internal/dag"
@@ -332,32 +333,19 @@ func (s IterSpec) normalized() IterSpec {
 }
 
 // NewIterPipeline builds the 3-stage iterative pipeline for a spec.
-// Stage Build closures serve the in-process engine; stage Refs name
-// the registered cluster jobs so the same pipeline runs on a fleet.
+// Each stage names its registered cluster job, so the same pipeline
+// runs in process and on a fleet; the rank stage's job builds the
+// graph splits iteration 0 reads.
 func NewIterPipeline(spec IterSpec) *dag.Pipeline {
 	spec = spec.normalized()
 	raw, _ := json.Marshal(spec)
-	ref := func(name string) func(int) cluster.JobRef {
-		return func(int) cluster.JobRef { return cluster.JobRef{Name: name, Spec: raw} }
-	}
+	ref := func(name string) cluster.JobRef { return cluster.JobRef{Name: name, Spec: raw} }
 	p := &dag.Pipeline{
 		Name: "pagerank-iter",
 		Stages: []dag.Stage{
-			{
-				Name:  "rank",
-				Build: func(int) *mr.Job { return NewRankJob(spec.Nodes, spec.Parts) },
-				Ref:   ref("pagerank-iter/rank"),
-			},
-			{
-				Name: "delta", From: "rank",
-				Build: func(int) *mr.Job { return NewDeltaJob(spec.Parts) },
-				Ref:   ref("pagerank-iter/delta"),
-			},
-			{
-				Name: "norm", From: "delta",
-				Build: func(int) *mr.Job { return NewNormJob() },
-				Ref:   ref("pagerank-iter/norm"),
-			},
+			{Name: "rank", Job: ref("pagerank-iter/rank")},
+			{Name: "delta", From: "rank", Job: ref("pagerank-iter/delta")},
+			{Name: "norm", From: "delta", Job: ref("pagerank-iter/norm")},
 		},
 		Carry:    "rank",
 		Output:   "rank",
@@ -384,6 +372,21 @@ func IterInputs(spec IterSpec) [][]mr.Record {
 		Seed: spec.Seed, Nodes: spec.Nodes, AvgOutDegree: spec.AvgDegree,
 	})
 	return PartitionRecords(InitialRecords(g), spec.Parts)
+}
+
+// iterSplits serves IterInputs as one split per partition. The graph
+// is generated on the first read and shared by the spec's splits, so a
+// build whose splits are never read (a carried iteration, a
+// coordinator's Submit) generates nothing.
+func iterSplits(spec IterSpec) []mr.Split {
+	parts := sync.OnceValue(func() [][]mr.Record { return IterInputs(spec) })
+	splits := make([]mr.Split, spec.Parts)
+	for i := range splits {
+		splits[i] = &mr.GenSplit{Gen: func(emit func(key, value []byte) error) error {
+			return (&mr.MemSplit{Recs: parts()[i]}).Records(emit)
+		}}
+	}
+	return splits
 }
 
 // PartitionRecords splits records into parts groups with the default
@@ -424,14 +427,15 @@ func buildIterSpec(raw []byte) (IterSpec, error) {
 }
 
 func init() {
-	// Per-stage cluster jobs: stage inputs arrive via JobSpec.Inputs, so
-	// the builders return no splits.
+	// Per-stage cluster jobs. The rank job's splits are the graph, read
+	// on iteration 0; every other input arrives as the upstream stage's
+	// handoffs, so the delta and norm builders return no splits.
 	cluster.RegisterJob("pagerank-iter/rank", func(raw []byte) (*mr.Job, []mr.Split, error) {
 		spec, err := buildIterSpec(raw)
 		if err != nil {
 			return nil, nil, err
 		}
-		return NewRankJob(spec.Nodes, spec.Parts), nil, nil
+		return NewRankJob(spec.Nodes, spec.Parts), iterSplits(spec), nil
 	})
 	cluster.RegisterJob("pagerank-iter/delta", func(raw []byte) (*mr.Job, []mr.Split, error) {
 		spec, err := buildIterSpec(raw)
@@ -446,11 +450,11 @@ func init() {
 		}
 		return NewNormJob(), nil, nil
 	})
-	dag.RegisterPipeline("pagerank-iter", func(raw []byte) (*dag.Pipeline, [][]mr.Record, error) {
+	dag.RegisterPipeline("pagerank-iter", func(raw []byte) (*dag.Pipeline, error) {
 		spec, err := buildIterSpec(raw)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		return NewIterPipeline(spec), IterInputs(spec), nil
+		return NewIterPipeline(spec), nil
 	})
 }

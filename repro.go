@@ -112,16 +112,3 @@ func NewMapFunc(f mr.MapFunc) func() Mapper { return mr.NewMapFunc(f) }
 
 // NewReduceFunc adapts a stateless reduce function to a Reducer factory.
 func NewReduceFunc(f mr.ReduceFunc) func() Reducer { return mr.NewReduceFunc(f) }
-
-// InMapperCombining wraps a Mapper factory with the in-mapper combining
-// design pattern: emissions fold into a bounded table flushed at
-// capacity and cleanup. combine must be associative.
-func InMapperCombining(newMapper func() Mapper, combine func(acc, v []byte) []byte, maxEntries int) func() Mapper {
-	return mr.InMapperCombining(newMapper, combine, maxEntries)
-}
-
-// Iterate runs an iterative dataflow (e.g. PageRank): each round's job
-// consumes the previous round's output; stats are summed across rounds.
-func Iterate(rounds int, initial []Record, splitsPer int, build func(round int) *Job) (*Result, Stats, error) {
-	return mr.Iterate(rounds, initial, splitsPer, build)
-}

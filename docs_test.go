@@ -17,7 +17,7 @@ import (
 
 // TestDocsNameLiveSymbols keeps the prose from naming code that no
 // longer exists. Every back-ticked `pkg.Name` or `Type.Member` token in
-// README.md, DESIGN.md and EXPERIMENTS.md must resolve to one of: a
+// README.md, DESIGN.md, EXPERIMENTS.md and ROADMAP.md must resolve to one of: a
 // declaration in the tree (test files included), a declaration of a
 // standard-library package the tree imports, a Go string literal (such
 // as a counter name), a metric name in BENCHMARK.json, or the name of a
@@ -33,7 +33,7 @@ func TestDocsNameLiveSymbols(t *testing.T) {
 	path := regexp.MustCompile(`^(?:(?:internal|scripts)/[A-Za-z0-9_./-]*|[A-Za-z0-9_./-]+\.(?:go|json))$`)
 	pkgSym := regexp.MustCompile(`^(.+/[a-z0-9]+)\.([A-Za-z_][A-Za-z0-9_]*)$`)
 	mk := regexp.MustCompile(`^make ([A-Za-z0-9_-]+)`)
-	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "ROADMAP.md"} {
 		data, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)

@@ -30,6 +30,11 @@ import (
 // state (foldCombiner); the same Sum behind an opaque mr.Reducer, which
 // takes the AntiReducer's Shared path; and the declared Sum under a
 // custom (byte-equal) KeyCompare, for which Wrap declines the fold.
+// A job with a combiner also declares its reducer as the Sum monoid's,
+// which Wrap folds into a key-ordered state table (foldReducer) under
+// every combiner but the KeyCompare one. One setting in three sets
+// Shared's memory limit to 32 bytes and its merge factor to 2, so that
+// the state table spills and merges too.
 
 // contractSeeds is how many generated jobs plain `go test` checks.
 const contractSeeds = 60
@@ -65,6 +70,12 @@ type opaqueReducer struct{ mr.Reducer }
 // under opts.
 func (c contractCase) wantFold(opts Options) bool {
 	return c.combiner == combinerDeclared && opts.MapCombiner && !opts.DisableSharedCombine
+}
+
+// wantReduceFold reports whether Wrap should pick the fold reducer for
+// the case under opts.
+func (c contractCase) wantReduceFold(opts Options) bool {
+	return c.combiner != combinerNone && c.combiner != combinerKeyCompare && !opts.DisableSharedCombine
 }
 
 // firstBytePartitioner routes by the key's first byte — a partitioner
@@ -103,6 +114,11 @@ func genContractCase(seed int64) contractCase {
 			SharedMemLimitBytes: pick(256, 2<<10, 0),
 		}
 	)
+	if rng.Intn(3) == 0 {
+		// Small enough for the fold reducer's few-byte Sum states to
+		// spill, and to merge every third run.
+		opts.SharedMemLimitBytes, opts.SharedMergeFactor = 32, 2
+	}
 
 	// Map is a deterministic function of its input record alone: the
 	// record's bytes seed everything it emits, so a reduce-side
@@ -167,9 +183,9 @@ func genContractCase(seed int64) contractCase {
 		}
 		return job
 	}
-	desc := fmt.Sprintf("splits=%d×%d fan≤%d keys=%d/len%d valueLen=%d dup=%d%% combiner=%s prefixPartitioner=%v reducers=%d sortBuf=%d mergeFactor=%d snappy=%v T=%v mapCombiner=%v sharedMem=%d",
+	desc := fmt.Sprintf("splits=%d×%d fan≤%d keys=%d/len%d valueLen=%d dup=%d%% combiner=%s prefixPartitioner=%v reducers=%d sortBuf=%d mergeFactor=%d snappy=%v T=%v mapCombiner=%v sharedMem=%d sharedMergeFactor=%d",
 		nSplits, perSplit, maxFan, nKeys, keyLen, valueLen, dupPct, combinerNames[combiner], prefix, reducers, sortBuf, mergeF, snappy,
-		opts.T, opts.MapCombiner, opts.SharedMemLimitBytes)
+		opts.T, opts.MapCombiner, opts.SharedMemLimitBytes, opts.SharedMergeFactor)
 	return contractCase{desc: desc, splits: splits, build: build, opts: opts, combiner: combiner, valueLen: valueLen}
 }
 
@@ -203,6 +219,9 @@ func sortedValuesReduce(key []byte, values mr.ValueIter, out mr.Emitter) error {
 }
 
 func TestContractOriginalEqualsAntiCombined(t *testing.T) {
+	// Runs of the fold reducer, and how many of them spilled and merged
+	// state runs.
+	var folds, spilled, merged int
 	for seed := int64(1); seed <= contractSeeds; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			c := genContractCase(seed)
@@ -240,6 +259,9 @@ func TestContractOriginalEqualsAntiCombined(t *testing.T) {
 						t.Fatalf("%v: Wrap folds = %v, want %v\n%s", strategy, folds, c.wantFold(opts), replay)
 					}
 				}
+				if _, folds := wjob.NewReducer().(*foldReducer); folds != c.wantReduceFold(opts) {
+					t.Fatalf("%v: Wrap's reducer folds = %v, want %v\n%s", strategy, folds, c.wantReduceFold(opts), replay)
+				}
 				res, err := mr.Run(wjob, c.splits)
 				if err != nil {
 					t.Fatalf("%v failed: %v\n%s", strategy, err, replay)
@@ -249,9 +271,22 @@ func TestContractOriginalEqualsAntiCombined(t *testing.T) {
 					t.Fatalf("%v output differs from Original: %d records vs %d%s\n%s",
 						strategy, len(got), len(want), firstDifference(got, want), replay)
 				}
+				if c.wantReduceFold(opts) {
+					folds++
+					if res.Stats.Extra[CounterSharedSpills] > 0 {
+						spilled++
+					}
+					if res.Stats.Extra[CounterSharedMerges] > 0 {
+						merged++
+					}
+				}
 			}
 		})
 	}
+	if folds > 0 && (spilled == 0 || merged == 0) {
+		t.Errorf("of %d fold reducer runs, %d spilled and %d merged state runs; want some of each", folds, spilled, merged)
+	}
+	t.Logf("fold reducer runs: %d, %d spilled, %d merged", folds, spilled, merged)
 }
 
 // firstDifference describes the first position two outputs diverge at.

@@ -1,6 +1,7 @@
 package anticombine
 
 import (
+	"bytes"
 	"fmt"
 
 	"repro/internal/monoid"
@@ -91,4 +92,143 @@ func (c *foldCombiner) fail(err error) error {
 	c.table = nil
 	c.reexec.abort()
 	return err
+}
+
+// foldReducer is the AntiReducer Wrap picks when the job's reducer is a
+// commutative monoid's (a monoid.Folder handing out monoid.KeyTables)
+// and keys compare as raw bytes. Where the AntiReducer stages every
+// decoded value in Shared and hands each key's values to the original
+// Reduce, foldReducer folds each record into the monoid's typed per-key
+// state with foldCombiner's absorb, and finalizes the states in
+// ascending key order: those below an incoming group before it, the
+// group's own at its end, the rest at Cleanup (§5's drain discipline).
+// Each state absorbs its values in the order Shared would hand them to
+// the original Reduce.
+//
+// The table is bounded as Shared is, by SharedMemLimitBytes. Past the
+// limit the states' encoded size is measured, and unless it is under
+// half the limit the states spill, in key order, as one Shared run. A
+// spilled key's run records are absorbed back into its state just
+// before the state is finalized.
+type foldReducer struct {
+	foldCombiner
+	keyed monoid.KeyTable
+	limit int
+	runs  runSet
+	min   []byte // the key being finalized
+}
+
+// newFoldReducer returns a fold reducer over a table from fold, which
+// Wrap has checked hands out KeyTables.
+func newFoldReducer(fold monoid.Folder, newMapper func() mr.Mapper, opts Options) *foldReducer {
+	table := fold.FoldTable().(monoid.KeyTable)
+	limit, mergeFactor := sharedLimits(opts.SharedMemLimitBytes, opts.SharedMergeFactor)
+	return &foldReducer{
+		foldCombiner: foldCombiner{table: table, reexec: mapReexec{newMapper: newMapper, table: table}},
+		keyed:        table,
+		limit:        limit,
+		runs:         runSet{mergeFactor: mergeFactor},
+	}
+}
+
+// Setup implements mr.Reducer.
+func (r *foldReducer) Setup(info *mr.TaskInfo, _ mr.Emitter) error {
+	r.reexec.info = info
+	r.runs.RunMerger = mr.NewRunMerger(info.FS, nil)
+	r.runs.fs, r.runs.info = info.FS, info
+	r.runs.counters, r.runs.tracer = info.Counters, info.Tracer
+	return nil
+}
+
+// Reduce implements mr.Reducer.
+func (r *foldReducer) Reduce(key []byte, values mr.ValueIter, out mr.Emitter) error {
+	if err := r.finalize(key, belowKey, out); err != nil {
+		return r.fail(err)
+	}
+	r.keyed.Begin(key)
+	for {
+		raw, ok := values.Next()
+		if !ok {
+			break
+		}
+		if err := r.absorb(key, raw); err != nil {
+			return r.fail(err)
+		}
+		if err := r.bound(); err != nil {
+			return r.fail(err)
+		}
+	}
+	if err := r.finalize(key, throughKey, out); err != nil {
+		return r.fail(err)
+	}
+	return nil
+}
+
+// How far finalize goes: the states whose keys compare to its key below
+// the bound.
+const (
+	belowKey   = 0 // keys below it
+	throughKey = 1 // and the key itself
+	everyKey   = 2 // every key
+)
+
+// finalize renders, in ascending key order, the states of the keys
+// whose bytes.Compare with key is below bound, first absorbing what the
+// runs hold for each.
+func (r *foldReducer) finalize(key []byte, bound int, out mr.Emitter) error {
+	for {
+		k, ok := r.keyed.Min()
+		if rk, rok := r.runs.Peek(); rok && (!ok || bytes.Compare(rk, k) < 0) {
+			k, ok = rk, true
+		}
+		if !ok || bytes.Compare(k, key) >= bound {
+			return nil
+		}
+		r.min = append(r.min[:0], k...)
+		for rk, ok := r.runs.Peek(); ok && bytes.Equal(rk, r.min); rk, ok = r.runs.Peek() {
+			_, v, err := r.runs.Next()
+			if err != nil {
+				return err
+			}
+			if err := r.keyed.Absorb(r.min, v); err != nil {
+				return err
+			}
+		}
+		if err := r.keyed.FinalizeMin(out); err != nil {
+			return err
+		}
+	}
+}
+
+// bound holds the table to the limit: past it, the states are measured,
+// and unless they encode in under half the limit they spill as one run.
+func (r *foldReducer) bound() error {
+	if r.keyed.Charge() <= r.limit {
+		return nil
+	}
+	if n, err := r.keyed.Measure(); err != nil || n < r.limit/2 {
+		return err
+	}
+	return r.runs.spill(func(w *mr.RecordWriter) error {
+		return r.keyed.Emit(mr.EmitterFunc(w.Write))
+	})
+}
+
+// Cleanup implements mr.Reducer: every state left is finalized.
+func (r *foldReducer) Cleanup(out mr.Emitter) error {
+	if err := r.finalize(nil, everyKey, out); err != nil {
+		return r.fail(err)
+	}
+	if err := r.runs.Close(); err != nil {
+		return r.fail(err)
+	}
+	r.table.Release()
+	r.table = nil
+	return r.reexec.cleanup()
+}
+
+// fail is foldCombiner's, and closes the runs too.
+func (r *foldReducer) fail(err error) error {
+	r.runs.Close()
+	return r.foldCombiner.fail(err)
 }

@@ -127,9 +127,9 @@ func TestSharedMergeErrorCleanup(t *testing.T) {
 	// write is its first 64 KiB frame, with every run still being read.
 	runs := s.runs.Len()
 	flaky.FailWriteAt = 1 // every write from now on fails
-	err := s.mergeRuns()
+	err := s.runs.merge()
 	if !errors.Is(err, iokit.ErrInjected) {
-		t.Fatalf("mergeRuns error = %v, want injected", err)
+		t.Fatalf("merge error = %v, want injected", err)
 	}
 	after := listFiles(t, mem)
 	for _, name := range after {

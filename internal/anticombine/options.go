@@ -50,6 +50,9 @@ type Options struct {
 	MapCombiner bool
 	// DisableSharedCombine turns off combine-on-insert in the Shared
 	// structure even when the job has a combiner (§5 recommends it on).
+	// It also turns off the fold paths, which combine without Shared:
+	// the map-side fold of a declared combiner and the reduce-side fold
+	// of a declared reducer. The reduce phase then combines nothing.
 	DisableSharedCombine bool
 	// SharedMemLimitBytes caps Shared's in-memory size before spilling.
 	// Defaults to 1 MiB.

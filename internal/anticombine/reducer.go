@@ -2,15 +2,10 @@ package anticombine
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/monoid"
 	"repro/internal/mr"
 )
-
-// instanceSeq disambiguates Shared spill-file prefixes across the
-// reducer/combiner instances that share one task attempt's scratch.
-var instanceSeq atomic.Int64
 
 // antiReducer is the paper's AntiReducer (Figure 8). It also serves as
 // the transformed Combiner (§6.1: "a Combiner is defined as a reducer
@@ -58,18 +53,9 @@ func (r *antiReducer) Setup(info *mr.TaskInfo, out mr.Emitter) error {
 		Counters:      info.Counters,
 		Tracer:        info.Tracer,
 	})
-	r.shared.owner = r
+	r.shared.runs.info = info
 	r.reexec = mapReexec{newMapper: r.newMapper, info: info, shared: &r.shared}
 	return r.inner.Setup(info, r.wrapOut(out))
-}
-
-// spillPrefix names Shared's spill files, under the task attempt's
-// scratch directory, which the engine clears when the attempt fails. It
-// is asked for at the first spill: most instances — every transformed
-// combiner whose run fits Shared — never spill, and do not pay for
-// formatting a name.
-func (r *antiReducer) spillPrefix() string {
-	return fmt.Sprintf("%s/anti/p%04d-i%d", r.info.Scratch, r.info.Partition, instanceSeq.Add(1))
 }
 
 // plainEmitter re-encodes emitted values as plain records. A combiner's

@@ -3,7 +3,6 @@ package anticombine
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"hash/maphash"
 	"math"
 	"sync"
@@ -57,20 +56,12 @@ type Shared struct {
 	mem    int         // live key+value bytes: the quantity memLimit bounds
 	stored int         // bytes stored since the blocks last emptied, live and dead
 
-	memLimit    int
-	mergeFactor int
-	fs          iokit.FS
-	prefix      string
-	owner       *antiReducer // names the spill files at the first spill, when prefix is empty
-	spillSeq    int
-	runs        mr.RunMerger // the spilled runs
-	counters    *mr.Counters
-	tracer      *obs.Tracer
+	memLimit int
+	runs     runSet // the spilled runs
 
 	combiner   mr.Reducer
 	combineOut mr.Emitter // stores the combiner's output and appends it to combined
 	combineIn  sliceIter
-	spills     int64
 }
 
 // sharedBufs is the memory a Shared works in besides its blocks. It
@@ -188,28 +179,37 @@ func NewShared(cfg SharedConfig) *Shared {
 	return s
 }
 
+// sharedLimits applies the defaults of a memory limit and a merge factor
+// for spill runs: 1 MiB, and 10 runs.
+func sharedLimits(memLimit, mergeFactor int) (int, int) {
+	if memLimit <= 0 {
+		memLimit = 1 << 20
+	}
+	if mergeFactor < 2 {
+		mergeFactor = 10
+	}
+	return memLimit, mergeFactor
+}
+
 // init makes s an empty Shared, on pooled buffers when there are any.
 func (s *Shared) init(cfg SharedConfig) {
 	if cfg.GroupCompare == nil {
 		cfg.GroupCompare = cfg.KeyCompare
 	}
-	if cfg.MemLimitBytes <= 0 {
-		cfg.MemLimitBytes = 1 << 20
-	}
-	if cfg.MergeFactor < 2 {
-		cfg.MergeFactor = 10
-	}
+	cfg.MemLimitBytes, cfg.MergeFactor = sharedLimits(cfg.MemLimitBytes, cfg.MergeFactor)
 	*s = Shared{
-		cmp:         cfg.KeyCompare,
-		groupCmp:    cfg.GroupCompare,
-		memLimit:    cfg.MemLimitBytes,
-		mergeFactor: cfg.MergeFactor,
-		fs:          cfg.FS,
-		prefix:      cfg.Prefix,
-		runs:        mr.NewRunMerger(cfg.FS, cfg.KeyCompare),
-		counters:    cfg.Counters,
-		tracer:      cfg.Tracer,
-		combiner:    cfg.Combiner,
+		cmp:      cfg.KeyCompare,
+		groupCmp: cfg.GroupCompare,
+		memLimit: cfg.MemLimitBytes,
+		runs: runSet{
+			RunMerger:   mr.NewRunMerger(cfg.FS, cfg.KeyCompare),
+			fs:          cfg.FS,
+			prefix:      cfg.Prefix,
+			mergeFactor: cfg.MergeFactor,
+			counters:    cfg.Counters,
+			tracer:      cfg.Tracer,
+		},
+		combiner: cfg.Combiner,
 	}
 	if s.box, _ = sharedPool.Get().(*sharedBufs); s.box != nil {
 		s.sharedBufs = *s.box
@@ -541,80 +541,27 @@ func (s *Shared) PopMinKeyValues() (key []byte, values [][]byte, err error) {
 }
 
 // Spills reports how many times Shared spilled to disk.
-func (s *Shared) Spills() int { return int(s.spills) }
+func (s *Shared) Spills() int { return int(s.runs.spills) }
 
 // spill writes the in-memory content to a new sorted run, then merges
 // runs if they exceed the merge factor.
 func (s *Shared) spill() error {
-	if s.fs == nil {
-		return errors.New("anticombine: Shared memory limit exceeded and no spill FS configured")
-	}
-	if s.prefix == "" && s.owner != nil {
-		s.prefix = s.owner.spillPrefix()
-	}
-	name := fmt.Sprintf("%s/shared-spill%04d", s.prefix, s.spillSeq)
-	s.spillSeq++
-	s.spills++
-	if s.counters != nil {
-		s.counters.AddExtra(CounterSharedSpills, 1)
-	}
-	span := s.tracer.Start(obs.KindSharedSpill, name)
-	w, err := mr.CreateRecordFile(s.fs, name)
-	for err == nil && len(s.heap) > 0 {
-		id := s.popHeap()
-		s.free = append(s.free, id)
-		e := &s.ents[id]
-		for _, v := range e.vals {
-			if err = w.Write(e.key, s.view(v)); err != nil {
-				break
+	err := s.runs.spill(func(w *mr.RecordWriter) error {
+		for len(s.heap) > 0 {
+			id := s.popHeap()
+			s.free = append(s.free, id)
+			e := &s.ents[id]
+			for _, v := range e.vals {
+				if err := w.Write(e.key, s.view(v)); err != nil {
+					return err
+				}
 			}
 		}
-	}
+		return nil
+	})
 	// Written or lost, the in-memory content is gone.
 	s.resetMem()
-	if err = s.addRun(span, name, w, err); err != nil || s.runs.Len() <= s.mergeFactor {
-		return err
-	}
-	return s.mergeRuns()
-}
-
-// mergeRuns merges all runs into one, mirroring the map phase's spill
-// merge (§5): it drains the merger into a new run, and the merger removes
-// each source run's file as the run is exhausted. On a mid-merge error
-// the partial merge file is removed; the source runs still open are left
-// for Close.
-func (s *Shared) mergeRuns() error {
-	name := fmt.Sprintf("%s/shared-merge%04d", s.prefix, s.spillSeq)
-	s.spillSeq++
-	if s.counters != nil {
-		s.counters.AddExtra(CounterSharedMerges, 1)
-	}
-	span := s.tracer.Start(obs.KindSharedMerge, name, obs.Int("runs", int64(s.runs.Len())))
-	w, err := mr.CreateRecordFile(s.fs, name)
-	for err == nil && s.runs.Len() > 0 {
-		var k, v []byte
-		if k, v, err = s.runs.Next(); err == nil {
-			err = w.Write(k, v)
-		}
-	}
-	return s.addRun(span, name, w, err)
-}
-
-// addRun finishes the run w was writing to name — err is the error
-// writing it, if any, and w is nil when the file was never created —
-// ends span with the outcome, and pushes the run onto the merger. A
-// failed run's file is removed.
-func (s *Shared) addRun(span *obs.SpanRef, name string, w *mr.RecordWriter, err error) error {
-	var records, written int64
-	if w != nil {
-		records, written, err = w.Close(err)
-	}
-	if err != nil {
-		span.End(obs.Str("outcome", "failed"), obs.Str("err", err.Error()))
-		return err
-	}
-	span.End(obs.Int("records", records), obs.Int("bytes", written))
-	return s.runs.Push(name)
+	return err
 }
 
 // Close releases any open spill run readers and deletes their backing

@@ -22,7 +22,11 @@ import (
 // When the combiner is a commutative monoid's (monoid.Folder) and keys
 // compare as raw bytes, the transformed map-side combiner folds every
 // record into the monoid's typed per-key state instead (foldCombiner);
-// the outcome is the same records.
+// the outcome is the same records. Likewise, when the reducer is one
+// (monoid.Reducer of a commutative monoid), the AntiReducer folds into a
+// key-ordered table of typed states and finalizes them in key order
+// (foldReducer) instead of staging values in Shared; the outcome is the
+// same output. DisableSharedCombine keeps both on Shared.
 func Wrap(job *mr.Job, opts Options) *mr.Job {
 	w := *job
 	w.Name = job.Name + "-anti-" + opts.Strategy.String()
@@ -36,43 +40,63 @@ func Wrap(job *mr.Job, opts Options) *mr.Job {
 	w.NewMapper = func() mr.Mapper {
 		return &antiMapper{inner: newMapper(), opts: opts, lazyAllowed: lazyAllowed}
 	}
-	w.NewReducer = func() mr.Reducer {
-		return &antiReducer{
-			inner:       newReducer(),
-			newMapper:   newMapper,
-			newCombiner: newCombiner,
-			opts:        opts,
-		}
-	}
-	switch fold := foldOf(job, opts); {
-	case fold != nil:
-		w.NewCombiner = func() mr.Reducer { return newFoldCombiner(fold, newMapper) }
-	case newCombiner != nil && opts.MapCombiner:
-		w.NewCombiner = func() mr.Reducer {
+	if fold := reduceFoldOf(job, opts); fold != nil {
+		w.NewReducer = func() mr.Reducer { return newFoldReducer(fold, newMapper, opts) }
+	} else {
+		w.NewReducer = func() mr.Reducer {
 			return &antiReducer{
-				inner:       newCombiner(),
+				inner:       newReducer(),
 				newMapper:   newMapper,
 				newCombiner: newCombiner,
 				opts:        opts,
-				combineMode: true,
 			}
 		}
-	default:
-		w.NewCombiner = nil
+	}
+	w.NewCombiner = nil
+	if newCombiner != nil && opts.MapCombiner {
+		if fold := foldOf(newCombiner, job, opts); fold != nil {
+			w.NewCombiner = func() mr.Reducer { return newFoldCombiner(fold, newMapper) }
+		} else {
+			w.NewCombiner = func() mr.Reducer {
+				return &antiReducer{
+					inner:       newCombiner(),
+					newMapper:   newMapper,
+					newCombiner: newCombiner,
+					opts:        opts,
+					combineMode: true,
+				}
+			}
+		}
 	}
 	return &w
 }
 
-// foldOf returns the fold tables the transformed map-side combiner
-// folds into, or nil when it must run as the AntiReducer's combine mode.
-// Folding needs a map-side combiner that is a monoid.Folder and key
-// equality that is byte equality (no KeyCompare, no GroupCompare); the
-// DisableSharedCombine ablation keeps the Shared path.
-func foldOf(job *mr.Job, opts Options) monoid.Folder {
-	if job.NewCombiner == nil || !opts.MapCombiner || opts.DisableSharedCombine ||
-		job.KeyCompare != nil || job.GroupCompare != nil {
+// foldOf returns the fold tables newReducer's reducers hand out, or nil
+// when the transformed function must run on Shared. Folding needs a
+// monoid.Folder and key equality that is byte equality (no KeyCompare,
+// no GroupCompare); the DisableSharedCombine ablation keeps the Shared
+// path.
+func foldOf(newReducer func() mr.Reducer, job *mr.Job, opts Options) monoid.Folder {
+	if newReducer == nil || opts.DisableSharedCombine || job.KeyCompare != nil || job.GroupCompare != nil {
 		return nil
 	}
-	fold, _ := job.NewCombiner().(monoid.Folder)
+	fold, _ := newReducer().(monoid.Folder)
+	return fold
+}
+
+// reduceFoldOf returns the fold tables the AntiReducer folds into
+// (foldReducer), or nil when it must run on Shared: the job's reducer
+// must be a Folder whose tables are monoid.KeyTables, as
+// monoid.Reducer's are for a commutative monoid.
+func reduceFoldOf(job *mr.Job, opts Options) monoid.Folder {
+	fold := foldOf(job.NewReducer, job, opts)
+	if fold == nil {
+		return nil
+	}
+	t := fold.FoldTable()
+	defer t.Release()
+	if _, ok := t.(monoid.KeyTable); !ok {
+		return nil
+	}
 	return fold
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"testing"
 )
 
@@ -100,6 +101,12 @@ func TestBlockStreamsReuseBuffers(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation sizes differ under the race detector")
 	}
+	// The second stream takes its buffers from the sync.Pool the first
+	// one put them in. A collection between the two would empty the
+	// pool, and a move to another P would miss the first P's slot: hold
+	// off both.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	rng := rand.New(rand.NewSource(2))
 	words := make([][]byte, 500)
 	for i := range words {

@@ -151,12 +151,16 @@ func QSCombiner(cfg Config) (*QSCombinerResult, error) {
 		return nil, err
 	}
 
-	smallShared := anticombine.Options{Strategy: anticombine.Adaptive, SharedMemLimitBytes: 64 << 10}
 	antiJob := func(withCombiner bool) *mr.Job {
 		job := querysuggest.NewJob(querysuggest.Config{
 			Partitioner: qsPartitioner(part), Reducers: cfg.Reducers,
 		}, withCombiner)
-		w := anticombine.Wrap(job, smallShared)
+		// Without a combiner the paper's reduce phase does not combine:
+		// the declared reducer must not fold either.
+		w := anticombine.Wrap(job, anticombine.Options{
+			Strategy: anticombine.Adaptive, SharedMemLimitBytes: 64 << 10,
+			DisableSharedCombine: !withCombiner,
+		})
 		w.DiscardOutput = true
 		return w
 	}
@@ -319,9 +323,11 @@ func QSCostBreakdown(cfg Config) (*QSCostBreakdownResult, error) {
 	splits := qsSplits(cfg, log)
 	const part = "Prefix-5"
 	gz := codec.Gzip{}
-	smallShared := func(base anticombine.Options) anticombine.Options {
-		base.SharedMemLimitBytes = 64 << 10
-		return base
+	// Only the -CB row combines in the reduce phase, as in the paper: the
+	// others keep the declared reducer off the fold too.
+	smallShared := func(combine bool) *anticombine.Options {
+		return &anticombine.Options{Strategy: anticombine.Adaptive,
+			SharedMemLimitBytes: 64 << 10, DisableSharedCombine: !combine}
 	}
 
 	type spec struct {
@@ -335,12 +341,10 @@ func QSCostBreakdown(cfg Config) (*QSCostBreakdownResult, error) {
 		{name: "Original", variant: VariantOriginal},
 		{name: "Original-CB", variant: VariantOriginal, withCombiner: true},
 		{name: "Original-CP", variant: VariantOriginal, mutate: func(j *mr.Job) { j.Codec = gz }},
-		{name: "AdaptiveSH", variant: VariantAdaptive,
-			opts: ptr(smallShared(anticombine.AdaptiveInf()))},
-		{name: "AdaptiveSH-CB", variant: VariantAdaptive, withCombiner: true,
-			opts: ptr(smallShared(anticombine.AdaptiveInf()))},
+		{name: "AdaptiveSH", variant: VariantAdaptive, opts: smallShared(false)},
+		{name: "AdaptiveSH-CB", variant: VariantAdaptive, withCombiner: true, opts: smallShared(true)},
 		{name: "AdaptiveSH-CP", variant: VariantAdaptive, mutate: func(j *mr.Job) { j.Codec = gz },
-			opts: ptr(smallShared(anticombine.AdaptiveInf()))},
+			opts: smallShared(false)},
 	}
 	var rows []RunMetrics
 	for _, s := range specs {
@@ -376,5 +380,3 @@ func (r *QSCostBreakdownResult) Render(w io.Writer) {
 }
 
 func itoa(n int64) string { return strconv.FormatInt(n, 10) }
-
-func ptr[T any](v T) *T { return &v }

@@ -45,10 +45,20 @@ type foldingReducer[S any] struct {
 // FoldTable implements Folder.
 func (r *foldingReducer[S]) FoldTable() FoldTable { return getTable(r.m, r.tables) }
 
-// Folder is implemented by the combiner Combiner derives from a
-// Commutative monoid. Anti-Combining's transformed map-side combiner
-// folds each incoming record into the tables it hands out instead of
-// staging every key in Shared. FoldTable is safe for concurrent use.
+// finalizingReducer is the reducer derived from a Commutative monoid:
+// the same reducer, which also hands out key tables finalizing through
+// its final.
+type finalizingReducer[S any] struct{ reducer[S] }
+
+// FoldTable implements Folder; the table is a KeyTable.
+func (r *finalizingReducer[S]) FoldTable() FoldTable { return newKeyTable(r.m, r.final) }
+
+// Folder is implemented by the combiner Combiner and the reducer Reducer
+// derive from a Commutative monoid. Anti-Combining's transformed
+// map-side combiner folds each incoming record into the tables the
+// combiner hands out, and its reducer into the reducer's KeyTables,
+// instead of staging every key in Shared. FoldTable is safe for
+// concurrent use.
 type Folder interface {
 	FoldTable() FoldTable
 }
@@ -71,8 +81,13 @@ func Combiner[S any](m Monoid[S]) func() mr.Reducer {
 // output is the state encoding itself (aggregate jobs like wordcount
 // and skewagg, whose reducer IS their combiner). A non-nil final
 // renders the fully merged state into the job's output format instead
-// (querysuggest's top-k rendering, pagerank's rank update).
+// (querysuggest's top-k rendering, pagerank's rank update). For a
+// Commutative monoid the reducer is also a Folder, whose tables are
+// KeyTables.
 func Reducer[S any](m Monoid[S], final func(key []byte, s S, out mr.Emitter) error) func() mr.Reducer {
+	if _, ok := m.(Commutative[S]); ok {
+		return func() mr.Reducer { return &finalizingReducer[S]{reducer[S]{m: m, final: final}} }
+	}
 	return func() mr.Reducer { return &reducer[S]{m: m, final: final} }
 }
 

@@ -4,10 +4,11 @@
 // associative Merge with an Identity element over a workload-defined
 // aggregation state. A workload declares its monoid once; the adapters
 // in this package derive the classic map-side Combiner, the reducer, the
-// in-mapper combining pattern and the typed fold table the transformed
-// map-side combiner folds EagerSH records into from that one
-// declaration, and the law checkers verify (rather than assume) the
-// algebra every derived strategy depends on.
+// in-mapper combining pattern, the typed fold table the transformed
+// map-side combiner folds EagerSH records into and the key-ordered table
+// the transformed reducer folds into from that one declaration, and the
+// law checkers verify (rather than assume) the algebra every derived
+// strategy depends on.
 //
 // The contract is byte-oriented on the outside — mr jobs move raw
 // []byte values — but state-typed on the inside: Absorb decodes one

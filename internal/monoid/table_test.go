@@ -3,6 +3,7 @@ package monoid_test
 import (
 	"bytes"
 	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/monoid"
@@ -14,7 +15,8 @@ import (
 // reference: arbitrary key bytes (empty keys, shared prefixes), enough
 // keys to resize the index several times, EagerSH-style shared absorbs,
 // emit order, and tables released and taken again across the instances
-// of one Combiner.
+// of one Combiner. The key tables of the Reducer derived from the same
+// monoid take the same operations.
 //
 // An op is one byte b, then a key-length byte and up to that many key
 // bytes. b's low bit picks Absorb or AbsorbShared; the value absorbed
@@ -26,9 +28,14 @@ func FuzzFoldTable(f *testing.F) {
 	f.Add([]byte("\xff\x04keys\xfd\x04kez\x00\x00"), uint8(3))
 	f.Add([]byte("\xc1\x02\x00\x00\xc1\x00\xc1\x01\x01"), uint8(1))
 	newCombiner := monoid.Combiner(wordcount.Sum{})
+	newReducer := monoid.Reducer(wordcount.Sum{}, nil)
 	f.Fuzz(func(t *testing.T, data []byte, rounds uint8) {
 		for round := 0; round <= int(rounds%4); round++ {
-			table := newCombiner().(monoid.Folder).FoldTable()
+			newTable := newCombiner
+			if round%2 == 1 {
+				newTable = newReducer
+			}
+			table := newTable().(monoid.Folder).FoldTable()
 			// Each table is filled, emitted and filled again before release.
 			for fill := 0; fill < 2; fill++ {
 				want := applyOps(t, table, data)
@@ -114,5 +121,59 @@ func TestFoldTablePoisonsOnRelease(t *testing.T) {
 	table.Release()
 	if !bytes.Equal(kept, bytes.Repeat([]byte{0xDB}, len("kept"))) {
 		t.Fatalf("key view after Release reads %q, want poison", kept)
+	}
+}
+
+// TestKeyTableFinalizesInKeyOrder: a reducer's key table finalizes its
+// states smallest key first, through final; the state Begin keeps
+// outside the table counts as the smallest; Charge follows what is
+// absorbed and finalized, and Measure replaces it by the encoded size.
+func TestKeyTableFinalizesInKeyOrder(t *testing.T) {
+	final := func(key []byte, n uint64, out mr.Emitter) error {
+		return out.Emit(key, []byte("total "+strconv.FormatUint(n, 10)))
+	}
+	table := monoid.Reducer(wordcount.Sum{}, final)().(monoid.Folder).FoldTable().(monoid.KeyTable)
+	absorb := func(key, value string) {
+		t.Helper()
+		if err := table.Absorb([]byte(key), []byte(value)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	absorb("banana", "10")
+	absorb("apricot", "7")
+	absorb("apple", "5")
+	if got := table.Charge(); got != len("banana10apricot7apple5") {
+		t.Fatalf("Charge = %d after three keys", got)
+	}
+	table.Begin([]byte("apple"))    // held: no local state
+	absorb("apple", "1")            // into the table's apple
+	table.Begin([]byte("aardvark")) // not held: a local state
+	absorb("aardvark", "2")
+	absorb("aardvark", "3")
+	if min, _ := table.Min(); string(min) != "aardvark" {
+		t.Fatalf("Min = %q, want the local key", min)
+	}
+	if n, err := table.Measure(); err != nil || n != len("aardvark5apple6apricot7banana10") {
+		t.Fatalf("Measure = %d, %v", n, err)
+	}
+	var got []string
+	out := mr.EmitterFunc(func(k, v []byte) error {
+		got = append(got, string(k)+"="+string(v))
+		return nil
+	})
+	for {
+		if _, ok := table.Min(); !ok {
+			break
+		}
+		if err := table.FinalizeMin(out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := []string{"aardvark=total 5", "apple=total 6", "apricot=total 7", "banana=total 10"}
+	if strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Fatalf("finalized %v, want %v", got, want)
+	}
+	if c := table.Charge(); c != 0 {
+		t.Errorf("Charge = %d with every state finalized", c)
 	}
 }

@@ -95,39 +95,53 @@ func (mapper) Map(key, value []byte, out mr.Emitter) error {
 // aggregate (prefix, (query, m)) per distinct query, sorted for
 // determinism — replacing m occurrences of the same (prefix, query)
 // exactly as the paper's combiner does (§2). The reducer is the same
-// monoid with a top-k rendering final.
+// monoid with a top-k rendering final. The table maps each query to its
+// count's cell, so absorbing a query already counted updates the cell in
+// place: only a first-seen query allocates.
 type Counts struct{}
 
 // Identity implements monoid.Monoid.
-func (Counts) Identity() map[string]uint64 { return map[string]uint64{} }
+func (Counts) Identity() map[string]*uint64 { return map[string]*uint64{} }
 
 // Absorb implements monoid.Monoid.
-func (Counts) Absorb(counts map[string]uint64, v []byte) (map[string]uint64, error) {
+func (Counts) Absorb(counts map[string]*uint64, v []byte) (map[string]*uint64, error) {
 	count, query, err := DecodeValue(v)
 	if err != nil {
 		return counts, err
 	}
-	counts[string(query)] += count
+	c := counts[string(query)]
+	if c == nil {
+		c = new(uint64)
+		counts[string(query)] = c
+	}
+	*c += count
 	return counts, nil
 }
 
 // Merge implements monoid.Monoid.
-func (Counts) Merge(x, y map[string]uint64) (map[string]uint64, error) {
+func (Counts) Merge(x, y map[string]*uint64) (map[string]*uint64, error) {
 	for q, c := range y {
-		x[q] += c
+		xc := x[q]
+		if xc == nil {
+			xc = new(uint64)
+			x[q] = xc
+		}
+		*xc += *c
 	}
 	return x, nil
 }
 
 // Emit implements monoid.Monoid.
-func (Counts) Emit(key []byte, counts map[string]uint64, out mr.Emitter) error {
+func (Counts) Emit(key []byte, counts map[string]*uint64, out mr.Emitter) error {
 	queries := make([]string, 0, len(counts))
 	for q := range counts {
 		queries = append(queries, q)
 	}
 	sort.Strings(queries)
+	var buf []byte
 	for _, q := range queries {
-		if err := out.Emit(key, EncodeValue(counts[q], []byte(q))); err != nil {
+		buf = append(bytesx.AppendUvarint(buf[:0], *counts[q]), q...)
+		if err := out.Emit(key, buf); err != nil {
 			return err
 		}
 	}
@@ -139,23 +153,34 @@ func (Counts) CommutativeMonoid() {}
 
 // finalTop renders a fully merged count table as the job's top-k output
 // line — the `final` argument to monoid.Reducer.
-func finalTop(topK int) func(key []byte, counts map[string]uint64, out mr.Emitter) error {
-	return func(key []byte, counts map[string]uint64, out mr.Emitter) error {
-		return out.Emit(key, []byte(FormatTop(counts, topK)))
+func finalTop(topK int) func(key []byte, counts map[string]*uint64, out mr.Emitter) error {
+	return func(key []byte, counts map[string]*uint64, out mr.Emitter) error {
+		all := make([]queryCount, 0, len(counts))
+		for q, c := range counts {
+			all = append(all, queryCount{q, *c})
+		}
+		return out.Emit(key, []byte(formatTop(all, topK)))
 	}
+}
+
+// queryCount is one query and its count.
+type queryCount struct {
+	q string
+	c uint64
 }
 
 // FormatTop renders the top-k queries by (count desc, query asc) as
 // "query:count|..." — shared with reference implementations in tests.
 func FormatTop(counts map[string]uint64, k int) string {
-	type qc struct {
-		q string
-		c uint64
-	}
-	all := make([]qc, 0, len(counts))
+	all := make([]queryCount, 0, len(counts))
 	for q, c := range counts {
-		all = append(all, qc{q, c})
+		all = append(all, queryCount{q, c})
 	}
+	return formatTop(all, k)
+}
+
+// formatTop is FormatTop over a slice it reorders.
+func formatTop(all []queryCount, k int) string {
 	sort.Slice(all, func(i, j int) bool {
 		if all[i].c != all[j].c {
 			return all[i].c > all[j].c

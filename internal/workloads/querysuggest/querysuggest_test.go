@@ -140,3 +140,26 @@ func TestFormatTop(t *testing.T) {
 		t.Error("empty counts should format empty")
 	}
 }
+
+// TestCountsAbsorbKnownQueryAllocatesNothing: absorbing a query the
+// table already counts updates its count in place.
+func TestCountsAbsorbKnownQueryAllocatesNothing(t *testing.T) {
+	m := Counts{}
+	counts := m.Identity()
+	value := EncodeValue(2, []byte("weather tomorrow"))
+	counts, err := m.Absorb(counts, value)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if counts, err = m.Absorb(counts, value); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("absorbing a known query allocates %v times, want 0", allocs)
+	}
+	if got := *counts["weather tomorrow"]; got != 2*102 {
+		t.Errorf("count = %d, want %d", got, 2*102)
+	}
+}

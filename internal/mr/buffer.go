@@ -290,21 +290,64 @@ func (b *mapBuffer) sortByPartitionKey() []int {
 // tmp is scratch of the same length. A stable radix sort on the prefix
 // decides every pair whose prefixes differ. A run of equal prefixes is
 // already in order when its keys are identical — all of one length, at
-// most 8 bytes — and is comparison-sorted on the bytes past the prefix
-// otherwise: a key longer than 8 bytes, or lengths that differ, as in
-// "ab" vs "ab\x00".
+// most 8 bytes. Otherwise its order rests on the bytes past the prefix,
+// or on lengths that differ, as in "ab" vs "ab\x00": a run of at least
+// radixTailMin entries takes a second radix round on key bytes 8–15
+// (sortRunPastPrefix), a shorter one is comparison-sorted.
 func (b *mapBuffer) sortBucketRaw(es, tmp []bufEntry) {
 	radixSortPrefix(es, tmp)
 	for i := 0; i < len(es); {
-		j, decided := i+1, es[i].keyLen <= 8
-		for j < len(es) && es[j].prefix == es[i].prefix {
-			decided = decided && es[j].keyLen == es[i].keyLen
-			j++
-		}
-		if !decided && j-i > 1 {
+		j, decided := prefixRun(es, i, 8)
+		switch {
+		case decided:
+		case j-i >= radixTailMin:
+			b.sortRunPastPrefix(es[i:j], tmp[i:j])
+		default:
 			slices.SortFunc(es[i:j], b.compareTail)
 		}
 		i = j
+	}
+}
+
+// radixTailMin is the shortest undecided equal-prefix run that a second
+// radix round sorts; below it, the round's fixed cost of counting and
+// scattering exceeds a comparison sort's.
+const radixTailMin = 16
+
+// prefixRun returns the end of the run of equal prefixes starting at
+// es[i], and whether those prefixes decide it: its keys are one length,
+// at most width bytes, so every key in the run is the same.
+func prefixRun(es []bufEntry, i int, width int32) (j int, decided bool) {
+	j, decided = i+1, es[i].keyLen <= width
+	for j < len(es) && es[j].prefix == es[i].prefix {
+		decided = decided && es[j].keyLen == es[i].keyLen
+		j++
+	}
+	return j, decided || j-i == 1
+}
+
+// sortRunPastPrefix sorts a run of equal prefixes that the prefix left
+// undecided, keeping equal keys in insertion order. Each entry's prefix
+// field holds its key bytes 8–15 (keyPrefix of the tail: zero-padded,
+// so it orders as bytes.Compare does whenever two differ) for a second
+// stable radix round; sub-runs still undecided after it, whose keys
+// share 16 bytes or differ only in length, are comparison-sorted. The
+// whole run shared its first prefix, which is restored at the end.
+func (b *mapBuffer) sortRunPastPrefix(run, tmp []bufEntry) {
+	first := run[0].prefix
+	for k := range run {
+		run[k].prefix = keyPrefix(b.keyTail(run[k]))
+	}
+	radixSortPrefix(run, tmp)
+	for i := 0; i < len(run); {
+		j, decided := prefixRun(run, i, 16)
+		if !decided {
+			slices.SortFunc(run[i:j], b.compareTail)
+		}
+		i = j
+	}
+	for k := range run {
+		run[k].prefix = first
 	}
 }
 

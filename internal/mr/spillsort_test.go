@@ -92,6 +92,23 @@ var spillKeyShapes = []struct {
 	}},
 	{"all-equal", func(*rand.Rand) []byte { return []byte("one key longer than eight") }},
 	{"mixed", func(r *rand.Rand) []byte { return randKey(r, "\x00ab\xff", r.Intn(21)) }},
+	// The second radix round, on key bytes 8–15: runs sharing 8 and 16
+	// bytes, lengths on both sides of each boundary, keys apart only by
+	// trailing zero bytes, and duplicates that must keep insertion order.
+	{"shared-16", func(r *rand.Rand) []byte {
+		return append([]byte("prefix\x00Xsecond\x00Y"), randKey(r, "ab\x00", r.Intn(4))...)
+	}},
+	{"lengths-7-to-17", func(r *rand.Rand) []byte {
+		n := []int{7, 8, 9, 15, 16, 17}[r.Intn(6)]
+		return append([]byte("samepre\x00")[:min(n, 8)], randKey(r, "\x00a", max(n-8, 0))...)
+	}},
+	{"trailing-zeros", func(r *rand.Rand) []byte {
+		base := []string{"prefix\x00Xtail", "prefix\x00Xsecond\x00Y"}[r.Intn(2)]
+		return append([]byte(base), make([]byte, r.Intn(4))...)
+	}},
+	{"duplicates", func(r *rand.Rand) []byte {
+		return []byte([]string{"0123456789abcde", "0123456789abcdef", "0123456789abcdef\x00", "01234567"}[r.Intn(4)])
+	}},
 }
 
 // fillSortBuffer adds n records of the given key shape, with random
@@ -130,6 +147,18 @@ func TestSpillSortMatchesStableReference(t *testing.T) {
 			})
 		}
 	}
+	// One bucket either side of radixTailMin, and one well past it, per
+	// shape; their own generator leaves the trials above as they were.
+	r = rand.New(rand.NewSource(seed + 1))
+	for _, shape := range spillKeyShapes {
+		for _, n := range []int{radixTailMin - 1, radixTailMin, 100} {
+			t.Run(fmt.Sprintf("%s/n=%d", shape.name, n), func(t *testing.T) {
+				b := sortTestBuffer(t, 1)
+				fillSortBuffer(t, b, r, shape.gen, n, 1)
+				checkSpillSort(t, b)
+			})
+		}
+	}
 	if t.Failed() {
 		t.Logf("seed %d", seed)
 	}
@@ -147,6 +176,14 @@ func FuzzSpillSort(f *testing.F) {
 		long = append(long, byte(i), byte(i%11), 'k', 'e', 'y', 0, 0, 0, 0, 0, byte(i%3), 'x')
 	}
 	f.Add(long)
+	// Runs past radixTailMin that share 8 and 16 bytes: keys of lengths
+	// 7–9 and 15–17, duplicates, and keys apart by a trailing zero byte.
+	second := []byte{0}
+	for i := 0; i < 3*radixTailMin; i++ {
+		key := []byte("prefix\x00Xsecond\x00Y\x00Z")[:[]int{7, 8, 9, 15, 16, 17, 18}[i%7]]
+		second = append(append(second, 0, byte(len(key))), key...)
+	}
+	f.Add(second)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return

@@ -2,10 +2,12 @@ package bytesx
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math/rand"
 	"testing"
+	"testing/iotest"
 	"testing/quick"
 )
 
@@ -100,9 +102,9 @@ func TestStreamRoundTrip(t *testing.T) {
 	var recs []rec
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
-	for i := 0; i < 1000; i++ {
-		k := make([]byte, rng.Intn(50))
-		v := make([]byte, rng.Intn(200))
+	add := func(kn, vn int) {
+		k := make([]byte, kn)
+		v := make([]byte, vn)
 		rng.Read(k)
 		rng.Read(v)
 		recs = append(recs, rec{k, v})
@@ -110,48 +112,110 @@ func TestStreamRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	for i := 0; i < 1000; i++ {
+		add(rng.Intn(50), rng.Intn(200))
+	}
+	// Records that straddle the 64 KiB read buffer's end, and records
+	// larger than the whole buffer, in key, value or both.
+	for _, size := range [][2]int{{40 << 10, 10}, {10, 40 << 10}, {70 << 10, 5}, {5, 200 << 10}, {65 << 10, 65 << 10}, {3, 4}} {
+		add(size[0], size[1])
+		add(rng.Intn(50), rng.Intn(200))
+	}
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if w.Records() != 1000 {
+	if w.Records() != int64(len(recs)) {
 		t.Errorf("Records() = %d", w.Records())
 	}
 	if w.Bytes() != int64(buf.Len()) {
 		t.Errorf("Bytes() = %d, buffer has %d", w.Bytes(), buf.Len())
 	}
-	r := NewReader(&buf)
-	for i, want := range recs {
-		k, v, err := r.ReadRecord()
-		if err != nil {
-			t.Fatalf("record %d: %v", i, err)
+	// A source that yields a few bytes per read leaves records partly
+	// buffered far more often than a whole one does.
+	for _, src := range []struct {
+		name string
+		r    io.Reader
+	}{
+		{"whole", bytes.NewReader(buf.Bytes())},
+		{"half-reads", iotest.HalfReader(bytes.NewReader(buf.Bytes()))},
+		{"byte-reads", iotest.OneByteReader(bytes.NewReader(buf.Bytes()))},
+	} {
+		r := NewReader(src.r)
+		for i, want := range recs {
+			k, v, err := r.ReadRecord()
+			if err != nil {
+				t.Fatalf("%s: record %d: %v", src.name, i, err)
+			}
+			if !bytes.Equal(k, want.k) || !bytes.Equal(v, want.v) {
+				t.Fatalf("%s: record %d mismatch", src.name, i)
+			}
+			if cap(k) != len(k) || cap(v) != len(v) {
+				t.Fatalf("%s: record %d: views not capacity-clipped", src.name, i)
+			}
 		}
-		if !bytes.Equal(k, want.k) || !bytes.Equal(v, want.v) {
-			t.Fatalf("record %d mismatch", i)
+		if _, _, err := r.ReadRecord(); err != io.EOF {
+			t.Errorf("%s: expected EOF, got %v", src.name, err)
 		}
-	}
-	if _, _, err := r.ReadRecord(); err != io.EOF {
-		t.Errorf("expected EOF, got %v", err)
 	}
 }
 
+// TestStreamTruncated: a stream that ends inside a record, or whose
+// length prefix claims more bytes than follow — up to lengths no buffer
+// could hold, or that overflow an int — fails with ErrCorrupt wrapping
+// io.ErrUnexpectedEOF instead of allocating the claimed length.
 func TestStreamTruncated(t *testing.T) {
+	record := AppendRecord(nil, []byte("hello"), []byte("world"))
+	for _, c := range []struct {
+		name string
+		data []byte
+	}{
+		{"in-value", record[:len(record)-2]},
+		{"before-value-length", record[:6]},
+		{"key-length-1TiB", append(binary.AppendUvarint(nil, 1<<40), "abc"...)},
+		{"key-length-2^63", append(binary.AppendUvarint(nil, 1<<63), "abc"...)},
+		{"value-length-1TiB", append(append(AppendBytes(nil, []byte("k")), binary.AppendUvarint(nil, 1<<40)...), "abc"...)},
+	} {
+		r := NewReader(bytes.NewReader(c.data))
+		_, _, err := r.ReadRecord()
+		if !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: expected ErrCorrupt, got %v", c.name, err)
+		}
+		// The underlying cause must stay matchable too.
+		if !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Errorf("%s: underlying cause lost: %v", c.name, err)
+		}
+	}
+}
+
+// TestReadRecordPoisonsPreviousViews: in a test binary the record one
+// ReadRecord returned no longer reads as itself after the next call —
+// a view into the read buffer reads poison, a copy is poisoned or
+// reused — so a caller that keeps it past its window cannot go
+// unnoticed.
+func TestReadRecordPoisonsPreviousViews(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
-	if err := w.WriteRecord([]byte("hello"), []byte("world")); err != nil {
-		t.Fatal(err)
+	big := bytes.Repeat([]byte("v"), 100<<10) // larger than the buffer: copied
+	recs := [][2][]byte{{[]byte("k0"), []byte("small")}, {[]byte("k1"), big}, {[]byte("k2"), []byte("after")}, {[]byte("k3"), []byte("last")}}
+	for _, rec := range recs {
+		if err := w.WriteRecord(rec[0], rec[1]); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	trunc := buf.Bytes()[:buf.Len()-2]
-	r := NewReader(bytes.NewReader(trunc))
-	err := func() error { _, _, err := r.ReadRecord(); return err }()
-	if !errors.Is(err, ErrCorrupt) {
-		t.Errorf("expected ErrCorrupt, got %v", err)
-	}
-	// The underlying cause must stay matchable too.
-	if !errors.Is(err, io.ErrUnexpectedEOF) {
-		t.Errorf("underlying cause lost: %v", err)
+	r := NewReader(&buf)
+	var prevK, prevV []byte
+	for i := range recs {
+		k, v, err := r.ReadRecord()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i > 0 && (bytes.Equal(prevK, recs[i-1][0]) || bytes.Equal(prevV, recs[i-1][1])) {
+			t.Errorf("record %d still reads as itself after the next call: %q", i-1, prevK)
+		}
+		prevK, prevV = k, v
 	}
 }
 
@@ -190,5 +254,49 @@ func TestUvarintRejectsNonCanonical(t *testing.T) {
 	}
 	if v, n, err := Uvarint([]byte{0x02}); err != nil || v != 2 || n != 1 {
 		t.Errorf("canonical decode broken: %d %d %v", v, n, err)
+	}
+}
+
+// BenchmarkReadRecord reads a stream of sort-shaped records (145-byte
+// keys, empty values) and of word-count-shaped ones (6-byte keys, 1-byte
+// values), one record per op, with view poisoning off as outside tests.
+func BenchmarkReadRecord(b *testing.B) {
+	for _, bc := range []struct {
+		name         string
+		keyLen, vLen int
+	}{{"lines", 145, 0}, {"words", 6, 1}} {
+		b.Run(bc.name, func(b *testing.B) {
+			defer func(p bool) { poisonViews = p }(poisonViews)
+			poisonViews = false
+			const records = 10_000
+			rng := rand.New(rand.NewSource(1))
+			var buf bytes.Buffer
+			w := NewWriter(&buf)
+			k, v := make([]byte, bc.keyLen), make([]byte, bc.vLen)
+			for i := 0; i < records; i++ {
+				rng.Read(k)
+				if err := w.WriteRecord(k, v); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := w.Flush(); err != nil {
+				b.Fatal(err)
+			}
+			data := buf.Bytes()
+			src := bytes.NewReader(data)
+			r := NewReader(src)
+			b.SetBytes(int64(len(data) / records))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i%records == 0 {
+					src.Reset(data)
+					r.Reset(src)
+				}
+				if _, _, err := r.ReadRecord(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -2,11 +2,14 @@ package bytesx
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
+	"testing"
 )
 
 // Writer writes framed (key, value) records to an underlying stream.
@@ -99,9 +102,12 @@ func (w *Writer) Bytes() int64 { return w.bytes }
 // Reader reads framed (key, value) records from an underlying stream.
 // The slices returned by ReadRecord are valid until the next call.
 type Reader struct {
-	r   *bufio.Reader
-	key []byte
-	val []byte
+	r *bufio.Reader
+	// key and val hold the copies of a record the buffer did not wholly
+	// hold; view is the last record returned, which test binaries poison
+	// at the next call.
+	key, val []byte
+	view     [2][]byte
 }
 
 // NewReader returns a record reader over r.
@@ -110,10 +116,11 @@ func NewReader(r io.Reader) *Reader {
 }
 
 // Reset retargets the reader at src, discarding any buffered data. The
-// key/value scratch buffers are kept, so pooled readers converge on
-// steady-state allocation-free record decoding. Reset(nil) parks the
-// reader without pinning its last source.
+// buffers are kept, so pooled readers converge on steady-state
+// allocation-free record decoding. Reset(nil) parks the reader without
+// pinning its last source.
 func (r *Reader) Reset(src io.Reader) {
+	r.poisonView()
 	if r.r == nil {
 		r.r = bufio.NewReaderSize(src, 64<<10)
 	} else {
@@ -124,7 +131,20 @@ func (r *Reader) Reset(src io.Reader) {
 // ReadRecord reads the next record. It returns io.EOF cleanly at the end
 // of the stream and an error wrapping both ErrCorrupt and the underlying
 // cause on a truncated or failing stream.
+//
+// A record wholly in the read buffer is decoded in place: its key and
+// value are capacity-clipped views into the buffer, consumed with
+// Discard, so reading copies nothing. A record the buffer does not hold
+// — one straddling its end, or larger than it — is copied out of the
+// stream into the reader's own buffers.
 func (r *Reader) ReadRecord() (key, value []byte, err error) {
+	r.poisonView()
+	buf, _ := r.r.Peek(r.r.Buffered())
+	if key, value, n := splitRecord(buf); n > 0 {
+		_, _ = r.r.Discard(n) // n bytes are buffered: Discard cannot fail
+		r.keepView(key, value)
+		return key, value, nil
+	}
 	kl, err := binary.ReadUvarint(r.r)
 	if err != nil {
 		if errors.Is(err, io.EOF) {
@@ -132,30 +152,103 @@ func (r *Reader) ReadRecord() (key, value []byte, err error) {
 		}
 		return nil, nil, corrupt(err)
 	}
-	r.key = grow(r.key, int(kl))
-	if _, err := io.ReadFull(r.r, r.key); err != nil {
+	if r.key, err = readBytes(r.r, r.key[:0], kl); err != nil {
 		return nil, nil, corrupt(err)
 	}
 	vl, err := binary.ReadUvarint(r.r)
 	if err != nil {
+		return nil, nil, corrupt(unexpected(err))
+	}
+	if r.val, err = readBytes(r.r, r.val[:0], vl); err != nil {
 		return nil, nil, corrupt(err)
 	}
-	r.val = grow(r.val, int(vl))
-	if _, err := io.ReadFull(r.r, r.val); err != nil {
-		return nil, nil, corrupt(err)
+	key, value = r.key[:kl:kl], r.val[:vl:vl]
+	r.keepView(key, value)
+	return key, value, nil
+}
+
+// splitRecord decodes the framed record at the front of buf into
+// capacity-clipped views of its key and value, and returns its framed
+// length — or n == 0 when buf does not hold the whole record. Like
+// binary.ReadUvarint on the copying path, it accepts any varint that
+// decodes.
+func splitRecord(buf []byte) (key, value []byte, n int) {
+	kl, i := binary.Uvarint(buf)
+	if i <= 0 || kl > uint64(len(buf)-i) {
+		return nil, nil, 0
 	}
-	return r.key, r.val, nil
+	ke := i + int(kl)
+	vl, j := binary.Uvarint(buf[ke:])
+	if j <= 0 || vl > uint64(len(buf)-ke-j) {
+		return nil, nil, 0
+	}
+	vs := ke + j
+	n = vs + int(vl)
+	return buf[i:ke:ke], buf[vs:n:n], n
+}
+
+// readChunk is the first step by which readBytes grows its buffer.
+const readChunk = 64 << 10
+
+// readBytes reads n bytes from src into dst, which it reuses. Each step
+// asks for at most as many bytes as have arrived, or readChunk, so a
+// large record costs a few doublings and a corrupt length cannot
+// allocate more than twice what the stream delivers. A stream that ends
+// first fails with io.ErrUnexpectedEOF.
+func readBytes(src io.Reader, dst []byte, n uint64) ([]byte, error) {
+	for uint64(len(dst)) < n {
+		m := int(min(n-uint64(len(dst)), uint64(max(readChunk, len(dst)))))
+		dst = slices.Grow(dst, m)
+		got, err := io.ReadFull(src, dst[len(dst):len(dst)+m])
+		dst = dst[:len(dst)+got]
+		if err != nil {
+			return dst, unexpected(err)
+		}
+	}
+	return dst, nil
+}
+
+// unexpected turns a clean io.EOF inside a record into
+// io.ErrUnexpectedEOF: the stream ended partway.
+func unexpected(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
+}
+
+// poisonViews makes test binaries overwrite the record ReadRecord
+// returned with poison at the next call (or Reset), so a caller that
+// keeps a view past its window reads poison instead of plausible bytes.
+var poisonViews = testing.Testing()
+
+// poison is what poisonView copies over a record, a chunk per memmove.
+var poison = func() []byte {
+	if !poisonViews {
+		return nil
+	}
+	return bytes.Repeat([]byte{0xDB}, 4<<10)
+}()
+
+func (r *Reader) keepView(key, value []byte) {
+	if poisonViews {
+		r.view = [2][]byte{key, value}
+	}
+}
+
+func (r *Reader) poisonView() {
+	if poisonViews {
+		for _, b := range r.view {
+			for len(b) > 0 {
+				b = b[copy(b, poison):]
+			}
+		}
+		r.view = [2][]byte{}
+	}
 }
 
 // corrupt wraps a stream failure so callers can match either the framing
 // error or the underlying cause (e.g. an injected I/O fault).
 func corrupt(cause error) error {
 	return fmt.Errorf("%w: %w", ErrCorrupt, cause)
-}
-
-func grow(b []byte, n int) []byte {
-	if cap(b) < n {
-		return make([]byte, n)
-	}
-	return b[:n]
 }

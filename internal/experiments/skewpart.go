@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/costmodel"
+	"repro/internal/mr"
 	"repro/internal/partition"
 	"repro/internal/workloads/skewagg"
 )
@@ -87,9 +88,9 @@ func SkewPartition(cfg Config) (*SkewPartitionResult, error) {
 			Records:  cfg.n(20000),
 			Reducers: cfg.Reducers,
 			Seed:     cfg.Seed,
-			// Ranks 4/17/22 hash to one partition of 8; each carries
+			// Three ranks that hash to one partition; each carries
 			// ~13% of the records — heavy, but packable.
-			HeavyRanks: []int{4, 17, 22},
+			HeavyRanks: collidingRanks(cfg.Reducers),
 			Exponent:   1.0,
 		}},
 	}
@@ -102,6 +103,21 @@ func SkewPartition(cfg Config) (*SkewPartitionResult, error) {
 		out.Profiles = append(out.Profiles, *prof)
 	}
 	return out, nil
+}
+
+// collidingRanks returns the first three key ranks, from 4 upward,
+// whose keys mr.HashPartitioner sends to one of reducers partitions.
+// Ranks past the Zipf head carry little mass of their own, so each
+// stays below a reducer's worth; deriving them from the partitioner
+// keeps the shape adversarial under any hash.
+func collidingRanks(reducers int) []int {
+	byPart := make(map[int][]int)
+	for rank := 4; ; rank++ {
+		p := mr.HashPartitioner{}.Partition([]byte(skewagg.Key(rank)), reducers)
+		if byPart[p] = append(byPart[p], rank); len(byPart[p]) == 3 {
+			return byPart[p]
+		}
+	}
 }
 
 func runSkewProfile(cfg Config, name string, scfg skewagg.Config) (*SkewPartitionProfile, error) {

@@ -96,6 +96,23 @@ func BenchmarkMapPathE2E(b *testing.B) {
 	}
 }
 
+// benchPartition keeps BenchmarkHashPartitioner's result live.
+var benchPartition int
+
+// BenchmarkHashPartitioner hashes a word-sized key (wc_eager's map
+// output) and a 145-byte line (sort_plain's) into 8 partitions.
+func BenchmarkHashPartitioner(b *testing.B) {
+	for _, n := range []int{6, 145} {
+		b.Run(fmt.Sprintf("key=%dB", n), func(b *testing.B) {
+			key := []byte(strings.Repeat("abcdefghijklmnopqrstuvwxyz ", 6)[:n])
+			b.SetBytes(int64(n))
+			for i := 0; i < b.N; i++ {
+				benchPartition = HashPartitioner{}.Partition(key, 8)
+			}
+		})
+	}
+}
+
 // BenchmarkSpillSort isolates the spill's (partition, key) sort over one
 // full collect buffer of 8 partitions: "words" holds zipf-drawn words of
 // at most 8 bytes (wc_eager's map output), "lines" whole lines of 10–29

@@ -5,8 +5,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -537,20 +539,66 @@ func TestEngineAgainstReference(t *testing.T) {
 	}
 }
 
-func TestHashPartitionerRange(t *testing.T) {
-	p := HashPartitioner{}
-	counts := make([]int, 7)
-	for i := 0; i < 10000; i++ {
-		k := []byte(fmt.Sprintf("key-%d", i))
-		part := p.Partition(k, 7)
-		if part < 0 || part >= 7 {
-			t.Fatalf("partition %d out of range", part)
+// TestHashPartitionerShortKeysAreFNV1a: a key shorter than one 8-byte
+// word hashes as plain 64-bit FNV-1a (hash/fnv's New64a), so short
+// keys and the partitioners built on short key slices keep the
+// partitions they always had.
+func TestHashPartitionerShortKeysAreFNV1a(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	for n := 0; n < 8; n++ {
+		for trial := 0; trial < 200; trial++ {
+			key := make([]byte, n)
+			r.Read(key)
+			h := fnv.New64a()
+			h.Write(key)
+			sum := h.Sum64()
+			for _, parts := range []int{1, 2, 7, 8, 64} {
+				if got, want := (HashPartitioner{}).Partition(key, parts), int(sum%uint64(parts)); got != want {
+					t.Fatalf("key %q over %d partitions: %d, FNV-1a gives %d", key, parts, got, want)
+				}
+			}
 		}
-		counts[part]++
 	}
-	for i, c := range counts {
-		if c < 1000 {
-			t.Errorf("partition %d badly balanced: %d/10000", i, c)
+}
+
+// TestHashPartitionerRange: every key lands in [0, n), and over key
+// families that share long prefixes or differ in few bytes the busiest
+// partition holds at most 1.15× the mean count and the idlest at least
+// 0.85×. The last family differs only in the high bytes of one
+// little-endian word, which a mix that folds the high half down by a
+// shift after a multiply (h *= p; h ^= h >> 32) sends to a few
+// partitions.
+func TestHashPartitionerRange(t *testing.T) {
+	const keys = 10_000
+	r := rand.New(rand.NewSource(2))
+	families := []struct {
+		name string
+		key  func(i int) []byte
+	}{
+		{"key-%d", func(i int) []byte { return []byte(fmt.Sprintf("key-%d", i)) }},
+		{"key%05d", func(i int) []byte { return []byte(fmt.Sprintf("key%05d", i)) }},
+		{"user-%012d", func(i int) []byte { return []byte(fmt.Sprintf("user-%012d", i)) }},
+		{"145-byte-lines", func(int) []byte { return randKey(r, "abcdefghijklmnopqrstuvwxyz ", 145) }},
+		{"bytes-5-to-7", func(i int) []byte {
+			v := i * 97
+			return []byte{'a', 'b', 'c', 'd', 'e', byte(v >> 16), byte(v >> 8), byte(v)}
+		}},
+	}
+	for _, f := range families {
+		for _, parts := range []int{2, 7, 8} {
+			counts := make([]int, parts)
+			for i := 0; i < keys; i++ {
+				p := (HashPartitioner{}).Partition(f.key(i), parts)
+				if p < 0 || p >= parts {
+					t.Fatalf("%s: partition %d out of range [0, %d)", f.name, p, parts)
+				}
+				counts[p]++
+			}
+			mean := float64(keys) / float64(parts)
+			if hi, lo := float64(slices.Max(counts))/mean, float64(slices.Min(counts))/mean; hi > 1.15 || lo < 0.85 {
+				t.Errorf("%s over %d partitions: max/mean %.3f, min/mean %.3f, want within [0.85, 1.15] (counts %v)",
+					f.name, parts, hi, lo, counts)
+			}
 		}
 	}
 }

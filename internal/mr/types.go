@@ -13,6 +13,9 @@
 package mr
 
 import (
+	"encoding/binary"
+	"math/bits"
+
 	"repro/internal/bytesx"
 	"repro/internal/iokit"
 	"repro/internal/obs"
@@ -100,8 +103,16 @@ func (f PartitionerFunc) Partition(key []byte, numPartitions int) int {
 	return f(key, numPartitions)
 }
 
-// HashPartitioner is the default FNV-1a partitioner, the analogue of
-// Hadoop's HashPartitioner.
+// HashPartitioner is the default partitioner, the analogue of Hadoop's
+// HashPartitioner. It reads a key 8 bytes at a time: each full
+// little-endian word is mixed in with a folded 128-bit multiply, the
+// high and low halves of (h^word)·wordMul xored, so the low bits the
+// final modulo reads depend on every bit of the word (a plain multiply
+// leaves them depending on its low bits only). The 0–7 tail bytes then
+// go through FNV-1a. A key shorter than 8 bytes is all tail: it hashes,
+// and partitions, exactly as 64-bit FNV-1a does, so short words and the
+// partitioners built on short key slices (querysuggest's prefix,
+// extremes' station id) keep their partitions.
 type HashPartitioner struct{}
 
 // Partition implements Partitioner.
@@ -109,8 +120,13 @@ func (HashPartitioner) Partition(key []byte, numPartitions int) int {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
+		wordMul  = 0xa0761d6478bd642f
 	)
 	h := uint64(offset64)
+	for ; len(key) >= 8; key = key[8:] {
+		hi, lo := bits.Mul64(h^binary.LittleEndian.Uint64(key), wordMul)
+		h = hi ^ lo
+	}
 	for _, b := range key {
 		h ^= uint64(b)
 		h *= prime64

@@ -47,8 +47,8 @@ type Config struct {
 	// evenly onto the listed key ranks before the Zipf tail draws the
 	// rest. It builds the *other* adversarial shape: several mid-weight
 	// keys, none larger than a reducer, that collide under the default
-	// hash partitioner (ranks 4, 17, and 22 all hash to one partition
-	// of 8) — the case range partitioning fixes without splitting.
+	// hash partitioner when the ranks are chosen to (Key names a rank's
+	// key) — the case range partitioning fixes without splitting.
 	HeavyRanks []int
 	// HeavyShare is the record fraction HeavyRanks receives. Default
 	// 0.4 when HeavyRanks is set.
@@ -116,8 +116,11 @@ func (g *Gen) Line(i int) string {
 	for payload.Len() < g.cfg.ValueBytes {
 		payload.WriteByte(pad[rng.Intn(len(pad))])
 	}
-	return fmt.Sprintf("key%05d\t%d:%s", rank, n, payload.String())
+	return fmt.Sprintf("%s\t%d:%s", Key(rank), n, payload.String())
 }
+
+// Key is the key of the given Zipf rank.
+func Key(rank int) string { return fmt.Sprintf("key%05d", rank) }
 
 // mapper parses "key<TAB>value" lines and emits them keyed.
 type mapper struct{ mr.MapperBase }

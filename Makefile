@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test vet staticcheck race verify bench bench-e2e bench-all test-short test-cluster test-chaos fuzz-smoke smoke-service smoke-pipeline loc
+.PHONY: build test vet staticcheck race verify bench bench-e2e bench-all test-short test-cluster test-chaos fuzz-smoke smoke-examples smoke-service smoke-pipeline loc
 
 build:
 	$(GO) build ./...
@@ -88,11 +88,20 @@ FUZZ_TARGETS = \
 	internal/mr:FuzzReadLenPrefixed internal/mr:FuzzFrameRoundTrip internal/mr:FuzzServerConn \
 	internal/mr:FuzzCompressedBody internal/mr:FuzzSegmentFrames internal/mr:FuzzSpillSort \
 	internal/anticombine:FuzzDecodeValue internal/anticombine:FuzzShared \
-	internal/monoid:FuzzFoldTable internal/datagen:FuzzParseCloudLine
+	internal/monoid:FuzzFoldTable internal/datagen:FuzzParseCloudLine \
+	internal/workloads/pagerank:FuzzDecodeRank
 fuzz-smoke:
 	@set -e; for t in $(FUZZ_TARGETS); do \
 		echo "fuzz $$t ($(FUZZTIME))"; \
 		$(GO) test -run '^$$' -fuzz "^$${t#*:}\$$" -fuzztime $(FUZZTIME) ./$${t%%:*}; \
+	done
+
+# Examples smoke: run every examples/* program. quickstart and pagerank
+# exit non-zero when the Anti-Combined run disagrees with the original.
+smoke-examples:
+	@set -e; for d in examples/*/; do \
+		echo "example $$d"; \
+		$(GO) run ./$$d; \
 	done
 
 # Service smoke: a real antserve daemon with two antwork workers,

@@ -9,6 +9,7 @@ package main
 import (
 	"fmt"
 	"math"
+	"os"
 	"sort"
 
 	"repro"
@@ -27,7 +28,10 @@ func main() {
 		var res *repro.Result
 		var shuffle int64
 		for i := 0; i < iterations; i++ {
-			job := pagerank.NewJob(len(g.Out), 6)
+			// The rank job without its map-side combiner, so the
+			// original ships every contribution.
+			job := pagerank.NewRankJob(len(g.Out), 6)
+			job.NewCombiner = nil
 			if anti {
 				job = repro.AntiCombine(job, repro.AdaptiveInf())
 			}
@@ -45,33 +49,42 @@ func main() {
 	origRes, origShuffle := run(false)
 	antiRes, antiShuffle := run(true)
 
-	origRanks, err := pagerank.RanksFromOutput(origRes)
+	origRanks, err := pagerank.RanksFromParts(origRes.Output)
 	if err != nil {
 		panic(err)
 	}
-	antiRanks, err := pagerank.RanksFromOutput(antiRes)
+	antiRanks, err := pagerank.RanksFromParts(antiRes.Output)
 	if err != nil {
 		panic(err)
 	}
 
+	// Summation order differs between the runs, so compare within
+	// floating-point tolerance.
+	matches := func(node int32) bool {
+		r, ok := origRanks[node]
+		return ok && math.Abs(r-antiRanks[node]) < 1e-12
+	}
 	type nr struct {
 		node int32
 		rank float64
 	}
 	var top []nr
+	agree := len(origRanks) == len(antiRanks)
 	for n, r := range antiRanks {
 		top = append(top, nr{n, r})
+		agree = agree && matches(n)
 	}
 	sort.Slice(top, func(i, j int) bool { return top[i].rank > top[j].rank })
 	fmt.Println("\ntop 10 nodes by PageRank (Anti-Combined run):")
 	for _, e := range top[:10] {
-		// Summation order differs between the runs, so compare within
-		// floating-point tolerance.
-		agrees := math.Abs(origRanks[e.node]-e.rank) < 1e-12
 		fmt.Printf("  node %5d  rank %.6f  (matches original: %v)\n",
-			e.node, e.rank, agrees)
+			e.node, e.rank, matches(e.node))
 	}
 
 	fmt.Printf("\nshuffle over %d iterations: original %d bytes, anti-combined %d bytes (%.1fx less)\n",
 		iterations, origShuffle, antiShuffle, float64(origShuffle)/float64(antiShuffle))
+	fmt.Printf("all %d ranks agree: %v\n", len(antiRanks), agree)
+	if !agree {
+		os.Exit(1)
+	}
 }

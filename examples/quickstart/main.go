@@ -7,6 +7,8 @@ package main
 
 import (
 	"fmt"
+	"os"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
@@ -84,6 +86,9 @@ func main() {
 
 	fmt.Printf("\nmap output: original %d bytes, anti-combined %d bytes\n",
 		original.Stats.MapOutputBytes, anti.Stats.MapOutputBytes)
-	fmt.Printf("both runs agree: %v\n",
-		original.Stats.ReduceOutputRecords == anti.Stats.ReduceOutputRecords)
+	agree := reflect.DeepEqual(original.SortedOutput(), anti.SortedOutput())
+	fmt.Printf("both runs agree: %v\n", agree)
+	if !agree {
+		os.Exit(1)
+	}
 }

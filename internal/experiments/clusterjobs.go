@@ -9,6 +9,7 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/mr"
 	"repro/internal/workloads/querysuggest"
+	"repro/internal/workloads/sortwl"
 	"repro/internal/workloads/wordcount"
 )
 
@@ -67,7 +68,7 @@ func buildClusterWordCount(spec []byte) (*mr.Job, []mr.Split, error) {
 		Lines:        cfg.n(4000),
 		WordsPerLine: 60,
 	})
-	return wordcount.NewJob(cfg.Reducers), materialize(wordcount.Splits(text, cfg.Splits)), nil
+	return wordcount.NewJob(cfg.Reducers), wordcount.Splits(text, cfg.Splits), nil
 }
 
 // buildClusterPrefixSort is the prefix-sort workload under AdaptiveSH
@@ -85,11 +86,11 @@ func buildClusterPrefixSort(spec []byte) (*mr.Job, []mr.Split, error) {
 	base := &mr.Job{
 		Name:           "prefixsort",
 		NewMapper:      func() mr.Mapper { return prefixSortMapper{} },
-		NewReducer:     func() mr.Reducer { return prefixSortReducer{} },
+		NewReducer:     func() mr.Reducer { return sortwl.Reducer{} },
 		Partitioner:    querysuggest.PrefixPartitioner{K: 1},
 		NumReduceTasks: cfg.Reducers,
 		Deterministic:  true,
 	}
 	job := anticombine.Wrap(base, anticombine.AdaptiveInf())
-	return job, materialize(querysuggest.Splits(log, cfg.Splits)), nil
+	return job, querysuggest.Splits(log, cfg.Splits), nil
 }

@@ -46,7 +46,7 @@ func CPUThreshold(cfg Config) (*CPUThresholdResult, error) {
 	// sweep extends to x = 64 to cross the same 400 µs threshold, on a
 	// smaller log.
 	log := qsLog(Config{Scale: cfg.Scale / 4, Seed: cfg.Seed, Reducers: cfg.Reducers}.normalized())
-	splits := qsSplits(cfg, log)
+	splits := querysuggest.Splits(log, cfg.Splits)
 	xs := []int{0, 2, 8, 32, 64}
 
 	names, opts := cpuVariants()

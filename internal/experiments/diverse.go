@@ -39,7 +39,7 @@ func WordCount(cfg Config) (*WordCountResult, error) {
 		Lines:        cfg.n(4000),
 		WordsPerLine: 60,
 	})
-	splits := materialize(wordcount.Splits(text, cfg.Splits))
+	splits := wordcount.Splits(text, cfg.Splits)
 	run := func(name string, wrap bool) (RunMetrics, error) {
 		job := wordcount.NewJob(cfg.Reducers)
 		if wrap {
@@ -121,7 +121,11 @@ func PageRank(cfg Config) (*PageRankResult, error) {
 		var total RunMetrics
 		total.Name = name
 		for it := 0; it < iterations; it++ {
-			job := pagerank.NewJob(len(g.Out), cfg.Reducers)
+			// The rank job X7 runs, without its map-side combiner:
+			// E9 measures the contribution shuffle Anti-Combining
+			// shrinks, so the Original ships every contribution.
+			job := pagerank.NewRankJob(len(g.Out), cfg.Reducers)
+			job.NewCombiner = nil
 			if wrap {
 				job = anticombine.Wrap(job, anticombine.AdaptiveInf())
 			}

@@ -182,25 +182,6 @@ func wrapVariant(job *mr.Job, variant string) *mr.Job {
 	panic("experiments: unknown variant " + variant)
 }
 
-// materialize pre-generates splits into memory so map-task CPU measures
-// the job rather than the synthetic data generator (reading input is
-// I/O on a real cluster, not mapper CPU).
-func materialize(splits []mr.Split) []mr.Split {
-	out := make([]mr.Split, len(splits))
-	for i, s := range splits {
-		var recs []mr.Record
-		err := s.Records(func(k, v []byte) error {
-			recs = append(recs, mr.Record{Key: append([]byte(nil), k...), Value: append([]byte(nil), v...)})
-			return nil
-		})
-		if err != nil {
-			panic("experiments: materializing generated split: " + err.Error())
-		}
-		out[i] = &mr.MemSplit{Recs: recs}
-	}
-	return out
-}
-
 // factor renders a/b as the "reduction by a factor of" number the paper
 // uses.
 func factor(a, b int64) float64 {

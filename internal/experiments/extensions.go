@@ -27,7 +27,7 @@ func ScanShare(cfg Config) (*ScanShareResult, error) {
 	cfg = cfg.normalized()
 	cloud := datagen.NewCloud(datagen.CloudConfig{Seed: cfg.Seed, Records: cfg.n(5000)})
 	scfg := scanshare.Config{Queries: 12, Reducers: cfg.Reducers}
-	splits := materialize(scanshare.Splits(cloud, cfg.Splits))
+	splits := scanshare.Splits(cloud, cfg.Splits)
 
 	run := func(name string, wrap bool) (RunMetrics, error) {
 		job := scanshare.NewJob(scfg)
@@ -82,7 +82,7 @@ func CrossCall(cfg Config) (*CrossCallResult, error) {
 	text := datagen.NewRandomText(datagen.RandomTextConfig{
 		Seed: cfg.Seed, Lines: cfg.n(4000), WordsPerLine: 10, VocabWords: 5000,
 	})
-	splits := materialize(wordcount.Splits(text, cfg.Splits))
+	splits := wordcount.Splits(text, cfg.Splits)
 	out := &CrossCallResult{Windows: []int{0, 4, 16, 64, 256}}
 	for _, window := range out.Windows {
 		job := wordcount.NewJob(cfg.Reducers)

@@ -7,6 +7,7 @@ import (
 	"repro/internal/costmodel"
 	"repro/internal/mr"
 	"repro/internal/netsim"
+	"repro/internal/workloads/querysuggest"
 )
 
 // NetworkSweepResult is an extension experiment (X3) built on the
@@ -32,7 +33,7 @@ type NetworkSweepResult struct {
 func NetworkSweep(cfg Config) (*NetworkSweepResult, error) {
 	cfg = cfg.normalized()
 	log := qsLog(cfg)
-	splits := qsSplits(cfg, log)
+	splits := querysuggest.Splits(log, cfg.Splits)
 
 	measure := func(variant string) (*mr.Result, error) {
 		job := qsJob(cfg, "Prefix-5", variant, false, nil)

@@ -27,7 +27,7 @@ func Overhead(cfg Config) (*OverheadResult, error) {
 		Seed:  cfg.Seed,
 		Lines: cfg.n(20000),
 	})
-	splits := materialize(sortwl.Splits(text, cfg.Splits))
+	splits := sortwl.Splits(text, cfg.Splits)
 	run := func(name, variant string) (RunMetrics, error) {
 		job := wrapVariant(sortwl.NewJob(cfg.Reducers), variant)
 		job.DiscardOutput = true

@@ -36,11 +36,6 @@ func qsLog(cfg Config) *datagen.QueryLog {
 	})
 }
 
-// qsSplits materializes the query log once per experiment.
-func qsSplits(cfg Config, log *datagen.QueryLog) []mr.Split {
-	return materialize(querysuggest.Splits(log, cfg.Splits))
-}
-
 // qsBaseJob builds the unwrapped Query-Suggestion job.
 func qsBaseJob(cfg Config, partitioner string, withCombiner bool) *mr.Job {
 	return querysuggest.NewJob(querysuggest.Config{
@@ -72,7 +67,7 @@ type QSMapOutputResult struct {
 func QSMapOutput(cfg Config) (*QSMapOutputResult, error) {
 	cfg = cfg.normalized()
 	log := qsLog(cfg)
-	splits := qsSplits(cfg, log)
+	splits := querysuggest.Splits(log, cfg.Splits)
 	out := &QSMapOutputResult{
 		Partitioners: qsPartitioners,
 		Strategies:   qsStrategies,
@@ -139,7 +134,7 @@ type QSCombinerResult struct {
 func QSCombiner(cfg Config) (*QSCombinerResult, error) {
 	cfg = cfg.normalized()
 	log := qsLog(cfg)
-	splits := qsSplits(cfg, log)
+	splits := querysuggest.Splits(log, cfg.Splits)
 	const part = "Prefix-5"
 
 	orig, err := qsRun(cfg, splits, part, VariantOriginal, false, nil)
@@ -216,7 +211,7 @@ type QSCompressionResult struct {
 func QSCompression(cfg Config) (*QSCompressionResult, error) {
 	cfg = cfg.normalized()
 	log := qsLog(cfg)
-	splits := qsSplits(cfg, log)
+	splits := querysuggest.Splits(log, cfg.Splits)
 	out := &QSCompressionResult{
 		Partitioners: qsPartitioners,
 		Strategies:   qsStrategies,
@@ -268,7 +263,7 @@ type QSCodecTableResult struct {
 func QSCodecTable(cfg Config) (*QSCodecTableResult, error) {
 	cfg = cfg.normalized()
 	log := qsLog(cfg)
-	splits := qsSplits(cfg, log)
+	splits := querysuggest.Splits(log, cfg.Splits)
 	const part = "Prefix-5"
 	var rows []RunMetrics
 	for _, name := range []string{"deflate", "gzip", "bwsc", "snappy"} {
@@ -320,7 +315,7 @@ type QSCostBreakdownResult struct {
 func QSCostBreakdown(cfg Config) (*QSCostBreakdownResult, error) {
 	cfg = cfg.normalized()
 	log := qsLog(cfg)
-	splits := qsSplits(cfg, log)
+	splits := querysuggest.Splits(log, cfg.Splits)
 	const part = "Prefix-5"
 	gz := codec.Gzip{}
 	// Only the -CB row combines in the reduce phase, as in the paper: the

@@ -47,7 +47,7 @@ func Skew(cfg Config) (*SkewResult, error) {
 		Seed:    cfg.Seed,
 		Queries: cfg.n(6000),
 	})
-	splits := materialize(querysuggest.Splits(log, cfg.Splits))
+	splits := querysuggest.Splits(log, cfg.Splits)
 
 	out := &SkewResult{Variants: []string{VariantOriginal, VariantEager, VariantAdaptive, VariantLazy}}
 	for _, variant := range out.Variants {

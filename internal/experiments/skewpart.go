@@ -122,7 +122,7 @@ func collidingRanks(reducers int) []int {
 
 func runSkewProfile(cfg Config, name string, scfg skewagg.Config) (*SkewPartitionProfile, error) {
 	gen := skewagg.NewGen(scfg)
-	splits := materialize(skewagg.Splits(gen, cfg.Splits))
+	splits := skewagg.Splits(gen, cfg.Splits)
 
 	// Sampling pass: exact (splits are materialized in memory).
 	sk, err := partition.Sample(skewagg.NewJob(scfg), splits, partition.SampleOptions{})

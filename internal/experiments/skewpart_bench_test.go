@@ -19,7 +19,7 @@ import (
 func BenchmarkSkewPartition(b *testing.B) {
 	scfg := skewagg.Config{Records: 8000, Reducers: 8, Seed: 2014}
 	gen := skewagg.NewGen(scfg)
-	splits := materialize(skewagg.Splits(gen, 8))
+	splits := skewagg.Splits(gen, 8)
 	sk, err := partition.Sample(skewagg.NewJob(scfg), splits, partition.SampleOptions{})
 	if err != nil {
 		b.Fatal(err)

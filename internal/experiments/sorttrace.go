@@ -9,6 +9,7 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/mr"
 	"repro/internal/workloads/querysuggest"
+	"repro/internal/workloads/sortwl"
 )
 
 // prefixSortMapper turns a query-log line into every prefix of the
@@ -29,23 +30,6 @@ func (prefixSortMapper) Map(key, value []byte, out mr.Emitter) error {
 		}
 	}
 	return nil
-}
-
-// prefixSortReducer re-emits each key once per occurrence, like the
-// Sort workload's reducer: the job's output is the sorted multiset of
-// prefixes.
-type prefixSortReducer struct{ mr.ReducerBase }
-
-// Reduce implements mr.Reducer.
-func (prefixSortReducer) Reduce(key []byte, values mr.ValueIter, out mr.Emitter) error {
-	for {
-		if _, ok := values.Next(); !ok {
-			return nil
-		}
-		if err := out.Emit(key, nil); err != nil {
-			return err
-		}
-	}
 }
 
 // SortResult is the observability demo run: an AdaptiveSH prefix-sort
@@ -71,11 +55,11 @@ func Sort(cfg Config) (*SortResult, error) {
 		Seed:    cfg.Seed,
 		Queries: cfg.n(20000),
 	})
-	splits := materialize(querysuggest.Splits(log, cfg.Splits))
+	splits := querysuggest.Splits(log, cfg.Splits)
 	base := &mr.Job{
 		Name:       "prefixsort",
 		NewMapper:  func() mr.Mapper { return prefixSortMapper{} },
-		NewReducer: func() mr.Reducer { return prefixSortReducer{} },
+		NewReducer: func() mr.Reducer { return sortwl.Reducer{} },
 		// Prefix-1 routing keeps every prefix of a query on one reduce
 		// task, maximizing per-partition sharing (§7.2's trick) and so
 		// the pressure on Shared.

@@ -35,7 +35,7 @@ func ThetaJoin(cfg Config) (*ThetaJoinResult, error) {
 	// memory-sized regions spread over the reduce tasks).
 	jcfg := thetajoin.Config{Rows: 33, Cols: 33, Reducers: cfg.Reducers}
 
-	splits := materialize(thetajoin.Splits(cloud, cfg.Splits))
+	splits := thetajoin.Splits(cloud, cfg.Splits)
 	run := func(name, variant string, compressed bool) (RunMetrics, error) {
 		job := thetajoin.NewJob(jcfg)
 		if variant != VariantOriginal {

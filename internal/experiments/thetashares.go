@@ -55,7 +55,7 @@ func ThetaShares(cfg Config) (*ThetaSharesResult, error) {
 	// most of both roles' replication, the adversarial case for the
 	// uniform block assignment.
 	jcfg := thetajoin.Config{Rows: 6, Cols: 6, Reducers: cfg.Reducers, PlacementSkew: 6}
-	splits := materialize(thetajoin.Splits(cloud, cfg.Splits))
+	splits := thetajoin.Splits(cloud, cfg.Splits)
 
 	// Region weights from a sampling sketch over the block job's map
 	// output (36 region keys — exact at default sketch capacity).

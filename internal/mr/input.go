@@ -33,6 +33,18 @@ func (s *GenSplit) Records(fn func(key, value []byte) error) error {
 	return s.Gen(fn)
 }
 
+// LineSplits renders n generated lines as nil-key records, line(i) the
+// value of record i, and cuts them into numSplits in-memory splits with
+// SplitRecords. The lines are generated here, once, so a map task's CPU
+// never includes generating its input.
+func LineSplits(n, numSplits int, line func(i int) string) []Split {
+	recs := make([]Record, n)
+	for i := range recs {
+		recs[i].Value = []byte(line(i))
+	}
+	return SplitRecords(recs, numSplits)
+}
+
 // SplitRecords partitions recs into n roughly equal in-memory splits.
 func SplitRecords(recs []Record, n int) []Split {
 	if n < 1 {

@@ -16,12 +16,9 @@ import (
 
 // Iterative PageRank as a 3-stage-per-iteration pipeline (internal/dag):
 //
-//	rank  — the classic contribution-spread job, except its output
-//	        carries both the new and the previous rank ('P' records) so
-//	        convergence is measurable downstream without a second read
-//	        of the graph. Its reducer is derived from the RankFold
-//	        monoid, so the map-side combiner collapsing a hub's fan-out
-//	        comes from the same declaration.
+//	rank  — NewRankJob, the one PageRank iteration E9 runs too. Its
+//	        'P' output records carry both the new and the previous rank,
+//	        and its RankFold-derived combiner collapses a hub's fan-out.
 //	delta — partition-preserving (mr.Job.AlignedInput): each map task
 //	        folds |rank−prev| over its partition of rank output and
 //	        emits exactly one per-partition sum, so the stage's shuffle
@@ -32,44 +29,6 @@ import (
 // The rank stage's output is both the delta stage's input and the next
 // iteration's carry; with the dag runner the partitions never re-spill
 // through the driver between stages.
-
-// tagStructPrev marks a rank-stage output record: current rank,
-// previous rank, adjacency.
-const tagStructPrev = 'P'
-
-// EncodeStructPrev packs a node's new rank, its previous rank, and its
-// adjacency list — the rank stage's output record.
-func EncodeStructPrev(rank, prev float64, adj []int32) []byte {
-	buf := make([]byte, 0, 17+4*len(adj))
-	buf = append(buf, tagStructPrev)
-	buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(rank))
-	buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(prev))
-	rest := EncodeStruct(0, adj)
-	return append(buf, rest[9:]...) // adjacency varints only
-}
-
-// DecodeStructPrev unpacks a 'P' record.
-func DecodeStructPrev(buf []byte) (rank, prev float64, adj []int32, err error) {
-	if len(buf) < 17 || buf[0] != tagStructPrev {
-		return 0, 0, nil, fmt.Errorf("pagerank: not a struct-prev record")
-	}
-	rank = math.Float64frombits(binary.BigEndian.Uint64(buf[1:9]))
-	prev = math.Float64frombits(binary.BigEndian.Uint64(buf[9:17]))
-	// Reuse the struct decoder for the adjacency varints.
-	_, adj, err = DecodeStruct(append(EncodeStruct(0, nil)[:9], buf[17:]...))
-	return rank, prev, adj, err
-}
-
-// DecodeRank reads the current rank and adjacency from either input
-// encoding the rank stage accepts: an iteration-0 'S' record or a
-// previous iteration's 'P' record.
-func DecodeRank(value []byte) (rank float64, adj []int32, err error) {
-	if len(value) > 0 && value[0] == tagStructPrev {
-		rank, _, adj, err = DecodeStructPrev(value)
-		return rank, adj, err
-	}
-	return DecodeStruct(value)
-}
 
 // DeltaKey renders a partition index as a fixed-width big-endian key.
 func DeltaKey(i int) []byte { return NodeKey(int32(i)) }
@@ -94,123 +53,6 @@ func DecodeDelta(buf []byte) (float64, error) {
 var IndexPartitioner = mr.PartitionerFunc(func(key []byte, parts int) int {
 	return int(binary.BigEndian.Uint32(key)) % parts
 })
-
-// iterMapper is the rank stage's map side: like the classic mapper it
-// spreads rank over out-edges, but it accepts both input encodings and
-// forwards the node's current rank inside the struct record so the
-// reducer can emit (new, previous) pairs.
-type iterMapper struct{ mr.MapperBase }
-
-func (iterMapper) Map(key, value []byte, out mr.Emitter) error {
-	rank, adj, err := DecodeRank(value)
-	if err != nil {
-		return err
-	}
-	if err := out.Emit(key, EncodeStruct(rank, adj)); err != nil {
-		return err
-	}
-	if len(adj) == 0 {
-		return nil
-	}
-	contrib := EncodeContrib(rank / float64(len(adj)))
-	for _, dst := range adj {
-		if err := out.Emit(NodeKey(dst), contrib); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// rankState is RankFold's aggregation state: the contribution sum plus
-// the node's forwarded structure (previous rank and adjacency).
-type rankState struct {
-	sum       float64
-	hasStruct bool
-	prev      float64
-	adj       []int32
-}
-
-// RankFold is the rank stage's monoid: contributions add, the struct
-// record rides along. Its derived combiner collapses a hub's fan-in
-// per map task exactly like the hand-written PageRank combiner of
-// §7.7.2 — one declaration serves combiner and reducer. Merge is
-// commutative; note float addition is only associative to rounding, so
-// its law checks compare with an epsilon.
-type RankFold struct{}
-
-// Identity implements monoid.Monoid.
-func (RankFold) Identity() rankState { return rankState{} }
-
-// Absorb implements monoid.Monoid, accepting the map phase's 'S' and
-// 'R' records — which are also exactly what Emit produces.
-func (RankFold) Absorb(st rankState, value []byte) (rankState, error) {
-	switch {
-	case len(value) == 9 && value[0] == tagContrib:
-		st.sum += math.Float64frombits(binary.BigEndian.Uint64(value[1:]))
-	case len(value) > 0 && value[0] == tagStruct:
-		prev, adj, err := DecodeStruct(value)
-		if err != nil {
-			return st, err
-		}
-		st.hasStruct, st.prev, st.adj = true, prev, adj
-	default:
-		return st, fmt.Errorf("pagerank: unknown record tag")
-	}
-	return st, nil
-}
-
-// Merge implements monoid.Monoid. y's adjacency is copied, not shared:
-// Merge never retains its second argument.
-func (RankFold) Merge(x, y rankState) (rankState, error) {
-	x.sum += y.sum
-	if y.hasStruct {
-		x.hasStruct, x.prev, x.adj = true, y.prev, append([]int32(nil), y.adj...)
-	}
-	return x, nil
-}
-
-// Emit implements monoid.Monoid: a partial state re-encodes as at most
-// one struct and one contribution record, both absorbable.
-func (RankFold) Emit(key []byte, st rankState, out mr.Emitter) error {
-	if st.hasStruct {
-		if err := out.Emit(key, EncodeStruct(st.prev, st.adj)); err != nil {
-			return err
-		}
-	}
-	if st.sum != 0 {
-		return out.Emit(key, EncodeContrib(st.sum))
-	}
-	return nil
-}
-
-// CommutativeMonoid marks RankFold commutative.
-func (RankFold) CommutativeMonoid() {}
-
-// finalRank renders the fully merged state as the stage output: a 'P'
-// record pairing the damped new rank with the rank the node had.
-func finalRank(nodes int) func(key []byte, st rankState, out mr.Emitter) error {
-	return func(key []byte, st rankState, out mr.Emitter) error {
-		if !st.hasStruct {
-			return fmt.Errorf("pagerank: contributions for unknown node %d", NodeID(key))
-		}
-		newRank := (1-Damping)/float64(nodes) + Damping*st.sum
-		return out.Emit(key, EncodeStructPrev(newRank, st.prev, st.adj))
-	}
-}
-
-// NewRankJob builds the rank stage job: one PageRank iteration whose
-// output carries (new, previous) rank pairs, combiner derived from
-// RankFold.
-func NewRankJob(nodes, reducers int) *mr.Job {
-	return &mr.Job{
-		Name:           "pagerank-rank",
-		NewMapper:      func() mr.Mapper { return iterMapper{} },
-		NewReducer:     monoid.Reducer(RankFold{}, finalRank(nodes)),
-		NewCombiner:    monoid.Combiner(RankFold{}),
-		NumReduceTasks: reducers,
-		Deterministic:  true,
-	}
-}
 
 // DeltaSum is the delta and norm stages' monoid: plain float addition
 // over EncodeDelta records. Commutative; associative to rounding.
@@ -399,21 +241,6 @@ func PartitionRecords(recs []mr.Record, parts int) [][]mr.Record {
 		out[p] = append(out[p], r)
 	}
 	return out
-}
-
-// RanksFromParts extracts node ranks from the pipeline's final output.
-func RanksFromParts(parts [][]mr.Record) (map[int32]float64, error) {
-	ranks := make(map[int32]float64)
-	for _, part := range parts {
-		for _, rec := range part {
-			rank, _, _, err := DecodeStructPrev(rec.Value)
-			if err != nil {
-				return nil, err
-			}
-			ranks[NodeID(rec.Key)] = rank
-		}
-	}
-	return ranks, nil
 }
 
 func buildIterSpec(raw []byte) (IterSpec, error) {

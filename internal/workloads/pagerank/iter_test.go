@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/monoid"
@@ -152,7 +153,49 @@ func TestDecodeRankBothEncodings(t *testing.T) {
 		if rank != 0.125 || len(gotAdj) != 2 || gotAdj[0] != 2 || gotAdj[1] != 7 {
 			t.Fatalf("%s: got rank=%g adj=%v", tc.name, rank, gotAdj)
 		}
+		// A lying adjacency count and a truncated varint fail in both
+		// encodings: the header is kept, the adjacency replaced.
+		head := tc.buf[:len(tc.buf)-3]
+		for _, bad := range [][]byte{
+			{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x40}, // count 2^62
+			{0x80, 0x80, 0x80, 0x80, 0x10},                         // count 2^32
+			{0x80},                                                 // truncated count
+			{2, 2, 0x87},                                           // truncated entry
+		} {
+			buf := append(append([]byte(nil), head...), bad...)
+			if _, _, err := pagerank.DecodeRank(buf); err == nil {
+				t.Errorf("%s: DecodeRank accepted %x", tc.name, buf)
+			}
+		}
 	}
+}
+
+// FuzzDecodeRank feeds arbitrary record bodies to the rank job's input
+// decoder under both encodings' tags. Decoding must never panic, and
+// whatever it accepts must re-encode, in either encoding, to the same
+// rank and adjacency.
+func FuzzDecodeRank(f *testing.F) {
+	f.Add(pagerank.EncodeStruct(0.125, []int32{2, 7})[1:])
+	f.Add(pagerank.EncodeStructPrev(0.125, 0.25, []int32{3, 1, 4})[1:])
+	f.Add(pagerank.EncodeStructPrev(1, 2, nil)[1:])
+	f.Add([]byte("\x00\x00\x00\x00\x00\x00\x00\x00\x80\x80\x80\x80\x10"))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		for _, tag := range []byte{'S', 'P'} {
+			rank, adj, err := pagerank.DecodeRank(append([]byte{tag}, body...))
+			if err != nil {
+				continue
+			}
+			for _, buf := range [][]byte{pagerank.EncodeStruct(rank, adj), pagerank.EncodeStructPrev(rank, 0, adj)} {
+				gotRank, gotAdj, err := pagerank.DecodeRank(buf)
+				if err != nil {
+					t.Fatalf("%c: re-encoded %x does not decode: %v", tag, buf, err)
+				}
+				if math.Float64bits(gotRank) != math.Float64bits(rank) || !slices.Equal(gotAdj, adj) {
+					t.Fatalf("%c: decoded (%g, %v), re-encoded as (%g, %v)", tag, rank, adj, gotRank, gotAdj)
+				}
+			}
+		}
+	})
 }
 
 func TestDeltaRoundTrip(t *testing.T) {

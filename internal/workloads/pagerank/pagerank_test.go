@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/anticombine"
+	"repro/internal/bytesx"
 	"repro/internal/datagen"
 	"repro/internal/mr"
 )
@@ -13,14 +14,14 @@ func testGraph() *datagen.Graph {
 	return datagen.NewGraph(datagen.GraphConfig{Seed: 31, Nodes: 300, AvgOutDegree: 6})
 }
 
-// iterate runs n PageRank iterations through the engine, optionally
-// wrapping each iteration's job with Anti-Combining.
+// iterate runs n iterations of the rank job through the engine,
+// optionally wrapping each iteration's job with Anti-Combining.
 func iterate(t *testing.T, g *datagen.Graph, iters int, opts *anticombine.Options) map[int32]float64 {
 	t.Helper()
 	recs := InitialRecords(g)
 	var res *mr.Result
 	for i := 0; i < iters; i++ {
-		job := NewJob(len(g.Out), 4)
+		job := NewRankJob(len(g.Out), 4)
 		if opts != nil {
 			job = anticombine.Wrap(job, *opts)
 		}
@@ -31,7 +32,7 @@ func iterate(t *testing.T, g *datagen.Graph, iters int, opts *anticombine.Option
 		}
 		recs = res.SortedOutput()
 	}
-	ranks, err := RanksFromOutput(res)
+	ranks, err := RanksFromParts(res.Output)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,6 +70,9 @@ func TestAntiCombinedMatchesReference(t *testing.T) {
 		{"adaptive", anticombine.AdaptiveInf()},
 		{"eager", anticombine.Adaptive0()},
 		{"lazy", anticombine.Options{Strategy: anticombine.LazyOnly}},
+		// The reducer on Shared instead of the RankFold fold, with
+		// the map-side combiner transformed too.
+		{"shared", anticombine.Options{Strategy: anticombine.Adaptive, DisableSharedCombine: true, MapCombiner: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			assertRanksClose(t, iterate(t, g, 3, &tc.opts), want)
@@ -106,6 +110,25 @@ func TestStructCodec(t *testing.T) {
 	if _, _, err := DecodeStruct([]byte{'R', 0}); err == nil {
 		t.Error("wrong tag should fail")
 	}
+	// A corrupt adjacency is an error, never a panic or a huge
+	// allocation: the count must fit the bytes that follow it.
+	head := EncodeStruct(0.125, nil)[:9]
+	for _, tc := range []struct {
+		name string
+		adj  []byte
+	}{
+		{"count 2^62", bytesx.AppendUvarint(nil, 1<<62)},
+		{"count 2^32", bytesx.AppendUvarint(nil, 1<<32)},
+		{"count past the entries", []byte{3, 1, 2}},
+		{"truncated count", []byte{0x80}},
+		{"truncated entry", []byte{1, 0xff}},
+		{"no count", nil},
+	} {
+		buf := append(append([]byte(nil), head...), tc.adj...)
+		if _, _, err := DecodeStruct(buf); err == nil {
+			t.Errorf("%s: DecodeStruct accepted %x", tc.name, buf)
+		}
+	}
 }
 
 func TestNodeKeyOrdering(t *testing.T) {
@@ -124,7 +147,7 @@ func TestEagerSharesHubFanout(t *testing.T) {
 	g := testGraph()
 	recs := InitialRecords(g)
 	run := func(wrap bool) int64 {
-		job := NewJob(len(g.Out), 4)
+		job := NewRankJob(len(g.Out), 4)
 		if wrap {
 			job = anticombine.Wrap(job, anticombine.Adaptive0())
 		}

@@ -215,33 +215,14 @@ func NewJob(cfg Config, withCombiner bool) *mr.Job {
 	return job
 }
 
-// Splits builds map input splits streaming from a synthetic query log.
+// Splits renders a synthetic query log as in-memory map input splits.
 // Following §2, the record value carries the query string alone — "each
 // query comes with additional features ... omitted here for simplicity"
 // — which also matches §4.1's arithmetic where LazySH ships exactly the
 // query. (The full QLog schema is available via QueryLogRecord.Line for
 // the datagen CLI.)
 func Splits(log *datagen.QueryLog, numSplits int) []mr.Split {
-	if numSplits < 1 {
-		numSplits = 1
-	}
-	per := (log.Len() + numSplits - 1) / numSplits
-	var splits []mr.Split
-	for start := 0; start < log.Len(); start += per {
-		start, end := start, min(start+per, log.Len())
-		splits = append(splits, &mr.GenSplit{Gen: func(emit func(k, v []byte) error) error {
-			for i := start; i < end; i++ {
-				if err := emit(nil, []byte(log.Record(i).Query)); err != nil {
-					return err
-				}
-			}
-			return nil
-		}})
-	}
-	if len(splits) == 0 {
-		splits = []mr.Split{&mr.MemSplit{}}
-	}
-	return splits
+	return mr.LineSplits(log.Len(), numSplits, func(i int) string { return log.Record(i).Query })
 }
 
 // Reference computes the exact expected output on the full log with a

@@ -132,28 +132,9 @@ func NewJob(cfg Config) *mr.Job {
 	}
 }
 
-// Splits streams Cloud record lines.
+// Splits renders Cloud record lines as in-memory splits.
 func Splits(cloud *datagen.Cloud, numSplits int) []mr.Split {
-	if numSplits < 1 {
-		numSplits = 1
-	}
-	per := (cloud.Len() + numSplits - 1) / numSplits
-	var splits []mr.Split
-	for start := 0; start < cloud.Len(); start += per {
-		start, end := start, min(start+per, cloud.Len())
-		splits = append(splits, &mr.GenSplit{Gen: func(emit func(k, v []byte) error) error {
-			for i := start; i < end; i++ {
-				if err := emit(nil, []byte(cloud.Record(i).Line())); err != nil {
-					return err
-				}
-			}
-			return nil
-		}})
-	}
-	if len(splits) == 0 {
-		splits = []mr.Split{&mr.MemSplit{}}
-	}
-	return splits
+	return mr.LineSplits(cloud.Len(), numSplits, func(i int) string { return cloud.Record(i).Line() })
 }
 
 // Reference computes the expected per-(query, group) aggregates

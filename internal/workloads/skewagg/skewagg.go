@@ -229,28 +229,9 @@ func NewJob(cfg Config) *mr.Job {
 // when the job itself runs combiner-less.
 var NewCombiner = monoid.Combiner(Agg{})
 
-// Splits streams generated lines.
+// Splits renders generated lines as in-memory splits.
 func Splits(g *Gen, numSplits int) []mr.Split {
-	if numSplits < 1 {
-		numSplits = 1
-	}
-	per := (g.Len() + numSplits - 1) / numSplits
-	var splits []mr.Split
-	for start := 0; start < g.Len(); start += per {
-		start, end := start, min(start+per, g.Len())
-		splits = append(splits, &mr.GenSplit{Gen: func(emit func(k, v []byte) error) error {
-			for i := start; i < end; i++ {
-				if err := emit(nil, []byte(g.Line(i))); err != nil {
-					return err
-				}
-			}
-			return nil
-		}})
-	}
-	if len(splits) == 0 {
-		splits = []mr.Split{&mr.MemSplit{}}
-	}
-	return splits
+	return mr.LineSplits(g.Len(), numSplits, g.Line)
 }
 
 // Reference computes the exact aggregate lines sequentially for tests.

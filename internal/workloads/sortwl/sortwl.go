@@ -17,10 +17,13 @@ func (mapper) Map(key, value []byte, out mr.Emitter) error {
 	return out.Emit(value, nil)
 }
 
-type reducer struct{ mr.ReducerBase }
+// Reducer re-emits each key once per occurrence, so a job's output is
+// the sorted multiset of its map output keys. Other sorts of a key
+// multiset (the experiments' prefix sort) reuse it.
+type Reducer struct{ mr.ReducerBase }
 
 // Reduce implements mr.Reducer, emitting each key once per occurrence.
-func (reducer) Reduce(key []byte, values mr.ValueIter, out mr.Emitter) error {
+func (Reducer) Reduce(key []byte, values mr.ValueIter, out mr.Emitter) error {
 	for {
 		if _, ok := values.Next(); !ok {
 			return nil
@@ -39,32 +42,13 @@ func NewJob(reducers int) *mr.Job {
 	return &mr.Job{
 		Name:           "sort",
 		NewMapper:      func() mr.Mapper { return mapper{} },
-		NewReducer:     func() mr.Reducer { return reducer{} },
+		NewReducer:     func() mr.Reducer { return Reducer{} },
 		NumReduceTasks: reducers,
 		Deterministic:  true,
 	}
 }
 
-// Splits streams random-text lines as sort input.
+// Splits renders random-text lines as in-memory sort input.
 func Splits(text *datagen.RandomText, numSplits int) []mr.Split {
-	if numSplits < 1 {
-		numSplits = 1
-	}
-	per := (text.Len() + numSplits - 1) / numSplits
-	var splits []mr.Split
-	for start := 0; start < text.Len(); start += per {
-		start, end := start, min(start+per, text.Len())
-		splits = append(splits, &mr.GenSplit{Gen: func(emit func(k, v []byte) error) error {
-			for i := start; i < end; i++ {
-				if err := emit(nil, []byte(text.Line(i))); err != nil {
-					return err
-				}
-			}
-			return nil
-		}})
-	}
-	if len(splits) == 0 {
-		splits = []mr.Split{&mr.MemSplit{}}
-	}
-	return splits
+	return mr.LineSplits(text.Len(), numSplits, text.Line)
 }

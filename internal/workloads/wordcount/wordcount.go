@@ -147,28 +147,9 @@ func NewInMapperJob(reducers, maxEntries int) *mr.Job {
 	return job
 }
 
-// Splits streams lines from a random-text generator.
+// Splits renders random-text lines as in-memory splits.
 func Splits(text *datagen.RandomText, numSplits int) []mr.Split {
-	if numSplits < 1 {
-		numSplits = 1
-	}
-	per := (text.Len() + numSplits - 1) / numSplits
-	var splits []mr.Split
-	for start := 0; start < text.Len(); start += per {
-		start, end := start, min(start+per, text.Len())
-		splits = append(splits, &mr.GenSplit{Gen: func(emit func(k, v []byte) error) error {
-			for i := start; i < end; i++ {
-				if err := emit(nil, []byte(text.Line(i))); err != nil {
-					return err
-				}
-			}
-			return nil
-		}})
-	}
-	if len(splits) == 0 {
-		splits = []mr.Split{&mr.MemSplit{}}
-	}
-	return splits
+	return mr.LineSplits(text.Len(), numSplits, text.Line)
 }
 
 // Reference computes exact word counts sequentially for tests.

@@ -1,7 +1,6 @@
 package datagen
 
 import (
-	"bytes"
 	"math"
 	"strconv"
 	"strings"
@@ -63,23 +62,46 @@ func (r CloudRecord) Line() string {
 // the end of the line when there is none). Each must be what
 // strconv.Atoi accepts — an optional sign and decimal digits, within the
 // int64 range — and is truncated to int32 as a conversion would. It
-// scans line in place and allocates nothing.
+// parses all three fields in one scan of line and allocates nothing.
 func ParseCloudLine(line []byte) (date, longitude, latitude int32, ok bool) {
 	var v [3]int32
-	for i := range v {
-		end := bytes.IndexByte(line, ',')
-		if end < 0 {
-			if i < 2 {
-				return 0, 0, 0, false
-			}
-			end = len(line)
+	i := 0
+	for f := range v {
+		start := i
+		neg := false
+		if i < len(line) && (line[i] == '+' || line[i] == '-') {
+			neg = line[i] == '-'
+			i++
 		}
-		n, ok := atoi(line[:end])
-		if !ok {
+		digits := i
+		// Arithmetic mod 2^32 is the int32 truncation of the value.
+		var n uint32
+		for ; i < len(line); i++ {
+			d := line[i] - '0'
+			if d > 9 {
+				break
+			}
+			n = n*10 + uint32(d)
+		}
+		if i == digits {
 			return 0, 0, 0, false
 		}
-		v[i] = int32(n)
-		line = line[min(end+1, len(line)):]
+		if neg {
+			n = -n
+		}
+		v[f] = int32(n)
+		if i-digits > 18 {
+			// Only a run of 19 or more digits can leave the int64 range.
+			if _, ok := atoi(line[start:i]); !ok {
+				return 0, 0, 0, false
+			}
+		}
+		switch {
+		case i < len(line) && line[i] == ',':
+			i++
+		case i < len(line) || f < 2:
+			return 0, 0, 0, false
+		}
 	}
 	return v[0], v[1], v[2], true
 }

@@ -273,3 +273,24 @@ func TestParseCloudLineDoesNotAllocate(t *testing.T) {
 		t.Errorf("ParseCloudLine allocates %v times per call, want 0", n)
 	}
 }
+
+func TestHash64Tagged2MatchesConcatenation(t *testing.T) {
+	// Routing, LazySH re-execution and the experiment digests all depend
+	// on the tagged hashes equalling Hash64 of the concatenation.
+	rng := NewRNG(7)
+	tags := []string{"S|", "T|", "sr|", "sc|", "", "x"}
+	for i := 0; i < 2000; i++ {
+		value := make([]byte, rng.Intn(200))
+		for j := range value {
+			value[j] = byte(rng.Uint64())
+		}
+		a, b := tags[rng.Intn(len(tags))], tags[rng.Intn(len(tags))]
+		ha, hb := Hash64Tagged2(a, b, value)
+		if want := Hash64(append([]byte(a), value...)); ha != want {
+			t.Fatalf("Hash64Tagged2(%q, _, %q) lane A = %x, want %x", a, value, ha, want)
+		}
+		if want := Hash64(append([]byte(b), value...)); hb != want {
+			t.Fatalf("Hash64Tagged2(_, %q, %q) lane B = %x, want %x", b, value, hb, want)
+		}
+	}
+}

@@ -43,20 +43,50 @@ func (r *RNG) Fork(stream uint64) *RNG {
 	return NewRNG(r.Uint64() ^ (stream * 0xd6e8feb86659fd93))
 }
 
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
 // Hash64 mixes a byte string into 64 bits (FNV-1a finished with a
 // SplitMix64 scramble). Workloads use it to derive deterministic
 // "random" choices from record content, which keeps Map deterministic
 // as LazySH requires.
 func Hash64(b []byte) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
+	h := uint64(fnvOffset64)
 	for _, c := range b {
 		h ^= uint64(c)
-		h *= prime64
+		h *= fnvPrime64
 	}
+	return scramble(h)
+}
+
+// Hash64Tagged2 is Hash64(tagA + b) and Hash64(tagB + b), computed in
+// one pass over b without building either concatenation: two
+// independent FNV-1a lanes, whose multiplies overlap.
+func Hash64Tagged2(tagA, tagB string, b []byte) (uint64, uint64) {
+	ha, hb := fnvString(tagA), fnvString(tagB)
+	for _, c := range b {
+		ha ^= uint64(c)
+		hb ^= uint64(c)
+		ha *= fnvPrime64
+		hb *= fnvPrime64
+	}
+	return scramble(ha), scramble(hb)
+}
+
+// fnvString is the FNV-1a state after s.
+func fnvString(s string) uint64 {
+	h := uint64(fnvOffset64)
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= fnvPrime64
+	}
+	return h
+}
+
+// scramble is Hash64's SplitMix64 finish.
+func scramble(h uint64) uint64 {
 	h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9
 	h = (h ^ (h >> 27)) * 0x94d049bb133111eb
 	return h ^ (h >> 31)

@@ -70,9 +70,9 @@ func BuildSharesPlan(cfg Config, weights []int64, reducers int, hotFactor float6
 	for g := 0; g < regions; g++ {
 		if w[g] > cut {
 			share := int((w[g] + target - 1) / target)
-			if share > reducers {
-				share = reducers
-			}
+			// A sub-region's index is one key byte, so a sub-grid
+			// has at most 256 cells.
+			share = min(share, reducers, 256)
 			if share < 2 {
 				share = 2
 			}
@@ -159,16 +159,6 @@ func (p *SharesPlan) subOf(region int) *subGrid {
 		return nil
 	}
 	return p.sub[region]
-}
-
-// subRegionKey renders a sub-region key: the region key plus the
-// sub-region index byte (the reducer strips it on output, so joined
-// records are byte-identical to the un-tiled run).
-func subRegionKey(region, idx int) []byte {
-	k := make([]byte, 5)
-	binary.BigEndian.PutUint32(k[:4], uint32(region))
-	k[4] = byte(idx)
-	return k
 }
 
 // RegionWeights extracts per-region byte weights from a sampling

@@ -26,6 +26,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
+	"strconv"
 
 	"repro/internal/datagen"
 	"repro/internal/mr"
@@ -99,55 +101,82 @@ func (p blockPartitioner) Partition(key []byte, numPartitions int) int {
 }
 
 // mapper replicates each tuple across its matrix row (as S) and column
-// (as T).
+// (as T). It reuses its key and value buffers across emits:
+// mr.Emitter implementations copy what they keep.
 type mapper struct {
 	mr.MapperBase
-	cfg Config
+	cfg        Config
+	key        [5]byte // region key, then the sub-region index byte
+	sVal, tVal []byte
 }
 
 // Map implements mr.Mapper over one Cloud record line.
-func (m mapper) Map(key, value []byte, out mr.Emitter) error {
-	// Deterministic stand-ins for 1-Bucket-Theta's random row/column.
-	row := placeIdx(datagen.Hash64(append([]byte("S|"), value...)), m.cfg.Rows, m.cfg.PlacementSkew)
-	col := placeIdx(datagen.Hash64(append([]byte("T|"), value...)), m.cfg.Cols, m.cfg.PlacementSkew)
+func (m *mapper) Map(key, value []byte, out mr.Emitter) error {
+	// Deterministic stand-ins for 1-Bucket-Theta's random row/column:
+	// Hash64("S|"+value) and Hash64("T|"+value).
+	hs, ht := datagen.Hash64Tagged2("S|", "T|", value)
+	row := placeIdx(hs, m.cfg.Rows, m.cfg.PlacementSkew)
+	col := placeIdx(ht, m.cfg.Cols, m.cfg.PlacementSkew)
 
-	sVal := append([]byte{'S'}, value...)
+	// Hash64("sr|"+value) and Hash64("sc|"+value) pick the sub-row and
+	// sub-column in sub-tiled regions.
+	var hsr, hsc uint64
+	if m.cfg.Shares != nil && len(m.cfg.Shares.sub) > 0 {
+		hsr, hsc = datagen.Hash64Tagged2("sr|", "sc|", value)
+	}
+	m.sVal = append(append(m.sVal[:0], 'S'), value...)
 	for c := 0; c < m.cfg.Cols; c++ {
 		g := row*m.cfg.Cols + c
 		if sg := m.cfg.Shares.subOf(g); sg != nil {
 			// Sub-tiled region: the S copy fans across the b
 			// sub-columns of its hashed sub-row.
-			sr := int(datagen.Hash64(append([]byte("sr|"), value...)) % uint64(sg.rows))
+			sr := int(hsr % uint64(sg.rows))
 			for sc := 0; sc < sg.cols; sc++ {
-				if err := out.Emit(subRegionKey(g, sr*sg.cols+sc), sVal); err != nil {
+				if err := out.Emit(m.subRegionKey(g, sr*sg.cols+sc), m.sVal); err != nil {
 					return err
 				}
 			}
 			continue
 		}
-		if err := out.Emit(RegionKey(g), sVal); err != nil {
+		if err := out.Emit(m.regionKey(g), m.sVal); err != nil {
 			return err
 		}
 	}
-	tVal := append([]byte{'T'}, value...)
+	m.tVal = append(append(m.tVal[:0], 'T'), value...)
 	for r := 0; r < m.cfg.Rows; r++ {
 		g := r*m.cfg.Cols + col
 		if sg := m.cfg.Shares.subOf(g); sg != nil {
 			// The T copy fans down the a sub-rows of its hashed
 			// sub-column, meeting each S sub-copy exactly once.
-			sc := int(datagen.Hash64(append([]byte("sc|"), value...)) % uint64(sg.cols))
+			sc := int(hsc % uint64(sg.cols))
 			for sr := 0; sr < sg.rows; sr++ {
-				if err := out.Emit(subRegionKey(g, sr*sg.cols+sc), tVal); err != nil {
+				if err := out.Emit(m.subRegionKey(g, sr*sg.cols+sc), m.tVal); err != nil {
 					return err
 				}
 			}
 			continue
 		}
-		if err := out.Emit(RegionKey(g), tVal); err != nil {
+		if err := out.Emit(m.regionKey(g), m.tVal); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// regionKey renders RegionKey(region) into the mapper's key buffer.
+func (m *mapper) regionKey(region int) []byte {
+	binary.BigEndian.PutUint32(m.key[:4], uint32(region))
+	return m.key[:4]
+}
+
+// subRegionKey renders a sub-region key into the mapper's key buffer:
+// the region key plus the sub-region index byte (the reducer strips it
+// on output, so joined records are byte-identical to the un-tiled run).
+// BuildSharesPlan caps a sub-grid at 256 sub-regions, so idx fits.
+func (m *mapper) subRegionKey(region, idx int) []byte {
+	binary.BigEndian.PutUint32(m.key[:4], uint32(region))
+	m.key[4] = byte(idx)
+	return m.key[:5]
 }
 
 // placeIdx maps a hash to a grid index: uniform at skew 0 (the
@@ -169,17 +198,28 @@ type tuple struct {
 	date, lon, lat int32
 }
 
-// reducer joins one region's S and T lists with the band predicate.
+// reducer joins one region's S and T lists with the band predicate. It
+// reuses its tuple lists, bucket table and output line across regions.
 type reducer struct {
 	mr.ReducerBase
-	cfg Config
+	cfg  Config
+	ss   []tuple
+	ts   []tuple
+	next []int32 // T index -> the next T index of its bucket, or -1
+	// slots is an open-addressed table from (date, lon) to one more than
+	// the first T index of its bucket (0: empty slot).
+	slots []int32
+	line  []byte
 }
 
-// Reduce implements mr.Reducer. The local join is an in-memory
-// nested-loop over the region's chunk, like the memory-aware
-// 1-Bucket-Theta's per-region join.
-func (r reducer) Reduce(key []byte, values mr.ValueIter, out mr.Emitter) error {
-	var ss, ts []tuple
+// Reduce implements mr.Reducer. The local join is a bucketed band
+// join over the region's chunk: T tuples are chained into (date, lon)
+// buckets in arrival order, and each S tuple, in arrival order, visits
+// only its bucket, applying the latitude band there. It emits exactly
+// the nested loop's sequence over (S, T) in arrival order, because a
+// pair outside the bucket never matches.
+func (r *reducer) Reduce(key []byte, values mr.ValueIter, out mr.Emitter) error {
+	ss, ts := r.ss[:0], r.ts[:0]
 	for {
 		v, ok := values.Next()
 		if !ok {
@@ -201,6 +241,11 @@ func (r reducer) Reduce(key []byte, values mr.ValueIter, out mr.Emitter) error {
 			return fmt.Errorf("thetajoin: unknown role %q", v[0])
 		}
 	}
+	r.ss, r.ts = ss, ts
+	if len(ss) == 0 || len(ts) == 0 {
+		return nil
+	}
+	r.buildBuckets()
 	// Sub-tiled groups carry a 5th sub-region index byte; strip it on
 	// output so the joined records are byte-identical to an un-tiled
 	// run (every (s, t) pair meets exactly once either way).
@@ -209,16 +254,66 @@ func (r reducer) Reduce(key []byte, values mr.ValueIter, out mr.Emitter) error {
 		outKey = key[:4]
 	}
 	for _, s := range ss {
-		for _, t := range ts {
-			if s.date == t.date && s.lon == t.lon && abs32(s.lat-t.lat) <= r.cfg.BandTenths {
-				line := fmt.Sprintf("%d,%d,%d,%d", s.date, s.lon, s.lat, t.lat)
-				if err := out.Emit(outKey, []byte(line)); err != nil {
-					return err
-				}
+		for j := r.slots[r.slot(s)] - 1; j >= 0; j = r.next[j] {
+			t := ts[j]
+			if abs32(s.lat-t.lat) > r.cfg.BandTenths {
+				continue
+			}
+			r.line = appendRow(r.line[:0], s, t.lat)
+			if err := out.Emit(outKey, r.line); err != nil {
+				return err
 			}
 		}
 	}
 	return nil
+}
+
+// buildBuckets chains r.ts into (date, lon) buckets. It inserts in
+// reverse arrival order, prepending, so every chain runs in arrival
+// order.
+func (r *reducer) buildBuckets() {
+	size := 16
+	for size < 2*len(r.ts) {
+		size *= 2
+	}
+	if cap(r.slots) < size {
+		r.slots = make([]int32, size)
+	}
+	r.slots = r.slots[:size]
+	clear(r.slots)
+	r.next = slices.Grow(r.next[:0], len(r.ts))[:len(r.ts)]
+	for j := len(r.ts) - 1; j >= 0; j-- {
+		i := r.slot(r.ts[j])
+		r.next[j] = r.slots[i] - 1
+		r.slots[i] = int32(j) + 1
+	}
+}
+
+// slot returns the table slot of x's (date, lon) bucket: the slot that
+// holds it, or the empty slot where it goes.
+func (r *reducer) slot(x tuple) int {
+	mask := len(r.slots) - 1
+	// Fibonacci hashing of the packed (date, lon) pair.
+	dl := uint64(uint32(x.date))<<32 | uint64(uint32(x.lon))
+	i := int(dl*0x9e3779b97f4a7c15>>32) & mask
+	for {
+		j := r.slots[i] - 1
+		if j < 0 || r.ts[j].date == x.date && r.ts[j].lon == x.lon {
+			return i
+		}
+		i = (i + 1) & mask
+	}
+}
+
+// appendRow renders one joined row, "date,lon,S.lat,T.lat".
+func appendRow(b []byte, s tuple, tLat int32) []byte {
+	b = strconv.AppendInt(b, int64(s.date), 10)
+	b = append(b, ',')
+	b = strconv.AppendInt(b, int64(s.lon), 10)
+	b = append(b, ',')
+	b = strconv.AppendInt(b, int64(s.lat), 10)
+	b = append(b, ',')
+	return strconv.AppendInt(b, int64(tLat), 10)
 }
 
 func abs32(x int32) int32 {
@@ -239,8 +334,8 @@ func NewJob(cfg Config) *mr.Job {
 	}
 	return &mr.Job{
 		Name:           "thetajoin",
-		NewMapper:      func() mr.Mapper { return mapper{cfg: cfg} },
-		NewReducer:     func() mr.Reducer { return reducer{cfg: cfg} },
+		NewMapper:      func() mr.Mapper { return &mapper{cfg: cfg} },
+		NewReducer:     func() mr.Reducer { return &reducer{cfg: cfg} },
 		Partitioner:    part,
 		NumReduceTasks: cfg.Reducers,
 		Deterministic:  true,

@@ -38,14 +38,15 @@ verify: build vet staticcheck race
 # down to the sequential unpooled configuration, are in git history).
 # BENCH_experiments.json is skew partitioning (hash vs range vs split
 # max/mean partition bytes, via custom ReportMetric units), the dag
-# pipeline handoff and the theta-join's own Map and local band join; BENCH_transport.json the shuffle data plane (raw vs
+# pipeline handoff, the theta-join's own Map and local band join and
+# Query-Suggestion's reduce-side fold; BENCH_transport.json the shuffle data plane (raw vs
 # sendfile vs compressed throughput with bytes-on-wire per op);
 # BENCH_anticombine.json the anti-combining primitives, against the
 # commit before Shared stored its bytes in pooled blocks instead of a
 # doubling arena.
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkMapBufferSpill|BenchmarkSpillSort|BenchmarkMapPathE2E|BenchmarkMergeIter|BenchmarkSegmentRoundTrip|BenchmarkReduceCollect|BenchmarkMemFSWrite|BenchmarkHashPartitioner|BenchmarkReadRecord' -benchmem ./internal/mr/ ./internal/iokit/ ./internal/bytesx/ | tee /dev/stderr | $(GO) run ./cmd/benchjson -baseline BENCH_mr.json -out BENCH_mr.json
-	$(GO) test -run '^$$' -bench 'BenchmarkSkewPartition|BenchmarkPipelineHandoff|BenchmarkThetaMap|BenchmarkThetaReduce' -benchmem ./internal/experiments/ ./internal/workloads/thetajoin/ | tee /dev/stderr | $(GO) run ./cmd/benchjson -baseline BENCH_experiments.json -out BENCH_experiments.json
+	$(GO) test -run '^$$' -bench 'BenchmarkSkewPartition|BenchmarkPipelineHandoff|BenchmarkThetaMap|BenchmarkThetaReduce|BenchmarkCountsFold' -benchmem ./internal/experiments/ ./internal/workloads/thetajoin/ ./internal/workloads/querysuggest/ | tee /dev/stderr | $(GO) run ./cmd/benchjson -baseline BENCH_experiments.json -out BENCH_experiments.json
 	$(GO) test -run '^$$' -bench 'BenchmarkShuffleDataPlane' -benchmem ./internal/mr/ | tee /dev/stderr | $(GO) run ./cmd/benchjson -baseline BENCH_transport.json -out BENCH_transport.json
 	$(GO) test -run '^$$' -bench 'BenchmarkEagerEncode|BenchmarkDecodeEager|BenchmarkSharedAddPop|BenchmarkSharedFill|BenchmarkSharedSpill|BenchmarkAntiReducePlain|BenchmarkAntiMapCall|BenchmarkAntiCombineRun' -benchmem ./internal/anticombine/ | tee /dev/stderr | $(GO) run ./cmd/benchjson -baseline BENCH_anticombine.json -out BENCH_anticombine.json
 
@@ -89,7 +90,8 @@ FUZZ_TARGETS = \
 	internal/mr:FuzzCompressedBody internal/mr:FuzzSegmentFrames internal/mr:FuzzSpillSort \
 	internal/anticombine:FuzzDecodeValue internal/anticombine:FuzzShared \
 	internal/monoid:FuzzFoldTable internal/datagen:FuzzParseCloudLine \
-	internal/workloads/pagerank:FuzzDecodeRank internal/workloads/thetajoin:FuzzThetaReduce
+	internal/workloads/pagerank:FuzzDecodeRank internal/workloads/thetajoin:FuzzThetaReduce \
+	internal/workloads/querysuggest:FuzzFinalTop
 fuzz-smoke:
 	@set -e; for t in $(FUZZ_TARGETS); do \
 		echo "fuzz $$t ($(FUZZTIME))"; \

@@ -26,7 +26,10 @@ import (
 
 // Benchmark is one parsed result line.
 type Benchmark struct {
-	Name        string  `json:"name"`
+	Name string `json:"name"`
+	// Pkg is the package the row was measured in: the `pkg:` line
+	// above it, so a report over several packages labels each row.
+	Pkg         string  `json:"pkg,omitempty"`
 	Iterations  int64   `json:"iterations"`
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  float64 `json:"bytes_per_op,omitempty"`
@@ -48,7 +51,6 @@ type Comparison struct {
 type Report struct {
 	Goos        string       `json:"goos,omitempty"`
 	Goarch      string       `json:"goarch,omitempty"`
-	Pkg         string       `json:"pkg,omitempty"`
 	CPU         string       `json:"cpu,omitempty"`
 	Benchmarks  []Benchmark  `json:"benchmarks"`
 	Comparisons []Comparison `json:"comparisons,omitempty"`
@@ -93,13 +95,16 @@ func main() {
 	}
 }
 
-// parse consumes `go test -bench` output: header key: value lines, then
-// result lines of the form
+// parse consumes `go test -bench` output: per package, header key: value
+// lines, then result lines of the form
 //
 //	BenchmarkName-8   100   12345 ns/op   678 B/op   9 allocs/op
+//
+// Each result is labelled with the package of the last `pkg:` line.
 func parse(sc *bufio.Scanner) (*Report, error) {
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	r := &Report{Benchmarks: []Benchmark{}}
+	pkg := ""
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		switch {
@@ -108,12 +113,13 @@ func parse(sc *bufio.Scanner) (*Report, error) {
 		case strings.HasPrefix(line, "goarch:"):
 			r.Goarch = strings.TrimSpace(strings.TrimPrefix(line, "goarch:"))
 		case strings.HasPrefix(line, "pkg:"):
-			r.Pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
+			pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
 		case strings.HasPrefix(line, "cpu:"):
 			r.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
 		case strings.HasPrefix(line, "Benchmark"):
 			b, ok := parseResult(line)
 			if ok {
+				b.Pkg = pkg
 				r.Benchmarks = append(r.Benchmarks, b)
 			}
 		}

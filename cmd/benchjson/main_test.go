@@ -55,14 +55,48 @@ func TestParseHeader(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Goos != "linux" || r.Goarch != "amd64" || r.Pkg != "repro/internal/mr" || r.CPU != "AMD EPYC 7B13" {
-		t.Errorf("header = %q %q %q %q", r.Goos, r.Goarch, r.Pkg, r.CPU)
+	if r.Goos != "linux" || r.Goarch != "amd64" || r.CPU != "AMD EPYC 7B13" {
+		t.Errorf("header = %q %q %q", r.Goos, r.Goarch, r.CPU)
 	}
 	if len(r.Benchmarks) != 2 || r.Benchmarks[1].Name != "BenchmarkSpillSort" {
 		t.Errorf("benchmarks = %+v, want the two result lines", r.Benchmarks)
 	}
+	for _, b := range r.Benchmarks {
+		if b.Pkg != "repro/internal/mr" {
+			t.Errorf("%s: pkg %q, want repro/internal/mr", b.Name, b.Pkg)
+		}
+	}
 	if _, err := parse(bufio.NewScanner(strings.NewReader("goos: linux\nPASS\n"))); err == nil {
 		t.Error("output without result lines parsed without error")
+	}
+}
+
+// TestParseTwoPackages: a run over two packages labels every row with
+// its own package, not the last one read.
+func TestParseTwoPackages(t *testing.T) {
+	second := `goos: linux
+goarch: amd64
+pkg: repro/internal/workloads/thetajoin
+cpu: AMD EPYC 7B13
+BenchmarkThetaReduce-8   	      50	  2345678 ns/op	    1024 B/op	       3 allocs/op
+PASS
+ok  	repro/internal/workloads/thetajoin	1.100s
+`
+	r, err := parse(bufio.NewScanner(strings.NewReader(benchOutput + second)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, b := range r.Benchmarks {
+		got = append(got, b.Name+"@"+b.Pkg)
+	}
+	want := []string{
+		"BenchmarkShuffleDataPlane/compressed-memfs@repro/internal/mr",
+		"BenchmarkSpillSort@repro/internal/mr",
+		"BenchmarkThetaReduce@repro/internal/workloads/thetajoin",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("rows %q, want %q", got, want)
 	}
 }
 

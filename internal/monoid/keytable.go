@@ -21,7 +21,9 @@ import (
 //
 // The table charges what a Shared staging the same values would: every
 // key's bytes once while it holds a state, plus every absorbed value.
-// Measure replaces that charge with the states' encoded size.
+// Measure replaces that charge with the states' encoded size, which it
+// takes from the monoid's Size when it is a Sizer and counts through Emit
+// otherwise.
 type KeyTable interface {
 	FoldTable
 	// Begin starts the group of key, which must sort below every key
@@ -46,6 +48,7 @@ type KeyTable interface {
 // state per key. Each key's bytes are stored once, as the index's string.
 type keyTable[S any] struct {
 	m     Monoid[S]
+	size  func(S) int // m's Size, when m is a Sizer
 	final func(key []byte, s S, out mr.Emitter) error
 
 	index map[string]int32 // live key → entry
@@ -71,7 +74,11 @@ type keyEntry[S any] struct {
 }
 
 func newKeyTable[S any](m Monoid[S], final func([]byte, S, mr.Emitter) error) *keyTable[S] {
-	return &keyTable[S]{m: m, final: final, index: make(map[string]int32)}
+	t := &keyTable[S]{m: m, final: final, index: make(map[string]int32)}
+	if sz, ok := m.(Sizer[S]); ok {
+		t.size = sz.Size
+	}
+	return t
 }
 
 // keyPrefix is key's first 8 bytes, big-endian and zero-padded: prefixes
@@ -241,12 +248,17 @@ func (c *byteCounter) Emit(_, v []byte) error {
 
 // Measure implements KeyTable. A state not absorbed into since it was
 // last measured still encodes in what was measured then, so only the
-// dirty ones are emitted.
+// dirty ones are sized, or emitted when the monoid is not a Sizer.
 func (t *keyTable[S]) Measure() (int, error) {
 	var c byteCounter
 	measure := func(key []byte, e *keyEntry[S]) error {
-		c.n = len(key)
-		err := t.m.Emit(key, e.state, &c)
+		var err error
+		if t.size != nil {
+			c.n = len(key) + t.size(e.state)
+		} else {
+			c.n = len(key)
+			err = t.m.Emit(key, e.state, &c)
+		}
 		t.charge += c.n - e.charge
 		e.charge, e.dirty = c.n, false
 		return err

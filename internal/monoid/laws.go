@@ -33,7 +33,9 @@ type LawConfig struct {
 // Merge leaves its second argument as it was, and closure (Emit output
 // absorbs back into an equivalent state — the property that makes the
 // derived combiner safe to reapply). States are compared through their
-// canonical encoding (EmitRecords). Returns the first violation found.
+// canonical encoding (EmitRecords). When m is a Sizer, every state the
+// check encodes, merged and re-absorbed ones included, must also Size to
+// the value bytes Emit writes for it. Returns the first violation found.
 func CheckLaws[S any](m Monoid[S], cfg LawConfig) error {
 	seed := cfg.Seed
 	if seed == 0 {
@@ -55,6 +57,7 @@ func CheckLaws[S any](m Monoid[S], cfg LawConfig) error {
 		equal = RecordsEqual
 	}
 	_, isCommutative := m.(Commutative[S])
+	sizer, _ := m.(Sizer[S])
 
 	r := rand.New(rand.NewSource(seed))
 	for trial := 0; trial < trials; trial++ {
@@ -78,7 +81,22 @@ func CheckLaws[S any](m Monoid[S], cfg LawConfig) error {
 			if err != nil {
 				return nil, fmt.Errorf("monoid: Emit failed (trial %d): %w", trial, err)
 			}
+			if sizer != nil {
+				n := 0
+				for _, rec := range recs {
+					n += len(rec.Value)
+				}
+				if size := sizer.Size(s); size != n {
+					return nil, fmt.Errorf("monoid: Size law violated (trial %d, seed %d): Size = %d, Emit wrote %d value bytes: %s",
+						trial, seed, size, n, formatRecords(recs))
+				}
+			}
 			return recs, nil
+		}
+		if sizer != nil {
+			if _, err := emit(m.Identity()); err != nil {
+				return err
+			}
 		}
 		merge2 := func(i, j int) (S, error) {
 			a, err := build(i)

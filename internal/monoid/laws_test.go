@@ -141,6 +141,12 @@ func (aliasMonoid) Emit(key []byte, s []int64, out mr.Emitter) error {
 	return out.Emit(key, []byte(strconv.FormatInt(s[0], 10)))
 }
 
+// offSizeMonoid is wordcount.Sum declaring a Size one byte over what
+// its Emit writes.
+type offSizeMonoid struct{ wordcount.Sum }
+
+func (offSizeMonoid) Size(s uint64) int { return len(strconv.FormatUint(s, 10)) + 1 }
+
 // TestCheckLawsCatchesViolations proves the checker actually rejects
 // broken algebras instead of rubber-stamping them.
 func TestCheckLawsCatchesViolations(t *testing.T) {
@@ -175,6 +181,12 @@ func TestCheckLawsCatchesViolations(t *testing.T) {
 	err = monoid.CheckLaws(aliasMonoid{}, monoid.LawConfig{Values: decimalValues})
 	if err == nil || !strings.Contains(err.Error(), "second argument") {
 		t.Fatalf("expected a Merge-mutates-b violation, got: %v", err)
+	}
+	// A Size that misstates the encoding would let a key table's charge
+	// drift from the bytes its spills write.
+	err = monoid.CheckLaws(offSizeMonoid{}, monoid.LawConfig{Values: decimalValues})
+	if err == nil || !strings.Contains(err.Error(), "Size law") {
+		t.Fatalf("expected a Size violation, got: %v", err)
 	}
 }
 

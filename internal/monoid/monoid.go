@@ -31,6 +31,7 @@ import (
 //	Merge(a, Merge(b, c)) == Merge(Merge(a, b), c)    associativity
 //	Merge(Identity(), a) == a == Merge(a, Identity()) identity
 //	Absorb(s, v) == Merge(s, Absorb(Identity(), v))   absorb is a merge
+//	Size(s) == value bytes Emit writes for s          when a Sizer
 //
 // Absorb must accept every value the workload's map phase emits AND
 // every encoding Emit produces — a combiner's output feeds later
@@ -63,6 +64,15 @@ type Commutative[S any] interface {
 	Monoid[S]
 	// CommutativeMonoid is a marker; implementations return nothing.
 	CommutativeMonoid()
+}
+
+// Sizer is implemented by a Monoid that can count a state's encoding
+// without rendering it: Size(s) is the number of value bytes Emit writes
+// for s, summed over its records (keys not included). A KeyTable
+// measures its states through Size when the monoid declares it, and
+// through Emit otherwise. CheckLaws verifies the claim.
+type Sizer[S any] interface {
+	Size(s S) int
 }
 
 // captureEmitter collects Emit output in memory.

@@ -2,12 +2,14 @@ package monoid_test
 
 import (
 	"bytes"
+	"math/rand"
 	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/monoid"
 	"repro/internal/mr"
+	"repro/internal/workloads/querysuggest"
 	"repro/internal/workloads/wordcount"
 )
 
@@ -175,5 +177,52 @@ func TestKeyTableFinalizesInKeyOrder(t *testing.T) {
 	}
 	if c := table.Charge(); c != 0 {
 		t.Errorf("Charge = %d with every state finalized", c)
+	}
+}
+
+// countsByEmit is querysuggest.Counts without its Size, so a key table
+// over it measures its states through Emit.
+type countsByEmit struct{ c querysuggest.Counts }
+
+func (m countsByEmit) Identity() querysuggest.QueryCounts { return m.c.Identity() }
+func (m countsByEmit) Absorb(s querysuggest.QueryCounts, v []byte) (querysuggest.QueryCounts, error) {
+	return m.c.Absorb(s, v)
+}
+func (m countsByEmit) Merge(a, b querysuggest.QueryCounts) (querysuggest.QueryCounts, error) {
+	return m.c.Merge(a, b)
+}
+func (m countsByEmit) Emit(key []byte, s querysuggest.QueryCounts, out mr.Emitter) error {
+	return m.c.Emit(key, s, out)
+}
+func (countsByEmit) CommutativeMonoid() {}
+
+// TestKeyTableMeasuresThroughSize: a key table over a Sizer charges
+// exactly what one measuring through Emit does, after every batch of
+// absorbs, so a spill decision does not depend on which path measured.
+func TestKeyTableMeasuresThroughSize(t *testing.T) {
+	newTable := func(m monoid.Monoid[querysuggest.QueryCounts]) monoid.KeyTable {
+		return monoid.Reducer(m, nil)().(monoid.Folder).FoldTable().(monoid.KeyTable)
+	}
+	sized, emitted := newTable(querysuggest.Counts{}), newTable(countsByEmit{})
+	r := rand.New(rand.NewSource(5))
+	queries := []string{"go", "goat", "gopher", "golang", "", "gold"}
+	for batch := 0; batch < 50; batch++ {
+		for i := r.Intn(20); i >= 0; i-- {
+			q := queries[r.Intn(len(queries))]
+			key := q[:r.Intn(len(q)+1)]
+			value := querysuggest.EncodeValue(uint64(r.Intn(300)), []byte(q))
+			for _, table := range []monoid.KeyTable{sized, emitted} {
+				if err := table.Absorb([]byte(key), value); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		want, err := emitted.Measure()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := sized.Measure(); err != nil || got != want {
+			t.Fatalf("batch %d: Measure through Size = %d, %v; through Emit = %d", batch, got, err, want)
+		}
 	}
 }

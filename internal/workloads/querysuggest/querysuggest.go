@@ -9,6 +9,7 @@ package querysuggest
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/bytesx"
@@ -72,18 +73,23 @@ func (p PrefixPartitioner) Partition(key []byte, numPartitions int) int {
 	return mr.HashPartitioner{}.Partition(key[:k], numPartitions)
 }
 
-// mapper emits (prefix, (1, query)) for every prefix of the query.
-type mapper struct{ mr.MapperBase }
+// mapper emits (prefix, (1, query)) for every prefix of the query. The
+// value is EncodeValue(1, query), written into one buffer the mapper
+// reuses: emitters copy what they keep.
+type mapper struct {
+	mr.MapperBase
+	value []byte
+}
 
 // Map implements mr.Mapper. The input value is a QLog-format line.
-func (mapper) Map(key, value []byte, out mr.Emitter) error {
+func (m *mapper) Map(key, value []byte, out mr.Emitter) error {
 	query := datagen.ParseQueryLine(value)
 	if len(query) == 0 {
 		return nil
 	}
-	encoded := EncodeValue(1, query)
+	m.value = append(bytesx.AppendUvarint(m.value[:0], 1), query...)
 	for i := 1; i <= len(query); i++ {
-		if err := out.Emit(query[:i], encoded); err != nil {
+		if err := out.Emit(query[:i], m.value); err != nil {
 			return err
 		}
 	}
@@ -95,52 +101,101 @@ func (mapper) Map(key, value []byte, out mr.Emitter) error {
 // aggregate (prefix, (query, m)) per distinct query, sorted for
 // determinism — replacing m occurrences of the same (prefix, query)
 // exactly as the paper's combiner does (§2). The reducer is the same
-// monoid with a top-k rendering final. The table maps each query to its
-// count's cell, so absorbing a query already counted updates the cell in
-// place: only a first-seen query allocates.
+// monoid with a top-k rendering final.
 type Counts struct{}
 
-// Identity implements monoid.Monoid.
-func (Counts) Identity() map[string]*uint64 { return map[string]*uint64{} }
-
-// Absorb implements monoid.Monoid.
-func (Counts) Absorb(counts map[string]*uint64, v []byte) (map[string]*uint64, error) {
-	count, query, err := DecodeValue(v)
-	if err != nil {
-		return counts, err
-	}
-	c := counts[string(query)]
-	if c == nil {
-		c = new(uint64)
-		counts[string(query)] = c
-	}
-	*c += count
-	return counts, nil
+// QueryCounts is a Counts state. Most prefixes see a single query, so
+// the first query and its count are held inline, and only a second
+// distinct query promotes the state to a table mapping each query to its
+// count's cell. The zero value is the empty state, and absorbing a query
+// already counted updates its count in place: only a first-seen query
+// allocates.
+type QueryCounts struct {
+	one   bool // query and count hold the state's only query
+	query string
+	count uint64
+	more  map[string]*uint64 // every query's count once there are two; nil before
 }
 
-// Merge implements monoid.Monoid.
-func (Counts) Merge(x, y map[string]*uint64) (map[string]*uint64, error) {
-	for q, c := range y {
-		xc := x[q]
-		if xc == nil {
-			xc = new(uint64)
-			x[q] = xc
+// Identity implements monoid.Monoid.
+func (Counts) Identity() QueryCounts { return QueryCounts{} }
+
+// Absorb implements monoid.Monoid. It is add over a byte view, written
+// out so that the query is copied only when the state takes it.
+func (Counts) Absorb(s QueryCounts, v []byte) (QueryCounts, error) {
+	count, query, err := DecodeValue(v)
+	if err != nil {
+		return s, err
+	}
+	switch {
+	case s.more != nil:
+		if c := s.more[string(query)]; c != nil {
+			*c += count
+			return s, nil
 		}
-		*xc += *c
+	case !s.one:
+		return QueryCounts{one: true, query: string(query), count: count}, nil
+	case s.query == string(query):
+		s.count += count
+		return s, nil
+	}
+	return s.insert(string(query), count), nil
+}
+
+// Merge implements monoid.Monoid. The merged state shares y's query
+// strings, which nothing mutates, but none of its count cells.
+func (Counts) Merge(x, y QueryCounts) (QueryCounts, error) {
+	if y.one {
+		return x.add(y.query, y.count), nil
+	}
+	for q, c := range y.more {
+		x = x.add(q, *c)
 	}
 	return x, nil
 }
 
+// add adds count to query's count, keeping query when it is new.
+func (s QueryCounts) add(query string, count uint64) QueryCounts {
+	switch {
+	case s.more != nil:
+		if c := s.more[query]; c != nil {
+			*c += count
+			return s
+		}
+	case !s.one:
+		return QueryCounts{one: true, query: query, count: count}
+	case s.query == query:
+		s.count += count
+		return s
+	}
+	return s.insert(query, count)
+}
+
+// insert adds query, which s holds no count for, with count. An inline
+// query moves into the table first.
+func (s QueryCounts) insert(query string, count uint64) QueryCounts {
+	if s.more == nil {
+		first := s.count
+		s.more = map[string]*uint64{s.query: &first}
+		s.one, s.query, s.count = false, "", 0
+	}
+	s.more[query] = &count
+	return s
+}
+
 // Emit implements monoid.Monoid.
-func (Counts) Emit(key []byte, counts map[string]*uint64, out mr.Emitter) error {
-	queries := make([]string, 0, len(counts))
-	for q := range counts {
+func (Counts) Emit(key []byte, s QueryCounts, out mr.Emitter) error {
+	if s.one {
+		return out.Emit(key, append(bytesx.AppendUvarint(nil, s.count), s.query...))
+	}
+	queries := make([]string, 0, len(s.more))
+	for q := range s.more {
 		queries = append(queries, q)
 	}
 	sort.Strings(queries)
 	var buf []byte
 	for _, q := range queries {
-		buf = append(bytesx.AppendUvarint(buf[:0], *counts[q]), q...)
+		buf = append(bytesx.AppendUvarint(buf[:0], *s.more[q]), q...)
 		if err := out.Emit(key, buf); err != nil {
 			return err
 		}
@@ -148,19 +203,104 @@ func (Counts) Emit(key []byte, counts map[string]*uint64, out mr.Emitter) error 
 	return nil
 }
 
+// Size implements monoid.Sizer: the value bytes Emit writes for s.
+func (Counts) Size(s QueryCounts) int {
+	if s.one {
+		return uvarintLen(s.count) + len(s.query)
+	}
+	n := 0
+	for q, c := range s.more {
+		n += uvarintLen(*c) + len(q)
+	}
+	return n
+}
+
+// uvarintLen is the length of x's uvarint encoding.
+func uvarintLen(x uint64) int {
+	n := 1
+	for ; x >= 0x80; x >>= 7 {
+		n++
+	}
+	return n
+}
+
 // CommutativeMonoid marks per-entry addition as commutative.
 func (Counts) CommutativeMonoid() {}
 
+// maxStackTop is the largest top-k finalTop selects into a stack array.
+const maxStackTop = 8
+
 // finalTop renders a fully merged count table as the job's top-k output
-// line — the `final` argument to monoid.Reducer.
-func finalTop(topK int) func(key []byte, counts map[string]*uint64, out mr.Emitter) error {
-	return func(key []byte, counts map[string]*uint64, out mr.Emitter) error {
-		all := make([]queryCount, 0, len(counts))
-		for q, c := range counts {
-			all = append(all, queryCount{q, *c})
+// line — the `final` argument to monoid.Reducer. It keeps the k best
+// queries by (count desc, query asc) in a sorted array as it walks the
+// table, and renders them into one buffer of exactly the line's length,
+// byte for byte what FormatTop writes.
+func finalTop(topK int) func(key []byte, s QueryCounts, out mr.Emitter) error {
+	return func(key []byte, s QueryCounts, out mr.Emitter) error {
+		var stack [maxStackTop]queryCount
+		top := stack[:0]
+		if topK > maxStackTop {
+			top = make([]queryCount, 0, topK)
 		}
-		return out.Emit(key, []byte(formatTop(all, topK)))
+		if s.one {
+			top = keepTop(top, topK, s.query, s.count)
+		}
+		for q, c := range s.more {
+			top = keepTop(top, topK, q, *c)
+		}
+		n := 0
+		for i, e := range top {
+			if i > 0 {
+				n++
+			}
+			n += len(e.q) + 1 + decimalLen(e.c)
+		}
+		line := make([]byte, 0, n)
+		for i, e := range top {
+			if i > 0 {
+				line = append(line, '|')
+			}
+			line = strconv.AppendUint(append(append(line, e.q...), ':'), e.c, 10)
+		}
+		return out.Emit(key, line)
 	}
+}
+
+// keepTop inserts (q, c) into top, which is sorted by (count desc, query
+// asc) and holds at most k entries, when it ranks among the best k.
+func keepTop(top []queryCount, k int, q string, c uint64) []queryCount {
+	i := len(top)
+	if i == k {
+		if k == 0 || !ranksBefore(q, c, top[k-1]) {
+			return top
+		}
+		i--
+	} else {
+		top = top[:i+1]
+	}
+	for ; i > 0 && ranksBefore(q, c, top[i-1]); i-- {
+		top[i] = top[i-1]
+	}
+	top[i] = queryCount{q, c}
+	return top
+}
+
+// ranksBefore reports whether (q, c) comes before e in (count desc,
+// query asc) order.
+func ranksBefore(q string, c uint64, e queryCount) bool {
+	if c != e.c {
+		return c > e.c
+	}
+	return q < e.q
+}
+
+// decimalLen is the number of decimal digits of x.
+func decimalLen(x uint64) int {
+	n := 1
+	for ; x >= 10; x /= 10 {
+		n++
+	}
+	return n
 }
 
 // queryCount is one query and its count.
@@ -170,17 +310,13 @@ type queryCount struct {
 }
 
 // FormatTop renders the top-k queries by (count desc, query asc) as
-// "query:count|..." — shared with reference implementations in tests.
+// "query:count|..." — the reference finalTop is tested against, shared
+// with reference implementations in tests.
 func FormatTop(counts map[string]uint64, k int) string {
 	all := make([]queryCount, 0, len(counts))
 	for q, c := range counts {
 		all = append(all, queryCount{q, c})
 	}
-	return formatTop(all, k)
-}
-
-// formatTop is FormatTop over a slice it reorders.
-func formatTop(all []queryCount, k int) string {
 	sort.Slice(all, func(i, j int) bool {
 		if all[i].c != all[j].c {
 			return all[i].c > all[j].c
@@ -203,7 +339,7 @@ func NewJob(cfg Config, withCombiner bool) *mr.Job {
 	cfg = cfg.normalized()
 	job := &mr.Job{
 		Name:           "querysuggest",
-		NewMapper:      func() mr.Mapper { return mapper{} },
+		NewMapper:      func() mr.Mapper { return &mapper{} },
 		NewReducer:     monoid.Reducer(Counts{}, finalTop(cfg.TopK)),
 		Partitioner:    cfg.Partitioner,
 		NumReduceTasks: cfg.Reducers,

@@ -9,12 +9,13 @@
 // (partition homes carry across stages, and a stage that declares
 // mr.Job.AlignedInput skips the all-to-all shuffle entirely).
 //
-// The runner reuses internal/sched per iteration, so stage retries,
-// backoff, and lost-input re-execution (a handoff dying with its
-// worker re-runs the producing stage via DepLostError) all follow the
-// same discipline as task scheduling inside a job. Stage workspaces
-// are swept as soon as their output is no longer needed — including
-// when a downstream stage fails permanently.
+// The runner reuses internal/sched per iteration: each stage runs once
+// (its job retries its own tasks), and lost-input re-execution (a
+// handoff dying with its worker re-runs the producing stage via
+// DepLostError) follows the same discipline as lost map output inside
+// a job. A stage's output lives in its StageResult and is released as
+// soon as nothing downstream needs it — including when a downstream
+// stage fails permanently.
 package dag
 
 import (

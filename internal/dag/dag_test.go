@@ -247,6 +247,11 @@ func TestPipelineFleetMatchesInProcess(t *testing.T) {
 		t.Fatalf("fleet ran %d iterations, in-process ran %d", got.Iterations, want.Iterations)
 	}
 	assertPartsEqual(t, "fleet vs in-process", got.Output, want.Output)
+	// Both engines count the same driver traffic: norm's terminal record
+	// every iteration plus the kept rank stage collected as Output.
+	if got.DriverBytes != want.DriverBytes {
+		t.Fatalf("fleet moved %d driver bytes, in-process %d", got.DriverBytes, want.DriverBytes)
+	}
 
 	// rank (consumed by delta, carried) and delta (consumed by norm) are
 	// kept engine-side every iteration; only norm's single record visits
@@ -378,7 +383,7 @@ func TestPipelineFleetSweepsOnStageFailure(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	f, trackers, workerErr := startFleet(t, ctx, 2, 2)
-	eng := &dag.FleetEngine{Fleet: f, MaxTaskAttempts: 1}
+	eng := &dag.FleetEngine{Fleet: f, Spec: cluster.JobSpec{MaxTaskAttempts: 1}}
 
 	_, err := dag.Run(ctx, failingPipeline(), dag.Config{Engine: eng})
 	if err == nil {

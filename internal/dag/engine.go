@@ -20,56 +20,98 @@ type StageRun struct {
 	// the splits its own registered job builds.
 	Input *StageResult
 	// Keep asks the engine to retain the stage's partitioned output for
-	// downstream consumption instead of collecting records.
+	// downstream consumption instead of collecting records (the
+	// in-process engine holds every stage's output in memory either way).
 	Keep bool
 	// Tracer receives the stage job's spans when the engine runs the job
 	// in this process (nil-safe).
 	Tracer *obs.Tracer
 }
 
-// StageResult is one stage job's outcome. Kept results hold their
-// output engine-side (in-memory partitions in process, worker handoff
-// files on a fleet); collected results carry Records.
+// StageResult is one stage job's outcome and the one place its output
+// lives: in this process as Records, or, for a kept fleet stage, as
+// handoff files on the workers that ran its reduces.
 type StageResult struct {
 	Stats      mr.Stats
 	Partitions int
-	// Records is the per-partition output when the stage was collected
-	// (Keep=false); nil for kept results.
+	// Records is the per-partition output when it is in this process:
+	// every in-process stage, and a collected (Keep=false) fleet stage.
 	Records [][]mr.Record
 	// Measured is the real network transfer when the stage ran on a
 	// fleet, nil otherwise.
 	Measured *mr.ShuffleMeasurement
 
-	kept any // engine-private handle for retained output
+	held *fleetOutput // a kept fleet stage's retained output
 }
 
-// Engine executes stage jobs. Implementations must make Release
-// idempotent: the runner releases every result exactly once on the
-// happy path but also sweeps everything it still holds on failure.
+// fleetOutput locates a kept fleet stage's output: the finished job
+// whose retained workspace holds the handoff files, and where each
+// partition landed.
+type fleetOutput struct {
+	fleet    *cluster.Fleet
+	jobID    int
+	handoffs map[int]cluster.Handoff
+	homes    map[int]int
+}
+
+// handoff returns partition p's handoff, or ErrInputLost.
+func (o *fleetOutput) handoff(p int) (cluster.Handoff, error) {
+	h, ok := o.handoffs[p]
+	if !ok {
+		return cluster.Handoff{}, fmt.Errorf("%w: no handoff for partition %d", ErrInputLost, p)
+	}
+	return h, nil
+}
+
+// collect returns the result's per-partition records, pulling a kept
+// fleet stage's handoff files through the fleet's reader, as the fleet
+// pulls any reduce's output.
+func (r *StageResult) collect(ctx context.Context) ([][]mr.Record, error) {
+	if r.held == nil {
+		return r.Records, nil
+	}
+	out := make([][]mr.Record, r.Partitions)
+	for p := range out {
+		h, err := r.held.handoff(p)
+		if err != nil {
+			return nil, err
+		}
+		if out[p], err = r.held.fleet.ReadOutput(ctx, h.Seg); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// release frees the result's output: in-process records by dropping
+// them, a kept fleet stage's retained job workspace by sweeping it
+// across the workers. Idempotent.
+func (r *StageResult) release() {
+	r.Records = nil
+	if r.held != nil {
+		r.held.fleet.ReleaseWorkspace(r.held.jobID)
+		r.held = nil
+	}
+}
+
+// Engine executes stage jobs. A kept result holds its output until the
+// runner releases it.
 type Engine interface {
 	RunStage(ctx context.Context, run StageRun) (*StageResult, error)
-	// Collect materializes a kept result's records (used when the
-	// pipeline's Output stage is also consumed downstream).
-	Collect(ctx context.Context, res *StageResult) ([][]mr.Record, error)
-	// Release frees a result's retained output (worker workspaces,
-	// intermediate files). No-op for collected results.
-	Release(res *StageResult)
 }
 
 // InProcess runs stage jobs through mr.Run in this process, building
-// each from its registered job as a fleet worker would. A kept
-// stage's output partitions stay in memory and become the next stage's
-// splits directly — no re-spill, no driver round trip — and each stage
-// job's workspace files are swept as soon as the job finishes, success
-// or failure.
+// each from its registered job as a fleet worker would. A stage's
+// output partitions stay in memory and become the next stage's splits
+// directly — no re-spill, no driver round trip — and each stage job's
+// workspace files are swept as soon as the job finishes, success or
+// failure.
 type InProcess struct {
 	// FS, when non-nil, hosts every stage job's spill and shuffle files
 	// (each under its own pipeline/iteration/stage workspace prefix).
 	// When nil each stage job gets a private in-memory FS.
 	FS iokit.FS
 }
-
-type inProcKept struct{ parts [][]mr.Record }
 
 // RunStage implements Engine.
 func (e *InProcess) RunStage(ctx context.Context, run StageRun) (*StageResult, error) {
@@ -90,7 +132,7 @@ func (e *InProcess) RunStage(ctx context.Context, run StageRun) (*StageResult, e
 		defer sweepPrefix(e.FS, job.Workspace+"/")
 	}
 	if run.Input != nil {
-		parts := run.Input.parts()
+		parts := run.Input.Records
 		if parts == nil {
 			return nil, fmt.Errorf("%w: stage %q input has no in-process partitions", ErrInputLost, run.Stage.Name)
 		}
@@ -105,38 +147,8 @@ func (e *InProcess) RunStage(ctx context.Context, run StageRun) (*StageResult, e
 	if err != nil {
 		return nil, err
 	}
-	sr := &StageResult{Stats: res.Stats, Partitions: len(res.Output)}
-	if run.Keep {
-		sr.kept = &inProcKept{parts: res.Output}
-	} else {
-		sr.Records = res.Output
-	}
-	return sr, nil
+	return &StageResult{Stats: res.Stats, Partitions: len(res.Output), Records: res.Output}, nil
 }
-
-// parts returns a result's per-partition records when they live in
-// this process (collected, or kept by the in-process engine).
-func (r *StageResult) parts() [][]mr.Record {
-	if r.Records != nil {
-		return r.Records
-	}
-	if k, ok := r.kept.(*inProcKept); ok {
-		return k.parts
-	}
-	return nil
-}
-
-// Collect implements Engine.
-func (e *InProcess) Collect(ctx context.Context, res *StageResult) ([][]mr.Record, error) {
-	if p := res.parts(); p != nil {
-		return p, nil
-	}
-	return nil, fmt.Errorf("dag: result has no in-process partitions")
-}
-
-// Release implements Engine: kept output is memory, freed by dropping
-// the reference; workspace files were swept at RunStage time.
-func (e *InProcess) Release(res *StageResult) { res.kept = nil }
 
 // stageWorkspace names one stage job's file namespace.
 func stageWorkspace(pipeline string, iter int, stage string) string {

@@ -18,11 +18,6 @@ type Config struct {
 	Engine Engine
 	// Tracer receives pipeline and stage spans (nil-safe).
 	Tracer *obs.Tracer
-	// MaxStageAttempts caps attempts per stage per iteration, counting
-	// retries but not lost-input re-executions (default 1). Re-running a
-	// producing stage because its handoff died follows sched's
-	// DepLostError path and never charges this budget.
-	MaxStageAttempts int
 }
 
 // StageStat logs one successful stage job run.
@@ -71,27 +66,20 @@ func Run(ctx context.Context, p *Pipeline, cfg Config) (*Result, error) {
 	if maxIters <= 0 {
 		maxIters = 1
 	}
-	maxAttempts := cfg.MaxStageAttempts
-	if maxAttempts <= 0 {
-		maxAttempts = 1
-	}
 
 	span := cfg.Tracer.Start(obs.KindPipeline, p.Name,
 		obs.Int("stages", int64(len(p.Stages))), obs.Int("max_iters", int64(maxIters)))
 
 	res := &Result{}
-	var mu sync.Mutex // guards outstanding and res.Stages during an iteration
+	// mu guards created, outstanding and res.Stages while an
+	// iteration's stages run; the runner touches them alone between
+	// iterations, after sched.Run has returned.
+	var mu sync.Mutex
 	outstanding := make(map[*StageResult]struct{})
 	release := func(sr *StageResult) {
-		if sr == nil {
-			return
-		}
-		mu.Lock()
-		_, held := outstanding[sr]
-		delete(outstanding, sr)
-		mu.Unlock()
-		if held {
-			cfg.Engine.Release(sr)
+		if _, held := outstanding[sr]; held {
+			delete(outstanding, sr)
+			sr.release()
 		}
 	}
 	// Failure backstop: whatever the runner still holds — kept handoffs,
@@ -99,13 +87,7 @@ func Run(ctx context.Context, p *Pipeline, cfg Config) (*Result, error) {
 	// permanently failed downstream stage cannot leak its upstreams'
 	// intermediate files.
 	defer func() {
-		mu.Lock()
-		held := make([]*StageResult, 0, len(outstanding))
 		for sr := range outstanding {
-			held = append(held, sr)
-		}
-		mu.Unlock()
-		for _, sr := range held {
 			release(sr)
 		}
 	}()
@@ -170,16 +152,10 @@ func Run(ctx context.Context, p *Pipeline, cfg Config) (*Result, error) {
 				},
 			})
 		}
-		// Lost-input re-execution gets its own budget on top of the retry
-		// cap: a stage whose handoff died with its worker re-runs even
-		// when stage retries are disabled.
-		scfg := sched.Config{Workers: len(tasks), MaxAttempts: maxAttempts, MaxReexecs: maxAttempts + 2}
-		if maxAttempts > 1 {
-			scfg.Retryable = func(err error) bool {
-				return !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded)
-			}
-		}
-		report, err := sched.Run(ctx, tasks, scfg)
+		// Each stage runs once per iteration (its job retries its own
+		// tasks); a stage whose handoff died with its worker is re-run
+		// through sched's DepLostError path, up to three times.
+		report, err := sched.Run(ctx, tasks, sched.Config{Workers: len(tasks), MaxAttempts: 1, MaxReexecs: 3})
 		if err != nil {
 			span.End(obs.Str("outcome", "failed"), obs.Str("err", err.Error()))
 			return nil, err
@@ -192,9 +168,7 @@ func Run(ctx context.Context, p *Pipeline, cfg Config) (*Result, error) {
 			res.Stats.Accumulate(sr.Stats)
 			if !p.kept(s.Name) {
 				terminal[s.Name] = sr.Records
-				mu.Lock()
 				res.DriverBytes += partsBytes(sr.Records)
-				mu.Unlock()
 			}
 		}
 
@@ -213,19 +187,17 @@ func Run(ctx context.Context, p *Pipeline, cfg Config) (*Result, error) {
 		}
 		if done {
 			if p.Output != "" {
-				osr := report.Value(p.Output).(*StageResult)
-				if osr.Records != nil {
-					res.Output = osr.Records
-				} else {
-					out, err := cfg.Engine.Collect(ctx, osr)
-					if err != nil {
-						span.End(obs.Str("outcome", "failed"), obs.Str("err", err.Error()))
-						return nil, err
-					}
-					res.Output = out
-					mu.Lock()
+				out, err := report.Value(p.Output).(*StageResult).collect(ctx)
+				if err != nil {
+					span.End(obs.Str("outcome", "failed"), obs.Str("err", err.Error()))
+					return nil, err
+				}
+				res.Output = out
+				// A terminal Output stage was counted above; a kept one
+				// is collected now. The in-process engine holds a kept
+				// stage's Records too, so ask the pipeline, not Records.
+				if p.kept(p.Output) {
 					res.DriverBytes += partsBytes(out)
-					mu.Unlock()
 				}
 			}
 			break
@@ -233,18 +205,12 @@ func Run(ctx context.Context, p *Pipeline, cfg Config) (*Result, error) {
 		// Iteration k is committed: everything produced this round except
 		// the carry is dead, as is iteration k-1's carry (kept alive until
 		// now so a lost-input re-run of a From=="" stage could re-read it).
-		mu.Lock()
-		toFree := make([]*StageResult, 0, len(created))
 		for _, sr := range created {
 			if sr != newCarry {
-				toFree = append(toFree, sr)
+				release(sr)
 			}
 		}
-		mu.Unlock()
-		for _, sr := range toFree {
-			release(sr)
-		}
-		if carry != nil && carry != newCarry {
+		if carry != newCarry {
 			release(carry)
 		}
 		carry = newCarry

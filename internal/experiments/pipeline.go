@@ -62,36 +62,15 @@ func PipelineHandoff(cfg Config) (*PipelineHandoffResult, error) {
 		Parts:     cfg.Reducers,
 		MaxIters:  5,
 	}
-	// Chained baseline: one driver round trip per stage per iteration.
 	// Both strategies generate the graph inside their timed section.
-	chained := PipelineHandoffRow{Name: "chained jobs"}
-	start := time.Now()
-	parts := pagerank.IterInputs(spec)
-	chained.DriverBytes += recordPartsBytes(parts)
-	chainIters := 0
-	for i := 0; i < spec.MaxIters; i++ {
-		rres, err := chainStage(cfg, fmt.Sprintf("x7/chain/rank/%d", i), pagerank.NewRankJob(spec.Nodes, spec.Parts), parts)
-		if err != nil {
-			return nil, err
-		}
-		parts = rres.Output
-		dres, err := chainStage(cfg, fmt.Sprintf("x7/chain/delta/%d", i), pagerank.NewDeltaJob(spec.Parts), parts)
-		if err != nil {
-			return nil, err
-		}
-		nres, err := chainStage(cfg, fmt.Sprintf("x7/chain/norm/%d", i), pagerank.NewNormJob(), dres.Output)
-		if err != nil {
-			return nil, err
-		}
-		chained.DriverBytes += recordPartsBytes(parts) + recordPartsBytes(dres.Output) + recordPartsBytes(nres.Output)
-		chained.ShuffleBytes += rres.Stats.ShuffleBytes + dres.Stats.ShuffleBytes + nres.Stats.ShuffleBytes
-		chainIters = i + 1
+	chained, ranks, err := chainedPageRank(cfg, spec)
+	if err != nil {
+		return nil, err
 	}
-	chained.Wall = time.Since(start)
 
 	// Pipeline: same jobs, stage outputs handed off engine-side; the rank
 	// stage's job builds the same graph splits on iteration 0.
-	start = time.Now()
+	start := time.Now()
 	pres, err := dag.Run(context.Background(), pagerank.NewIterPipeline(spec),
 		dag.Config{Engine: &dag.InProcess{}, Tracer: cfg.Tracer})
 	if err != nil {
@@ -109,9 +88,39 @@ func PipelineHandoff(cfg Config) (*PipelineHandoffResult, error) {
 		Iterations:        pres.Iterations,
 		DriverSavedFactor: factor(chained.DriverBytes, pipeline.DriverBytes),
 		WallSavedPct:      -pct(int64(pipeline.Wall), int64(chained.Wall)),
-		Identical:         chainIters == pres.Iterations && samePartitions(parts, pres.Output),
+		Identical:         pres.Iterations == spec.MaxIters && samePartitions(ranks, pres.Output),
 	}
 	return out, nil
+}
+
+// chainedPageRank runs X7's baseline: the pipeline's three jobs chained
+// through the driver for spec.MaxIters iterations, every stage's output
+// collected and re-fed as the next job's splits. It generates the graph
+// itself, inside the timed row, and returns the final rank partitions.
+func chainedPageRank(cfg Config, spec pagerank.IterSpec) (PipelineHandoffRow, [][]mr.Record, error) {
+	row := PipelineHandoffRow{Name: "chained jobs"}
+	start := time.Now()
+	parts := pagerank.IterInputs(spec)
+	row.DriverBytes += recordPartsBytes(parts)
+	for i := 0; i < spec.MaxIters; i++ {
+		rres, err := chainStage(cfg, fmt.Sprintf("x7/chain/rank/%d", i), pagerank.NewRankJob(spec.Nodes, spec.Parts), parts)
+		if err != nil {
+			return row, nil, err
+		}
+		parts = rres.Output
+		dres, err := chainStage(cfg, fmt.Sprintf("x7/chain/delta/%d", i), pagerank.NewDeltaJob(spec.Parts), parts)
+		if err != nil {
+			return row, nil, err
+		}
+		nres, err := chainStage(cfg, fmt.Sprintf("x7/chain/norm/%d", i), pagerank.NewNormJob(), dres.Output)
+		if err != nil {
+			return row, nil, err
+		}
+		row.DriverBytes += recordPartsBytes(parts) + recordPartsBytes(dres.Output) + recordPartsBytes(nres.Output)
+		row.ShuffleBytes += rres.Stats.ShuffleBytes + dres.Stats.ShuffleBytes + nres.Stats.ShuffleBytes
+	}
+	row.Wall = time.Since(start)
+	return row, parts, nil
 }
 
 // chainStage runs one baseline job over driver-held partitions, with

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/dag"
-	"repro/internal/mr"
 	"repro/internal/workloads/pagerank"
 )
 
@@ -22,15 +21,11 @@ func BenchmarkPipelineHandoff(b *testing.B) {
 		var driverBytes int64
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			parts := pagerank.IterInputs(spec)
-			driverBytes = recordPartsBytes(parts)
-			for iter := 0; iter < spec.MaxIters; iter++ {
-				rres := benchRun(b, pagerank.NewRankJob(spec.Nodes, spec.Parts), parts)
-				parts = rres.Output
-				dres := benchRun(b, pagerank.NewDeltaJob(spec.Parts), parts)
-				nres := benchRun(b, pagerank.NewNormJob(), dres.Output)
-				driverBytes += recordPartsBytes(parts) + recordPartsBytes(dres.Output) + recordPartsBytes(nres.Output)
+			row, _, err := chainedPageRank(Config{}, spec)
+			if err != nil {
+				b.Fatal(err)
 			}
+			driverBytes = row.DriverBytes
 		}
 		b.ReportMetric(float64(driverBytes), "driver-B")
 	})
@@ -48,17 +43,4 @@ func BenchmarkPipelineHandoff(b *testing.B) {
 		}
 		b.ReportMetric(float64(driverBytes), "driver-B")
 	})
-}
-
-func benchRun(b *testing.B, job *mr.Job, parts [][]mr.Record) *mr.Result {
-	b.Helper()
-	splits := make([]mr.Split, len(parts))
-	for i := range parts {
-		splits[i] = &mr.MemSplit{Recs: parts[i]}
-	}
-	res, err := mr.Run(job, splits)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return res
 }

@@ -687,7 +687,7 @@ func countWireBytes(counters *Counters, rc io.ReadCloser, raw int64) {
 // MuxFetcher is the name ConnPool.Fetch went by while a multiplexing
 // client existed. Only the benchmark module still compiles against it.
 //
-// Deprecated: call ConnPool.Fetch. ROADMAP item 2A deletes this alias.
+// Deprecated: call ConnPool.Fetch. ROADMAP item 3A deletes this alias.
 type MuxFetcher struct{ pool *ConnPool }
 
 func NewMuxFetcher(pool *ConnPool) *MuxFetcher { return &MuxFetcher{pool: pool} }

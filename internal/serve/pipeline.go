@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"time"
 
 	"repro/internal/dag"
 	"repro/internal/mr"
@@ -21,40 +20,25 @@ func (s *Server) SubmitPipeline(req SubmitRequest) (JobRecord, error) {
 	return s.admit(req, KindPipeline)
 }
 
-// startPipelineLocked hands one queued pipeline to a fleet engine. The
-// pipeline counts as one running job against the tenant's MaxRunning;
-// its stage jobs go to the fleet directly, where task-lease fair share
+// pipelineRun builds one queued pipeline and returns the function that
+// runs it on a fleet engine. The pipeline counts as one running job
+// against the tenant's MaxRunning; its stage jobs go to the fleet
+// directly under the job record's spec, where task-lease fair share
 // arbitrates them against everything else under the same tenant
 // weight.
-func (s *Server) startPipelineLocked(j *job) {
+func (s *Server) pipelineRun(ctx context.Context, j *job) (func() (*mr.Result, error), error) {
 	p, err := dag.BuildPipeline(j.rec.Name, []byte(j.rec.Spec))
 	if err != nil {
-		s.finishLocked(j, nil, err)
-		return
+		return nil, err
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	tc := s.tenant(j.rec.Tenant)
-	eng := &dag.FleetEngine{
-		Fleet: s.fleet, Tenant: j.rec.Tenant, Weight: tc.Weight,
-		Priority: j.rec.Priority, MaxTaskAttempts: s.cfg.MaxTaskAttempts,
-	}
-
-	j.cancel = cancel
-	j.rec.State = StateRunning
-	j.rec.StartedAt = time.Now()
-	s.journalLocked(journalEntry{Op: "state", ID: j.rec.ID, State: StateRunning, Time: j.rec.StartedAt})
-	go func() {
-		res, rerr := dag.Run(ctx, p, dag.Config{Engine: eng})
-		cancel()
-		var out *mr.Result
-		if rerr == nil {
-			// The pipeline's result takes the same shape as a job's, so
-			// Result/output retrieval is kind-agnostic.
-			out = &mr.Result{Stats: res.Stats, Output: res.Output}
+	eng := &dag.FleetEngine{Fleet: s.fleet, Spec: s.jobSpec(j)}
+	return func() (*mr.Result, error) {
+		res, err := dag.Run(ctx, p, dag.Config{Engine: eng})
+		if err != nil {
+			return nil, err
 		}
-		s.mu.Lock()
-		s.finishLocked(j, out, rerr)
-		s.maybeStartLocked()
-		s.mu.Unlock()
-	}()
+		// The pipeline's result takes the same shape as a job's, so
+		// Result/output retrieval is kind-agnostic.
+		return &mr.Result{Stats: res.Stats, Output: res.Output}, nil
+	}, nil
 }

@@ -358,36 +358,50 @@ func (s *Server) maybeStartLocked() {
 	}
 }
 
-// startLocked hands one queued job to the fleet.
-func (s *Server) startLocked(j *job) {
-	if j.rec.Kind == KindPipeline {
-		s.startPipelineLocked(j)
-		return
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	tc := s.tenant(j.rec.Tenant)
-	h, err := s.fleet.Submit(ctx, cluster.JobSpec{
-		Ref:             cluster.JobRef{Name: j.rec.Name, Spec: []byte(j.rec.Spec)},
+// jobSpec is the fleet job spec a job record runs under: its tenant
+// and the tenant's weight, its priority, and the server's task
+// attempt budget. A plain job adds its Ref; a pipeline's engine uses
+// it as every stage job's template.
+func (s *Server) jobSpec(j *job) cluster.JobSpec {
+	return cluster.JobSpec{
 		Tenant:          j.rec.Tenant,
-		Weight:          tc.Weight,
+		Weight:          s.tenant(j.rec.Tenant).Weight,
 		Priority:        j.rec.Priority,
 		MaxTaskAttempts: s.cfg.MaxTaskAttempts,
-	})
+	}
+}
+
+// startLocked hands one queued job or pipeline to the fleet and
+// finishes it when it returns.
+func (s *Server) startLocked(j *job) {
+	ctx, cancel := context.WithCancel(context.Background())
+	var run func() (*mr.Result, error)
+	var err error
+	if j.rec.Kind == KindPipeline {
+		run, err = s.pipelineRun(ctx, j)
+	} else {
+		spec := s.jobSpec(j)
+		spec.Ref = cluster.JobRef{Name: j.rec.Name, Spec: []byte(j.rec.Spec)}
+		var h *cluster.JobHandle
+		if h, err = s.fleet.Submit(ctx, spec); err == nil {
+			j.handle = h
+			run = func() (*mr.Result, error) { return h.Wait(context.Background()) }
+		}
+	}
 	if err != nil {
 		cancel()
 		s.finishLocked(j, nil, err)
 		return
 	}
 	j.cancel = cancel
-	j.handle = h
 	j.rec.State = StateRunning
 	j.rec.StartedAt = time.Now()
 	s.journalLocked(journalEntry{Op: "state", ID: j.rec.ID, State: StateRunning, Time: j.rec.StartedAt})
 	go func() {
-		res, werr := h.Wait(context.Background())
+		res, rerr := run()
 		cancel()
 		s.mu.Lock()
-		s.finishLocked(j, res, werr)
+		s.finishLocked(j, res, rerr)
 		s.maybeStartLocked()
 		s.mu.Unlock()
 	}()

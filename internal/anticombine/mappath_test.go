@@ -462,8 +462,8 @@ func (c *appendSum) Reduce(key []byte, values mr.ValueIter, out mr.Emitter) erro
 }
 
 // combinerRun is one partition's sorted spill run of a WordCount map
-// task under AdaptiveSH, cut into the key groups mapBuffer.combineRun
-// would hand the transformed combiner.
+// task under AdaptiveSH, cut into the key groups the engine's spill-time
+// combine would hand the transformed combiner.
 type combinerRun struct {
 	keys   [][]byte
 	values [][][]byte
@@ -503,8 +503,8 @@ func newCombinerRun(tb testing.TB, lines int) *combinerRun {
 	return cr
 }
 
-// combine runs one transformed-combiner instance over the run, as
-// mapBuffer.combineRun does.
+// combine runs one transformed-combiner instance over the run, as the
+// engine's spill-time combine does.
 func (cr *combinerRun) combine(r *antiReducer, info *mr.TaskInfo, it *sliceIter, out mr.Emitter) error {
 	if err := r.Setup(info, out); err != nil {
 		return err
@@ -568,7 +568,7 @@ func TestLaterCombinerInstancesDoNotAllocate(t *testing.T) {
 
 // BenchmarkAntiCombineRun is one sorted run of WordCount's AdaptiveSH
 // records through the transformed combiner, a fresh instance per
-// iteration as in mapBuffer.combineRun.
+// iteration as in the engine's spill-time combine.
 func BenchmarkAntiCombineRun(b *testing.B) {
 	cr := newCombinerRun(b, 300)
 	info := harnessInfo(bytesx.Bytes, iokit.NewMemFS())

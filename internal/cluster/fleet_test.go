@@ -250,7 +250,7 @@ func TestFleetDrainMidStream(t *testing.T) {
 // wrote, a lease names the split or handoff a map reads, and a job spec
 // names a registered job and the handoffs a stage reads. Wire messages
 // may hold no interface, channel or func; a JobSpec never crosses the
-// wire, and its OnEvent callback is walked through its signature.
+// wire, so a func field of one would be walked through its signature.
 func TestReportCarriesNoRecords(t *testing.T) {
 	record := reflect.TypeOf(mr.Record{})
 	for _, msg := range []any{ReportArgs{}, LeaseReply{}, JobSpec{}} {

@@ -54,9 +54,6 @@ type JobSpec struct {
 	// so a stage's fetches and reduces land where its inputs already
 	// live. Dead or unknown workers are re-elected as usual.
 	Homes map[int]int
-	// OnEvent, when non-nil, observes this job's task events (in addition
-	// to the fleet's OnEvent). It must not call back into the fleet.
-	OnEvent func(Event)
 }
 
 func (s JobSpec) normalized() JobSpec {
@@ -236,13 +233,6 @@ func (j *jobRun) progress() Progress {
 	p.TasksDone = p.MapsDone + p.FetchesDone + p.ReducesDone
 	p.TasksTotal = p.MapsTotal + p.FetchesTotal + p.ReducesTotal
 	return p
-}
-
-func (j *jobRun) event(e Event) {
-	j.fleet.event(e)
-	if j.spec.OnEvent != nil {
-		j.spec.OnEvent(e)
-	}
 }
 
 // run executes the job's task graph through the fleet and assembles an
@@ -508,7 +498,7 @@ func (j *jobRun) settle(ctx context.Context, task *sched.Task, pend *pendingLeas
 		j.pmu.Lock()
 		j.failed++
 		j.pmu.Unlock()
-		j.event(Event{Kind: "task-failed", Worker: rep.WorkerID, Job: j.id,
+		j.fleet.event(Event{Kind: "task-failed", Worker: rep.WorkerID, Job: j.id,
 			Task: task.Name, Attempt: rep.Attempt, Detail: rep.Errmsg})
 		if len(rep.LostDeps) > 0 {
 			return nil, &sched.DepLostError{Deps: rep.LostDeps, Err: errors.New(rep.Errmsg)}
@@ -518,7 +508,7 @@ func (j *jobRun) settle(ctx context.Context, task *sched.Task, pend *pendingLeas
 	j.pmu.Lock()
 	j.doneTask[task.Name] = true
 	j.pmu.Unlock()
-	j.event(Event{Kind: "task-done", Worker: rep.WorkerID, Job: j.id,
+	j.fleet.event(Event{Kind: "task-done", Worker: rep.WorkerID, Job: j.id,
 		Task: task.Name, Attempt: rep.Attempt})
 	switch task.Group {
 	case mr.TaskGroupMap:

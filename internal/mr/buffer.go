@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"path"
 	"slices"
 
 	"repro/internal/bytesx"
@@ -180,25 +179,26 @@ func (b *mapBuffer) spill() error {
 	// keeps b.segs — and therefore every downstream merge — identical to
 	// the sequential path.
 	type run struct {
-		name    string
-		part    int
-		entries []bufEntry
+		name string
+		part int
+		in   entryStream
 	}
 	runs := make([]run, 0, len(ends))
 	start := 0
 	for part, end := range ends {
 		if end > start {
 			runs = append(runs, run{
-				name:    fmt.Sprintf("%s/spill%04d.p%04d", b.dir, spillID, part),
-				part:    part,
-				entries: b.entries[start:end],
+				name: fmt.Sprintf("%s/spill%04d.p%04d", b.dir, spillID, part),
+				part: part,
+				in:   entryStream{b: b, es: b.entries[start:end]},
 			})
 		}
 		start = end
 	}
 	segs := make([]SegmentInfo, len(runs))
 	err := runPool(context.Background(), b.spillWorkers(len(runs)), len(runs), func(_ context.Context, i int) error {
-		seg, err := b.writeRun(runs[i].name, runs[i].part, runs[i].entries)
+		r := &runs[i]
+		seg, err := writeSegment(b.job, b.fs, r.name, r.part, &r.in, b.combineInfo(r.part))
 		if err != nil {
 			return err
 		}
@@ -421,12 +421,6 @@ func (b *mapBuffer) keyTail(e bufEntry) []byte {
 	return b.arena[e.keyOff+8 : e.keyOff+e.keyLen]
 }
 
-// sameRawKey reports whether two entries hold byte-identical keys.
-func (b *mapBuffer) sameRawKey(x, y bufEntry) bool {
-	return x.prefix == y.prefix && x.keyLen == y.keyLen &&
-		(x.keyLen <= 8 || bytes.Equal(b.keyTail(x), b.keyTail(y)))
-}
-
 // RecordWriter is the write side of one framed file: file → CRC32C
 // framing (the outermost on-disk layer) → codec → framed-record writer.
 // A record file has no codec layer. Every spill run, merge output, map
@@ -500,101 +494,37 @@ func (s *RecordWriter) Close(err error) (records, rawBytes int64, _ error) {
 	return records, rawBytes, err
 }
 
-// writeRun writes one sorted partition run, applying the combiner when
-// configured. On error the partial run file is removed.
-func (b *mapBuffer) writeRun(name string, partition int, entries []bufEntry) (SegmentInfo, error) {
-	sink, err := newSegmentSink(b.job.Codec, b.fs, name)
-	if err != nil {
-		return SegmentInfo{}, err
+// combineInfo is the TaskInfo of a combiner over this task's partition
+// output, or nil when the job has no combiner.
+func (b *mapBuffer) combineInfo(partition int) *TaskInfo {
+	if b.job.NewCombiner == nil {
+		return nil
 	}
-	w := sink.w
-
-	if b.job.NewCombiner != nil {
-		span := b.job.Tracer.Start(obs.KindCombine, name, obs.Int("records_in", int64(len(entries))))
-		err = b.combineRun(partition, entries, w)
-		if err == nil {
-			span.End(obs.Int("records_out", w.Records()))
-		} else {
-			span.End(obs.Str("outcome", "failed"), obs.Str("err", err.Error()))
-		}
-	} else {
-		for _, e := range entries {
-			if err = w.WriteRecord(b.key(e), b.value(e)); err != nil {
-				break
-			}
-		}
-	}
-	records, rawBytes, err := sink.Close(err)
-	if err != nil {
-		return SegmentInfo{}, err
-	}
-	return SegmentInfo{Partition: partition, File: name, Records: records, RawBytes: rawBytes}, nil
+	return b.job.taskInfo(b.taskID, partition, b.attempt, b.dir, b.fs, b.counters)
 }
 
-// combineRun groups the sorted entries by key and runs the combiner over
-// each group, writing its output to w.
-func (b *mapBuffer) combineRun(partition int, entries []bufEntry, w *bytesx.Writer) error {
-	combiner := b.job.NewCombiner()
-	info := &TaskInfo{
-		JobName:       b.job.Name,
-		Scratch:       b.dir,
-		TaskID:        b.taskID,
-		Partition:     partition,
-		Attempt:       b.attempt,
-		NumPartitions: b.job.NumReduceTasks,
-		Partitioner:   b.job.Partitioner,
-		KeyCompare:    b.job.KeyCompare,
-		GroupCompare:  b.job.GroupCompare,
-		Counters:      b.counters,
-		FS:            b.fs,
-		Tracer:        b.job.Tracer,
-	}
-	out := EmitterFunc(func(k, v []byte) error {
-		b.counters.combineOutRecords.Add(1)
-		return w.WriteRecord(k, v)
-	})
-	if err := combiner.Setup(info, out); err != nil {
-		return err
-	}
-	cmp, raw := b.job.KeyCompare, b.job.rawKeyOrder
-	vi := &runValueIter{b: b} // one iterator, re-pointed at each group
-	for start := 0; start < len(entries); {
-		end := start + 1
-		first := entries[start]
-		key := b.key(first)
-		if raw {
-			for end < len(entries) && b.sameRawKey(entries[end], first) {
-				end++
-			}
-		} else {
-			for end < len(entries) && cmp(b.key(entries[end]), key) == 0 {
-				end++
-			}
-		}
-		b.counters.combineInRecords.Add(int64(end - start))
-		vi.group = entries[start:end]
-		if err := combiner.Reduce(key, vi, out); err != nil {
-			return err
-		}
-		start = end
-	}
-	return combiner.Cleanup(out)
+// entryStream reads a sorted run of buffered entries as records: views
+// into the arena, valid until the buffer is reset after the spill.
+type entryStream struct {
+	b  *mapBuffer
+	es []bufEntry
 }
 
-// runValueIter streams the values of one key group of a sorted run.
-type runValueIter struct {
-	b     *mapBuffer
-	group []bufEntry // the values not yet returned
+func (s *entryStream) next() ([]byte, []byte, error) {
+	if len(s.es) == 0 {
+		return nil, nil, io.EOF
+	}
+	e := s.es[0]
+	s.es = s.es[1:]
+	return s.b.key(e), s.b.value(e), nil
 }
 
-// Next implements ValueIter.
-func (it *runValueIter) Next() ([]byte, bool) {
-	if len(it.group) == 0 {
-		return nil, false
-	}
-	v := it.b.value(it.group[0])
-	it.group = it.group[1:]
-	return v, true
+// headIs reports whether the next entry's key is byte-identical to key,
+// whose keyPrefix is prefix. The entry's cached prefix and length decide
+// it; the arena is read only for key bytes past the eighth.
+func (s *entryStream) headIs(prefix uint64, key []byte) bool {
+	e := &s.es[0]
+	return e.prefix == prefix && int(e.keyLen) == len(key) && (e.keyLen <= 8 || bytes.Equal(s.b.keyTail(*e), key[8:]))
 }
 
 // finish spills any buffered records, releases the pooled buffers, and
@@ -626,12 +556,12 @@ func (b *mapBuffer) finish() ([]SegmentInfo, error) {
 	err := runPool(context.Background(), b.spillWorkers(len(parts)), len(parts), func(_ context.Context, i int) error {
 		part := parts[i][0].Partition
 		name := fmt.Sprintf("%s/out.p%04d", b.dir, part)
-		segs, passes, err := mergePasses(b.job, b.fs, b.counters, name, part, parts[i], b.taskID, true)
+		segs, passes, err := mergePasses(b.job, b.fs, name, part, parts[i], true)
 		defer removeAll(b.fs, passes)
 		if err != nil {
 			return err
 		}
-		out[i], err = mergeOnce(b.job, b.fs, b.counters, name, part, segs, true, b.taskID, true)
+		out[i], err = mergeOnce(b.job, b.fs, name, part, segs, b.combineInfo(part), true)
 		return err
 	})
 	if err != nil {
@@ -698,7 +628,7 @@ func removeQuiet(fs iokit.FS, name string) {
 // segments (Plan.Sources), and it merges no more segments than it takes
 // to reach the merge factor, so the bytes passes re-read stay small.
 // removeInputs deletes the segments a pass consumed.
-func mergePasses(job *Job, fs iokit.FS, counters *Counters, name string, partition int, segs []SegmentInfo, taskID int, removeInputs bool) (_ []SegmentInfo, passes []string, _ error) {
+func mergePasses(job *Job, fs iokit.FS, name string, partition int, segs []SegmentInfo, removeInputs bool) (_ []SegmentInfo, passes []string, _ error) {
 	for len(segs) > job.MergeFactor {
 		width := min(job.MergeFactor, len(segs)-job.MergeFactor+1)
 		at, least := 0, int64(math.MaxInt64)
@@ -712,7 +642,7 @@ func mergePasses(job *Job, fs iokit.FS, counters *Counters, name string, partiti
 			}
 		}
 		passName := fmt.Sprintf("%s.pass%04d", name, len(passes))
-		merged, err := mergeOnce(job, fs, counters, passName, partition, segs[at:at+width], false, taskID, removeInputs)
+		merged, err := mergeOnce(job, fs, passName, partition, segs[at:at+width], nil, removeInputs)
 		if err != nil {
 			return nil, passes, err
 		}
@@ -729,134 +659,69 @@ func removeAll(fs iokit.FS, files []string) {
 	}
 }
 
-// mergeOnce merges segs into one output segment. Every error path
-// closes all still-open input streams and removes the partial output,
-// so a failed merge leaks neither file handles nor orphan files.
-func mergeOnce(job *Job, fs iokit.FS, counters *Counters, name string, partition int, segs []SegmentInfo, useCombiner bool, taskID int, removeInputs bool) (seg SegmentInfo, err error) {
-	streams := make([]recordStream, 0, len(segs))
-	defer func() {
-		if err != nil {
-			// Streams exhausted to EOF have closed themselves; close the
-			// rest and drop whatever partial output exists.
-			for _, st := range streams {
-				closeRecordStream(st)
-			}
-			removeQuiet(fs, name)
-		}
-	}()
-	for _, s := range segs {
-		st, oerr := openSegment(job.Codec, fs, s.File)
-		if oerr != nil {
-			err = oerr
-			return SegmentInfo{}, err
-		}
-		streams = append(streams, st)
-	}
-	merged, err := newMergeIter(streams, job.mergeCompare())
+// mergeOnce merges segs into one output segment, through a combiner
+// described by combine unless it is nil. Every error path closes all
+// still-open input streams and removes the partial output, so a failed
+// merge leaks neither file handles nor orphan files. removeInputs
+// deletes segs once merged.
+func mergeOnce(job *Job, fs iokit.FS, name string, partition int, segs []SegmentInfo, combine *TaskInfo, removeInputs bool) (SegmentInfo, error) {
+	merged, err := openMerge(job, fs, segs)
 	if err != nil {
 		return SegmentInfo{}, err
 	}
+	seg, err := writeSegment(job, fs, name, partition, merged, combine)
+	if err != nil {
+		merged.close()
+		return SegmentInfo{}, err
+	}
+	if removeInputs {
+		for _, s := range segs {
+			if err := fs.Remove(s.File); err != nil {
+				removeQuiet(fs, name)
+				return SegmentInfo{}, err
+			}
+		}
+	}
+	return seg, nil
+}
 
+// writeSegment writes in's records to the segment name, through a fresh
+// combiner described by combine unless it is nil. On error the partial
+// file is removed.
+func writeSegment(job *Job, fs iokit.FS, name string, partition int, in recordStream, combine *TaskInfo) (SegmentInfo, error) {
 	sink, err := newSegmentSink(job.Codec, fs, name)
 	if err != nil {
 		return SegmentInfo{}, err
 	}
-	w := sink.w
-
-	if useCombiner {
-		span := job.Tracer.Start(obs.KindCombine, name)
-		// A combining merge is a map task's final merge: its output lies
-		// in the attempt's directory, which is the combiner's scratch.
-		err = combineMerged(job, fs, counters, partition, merged, w, taskID, path.Dir(name))
-		if err == nil {
-			span.End(obs.Int("records_out", w.Records()))
-		} else {
-			span.End(obs.Str("outcome", "failed"), obs.Str("err", err.Error()))
+	if combine == nil {
+		for {
+			k, v, rerr := in.next()
+			if rerr != nil {
+				if rerr != io.EOF {
+					err = rerr
+				}
+				break
+			}
+			if err = sink.Write(k, v); err != nil {
+				break
+			}
 		}
 	} else {
-		for {
-			k, v, nerr := merged.next()
-			if nerr == io.EOF {
-				break
-			}
-			if nerr != nil {
-				err = nerr
-				break
-			}
-			if err = w.WriteRecord(k, v); err != nil {
-				break
-			}
+		span := job.Tracer.Start(obs.KindCombine, name)
+		var n int64
+		n, err = runReducer(context.Background(), job.NewCombiner(), combine, in, job.mergeCompare(), EmitterFunc(sink.Write))
+		out := sink.w.Records()
+		combine.Counters.combineInRecords.Add(n)
+		combine.Counters.combineOutRecords.Add(out)
+		if err == nil {
+			span.End(obs.Int("records_in", n), obs.Int("records_out", out))
+		} else {
+			span.End(obs.Str("outcome", "failed"), obs.Str("err", err.Error()))
 		}
 	}
 	records, rawBytes, err := sink.Close(err)
 	if err != nil {
 		return SegmentInfo{}, err
 	}
-	if removeInputs {
-		for _, s := range segs {
-			if err = fs.Remove(s.File); err != nil {
-				return SegmentInfo{}, err
-			}
-		}
-	}
 	return SegmentInfo{Partition: partition, File: name, Records: records, RawBytes: rawBytes}, nil
-}
-
-// combineMerged runs the combiner over key groups of a merged stream.
-func combineMerged(job *Job, fs iokit.FS, counters *Counters, partition int, merged *mergeIter, w *bytesx.Writer, taskID int, scratch string) error {
-	combiner := job.NewCombiner()
-	info := &TaskInfo{
-		JobName:       job.Name,
-		Scratch:       scratch,
-		TaskID:        taskID,
-		Partition:     partition,
-		NumPartitions: job.NumReduceTasks,
-		Partitioner:   job.Partitioner,
-		KeyCompare:    job.KeyCompare,
-		GroupCompare:  job.GroupCompare,
-		Counters:      counters,
-		FS:            fs,
-		Tracer:        job.Tracer,
-	}
-	out := EmitterFunc(func(k, v []byte) error {
-		counters.combineOutRecords.Add(1)
-		return w.WriteRecord(k, v)
-	})
-	if err := combiner.Setup(info, out); err != nil {
-		return err
-	}
-	grouped := newGroupedIter(merged, job.KeyCompare)
-	vi := grouped.groupValues()
-	counting := &countingValueIter{vi, counters}
-	for {
-		key, ok, err := grouped.nextGroup()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		if err := combiner.Reduce(key, counting, out); err != nil {
-			return err
-		}
-		if err := vi.drain(); err != nil {
-			return err
-		}
-	}
-	return combiner.Cleanup(out)
-}
-
-// countingValueIter meters the values a merge-time combiner pulls.
-type countingValueIter struct {
-	in       *groupValueIter
-	counters *Counters
-}
-
-// Next implements ValueIter.
-func (it *countingValueIter) Next() ([]byte, bool) {
-	v, ok := it.in.Next()
-	if ok {
-		it.counters.combineInRecords.Add(1)
-	}
-	return v, ok
 }

@@ -85,7 +85,7 @@ func BenchmarkReduceCollect(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, err := reduceMerge(context.Background(), job, fs, &Counters{}, 0, 0, []SegmentInfo{seg})
+		out, err := ExecReduceTask(context.Background(), job, fs, &Counters{}, 0, 0, []SegmentInfo{seg})
 		if err != nil || len(out) != records {
 			b.Fatalf("collected %d records, %v", len(out), err)
 		}

@@ -123,7 +123,7 @@ func TestReduceCollectAllocations(t *testing.T) {
 	var out []Record
 	var err error
 	n := mallocs(func() {
-		out, err = reduceMerge(context.Background(), job, fs, &Counters{}, 0, 0, []SegmentInfo{seg})
+		out, err = ExecReduceTask(context.Background(), job, fs, &Counters{}, 0, 0, []SegmentInfo{seg})
 	})
 	if err != nil || len(out) != records {
 		t.Fatalf("collected %d records, %v", len(out), err)
@@ -166,7 +166,7 @@ func TestMapArenasStayWithTheRun(t *testing.T) {
 		runtime.GC()
 		return allocatedBytes(func() {
 			err := runPool(context.Background(), workers, tasks, func(ctx context.Context, i int) error {
-				_, err := runMapTask(ctx, job, fs, &Counters{}, i, 0, split)
+				_, err := ExecMapTask(ctx, job, fs, &Counters{}, i, 0, split)
 				runtime.GC()
 				runtime.GC()
 				return err

@@ -29,37 +29,6 @@ type SegmentInfo struct {
 	RawBytes int64
 }
 
-// ExecMapTask runs one map-task attempt of job against fs: the Mapper
-// over split, collect/sort/spill, returning the produced segments. It
-// is the task entry point remote executors (internal/cluster workers)
-// call with a registry-built job; the single-process engine uses the
-// same underlying path. The job is defaulted with normalized, so a
-// builder-produced job need not pre-fill optional fields.
-func ExecMapTask(ctx context.Context, job *Job, fs iokit.FS, counters *Counters, taskID, attempt int, split Split) ([]SegmentInfo, error) {
-	j, err := job.normalized()
-	if err != nil {
-		return nil, err
-	}
-	counters.InitPartitions(j.NumReduceTasks)
-	return runMapTask(ctx, j, fs, counters, taskID, attempt, split)
-}
-
-// ExecReduceTask runs one reduce-task attempt of job over segments that
-// are already local in fs (what the partition's fetch tasks returned),
-// merging them in the given order and invoking Reduce per key group.
-// Segment order must be the map-task order (Plan.Sources) for output to
-// be byte-identical with the single-process engine. The task's
-// single-threaded wall time is charged as reduce CPU.
-func ExecReduceTask(ctx context.Context, job *Job, fs iokit.FS, counters *Counters, partition, attempt int, segs []SegmentInfo) ([]Record, error) {
-	j, err := job.normalized()
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	defer func() { counters.reduceTaskNs.Add(time.Since(start).Nanoseconds()) }()
-	return reduceMerge(ctx, j, fs, counters, partition, attempt, segs)
-}
-
 // FetchFunc opens one source segment's body for a fetch task and
 // reports its transfer size: on a fleet, a pooled fetch from src.Addr.
 type FetchFunc func(ctx context.Context, src SegmentInfo) (io.ReadCloser, int64, error)
@@ -100,15 +69,11 @@ func (e *FetchError) Unwrap() error { return e.Err }
 // and returns a *FetchError. With a nil fetch the sources are already
 // in fs — the in-process engine — and stay where they are. The
 // attempt's wall time is charged as reduce CPU.
-func ExecFetchTask(ctx context.Context, job *Job, fs iokit.FS, counters *Counters, partition, mapTask, attempt int, sources []SegmentInfo, fetch FetchFunc) (Fetched, error) {
+func ExecFetchTask(ctx context.Context, job *Job, fs iokit.FS, counters *Counters, partition, mapTask, attempt int, sources []SegmentInfo, fetch FetchFunc) (out Fetched, err error) {
 	j, err := job.normalized()
 	if err != nil {
 		return Fetched{}, err
 	}
-	return runFetchTask(ctx, j, fs, counters, partition, mapTask, attempt, sources, fetch)
-}
-
-func runFetchTask(ctx context.Context, job *Job, fs iokit.FS, counters *Counters, partition, mapTask, attempt int, sources []SegmentInfo, fetch FetchFunc) (out Fetched, err error) {
 	start := time.Now()
 	defer func() { counters.reduceTaskNs.Add(time.Since(start).Nanoseconds()) }()
 	if fetch == nil {
@@ -138,9 +103,9 @@ func runFetchTask(ctx context.Context, job *Job, fs iokit.FS, counters *Counters
 		// The transport-level sub-span: one socket copy per segment,
 		// nested (time-wise) inside the scheduler's fetch-task span.
 		t0 := time.Now()
-		span := job.Tracer.Start(obs.KindFetch, "copy "+src.File,
+		span := j.Tracer.Start(obs.KindFetch, "copy "+src.File,
 			obs.Int("partition", int64(partition)))
-		local := fmt.Sprintf("%s/r%04d/m%04d.a%d.fetch%04d", job.Workspace, partition, mapTask, attempt, i)
+		local := fmt.Sprintf("%s/r%04d/m%04d.a%d.fetch%04d", j.Workspace, partition, mapTask, attempt, i)
 		rc, size, err := fetch(ctx, src)
 		var n int64
 		if err == nil {

@@ -124,6 +124,25 @@ func (j *Job) mergeCompare() bytesx.Compare {
 	return j.KeyCompare
 }
 
+// taskInfo describes one task attempt of this normalized job to the
+// Mapper, Reducer or combiner it runs. partition is -1 for a Mapper.
+func (j *Job) taskInfo(taskID, partition, attempt int, scratch string, fs iokit.FS, counters *Counters) *TaskInfo {
+	return &TaskInfo{
+		JobName:       j.Name,
+		Scratch:       scratch,
+		TaskID:        taskID,
+		Partition:     partition,
+		Attempt:       attempt,
+		NumPartitions: j.NumReduceTasks,
+		Partitioner:   j.Partitioner,
+		KeyCompare:    j.KeyCompare,
+		GroupCompare:  j.GroupCompare,
+		Counters:      counters,
+		FS:            fs,
+		Tracer:        j.Tracer,
+	}
+}
+
 // errJob reports an invalid job configuration.
 var errJob = errors.New("mr: invalid job")
 

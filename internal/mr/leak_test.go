@@ -45,8 +45,7 @@ func TestMergeFaultCleanup(t *testing.T) {
 			} else {
 				flaky.FailWriteAt = n
 			}
-			counters := &Counters{}
-			_, err = mergeKeepingInputs(j, tracked, counters, "merged", segs)
+			_, err = mergeKeepingInputs(j, tracked, "merged", segs)
 			if err == nil {
 				if n == 1 {
 					t.Fatalf("%s sweep: fault at op 1 did not surface", mode)
@@ -85,13 +84,13 @@ func TestMergeFaultCleanup(t *testing.T) {
 // mergeKeepingInputs merges segs of partition 0 into one segment the
 // way a reduce with retries does — passes that keep their inputs, then
 // one last merge — and removes the pass files, also on error.
-func mergeKeepingInputs(j *Job, fs iokit.FS, counters *Counters, name string, segs []SegmentInfo) (SegmentInfo, error) {
-	segs, passes, err := mergePasses(j, fs, counters, name, 0, segs, 0, false)
+func mergeKeepingInputs(j *Job, fs iokit.FS, name string, segs []SegmentInfo) (SegmentInfo, error) {
+	segs, passes, err := mergePasses(j, fs, name, 0, segs, false)
 	defer removeAll(fs, passes)
 	if err != nil {
 		return SegmentInfo{}, err
 	}
-	return mergeOnce(j, fs, counters, name, 0, segs, false, 0, false)
+	return mergeOnce(j, fs, name, 0, segs, nil, false)
 }
 
 // TestRunFaultHandleLeaks sweeps injected faults across whole runs —
@@ -167,7 +166,7 @@ func TestReduceMergePassCleanup(t *testing.T) {
 			case "write":
 				flaky.FailWriteAt = n
 			}
-			out, err := reduceMerge(context.Background(), j, tracked, &Counters{}, 0, 1, segs)
+			out, err := ExecReduceTask(context.Background(), j, tracked, &Counters{}, 0, 1, segs)
 			if err != nil && !errors.Is(err, iokit.ErrInjected) {
 				t.Fatalf("%s@%d: error does not wrap injection: %v", mode, n, err)
 			}

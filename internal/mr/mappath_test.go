@@ -252,8 +252,7 @@ func TestMultiPassMergeContiguousWindow(t *testing.T) {
 	}
 
 	meter.Reset()
-	counters := &Counters{}
-	merged, err := mergeKeepingInputs(j, fs, counters, "merged", segs)
+	merged, err := mergeKeepingInputs(j, fs, "merged", segs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,9 @@ package mr
 
 import (
 	"bytes"
+	"context"
 	"errors"
+	"fmt"
 	"io"
 
 	"repro/internal/bytesx"
@@ -56,15 +58,6 @@ type streamCloser interface {
 	closeStream() error
 }
 
-// closeRecordStream best-effort closes a stream if it holds resources.
-// Used on merge error paths, where the primary error is already being
-// returned.
-func closeRecordStream(s recordStream) {
-	if c, ok := s.(streamCloser); ok {
-		_ = c.closeStream()
-	}
-}
-
 // mergeIter merges multiple sorted record streams into one sorted
 // stream, breaking key ties by stream index so merging is deterministic
 // and stable. Its min-heap is typed: under the raw-bytes order (a nil
@@ -99,6 +92,42 @@ func newMergeIter(streams []recordStream, cmp bytesx.Compare) (*mergeIter, error
 		}
 	}
 	return m, nil
+}
+
+// openMerge opens segs, in order, as one merge in the normalized job's
+// key order. On error it leaves nothing open; a caller that stops before
+// the merge's EOF closes it (mergeIter.close).
+func openMerge(job *Job, fs iokit.FS, segs []SegmentInfo) (*mergeIter, error) {
+	m := &mergeIter{cmp: job.mergeCompare()}
+	for _, s := range segs {
+		st, err := openSegment(job.Codec, fs, s.File)
+		if err == nil {
+			if err = m.push(st); err != nil {
+				st.closeStream()
+			}
+		}
+		if err != nil {
+			m.close()
+			return nil, err
+		}
+	}
+	return m, nil
+}
+
+// close closes the streams not yet exhausted (one that reached EOF has
+// closed itself) and empties the heap, returning the first close error.
+func (m *mergeIter) close() error {
+	var firstErr error
+	for i, it := range m.items {
+		if c, ok := it.stream.(streamCloser); ok {
+			if err := c.closeStream(); err != nil && firstErr == nil {
+				firstErr = err
+			}
+		}
+		m.items[i] = nil
+	}
+	m.items = m.items[:0]
+	return firstErr
 }
 
 // push primes s's first record into the heap, tying after every stream
@@ -274,44 +303,73 @@ func (c *RunMerger) Next() (key, value []byte, err error) { return c.m.next() }
 
 // Close closes the runs not yet exhausted and removes their files,
 // leaving the merger empty.
-func (c *RunMerger) Close() error {
-	var firstErr error
-	for i, it := range c.m.items {
-		if err := it.stream.(*readerStream).closeStream(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-		c.m.items[i] = nil
-	}
-	c.m.items = c.m.items[:0]
-	return firstErr
-}
+func (c *RunMerger) Close() error { return c.m.close() }
 
-// groupedIter walks a merged stream one key group at a time, where a
-// group is a maximal run of keys equal under groupCmp. It backs the
-// ValueIter handed to Reduce calls, and allocates nothing per group:
-// the group key is copied into one reused buffer, the record that ends a
-// group is held as the merge handed it out (valid until the merge's
-// following next, which only the next group's second value triggers),
-// and one ValueIter serves every group. Hence Reduce's contract: key and
-// values are valid only for the call.
+// groupedIter walks a sorted record stream — a merge, or a spill run's
+// buffered entries — one key group at a time, where a group is a
+// maximal run of keys equal under cmp (nil: byte-identical keys, the
+// raw order's groups). It backs the ValueIter handed to Reduce calls,
+// and allocates nothing per group: the group key is copied into one
+// reused buffer, the record that ends a group is held as the stream
+// handed it out (valid until the stream's following next, which only
+// the next group's second value triggers), and one ValueIter serves
+// every group. Hence Reduce's contract: key and values are valid only
+// for the call.
+//
+// A spill run grouped by raw bytes has a fast path: its entries cache
+// their key's prefix and length, so whether the next entry extends the
+// group is decided without reading key bytes from the arena
+// (entryStream.headIs). A combiner then touches the arena only for
+// the values it reads, whose cache misses overlap; a byte comparison per
+// record would put a miss on every record's critical path.
 type groupedIter struct {
-	m        *mergeIter
-	groupCmp bytesx.Compare
+	in     recordStream
+	cmp    bytesx.Compare // nil: raw key bytes
+	run    *entryStream   // in, when it is a spill run and cmp is nil
+	prefix uint64         // keyPrefix(key), kept when run is set
 
 	key        []byte // the current group's first key, copied
-	pendingKey []byte // first record of the next group, as the merge returned it
+	pendingKey []byte // first record of the next group, as the stream returned it
 	pendingVal []byte
 	hasPending bool
 	done       bool
 	err        error
+	records    int64 // records read from in
 
 	values groupValueIter
 }
 
-func newGroupedIter(m *mergeIter, groupCmp bytesx.Compare) *groupedIter {
-	g := &groupedIter{m: m, groupCmp: groupCmp}
+func newGroupedIter(in recordStream, cmp bytesx.Compare) *groupedIter {
+	g := &groupedIter{in: in, cmp: cmp}
+	if cmp == nil {
+		g.run, _ = in.(*entryStream)
+	}
 	g.values.g = g
 	return g
+}
+
+// read returns in's next record, or false at its end or on an error,
+// which it keeps.
+func (g *groupedIter) read() (k, v []byte, ok bool) {
+	k, v, err := g.in.next()
+	if err != nil {
+		if errors.Is(err, io.EOF) {
+			g.done = true
+		} else {
+			g.err = err
+		}
+		return nil, nil, false
+	}
+	g.records++
+	return k, v, true
+}
+
+// inGroup reports whether k belongs to the current group.
+func (g *groupedIter) inGroup(k []byte) bool {
+	if g.cmp == nil {
+		return bytes.Equal(k, g.key)
+	}
+	return g.cmp(k, g.key) == 0
 }
 
 // nextGroup positions the iterator at the next key group, returning its
@@ -322,19 +380,17 @@ func (g *groupedIter) nextGroup() ([]byte, bool, error) {
 		return nil, false, g.err
 	}
 	if !g.hasPending {
-		k, v, err := g.m.next()
-		if errors.Is(err, io.EOF) {
-			g.done = true
-			return nil, false, nil
-		}
-		if err != nil {
-			g.err = err
-			return nil, false, err
+		k, v, ok := g.read()
+		if !ok {
+			return nil, false, g.err
 		}
 		g.pendingKey, g.pendingVal = k, v
 		g.hasPending = true
 	}
 	g.key = append(g.key[:0], g.pendingKey...)
+	if g.run != nil {
+		g.prefix = keyPrefix(g.key)
+	}
 	return g.key, true, nil
 }
 
@@ -347,26 +403,27 @@ type groupValueIter struct{ g *groupedIter }
 // Next implements ValueIter.
 func (it *groupValueIter) Next() ([]byte, bool) {
 	g := it.g
+	if s := g.run; s != nil && !g.hasPending && len(s.es) > 0 && s.headIs(g.prefix, g.key) {
+		v := s.b.value(s.es[0])
+		s.es = s.es[1:]
+		g.records++
+		return v, true
+	}
 	if g.err != nil || g.done {
 		return nil, false
 	}
 	if g.hasPending {
-		if g.groupCmp(g.pendingKey, g.key) != 0 {
+		if !g.inGroup(g.pendingKey) {
 			return nil, false
 		}
 		g.hasPending = false
 		return g.pendingVal, true
 	}
-	k, v, err := g.m.next()
-	if errors.Is(err, io.EOF) {
-		g.done = true
+	k, v, ok := g.read()
+	if !ok {
 		return nil, false
 	}
-	if err != nil {
-		g.err = err
-		return nil, false
-	}
-	if g.groupCmp(k, g.key) != 0 {
+	if !g.inGroup(k) {
 		g.pendingKey, g.pendingVal = k, v
 		g.hasPending = true
 		return nil, false
@@ -382,4 +439,42 @@ func (it *groupValueIter) drain() error {
 			return it.g.err
 		}
 	}
+}
+
+// runReducer is the engine's one key-group loop, which the reduce task,
+// the spill-time combiner and the merge-time combiner all run their
+// Reducer through: Setup, then Reduce and a drain for each group of in
+// under cmp (nil: byte-identical keys), then Cleanup. ctx is checked
+// every ctxCheckInterval groups. It returns the records it read from
+// in, the ones no Reduce call asked for included.
+func runReducer(ctx context.Context, r Reducer, info *TaskInfo, in recordStream, cmp bytesx.Compare, out Emitter) (int64, error) {
+	if err := r.Setup(info, out); err != nil {
+		return 0, fmt.Errorf("setup: %w", err)
+	}
+	g := newGroupedIter(in, cmp)
+	vi := g.groupValues()
+	for groups := 1; ; groups++ {
+		if groups%ctxCheckInterval == 0 {
+			if err := ctx.Err(); err != nil {
+				return g.records, err
+			}
+		}
+		key, ok, err := g.nextGroup()
+		if err != nil {
+			return g.records, fmt.Errorf("read: %w", err)
+		}
+		if !ok {
+			break
+		}
+		if err := r.Reduce(key, vi, out); err != nil {
+			return g.records, err
+		}
+		if err := vi.drain(); err != nil {
+			return g.records, fmt.Errorf("read: %w", err)
+		}
+	}
+	if err := r.Cleanup(out); err != nil {
+		return g.records, fmt.Errorf("cleanup: %w", err)
+	}
+	return g.records, nil
 }

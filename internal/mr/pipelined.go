@@ -9,17 +9,12 @@ import (
 	"repro/internal/sched"
 )
 
-// mapOut is a map task's committed value.
-type mapOut struct {
-	segs []SegmentInfo
-	dur  time.Duration
-}
-
 // runPipelined executes the job's Plan on the in-process scheduler: it
-// attaches a closure to each of the plan's tasks and runs them on at
-// most Job.Parallelism workers. Task failures retry with backoff when
-// transient and the job's attempt budget allows. Fetch tasks leave map
-// output where it lies in fs and only meter it.
+// attaches ExecMapTask, ExecFetchTask or ExecReduceTask to each of the
+// plan's tasks and runs them on at most Job.Parallelism workers. Task
+// failures retry with backoff when transient and the job's attempt
+// budget allows. Fetch tasks leave map output where it lies in fs and
+// only meter it.
 func runPipelined(ctx context.Context, j *Job, fs iokit.FS, counters *Counters, plan Plan, splits []Split) (*Result, error) {
 	// shufflePer is written concurrently by a partition's fetch tasks.
 	shufflePer := make([]int64, plan.Reduces)
@@ -32,22 +27,17 @@ func runPipelined(ctx context.Context, j *Job, fs iokit.FS, counters *Counters, 
 		switch id.Group {
 		case TaskGroupMap:
 			task.Run = func(ctx context.Context, tc *sched.TaskContext) (any, error) {
-				t0 := time.Now()
-				segs, err := runMapTask(ctx, j, fs, counters, i, tc.Attempt, splits[i])
-				if err != nil {
-					return nil, err
-				}
-				return mapOut{segs: segs, dur: time.Since(t0)}, nil
+				return ExecMapTask(ctx, j, fs, counters, i, tc.Attempt, splits[i])
 			}
 		case TaskGroupFetch:
 			task.Run = func(ctx context.Context, tc *sched.TaskContext) (any, error) {
 				var sources []SegmentInfo
-				for _, s := range tc.Dep(MapTaskName(i)).(mapOut).segs {
+				for _, s := range tc.Dep(MapTaskName(i)).([]SegmentInfo) {
 					if s.Partition == p {
 						sources = append(sources, s)
 					}
 				}
-				got, err := runFetchTask(ctx, j, fs, counters, p, i, tc.Attempt, sources, nil)
+				got, err := ExecFetchTask(ctx, j, fs, counters, p, i, tc.Attempt, sources, nil)
 				if err != nil {
 					return nil, err
 				}
@@ -57,13 +47,11 @@ func runPipelined(ctx context.Context, j *Job, fs iokit.FS, counters *Counters, 
 		case TaskGroupReduce:
 			fetches := task.Deps
 			task.Run = func(ctx context.Context, tc *sched.TaskContext) (any, error) {
-				t0 := time.Now()
-				defer func() { counters.reduceTaskNs.Add(time.Since(t0).Nanoseconds()) }()
 				var segs []SegmentInfo
 				for _, dep := range fetches {
 					segs = append(segs, tc.Dep(dep).([]SegmentInfo)...)
 				}
-				return reduceMerge(ctx, j, fs, counters, p, tc.Attempt, segs)
+				return ExecReduceTask(ctx, j, fs, counters, p, tc.Attempt, segs)
 			}
 		}
 	}
@@ -83,7 +71,7 @@ func runPipelined(ctx context.Context, j *Job, fs iokit.FS, counters *Counters, 
 
 	mapTimes := make([]time.Duration, plan.Maps)
 	for i := range mapTimes {
-		mapTimes[i] = report.Value(MapTaskName(i)).(mapOut).dur
+		mapTimes[i] = report.TaskDuration(MapTaskName(i))
 	}
 	output := make([][]Record, plan.Reduces)
 	reduceTimes := make([]time.Duration, plan.Reduces)

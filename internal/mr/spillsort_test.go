@@ -233,7 +233,11 @@ func TestWarmSpillSortDoesNotAllocate(t *testing.T) {
 // share a prefix and a length but differ later, and keys that differ
 // only in length ("ab" vs "ab\x00"), must still reach it as separate
 // groups — in the spill's combine and in the final merge's (a tiny sort
-// buffer forces at least three spills).
+// buffer forces at least three spills). An explicit KeyCompare takes the
+// comparator path through both and must group the same way.
+// CombineInputRecords counts every record of a group, read or not: a
+// combiner that reads only a group's first value reports what one that
+// reads them all does.
 func TestCombineGroupsByRawKey(t *testing.T) {
 	r := rand.New(rand.NewSource(20261017))
 	want := map[string]int{}
@@ -244,21 +248,46 @@ func TestCombineGroupsByRawKey(t *testing.T) {
 		want[string(k)]++
 		recs = append(recs, Record{Value: k})
 	}
-	job := wordCountJob(true)
-	job.NewMapper = NewMapFunc(func(_, v []byte, out Emitter) error { return out.Emit(v, []byte("1")) })
-	job.SortBufferBytes = 4 << 10
-	res := mustRun(t, job, []Split{&MemSplit{Recs: recs}})
-	if res.Stats.Spills < 3 || res.Stats.CombineInputRecords == 0 {
-		t.Fatalf("%d spills, %d combined records: the combiner paths did not run", res.Stats.Spills, res.Stats.CombineInputRecords)
-	}
-	got := outputMap(t, res)
-	if len(got) != len(want) {
-		t.Errorf("%d distinct keys out, want %d", len(got), len(want))
-	}
-	for k, n := range want {
-		if got[k] != fmt.Sprint(n) {
-			t.Errorf("key %q counted %q, want %d", k, got[k], n)
+	run := func(keyCompare bytesx.Compare, combiner func() Reducer) *Result {
+		job := wordCountJob(true)
+		job.NewMapper = NewMapFunc(func(_, v []byte, out Emitter) error { return out.Emit(v, []byte("1")) })
+		job.SortBufferBytes = 4 << 10
+		job.KeyCompare = keyCompare
+		if combiner != nil {
+			job.NewCombiner = combiner
 		}
+		res := mustRun(t, job, []Split{&MemSplit{Recs: recs}})
+		if res.Stats.Spills < 3 || res.Stats.CombineInputRecords == 0 {
+			t.Fatalf("%d spills, %d combined records: the combiner paths did not run", res.Stats.Spills, res.Stats.CombineInputRecords)
+		}
+		return res
+	}
+	for _, c := range []struct {
+		name string
+		cmp  bytesx.Compare
+	}{{"raw order", nil}, {"KeyCompare", bytesx.Bytes}} {
+		got := outputMap(t, run(c.cmp, nil))
+		if len(got) != len(want) {
+			t.Errorf("%s: %d distinct keys out, want %d", c.name, len(got), len(want))
+		}
+		for k, n := range want {
+			if got[k] != fmt.Sprint(n) {
+				t.Errorf("%s: key %q counted %q, want %d", c.name, k, got[k], n)
+			}
+		}
+	}
+
+	firstOnly := NewReduceFunc(func(key []byte, values ValueIter, out Emitter) error {
+		v, _ := values.Next()
+		return out.Emit(key, v)
+	})
+	all, first := run(nil, nil).Stats, run(nil, firstOnly).Stats
+	if all.CombineOutputRecords != first.CombineOutputRecords {
+		t.Fatalf("combiners emitted %d and %d records: the runs differ before counting", all.CombineOutputRecords, first.CombineOutputRecords)
+	}
+	if all.CombineInputRecords != first.CombineInputRecords {
+		t.Errorf("CombineInputRecords %d for the combiner reading every value, %d for the one reading only the first",
+			all.CombineInputRecords, first.CombineInputRecords)
 	}
 }
 

@@ -57,12 +57,19 @@ func mapTaskDir(job *Job, taskID, attempt int) string {
 	return fmt.Sprintf("%s/m%04d.a%d", job.Workspace, taskID, attempt)
 }
 
-// runMapTask executes one attempt of a map task: run the Mapper over
-// the split, collect/sort/spill its output, and return the final
-// per-partition segments. The task's single-threaded wall time is
-// charged as map CPU. ctx cancellation is observed between input
-// records so cancelled attempts stop promptly.
-func runMapTask(ctx context.Context, job *Job, fs iokit.FS, counters *Counters, taskID, attempt int, split Split) (segs []SegmentInfo, err error) {
+// ExecMapTask runs one map-task attempt of job against fs: the Mapper
+// over split, collect/sort/spill, returning the produced segments. It is
+// the map task of every runtime: the in-process engine's and fleet
+// workers'. The job is defaulted with normalized, so a builder-produced
+// job need not pre-fill optional fields. The attempt's wall time is
+// charged as map CPU. ctx cancellation is observed between input records
+// so cancelled attempts stop promptly.
+func ExecMapTask(ctx context.Context, job *Job, fs iokit.FS, counters *Counters, taskID, attempt int, split Split) (segs []SegmentInfo, err error) {
+	j, err := job.normalized()
+	if err != nil {
+		return nil, err
+	}
+	counters.InitPartitions(j.NumReduceTasks)
 	start := time.Now()
 	defer func() { counters.mapTaskNs.Add(time.Since(start).Nanoseconds()) }()
 	if err := ctx.Err(); err != nil {
@@ -74,30 +81,16 @@ func runMapTask(ctx context.Context, job *Job, fs iokit.FS, counters *Counters, 
 	// else can be reading it.
 	defer func() {
 		if err != nil {
-			removePrefix(fs, mapTaskDir(job, taskID, attempt)+"/")
+			removePrefix(fs, mapTaskDir(j, taskID, attempt)+"/")
 		}
 	}()
 
-	buf := newMapBuffer(job, fs, counters, taskID, attempt)
-	mapper := job.NewMapper()
-	info := &TaskInfo{
-		JobName:       job.Name,
-		Scratch:       buf.dir,
-		TaskID:        taskID,
-		Partition:     -1,
-		Attempt:       attempt,
-		NumPartitions: job.NumReduceTasks,
-		Partitioner:   job.Partitioner,
-		KeyCompare:    job.KeyCompare,
-		GroupCompare:  job.GroupCompare,
-		Counters:      counters,
-		FS:            fs,
-		Tracer:        job.Tracer,
-	}
-	out := &mapCollector{job: job, counters: counters, buf: buf, taskID: taskID,
-		partBytes: make([]int64, job.NumReduceTasks)}
+	buf := newMapBuffer(j, fs, counters, taskID, attempt)
+	mapper := j.NewMapper()
+	out := &mapCollector{job: j, counters: counters, buf: buf, taskID: taskID,
+		partBytes: make([]int64, j.NumReduceTasks)}
 	defer out.flush()
-	if err := mapper.Setup(info, out); err != nil {
+	if err := mapper.Setup(j.taskInfo(taskID, -1, attempt, buf.dir, fs, counters), out); err != nil {
 		return nil, fmt.Errorf("mr: map task %d setup: %w", taskID, err)
 	}
 	var seen int
@@ -200,11 +193,21 @@ func removePrefix(fs iokit.FS, prefix string) {
 	}
 }
 
-// reduceMerge is the compute half of a reduce task: merge the
-// partition's (already local) sorted segments and invoke Reduce once
-// per key group. attempt scopes pass file names so scheduler retries
-// never collide with a previous attempt's partial output.
-func reduceMerge(ctx context.Context, job *Job, fs iokit.FS, counters *Counters, partition, attempt int, segs []SegmentInfo) (_ []Record, err error) {
+// ExecReduceTask runs one reduce-task attempt of job over segments that
+// are already local in fs (what the partition's fetch tasks returned),
+// merging them in the given order and invoking Reduce per key group. It
+// is the reduce task of every runtime. Segment order must be the
+// map-task order (Plan.Sources) for output to be byte-identical with the
+// in-process engine. attempt scopes pass and scratch file names so
+// retries never collide with a previous attempt's partial output. The
+// attempt's wall time is charged as reduce CPU.
+func ExecReduceTask(ctx context.Context, job *Job, fs iokit.FS, counters *Counters, partition, attempt int, segs []SegmentInfo) (_ []Record, err error) {
+	j, err := job.normalized()
+	if err != nil {
+		return nil, err
+	}
+	start := time.Now()
+	defer func() { counters.reduceTaskNs.Add(time.Since(start).Nanoseconds()) }()
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("mr: reduce task %d: %w", partition, err)
 	}
@@ -213,7 +216,7 @@ func reduceMerge(ctx context.Context, job *Job, fs iokit.FS, counters *Counters,
 	// calls fails; an attempt that fails elsewhere — a merge read, a
 	// cancellation — reaches neither, so it closes and removes them here.
 	scratch := &scratchFS{FS: fs}
-	scratchDir := fmt.Sprintf("%s/r%04d/a%d", job.Workspace, partition, attempt)
+	scratchDir := fmt.Sprintf("%s/r%04d/a%d", j.Workspace, partition, attempt)
 	defer func() {
 		if err != nil {
 			scratch.closeAll()
@@ -226,87 +229,30 @@ func reduceMerge(ctx context.Context, job *Job, fs iokit.FS, counters *Counters,
 	// The pass files belong to this attempt and go when it ends, either
 	// way. When retries are enabled the passes keep their inputs so a
 	// later attempt can redo them from intact files.
-	passName := fmt.Sprintf("%s/r%04d/merge.a%d", job.Workspace, partition, attempt)
-	segs, passes, err := mergePasses(job, fs, counters, passName, partition, segs, partition, job.MaxTaskAttempts == 1)
+	passName := fmt.Sprintf("%s/r%04d/merge.a%d", j.Workspace, partition, attempt)
+	segs, passes, err := mergePasses(j, fs, passName, partition, segs, j.MaxTaskAttempts == 1)
 	defer removeAll(fs, passes)
 	if err != nil {
 		return nil, err
 	}
-
-	streams := make([]recordStream, 0, len(segs))
-	// A failed reduce must not hold its inputs open: close whatever
-	// streams remain un-exhausted (EOF'd ones have closed themselves).
-	defer func() {
-		if err != nil {
-			for _, st := range streams {
-				closeRecordStream(st)
-			}
-		}
-	}()
-	for _, s := range segs {
-		st, oerr := openSegment(job.Codec, fs, s.File)
-		if oerr != nil {
-			err = oerr
-			return nil, err
-		}
-		streams = append(streams, st)
-	}
-	merged, err := newMergeIter(streams, job.mergeCompare())
+	merged, err := openMerge(j, fs, segs)
 	if err != nil {
 		return nil, err
 	}
-	grouped := newGroupedIter(merged, job.GroupCompare)
+	// A failed reduce must not hold its inputs open.
+	defer merged.close()
 
-	reducer := job.NewReducer()
-	info := &TaskInfo{
-		JobName:       job.Name,
-		Scratch:       scratchDir,
-		TaskID:        partition,
-		Partition:     partition,
-		Attempt:       attempt,
-		NumPartitions: job.NumReduceTasks,
-		Partitioner:   job.Partitioner,
-		KeyCompare:    job.KeyCompare,
-		GroupCompare:  job.GroupCompare,
-		Counters:      counters,
-		FS:            scratch,
-		Tracer:        job.Tracer,
-	}
 	var collected outputArena
 	out := EmitterFunc(func(k, v []byte) error {
 		counters.reduceOutRecords.Add(1)
-		if !job.DiscardOutput {
+		if !j.DiscardOutput {
 			collected.add(k, v)
 		}
 		return nil
 	})
-	if err := reducer.Setup(info, out); err != nil {
-		return nil, fmt.Errorf("mr: reduce task %d setup: %w", partition, err)
-	}
-	var groups int
-	for {
-		if groups++; groups%ctxCheckInterval == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("mr: reduce task %d: %w", partition, err)
-			}
-		}
-		key, ok, err := grouped.nextGroup()
-		if err != nil {
-			return nil, fmt.Errorf("mr: reduce task %d merge: %w", partition, err)
-		}
-		if !ok {
-			break
-		}
-		vi := grouped.groupValues()
-		if err := reducer.Reduce(key, vi, out); err != nil {
-			return nil, fmt.Errorf("mr: reduce task %d: %w", partition, err)
-		}
-		if err := vi.drain(); err != nil {
-			return nil, fmt.Errorf("mr: reduce task %d drain: %w", partition, err)
-		}
-	}
-	if err := reducer.Cleanup(out); err != nil {
-		return nil, fmt.Errorf("mr: reduce task %d cleanup: %w", partition, err)
+	info := j.taskInfo(partition, partition, attempt, scratchDir, scratch, counters)
+	if _, err := runReducer(ctx, j.NewReducer(), info, merged, j.GroupCompare, out); err != nil {
+		return nil, fmt.Errorf("mr: reduce task %d: %w", partition, err)
 	}
 	return collected.records(), nil
 }

@@ -50,8 +50,8 @@ type TaskInfo struct {
 	TaskID    int
 	Partition int
 	// Attempt is the 0-based execution attempt of the enclosing task
-	// (>0 after scheduler retries or re-executions; always 0 for
-	// merge-time combiner instances).
+	// (>0 after scheduler retries or re-executions). A combiner's is
+	// the attempt of the map task it runs in.
 	Attempt       int
 	NumPartitions int
 	Partitioner   Partitioner

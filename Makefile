@@ -31,7 +31,9 @@ verify: build vet staticcheck race
 # One micro-benchmark report per layer, all written the same way:
 # `benchjson -baseline F -out F` carries F's recorded before rows (its
 # baseline section, or its benchmark rows when it has none yet) into the
-# refreshed report and compares every row both have. BENCH_mr.json is the
+# refreshed report and compares every row both have. Each benchmark runs
+# six times (-count 6), and benchjson reports the median of the six with
+# n. BENCH_mr.json is the
 # map path and the storage byte path (mr + iokit + bytesx); its baseline
 # section is the commit before the word-at-a-time hash partitioner, the
 # second spill-sort radix round and view record reads (older baselines,
@@ -45,10 +47,10 @@ verify: build vet staticcheck race
 # commit before Shared stored its bytes in pooled blocks instead of a
 # doubling arena.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkMapBufferSpill|BenchmarkSpillSort|BenchmarkMapPathE2E|BenchmarkMergeIter|BenchmarkSegmentRoundTrip|BenchmarkReduceCollect|BenchmarkMemFSWrite|BenchmarkHashPartitioner|BenchmarkReadRecord' -benchmem ./internal/mr/ ./internal/iokit/ ./internal/bytesx/ | tee /dev/stderr | $(GO) run ./cmd/benchjson -baseline BENCH_mr.json -out BENCH_mr.json
-	$(GO) test -run '^$$' -bench 'BenchmarkSkewPartition|BenchmarkPipelineHandoff|BenchmarkThetaMap|BenchmarkThetaReduce|BenchmarkCountsFold' -benchmem ./internal/experiments/ ./internal/workloads/thetajoin/ ./internal/workloads/querysuggest/ | tee /dev/stderr | $(GO) run ./cmd/benchjson -baseline BENCH_experiments.json -out BENCH_experiments.json
-	$(GO) test -run '^$$' -bench 'BenchmarkShuffleDataPlane' -benchmem ./internal/mr/ | tee /dev/stderr | $(GO) run ./cmd/benchjson -baseline BENCH_transport.json -out BENCH_transport.json
-	$(GO) test -run '^$$' -bench 'BenchmarkEagerEncode|BenchmarkDecodeEager|BenchmarkSharedAddPop|BenchmarkSharedFill|BenchmarkSharedSpill|BenchmarkAntiReducePlain|BenchmarkAntiMapCall|BenchmarkAntiCombineRun' -benchmem ./internal/anticombine/ | tee /dev/stderr | $(GO) run ./cmd/benchjson -baseline BENCH_anticombine.json -out BENCH_anticombine.json
+	$(GO) test -run '^$$' -bench 'BenchmarkMapBufferSpill|BenchmarkSpillSort|BenchmarkMapPathE2E|BenchmarkMergeIter|BenchmarkSegmentRoundTrip|BenchmarkReduceCollect|BenchmarkMemFSWrite|BenchmarkHashPartitioner|BenchmarkReadRecord' -benchmem -count 6 ./internal/mr/ ./internal/iokit/ ./internal/bytesx/ | tee /dev/stderr | $(GO) run ./cmd/benchjson -baseline BENCH_mr.json -out BENCH_mr.json
+	$(GO) test -run '^$$' -bench 'BenchmarkSkewPartition|BenchmarkPipelineHandoff|BenchmarkThetaMap|BenchmarkThetaReduce|BenchmarkCountsFold' -benchmem -count 6 ./internal/experiments/ ./internal/workloads/thetajoin/ ./internal/workloads/querysuggest/ | tee /dev/stderr | $(GO) run ./cmd/benchjson -baseline BENCH_experiments.json -out BENCH_experiments.json
+	$(GO) test -run '^$$' -bench 'BenchmarkShuffleDataPlane' -benchmem -count 6 ./internal/mr/ | tee /dev/stderr | $(GO) run ./cmd/benchjson -baseline BENCH_transport.json -out BENCH_transport.json
+	$(GO) test -run '^$$' -bench 'BenchmarkEagerEncode|BenchmarkDecodeEager|BenchmarkSharedAddPop|BenchmarkSharedFill|BenchmarkSharedSpill|BenchmarkAntiReducePlain|BenchmarkAntiMapCall|BenchmarkAntiCombineRun' -benchmem -count 6 ./internal/anticombine/ | tee /dev/stderr | $(GO) run ./cmd/benchjson -baseline BENCH_anticombine.json -out BENCH_anticombine.json
 
 # End-to-end before/after rows: alternating benchmark/run.sh pairs of
 # BASE and this checkout, written to BENCH_e2e.json with both sides'

@@ -9,6 +9,9 @@
 // keeps its before/after rows: `-baseline BENCH_x.json -out BENCH_x.json`
 // refreshes the after rows against the recorded before.
 //
+// Repeated result lines of one benchmark (go test -count N) become one
+// row: the median of every figure, with n, the number of lines.
+//
 // Usage:
 //
 //	go test -run '^$' -bench . -benchmem ./internal/mr/ | benchjson -baseline BENCH_mr.json -out BENCH_mr.json
@@ -20,6 +23,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -37,6 +41,8 @@ type Benchmark struct {
 	// Extra holds custom b.ReportMetric units (e.g. the skew
 	// benchmarks' "maxpart-B" and "skew-x"), keyed by unit.
 	Extra map[string]float64 `json:"extra,omitempty"`
+	// N is how many result lines the row is the median of.
+	N int `json:"n,omitempty"`
 }
 
 // Comparison relates a benchmark's row to its -baseline row.
@@ -130,7 +136,50 @@ func parse(sc *bufio.Scanner) (*Report, error) {
 	if len(r.Benchmarks) == 0 {
 		return nil, fmt.Errorf("no benchmark result lines on stdin")
 	}
+	r.Benchmarks = collapse(r.Benchmarks)
 	return r, nil
+}
+
+// collapse makes the rows of each benchmark (one name in one package)
+// a single row, in the order they first appear: the median of each
+// figure over the rows that report it, with N, the number of rows.
+func collapse(rows []Benchmark) []Benchmark {
+	type id struct{ name, pkg string }
+	groups := make(map[id][]Benchmark)
+	var out []Benchmark
+	for _, b := range rows {
+		k := id{b.Name, b.Pkg}
+		if groups[k] == nil {
+			out = append(out, Benchmark{Name: b.Name, Pkg: b.Pkg})
+		}
+		groups[k] = append(groups[k], b)
+	}
+	for i := range out {
+		b := &out[i]
+		g := groups[id{b.Name, b.Pkg}]
+		var iters []float64
+		figures := make(map[string][]float64)
+		for _, r := range g {
+			iters = append(iters, float64(r.Iterations))
+			for unit, v := range r.Extra {
+				figures[unit] = append(figures[unit], v)
+			}
+			figures["ns/op"] = append(figures["ns/op"], r.NsPerOp)
+			figures["B/op"] = append(figures["B/op"], r.BytesPerOp)
+			figures["allocs/op"] = append(figures["allocs/op"], r.AllocsPerOp)
+		}
+		b.Iterations, b.N = int64(median(iters)), len(g)
+		for unit, vs := range figures {
+			b.set(unit, median(vs))
+		}
+	}
+	return out
+}
+
+// median is the middle value of vs, or the mean of the middle two.
+func median(vs []float64) float64 {
+	sort.Float64s(vs)
+	return (vs[(len(vs)-1)/2] + vs[len(vs)/2]) / 2
 }
 
 func parseResult(line string) (Benchmark, bool) {
@@ -150,25 +199,28 @@ func parseResult(line string) (Benchmark, bool) {
 	}
 	b := Benchmark{Name: name, Iterations: iters}
 	for i := 2; i+1 < len(fields); i += 2 {
-		v, err := strconv.ParseFloat(fields[i], 64)
-		if err != nil {
-			continue
-		}
-		switch fields[i+1] {
-		case "ns/op":
-			b.NsPerOp = v
-		case "B/op":
-			b.BytesPerOp = v
-		case "allocs/op":
-			b.AllocsPerOp = v
-		default:
-			if b.Extra == nil {
-				b.Extra = make(map[string]float64)
-			}
-			b.Extra[fields[i+1]] = v
+		if v, err := strconv.ParseFloat(fields[i], 64); err == nil {
+			b.set(fields[i+1], v)
 		}
 	}
 	return b, true
+}
+
+// set records v as the row's figure in unit.
+func (b *Benchmark) set(unit string, v float64) {
+	switch unit {
+	case "ns/op":
+		b.NsPerOp = v
+	case "B/op":
+		b.BytesPerOp = v
+	case "allocs/op":
+		b.AllocsPerOp = v
+	default:
+		if b.Extra == nil {
+			b.Extra = make(map[string]float64)
+		}
+		b.Extra[unit] = v
+	}
 }
 
 // comparison relates a benchmark's before and after rows.

@@ -71,6 +71,32 @@ func TestParseHeader(t *testing.T) {
 	}
 }
 
+// TestParseRepeats: three result lines of one benchmark (go test -count
+// 3) become one row holding the median of each figure and n = 3, while
+// a benchmark run once keeps its figures with n = 1.
+func TestParseRepeats(t *testing.T) {
+	const repeats = `pkg: repro/internal/workloads/querysuggest
+BenchmarkCountsFold-8   72   14000000 ns/op   1700000 B/op   24000 allocs/op   3.0 spills/op
+BenchmarkCountsFold-8   80   12000000 ns/op   1800000 B/op   24200 allocs/op   1.0 spills/op
+BenchmarkThetaMap-8     10     500000 ns/op
+BenchmarkCountsFold-8   61   15000000 ns/op   1600000 B/op   24100 allocs/op   2.0 spills/op
+PASS
+`
+	r, err := parse(bufio.NewScanner(strings.NewReader(repeats)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg := "repro/internal/workloads/querysuggest"
+	want := []Benchmark{
+		{Name: "BenchmarkCountsFold", Pkg: pkg, Iterations: 72, NsPerOp: 14000000, BytesPerOp: 1700000,
+			AllocsPerOp: 24100, Extra: map[string]float64{"spills/op": 2}, N: 3},
+		{Name: "BenchmarkThetaMap", Pkg: pkg, Iterations: 10, NsPerOp: 500000, N: 1},
+	}
+	if !reflect.DeepEqual(r.Benchmarks, want) {
+		t.Errorf("rows\n got %+v\nwant %+v", r.Benchmarks, want)
+	}
+}
+
 // TestParseTwoPackages: a run over two packages labels every row with
 // its own package, not the last one read.
 func TestParseTwoPackages(t *testing.T) {

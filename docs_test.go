@@ -61,6 +61,23 @@ func TestDocsNameLiveSymbols(t *testing.T) {
 	}
 }
 
+// designCeiling is DESIGN.md's size in bytes when its fold-table
+// paragraphs were cut. A change that shrinks DESIGN.md lowers it to the
+// new size; none raises it.
+const designCeiling = 95650
+
+// TestDesignSizeCeiling keeps DESIGN.md from growing: a change that adds
+// to it cuts at least as much elsewhere.
+func TestDesignSizeCeiling(t *testing.T) {
+	info, err := os.Stat("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Size() > designCeiling {
+		t.Errorf("DESIGN.md is %d bytes, past its ceiling of %d: cut as much as is added", info.Size(), designCeiling)
+	}
+}
+
 // exists reports whether a path relative to the repository root exists.
 func exists(path string) bool {
 	_, err := os.Stat(path)

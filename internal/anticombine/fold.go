@@ -14,11 +14,11 @@ import (
 // every key of an EagerSH record in Shared and pops it through the
 // combiner, foldCombiner folds each record straight into the monoid's
 // typed per-key state: a plain record is absorbed into its key's state,
-// an EagerSH value is absorbed once and merged into the state of each of
-// its keys, and a LazySH record's re-executed Map output is absorbed
-// pair by pair. Cleanup emits every state as a plain record, in
-// ascending key order. An instance combines one spill run (or one merge),
-// so what it holds is bounded by that run's keys.
+// an EagerSH value is absorbed into the state of each of its keys, and
+// a LazySH record's re-executed Map output is absorbed pair by pair.
+// Cleanup emits every state as a plain record, in ascending key order.
+// An instance combines one spill run (or one merge), so what it holds is
+// bounded by that run's keys.
 type foldCombiner struct {
 	table  monoid.FoldTable
 	reexec mapReexec
@@ -95,15 +95,14 @@ func (c *foldCombiner) fail(err error) error {
 }
 
 // foldReducer is the AntiReducer Wrap picks when the job's reducer is a
-// commutative monoid's (a monoid.Folder handing out monoid.KeyTables)
-// and keys compare as raw bytes. Where the AntiReducer stages every
-// decoded value in Shared and hands each key's values to the original
-// Reduce, foldReducer folds each record into the monoid's typed per-key
-// state with foldCombiner's absorb, and finalizes the states in
-// ascending key order: those below an incoming group before it, the
-// group's own at its end, the rest at Cleanup (§5's drain discipline).
-// Each state absorbs its values in the order Shared would hand them to
-// the original Reduce.
+// commutative monoid's (a monoid.Folder) and keys compare as raw bytes.
+// Where the AntiReducer stages every decoded value in Shared and hands
+// each key's values to the original Reduce, foldReducer folds each
+// record into the monoid's typed per-key state with foldCombiner's
+// absorb, and finalizes the states in ascending key order: those below
+// an incoming group before it, the group's own at its end, the rest at
+// Cleanup (§5's drain discipline). Each state absorbs its values in the
+// order Shared would hand them to the original Reduce.
 //
 // The table is bounded as Shared is, by SharedMemLimitBytes. Past the
 // limit the states' encoded size is measured, and unless it is under
@@ -112,20 +111,16 @@ func (c *foldCombiner) fail(err error) error {
 // before the state is finalized.
 type foldReducer struct {
 	foldCombiner
-	keyed monoid.KeyTable
 	limit int
 	runs  runSet
 	min   []byte // the key being finalized
 }
 
-// newFoldReducer returns a fold reducer over a table from fold, which
-// Wrap has checked hands out KeyTables.
+// newFoldReducer returns a fold reducer over a table from fold.
 func newFoldReducer(fold monoid.Folder, newMapper func() mr.Mapper, opts Options) *foldReducer {
-	table := fold.FoldTable().(monoid.KeyTable)
 	limit, mergeFactor := sharedLimits(opts.SharedMemLimitBytes, opts.SharedMergeFactor)
 	return &foldReducer{
-		foldCombiner: foldCombiner{table: table, reexec: mapReexec{newMapper: newMapper, table: table}},
-		keyed:        table,
+		foldCombiner: *newFoldCombiner(fold, newMapper),
 		limit:        limit,
 		runs:         runSet{mergeFactor: mergeFactor},
 	}
@@ -145,7 +140,7 @@ func (r *foldReducer) Reduce(key []byte, values mr.ValueIter, out mr.Emitter) er
 	if err := r.finalize(key, belowKey, out); err != nil {
 		return r.fail(err)
 	}
-	r.keyed.Begin(key)
+	r.table.Begin(key)
 	for {
 		raw, ok := values.Next()
 		if !ok {
@@ -177,7 +172,7 @@ const (
 // runs hold for each.
 func (r *foldReducer) finalize(key []byte, bound int, out mr.Emitter) error {
 	for {
-		k, ok := r.keyed.Min()
+		k, ok := r.table.Min()
 		if rk, rok := r.runs.Peek(); rok && (!ok || bytes.Compare(rk, k) < 0) {
 			k, ok = rk, true
 		}
@@ -190,11 +185,11 @@ func (r *foldReducer) finalize(key []byte, bound int, out mr.Emitter) error {
 			if err != nil {
 				return err
 			}
-			if err := r.keyed.Absorb(r.min, v); err != nil {
+			if err := r.table.Absorb(r.min, v); err != nil {
 				return err
 			}
 		}
-		if err := r.keyed.FinalizeMin(out); err != nil {
+		if err := r.table.FinalizeMin(out); err != nil {
 			return err
 		}
 	}
@@ -203,14 +198,14 @@ func (r *foldReducer) finalize(key []byte, bound int, out mr.Emitter) error {
 // bound holds the table to the limit: past it, the states are measured,
 // and unless they encode in under half the limit they spill as one run.
 func (r *foldReducer) bound() error {
-	if r.keyed.Charge() <= r.limit {
+	if r.table.Charge() <= r.limit {
 		return nil
 	}
-	if n, err := r.keyed.Measure(); err != nil || n < r.limit/2 {
+	if n, err := r.table.Measure(); err != nil || n < r.limit/2 {
 		return err
 	}
 	return r.runs.spill(func(w *mr.RecordWriter) error {
-		return r.keyed.Emit(mr.EmitterFunc(w.Write))
+		return r.table.Emit(mr.EmitterFunc(w.Write))
 	})
 }
 

@@ -19,7 +19,8 @@ import (
 // takes the fold path, and every job property the fold depends on
 // sends Wrap back to the AntiReducer's combine mode. Its declared Sum
 // reducer likewise folds unless one of those properties sends it back
-// to Shared. Either way the output is the Original's.
+// to Shared, and so does a Sum combiner serving as the reducer. Either
+// way the output is the Original's.
 func TestWrapPicksFoldPath(t *testing.T) {
 	text := datagen.NewRandomText(datagen.RandomTextConfig{Seed: 5, Lines: 300, WordsPerLine: 20})
 	splits := wordcount.Splits(text, 3)
@@ -41,6 +42,7 @@ func TestWrapPicksFoldPath(t *testing.T) {
 		{"opaque combiner", func(j *mr.Job, _ *Options) {
 			j.NewCombiner = func() mr.Reducer { return opaqueReducer{sum()} }
 		}, false, true},
+		{"Combiner as Reducer", func(j *mr.Job, _ *Options) { j.NewReducer = sum }, true, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			job, opts := wordcount.NewJob(4), Options{MapCombiner: true}

@@ -23,10 +23,10 @@ import (
 // compare as raw bytes, the transformed map-side combiner folds every
 // record into the monoid's typed per-key state instead (foldCombiner);
 // the outcome is the same records. Likewise, when the reducer is one
-// (monoid.Reducer of a commutative monoid), the AntiReducer folds into a
-// key-ordered table of typed states and finalizes them in key order
-// (foldReducer) instead of staging values in Shared; the outcome is the
-// same output. DisableSharedCombine keeps both on Shared.
+// (monoid.Reducer or monoid.Combiner of a commutative monoid), the
+// AntiReducer folds into the same kind of table and finalizes its states
+// in key order (foldReducer) instead of staging values in Shared; the
+// outcome is the same output. DisableSharedCombine keeps both on Shared.
 func Wrap(job *mr.Job, opts Options) *mr.Job {
 	w := *job
 	w.Name = job.Name + "-anti-" + opts.Strategy.String()
@@ -40,7 +40,7 @@ func Wrap(job *mr.Job, opts Options) *mr.Job {
 	w.NewMapper = func() mr.Mapper {
 		return &antiMapper{inner: newMapper(), opts: opts, lazyAllowed: lazyAllowed}
 	}
-	if fold := reduceFoldOf(job, opts); fold != nil {
+	if fold := foldOf(newReducer, job, opts); fold != nil {
 		w.NewReducer = func() mr.Reducer { return newFoldReducer(fold, newMapper, opts) }
 	} else {
 		w.NewReducer = func() mr.Reducer {
@@ -81,22 +81,5 @@ func foldOf(newReducer func() mr.Reducer, job *mr.Job, opts Options) monoid.Fold
 		return nil
 	}
 	fold, _ := newReducer().(monoid.Folder)
-	return fold
-}
-
-// reduceFoldOf returns the fold tables the AntiReducer folds into
-// (foldReducer), or nil when it must run on Shared: the job's reducer
-// must be a Folder whose tables are monoid.KeyTables, as
-// monoid.Reducer's are for a commutative monoid.
-func reduceFoldOf(job *mr.Job, opts Options) monoid.Folder {
-	fold := foldOf(job.NewReducer, job, opts)
-	if fold == nil {
-		return nil
-	}
-	t := fold.FoldTable()
-	defer t.Release()
-	if _, ok := t.(monoid.KeyTable); !ok {
-		return nil
-	}
 	return fold
 }

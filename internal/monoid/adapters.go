@@ -27,38 +27,35 @@ func (r *reducer[S]) Reduce(key []byte, values mr.ValueIter, out mr.Emitter) err
 			return err
 		}
 	}
-	if r.final != nil {
-		return r.final(key, s, out)
+	return render(r.m, r.final, key, s, out)
+}
+
+// render hands a key's final state to final, else to m's Emit.
+func render[S any](m Monoid[S], final func([]byte, S, mr.Emitter) error, key []byte, s S, out mr.Emitter) error {
+	if final != nil {
+		return final(key, s, out)
 	}
-	return r.m.Emit(key, s, out)
+	return m.Emit(key, s, out)
 }
 
 func (r *reducer[S]) Cleanup(mr.Emitter) error { return nil }
 
-// foldingReducer is the combiner derived from a Commutative monoid: the
-// same reducer, which also hands out fold tables over the monoid.
+// foldingReducer is the reducer derived from a Commutative monoid: the
+// same reducer, which also hands out fold tables over the monoid that
+// finalize through its final.
 type foldingReducer[S any] struct {
 	reducer[S]
-	tables *sync.Pool // *foldTable[S], shared by every instance of one Combiner
+	tables *sync.Pool // *foldTable[S], shared by every instance of one Combiner or Reducer
 }
 
 // FoldTable implements Folder.
-func (r *foldingReducer[S]) FoldTable() FoldTable { return getTable(r.m, r.tables) }
-
-// finalizingReducer is the reducer derived from a Commutative monoid:
-// the same reducer, which also hands out key tables finalizing through
-// its final.
-type finalizingReducer[S any] struct{ reducer[S] }
-
-// FoldTable implements Folder; the table is a KeyTable.
-func (r *finalizingReducer[S]) FoldTable() FoldTable { return newKeyTable(r.m, r.final) }
+func (r *foldingReducer[S]) FoldTable() FoldTable { return getTable(r.m, r.final, r.tables) }
 
 // Folder is implemented by the combiner Combiner and the reducer Reducer
 // derive from a Commutative monoid. Anti-Combining's transformed
-// map-side combiner folds each incoming record into the tables the
-// combiner hands out, and its reducer into the reducer's KeyTables,
-// instead of staging every key in Shared. FoldTable is safe for
-// concurrent use.
+// map-side combiner and its reducer fold each incoming record into the
+// tables a Folder hands out instead of staging every key in Shared.
+// FoldTable is safe for concurrent use.
 type Folder interface {
 	FoldTable() FoldTable
 }
@@ -68,25 +65,19 @@ type Folder interface {
 // state. Because Emit round-trips through Absorb, the derived combiner
 // is safe to apply repeatedly (map spills, merged spills, reduce-side
 // partial aggregation) — exactly the closure property the law checkers
-// verify. For a Commutative monoid the combiner is also a Folder.
-func Combiner[S any](m Monoid[S]) func() mr.Reducer {
-	if _, ok := m.(Commutative[S]); ok {
-		tables := new(sync.Pool)
-		return func() mr.Reducer { return &foldingReducer[S]{reducer[S]{m: m}, tables} }
-	}
-	return func() mr.Reducer { return &reducer[S]{m: m} }
-}
+// verify. It is Reducer(m, nil).
+func Combiner[S any](m Monoid[S]) func() mr.Reducer { return Reducer(m, nil) }
 
 // Reducer derives the final reducer. With final == nil the reduce
 // output is the state encoding itself (aggregate jobs like wordcount
 // and skewagg, whose reducer IS their combiner). A non-nil final
 // renders the fully merged state into the job's output format instead
 // (querysuggest's top-k rendering, pagerank's rank update). For a
-// Commutative monoid the reducer is also a Folder, whose tables are
-// KeyTables.
+// Commutative monoid the reducer is also a Folder.
 func Reducer[S any](m Monoid[S], final func(key []byte, s S, out mr.Emitter) error) func() mr.Reducer {
 	if _, ok := m.(Commutative[S]); ok {
-		return func() mr.Reducer { return &finalizingReducer[S]{reducer[S]{m: m, final: final}} }
+		tables := new(sync.Pool)
+		return func() mr.Reducer { return &foldingReducer[S]{reducer[S]{m: m, final: final}, tables} }
 	}
 	return func() mr.Reducer { return &reducer[S]{m: m, final: final} }
 }
@@ -102,7 +93,7 @@ func InMapper[S any](newMapper func() mr.Mapper, m Monoid[S], maxEntries int) fu
 	}
 	tables := new(sync.Pool)
 	return func() mr.Mapper {
-		return &inMapper[S]{inner: newMapper(), table: getTable(m, tables), maxEntries: maxEntries}
+		return &inMapper[S]{inner: newMapper(), table: getTable(m, nil, tables), maxEntries: maxEntries}
 	}
 }
 
@@ -112,24 +103,21 @@ type inMapper[S any] struct {
 	maxEntries int
 }
 
-// absorbInto is the Emitter the wrapped mapper writes into a table
-// through.
-type absorbInto[S any] struct{ t *foldTable[S] }
-
-// Emit implements mr.Emitter.
-func (a absorbInto[S]) Emit(k, v []byte) error { return a.t.Absorb(k, v) }
+// Emit implements mr.Emitter for the wrapped mapper: it absorbs into
+// the table.
+func (m *inMapper[S]) Emit(k, v []byte) error { return m.table.Absorb(k, v) }
 
 // Setup implements mr.Mapper.
 func (m *inMapper[S]) Setup(info *mr.TaskInfo, _ mr.Emitter) error {
-	return m.inner.Setup(info, absorbInto[S]{m.table})
+	return m.inner.Setup(info, m)
 }
 
 // Map implements mr.Mapper.
 func (m *inMapper[S]) Map(key, value []byte, out mr.Emitter) error {
-	if err := m.inner.Map(key, value, absorbInto[S]{m.table}); err != nil {
+	if err := m.inner.Map(key, value, m); err != nil {
 		return err
 	}
-	if m.table.Len() >= m.maxEntries {
+	if len(m.table.ents) >= m.maxEntries {
 		return m.table.Emit(out)
 	}
 	return nil
@@ -138,7 +126,7 @@ func (m *inMapper[S]) Map(key, value []byte, out mr.Emitter) error {
 // Cleanup implements mr.Mapper: the inner cleanup's emissions are
 // absorbed too, then the table is emitted and released.
 func (m *inMapper[S]) Cleanup(out mr.Emitter) error {
-	if err := m.inner.Cleanup(absorbInto[S]{m.table}); err != nil {
+	if err := m.inner.Cleanup(m); err != nil {
 		return err
 	}
 	err := m.table.Emit(out)

@@ -4,11 +4,10 @@
 // associative Merge with an Identity element over a workload-defined
 // aggregation state. A workload declares its monoid once; the adapters
 // in this package derive the classic map-side Combiner, the reducer, the
-// in-mapper combining pattern, the typed fold table the transformed
-// map-side combiner folds EagerSH records into and the key-ordered table
-// the transformed reducer folds into from that one declaration, and the
-// law checkers verify (rather than assume) the algebra every derived
-// strategy depends on.
+// in-mapper combining pattern and the typed fold table the transformed
+// map-side combiner and reducer fold records into from that one
+// declaration, and the law checkers verify (rather than assume) the
+// algebra every derived strategy depends on.
 //
 // The contract is byte-oriented on the outside — mr jobs move raw
 // []byte values — but state-typed on the inside: Absorb decodes one
@@ -45,9 +44,8 @@ type Monoid[S any] interface {
 	// value, which is only valid for the call.
 	Absorb(s S, value []byte) (S, error)
 	// Merge combines two states, returning the merged state. It may
-	// mutate and return a, but never mutates or retains b: the fold
-	// path merges one absorbed EagerSH value into every key that shares
-	// it.
+	// mutate and return a, but never mutates or retains b, so that one
+	// partial state can be merged into several.
 	Merge(a, b S) (S, error)
 	// Emit encodes the state as output records for key. The encoding
 	// must round-trip through Absorb.
@@ -68,7 +66,7 @@ type Commutative[S any] interface {
 
 // Sizer is implemented by a Monoid that can count a state's encoding
 // without rendering it: Size(s) is the number of value bytes Emit writes
-// for s, summed over its records (keys not included). A KeyTable
+// for s, summed over its records (keys not included). A FoldTable
 // measures its states through Size when the monoid declares it, and
 // through Emit otherwise. CheckLaws verifies the claim.
 type Sizer[S any] interface {

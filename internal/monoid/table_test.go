@@ -2,7 +2,9 @@ package monoid_test
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -13,87 +15,265 @@ import (
 	"repro/internal/workloads/wordcount"
 )
 
-// FuzzFoldTable checks the typed fold table against a map[string]
-// reference: arbitrary key bytes (empty keys, shared prefixes), enough
+// FuzzFoldTable checks the fold table against a reference model in both
+// of its roles: arbitrary key bytes (empty keys, shared prefixes), enough
 // keys to resize the index several times, EagerSH-style shared absorbs,
-// emit order, and tables released and taken again across the instances
-// of one Combiner. The key tables of the Reducer derived from the same
-// monoid take the same operations.
+// emit order, the reduce role's key groups, ordered drain, charge and
+// measure, spills in mid-group and the compaction of finalized keys, and
+// tables released and taken again across the instances of one Combiner
+// or Reducer.
 //
-// An op is one byte b, then a key-length byte and up to that many key
-// bytes. b's low bit picks Absorb or AbsorbShared; the value absorbed
-// is b>>1 in decimal; for AbsorbShared the other keys are the key's
-// first half, the key with a zero byte appended, and b>>1 keys that
-// extend it by one byte each.
+// An op is one byte b. Its low three bits pick the operation, and b>>3
+// in decimal is the value absorbed:
+//
+//	0-2 Absorb          3 AbsorbShared    4 Begin
+//	5   FinalizeMin     6 Measure         7 Emit (a spill)
+//
+// Absorb, AbsorbShared and Begin read a key-length byte and up to that
+// many key bytes next. AbsorbShared's other keys are the key's first
+// half, the key with a zero byte appended, and b>>3 keys that extend it
+// by one byte each. Begin first finalizes every key below its key, as
+// the fold reducer does; a key below the current group's is appended to
+// it, so that groups ascend and nothing is absorbed below the group.
+// Charge is checked after every op.
 func FuzzFoldTable(f *testing.F) {
-	f.Add([]byte("\x02\x01a\x03\x02ab\x05\x00\x04\x03abc"), uint8(2))
-	f.Add([]byte("\xff\x04keys\xfd\x04kez\x00\x00"), uint8(3))
-	f.Add([]byte("\xc1\x02\x00\x00\xc1\x00\xc1\x01\x01"), uint8(1))
+	f.Add([]byte("\x10\x01a\x18\x02ab\x2b\x00\x20\x03abc"), uint8(2))
+	f.Add([]byte("\xfb\x04keys\xeb\x04kez\x00\x00"), uint8(3))
+	f.Add([]byte("\xc3\x02\x00\x00\xc3\x00\xc3\x01\x01"), uint8(1))
+	f.Add([]byte("\x08\x01b\x0c\x01a\x18\x01a\x1b\x02aa\x06\x05\x0c\x02ab\x10\x01c\x07\x10\x01d\x0c\x01c\x05\x05"), uint8(1))
+	// Finalizes long keys one at a time below a short key that stays:
+	// dead key bytes outweigh live ones, and the table compacts.
+	f.Add([]byte("\x08\x01~\x08\x0aaaaaaaaaa1\x05\x08\x0aaaaaaaaaa2\x05\x08\x0aaaaaaaaaa3\x05\x0c\x01b\x08\x01c\x05\x06"), uint8(3))
 	newCombiner := monoid.Combiner(wordcount.Sum{})
-	newReducer := monoid.Reducer(wordcount.Sum{}, nil)
+	newReducer := monoid.Reducer(wordcount.Sum{}, finalTotal)
 	f.Fuzz(func(t *testing.T, data []byte, rounds uint8) {
 		for round := 0; round <= int(rounds%4); round++ {
-			newTable := newCombiner
+			m := &tableModel{t: t, table: newCombiner().(monoid.Folder).FoldTable()}
 			if round%2 == 1 {
-				newTable = newReducer
+				m.table, m.final = newReducer().(monoid.Folder).FoldTable(), true
 			}
-			table := newTable().(monoid.Folder).FoldTable()
-			// Each table is filled, emitted and filled again before release.
-			for fill := 0; fill < 2; fill++ {
-				want := applyOps(t, table, data)
-				got := emitAll(t, table)
-				if len(got) != len(want) {
-					t.Fatalf("emitted %d states, reference has %d", len(got), len(want))
-				}
-				for i, r := range got {
-					if i > 0 && bytes.Compare(got[i-1].Key, r.Key) >= 0 {
-						t.Fatalf("emit order: %q then %q", got[i-1].Key, r.Key)
-					}
-					if n, ok := want[string(r.Key)]; !ok || string(r.Value) != strconv.FormatUint(n, 10) {
-						t.Fatalf("key %q: emitted %q, reference %d (present %v)", r.Key, r.Value, n, ok)
-					}
-				}
+			// Each table is filled and spilled, then filled again and
+			// drained in key order, before release.
+			m.apply(data)
+			m.emit()
+			m.apply(data)
+			m.drain()
+			if got := emitAll(t, m.table); len(got) != 0 {
+				t.Fatalf("a drained table emitted %d states", len(got))
 			}
-			if got := emitAll(t, table); len(got) != 0 {
-				t.Fatalf("Emit left %d states behind", len(got))
-			}
-			table.Release()
+			m.table.Release()
 		}
 	})
 }
 
-// applyOps decodes data into table operations (see FuzzFoldTable),
-// applying each to table and to the returned reference.
-func applyOps(t *testing.T, table monoid.FoldTable, data []byte) map[string]uint64 {
-	want := make(map[string]uint64)
-	for len(data) >= 2 {
-		b, n := data[0], int(data[1])
-		data = data[2:]
-		n = min(n, len(data))
-		key := data[:n]
-		data = data[n:]
-		v := uint64(b >> 1)
-		value := []byte(strconv.FormatUint(v, 10))
-		if b&1 == 0 {
-			if err := table.Absorb(key, value); err != nil {
-				t.Fatal(err)
+// finalTotal is the final FuzzFoldTable's Reducer renders through.
+func finalTotal(key []byte, n uint64, out mr.Emitter) error {
+	return out.Emit(key, []byte("total "+strconv.FormatUint(n, 10)))
+}
+
+// tableModel is the reference FuzzFoldTable holds a table to: every key
+// holding a state, with its sum and its charge under the charge rule.
+type tableModel struct {
+	t      *testing.T
+	table  monoid.FoldTable
+	final  bool // FinalizeMin renders through finalTotal
+	states map[string]*modelState
+	group  []byte // the current group's key
+	local  bool   // the group's state is Begin's local one
+}
+
+type modelState struct {
+	sum    uint64
+	charge int
+	dirty  bool
+}
+
+// apply decodes data into table operations (see FuzzFoldTable),
+// applying each to the table and to the model.
+func (m *tableModel) apply(data []byte) {
+	if m.states == nil {
+		m.states = make(map[string]*modelState)
+	}
+	for len(data) > 0 {
+		b := data[0]
+		data = data[1:]
+		op, v := b&7, uint64(b>>3)
+		var key []byte
+		if op <= 4 {
+			if len(data) > 0 {
+				n := min(int(data[0]), len(data)-1)
+				key, data = data[1:1+n], data[1+n:]
 			}
-			want[string(key)] += v
-			continue
+			key = m.clamp(key)
 		}
-		others := [][]byte{key[:len(key)/2], append(bytes.Clone(key), 0)}
-		for i := 0; i < int(b>>1); i++ {
-			others = append(others, append(bytes.Clone(key), byte(i)))
+		value := []byte(strconv.FormatUint(v, 10))
+		switch op {
+		case 0, 1, 2:
+			if err := m.table.Absorb(key, value); err != nil {
+				m.t.Fatal(err)
+			}
+			m.absorb(key, v, len(value))
+		case 3:
+			others := [][]byte{m.clamp(key[:len(key)/2]), append(bytes.Clone(key), 0)}
+			for i := 0; i < int(v); i++ {
+				others = append(others, append(bytes.Clone(key), byte(i)))
+			}
+			if err := m.table.AbsorbShared(key, others, value); err != nil {
+				m.t.Fatal(err)
+			}
+			m.absorb(key, v, len(value))
+			for _, k := range others {
+				m.absorb(k, v, len(value))
+			}
+		case 4:
+			m.finalizeBelow(key)
+			m.table.Begin(key)
+			m.group = bytes.Clone(key)
+			if _, held := m.states[string(key)]; !held {
+				m.states[string(key)] = &modelState{}
+				m.local = true
+			}
+		case 5:
+			if len(m.states) > 0 {
+				m.finalizeMin(m.minKey())
+			}
+		case 6:
+			n, err := m.table.Measure()
+			if err != nil {
+				m.t.Fatal(err)
+			}
+			for k, s := range m.states {
+				if s.dirty {
+					s.charge, s.dirty = len(k)+len(strconv.FormatUint(s.sum, 10)), false
+				}
+			}
+			if want := m.charge(); n != want {
+				m.t.Fatalf("Measure = %d, model %d", n, want)
+			}
+		case 7:
+			m.emit()
 		}
-		if err := table.AbsorbShared(key, others, value); err != nil {
-			t.Fatal(err)
-		}
-		want[string(key)] += v
-		for _, k := range others {
-			want[string(k)] += v
+		if got, want := m.table.Charge(), m.charge(); got != want {
+			m.t.Fatalf("after op %#x: Charge = %d, model %d", b, got, want)
 		}
 	}
-	return want
+}
+
+// clamp returns key, or key appended to the group's when it sorts below
+// that.
+func (m *tableModel) clamp(key []byte) []byte {
+	if bytes.Compare(key, m.group) < 0 {
+		return append(bytes.Clone(m.group), key...)
+	}
+	return key
+}
+
+// absorb adds v, whose encoding is n bytes, to key's state in the model.
+func (m *tableModel) absorb(key []byte, v uint64, n int) {
+	s, ok := m.states[string(key)]
+	if !ok {
+		s = &modelState{charge: len(key)}
+		m.states[string(key)] = s
+	}
+	s.sum += v
+	s.charge += n
+	s.dirty = true
+}
+
+func (m *tableModel) charge() int {
+	c := 0
+	for _, s := range m.states {
+		c += s.charge
+	}
+	return c
+}
+
+// sortedKeys is the model's keys in ascending order.
+func (m *tableModel) sortedKeys() []string {
+	keys := make([]string, 0, len(m.states))
+	for k := range m.states {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
+}
+
+// minKey is the model's smallest key.
+func (m *tableModel) minKey() string {
+	first := true
+	var min string
+	for k := range m.states {
+		if first || k < min {
+			min, first = k, false
+		}
+	}
+	return min
+}
+
+// finalizeMin finalizes the table's smallest key, checking it against
+// want, the model's, and its rendered state against the model.
+func (m *tableModel) finalizeMin(want string) {
+	if min, ok := m.table.Min(); !ok || string(min) != want {
+		m.t.Fatalf("Min = %q, %v; model's smallest key is %q", min, ok, want)
+	}
+	var got []mr.Record
+	if err := m.table.FinalizeMin(mr.EmitterFunc(func(k, v []byte) error {
+		got = append(got, mr.Record{Key: bytes.Clone(k), Value: bytes.Clone(v)})
+		return nil
+	})); err != nil {
+		m.t.Fatal(err)
+	}
+	value := strconv.FormatUint(m.states[want].sum, 10)
+	if m.final {
+		value = "total " + value
+	}
+	if len(got) != 1 || string(got[0].Key) != want || string(got[0].Value) != value {
+		m.t.Fatalf("FinalizeMin rendered %q, model %q=%q", got, want, value)
+	}
+	delete(m.states, want)
+	if want == string(m.group) {
+		m.local = false
+	}
+}
+
+// finalizeBelow finalizes every key below key.
+func (m *tableModel) finalizeBelow(key []byte) {
+	for _, k := range m.sortedKeys() {
+		if k >= string(key) {
+			return
+		}
+		m.finalizeMin(k)
+	}
+}
+
+// drain finalizes every key, after which Min must report none.
+func (m *tableModel) drain() {
+	for _, k := range m.sortedKeys() {
+		m.finalizeMin(k)
+	}
+	if min, ok := m.table.Min(); ok {
+		m.t.Fatalf("Min = %q in a drained table", min)
+	}
+}
+
+// emit empties the table through Emit, checking every state and the
+// order against the model. The local state stays, at the identity.
+func (m *tableModel) emit() {
+	got := emitAll(m.t, m.table)
+	want := m.sortedKeys()
+	if len(got) != len(want) {
+		m.t.Fatalf("emitted %d states, model has %d", len(got), len(want))
+	}
+	for i, r := range got {
+		s := m.states[want[i]]
+		if string(r.Key) != want[i] || string(r.Value) != strconv.FormatUint(s.sum, 10) {
+			m.t.Fatalf("emitted %q=%q at %d, model %q=%d", r.Key, r.Value, i, want[i], s.sum)
+		}
+	}
+	clear(m.states)
+	if m.local {
+		m.states[string(m.group)] = &modelState{}
+	}
 }
 
 // emitAll empties table into copied records.
@@ -126,6 +306,41 @@ func TestFoldTablePoisonsOnRelease(t *testing.T) {
 	}
 }
 
+// TestFoldTableCompactsFinalizedKeys finalizes 100 000 distinct keys one
+// at a time below a key that stays, so the table never empties: its key
+// arena must stay within a fixed multiple of the live keys' bytes, and
+// a Min view held across the compaction that gives an arena back must
+// read poison in a test binary.
+func TestFoldTableCompactsFinalizedKeys(t *testing.T) {
+	table := monoid.Reducer(wordcount.Sum{}, nil)().(monoid.Folder).FoldTable()
+	defer table.Release()
+	const stays = "~stays"
+	discard := mr.EmitterFunc(func(_, _ []byte) error { return nil })
+	if err := table.Absorb([]byte(stays), []byte("1")); err != nil {
+		t.Fatal(err)
+	}
+	for i := range 100000 {
+		key := fmt.Appendf(nil, "k%07d", i)
+		if err := table.Absorb(key, []byte("1")); err != nil {
+			t.Fatal(err)
+		}
+		if live := len(stays) + len(key); monoid.ArenaCap(table) > 16*live {
+			t.Fatalf("after %d finalized keys the arena holds %d bytes for %d live", i, monoid.ArenaCap(table), live)
+		}
+		min, _ := table.Min()
+		if err := table.FinalizeMin(discard); err != nil {
+			t.Fatal(err)
+		}
+		// The first finalized key outweighs the one that stays.
+		if i == 0 && !bytes.Equal(min, bytes.Repeat([]byte{0xDB}, len(key))) {
+			t.Errorf("Min view across a compaction reads %q, want poison", min)
+		}
+	}
+	if min, _ := table.Min(); string(min) != stays {
+		t.Fatalf("Min = %q, want %q", min, stays)
+	}
+}
+
 // TestKeyTableFinalizesInKeyOrder: a reducer's key table finalizes its
 // states smallest key first, through final; the state Begin keeps
 // outside the table counts as the smallest; Charge follows what is
@@ -134,7 +349,7 @@ func TestKeyTableFinalizesInKeyOrder(t *testing.T) {
 	final := func(key []byte, n uint64, out mr.Emitter) error {
 		return out.Emit(key, []byte("total "+strconv.FormatUint(n, 10)))
 	}
-	table := monoid.Reducer(wordcount.Sum{}, final)().(monoid.Folder).FoldTable().(monoid.KeyTable)
+	table := monoid.Reducer(wordcount.Sum{}, final)().(monoid.Folder).FoldTable()
 	absorb := func(key, value string) {
 		t.Helper()
 		if err := table.Absorb([]byte(key), []byte(value)); err != nil {
@@ -200,8 +415,8 @@ func (countsByEmit) CommutativeMonoid() {}
 // exactly what one measuring through Emit does, after every batch of
 // absorbs, so a spill decision does not depend on which path measured.
 func TestKeyTableMeasuresThroughSize(t *testing.T) {
-	newTable := func(m monoid.Monoid[querysuggest.QueryCounts]) monoid.KeyTable {
-		return monoid.Reducer(m, nil)().(monoid.Folder).FoldTable().(monoid.KeyTable)
+	newTable := func(m monoid.Monoid[querysuggest.QueryCounts]) monoid.FoldTable {
+		return monoid.Reducer(m, nil)().(monoid.Folder).FoldTable()
 	}
 	sized, emitted := newTable(querysuggest.Counts{}), newTable(countsByEmit{})
 	r := rand.New(rand.NewSource(5))
@@ -211,7 +426,7 @@ func TestKeyTableMeasuresThroughSize(t *testing.T) {
 			q := queries[r.Intn(len(queries))]
 			key := q[:r.Intn(len(q)+1)]
 			value := querysuggest.EncodeValue(uint64(r.Intn(300)), []byte(q))
-			for _, table := range []monoid.KeyTable{sized, emitted} {
+			for _, table := range []monoid.FoldTable{sized, emitted} {
 				if err := table.Absorb([]byte(key), value); err != nil {
 					t.Fatal(err)
 				}

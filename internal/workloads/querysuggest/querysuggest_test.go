@@ -277,7 +277,7 @@ func FuzzFinalTop(f *testing.F) {
 
 // BenchmarkCountsFold folds one qs_lazy-shaped reduce partition — every
 // prefix of the 80 k-query log's lines that Prefix-1 sends to reduce
-// task 0 of 8 — through the KeyTable of the job's reducer, as the fold
+// task 0 of 8 — through the fold table of the job's reducer, as the fold
 // reducer drives it when every line arrives as LazySH: a line's prefixes
 // are absorbed at its one-byte key group, the table is measured whenever
 // its charge passes the 256 KiB limit the benchmark's qs_lazy sets (and
@@ -304,7 +304,7 @@ func BenchmarkCountsFold(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for range b.N {
-		table := newReducer().(monoid.Folder).FoldTable().(monoid.KeyTable)
+		table := newReducer().(monoid.Folder).FoldTable()
 		for first, pairs := range groups {
 			if len(pairs) == 0 {
 				continue

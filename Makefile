@@ -86,7 +86,7 @@ test-chaos:
 # -fuzz` takes one target per invocation, hence the loop.
 FUZZTIME ?= 5s
 FUZZ_TARGETS = \
-	internal/codec:FuzzSnappy internal/codec:FuzzBWSC \
+	internal/bytesx:FuzzKeyIndex internal/codec:FuzzSnappy internal/codec:FuzzBWSC \
 	internal/codec:FuzzSnappyDecompressBlock internal/codec:FuzzBWSCDecompressBlock \
 	internal/mr:FuzzReadLenPrefixed internal/mr:FuzzFrameRoundTrip internal/mr:FuzzServerConn \
 	internal/mr:FuzzCompressedBody internal/mr:FuzzSegmentFrames internal/mr:FuzzSpillSort \

@@ -635,13 +635,13 @@ func TestPooledSharedStartsEmpty(t *testing.T) {
 
 		// What it left in the pool is empty, slot for slot.
 		if box, _ := sharedPool.Get().(*sharedBufs); box != nil { // the race detector drops some Puts
-			if len(box.blocks)+len(box.emptied) != 0 || len(box.heap) != 0 || len(box.free) != len(box.ents) {
-				t.Errorf("round %d: pooled buffers not empty: %d blocks, %d emptied, heap %d, %d of %d slots free",
-					round, len(box.blocks), len(box.emptied), len(box.heap), len(box.free), len(box.ents))
+			if len(box.blocks)+len(box.emptied) != 0 || box.keys.Len() != 0 {
+				t.Errorf("round %d: pooled buffers not empty: %d blocks, %d emptied, %d keys",
+					round, len(box.blocks), len(box.emptied), box.keys.Len())
 			}
-			for _, b := range box.buckets {
-				if b != 0 {
-					t.Fatalf("round %d: pooled hash index still links slot %d", round, b-1)
+			for i := range box.ents {
+				if box.keys.Live(int32(i)) {
+					t.Fatalf("round %d: pooled key index still holds id %d", round, i)
 				}
 			}
 			sharedPool.Put(box)

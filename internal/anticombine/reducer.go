@@ -21,6 +21,7 @@ type antiReducer struct {
 	newCombiner func() mr.Reducer
 	opts        Options
 	combineMode bool
+	rawOrder    bool // the job left KeyCompare nil: Shared orders raw bytes
 
 	info   *mr.TaskInfo
 	shared Shared
@@ -43,8 +44,12 @@ func (r *antiReducer) Setup(info *mr.TaskInfo, out mr.Emitter) error {
 			return err
 		}
 	}
+	keyCompare := info.KeyCompare
+	if r.rawOrder {
+		keyCompare = nil
+	}
 	r.shared.init(SharedConfig{
-		KeyCompare:    info.KeyCompare,
+		KeyCompare:    keyCompare,
 		GroupCompare:  info.GroupCompare,
 		MemLimitBytes: r.opts.SharedMemLimitBytes,
 		MergeFactor:   r.opts.SharedMergeFactor,

@@ -1,12 +1,9 @@
 package anticombine
 
 import (
-	"bytes"
 	"errors"
-	"hash/maphash"
 	"math"
 	"sync"
-	"testing"
 	"unsafe"
 
 	"repro/internal/bytesx"
@@ -23,24 +20,22 @@ const combineBatch = 16
 
 // Shared is the reduce-task-level structure of §5 that carries decoded
 // key/value pairs between Reduce calls: a min-heap over distinct keys
-// plus a hash index from key to values. When the memory budget is
-// exceeded, the content is written in sorted key order to a spill run,
-// a CRC32C-framed mr record file (mirroring the map phase's
-// sort-and-spill), and the runs are merged into one when they exceed the
-// merge threshold; the engine's merge heap (mr.RunMerger) reads them
-// back. Reads are strictly in ascending key order — PeekMinKey /
-// PopMinKeyValues — so spilled runs are consumed by buffered sequential
-// reads, never random access.
+// plus a hash index from key to values — a bytesx.KeyIndex, and a value
+// list per key id. When the memory budget is exceeded, the content is
+// written in sorted key order to a spill run, a CRC32C-framed mr record
+// file (mirroring the map phase's sort-and-spill), and the runs are
+// merged into one when they exceed the merge threshold; the engine's
+// merge heap (mr.RunMerger) reads them back. Reads are strictly in
+// ascending key order — PeekMinKey / PopMinKeyValues — so spilled runs
+// are consumed by buffered sequential reads, never random access.
 //
-// The in-memory part stores key and value bytes in fixed 64 KiB blocks,
-// taken when needed and never copied to grow; an entry holds its key as
-// a view of its block and addresses each value by (block, offset,
-// length), and blocks, entries, value lists, heap and hash index are all
-// recycled, so a warm Shared adds and pops without allocating. Popped
-// entries leave dead bytes behind; they are reclaimed wholesale when
-// memory empties (every spill, and whenever the reducer catches up) and
-// by compaction when the blocks are mostly dead. Close hands the blocks
-// to blockPool and the rest of its buffers to the next Shared (see
+// Values are stored in fixed 64 KiB blocks, never copied to grow, and
+// addressed by (block, offset, length); blocks, value lists and the key
+// index are all recycled, so a warm Shared adds and pops without
+// allocating. Dead value bytes are reclaimed wholesale when memory
+// empties (every spill, and whenever the reducer catches up) and by
+// compaction when the blocks are mostly dead. Close hands the blocks to
+// blockPool and the rest of its buffers to the next Shared (see
 // sharedBufs), so of the many short-lived instances a job creates — one
 // per transformed combiner — only the first few grow them.
 //
@@ -48,7 +43,7 @@ const combineBatch = 16
 // keeps (nearly) a single record ("Using Combine in the Reduce Phase",
 // §5), which in the paper's Table 2 keeps Shared entirely in memory.
 type Shared struct {
-	cmp      bytesx.Compare
+	cmp      bytesx.Compare // KeyCompare, or Bytes for raw order
 	groupCmp bytesx.Compare
 
 	sharedBufs
@@ -66,11 +61,13 @@ type Shared struct {
 
 // sharedBufs is the memory a Shared works in besides its blocks. It
 // outlives the Shared: Close empties it and puts it in sharedPool, and
-// the next Shared starts with its capacity — entry slots with their
-// value lists, heap, hash index and pop buffers already as large as the
-// last one needed.
+// the next Shared starts with its capacity — key index, value lists and
+// pop buffers already as large as the last one needed.
 type sharedBufs struct {
-	// blocks hold the key and value bytes, live and dead; a block's
+	keys bytesx.KeyIndex
+	ents []sharedEntry // by key id; an entry keeps its value list's capacity across reuse
+
+	// blocks hold the value bytes, live and dead; a block's
 	// length is how far it is filled, and the last one takes new bytes.
 	blocks [][]byte
 	// emptied are blocks of blockSize whose bytes are dead but intact: a
@@ -78,11 +75,8 @@ type sharedBufs struct {
 	// Add takes one. spareBlocks is compaction's second block list.
 	emptied, spareBlocks [][]byte
 
-	ents     []sharedEntry // entry slots; a slot keeps its value list's capacity across reuse
-	free     []int32       // slots of ents not in use
-	heap     []int32       // min-heap of live slots by key
-	buckets  []int32       // chained hash index over live slots: slot+1, 0 = end of chain
-	combined []blockSpan   // the value list a combine is building
+	combined []blockSpan // the value list a combine is building
+	order    []int32     // spill's key order
 
 	// PopMinKeyValues' result storage: the group key and spilled values
 	// in popBuf, the value views in popVals.
@@ -110,13 +104,6 @@ type block [blockSize]byte
 // the next task, a combiner-sized one takes a single block.
 var blockPool sync.Pool // *block
 
-// poisonBlocks makes Close overwrite every block it pools, so a view
-// kept past Close reads poison instead of silently aliasing the next
-// owner's bytes. On in test binaries only.
-var poisonBlocks = testing.Testing()
-
-const poisonByte = 0xDB
-
 // maxSpan is the longest key or value a span can address.
 const maxSpan = math.MaxInt32
 
@@ -126,30 +113,22 @@ type combineSink struct{ s *Shared }
 // Emit implements mr.Emitter.
 func (c combineSink) Emit(_, v []byte) error { return c.s.addCombined(v) }
 
-// indexSeed keys every Shared's hash index.
-var indexSeed = maphash.MakeSeed()
-
 // blockSpan addresses one key or value: n bytes at off in blocks[blk].
 type blockSpan struct{ blk, off, n int32 }
 
-// sharedEntry is one distinct in-memory key and its values in arrival
-// order. The key is held as a view of its block, because the heap
-// compares keys far more often than anything reads a value. combinedLen
-// remembers the value count the last combine produced, so keys whose
-// values the combiner cannot shrink (e.g. distinct-query lists) are
-// recombined only after the list doubles — amortized linear instead of
-// quadratic.
+// sharedEntry is one distinct in-memory key's values in arrival order.
+// combinedLen remembers the value count the last combine produced, so
+// keys whose values the combiner cannot shrink (e.g. distinct-query
+// lists) are recombined only after the list doubles — amortized linear
+// instead of quadratic.
 type sharedEntry struct {
-	key         []byte
 	vals        []blockSpan
-	hash        uint64
-	next        int32 // hash chain: slot+1, 0 = end
 	combinedLen int32
 }
 
 // SharedConfig configures a Shared instance.
 type SharedConfig struct {
-	// KeyCompare orders keys; required.
+	// KeyCompare orders keys; nil = raw byte order.
 	KeyCompare bytesx.Compare
 	// GroupCompare decides key equality for PopMinKeyValues; defaults
 	// to KeyCompare.
@@ -193,12 +172,16 @@ func sharedLimits(memLimit, mergeFactor int) (int, int) {
 
 // init makes s an empty Shared, on pooled buffers when there are any.
 func (s *Shared) init(cfg SharedConfig) {
+	cmp := cfg.KeyCompare
+	if cmp == nil {
+		cmp = bytesx.Bytes
+	}
 	if cfg.GroupCompare == nil {
-		cfg.GroupCompare = cfg.KeyCompare
+		cfg.GroupCompare = cmp
 	}
 	cfg.MemLimitBytes, cfg.MergeFactor = sharedLimits(cfg.MemLimitBytes, cfg.MergeFactor)
 	*s = Shared{
-		cmp:      cfg.KeyCompare,
+		cmp:      cmp,
 		groupCmp: cfg.GroupCompare,
 		memLimit: cfg.MemLimitBytes,
 		runs: runSet{
@@ -215,8 +198,8 @@ func (s *Shared) init(cfg SharedConfig) {
 		s.sharedBufs = *s.box
 	} else {
 		s.box = new(sharedBufs)
-		s.buckets = make([]int32, 64)
 	}
+	s.keys.Init(cfg.KeyCompare)
 	if s.combiner != nil {
 		s.combineOut = combineSink{s}
 	}
@@ -286,16 +269,22 @@ func (s *Shared) Add(key, value []byte) error {
 	if s.stored > 2*s.mem+compactSlack {
 		s.compact()
 	}
-	h := maphash.Bytes(indexSeed, key)
-	id := s.find(key, h)
-	if id < 0 {
-		id = s.insert(key, h)
+	id, added, err := s.keys.Insert(key)
+	if err != nil {
+		return err
+	}
+	if added {
+		if int(id) == len(s.ents) {
+			s.ents = append(s.ents, sharedEntry{})
+		}
+		s.ents[id] = sharedEntry{vals: s.ents[id].vals[:0]}
+		s.mem += len(key)
 	}
 	e := &s.ents[id]
 	e.vals = append(e.vals, s.store(value))
 	s.mem += len(value)
 	if s.combiner != nil && len(e.vals) >= combineBatch && len(e.vals) >= 2*int(e.combinedLen) {
-		if err := s.combineEntry(e); err != nil {
+		if err := s.combineEntry(s.keys.Key(id), e); err != nil {
 			return err
 		}
 	}
@@ -305,103 +294,16 @@ func (s *Shared) Add(key, value []byte) error {
 	return nil
 }
 
-// find returns the live slot holding key, or -1.
-func (s *Shared) find(key []byte, h uint64) int32 {
-	for id := s.buckets[h&uint64(len(s.buckets)-1)] - 1; id >= 0; id = s.ents[id].next - 1 {
-		if e := &s.ents[id]; e.hash == h && bytes.Equal(e.key, key) {
-			return id
-		}
-	}
-	return -1
-}
-
-// insert stores key under a recycled (or new) slot and links the slot
-// into the heap and the hash index.
-func (s *Shared) insert(key []byte, h uint64) int32 {
-	id := int32(len(s.ents))
-	if n := len(s.free); n > 0 {
-		id, s.free = s.free[n-1], s.free[:n-1]
-	} else {
-		s.ents = append(s.ents, sharedEntry{})
-	}
-	e := &s.ents[id]
-	*e = sharedEntry{key: s.view(s.store(key)), vals: e.vals[:0], hash: h}
-	s.mem += len(key)
-
-	if len(s.heap) >= len(s.buckets) {
-		s.growIndex()
-	}
-	b := &s.buckets[h&uint64(len(s.buckets)-1)]
-	e.next, *b = *b, id+1
-
-	s.heap = append(s.heap, id)
-	for i := len(s.heap) - 1; i > 0; {
-		parent := (i - 1) / 2
-		if s.cmp(s.ents[s.heap[i]].key, s.ents[s.heap[parent]].key) >= 0 {
-			break
-		}
-		s.heap[i], s.heap[parent] = s.heap[parent], s.heap[i]
-		i = parent
-	}
-	return id
-}
-
-// growIndex doubles the hash index and relinks every live slot.
-func (s *Shared) growIndex() {
-	s.buckets = make([]int32, 2*len(s.buckets))
-	for _, id := range s.heap {
-		e := &s.ents[id]
-		b := &s.buckets[e.hash&uint64(len(s.buckets)-1)]
-		e.next, *b = *b, id+1
-	}
-}
-
-// popHeap removes and returns the slot with the smallest key. The slot
-// stays in the hash index and off the free list until release.
-func (s *Shared) popHeap() int32 {
-	top := s.heap[0]
-	n := len(s.heap) - 1
-	s.heap[0] = s.heap[n]
-	s.heap = s.heap[:n]
-	for i := 0; ; {
-		child := 2*i + 1
-		if child >= n {
-			break
-		}
-		if r := child + 1; r < n && s.cmp(s.ents[s.heap[r]].key, s.ents[s.heap[child]].key) < 0 {
-			child = r
-		}
-		if s.cmp(s.ents[s.heap[child]].key, s.ents[s.heap[i]].key) >= 0 {
-			break
-		}
-		s.heap[i], s.heap[child] = s.heap[child], s.heap[i]
-		i = child
-	}
-	return top
-}
-
-// release unlinks a popped slot from the hash index and recycles it.
-func (s *Shared) release(id int32) {
-	e := &s.ents[id]
-	p := &s.buckets[e.hash&uint64(len(s.buckets)-1)]
-	for *p != id+1 {
-		p = &s.ents[*p-1].next
-	}
-	*p = e.next
-	s.free = append(s.free, id)
-}
-
 // resetMem drops the whole in-memory part, keeping every buffer.
 func (s *Shared) resetMem() {
-	s.free = append(s.free, s.heap...)
-	s.heap, s.mem = s.heap[:0], 0
-	clear(s.buckets)
+	s.keys.Reset()
+	s.mem = 0
 	s.blocks, s.stored = s.retire(s.blocks), 0
 }
 
-// compact copies the live keys and values into fresh blocks, in heap
-// order, and empties the old ones. An exact-size block holds one key or
-// value, live or dead, so a live one moves to the new list uncopied.
+// compact copies the live values into fresh blocks and empties the old
+// ones. An exact-size block holds one value, live or dead, so a live one
+// moves to the new list uncopied.
 func (s *Shared) compact() {
 	old := s.blocks
 	s.blocks, s.stored = s.spareBlocks, 0
@@ -413,9 +315,11 @@ func (s *Shared) compact() {
 		s.stored += len(b)
 		return blockSpan{int32(len(s.blocks) - 1), 0, int32(len(b))}
 	}
-	for _, id := range s.heap {
+	for id := range s.ents {
+		if !s.keys.Live(int32(id)) {
+			continue
+		}
 		e := &s.ents[id]
-		e.key = s.view(restore(e.key))
 		for i, v := range e.vals {
 			e.vals[i] = restore(old[v.blk][v.off : v.off+v.n])
 		}
@@ -426,7 +330,7 @@ func (s *Shared) compact() {
 // combineEntry folds an entry's values into the combiner's output,
 // keeping (usually) a single record per key. The combiner reads views of
 // the old values while its output is stored behind them.
-func (s *Shared) combineEntry(e *sharedEntry) error {
+func (s *Shared) combineEntry(key []byte, e *sharedEntry) error {
 	old := s.popVals[:0]
 	for _, v := range e.vals {
 		s.mem -= int(v.n)
@@ -434,7 +338,7 @@ func (s *Shared) combineEntry(e *sharedEntry) error {
 	}
 	s.popVals, s.combineIn = old, sliceIter{vals: old}
 	s.combined = s.combined[:0]
-	if err := s.combiner.Reduce(e.key, &s.combineIn, s.combineOut); err != nil {
+	if err := s.combiner.Reduce(key, &s.combineIn, s.combineOut); err != nil {
 		return err
 	}
 	if len(s.combined) == 0 {
@@ -458,14 +362,14 @@ func (s *Shared) addCombined(v []byte) error {
 }
 
 // Empty reports whether no keys remain, in memory or spilled.
-func (s *Shared) Empty() bool { return len(s.heap) == 0 && s.runs.Len() == 0 }
+func (s *Shared) Empty() bool { return s.keys.Len() == 0 && s.runs.Len() == 0 }
 
 // peekMin returns the smallest key present without copying it. The
 // slice is only valid until the next mutation.
 func (s *Shared) peekMin() ([]byte, bool) {
 	rk, ok := s.runs.Peek()
-	if len(s.heap) > 0 {
-		if k := s.ents[s.heap[0]].key; !ok || s.cmp(k, rk) <= 0 {
+	if id, held := s.keys.Min(); held {
+		if k := s.keys.Key(id); !ok || s.cmp(k, rk) <= 0 {
 			return k, true
 		}
 	}
@@ -502,15 +406,17 @@ func (s *Shared) PopMinKeyValues() (key []byte, values [][]byte, err error) {
 		// Drain the in-memory entry for exactly this key first, then
 		// matching spill-run heads (duplicate-key order between the two
 		// sources is unspecified, as in Hadoop).
-		for len(s.heap) > 0 && s.cmp(s.ents[s.heap[0]].key, cur) == 0 {
-			id := s.popHeap()
-			e := &s.ents[id]
-			s.mem -= len(e.key)
-			for _, v := range e.vals {
+		for id, held := s.keys.Min(); held; id, held = s.keys.Min() {
+			k := s.keys.Key(id)
+			if s.cmp(k, cur) != 0 {
+				break
+			}
+			s.mem -= len(k)
+			for _, v := range s.ents[id].vals {
 				s.mem -= int(v.n)
 				values = append(values, s.view(v))
 			}
-			s.release(id)
+			s.keys.PopMin()
 		}
 		// The merger reuses its buffers, so run values are copied.
 		for rk, ok := s.runs.Peek(); ok && s.cmp(rk, cur) == 0; rk, ok = s.runs.Peek() {
@@ -531,10 +437,10 @@ func (s *Shared) PopMinKeyValues() (key []byte, values [][]byte, err error) {
 		cur = buf[off:]
 	}
 	s.popBuf, s.popVals = buf, values
-	if len(s.heap) == 0 {
-		// Every stored byte is dead, and release has already emptied the
-		// index. The views just handed out stay intact until the next Add
-		// writes over them.
+	if s.keys.Len() == 0 {
+		// Every stored byte is dead, and the key index has emptied itself.
+		// The views just handed out stay intact until the next Add writes
+		// over them.
 		s.blocks, s.stored, s.mem = s.retire(s.blocks), 0, 0
 	}
 	return key, values, nil
@@ -547,12 +453,11 @@ func (s *Shared) Spills() int { return int(s.runs.spills) }
 // runs if they exceed the merge factor.
 func (s *Shared) spill() error {
 	err := s.runs.spill(func(w *mr.RecordWriter) error {
-		for len(s.heap) > 0 {
-			id := s.popHeap()
-			s.free = append(s.free, id)
-			e := &s.ents[id]
-			for _, v := range e.vals {
-				if err := w.Write(e.key, s.view(v)); err != nil {
+		s.order = s.keys.Sorted(s.order[:0])
+		for _, id := range s.order {
+			key := s.keys.Key(id)
+			for _, v := range s.ents[id].vals {
+				if err := w.Write(key, s.view(v)); err != nil {
 					return err
 				}
 			}
@@ -579,11 +484,9 @@ func (s *Shared) Close() error {
 			s.emptied[i] = nil
 		}
 		s.emptied = s.emptied[:0]
+		s.keys.Release()
 		if s.poolable() {
 			// Views that would keep a block, or the engine's buffers, alive.
-			for i := range s.ents {
-				s.ents[i].key = nil
-			}
 			clear(s.popVals[:cap(s.popVals)])
 			clear(s.decodeKeys[:cap(s.decodeKeys)])
 			*s.box = s.sharedBufs
@@ -596,28 +499,24 @@ func (s *Shared) Close() error {
 
 // putBlock gives an emptied block of blockSize to blockPool.
 func putBlock(b []byte) {
-	p := (*block)(b[:blockSize])
-	if poisonBlocks {
-		p[0] = poisonByte
-		for n := 1; n < blockSize; n *= 2 {
-			copy(p[n:], p[:n])
-		}
-	}
-	blockPool.Put(p)
+	bytesx.Poison(b)
+	blockPool.Put((*block)(b[:blockSize]))
 }
 
 // poolable reports whether the buffers are within the bounds for
-// pooling. Besides the entry slots, the byte bound counts every slot's
-// value-list capacity and the pop buffers, so a few slots with one huge
-// list are dropped too.
+// pooling. Besides the entry slots, the byte bound counts the key
+// index, every slot's value-list capacity and the pop buffers, so a few
+// slots with one huge list are dropped too.
 func (s *Shared) poolable() bool {
-	if cap(s.ents) > bytesx.MaxPooledEntries {
+	ids, n := s.keys.Footprint()
+	if max(ids, cap(s.ents)) > bytesx.MaxPooledEntries {
 		return false
 	}
 	spans := 0
 	for i := range s.ents {
 		spans += cap(s.ents[i].vals)
 	}
-	n := uintptr(spans)*unsafe.Sizeof(blockSpan{}) + uintptr(cap(s.popBuf)) + uintptr(cap(s.popVals))*unsafe.Sizeof([]byte(nil))
+	n += uintptr(spans)*unsafe.Sizeof(blockSpan{}) + uintptr(cap(s.order))*4 +
+		uintptr(cap(s.popBuf)) + uintptr(cap(s.popVals))*unsafe.Sizeof([]byte(nil))
 	return n <= bytesx.MaxPooledBytes
 }

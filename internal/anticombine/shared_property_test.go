@@ -41,13 +41,15 @@ type sharedRef struct {
 	floor string
 }
 
-func newSharedRef(t testing.TB, name string, memLimit, mergeFactor int, fs iokit.FS) *sharedRef {
+// newSharedRef orders keys by cmp, which is Bytes or nil (raw order):
+// the reference orders by bytes either way.
+func newSharedRef(t testing.TB, name string, cmp bytesx.Compare, memLimit, mergeFactor int, fs iokit.FS) *sharedRef {
 	return &sharedRef{
 		t:    t,
 		name: name,
 		fs:   fs,
 		s: NewShared(SharedConfig{
-			KeyCompare:    bytesx.Bytes,
+			KeyCompare:    cmp,
 			MemLimitBytes: memLimit,
 			MergeFactor:   mergeFactor,
 			FS:            fs,
@@ -180,13 +182,15 @@ func (c *sharedRef) drain() {
 // TestSharedRandomizedAgainstReference drives Shared with random
 // interleavings of Add / PeekMinKey / PopMinKeyValues across many
 // memory-limit configurations and value sizes and checks every
-// observation against the reference.
+// observation against the reference, ordering keys by Bytes and by raw
+// order (a nil KeyCompare) in turn.
 func TestSharedRandomizedAgainstReference(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
 		memLimit := []int{32, 100, 1000, 1 << 20}[trial%4]
 		mergeFactor := []int{2, 3, 10}[trial%3]
-		c := newSharedRef(t, fmt.Sprintf("rand%04d", trial), memLimit, mergeFactor, iokit.NewMemFS())
+		cmp := []bytesx.Compare{bytesx.Bytes, nil}[trial/4%2]
+		c := newSharedRef(t, fmt.Sprintf("rand%04d", trial), cmp, memLimit, mergeFactor, iokit.NewMemFS())
 		for op := 0; op < 300; op++ {
 			switch rng.Intn(4) {
 			case 0, 1:
@@ -205,7 +209,10 @@ func TestSharedRandomizedAgainstReference(t *testing.T) {
 // bytes, the first choosing Add / PeekMinKey / PopMinKeyValues and an
 // Add's value size, the second an Add's key. One byte of the first spill
 // run is flipped at flipAt, if the run is that long; then the sequence
-// must either match the reference or fail with ErrIntegrity.
+// must either match the reference or fail with ErrIntegrity. Each input
+// runs twice: keys ordered by Bytes, whose heap calls the comparator,
+// and by raw order (a nil KeyCompare), whose heap compares cached
+// prefixes.
 func FuzzShared(f *testing.F) {
 	f.Add(uint16(32), uint8(2), uint32(math.MaxUint32), []byte("\x00\x01\x04\x02\x08\x01\x02\x00\x03\x00\x03\x00"))
 	f.Add(uint16(1000), uint8(3), uint32(math.MaxUint32), []byte("\x1c\x05\x20\x05\x24\x06\x2c\x07\x03\x00\x01\x05\x03\x00"))
@@ -216,18 +223,20 @@ func FuzzShared(f *testing.F) {
 		if len(ops) > 400 {
 			ops = ops[:400]
 		}
-		fs := &flipFS{FS: iokit.NewMemFS(), match: "shared-spill", at: int64(flipAt)}
-		c := newSharedRef(t, "fuzz", int(memLimit), int(mergeFactor), fs)
-		for i := 0; i+1 < len(ops); i += 2 {
-			switch op := ops[i]; op % 4 {
-			case 0, 1:
-				c.add(int(ops[i+1]), sharedValueSizes[int(op/4)%len(sharedValueSizes)], i)
-			case 2:
-				c.peek()
-			case 3:
-				c.pop()
+		for _, cmp := range []bytesx.Compare{bytesx.Bytes, nil} {
+			fs := &flipFS{FS: iokit.NewMemFS(), match: "shared-spill", at: int64(flipAt)}
+			c := newSharedRef(t, "fuzz", cmp, int(memLimit), int(mergeFactor), fs)
+			for i := 0; i+1 < len(ops); i += 2 {
+				switch op := ops[i]; op % 4 {
+				case 0, 1:
+					c.add(int(ops[i+1]), sharedValueSizes[int(op/4)%len(sharedValueSizes)], i)
+				case 2:
+					c.peek()
+				case 3:
+					c.pop()
+				}
 			}
+			c.drain()
 		}
-		c.drain()
 	})
 }

@@ -343,9 +343,6 @@ func TestSharedGrowthAllocatesOnce(t *testing.T) {
 // went back to the pool poisoned, so the view reads poison rather than
 // the next owner's bytes.
 func TestSharedPoisonsBlocksAtClose(t *testing.T) {
-	if !poisonBlocks {
-		t.Fatal("poisonBlocks is off in a test binary")
-	}
 	s := newTestShared(1 << 20)
 	if err := s.Add([]byte("k"), []byte("a value kept too long")); err != nil {
 		t.Fatal(err)
@@ -359,7 +356,7 @@ func TestSharedPoisonsBlocksAtClose(t *testing.T) {
 		t.Fatalf("view reads %q before Close", kept)
 	}
 	s.Close()
-	if want := bytes.Repeat([]byte{poisonByte}, len(kept)); !bytes.Equal(kept, want) {
+	if want := bytes.Repeat([]byte{bytesx.PoisonByte}, len(kept)); !bytes.Equal(kept, want) {
 		t.Errorf("view kept past Close reads %q, want poison", kept)
 	}
 }

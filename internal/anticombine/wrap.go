@@ -49,6 +49,7 @@ func Wrap(job *mr.Job, opts Options) *mr.Job {
 				newMapper:   newMapper,
 				newCombiner: newCombiner,
 				opts:        opts,
+				rawOrder:    job.KeyCompare == nil,
 			}
 		}
 	}
@@ -64,6 +65,7 @@ func Wrap(job *mr.Job, opts Options) *mr.Job {
 					newCombiner: newCombiner,
 					opts:        opts,
 					combineMode: true,
+					rawOrder:    job.KeyCompare == nil,
 				}
 			}
 		}

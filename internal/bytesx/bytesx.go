@@ -9,6 +9,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"testing"
 )
 
 // ErrCorrupt is returned when a framed record or varint cannot be decoded.
@@ -115,3 +116,26 @@ const (
 	MaxPooledEntries = 1 << 15
 	MaxPooledBytes   = 4 << 20
 )
+
+// PoisonByte is what Poison writes.
+const PoisonByte = 0xDB
+
+// poisoning is on in test binaries only: a built binary pays one
+// never-taken branch per Poison.
+var poisoning = testing.Testing()
+
+// Poison overwrites the whole capacity of b with PoisonByte in test
+// binaries and does nothing otherwise. A buffer handed back to a pool,
+// or whose views have expired, is poisoned so that a view kept past its
+// window reads poison instead of silently aliasing the next owner's
+// bytes.
+func Poison(b []byte) {
+	if !poisoning || cap(b) == 0 {
+		return
+	}
+	b = b[:cap(b)]
+	b[0] = PoisonByte
+	for n := 1; n < len(b); n *= 2 {
+		copy(b[n:], b[:n])
+	}
+}

@@ -266,8 +266,8 @@ func BenchmarkReadRecord(b *testing.B) {
 		keyLen, vLen int
 	}{{"lines", 145, 0}, {"words", 6, 1}} {
 		b.Run(bc.name, func(b *testing.B) {
-			defer func(p bool) { poisonViews = p }(poisonViews)
-			poisonViews = false
+			defer func(p bool) { poisoning = p }(poisoning)
+			poisoning = false
 			const records = 10_000
 			rng := rand.New(rand.NewSource(1))
 			var buf bytes.Buffer

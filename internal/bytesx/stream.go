@@ -2,14 +2,12 @@ package bytesx
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"slices"
 	"sync"
-	"testing"
 )
 
 // Writer writes framed (key, value) records to an underlying stream.
@@ -217,32 +215,20 @@ func unexpected(err error) error {
 	return err
 }
 
-// poisonViews makes test binaries overwrite the record ReadRecord
-// returned with poison at the next call (or Reset), so a caller that
-// keeps a view past its window reads poison instead of plausible bytes.
-var poisonViews = testing.Testing()
-
-// poison is what poisonView copies over a record, a chunk per memmove.
-var poison = func() []byte {
-	if !poisonViews {
-		return nil
-	}
-	return bytes.Repeat([]byte{0xDB}, 4<<10)
-}()
-
+// keepView remembers the record ReadRecord returns, which test binaries
+// poison at the next call (or Reset), so a caller that keeps a view past
+// its window reads poison instead of plausible bytes. Both views are
+// capacity-clipped, so Poison writes over the record and nothing else.
 func (r *Reader) keepView(key, value []byte) {
-	if poisonViews {
+	if poisoning {
 		r.view = [2][]byte{key, value}
 	}
 }
 
 func (r *Reader) poisonView() {
-	if poisonViews {
-		for _, b := range r.view {
-			for len(b) > 0 {
-				b = b[copy(b, poison):]
-			}
-		}
+	if poisoning {
+		Poison(r.view[0])
+		Poison(r.view[1])
 		r.view = [2][]byte{}
 	}
 }

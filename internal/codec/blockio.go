@@ -6,7 +6,8 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"testing"
+
+	"repro/internal/bytesx"
 )
 
 // errBlockCorrupt is returned when a framed compressed block is damaged.
@@ -47,21 +48,11 @@ func (f *blockFormat) getBufs() *blockBufs {
 // them first, so a view kept past Close reads poison instead of silently
 // aliasing the next stream's bytes.
 func (f *blockFormat) putBufs(b *blockBufs) {
-	if poisonOnPut {
-		for _, s := range [][]byte{b.raw, b.coded} {
-			s = s[:cap(s)]
-			for i := range s {
-				s[i] = poisonByte
-			}
-		}
-	}
+	bytesx.Poison(b.raw)
+	bytesx.Poison(b.coded)
 	b.raw, b.coded = b.raw[:0], b.coded[:0]
 	f.bufs.Put(b)
 }
-
-var poisonOnPut = testing.Testing()
-
-const poisonByte = 0xDB
 
 // grow returns buf resliced to n bytes, or fresh storage (contents not
 // kept) that at least doubles it, up to limit, when it is too small.

@@ -9,6 +9,8 @@ import (
 	"runtime"
 	"runtime/debug"
 	"testing"
+
+	"repro/internal/bytesx"
 )
 
 // hugeBlockPrefix is a block header announcing 1 GiB raw and 1 GiB
@@ -176,7 +178,7 @@ func TestBlockStreamClosePoisons(t *testing.T) {
 	}
 	raw := br.bufs.raw
 	r.Close()
-	if raw[0] != poisonByte {
+	if raw[0] != bytesx.PoisonByte {
 		t.Errorf("closed reader's raw buffer starts %q, want poison", raw[:5])
 	}
 	if _, err := r.Read(make([]byte, 1)); !errors.Is(err, errClosed) {

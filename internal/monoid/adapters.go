@@ -117,7 +117,7 @@ func (m *inMapper[S]) Map(key, value []byte, out mr.Emitter) error {
 	if err := m.inner.Map(key, value, m); err != nil {
 		return err
 	}
-	if len(m.table.ents) >= m.maxEntries {
+	if m.table.keys.Len() >= m.maxEntries {
 		return m.table.Emit(out)
 	}
 	return nil

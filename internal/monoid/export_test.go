@@ -1,6 +1,6 @@
 package monoid
 
-// ArenaCap reports the capacity of a fold table's key arena.
+// ArenaCap reports the capacity of a fold table's key arenas.
 func ArenaCap(t FoldTable) int { return t.(interface{ arenaCap() int }).arenaCap() }
 
-func (t *foldTable[S]) arenaCap() int { return cap(t.keys) }
+func (t *foldTable[S]) arenaCap() int { return t.keys.ArenaCap() }

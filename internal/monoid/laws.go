@@ -27,15 +27,18 @@ type LawConfig struct {
 }
 
 // CheckLaws property-tests a monoid declaration under seeded random
-// inputs: associativity and identity of Merge, commutativity when the
-// Commutative marker is claimed, that absorbing a value is merging its
-// singleton state (what the fold table's AbsorbShared relies on), that
-// Merge leaves its second argument as it was, and closure (Emit output
-// absorbs back into an equivalent state — the property that makes the
-// derived combiner safe to reapply). States are compared through their
-// canonical encoding (EmitRecords). When m is a Sizer, every state the
-// check encodes, merged and re-absorbed ones included, must also Size to
-// the value bytes Emit writes for it. Returns the first violation found.
+// inputs, with the laws stated over what the engine does: it absorbs
+// raw values, and the values Emit wrote for a partial state. Per trial
+// it checks partial aggregation (absorbing batch A and then the Emit of
+// batch B's state equals absorbing A and then B), identity (absorbing
+// the Emit of the Identity state, before or after A, changes nothing),
+// commutativity when the Commutative marker is claimed (A then B equals
+// B then A), and closure (Emit output absorbs back into an equivalent
+// state — the property that makes the derived combiner safe to
+// reapply). States are compared through their canonical encoding
+// (EmitRecords). When m is a Sizer, every state the check encodes must
+// also Size to the value bytes Emit writes for it. Returns the first
+// violation found.
 func CheckLaws[S any](m Monoid[S], cfg LawConfig) error {
 	seed := cfg.Seed
 	if seed == 0 {
@@ -62,21 +65,18 @@ func CheckLaws[S any](m Monoid[S], cfg LawConfig) error {
 	r := rand.New(rand.NewSource(seed))
 	for trial := 0; trial < trials; trial++ {
 		k := key(r)
-		batches := [3][][]byte{cfg.Values(r), cfg.Values(r), cfg.Values(r)}
-		// States are rebuilt from their batches before every Merge:
-		// Merge may mutate its arguments, so no state is reused across
-		// law evaluations.
-		build := func(i int) (S, error) {
+		// fold absorbs the batches, in order, into a fresh state and
+		// returns its encoding.
+		fold := func(batches ...[][]byte) ([]mr.Record, error) {
 			s := m.Identity()
 			var err error
-			for _, v := range batches[i] {
-				if s, err = m.Absorb(s, v); err != nil {
-					return s, fmt.Errorf("monoid: Absorb failed (trial %d): %w", trial, err)
+			for _, batch := range batches {
+				for _, v := range batch {
+					if s, err = m.Absorb(s, v); err != nil {
+						return nil, fmt.Errorf("monoid: Absorb failed (trial %d): %w", trial, err)
+					}
 				}
 			}
-			return s, nil
-		}
-		emit := func(s S) ([]mr.Record, error) {
 			recs, err := EmitRecords(m, k, s)
 			if err != nil {
 				return nil, fmt.Errorf("monoid: Emit failed (trial %d): %w", trial, err)
@@ -93,189 +93,76 @@ func CheckLaws[S any](m Monoid[S], cfg LawConfig) error {
 			}
 			return recs, nil
 		}
-		if sizer != nil {
-			if _, err := emit(m.Identity()); err != nil {
-				return err
-			}
-		}
-		merge2 := func(i, j int) (S, error) {
-			a, err := build(i)
-			if err != nil {
-				return a, err
-			}
-			b, err := build(j)
-			if err != nil {
-				return b, err
-			}
-			s, err := m.Merge(a, b)
-			if err != nil {
-				return s, fmt.Errorf("monoid: Merge failed (trial %d): %w", trial, err)
-			}
-			return s, nil
-		}
-
-		// Associativity: (a·b)·c == a·(b·c).
-		left, err := merge2(0, 1)
-		if err != nil {
-			return err
-		}
-		c, err := build(2)
-		if err != nil {
-			return err
-		}
-		if left, err = m.Merge(left, c); err != nil {
-			return fmt.Errorf("monoid: Merge failed (trial %d): %w", trial, err)
-		}
-		right, err := merge2(1, 2)
-		if err != nil {
-			return err
-		}
-		a, err := build(0)
-		if err != nil {
-			return err
-		}
-		if right, err = m.Merge(a, right); err != nil {
-			return fmt.Errorf("monoid: Merge failed (trial %d): %w", trial, err)
-		}
-		lrecs, err := emit(left)
-		if err != nil {
-			return err
-		}
-		rrecs, err := emit(right)
-		if err != nil {
-			return err
-		}
-		if !equal(lrecs, rrecs) {
-			return fmt.Errorf("monoid: associativity violated (trial %d, seed %d):\n (a·b)·c = %s\n a·(b·c) = %s",
-				trial, seed, formatRecords(lrecs), formatRecords(rrecs))
-		}
-
-		// Identity: e·a == a == a·e.
-		base, err := build(0)
-		if err != nil {
-			return err
-		}
-		baseRecs, err := emit(base)
-		if err != nil {
-			return err
-		}
-		for _, side := range []string{"left", "right"} {
-			s, err := build(0)
+		// law folds the two sides' batches and compares what they encode.
+		law := func(name, lhs, rhs string, left, right [][][]byte) error {
+			l, err := fold(left...)
 			if err != nil {
 				return err
 			}
-			var merged S
-			if side == "left" {
-				merged, err = m.Merge(m.Identity(), s)
-			} else {
-				merged, err = m.Merge(s, m.Identity())
-			}
-			if err != nil {
-				return fmt.Errorf("monoid: Merge with identity failed (trial %d): %w", trial, err)
-			}
-			got, err := emit(merged)
+			rr, err := fold(right...)
 			if err != nil {
 				return err
 			}
-			if !equal(got, baseRecs) {
-				return fmt.Errorf("monoid: %s identity violated (trial %d, seed %d):\n e·a = %s\n   a = %s",
-					side, trial, seed, formatRecords(got), formatRecords(baseRecs))
+			if !equal(l, rr) {
+				return fmt.Errorf("monoid: %s violated (trial %d, seed %d):\n %s = %s\n %s = %s",
+					name, trial, seed, lhs, formatRecords(l), rhs, formatRecords(rr))
 			}
+			return nil
+		}
+		a, b := cfg.Values(r), cfg.Values(r)
+		base, err := fold(a)
+		if err != nil {
+			return err
+		}
+		partialB, err := fold(b)
+		if err != nil {
+			return err
+		}
+		empty, err := fold()
+		if err != nil {
+			return err
 		}
 
-		// Claimed commutativity: a·b == b·a.
+		// Partial aggregation: a combiner's output stands in for the
+		// values it aggregated.
+		if err := law("partial aggregation", "A, Emit(B)", "A, B", [][][]byte{a, values(partialB)}, [][][]byte{a, b}); err != nil {
+			return err
+		}
+		// Identity: the empty state's encoding absorbs as nothing.
+		if err := law("left identity", "Emit(e), A", "A", [][][]byte{values(empty), a}, [][][]byte{a}); err != nil {
+			return err
+		}
+		if err := law("right identity", "A, Emit(e)", "A", [][][]byte{a, values(empty)}, [][][]byte{a}); err != nil {
+			return err
+		}
+		// Claimed commutativity: arrival order does not matter.
 		if isCommutative {
-			ab, err := merge2(0, 1)
-			if err != nil {
+			if err := law("claimed commutativity", "A, B", "B, A", [][][]byte{a, b}, [][][]byte{b, a}); err != nil {
 				return err
 			}
-			ba, err := merge2(1, 0)
-			if err != nil {
-				return err
-			}
-			abRecs, err := emit(ab)
-			if err != nil {
-				return err
-			}
-			baRecs, err := emit(ba)
-			if err != nil {
-				return err
-			}
-			if !equal(abRecs, baRecs) {
-				return fmt.Errorf("monoid: claimed commutativity violated (trial %d, seed %d):\n a·b = %s\n b·a = %s",
-					trial, seed, formatRecords(abRecs), formatRecords(baRecs))
-			}
 		}
-
-		// Absorbing is merging the singleton state, and Merge leaves its
-		// second argument as it was: the fold table absorbs an EagerSH
-		// value once and merges that one state into every key sharing it.
-		merged, err := build(1)
-		if err != nil {
-			return err
-		}
-		for _, v := range batches[0] {
-			one, err := m.Absorb(m.Identity(), v)
-			if err != nil {
-				return fmt.Errorf("monoid: Absorb failed (trial %d): %w", trial, err)
-			}
-			before, err := emit(one)
-			if err != nil {
-				return err
-			}
-			if merged, err = m.Merge(merged, one); err != nil {
-				return fmt.Errorf("monoid: Merge failed (trial %d): %w", trial, err)
-			}
-			after, err := emit(one)
-			if err != nil {
-				return err
-			}
-			if !equal(after, before) {
-				return fmt.Errorf("monoid: Merge mutated its second argument (trial %d, seed %d):\n before = %s\n  after = %s",
-					trial, seed, formatRecords(before), formatRecords(after))
-			}
-		}
-		absorbed, err := build(1)
-		if err != nil {
-			return err
-		}
-		for _, v := range batches[0] {
-			if absorbed, err = m.Absorb(absorbed, v); err != nil {
-				return fmt.Errorf("monoid: Absorb failed (trial %d): %w", trial, err)
-			}
-		}
-		arecs, err := emit(absorbed)
-		if err != nil {
-			return err
-		}
-		mrecs, err := emit(merged)
-		if err != nil {
-			return err
-		}
-		if !equal(arecs, mrecs) {
-			return fmt.Errorf("monoid: Absorb is not Merge of the singleton state (trial %d, seed %d):\n absorb = %s\n  merge = %s",
-				trial, seed, formatRecords(arecs), formatRecords(mrecs))
-		}
-
 		// Closure: re-absorbing the emitted encoding reproduces the
 		// state. This is what lets combiner output feed later combiner
 		// passes.
-		s := m.Identity()
-		for _, rec := range baseRecs {
-			if s, err = m.Absorb(s, rec.Value); err != nil {
-				return fmt.Errorf("monoid: closure violated — Absorb rejected Emit output (trial %d, seed %d): %w", trial, seed, err)
-			}
-		}
-		round, err := emit(s)
+		round, err := fold(values(base))
 		if err != nil {
-			return err
+			return fmt.Errorf("monoid: closure violated — Absorb rejected Emit output (trial %d, seed %d): %w", trial, seed, err)
 		}
-		if !equal(round, baseRecs) {
+		if !equal(round, base) {
 			return fmt.Errorf("monoid: closure violated — emit∘absorb∘emit not idempotent (trial %d, seed %d):\n round = %s\n  base = %s",
-				trial, seed, formatRecords(round), formatRecords(baseRecs))
+				trial, seed, formatRecords(round), formatRecords(base))
 		}
 	}
 	return nil
+}
+
+// values returns the values of recs.
+func values(recs []mr.Record) [][]byte {
+	vals := make([][]byte, len(recs))
+	for i, rec := range recs {
+		vals[i] = rec.Value
+	}
+	return vals
 }
 
 // RecordsEqual is the default state comparison: exact byte equality of

@@ -86,21 +86,6 @@ func TestQuerySuggestCountsLaws(t *testing.T) {
 	}
 }
 
-// subMonoid claims commutativity but subtracts — CheckLaws must catch
-// both the bogus commutativity claim and the broken identity law.
-type subMonoid struct{}
-
-func (subMonoid) Identity() int64 { return 0 }
-func (subMonoid) Absorb(s int64, v []byte) (int64, error) {
-	n, err := strconv.ParseInt(string(v), 10, 64)
-	return s + n, err
-}
-func (subMonoid) Merge(a, b int64) (int64, error) { return a - b, nil }
-func (subMonoid) Emit(key []byte, s int64, out mr.Emitter) error {
-	return out.Emit(key, []byte(strconv.FormatInt(s, 10)))
-}
-func (subMonoid) CommutativeMonoid() {}
-
 // firstMonoid keeps the first value — associative and left-identity-
 // less: e·a = a holds but only because identity is special-cased wrong.
 type firstMonoid struct{}
@@ -112,34 +97,32 @@ func (firstMonoid) Absorb(s []byte, v []byte) ([]byte, error) {
 	}
 	return s, nil
 }
-func (firstMonoid) Merge(a, b []byte) ([]byte, error) {
-	if a == nil {
-		return b, nil
-	}
-	return a, nil
-}
 func (firstMonoid) Emit(key []byte, s []byte, out mr.Emitter) error {
 	return out.Emit(key, s)
 }
 func (firstMonoid) CommutativeMonoid() {}
 
-// aliasMonoid sums like wordcount.Sum but keeps its state in a shared
-// slice, so Merge writes through to its second argument.
-type aliasMonoid struct{}
+// meanMonoid averages: its state is a sum and a count, it emits the
+// mean and absorbs one number as one more value. Absorbing a partial
+// mean weighs it as a single value, so the combiner it derives computes
+// wrong means: Lin's textbook non-monoid. It has no Merge to break, and
+// every law but partial aggregation holds.
+type meanMonoid struct{}
 
-func (aliasMonoid) Identity() []int64 { return []int64{0} }
-func (aliasMonoid) Absorb(s []int64, v []byte) ([]int64, error) {
-	n, err := strconv.ParseInt(string(v), 10, 64)
-	s[0] += n
-	return s, err
+type meanState struct{ sum, n float64 }
+
+func (meanMonoid) Identity() meanState { return meanState{} }
+func (meanMonoid) Absorb(s meanState, v []byte) (meanState, error) {
+	x, err := strconv.ParseFloat(string(v), 64)
+	return meanState{s.sum + x, s.n + 1}, err
 }
-func (aliasMonoid) Merge(a, b []int64) ([]int64, error) {
-	b[0] += a[0]
-	return b, nil
+func (meanMonoid) Emit(key []byte, s meanState, out mr.Emitter) error {
+	if s.n == 0 {
+		return nil
+	}
+	return out.Emit(key, strconv.AppendFloat(nil, s.sum/s.n, 'g', -1, 64))
 }
-func (aliasMonoid) Emit(key []byte, s []int64, out mr.Emitter) error {
-	return out.Emit(key, []byte(strconv.FormatInt(s[0], 10)))
-}
+func (meanMonoid) CommutativeMonoid() {}
 
 // offSizeMonoid is wordcount.Sum declaring a Size one byte over what
 // its Emit writes.
@@ -158,12 +141,12 @@ func TestCheckLawsCatchesViolations(t *testing.T) {
 		}
 		return vals
 	}
-	if err := monoid.CheckLaws(subMonoid{}, monoid.LawConfig{Values: decimalValues}); err == nil {
-		t.Fatal("CheckLaws accepted a subtraction 'monoid'")
-	} else if !strings.Contains(err.Error(), "violated") {
-		t.Fatalf("unexpected error: %v", err)
+	// A mean absorbs its partials as single values: partial aggregation
+	// is the law that fails.
+	if err := monoid.CheckLaws(meanMonoid{}, monoid.LawConfig{Values: decimalValues}); err == nil || !strings.Contains(err.Error(), "partial aggregation") {
+		t.Fatalf("expected a partial aggregation violation, got: %v", err)
 	}
-	// first-wins is associative but not commutative: the claimed
+	// first-wins aggregates partials but is not commutative: the claimed
 	// commutativity must be the law that fails.
 	err := monoid.CheckLaws(firstMonoid{}, monoid.LawConfig{
 		Values: func(r *rand.Rand) [][]byte {
@@ -175,12 +158,6 @@ func TestCheckLawsCatchesViolations(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "commutativity") {
 		t.Fatalf("expected commutativity violation, got: %v", err)
-	}
-	// A Merge that writes into its second argument breaks the fold
-	// table's one-absorb, many-merges EagerSH fold.
-	err = monoid.CheckLaws(aliasMonoid{}, monoid.LawConfig{Values: decimalValues})
-	if err == nil || !strings.Contains(err.Error(), "second argument") {
-		t.Fatalf("expected a Merge-mutates-b violation, got: %v", err)
 	}
 	// A Size that misstates the encoding would let a key table's charge
 	// drift from the bytes its spills write.

@@ -1,21 +1,21 @@
 // Package monoid defines the algebraic aggregation contract that
 // combiners, in-mapper combining, and Anti-Combining's eager partial
 // merge are all instances of (Lin's "Monoidify!", PAPERS.md): an
-// associative Merge with an Identity element over a workload-defined
-// aggregation state. A workload declares its monoid once; the adapters
-// in this package derive the classic map-side Combiner, the reducer, the
-// in-mapper combining pattern and the typed fold table the transformed
-// map-side combiner and reducer fold records into from that one
-// declaration, and the law checkers verify (rather than assume) the
-// algebra every derived strategy depends on.
+// Identity state that absorbs values one at a time, where a state's
+// encoded partial absorbs as the values it aggregates do. A workload
+// declares its monoid once; the adapters in this package derive the
+// classic map-side Combiner, the reducer, the in-mapper combining
+// pattern and the typed fold table the transformed map-side combiner
+// and reducer fold records into from that one declaration, and the law
+// checkers verify (rather than assume) the algebra every derived
+// strategy depends on.
 //
 // The contract is byte-oriented on the outside — mr jobs move raw
 // []byte values — but state-typed on the inside: Absorb decodes one
 // encoded value (a raw map emission or a previously emitted partial)
-// into the aggregation state S, Merge combines states, and Emit encodes
-// a state back into output records. Multi-record states (querysuggest's
-// per-query count table) are as welcome as single-valued ones
-// (wordcount's sum).
+// into the aggregation state S, and Emit encodes a state back into
+// output records. Multi-record states (querysuggest's per-query count
+// table) are as welcome as single-valued ones (wordcount's sum).
 package monoid
 
 import (
@@ -23,14 +23,17 @@ import (
 )
 
 // Monoid is the aggregation contract one workload declares once, over
-// its state type S.
+// its state type S. The engine only ever absorbs raw values and values
+// Emit wrote, so the laws are stated over those (verified by CheckLaws,
+// not assumed), with A and B batches of raw values:
 //
-// Laws (verified by CheckLaws, not assumed):
+//	A, then Emit(B)  ==  A, then B          partial aggregation
+//	Emit(e), then A  ==  A  ==  A, then Emit(e)    identity
+//	Emit(A), absorbed  ==  A                closure
+//	Size(s)  ==  value bytes Emit writes for s     when a Sizer
 //
-//	Merge(a, Merge(b, c)) == Merge(Merge(a, b), c)    associativity
-//	Merge(Identity(), a) == a == Merge(a, Identity()) identity
-//	Absorb(s, v) == Merge(s, Absorb(Identity(), v))   absorb is a merge
-//	Size(s) == value bytes Emit writes for s          when a Sizer
+// where Emit(B) is the values Emit writes for B's state, e is
+// Identity(), and states compare by their encoding.
 //
 // Absorb must accept every value the workload's map phase emits AND
 // every encoding Emit produces — a combiner's output feeds later
@@ -43,21 +46,17 @@ type Monoid[S any] interface {
 	// (possibly replaced) state. It may mutate s; it must not retain
 	// value, which is only valid for the call.
 	Absorb(s S, value []byte) (S, error)
-	// Merge combines two states, returning the merged state. It may
-	// mutate and return a, but never mutates or retains b, so that one
-	// partial state can be merged into several.
-	Merge(a, b S) (S, error)
 	// Emit encodes the state as output records for key. The encoding
 	// must round-trip through Absorb.
 	Emit(key []byte, s S, out mr.Emitter) error
 }
 
-// Commutative marks a Monoid whose Merge is also commutative:
-// Merge(a, b) == Merge(b, a). Commutativity is what lets partial
+// Commutative marks a Monoid whose states do not depend on the order
+// values arrive in: A, then B == B, then A. That is what lets partial
 // aggregates be recombined regardless of grouping order — the contract
 // heavy-hitter splitting (internal/partition), cross-worker partial
-// merges and the transformed combiner's fold table rely on. CheckLaws
-// verifies the claim.
+// aggregation and the fold table, which absorbs an EagerSH value into
+// each of its keys as it arrives, rely on. CheckLaws verifies the claim.
 type Commutative[S any] interface {
 	Monoid[S]
 	// CommutativeMonoid is a marker; implementations return nothing.

@@ -2,15 +2,7 @@ package monoid
 
 import (
 	"bytes"
-	"cmp"
-	"encoding/binary"
-	"errors"
-	"hash/maphash"
-	"math"
-	"math/bits"
-	"slices"
 	"sync"
-	"testing"
 	"unsafe"
 
 	"repro/internal/bytesx"
@@ -66,67 +58,29 @@ type FoldTable interface {
 	Release()
 }
 
-// foldTable is the FoldTable over Monoid[S]: an open-addressed index
-// over keys copied into one arena, with one state per key. The first
-// ordered use (Begin, Min) adds a min-heap over the live entries on
-// their 8-byte big-endian key prefix, so a table that is only emitted
-// whole never keeps one. A finalized entry leaves the index at once but
-// stays dead in the arena until the table empties, or until dead key
-// bytes outweigh live ones and the live keys are compacted into a fresh
-// arena. Emptied tables are pooled per Combiner, Reducer or InMapper,
-// so of the many short-lived instances a job creates only the first few
-// grow one.
+// foldTable is the FoldTable over Monoid[S]: a state and its charge per
+// id of a bytesx.KeyIndex in raw byte order. Emptied tables are pooled
+// per Combiner, Reducer or InMapper, so of the many short-lived
+// instances a job creates only the first few grow one.
 type foldTable[S any] struct {
 	m     Monoid[S]
 	final func(key []byte, s S, out mr.Emitter) error
 	pool  *sync.Pool
 
-	keys   []byte       // every key's bytes, back to back
-	ents   []tableEntry // per key, in insertion order
-	states []S          // states[i] is ents[i]'s state
-	slots  []int32      // open-addressed index of live entries: entry+1, 0 = empty
-	order  []int32      // Emit's sort scratch
-	heap   []heapItem   // live entries, smallest key first; nil until first ordered use
-	dead   int          // key bytes of finalized entries still in keys
+	keys   bytesx.KeyIndex
+	states []S     // by id
+	charge []int   // by id: the state's measured size, plus what it absorbed since
+	dirty  []bool  // by id: absorbed into since measured
+	order  []int32 // Emit's sort scratch
 
-	local    tableEntry // the charge of the state Begin keeps outside the table
-	localS   S
-	cur      []byte // local's key
-	hasLocal bool
+	localS      S // the state Begin keeps outside the table
+	localCharge int
+	localDirty  bool
+	cur         []byte // local's key
+	hasLocal    bool
 
-	charge int
+	total int // every state's charge
 }
-
-// tableEntry addresses one key, n bytes at off in keys, and records
-// what its state is charged: its measured size, plus what it absorbed
-// since it was measured (dirty). It is kept small: the map-side roles
-// hold one per distinct key of a spill run.
-type tableEntry struct {
-	charge int
-	hash   uint32 // the low half of the key's hash
-	off, n int32  // off < 0 once the state is finalized
-	dirty  bool
-}
-
-// heapItem is a live entry in the heap, with its key's prefix.
-type heapItem struct {
-	prefix uint64
-	i      int32
-}
-
-// tableSeed keys every fold table's index.
-var tableSeed = maphash.MakeSeed()
-
-// poisonOnPut makes Release and compaction overwrite the key arena they
-// give back, so a key view kept past Emit, Release or a compaction reads
-// poison instead of silently aliasing the next owner's keys. On in test
-// binaries only.
-var poisonOnPut = testing.Testing()
-
-const poisonByte = 0xDB
-
-// errKeysTooLarge refuses keys past what an entry can address.
-var errKeysTooLarge = errors.New("monoid: fold table keys exceed 2 GiB")
 
 // getTable returns an empty table over m finalizing through final, from
 // pool when it has one.
@@ -134,116 +88,40 @@ func getTable[S any](m Monoid[S], final func([]byte, S, mr.Emitter) error, pool 
 	if t, ok := pool.Get().(*foldTable[S]); ok {
 		return t
 	}
-	return &foldTable[S]{m: m, final: final, pool: pool, slots: make([]int32, 64)}
+	return &foldTable[S]{m: m, final: final, pool: pool}
 }
 
-// keyPrefix is key's first 8 bytes, big-endian and zero-padded: prefixes
-// order as their keys do, up to ties.
-func keyPrefix(key []byte) uint64 {
-	var b [8]byte
-	copy(b[:], key)
-	return binary.BigEndian.Uint64(b[:])
-}
-
-func (t *foldTable[S]) key(i int32) []byte {
-	e := &t.ents[i]
-	return t.keys[e.off : e.off+e.n]
-}
-
-// compare orders heap items by key, comparing key bytes only on a
-// prefix tie.
-func (t *foldTable[S]) compare(a, b heapItem) int {
-	if c := cmp.Compare(a.prefix, b.prefix); c != 0 {
-		return c
-	}
-	return bytes.Compare(t.key(a.i), t.key(b.i))
-}
-
-// state returns the index of key's entry, inserting one with the
-// identity state when key is new.
+// state returns key's id, with the identity state and key's bytes as
+// its charge when key is new.
 func (t *foldTable[S]) state(key []byte) (int32, error) {
-	h := uint32(maphash.Bytes(tableSeed, key))
-	mask := uint32(len(t.slots) - 1)
-	slot := h & mask
-	for ; t.slots[slot] != 0; slot = (slot + 1) & mask {
-		if i := t.slots[slot] - 1; t.ents[i].hash == h && bytes.Equal(t.key(i), key) {
-			return i, nil
-		}
+	id, added, err := t.keys.Insert(key)
+	if !added {
+		return id, err
 	}
-	if len(t.keys)+len(key) > math.MaxInt32 {
-		return 0, errKeysTooLarge
+	if int(id) == len(t.states) {
+		var zero S
+		t.states, t.charge, t.dirty = append(t.states, zero), append(t.charge, 0), append(t.dirty, false)
 	}
-	i := int32(len(t.ents))
-	t.ents = append(t.ents, tableEntry{charge: len(key), hash: h, off: int32(len(t.keys)), n: int32(len(key))})
-	t.keys = append(t.keys, key...)
-	t.states = append(t.states, t.m.Identity())
-	t.charge += len(key)
-	t.slots[slot] = i + 1
-	if t.heap != nil {
-		t.heap = append(t.heap, heapItem{keyPrefix(key), i})
-		t.up(len(t.heap) - 1)
-	}
-	if 2*len(t.ents) > len(t.slots) {
-		t.index(2 * len(t.slots))
-	}
-	return i, nil
-}
-
-// index rebuilds the index over the live entries, in n slots.
-func (t *foldTable[S]) index(n int) {
-	if n == len(t.slots) {
-		clear(t.slots)
-	} else {
-		t.slots = make([]int32, n)
-	}
-	mask := uint32(n - 1)
-	for i, e := range t.ents {
-		if e.off < 0 {
-			continue
-		}
-		slot := e.hash & mask
-		for t.slots[slot] != 0 {
-			slot = (slot + 1) & mask
-		}
-		t.slots[slot] = int32(i) + 1
-	}
-}
-
-// unindex removes entry i from the index, moving the later entries of
-// its probe run back over the hole so that every lookup still finds its
-// key before an empty slot.
-func (t *foldTable[S]) unindex(i int32) {
-	mask := uint32(len(t.slots) - 1)
-	hole := t.ents[i].hash & mask
-	for t.slots[hole] != i+1 {
-		hole = (hole + 1) & mask
-	}
-	for next := (hole + 1) & mask; t.slots[next] != 0; next = (next + 1) & mask {
-		home := t.ents[t.slots[next]-1].hash & mask
-		if (next-home)&mask >= (next-hole)&mask {
-			t.slots[hole] = t.slots[next]
-			hole = next
-		}
-	}
-	t.slots[hole] = 0
+	t.states[id], t.charge[id], t.dirty[id] = t.m.Identity(), len(key), false
+	t.total += len(key)
+	return id, nil
 }
 
 // Absorb implements FoldTable: into the local state when key is its,
 // else into key's entry.
 func (t *foldTable[S]) Absorb(key, value []byte) error {
-	e, s := &t.local, &t.localS
+	charge, dirty, s := &t.localCharge, &t.localDirty, &t.localS
 	if !t.hasLocal || !bytes.Equal(key, t.cur) {
-		i, err := t.state(key)
+		id, err := t.state(key)
 		if err != nil {
 			return err
 		}
-		e, s = &t.ents[i], &t.states[i]
+		charge, dirty, s = &t.charge[id], &t.dirty[id], &t.states[id]
 	}
 	var err error
 	*s, err = t.m.Absorb(*s, value)
-	e.charge += len(value)
-	e.dirty = true
-	t.charge += len(value)
+	*charge, *dirty = *charge+len(value), true
+	t.total += len(value)
 	return err
 }
 
@@ -266,50 +144,7 @@ func (t *foldTable[S]) Begin(key []byte) {
 		return
 	}
 	t.cur = append(t.cur[:0], key...)
-	t.local, t.localS, t.hasLocal = tableEntry{}, t.m.Identity(), true
-}
-
-// heapify builds the heap over the live entries. The table's first
-// ordered use calls it; from then on every new entry joins the heap.
-func (t *foldTable[S]) heapify() {
-	t.heap = slices.Grow(t.heap[:0], 1) // non-nil from now on
-	for i, e := range t.ents {
-		if e.off >= 0 {
-			t.heap = append(t.heap, heapItem{keyPrefix(t.key(int32(i))), int32(i)})
-		}
-	}
-	for j := len(t.heap)/2 - 1; j >= 0; j-- {
-		t.down(j)
-	}
-}
-
-func (t *foldTable[S]) up(j int) {
-	for j > 0 {
-		parent := (j - 1) / 2
-		if t.compare(t.heap[j], t.heap[parent]) >= 0 {
-			return
-		}
-		t.heap[j], t.heap[parent] = t.heap[parent], t.heap[j]
-		j = parent
-	}
-}
-
-func (t *foldTable[S]) down(j int) {
-	n := len(t.heap)
-	for {
-		c := 2*j + 1
-		if c >= n {
-			return
-		}
-		if r := c + 1; r < n && t.compare(t.heap[r], t.heap[c]) < 0 {
-			c = r
-		}
-		if t.compare(t.heap[c], t.heap[j]) >= 0 {
-			return
-		}
-		t.heap[j], t.heap[c] = t.heap[c], t.heap[j]
-		j = c
-	}
+	t.localS, t.localCharge, t.localDirty, t.hasLocal = t.m.Identity(), 0, false, true
 }
 
 // Min implements FoldTable.
@@ -317,13 +152,11 @@ func (t *foldTable[S]) Min() ([]byte, bool) {
 	if t.hasLocal {
 		return t.cur, true
 	}
-	if t.heap == nil {
-		t.heapify()
-	}
-	if len(t.heap) == 0 {
+	id, ok := t.keys.Min()
+	if !ok {
 		return nil, false
 	}
-	return t.key(t.heap[0].i), true
+	return t.keys.Key(id), true
 }
 
 // FinalizeMin implements FoldTable.
@@ -331,76 +164,21 @@ func (t *foldTable[S]) FinalizeMin(out mr.Emitter) error {
 	var zero S
 	if t.hasLocal {
 		t.hasLocal = false
-		t.charge -= t.local.charge
+		t.total -= t.localCharge
 		err := render(t.m, t.final, t.cur, t.localS, out)
 		t.localS = zero
-		t.settle()
 		return err
 	}
-	i := t.heap[0].i
-	n := len(t.heap) - 1
-	t.heap[0] = t.heap[n]
-	t.heap = t.heap[:n]
-	t.down(0)
-	e := &t.ents[i]
-	t.charge -= e.charge
-	err := render(t.m, t.final, t.key(i), t.states[i], out)
-	t.unindex(i)
-	t.states[i] = zero
-	t.dead += int(e.n)
-	e.off = -1
-	t.settle()
+	id, _ := t.keys.Min()
+	t.total -= t.charge[id]
+	err := render(t.m, t.final, t.keys.Key(id), t.states[id], out)
+	t.keys.PopMin()
+	t.states[id], t.dirty[id] = zero, false
 	return err
 }
 
-// settle frees the arena finalized entries hold: all of it once the
-// table holds no state, else by compaction once dead key bytes (and one
-// per dead entry, so that empty keys count) outweigh live ones.
-func (t *foldTable[S]) settle() {
-	if len(t.heap) == 0 && !t.hasLocal {
-		// Every entry is finalized, so the index is already empty.
-		t.keys, t.ents, t.states, t.dead = t.keys[:0], t.ents[:0], t.states[:0], 0
-		return
-	}
-	if dead := t.dead + len(t.ents) - len(t.heap); 2*dead > len(t.keys)+len(t.ents) {
-		t.compact()
-	}
-}
-
-// compact copies the live keys into a fresh arena, drops the dead
-// entries and rebuilds the index and the heap.
-func (t *foldTable[S]) compact() {
-	keys := make([]byte, 0, len(t.keys)-t.dead)
-	j := 0
-	for i, e := range t.ents {
-		if e.off < 0 {
-			continue
-		}
-		k := t.keys[e.off : e.off+e.n]
-		e.off = int32(len(keys))
-		keys = append(keys, k...)
-		t.ents[j], t.states[j] = e, t.states[i]
-		j++
-	}
-	clear(t.states[j:])
-	poison(t.keys)
-	t.keys, t.ents, t.states, t.dead = keys, t.ents[:j], t.states[:j], 0
-	t.heapify()
-	t.index(max(64, 2<<bits.Len(uint(j)))) // a power of two over 2j
-}
-
-// poison overwrites an arena given back, in test binaries.
-func poison(keys []byte) {
-	if poisonOnPut {
-		keys = keys[:cap(keys)]
-		for i := range keys {
-			keys[i] = poisonByte
-		}
-	}
-}
-
 // Charge implements FoldTable.
-func (t *foldTable[S]) Charge() int { return t.charge }
+func (t *foldTable[S]) Charge() int { return t.total }
 
 // byteCounter is the Emitter Measure counts a state's encoding with.
 type byteCounter struct{ n int }
@@ -417,7 +195,7 @@ func (c *byteCounter) Emit(_, v []byte) error {
 func (t *foldTable[S]) Measure() (int, error) {
 	var c byteCounter
 	sizer, sized := t.m.(Sizer[S])
-	measure := func(key []byte, e *tableEntry, s S) error {
+	measure := func(key []byte, charge *int, dirty *bool, s S) error {
 		var err error
 		if sized {
 			c.n = len(key) + sizer.Size(s)
@@ -425,23 +203,23 @@ func (t *foldTable[S]) Measure() (int, error) {
 			c.n = len(key)
 			err = t.m.Emit(key, s, &c)
 		}
-		t.charge += c.n - e.charge
-		e.charge, e.dirty = c.n, false
+		t.total += c.n - *charge
+		*charge, *dirty = c.n, false
 		return err
 	}
-	if t.hasLocal && t.local.dirty {
-		if err := measure(t.cur, &t.local, t.localS); err != nil {
+	if t.hasLocal && t.localDirty {
+		if err := measure(t.cur, &t.localCharge, &t.localDirty, t.localS); err != nil {
 			return 0, err
 		}
 	}
-	for i := range t.ents {
-		if e := &t.ents[i]; e.off >= 0 && e.dirty {
-			if err := measure(t.key(int32(i)), e, t.states[i]); err != nil {
+	for id, dirty := range t.dirty {
+		if dirty && t.keys.Live(int32(id)) {
+			if err := measure(t.keys.Key(int32(id)), &t.charge[id], &t.dirty[id], t.states[id]); err != nil {
 				return 0, err
 			}
 		}
 	}
-	return t.charge, nil
+	return t.total, nil
 }
 
 // Emit implements FoldTable.
@@ -449,18 +227,11 @@ func (t *foldTable[S]) Emit(out mr.Emitter) error {
 	var err error
 	if t.hasLocal {
 		err = t.m.Emit(t.cur, t.localS, out)
-		t.local, t.localS = tableEntry{}, t.m.Identity()
+		t.localS, t.localCharge, t.localDirty = t.m.Identity(), 0, false
 	}
-	order := t.order[:0]
-	for i, e := range t.ents {
-		if e.off >= 0 {
-			order = append(order, int32(i))
-		}
-	}
-	slices.SortFunc(order, func(a, b int32) int { return bytes.Compare(t.key(a), t.key(b)) })
-	t.order = order
-	for k := 0; err == nil && k < len(order); k++ {
-		err = t.m.Emit(t.key(order[k]), t.states[order[k]], out)
+	t.order = t.keys.Sorted(t.order[:0])
+	for i := 0; err == nil && i < len(t.order); i++ {
+		err = t.m.Emit(t.keys.Key(t.order[i]), t.states[t.order[i]], out)
 	}
 	t.reset()
 	return err
@@ -469,12 +240,10 @@ func (t *foldTable[S]) Emit(out mr.Emitter) error {
 // reset empties the table of entries, keeping its buffers. States are
 // zeroed so the table keeps nothing they point to alive.
 func (t *foldTable[S]) reset() {
-	t.keys, t.ents = t.keys[:0], t.ents[:0]
+	t.keys.Reset()
 	clear(t.states)
-	t.states = t.states[:0]
-	clear(t.slots)
-	t.heap = t.heap[:0]
-	t.dead, t.charge = 0, 0
+	clear(t.dirty)
+	t.total = 0
 }
 
 // Release implements FoldTable. A table past the pooling bounds Shared
@@ -483,12 +252,12 @@ func (t *foldTable[S]) reset() {
 func (t *foldTable[S]) Release() {
 	t.reset()
 	var zero S
-	t.local, t.localS, t.hasLocal = tableEntry{}, zero, false
-	poison(t.keys)
-	n := uintptr(cap(t.keys)) + uintptr(cap(t.ents))*unsafe.Sizeof(tableEntry{}) +
-		uintptr(cap(t.states))*unsafe.Sizeof(zero) + uintptr(len(t.slots)+cap(t.order))*4 +
-		uintptr(cap(t.heap))*unsafe.Sizeof(heapItem{})
-	if cap(t.ents) <= bytesx.MaxPooledEntries && n <= bytesx.MaxPooledBytes {
+	t.localS, t.localCharge, t.localDirty, t.hasLocal = zero, 0, false, false
+	t.keys.Release()
+	ids, n := t.keys.Footprint()
+	n += uintptr(cap(t.states))*unsafe.Sizeof(zero) + uintptr(cap(t.charge))*unsafe.Sizeof(0) +
+		uintptr(cap(t.dirty)) + uintptr(cap(t.order))*4
+	if ids <= bytesx.MaxPooledEntries && n <= bytesx.MaxPooledBytes {
 		t.pool.Put(t)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/bytesx"
 	"repro/internal/monoid"
 	"repro/internal/mr"
 	"repro/internal/workloads/querysuggest"
@@ -301,7 +302,7 @@ func TestFoldTablePoisonsOnRelease(t *testing.T) {
 		t.Fatal(err)
 	}
 	table.Release()
-	if !bytes.Equal(kept, bytes.Repeat([]byte{0xDB}, len("kept"))) {
+	if !bytes.Equal(kept, bytes.Repeat([]byte{bytesx.PoisonByte}, len("kept"))) {
 		t.Fatalf("key view after Release reads %q, want poison", kept)
 	}
 }
@@ -332,7 +333,7 @@ func TestFoldTableCompactsFinalizedKeys(t *testing.T) {
 			t.Fatal(err)
 		}
 		// The first finalized key outweighs the one that stays.
-		if i == 0 && !bytes.Equal(min, bytes.Repeat([]byte{0xDB}, len(key))) {
+		if i == 0 && !bytes.Equal(min, bytes.Repeat([]byte{bytesx.PoisonByte}, len(key))) {
 			t.Errorf("Min view across a compaction reads %q, want poison", min)
 		}
 	}
@@ -402,9 +403,6 @@ type countsByEmit struct{ c querysuggest.Counts }
 func (m countsByEmit) Identity() querysuggest.QueryCounts { return m.c.Identity() }
 func (m countsByEmit) Absorb(s querysuggest.QueryCounts, v []byte) (querysuggest.QueryCounts, error) {
 	return m.c.Absorb(s, v)
-}
-func (m countsByEmit) Merge(a, b querysuggest.QueryCounts) (querysuggest.QueryCounts, error) {
-	return m.c.Merge(a, b)
 }
 func (m countsByEmit) Emit(key []byte, s querysuggest.QueryCounts, out mr.Emitter) error {
 	return m.c.Emit(key, s, out)

@@ -3,7 +3,6 @@ package mr
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -51,17 +50,6 @@ type bufEntry struct {
 	partition      int32
 	keyOff, keyLen int32
 	valueLen       int32
-}
-
-// keyPrefix returns key's first 8 bytes as a big-endian integer,
-// zero-padded when the key is shorter.
-func keyPrefix(key []byte) uint64 {
-	if len(key) >= 8 {
-		return binary.BigEndian.Uint64(key)
-	}
-	var p [8]byte
-	copy(p[:], key)
-	return binary.BigEndian.Uint64(p[:])
 }
 
 func newMapBuffer(job *Job, fs iokit.FS, counters *Counters, taskID, attempt int) *mapBuffer {
@@ -123,7 +111,7 @@ func (b *mapBuffer) add(partition int, key, value []byte) error {
 	b.arena = append(b.arena, key...)
 	b.arena = append(b.arena, value...)
 	b.entries = append(b.entries, bufEntry{
-		prefix:    keyPrefix(key),
+		prefix:    bytesx.KeyPrefix(key),
 		partition: int32(partition),
 		keyOff:    ko, keyLen: int32(len(key)),
 		valueLen: int32(len(value)),
@@ -336,7 +324,7 @@ func prefixRun(es []bufEntry, i int, width int32) (j int, decided bool) {
 func (b *mapBuffer) sortRunPastPrefix(run, tmp []bufEntry) {
 	first := run[0].prefix
 	for k := range run {
-		run[k].prefix = keyPrefix(b.keyTail(run[k]))
+		run[k].prefix = bytesx.KeyPrefix(b.keyTail(run[k]))
 	}
 	radixSortPrefix(run, tmp)
 	for i := 0; i < len(run); {

@@ -61,7 +61,7 @@ type streamCloser interface {
 // mergeIter merges multiple sorted record streams into one sorted
 // stream, breaking key ties by stream index so merging is deterministic
 // and stable. Its min-heap is typed: under the raw-bytes order (a nil
-// cmp) each item caches its key's 8-byte prefix (keyPrefix), so most
+// cmp) each item caches its key's 8-byte prefix (bytesx.KeyPrefix), so most
 // comparisons are one integer compare; otherwise it calls cmp.
 type mergeIter struct {
 	items  []*mergeItem
@@ -72,7 +72,7 @@ type mergeIter struct {
 
 type mergeItem struct {
 	key, value []byte
-	prefix     uint64 // keyPrefix(key), kept under the raw order only
+	prefix     uint64 // bytesx.KeyPrefix(key), kept under the raw order only
 	// spareKey/spareVal double-buffer the stream's records: the slices
 	// handed to the caller at call n are recycled as the copy target at
 	// call n+1, honoring the documented one-call validity window with
@@ -149,7 +149,7 @@ func (m *mergeIter) push(s recordStream) error {
 		index:  index,
 	}
 	if m.cmp == nil {
-		it.prefix = keyPrefix(it.key)
+		it.prefix = bytesx.KeyPrefix(it.key)
 	}
 	m.items = append(m.items, it)
 	for i := len(m.items) - 1; i > 0; {
@@ -237,7 +237,7 @@ func (m *mergeIter) next() ([]byte, []byte, error) {
 			return key, value, nil
 		}
 		if m.cmp == nil {
-			top.prefix = keyPrefix(top.key)
+			top.prefix = bytesx.KeyPrefix(top.key)
 		}
 	}
 	m.down(0)
@@ -326,7 +326,7 @@ type groupedIter struct {
 	in     recordStream
 	cmp    bytesx.Compare // nil: raw key bytes
 	run    *entryStream   // in, when it is a spill run and cmp is nil
-	prefix uint64         // keyPrefix(key), kept when run is set
+	prefix uint64         // bytesx.KeyPrefix(key), kept when run is set
 
 	key        []byte // the current group's first key, copied
 	pendingKey []byte // first record of the next group, as the stream returned it
@@ -389,7 +389,7 @@ func (g *groupedIter) nextGroup() ([]byte, bool, error) {
 	}
 	g.key = append(g.key[:0], g.pendingKey...)
 	if g.run != nil {
-		g.prefix = keyPrefix(g.key)
+		g.prefix = bytesx.KeyPrefix(g.key)
 	}
 	return g.key, true, nil
 }

@@ -4,6 +4,8 @@ import (
 	"math"
 	"sync"
 	"testing"
+
+	"repro/internal/bytesx"
 )
 
 // Steady-state buffer pools for the map-output hot path. A map task's
@@ -45,8 +47,8 @@ type runBuffers struct {
 
 func newRunBuffers(parallelism int) *runBuffers {
 	return &runBuffers{
-		arenas:  freeList[byte]{limit: parallelism, pool: &arenaPool, poison: poisonByte},
-		entries: freeList[bufEntry]{limit: 2 * parallelism, pool: &entriesPool, poison: poisonEntry},
+		arenas:  freeList[byte]{limit: parallelism, pool: &arenaPool, poison: bytesx.Poison},
+		entries: freeList[bufEntry]{limit: 2 * parallelism, pool: &entriesPool, poison: poisonEntries},
 	}
 }
 
@@ -64,7 +66,7 @@ func (r *runBuffers) drain() {
 type freeList[T any] struct {
 	limit  int
 	pool   *sync.Pool // *[]T
-	poison T          // what put fills a slice with in test binaries
+	poison func([]T)  // what put overwrites a slice with in test binaries
 	mu     sync.Mutex
 	items  [][]T
 }
@@ -91,12 +93,7 @@ func (f *freeList[T]) put(s []T) {
 	if cap(s) == 0 {
 		return
 	}
-	if poisonOnPut {
-		s = s[:cap(s)]
-		for i := range s {
-			s[i] = f.poison
-		}
-	}
+	f.poison(s)
 	s = s[:0]
 	f.mu.Lock()
 	room := len(f.items) < f.limit
@@ -134,25 +131,29 @@ func putCopyBuf(b []byte) {
 		return
 	}
 	b = b[:cap(b)]
-	if poisonOnPut {
-		for i := range b {
-			b[i] = poisonByte
-		}
-	}
+	bytesx.Poison(b)
 	copyBufPool.Put(&b)
 }
 
-// poisonOnPut makes every put scribble over the buffer it takes back,
-// so a view kept past the put reads poison — and breaks an output
+// Every put scribbles over the buffer it takes back, in test binaries
+// only, so a view kept past the put reads poison — and breaks an output
 // digest or an index bound — instead of silently aliasing the next
-// owner's bytes. On in test binaries only; a built binary pays one
-// never-taken branch per put.
+// owner's bytes: bytesx.Poison for bytes, poisonEntries for entries.
 var poisonOnPut = testing.Testing()
-
-const poisonByte = 0xDB
 
 // poisonEntry's negative offsets slice the arena out of range.
 var poisonEntry = bufEntry{prefix: math.MaxUint64, partition: -1, keyOff: -1, keyLen: -1, valueLen: -1}
+
+// poisonEntries overwrites es's whole capacity with poisonEntry in test
+// binaries.
+func poisonEntries(es []bufEntry) {
+	if poisonOnPut {
+		es = es[:cap(es)]
+		for i := range es {
+			es[i] = poisonEntry
+		}
+	}
+}
 
 // frameBufPool recycles the transport's length-prefixed frame buffers
 // (request names, error strings) so every fetch request stops paying

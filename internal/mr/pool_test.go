@@ -3,6 +3,8 @@ package mr
 import (
 	"bytes"
 	"testing"
+
+	"repro/internal/bytesx"
 )
 
 // TestPutPoisonsRetainedViews keeps views of an arena, an entry slice
@@ -20,7 +22,7 @@ func TestPutPoisonsRetainedViews(t *testing.T) {
 	arena := append(make([]byte, 0, 64), "a key the spill is done with"...)
 	keptKey := arena[2:5]
 	bufs.arenas.put(arena)
-	if want := bytes.Repeat([]byte{poisonByte}, len(keptKey)); !bytes.Equal(keptKey, want) {
+	if want := bytes.Repeat([]byte{bytesx.PoisonByte}, len(keptKey)); !bytes.Equal(keptKey, want) {
 		t.Errorf("view kept across the arena put reads %q, want poison", keptKey)
 	}
 	if got := bufs.arenas.get(); cap(got) != 64 || len(got) != 0 || &got[:1][0] != &arena[0] {
@@ -40,7 +42,7 @@ func TestPutPoisonsRetainedViews(t *testing.T) {
 	buf := getCopyBuf()
 	keptBlock := buf[:copy(buf, "a block already written out")]
 	putCopyBuf(buf)
-	if want := bytes.Repeat([]byte{poisonByte}, len(keptBlock)); !bytes.Equal(keptBlock, want) {
+	if want := bytes.Repeat([]byte{bytesx.PoisonByte}, len(keptBlock)); !bytes.Equal(keptBlock, want) {
 		t.Errorf("view kept across putCopyBuf reads %q, want poison", keptBlock)
 	}
 }

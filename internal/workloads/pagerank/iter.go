@@ -67,9 +67,6 @@ func (DeltaSum) Absorb(s float64, value []byte) (float64, error) {
 	return s + d, err
 }
 
-// Merge implements monoid.Monoid.
-func (DeltaSum) Merge(a, b float64) (float64, error) { return a + b, nil }
-
 // Emit implements monoid.Monoid.
 func (DeltaSum) Emit(key []byte, s float64, out mr.Emitter) error {
 	return out.Emit(key, EncodeDelta(s))

@@ -16,7 +16,7 @@ import (
 // rankRecordsClose compares RankFold emissions with a float epsilon:
 // reassociating contribution sums legitimately perturbs low bits, so
 // contribution records compare numerically while struct records (which
-// Merge moves, never recomputes) stay byte-exact.
+// absorbing moves, never recomputes) stay byte-exact.
 func rankRecordsClose(a, b []mr.Record) bool {
 	if len(a) != len(b) {
 		return false

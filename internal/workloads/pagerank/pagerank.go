@@ -173,9 +173,9 @@ type rankState struct {
 
 // RankFold is the rank job's monoid: contributions add, the struct
 // record rides along. One declaration serves the map-side combiner,
-// which collapses a hub's fan-in per map task, and the reducer. Merge is
-// commutative; note float addition is only associative to rounding, so
-// its law checks compare with an epsilon.
+// which collapses a hub's fan-in per map task, and the reducer.
+// Absorbing commutes; note float addition is only associative to
+// rounding, so its law checks compare with an epsilon.
 type RankFold struct{}
 
 // Identity implements monoid.Monoid.
@@ -197,16 +197,6 @@ func (RankFold) Absorb(st rankState, value []byte) (rankState, error) {
 		return st, fmt.Errorf("pagerank: unknown record tag")
 	}
 	return st, nil
-}
-
-// Merge implements monoid.Monoid. y's adjacency is copied, not shared:
-// Merge never retains its second argument.
-func (RankFold) Merge(x, y rankState) (rankState, error) {
-	x.sum += y.sum
-	if y.hasStruct {
-		x.hasStruct, x.prev, x.adj = true, y.prev, append([]int32(nil), y.adj...)
-	}
-	return x, nil
 }
 
 // Emit implements monoid.Monoid: a partial state re-encodes as at most

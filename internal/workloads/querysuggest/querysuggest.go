@@ -142,35 +142,6 @@ func (Counts) Absorb(s QueryCounts, v []byte) (QueryCounts, error) {
 	return s.insert(string(query), count), nil
 }
 
-// Merge implements monoid.Monoid. The merged state shares y's query
-// strings, which nothing mutates, but none of its count cells.
-func (Counts) Merge(x, y QueryCounts) (QueryCounts, error) {
-	if y.one {
-		return x.add(y.query, y.count), nil
-	}
-	for q, c := range y.more {
-		x = x.add(q, *c)
-	}
-	return x, nil
-}
-
-// add adds count to query's count, keeping query when it is new.
-func (s QueryCounts) add(query string, count uint64) QueryCounts {
-	switch {
-	case s.more != nil:
-		if c := s.more[query]; c != nil {
-			*c += count
-			return s
-		}
-	case !s.one:
-		return QueryCounts{one: true, query: query, count: count}
-	case s.query == query:
-		s.count += count
-		return s
-	}
-	return s.insert(query, count)
-}
-
 // insert adds query, which s holds no count for, with count. An inline
 // query moves into the table first.
 func (s QueryCounts) insert(query string, count uint64) QueryCounts {

@@ -230,8 +230,9 @@ func TestMapDoesNotAllocate(t *testing.T) {
 // the count (small, so counts tie), its low three bits the query's
 // length, and that many following bytes spell the query over "abcd", so
 // queries repeat and share prefixes. Values alternate between two states
-// that are then merged, so the line is rendered from an inline state, a
-// promoted one or a merge of either; k runs from 1 to 10, past the
+// and the second's emitted partials are absorbed into the first, so the
+// line is rendered from an inline state, a promoted one or a combination
+// of either; k runs from 1 to 10, past the
 // stack-held top and past the number of queries.
 func FuzzFinalTop(f *testing.F) {
 	f.Add([]byte{}, uint8(4))                          // empty state
@@ -258,8 +259,11 @@ func FuzzFinalTop(f *testing.F) {
 			}
 			want[string(q)] += uint64(b >> 4)
 		}
-		s, err := m.Merge(halves[0], halves[1])
-		if err != nil {
+		s := halves[0]
+		if err := m.Emit([]byte("p"), halves[1], mr.EmitterFunc(func(_, v []byte) (err error) {
+			s, err = m.Absorb(s, v)
+			return err
+		})); err != nil {
 			t.Fatal(err)
 		}
 		var got []string

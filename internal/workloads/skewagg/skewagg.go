@@ -190,14 +190,6 @@ func (Agg) Absorb(st aggState, v []byte) (aggState, error) {
 	return st, nil
 }
 
-// Merge implements monoid.Monoid.
-func (Agg) Merge(x, y aggState) (aggState, error) {
-	x.count += y.count
-	x.sum += y.sum
-	x.xor ^= y.xor
-	return x, nil
-}
-
 // Emit implements monoid.Monoid.
 func (Agg) Emit(key []byte, st aggState, out mr.Emitter) error {
 	return out.Emit(key, []byte(fmt.Sprintf("a:%d:%d:%016x", st.count, st.sum, st.xor)))

@@ -92,9 +92,6 @@ func parseCount(value []byte) (uint64, error) {
 	return n, nil
 }
 
-// Merge implements monoid.Monoid.
-func (Sum) Merge(a, b uint64) (uint64, error) { return a + b, nil }
-
 // decimals holds every count below 10 000 as four digits, so that Emit
 // hands out a count's decimal form as a view, as Map shares one, instead
 // of allocating it per key.

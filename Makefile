@@ -33,7 +33,7 @@ verify: build vet staticcheck race
 # baseline section, or its benchmark rows when it has none yet) into the
 # refreshed report and compares every row both have. Each benchmark runs
 # six times (-count 6), and benchjson reports the median of the six with
-# n. BENCH_mr.json is the
+# n and the ns/op quartiles. BENCH_mr.json is the
 # map path and the storage byte path (mr + iokit + bytesx); its baseline
 # section is the commit before the word-at-a-time hash partitioner, the
 # second spill-sort radix round and view record reads (older baselines,

@@ -73,7 +73,6 @@ func main() {
 		reducers = flag.Int("reducers", 8, "reduce tasks per job")
 		splits   = flag.Int("splits", 8, "map tasks per job")
 		par      = flag.Int("parallelism", 0, "concurrent tasks (0 = GOMAXPROCS); 1 gives the most stable CPU numbers")
-		spillPar = flag.Int("spill-parallelism", 0, "per-map-task spill/merge parallelism (0 = GOMAXPROCS); 1 pins the historical sequential path")
 		asJSON   = flag.Bool("json", false, "emit results as JSON instead of tables")
 		list     = flag.Bool("list", false, "list experiments and exit")
 
@@ -110,12 +109,11 @@ func main() {
 	}
 
 	cfg := experiments.Config{
-		Scale:            *scale,
-		Seed:             *seed,
-		Reducers:         *reducers,
-		Splits:           *splits,
-		Parallelism:      *par,
-		SpillParallelism: *spillPar,
+		Scale:       *scale,
+		Seed:        *seed,
+		Reducers:    *reducers,
+		Splits:      *splits,
+		Parallelism: *par,
 	}
 
 	if *traceOut != "" {

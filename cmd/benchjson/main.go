@@ -10,7 +10,10 @@
 // refreshes the after rows against the recorded before.
 //
 // Repeated result lines of one benchmark (go test -count N) become one
-// row: the median of every figure, with n, the number of lines.
+// row: the median of every figure, with n, the number of lines, and the
+// quartiles of ns/op. A row compared against a baseline row with
+// quartiles counts as changed only when the two q1–q3 ranges do not
+// overlap.
 //
 // Usage:
 //
@@ -41,8 +44,11 @@ type Benchmark struct {
 	// Extra holds custom b.ReportMetric units (e.g. the skew
 	// benchmarks' "maxpart-B" and "skew-x"), keyed by unit.
 	Extra map[string]float64 `json:"extra,omitempty"`
-	// N is how many result lines the row is the median of.
-	N int `json:"n,omitempty"`
+	// N is how many result lines the row is the median of; NsQ1 and
+	// NsQ3 are the quartiles of their ns/op.
+	N    int     `json:"n,omitempty"`
+	NsQ1 float64 `json:"ns_q1,omitempty"`
+	NsQ3 float64 `json:"ns_q3,omitempty"`
 }
 
 // Comparison relates a benchmark's row to its -baseline row.
@@ -51,6 +57,10 @@ type Comparison struct {
 	SpeedupX          float64 `json:"speedup_x"`
 	BytesReductionPct float64 `json:"bytes_reduction_pct,omitempty"`
 	AllocReductionPct float64 `json:"alloc_reduction_pct,omitempty"`
+	// Changed is whether the row's ns/op quartile range misses the
+	// baseline row's; against a baseline row without quartiles, whether
+	// the medians differ.
+	Changed bool `json:"changed"`
 }
 
 // Report is the emitted document.
@@ -142,7 +152,8 @@ func parse(sc *bufio.Scanner) (*Report, error) {
 
 // collapse makes the rows of each benchmark (one name in one package)
 // a single row, in the order they first appear: the median of each
-// figure over the rows that report it, with N, the number of rows.
+// figure over the rows that report it, with N, the number of rows, and
+// the quartiles of ns/op.
 func collapse(rows []Benchmark) []Benchmark {
 	type id struct{ name, pkg string }
 	groups := make(map[id][]Benchmark)
@@ -168,18 +179,26 @@ func collapse(rows []Benchmark) []Benchmark {
 			figures["B/op"] = append(figures["B/op"], r.BytesPerOp)
 			figures["allocs/op"] = append(figures["allocs/op"], r.AllocsPerOp)
 		}
-		b.Iterations, b.N = int64(median(iters)), len(g)
+		b.Iterations, b.N = int64(quantile(iters, 0.5)), len(g)
 		for unit, vs := range figures {
-			b.set(unit, median(vs))
+			b.set(unit, quantile(vs, 0.5))
 		}
+		b.NsQ1, b.NsQ3 = quantile(figures["ns/op"], 0.25), quantile(figures["ns/op"], 0.75)
 	}
 	return out
 }
 
-// median is the middle value of vs, or the mean of the middle two.
-func median(vs []float64) float64 {
+// quantile sorts vs and returns its p-quantile, interpolated linearly
+// between ranks as scripts/e2e_pairs.sh does (the median of an even
+// count is the mean of the middle two).
+func quantile(vs []float64, p float64) float64 {
 	sort.Float64s(vs)
-	return (vs[(len(vs)-1)/2] + vs[len(vs)/2]) / 2
+	x := p * float64(len(vs)-1)
+	i := int(x)
+	if i+1 >= len(vs) {
+		return vs[i]
+	}
+	return vs[i] + (x-float64(i))*(vs[i+1]-vs[i])
 }
 
 func parseResult(line string) (Benchmark, bool) {
@@ -234,6 +253,11 @@ func comparison(name string, before, after Benchmark) Comparison {
 	}
 	if before.AllocsPerOp > 0 {
 		c.AllocReductionPct = 100 * (1 - after.AllocsPerOp/before.AllocsPerOp)
+	}
+	if before.NsQ3 > 0 {
+		c.Changed = after.NsQ1 > before.NsQ3 || after.NsQ3 < before.NsQ1
+	} else {
+		c.Changed = after.NsPerOp != before.NsPerOp
 	}
 	return c
 }

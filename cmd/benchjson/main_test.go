@@ -72,8 +72,9 @@ func TestParseHeader(t *testing.T) {
 }
 
 // TestParseRepeats: three result lines of one benchmark (go test -count
-// 3) become one row holding the median of each figure and n = 3, while
-// a benchmark run once keeps its figures with n = 1.
+// 3) become one row holding the median of each figure, n = 3 and the
+// ns/op quartiles, while a benchmark run once keeps its figures with
+// n = 1.
 func TestParseRepeats(t *testing.T) {
 	const repeats = `pkg: repro/internal/workloads/querysuggest
 BenchmarkCountsFold-8   72   14000000 ns/op   1700000 B/op   24000 allocs/op   3.0 spills/op
@@ -89,8 +90,8 @@ PASS
 	pkg := "repro/internal/workloads/querysuggest"
 	want := []Benchmark{
 		{Name: "BenchmarkCountsFold", Pkg: pkg, Iterations: 72, NsPerOp: 14000000, BytesPerOp: 1700000,
-			AllocsPerOp: 24100, Extra: map[string]float64{"spills/op": 2}, N: 3},
-		{Name: "BenchmarkThetaMap", Pkg: pkg, Iterations: 10, NsPerOp: 500000, N: 1},
+			AllocsPerOp: 24100, Extra: map[string]float64{"spills/op": 2}, N: 3, NsQ1: 13000000, NsQ3: 14500000},
+		{Name: "BenchmarkThetaMap", Pkg: pkg, Iterations: 10, NsPerOp: 500000, N: 1, NsQ1: 500000, NsQ3: 500000},
 	}
 	if !reflect.DeepEqual(r.Benchmarks, want) {
 		t.Errorf("rows\n got %+v\nwant %+v", r.Benchmarks, want)
@@ -165,9 +166,32 @@ func TestAddBaseline(t *testing.T) {
 		if !reflect.DeepEqual(r.Baseline, []Benchmark{tc.wantRow}) || r.BaselineCPU != tc.wantCPU {
 			t.Errorf("%s: baseline %+v on %q, want %+v on %q", tc.name, r.Baseline, r.BaselineCPU, tc.wantRow, tc.wantCPU)
 		}
-		want := []Comparison{{Name: "BenchmarkSpillSort", SpeedupX: 2, BytesReductionPct: 50, AllocReductionPct: 50}}
+		want := []Comparison{{Name: "BenchmarkSpillSort", SpeedupX: 2, BytesReductionPct: 50, AllocReductionPct: 50, Changed: true}}
 		if !reflect.DeepEqual(r.Comparisons, want) {
 			t.Errorf("%s: comparisons %+v, want %+v", tc.name, r.Comparisons, want)
+		}
+	}
+}
+
+// TestChangedByQuartiles: a row counts as changed only when its ns/op
+// q1–q3 range misses the baseline row's; a baseline row without
+// quartiles compares its median.
+func TestChangedByQuartiles(t *testing.T) {
+	row := func(q1, med, q3 float64) Benchmark { return Benchmark{NsQ1: q1, NsPerOp: med, NsQ3: q3} }
+	for _, tc := range []struct {
+		name          string
+		before, after Benchmark
+		changed       bool
+	}{
+		{"overlapping", row(90, 100, 110), row(105, 115, 125), false},
+		{"touching", row(90, 100, 110), row(110, 120, 130), false},
+		{"faster", row(90, 100, 110), row(70, 80, 89), true},
+		{"slower", row(90, 100, 110), row(111, 120, 130), true},
+		{"no baseline quartiles, same median", Benchmark{NsPerOp: 100}, row(90, 100, 110), false},
+		{"no baseline quartiles, other median", Benchmark{NsPerOp: 100}, row(99, 101, 102), true},
+	} {
+		if got := comparison("B", tc.before, tc.after).Changed; got != tc.changed {
+			t.Errorf("%s: changed = %v, want %v", tc.name, got, tc.changed)
 		}
 	}
 }

@@ -64,7 +64,7 @@ func TestDocsNameLiveSymbols(t *testing.T) {
 // designCeiling is DESIGN.md's size in bytes when its fold-table
 // paragraphs were cut. A change that shrinks DESIGN.md lowers it to the
 // new size; none raises it.
-const designCeiling = 95648
+const designCeiling = 95642
 
 // TestDesignSizeCeiling keeps DESIGN.md from growing: a change that adds
 // to it cuts at least as much elsewhere.

@@ -173,7 +173,6 @@ func BenchmarkSharedSpill(b *testing.B) {
 			MemLimitBytes: 256 << 10,
 			MergeFactor:   10,
 			FS:            fs,
-			Prefix:        "bench",
 		})
 		for _, k := range keys {
 			if err := s.Add(k, value); err != nil {

@@ -64,15 +64,6 @@ func AppendEagerValue(dst []byte, otherKeys [][]byte, value []byte) []byte {
 	return append(dst, value...)
 }
 
-// EagerValueSize reports the encoded size of an EagerSH value component.
-func EagerValueSize(otherKeys [][]byte, value []byte) int {
-	n := 1 + bytesx.UvarintLen(uint64(len(otherKeys)))
-	for _, k := range otherKeys {
-		n += bytesx.UvarintLen(uint64(len(k))) + len(k)
-	}
-	return n + len(value)
-}
-
 // AppendLazyValue encodes a Map input record for reducer-side
 // re-execution.
 func AppendLazyValue(dst, inputKey, inputValue []byte) []byte {

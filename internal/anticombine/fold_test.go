@@ -12,6 +12,7 @@ import (
 	"repro/internal/monoid"
 	"repro/internal/mr"
 	"repro/internal/workloads/querysuggest"
+	"repro/internal/workloads/scanshare"
 	"repro/internal/workloads/wordcount"
 )
 
@@ -75,6 +76,29 @@ func TestWrapPicksFoldPath(t *testing.T) {
 	if w := Wrap(wordcount.NewJob(4), Options{}); w.NewCombiner != nil {
 		t.Error("Wrap kept a map-side combiner without MapCombiner")
 	}
+	// scanshare's COUNT/SUM reducer is a declared commutative monoid
+	// over Cloud lines: its wrapped reducer folds too.
+	t.Run("scanshare", func(t *testing.T) {
+		cloud := datagen.NewCloud(datagen.CloudConfig{Seed: 9, Records: 400})
+		cfg := scanshare.Config{Queries: 6, Reducers: 3}
+		splits := scanshare.Splits(cloud, 3)
+		w := Wrap(scanshare.NewJob(cfg), AdaptiveInf())
+		r := w.NewReducer()
+		if _, ok := r.(*foldReducer); !ok {
+			t.Fatalf("Wrap's scanshare reducer is %T, want the fold path", r)
+		}
+		want, err := mr.Run(scanshare.NewJob(cfg), splits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := mr.Run(w, splits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !monoid.RecordsEqual(res.SortedOutput(), want.SortedOutput()) {
+			t.Fatal("output differs from the Original's")
+		}
+	})
 }
 
 // spillCountingFS counts the Shared-format spill and merge runs created

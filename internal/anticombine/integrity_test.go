@@ -62,7 +62,6 @@ func TestSharedSpillBitFlipIsIntegrityError(t *testing.T) {
 		KeyCompare:    bytesx.Bytes,
 		MemLimitBytes: 100 << 10,
 		FS:            track,
-		Prefix:        "bitflip",
 	})
 	value := bytes.Repeat([]byte("v"), 100)
 	for i := 0; i < 3000; i++ {

@@ -10,8 +10,10 @@ import (
 
 	"repro/internal/bytesx"
 	"repro/internal/iokit"
+	"repro/internal/monoid"
 	"repro/internal/mr"
 	"repro/internal/obs"
+	"repro/internal/workloads/wordcount"
 )
 
 // spillingShared builds a Shared under heavy spill pressure on fs.
@@ -21,7 +23,6 @@ func spillingShared(fs iokit.FS) *Shared {
 		MemLimitBytes: 64,
 		MergeFactor:   2,
 		FS:            fs,
-		Prefix:        "leaktest",
 	})
 }
 
@@ -114,7 +115,6 @@ func TestSharedMergeErrorCleanup(t *testing.T) {
 		MemLimitBytes: 8 << 10,
 		MergeFactor:   100, // no merges during fill
 		FS:            track,
-		Prefix:        "mergefail",
 	})
 	value := bytes.Repeat([]byte("v"), 100)
 	for i := 0; i < 2000; i++ {
@@ -170,7 +170,6 @@ func TestSharedSpillErrorCleanup(t *testing.T) {
 			KeyCompare:    bytesx.Bytes,
 			MemLimitBytes: 200 << 10,
 			FS:            track,
-			Prefix:        "spillfail",
 			Tracer:        tracer,
 		})
 		var err error
@@ -286,5 +285,133 @@ func TestJobTraceContainsAllSpanKinds(t *testing.T) {
 	}
 	if len(events) < len(tracer.Spans()) {
 		t.Errorf("trace export has %d events for %d spans", len(events), len(tracer.Spans()))
+	}
+}
+
+// errMapFailed is the error wordsMapper's Map returns on a line "fail".
+var errMapFailed = errors.New("map failed")
+
+// wordsMapper emits ("word", "1") per word of a line, fails on a line
+// "fail", and counts its Cleanup calls.
+type wordsMapper struct{ cleanups *int }
+
+func (wordsMapper) Setup(*mr.TaskInfo, mr.Emitter) error { return nil }
+
+func (m wordsMapper) Map(_, line []byte, out mr.Emitter) error {
+	if string(line) == "fail" {
+		return errMapFailed
+	}
+	for _, w := range bytes.Fields(line) {
+		if err := out.Emit(w, []byte("1")); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (m wordsMapper) Cleanup(mr.Emitter) error { *m.cleanups++; return nil }
+
+// foldTask wraps a job whose combiner and reducer both fold wordcount's
+// Sum over wordsMapper, and returns the task info its fold combiner and
+// reducer run under: one partition on fs.
+func foldTask(cleanups *int, fs iokit.FS) (*mr.Job, *mr.TaskInfo) {
+	job := Wrap(&mr.Job{
+		NewMapper:     func() mr.Mapper { return wordsMapper{cleanups} },
+		NewReducer:    monoid.Reducer(wordcount.Sum{}, nil),
+		NewCombiner:   monoid.Combiner(wordcount.Sum{}),
+		Deterministic: true,
+	}, Options{Strategy: Adaptive, MapCombiner: true, SharedMemLimitBytes: 256})
+	return job, &mr.TaskInfo{
+		NumPartitions: 1, Partitioner: mr.HashPartitioner{},
+		KeyCompare: bytesx.Bytes, GroupCompare: bytesx.Bytes,
+		Counters: &mr.Counters{}, FS: fs,
+	}
+}
+
+// lazyWords is a LazySH record of a line of n distinct words, each
+// prefix followed by four digits.
+func lazyWords(prefix string, n int) []byte {
+	words := make([]string, n)
+	for i := range words {
+		words[i] = fmt.Sprintf("%s%04d", prefix, i)
+	}
+	return AppendLazyValue(nil, nil, []byte(strings.Join(words, " ")))
+}
+
+// checkFoldCleanup asserts what a failed fold task must leave: the
+// error returned, no open handle, no run file, and the reducer-side Map
+// object cleaned up once.
+func checkFoldCleanup(t *testing.T, err, want error, track *iokit.TrackFS, mem iokit.FS, cleanups int) {
+	t.Helper()
+	if !errors.Is(err, want) {
+		t.Errorf("task error = %v, want %v", err, want)
+	}
+	if n := track.OpenHandles(); n != 0 {
+		t.Errorf("%d handles left open", n)
+	}
+	if names := listFiles(t, mem); len(names) != 0 {
+		t.Errorf("run files left behind: %v", names)
+	}
+	if cleanups != 1 {
+		t.Errorf("Map object cleaned up %d times, want 1", cleanups)
+	}
+}
+
+// TestFoldReducerSpillErrorCleanup: a write fault while the fold
+// reducer spills its states returns the error, and the failing task
+// releases its earlier run, its partial run file and its re-executed
+// Map object, as the engine calls no Cleanup after an error.
+func TestFoldReducerSpillErrorCleanup(t *testing.T) {
+	mem := iokit.NewMemFS()
+	flaky := &iokit.FlakyFS{Inner: mem}
+	track := &iokit.TrackFS{Inner: flaky}
+	var cleanups int
+	job, info := foldTask(&cleanups, track)
+	r := job.NewReducer()
+	if _, ok := r.(*foldReducer); !ok {
+		t.Fatalf("setup: reducer is %T, want the fold path", r)
+	}
+	if err := r.Setup(info, discardEmitter{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Reduce([]byte("a0"), &sliceIter{vals: [][]byte{lazyWords("b", 200)}}, discardEmitter{}); err != nil {
+		t.Fatal(err)
+	}
+	if track.OpenHandles() == 0 {
+		t.Fatal("setup: the fold reducer holds no spill run")
+	}
+	flaky.FailWriteAt = 1 // every write from now on fails
+	err := r.Reduce([]byte("a1"), &sliceIter{vals: [][]byte{lazyWords("c", 200)}}, discardEmitter{})
+	checkFoldCleanup(t, err, iokit.ErrInjected, track, mem, cleanups)
+}
+
+// TestFoldReexecErrorCleanup: a re-executed Map that fails fails the
+// fold combiner's and the fold reducer's task with its error; the
+// reducer's spilled runs are closed and removed, and the Map object is
+// cleaned up.
+func TestFoldReexecErrorCleanup(t *testing.T) {
+	for _, role := range []string{"combiner", "reducer"} {
+		t.Run(role, func(t *testing.T) {
+			mem := iokit.NewMemFS()
+			track := &iokit.TrackFS{Inner: mem}
+			var cleanups int
+			job, info := foldTask(&cleanups, track)
+			r := job.NewCombiner()
+			if role == "reducer" {
+				r = job.NewReducer()
+			}
+			if err := r.Setup(info, discardEmitter{}); err != nil {
+				t.Fatal(err)
+			}
+			if err := r.Reduce([]byte("a0"), &sliceIter{vals: [][]byte{lazyWords("b", 200)}}, discardEmitter{}); err != nil {
+				t.Fatal(err)
+			}
+			if role == "reducer" && track.OpenHandles() == 0 {
+				t.Fatal("setup: the fold reducer holds no spill run")
+			}
+			fail := AppendLazyValue(nil, nil, []byte("fail"))
+			err := r.Reduce([]byte("a1"), &sliceIter{vals: [][]byte{fail}}, discardEmitter{})
+			checkFoldCleanup(t, err, errMapFailed, track, mem, cleanups)
+		})
 	}
 }

@@ -11,7 +11,8 @@ import (
 )
 
 // instanceSeq disambiguates spill-file prefixes across the reducer and
-// combiner instances that share one task attempt's scratch.
+// combiner instances that share one task attempt's scratch, and across
+// Shared instances built without a task.
 var instanceSeq atomic.Int64
 
 // runSet holds the sorted runs a reduce-side structure spills to disk —
@@ -24,7 +25,7 @@ type runSet struct {
 	mr.RunMerger
 	fs          iokit.FS
 	prefix      string
-	info        *mr.TaskInfo // names the files at the first spill, when prefix is empty
+	info        *mr.TaskInfo // names the files at the first spill, when set
 	seq         int
 	mergeFactor int
 	spills      int64
@@ -32,14 +33,18 @@ type runSet struct {
 	tracer      *obs.Tracer
 }
 
-// name returns the next run's file name. The prefix lies under the task
-// attempt's scratch directory, which the engine clears when the attempt
-// fails, and is formatted at the first spill: most instances — every
-// transformed combiner whose run fits in memory — never spill, and do
-// not pay for it.
+// name returns the next run's file name. With a task, the prefix lies
+// under the task attempt's scratch directory, which the engine clears
+// when the attempt fails; without one it is anti/i<n>. It is formatted
+// at the first spill: most instances — every transformed combiner whose
+// run fits in memory — never spill, and do not pay for it.
 func (s *runSet) name(kind string) string {
-	if s.prefix == "" && s.info != nil {
-		s.prefix = fmt.Sprintf("%s/anti/p%04d-i%d", s.info.Scratch, s.info.Partition, instanceSeq.Add(1))
+	if s.prefix == "" {
+		if s.info != nil {
+			s.prefix = fmt.Sprintf("%s/anti/p%04d-i%d", s.info.Scratch, s.info.Partition, instanceSeq.Add(1))
+		} else {
+			s.prefix = fmt.Sprintf("anti/i%d", instanceSeq.Add(1))
+		}
 	}
 	name := fmt.Sprintf("%s/shared-%s%04d", s.prefix, kind, s.seq)
 	s.seq++

@@ -140,8 +140,6 @@ type SharedConfig struct {
 	MergeFactor int
 	// FS receives spill files; required if spilling can occur.
 	FS iokit.FS
-	// Prefix names spill files.
-	Prefix string
 	// Combiner, if set, combines values per key on insert (in batches).
 	Combiner mr.Reducer
 	// Counters, if set, receives the "anti.sharedSpills" and
@@ -187,7 +185,6 @@ func (s *Shared) init(cfg SharedConfig) {
 		runs: runSet{
 			RunMerger:   mr.NewRunMerger(cfg.FS, cfg.KeyCompare),
 			fs:          cfg.FS,
-			prefix:      cfg.Prefix,
 			mergeFactor: cfg.MergeFactor,
 			counters:    cfg.Counters,
 			tracer:      cfg.Tracer,

@@ -53,7 +53,6 @@ func newSharedRef(t testing.TB, name string, cmp bytesx.Compare, memLimit, merge
 			MemLimitBytes: memLimit,
 			MergeFactor:   mergeFactor,
 			FS:            fs,
-			Prefix:        name,
 		}),
 		ref: map[string][]string{},
 	}

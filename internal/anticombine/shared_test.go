@@ -20,7 +20,6 @@ func newTestShared(memLimit int) *Shared {
 		KeyCompare:    bytesx.Bytes,
 		MemLimitBytes: memLimit,
 		FS:            iokit.NewMemFS(),
-		Prefix:        "test",
 	})
 }
 
@@ -62,7 +61,6 @@ func TestSharedSpillAndMerge(t *testing.T) {
 		MemLimitBytes: 64,
 		MergeFactor:   2,
 		FS:            iokit.NewMemFS(),
-		Prefix:        "spilltest",
 	})
 	rng := rand.New(rand.NewSource(5))
 	want := map[string][]string{}
@@ -118,7 +116,6 @@ func TestSharedInterleavedAddPop(t *testing.T) {
 		KeyCompare:    bytesx.Bytes,
 		MemLimitBytes: 40,
 		FS:            iokit.NewMemFS(),
-		Prefix:        "interleave",
 	})
 	for i := 0; i < 10; i++ {
 		if err := s.Add([]byte("kk"), []byte(fmt.Sprintf("spillme%04d", i))); err != nil {

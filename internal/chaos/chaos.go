@@ -36,15 +36,15 @@ type Profile struct {
 	WriteFail  float64 // write op returns an injected error
 	ShortRead  float64 // read op returns fewer bytes than asked
 	TornWrite  float64 // write op persists a prefix, then fails
-	ReadDelay  float64 // read op sleeps Delay first
-	WriteDelay float64 // write op sleeps Delay first
+	ReadDelay  float64 // read op sleeps fsDelay first
+	WriteDelay float64 // write op sleeps fsDelay first
 
 	// Shuffle data plane: ConnDrop is per accepted connection; the rest
 	// are per payload write (>= corruptThreshold bytes, so the wire
 	// protocol's small header frames are never hit — corruption lands on
 	// segment payload, which exactly the checksum layer must catch).
 	ConnDrop float64 // accepted connection is closed immediately
-	Stall    float64 // payload write sleeps StallFor first
+	Stall    float64 // payload write sleeps stallFor first
 	Truncate float64 // payload write sends a prefix, then closes the conn
 	BitFlip  float64 // payload write flips one bit and succeeds
 
@@ -52,9 +52,6 @@ type Profile struct {
 	CrashWorker float64 // worker's context is cancelled mid-job
 	Straggle    float64 // worker's filesystem gets a per-op delay
 
-	// Shapes.
-	Delay    time.Duration // filesystem delay (default 1ms)
-	StallFor time.Duration // data-plane stall (default 5ms)
 	// MaxFaults caps injected faults per layer (default 6), so a
 	// chaotic run stays within the job's retry budget; a layer's
 	// decisions after its budget is spent are always "no fault". The
@@ -66,8 +63,8 @@ type Profile struct {
 
 const (
 	defaultMaxFaults = 6
-	defaultDelay     = time.Millisecond
-	defaultStall     = 5 * time.Millisecond
+	fsDelay          = time.Millisecond     // filesystem delay
+	stallFor         = 5 * time.Millisecond // data-plane stall
 
 	// corruptThreshold gates data-plane payload faults: only writes at
 	// least this large are eligible, which skips the protocol's uvarint
@@ -122,12 +119,6 @@ func ProfileByName(name string) (Profile, error) {
 }
 
 func (p Profile) normalized() Profile {
-	if p.Delay <= 0 {
-		p.Delay = defaultDelay
-	}
-	if p.StallFor <= 0 {
-		p.StallFor = defaultStall
-	}
 	if p.MaxFaults <= 0 {
 		p.MaxFaults = defaultMaxFaults
 	}
@@ -151,7 +142,7 @@ type WorkerPlan struct {
 	Crash      bool
 	CrashAfter time.Duration
 	// SlowEvery: when > 0, the worker is a straggler — every filesystem
-	// operation sleeps the profile's Delay (apply via WrapFSDelayed).
+	// operation sleeps fsDelay (apply via WrapFSDelayed).
 	SlowEvery time.Duration
 }
 
@@ -240,7 +231,7 @@ func (s *Schedule) PlanWorker(i int) WorkerPlan {
 		plan.CrashAfter = 25*time.Millisecond + time.Duration(base%4)*25*time.Millisecond
 		s.note("proc", "crash", uint64(i))
 	} else if probOf(splitmix64(base)) < s.prof.Straggle {
-		plan.SlowEvery = s.prof.Delay
+		plan.SlowEvery = fsDelay
 		s.note("proc", "straggle", uint64(i))
 	}
 	return plan

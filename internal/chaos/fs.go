@@ -66,7 +66,7 @@ func (w *chaosWriter) Write(p []byte) (int, error) {
 		time.Sleep(w.fs.perOp)
 	}
 	if s.decide("fs", "writeDelay", s.prof.WriteDelay) {
-		time.Sleep(s.prof.Delay)
+		time.Sleep(fsDelay)
 	}
 	if len(p) > 1 && s.decide("fs", "tornWrite", s.prof.TornWrite) {
 		// Persist a prefix, then fail: the caller sees an error, but the
@@ -94,7 +94,7 @@ func (r *chaosReader) Read(p []byte) (int, error) {
 		time.Sleep(r.fs.perOp)
 	}
 	if s.decide("fs", "readDelay", s.prof.ReadDelay) {
-		time.Sleep(s.prof.Delay)
+		time.Sleep(fsDelay)
 	}
 	if s.decide("fs", "readFail", s.prof.ReadFail) {
 		return 0, fmt.Errorf("chaos: read of %s: %w", r.name, iokit.ErrInjected)

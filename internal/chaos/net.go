@@ -53,7 +53,7 @@ func (c *chaosConn) Write(p []byte) (int, error) {
 		return c.Conn.Write(p)
 	}
 	if s.decide("net", "stall", s.prof.Stall) {
-		time.Sleep(s.prof.StallFor)
+		time.Sleep(stallFor)
 	}
 	if s.decide("net", "truncate", s.prof.Truncate) {
 		n, err := c.Conn.Write(p[:len(p)/2])

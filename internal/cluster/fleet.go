@@ -477,22 +477,32 @@ func (f *Fleet) noteUnreachable(addrs []string) {
 
 // monitorHeartbeats declares workers dead after HeartbeatMiss missed
 // intervals and fails their outstanding leases so each job's scheduler
-// can retry the work elsewhere.
+// can retry the work elsewhere. It convicts only on silence it was
+// awake to see: a tick that comes more than the window after the
+// previous one means the fleet itself stalled, and every live worker's
+// window restarts instead.
 func (f *Fleet) monitorHeartbeats(ctx context.Context) {
 	t := time.NewTicker(f.cfg.HeartbeatEvery)
 	defer t.Stop()
+	limit := time.Duration(f.cfg.HeartbeatMiss) * f.cfg.HeartbeatEvery
+	last := time.Now()
 	for {
 		select {
 		case <-t.C:
 		case <-ctx.Done():
 			return
 		}
-		limit := time.Duration(f.cfg.HeartbeatMiss) * f.cfg.HeartbeatEvery
 		now := time.Now()
+		stalled := now.Sub(last) > limit
+		last = now
 		var died []*workerState
 		f.mu.Lock()
 		for _, w := range f.workers {
-			if !w.dead && now.Sub(w.lastBeat) > limit {
+			switch {
+			case w.dead:
+			case stalled:
+				w.lastBeat = now
+			case now.Sub(w.lastBeat) > limit:
 				died = append(died, w)
 				f.markDeadLocked(w, "missed heartbeats")
 			}
@@ -644,6 +654,7 @@ func (r *clusterRPC) Register(args *RegisterArgs, reply *RegisterReply) error {
 func (r *clusterRPC) GetJob(args *GetJobArgs, reply *GetJobReply) error {
 	f := r.f
 	f.mu.Lock()
+	f.stampLocked(args.WorkerID)
 	j := f.jobs[args.JobID]
 	f.mu.Unlock()
 	if j == nil {
@@ -652,6 +663,15 @@ func (r *clusterRPC) GetJob(args *GetJobArgs, reply *GetJobReply) error {
 	reply.Ref = j.spec.Ref
 	reply.MaxTaskAttempts = j.spec.MaxTaskAttempts
 	return nil
+}
+
+// stampLocked records a sign of life from a worker: every call from a
+// live worker counts, as a heartbeat does. A worker already declared
+// dead stays dead.
+func (f *Fleet) stampLocked(id int) {
+	if w := f.workers[id]; w != nil && !w.dead {
+		w.lastBeat = time.Now()
+	}
 }
 
 func (r *clusterRPC) Heartbeat(args *HeartbeatArgs, reply *HeartbeatReply) error {
@@ -677,6 +697,9 @@ func (r *clusterRPC) Heartbeat(args *HeartbeatArgs, reply *HeartbeatReply) error
 
 func (r *clusterRPC) Lease(args *LeaseArgs, reply *LeaseReply) error {
 	f := r.f
+	f.mu.Lock()
+	f.stampLocked(args.WorkerID) // at entry: a worker parked in this long-poll is live
+	f.mu.Unlock()
 	timeout := time.NewTimer(leasePollTimeout)
 	defer timeout.Stop()
 	for {
@@ -713,6 +736,7 @@ func (r *clusterRPC) Report(args *ReportArgs, reply *ReportReply) error {
 	f := r.f
 	key := AttemptID{Job: args.JobID, Task: args.Task, Attempt: args.Attempt}
 	f.mu.Lock()
+	f.stampLocked(args.WorkerID)
 	w := f.workers[args.WorkerID]
 	pend := f.pending[key]
 	if w == nil || pend == nil || pend.worker != args.WorkerID {

@@ -503,3 +503,56 @@ func TestHandoffBitFlipIsCaughtAndRetried(t *testing.T) {
 		}
 	}
 }
+
+// TestAnyCallIsASignOfLife: a worker that never heartbeats but keeps
+// calling Lease, Report and GetJob stays live across several liveness
+// windows; once it falls silent it is declared dead, and a later call
+// does not revive it.
+func TestAnyCallIsASignOfLife(t *testing.T) {
+	dead := make(chan struct{}, 1)
+	// The window (4 × 100 ms) outlasts Lease's 200 ms long-poll, so the
+	// calls below stamp the worker at least once per window.
+	f, err := NewFleet(FleetConfig{HeartbeatEvery: 100 * time.Millisecond, OnEvent: func(e Event) {
+		if e.Kind == "worker-dead" {
+			dead <- struct{}{}
+		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	rpc := &clusterRPC{f}
+	var reg RegisterReply
+	if err := rpc.Register(&RegisterArgs{Slots: 1}, &reg); err != nil {
+		t.Fatal(err)
+	}
+	id := reg.WorkerID
+	live := func() bool { return f.Workers()[0].Live }
+	for end := time.Now().Add(2 * time.Second); time.Now().Before(end); {
+		if err := rpc.Lease(&LeaseArgs{WorkerID: id}, &LeaseReply{}); err != nil {
+			t.Fatal(err)
+		}
+		if err := rpc.Report(&ReportArgs{WorkerID: id}, &ReportReply{}); err != nil {
+			t.Fatal(err)
+		}
+		_ = rpc.GetJob(&GetJobArgs{WorkerID: id}, &GetJobReply{}) // no job: an error, and a sign of life
+		if !live() {
+			t.Fatal("a worker calling the fleet was declared dead")
+		}
+	}
+	select {
+	case <-dead:
+	case <-time.After(10 * time.Second):
+		t.Fatal("a silent worker was never declared dead")
+	}
+	if err := rpc.Report(&ReportArgs{WorkerID: id}, &ReportReply{}); err != nil {
+		t.Fatal(err)
+	}
+	var hb HeartbeatReply
+	if err := rpc.Heartbeat(&HeartbeatArgs{WorkerID: id}, &hb); err != nil {
+		t.Fatal(err)
+	}
+	if live() || !hb.Shutdown {
+		t.Error("a call revived a worker declared dead")
+	}
+}

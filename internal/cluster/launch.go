@@ -58,9 +58,6 @@ func SpawnSelf(addr string, slots int) (*Process, error) {
 	return &Process{cmd: cmd}, nil
 }
 
-// Pid returns the subprocess id.
-func (p *Process) Pid() int { return p.cmd.Process.Pid }
-
 // Kill terminates the worker with SIGKILL — the failure-injection
 // path: no cleanup, no deregistration, exactly like a machine loss —
 // and reaps it.

@@ -62,7 +62,8 @@ type RegisterReply struct {
 // GetJobArgs / GetJobReply: a worker resolves a lease's JobID into the
 // job's registry reference and per-job execution knobs.
 type GetJobArgs struct {
-	JobID int
+	WorkerID int
+	JobID    int
 }
 
 type GetJobReply struct {

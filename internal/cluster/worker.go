@@ -271,7 +271,7 @@ func (w *worker) getJob(ctx context.Context, id int) (*workerJob, error) {
 		return wj, nil
 	}
 	var gr GetJobReply
-	if err := w.client.Call(ctx, "Cluster.GetJob", &GetJobArgs{JobID: id}, &gr); err != nil {
+	if err := w.client.Call(ctx, "Cluster.GetJob", &GetJobArgs{WorkerID: w.id, JobID: id}, &gr); err != nil {
 		return nil, fmt.Errorf("cluster: resolving job %d: %w", id, err)
 	}
 	job, splits, err := BuildJob(gr.Ref)

@@ -39,10 +39,6 @@ type Config struct {
 	// Metrics, when non-nil, gets every job's live counters registered;
 	// antibench wires it from -metrics.
 	Metrics *obs.Registry
-	// SpillParallelism overrides mr.Job.SpillParallelism on every job
-	// (0 keeps the engine default). 1 pins the strictly sequential
-	// spill/merge path; antibench wires it from -spill-parallelism.
-	SpillParallelism int
 	// Digests, when non-nil, records a per-job fingerprint of each run's
 	// logical output (output records when collected, byte-level counters,
 	// per-partition shuffle flows). TestMapPathExperimentDigests holds
@@ -99,9 +95,6 @@ type RunMetrics struct {
 func runJob(cfg Config, name string, job *mr.Job, splits []mr.Split) (RunMetrics, *mr.Result, error) {
 	if cfg.Parallelism > 0 {
 		job.Parallelism = cfg.Parallelism
-	}
-	if cfg.SpillParallelism > 0 {
-		job.SpillParallelism = cfg.SpillParallelism
 	}
 	// Only override when configured, so an experiment can pre-wire its
 	// own tracer or registry on the job.

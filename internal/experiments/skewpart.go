@@ -125,12 +125,11 @@ func runSkewProfile(cfg Config, name string, scfg skewagg.Config) (*SkewPartitio
 	splits := skewagg.Splits(gen, cfg.Splits)
 
 	// Sampling pass: exact (splits are materialized in memory).
-	sk, err := partition.Sample(skewagg.NewJob(scfg), splits, partition.SampleOptions{})
+	sk, err := partition.Sample(skewagg.NewJob(scfg), splits)
 	if err != nil {
 		return nil, err
 	}
-	opts := partition.DecideOptions{LazyAllowed: true}
-	dec, err := partition.Decide(sk, cfg.Reducers, nil, opts)
+	dec, err := partition.Decide(sk, cfg.Reducers, nil, partition.DecideOptions{LazyAllowed: true})
 	if err != nil {
 		return nil, err
 	}
@@ -153,7 +152,7 @@ func runSkewProfile(cfg Config, name string, scfg skewagg.Config) (*SkewPartitio
 			// setting base.NewCombiner: a map-side combiner would
 			// collapse the shuffle for this strategy only and skew the
 			// A/B comparison.
-			plan, err = partition.BuildSplit(sk, cfg.Reducers, nil, opts.Split)
+			plan, err = partition.BuildSplit(sk, cfg.Reducers, nil)
 			if err != nil {
 				return err
 			}
@@ -163,7 +162,7 @@ func runSkewProfile(cfg Config, name string, scfg skewagg.Config) (*SkewPartitio
 			}
 			out.HotKeys = len(plan.HotKeys())
 		default:
-			job, plan, err = partition.Apply(base, strat, sk, opts)
+			job, plan, err = partition.Apply(base, strat, sk)
 			if err != nil {
 				return err
 			}

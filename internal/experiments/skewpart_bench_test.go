@@ -20,7 +20,7 @@ func BenchmarkSkewPartition(b *testing.B) {
 	scfg := skewagg.Config{Records: 8000, Reducers: 8, Seed: 2014}
 	gen := skewagg.NewGen(scfg)
 	splits := skewagg.Splits(gen, 8)
-	sk, err := partition.Sample(skewagg.NewJob(scfg), splits, partition.SampleOptions{})
+	sk, err := partition.Sample(skewagg.NewJob(scfg), splits)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -35,13 +35,13 @@ func BenchmarkSkewPartition(b *testing.B) {
 				var plan *partition.SplitPlan
 				var err error
 				if strat == partition.StrategySplit {
-					plan, err = partition.BuildSplit(sk, scfg.Reducers, nil, partition.SplitOptions{})
+					plan, err = partition.BuildSplit(sk, scfg.Reducers, nil)
 					if err != nil {
 						b.Fatal(err)
 					}
 					job, err = partition.SplitJob(base, plan, skewagg.NewCombiner)
 				} else {
-					job, plan, err = partition.Apply(base, strat, sk, partition.DecideOptions{})
+					job, plan, err = partition.Apply(base, strat, sk)
 				}
 				if err != nil {
 					b.Fatal(err)

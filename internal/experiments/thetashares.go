@@ -59,7 +59,7 @@ func ThetaShares(cfg Config) (*ThetaSharesResult, error) {
 
 	// Region weights from a sampling sketch over the block job's map
 	// output (36 region keys — exact at default sketch capacity).
-	sk, err := partition.Sample(thetajoin.NewJob(jcfg), splits, partition.SampleOptions{})
+	sk, err := partition.Sample(thetajoin.NewJob(jcfg), splits)
 	if err != nil {
 		return nil, err
 	}

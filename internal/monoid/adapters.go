@@ -81,56 +81,3 @@ func Reducer[S any](m Monoid[S], final func(key []byte, s S, out mr.Emitter) err
 	}
 	return func() mr.Reducer { return &reducer[S]{m: m, final: final} }
 }
-
-// InMapper derives the in-mapper combining pattern (Lin & Dyer,
-// referenced in the paper's §1) from a monoid: the mapper's emissions
-// are absorbed into a fold table, which is emitted — in ascending key
-// order — whenever it holds maxEntries keys and at task cleanup.
-// maxEntries <= 0 means 64 Ki.
-func InMapper[S any](newMapper func() mr.Mapper, m Monoid[S], maxEntries int) func() mr.Mapper {
-	if maxEntries <= 0 {
-		maxEntries = 64 << 10
-	}
-	tables := new(sync.Pool)
-	return func() mr.Mapper {
-		return &inMapper[S]{inner: newMapper(), table: getTable(m, nil, tables), maxEntries: maxEntries}
-	}
-}
-
-type inMapper[S any] struct {
-	inner      mr.Mapper
-	table      *foldTable[S]
-	maxEntries int
-}
-
-// Emit implements mr.Emitter for the wrapped mapper: it absorbs into
-// the table.
-func (m *inMapper[S]) Emit(k, v []byte) error { return m.table.Absorb(k, v) }
-
-// Setup implements mr.Mapper.
-func (m *inMapper[S]) Setup(info *mr.TaskInfo, _ mr.Emitter) error {
-	return m.inner.Setup(info, m)
-}
-
-// Map implements mr.Mapper.
-func (m *inMapper[S]) Map(key, value []byte, out mr.Emitter) error {
-	if err := m.inner.Map(key, value, m); err != nil {
-		return err
-	}
-	if m.table.keys.Len() >= m.maxEntries {
-		return m.table.Emit(out)
-	}
-	return nil
-}
-
-// Cleanup implements mr.Mapper: the inner cleanup's emissions are
-// absorbed too, then the table is emitted and released.
-func (m *inMapper[S]) Cleanup(out mr.Emitter) error {
-	if err := m.inner.Cleanup(m); err != nil {
-		return err
-	}
-	err := m.table.Emit(out)
-	m.table.Release()
-	m.table = nil
-	return err
-}

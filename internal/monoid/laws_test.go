@@ -206,51 +206,6 @@ func TestDerivedCombinerMatchesHandWritten(t *testing.T) {
 	}
 }
 
-// TestInMapperFoldsMultiRecordStates runs in-mapper combining over a
-// monoid whose state emits several records: the fold table holds the
-// state, so no single-value restriction applies.
-func TestInMapperFoldsMultiRecordStates(t *testing.T) {
-	newMapper := mr.NewMapFunc(func(_, value []byte, out mr.Emitter) error {
-		for _, q := range strings.Fields(string(value)) {
-			if err := out.Emit([]byte("g"), querysuggest.EncodeValue(1, []byte(q))); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	m := monoid.InMapper(newMapper, querysuggest.Counts{}, 0)()
-	var got []mr.Record
-	out := mr.EmitterFunc(func(k, v []byte) error {
-		got = append(got, mr.Record{Key: append([]byte(nil), k...), Value: append([]byte(nil), v...)})
-		return nil
-	})
-	if err := m.Setup(&mr.TaskInfo{}, out); err != nil {
-		t.Fatal(err)
-	}
-	for _, line := range []string{"go golf go", "gold go"} {
-		if err := m.Map(nil, []byte(line), out); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if len(got) != 0 {
-		t.Fatalf("emitted %d records before Cleanup", len(got))
-	}
-	if err := m.Cleanup(out); err != nil {
-		t.Fatal(err)
-	}
-	var rendered []string
-	for _, r := range got {
-		c, q, err := querysuggest.DecodeValue(r.Value)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rendered = append(rendered, fmt.Sprintf("%s:%s=%d", r.Key, q, c))
-	}
-	if want := "g:go=3 g:gold=1 g:golf=1"; strings.Join(rendered, " ") != want {
-		t.Fatalf("in-mapper output %v, want %s", rendered, want)
-	}
-}
-
 type sliceIter struct{ vals [][]byte }
 
 func (s sliceIter) iter() mr.ValueIter { return &sliceIterState{vals: s.vals} }

@@ -1,14 +1,13 @@
 // Package monoid defines the algebraic aggregation contract that
-// combiners, in-mapper combining, and Anti-Combining's eager partial
-// merge are all instances of (Lin's "Monoidify!", PAPERS.md): an
-// Identity state that absorbs values one at a time, where a state's
-// encoded partial absorbs as the values it aggregates do. A workload
-// declares its monoid once; the adapters in this package derive the
-// classic map-side Combiner, the reducer, the in-mapper combining
-// pattern and the typed fold table the transformed map-side combiner
-// and reducer fold records into from that one declaration, and the law
-// checkers verify (rather than assume) the algebra every derived
-// strategy depends on.
+// combiners, reducers and Anti-Combining's eager partial merge are all
+// instances of (Lin's "Monoidify!", PAPERS.md): an Identity state that
+// absorbs values one at a time, where a state's encoded partial absorbs
+// as the values it aggregates do. A workload declares its monoid once;
+// the adapters in this package derive the classic map-side Combiner,
+// the reducer and the typed fold table the transformed map-side
+// combiner and reducer fold records into from that one declaration,
+// and the law checkers verify (rather than assume) the algebra every
+// derived strategy depends on.
 //
 // The contract is byte-oriented on the outside — mr jobs move raw
 // []byte values — but state-typed on the inside: Absorb decodes one

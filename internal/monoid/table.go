@@ -11,7 +11,7 @@ import (
 
 // FoldTable is a key→state table over one monoid, seen without its
 // state type. Keys are compared as raw bytes. The transformed map-side
-// combiner and in-mapper combining fill one and Emit it whole; a reduce
+// combiner fills one and Emits it whole; a reduce
 // task folds into one group by group and finalizes its states one key at
 // a time, smallest first, through the reducer's final (else Emit): that
 // is how it drains what earlier key groups contributed to later keys.
@@ -60,7 +60,7 @@ type FoldTable interface {
 
 // foldTable is the FoldTable over Monoid[S]: a state and its charge per
 // id of a bytesx.KeyIndex in raw byte order. Emptied tables are pooled
-// per Combiner, Reducer or InMapper, so of the many short-lived
+// per Combiner or Reducer, so of the many short-lived
 // instances a job creates only the first few grow one.
 type foldTable[S any] struct {
 	m     Monoid[S]

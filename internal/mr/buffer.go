@@ -522,7 +522,7 @@ func (s *entryStream) headIs(prefix uint64, key []byte) bool {
 // that combines: Hadoop applies the combiner in its final on-disk merge
 // once enough spills occurred (min.num.spills.for.combine, default 3),
 // and so does finish, one merge per partition under the
-// spill-parallelism bound.
+// Job.SpillParallelism bound.
 func (b *mapBuffer) finish() ([]SegmentInfo, error) {
 	if err := b.spill(); err != nil {
 		return nil, err

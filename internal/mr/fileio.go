@@ -2,7 +2,6 @@ package mr
 
 import (
 	"bufio"
-	"fmt"
 	"io"
 
 	"repro/internal/iokit"
@@ -125,32 +124,4 @@ func WriteLines(fs iokit.FS, name string, lines []string) error {
 		return err
 	}
 	return f.Close()
-}
-
-// WriteOutput persists a job result as one framed record file per reduce
-// partition ("<prefix>/part-0000N"), returning the file names.
-func WriteOutput(fs iokit.FS, prefix string, res *Result) ([]string, error) {
-	names := make([]string, len(res.Output))
-	for p, recs := range res.Output {
-		name := fmt.Sprintf("%s/part-%05d", prefix, p)
-		if err := WriteRecordFile(fs, name, recs); err != nil {
-			return nil, err
-		}
-		names[p] = name
-	}
-	return names, nil
-}
-
-// FileSplits builds one split per file name, auto-detecting nothing:
-// framed=true uses RecordFileSplit, otherwise LineSplit.
-func FileSplits(fs iokit.FS, names []string, framed bool) []Split {
-	splits := make([]Split, len(names))
-	for i, n := range names {
-		if framed {
-			splits[i] = &RecordFileSplit{FS: fs, Name: n}
-		} else {
-			splits[i] = &LineSplit{FS: fs, Name: n}
-		}
-	}
-	return splits
 }

@@ -165,14 +165,6 @@ type SpanRef struct {
 	attrs []Attr
 }
 
-// Annotate adds attributes to the open span. No-op on nil.
-func (s *SpanRef) Annotate(attrs ...Attr) {
-	if s == nil {
-		return
-	}
-	s.attrs = append(s.attrs, attrs...)
-}
-
 // End closes the span and records it, appending any final attributes.
 // No-op on nil.
 func (s *SpanRef) End(attrs ...Attr) {

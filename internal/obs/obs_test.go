@@ -17,7 +17,6 @@ func TestNilSinkIsSafe(t *testing.T) {
 	if sp != nil {
 		t.Fatalf("nil tracer Start = %v, want nil", sp)
 	}
-	sp.Annotate(Str("k", "v"))
 	sp.End()
 	if got := tr.Spans(); got != nil {
 		t.Fatalf("nil tracer Spans = %v, want nil", got)
@@ -34,8 +33,7 @@ func TestNilSinkIsSafe(t *testing.T) {
 func TestTracerRecordsSpans(t *testing.T) {
 	tr := NewTracer()
 	sp := tr.Start(KindMap, "map/0", Int("attempt", 0))
-	sp.Annotate(Bool("speculative", false))
-	sp.End(Str("outcome", "success"))
+	sp.End(Bool("speculative", false), Str("outcome", "success"))
 	t0 := time.Now()
 	tr.Record(KindSharedSpill, "spill0", t0, t0.Add(time.Millisecond), Int("bytes", 42))
 

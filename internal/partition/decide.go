@@ -33,15 +33,12 @@ func (s Strategy) String() string {
 	return "unknown"
 }
 
-// DecideOptions tunes Decide and Apply.
+// skewThreshold is the acceptable predicted max/mean partition byte
+// ratio; the cheapest strategy predicted under it wins.
+const skewThreshold = 1.25
+
+// DecideOptions tunes Decide.
 type DecideOptions struct {
-	// SkewThreshold is the acceptable predicted max/mean partition
-	// byte ratio; the cheapest strategy predicted under it wins.
-	// Default 1.25.
-	SkewThreshold float64
-	// Range and Split tune the candidate plans.
-	Range RangeOptions
-	Split SplitOptions
 	// LazyAllowed reports whether the anti-combining layer may pick
 	// LazySH for this job (its strategy permits lazy and the job is
 	// deterministic). Decide uses it for the §6.2 interaction flag:
@@ -49,13 +46,6 @@ type DecideOptions struct {
 	// skew amplifies into reduce-CPU skew and the decision should fall
 	// back to EagerSH.
 	LazyAllowed bool
-}
-
-func (o DecideOptions) normalized() DecideOptions {
-	if o.SkewThreshold <= 0 {
-		o.SkewThreshold = 1.25
-	}
-	return o
 }
 
 // Decision is Decide's output: the chosen strategy plus the per-
@@ -80,7 +70,6 @@ type Decision struct {
 // no salting) when the keys already spread, range when contiguous
 // ranges can balance, split when a heavy hitter must be fanned out.
 func Decide(sk *Sketch, reducers int, cmp bytesx.Compare, opts DecideOptions) (Decision, error) {
-	opts = opts.normalized()
 	if sk == nil || sk.Len() == 0 {
 		return Decision{}, fmt.Errorf("partition: decide on an empty sketch")
 	}
@@ -94,13 +83,13 @@ func Decide(sk *Sketch, reducers int, cmp bytesx.Compare, opts DecideOptions) (D
 	}
 	pred := map[Strategy]float64{StrategyHash: SkewRatio(hashLoads)}
 
-	rp, err := BuildRange(sk, reducers, cmp, opts.Range)
+	rp, err := BuildRange(sk, reducers, cmp)
 	if err != nil {
 		return Decision{}, err
 	}
 	pred[StrategyRange] = SkewRatio(rp.PredictedLoads())
 
-	sp, err := BuildSplit(sk, reducers, cmp, opts.Split)
+	sp, err := BuildSplit(sk, reducers, cmp)
 	if err != nil {
 		return Decision{}, err
 	}
@@ -108,11 +97,11 @@ func Decide(sk *Sketch, reducers int, cmp bytesx.Compare, opts DecideOptions) (D
 
 	d := Decision{Predicted: pred}
 	switch {
-	case pred[StrategyHash] <= opts.SkewThreshold:
+	case pred[StrategyHash] <= skewThreshold:
 		d.Strategy = StrategyHash
 		d.Reason = fmt.Sprintf("hash already balanced (predicted max/mean %.2fx <= %.2fx)",
-			pred[StrategyHash], opts.SkewThreshold)
-	case pred[StrategyRange] <= opts.SkewThreshold:
+			pred[StrategyHash], skewThreshold)
+	case pred[StrategyRange] <= skewThreshold:
 		d.Strategy = StrategyRange
 		d.Reason = fmt.Sprintf("range packing balances %.2fx hash skew to %.2fx",
 			pred[StrategyHash], pred[StrategyRange])
@@ -121,7 +110,7 @@ func Decide(sk *Sketch, reducers int, cmp bytesx.Compare, opts DecideOptions) (D
 		d.Reason = fmt.Sprintf("heavy hitter exceeds a reducer: splitting %d key(s) predicts %.2fx (range %.2fx)",
 			len(sp.hot), pred[StrategySplit], pred[StrategyRange])
 	}
-	if pred[d.Strategy] > opts.SkewThreshold && opts.LazyAllowed {
+	if pred[d.Strategy] > skewThreshold && opts.LazyAllowed {
 		d.LazyCaution = true
 		d.Reason += "; residual skew with LazySH available — prefer EagerSH (§6.2)"
 	}
@@ -133,8 +122,7 @@ func Decide(sk *Sketch, reducers int, cmp bytesx.Compare, opts DecideOptions) (D
 // non-nil and the caller must invoke Recombine(job, plan, result)
 // after the run (with the original, unwrapped job). StrategyHash
 // returns the job unchanged.
-func Apply(job *mr.Job, strat Strategy, sk *Sketch, opts DecideOptions) (*mr.Job, *SplitPlan, error) {
-	opts = opts.normalized()
+func Apply(job *mr.Job, strat Strategy, sk *Sketch) (*mr.Job, *SplitPlan, error) {
 	reducers := job.NumReduceTasks
 	if reducers <= 0 {
 		reducers = 4
@@ -143,7 +131,7 @@ func Apply(job *mr.Job, strat Strategy, sk *Sketch, opts DecideOptions) (*mr.Job
 	case StrategyHash:
 		return job, nil, nil
 	case StrategyRange:
-		rp, err := BuildRange(sk, reducers, job.KeyCompare, opts.Range)
+		rp, err := BuildRange(sk, reducers, job.KeyCompare)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -151,7 +139,7 @@ func Apply(job *mr.Job, strat Strategy, sk *Sketch, opts DecideOptions) (*mr.Job
 		out.Partitioner = rp
 		return &out, nil, nil
 	case StrategySplit:
-		plan, err := BuildSplit(sk, reducers, job.KeyCompare, opts.Split)
+		plan, err := BuildSplit(sk, reducers, job.KeyCompare)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -112,7 +112,7 @@ func TestRangePartitionerRouting(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		sk.Add([]byte(fmt.Sprintf("key%03d", i)), 10, 1)
 	}
-	rp, err := partition.BuildRange(sk, 4, nil, partition.RangeOptions{})
+	rp, err := partition.BuildRange(sk, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,27 +194,12 @@ func TestSampleExactAndStrided(t *testing.T) {
 	gen := skewagg.NewGen(scfg)
 	splits := skewagg.Splits(gen, 4)
 
-	exact, err := partition.Sample(skewagg.NewJob(scfg), splits, partition.SampleOptions{})
+	exact, err := partition.Sample(skewagg.NewJob(scfg), splits)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if exact.TotalRecords() != int64(scfg.Records) {
 		t.Fatalf("exact sample records = %d, want %d", exact.TotalRecords(), scfg.Records)
-	}
-
-	strided, err := partition.Sample(skewagg.NewJob(scfg), splits, partition.SampleOptions{MaxRecordsPerSplit: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Strided totals estimate the full input: within 2x either way.
-	ratio := float64(strided.TotalBytes()) / float64(exact.TotalBytes())
-	if ratio < 0.5 || ratio > 2 {
-		t.Fatalf("strided estimate off by %.2fx (strided %d exact %d)", ratio, strided.TotalBytes(), exact.TotalBytes())
-	}
-	// Both must agree on the heavy hitter.
-	if !bytes.Equal(exact.HeavyHitters(0)[0].Key, strided.HeavyHitters(0)[0].Key) {
-		t.Fatalf("strided sample misses the top key: exact %q strided %q",
-			exact.HeavyHitters(0)[0].Key, strided.HeavyHitters(0)[0].Key)
 	}
 }
 
@@ -240,7 +225,7 @@ func runStrategy(t *testing.T, scfg skewagg.Config, splits []mr.Split, strat par
 	var plan *partition.SplitPlan
 	var err error
 	if strat == partition.StrategySplit {
-		plan, err = partition.BuildSplit(sk, scfg.Reducers, nil, partition.SplitOptions{})
+		plan, err = partition.BuildSplit(sk, scfg.Reducers, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -249,7 +234,7 @@ func runStrategy(t *testing.T, scfg skewagg.Config, splits []mr.Split, strat par
 			t.Fatal(err)
 		}
 	} else {
-		job, plan, err = partition.Apply(base, strat, sk, partition.DecideOptions{})
+		job, plan, err = partition.Apply(base, strat, sk)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -271,7 +256,7 @@ func TestStrategiesProduceIdenticalRecords(t *testing.T) {
 	scfg := skewagg.Config{Records: 4000, Keys: 80, Reducers: 6, Seed: 11}
 	gen := skewagg.NewGen(scfg)
 	splits := skewagg.Splits(gen, 4)
-	sk, err := partition.Sample(skewagg.NewJob(scfg), splits, partition.SampleOptions{})
+	sk, err := partition.Sample(skewagg.NewJob(scfg), splits)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +292,7 @@ func TestSplitComposesWithAntiCombining(t *testing.T) {
 	scfg := skewagg.Config{Records: 3000, Keys: 60, Reducers: 4, Seed: 3}
 	gen := skewagg.NewGen(scfg)
 	splits := skewagg.Splits(gen, 3)
-	sk, err := partition.Sample(skewagg.NewJob(scfg), splits, partition.SampleOptions{})
+	sk, err := partition.Sample(skewagg.NewJob(scfg), splits)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +319,7 @@ func TestSplitBalancesHeavyHitter(t *testing.T) {
 	scfg := skewagg.Config{Records: 6000, Reducers: 8, Seed: 5}
 	gen := skewagg.NewGen(scfg)
 	splits := skewagg.Splits(gen, 4)
-	sk, err := partition.Sample(skewagg.NewJob(scfg), splits, partition.SampleOptions{})
+	sk, err := partition.Sample(skewagg.NewJob(scfg), splits)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +341,7 @@ func TestSplitJobRejectsBadJobs(t *testing.T) {
 	sk := partition.NewSketch(0)
 	sk.Add([]byte("hot"), 1000, 10)
 	sk.Add([]byte("cold"), 10, 1)
-	plan, err := partition.BuildSplit(sk, 2, nil, partition.SplitOptions{})
+	plan, err := partition.BuildSplit(sk, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

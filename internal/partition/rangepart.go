@@ -7,21 +7,10 @@ import (
 	"repro/internal/bytesx"
 )
 
-// RangeOptions tunes BuildRange.
-type RangeOptions struct {
-	// RangesPerReducer controls cut granularity: the key space is cut
-	// into about reducers*RangesPerReducer equal-weight ranges before
-	// bin-packing, so the packer has slack to balance around heavy
-	// keys. Default 8.
-	RangesPerReducer int
-}
-
-func (o RangeOptions) normalized() RangeOptions {
-	if o.RangesPerReducer <= 0 {
-		o.RangesPerReducer = 8
-	}
-	return o
-}
+// rangesPerReducer controls cut granularity: the key space is cut into
+// about reducers*rangesPerReducer equal-weight ranges before
+// bin-packing, so the packer has slack to balance around heavy keys.
+const rangesPerReducer = 8
 
 // RangePartitioner is an mr.Partitioner routing keys by sampled-weight-
 // balanced ranges: the sketch's key space is cut into near-equal-weight
@@ -40,19 +29,18 @@ type RangePartitioner struct {
 
 // BuildRange builds a balanced range plan from a sketch. cmp must be
 // the job's key order (nil means the default byte order).
-func BuildRange(sk *Sketch, reducers int, cmp bytesx.Compare, opts RangeOptions) (*RangePartitioner, error) {
+func BuildRange(sk *Sketch, reducers int, cmp bytesx.Compare) (*RangePartitioner, error) {
 	if reducers < 1 {
 		return nil, fmt.Errorf("partition: range plan needs >= 1 reducers, got %d", reducers)
 	}
 	if cmp == nil {
 		cmp = bytesx.Bytes
 	}
-	opts = opts.normalized()
 	keys := sk.Keys(cmp)
 	if len(keys) == 0 {
 		return nil, fmt.Errorf("partition: range plan from an empty sketch")
 	}
-	bounds, weights := cutRanges(keys, sk.TotalBytes(), reducers*opts.RangesPerReducer)
+	bounds, weights := cutRanges(keys, sk.TotalBytes(), reducers*rangesPerReducer)
 	assign, loads := PackLPT(weights, reducers)
 	return &RangePartitioner{bounds: bounds, assign: assign, loads: loads, reducers: reducers, cmp: cmp}, nil
 }
@@ -102,6 +90,3 @@ func (p *RangePartitioner) Partition(key []byte, numPartitions int) int {
 func (p *RangePartitioner) PredictedLoads() []int64 {
 	return append([]int64(nil), p.loads...)
 }
-
-// Ranges reports the cut count (for tables and tests).
-func (p *RangePartitioner) Ranges() int { return len(p.bounds) + 1 }

@@ -8,32 +8,19 @@ import (
 	"repro/internal/mr"
 )
 
-// SampleOptions tunes the sampling pass.
-type SampleOptions struct {
-	// MaxRecordsPerSplit caps how many input records of each split are
-	// fed through the mapper at each stride level. <= 0 maps every
-	// record: an exact sketch (up to sketch capacity), which is what
-	// the experiments use — their splits are already materialized in
-	// memory, so a full pass costs one extra map execution.
-	MaxRecordsPerSplit int
-	// SketchCapacity bounds tracked keys (<= 0: DefaultSketchCapacity).
-	SketchCapacity int
-}
-
-// Sample runs the job's own mapper over a deterministic sample of each
-// split and sketches the emitted keys by framed byte weight — the same
-// metering the map path charges to Stats.MapOutputBytes, so sketch
-// weights predict real shuffle mass. Sampling is strided: when a split
-// yields more than MaxRecordsPerSplit records at the current stride,
-// the stride doubles (each emission is weighted by the stride in force,
-// so totals estimate the full input). Splits are sampled in order with
+// Sample runs the job's own mapper over every record of each split and
+// sketches the emitted keys by framed byte weight — the same metering
+// the map path charges to Stats.MapOutputBytes, so sketch weights
+// predict real shuffle mass. The sketch is exact up to its capacity;
+// the experiments' splits are already materialized in memory, so the
+// pass costs one extra map execution. Splits are sampled in order with
 // a fresh mapper instance each, making the sketch a pure function of
 // job + splits — the determinism Apply needs for LazySH compatibility.
-func Sample(job *mr.Job, splits []mr.Split, opts SampleOptions) (*Sketch, error) {
+func Sample(job *mr.Job, splits []mr.Split) (*Sketch, error) {
 	if job == nil || job.NewMapper == nil {
 		return nil, fmt.Errorf("partition: sample needs a job with a mapper")
 	}
-	sk := NewSketch(opts.SketchCapacity)
+	sk := NewSketch(DefaultSketchCapacity)
 	cmp := job.KeyCompare
 	if cmp == nil {
 		cmp = bytesx.Bytes
@@ -50,6 +37,10 @@ func Sample(job *mr.Job, splits []mr.Split, opts SampleOptions) (*Sketch, error)
 	if reducers <= 0 {
 		reducers = 4
 	}
+	out := mr.EmitterFunc(func(k, v []byte) error {
+		sk.Add(k, int64(bytesx.RecordLen(k, v)), 1)
+		return nil
+	})
 	for i, split := range splits {
 		mapper := job.NewMapper()
 		info := &mr.TaskInfo{
@@ -64,30 +55,10 @@ func Sample(job *mr.Job, splits []mr.Split, opts SampleOptions) (*Sketch, error)
 			Counters:      &mr.Counters{},
 			FS:            iokit.NewMemFS(),
 		}
-		stride := 1
-		mapped := 0
-		out := mr.EmitterFunc(func(k, v []byte) error {
-			sk.Add(k, int64(bytesx.RecordLen(k, v))*int64(stride), int64(stride))
-			return nil
-		})
 		if err := mapper.Setup(info, out); err != nil {
 			return nil, fmt.Errorf("partition: sample split %d setup: %w", i, err)
 		}
-		idx := 0
-		err := split.Records(func(k, v []byte) error {
-			take := idx%stride == 0
-			idx++
-			if !take {
-				return nil
-			}
-			if err := mapper.Map(k, v, out); err != nil {
-				return err
-			}
-			if mapped++; opts.MaxRecordsPerSplit > 0 && mapped%opts.MaxRecordsPerSplit == 0 {
-				stride *= 2
-			}
-			return nil
-		})
+		err := split.Records(func(k, v []byte) error { return mapper.Map(k, v, out) })
 		if err != nil {
 			return nil, fmt.Errorf("partition: sample split %d: %w", i, err)
 		}

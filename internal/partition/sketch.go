@@ -32,8 +32,7 @@ import (
 type KeyWeight struct {
 	Key []byte
 	// Bytes is the framed map-output bytes attributed to the key,
-	// Records the record count (both scaled to estimate the full input
-	// when the sample was strided).
+	// Records the record count.
 	Bytes   int64
 	Records int64
 	// ErrBytes bounds the overestimate a Space-Saving counter inherited
@@ -138,7 +137,7 @@ func (s *Sketch) Merge(o *Sketch) {
 // TotalBytes is the sampled (scaled) framed map-output byte total.
 func (s *Sketch) TotalBytes() int64 { return s.totalBytes }
 
-// TotalRecords is the sampled (scaled) map-output record total.
+// TotalRecords is the sampled map-output record total.
 func (s *Sketch) TotalRecords() int64 { return s.totalRecords }
 
 // Len is the tracked key count.

@@ -18,28 +18,10 @@ import (
 // plan's hot set, not just the separator.
 const saltSep = 0x00
 
-// SplitOptions tunes BuildSplit.
-type SplitOptions struct {
-	RangeOptions
-	// HotFraction: a key is split when its sampled bytes exceed
-	// HotFraction × (total/reducers). Default 0.8 — split slightly
-	// before a key alone fills a reducer, since range packing cannot
-	// place a partial key.
-	HotFraction float64
-	// MaxFanout caps one key's partitions (<= 0: reducers).
-	MaxFanout int
-}
-
-func (o SplitOptions) normalized(reducers int) SplitOptions {
-	o.RangeOptions = o.RangeOptions.normalized()
-	if o.HotFraction <= 0 {
-		o.HotFraction = 0.8
-	}
-	if o.MaxFanout <= 0 || o.MaxFanout > reducers {
-		o.MaxFanout = reducers
-	}
-	return o
-}
+// hotFraction: a key is split when its sampled bytes exceed
+// hotFraction × (total/reducers) — slightly before a key alone fills a
+// reducer, since range packing cannot place a partial key.
+const hotFraction = 0.8
 
 // hotKey is one split key's per-salt partition assignment.
 type hotKey struct {
@@ -63,14 +45,13 @@ type SplitPlan struct {
 // BuildSplit builds a heavy-hitter splitting plan from a sketch. cmp
 // must be nil or bytesx.Bytes: salting appends bytes to keys, which
 // only preserves ordering contracts under the default comparator.
-func BuildSplit(sk *Sketch, reducers int, cmp bytesx.Compare, opts SplitOptions) (*SplitPlan, error) {
+func BuildSplit(sk *Sketch, reducers int, cmp bytesx.Compare) (*SplitPlan, error) {
 	if reducers < 1 {
 		return nil, fmt.Errorf("partition: split plan needs >= 1 reducers, got %d", reducers)
 	}
 	if cmp == nil {
 		cmp = bytesx.Bytes
 	}
-	opts = opts.normalized(reducers)
 	keys := sk.Keys(cmp)
 	if len(keys) == 0 {
 		return nil, fmt.Errorf("partition: split plan from an empty sketch")
@@ -79,7 +60,7 @@ func BuildSplit(sk *Sketch, reducers int, cmp bytesx.Compare, opts SplitOptions)
 	if target < 1 {
 		target = 1
 	}
-	hotCut := int64(opts.HotFraction * float64(target))
+	hotCut := int64(hotFraction * float64(target))
 
 	var cold []KeyWeight
 	type hotEnt struct {
@@ -94,8 +75,8 @@ func BuildSplit(sk *Sketch, reducers int, cmp bytesx.Compare, opts SplitOptions)
 			if fanout < 2 {
 				fanout = 2
 			}
-			if fanout > opts.MaxFanout {
-				fanout = opts.MaxFanout
+			if fanout > reducers {
+				fanout = reducers
 			}
 			hots = append(hots, hotEnt{key: string(kw.Key), fanout: fanout, bytes: kw.Bytes})
 			continue
@@ -107,7 +88,7 @@ func BuildSplit(sk *Sketch, reducers int, cmp bytesx.Compare, opts SplitOptions)
 	for _, kw := range cold {
 		coldTotal += kw.Bytes
 	}
-	bounds, weights := cutRanges(cold, coldTotal, reducers*opts.RangesPerReducer)
+	bounds, weights := cutRanges(cold, coldTotal, reducers*rangesPerReducer)
 	if len(cold) == 0 {
 		// Every key was hot; keep one catch-all zero-weight range so
 		// unsampled keys still route.

@@ -67,9 +67,9 @@ type Config struct {
 	// the fleet's RPC address (Server.FleetAddr).
 	Fleet cluster.FleetConfig
 	// Tenants maps tenant names to their policies; tenants not listed
-	// get DefaultTenant (zero value: weight 1, 4 running, 32 queued).
-	Tenants       map[string]TenantConfig
-	DefaultTenant TenantConfig
+	// get the zero TenantConfig's defaults (weight 1, 4 running, 32
+	// queued).
+	Tenants map[string]TenantConfig
 	// MaxRunningJobs caps concurrently running jobs across all tenants
 	// (default 16).
 	MaxRunningJobs int
@@ -260,10 +260,7 @@ func (s *Server) Close() error {
 
 // tenant resolves a tenant's policy.
 func (s *Server) tenant(name string) TenantConfig {
-	if t, ok := s.cfg.Tenants[name]; ok {
-		return t.normalized()
-	}
-	return s.cfg.DefaultTenant.normalized()
+	return s.cfg.Tenants[name].normalized()
 }
 
 // Submit admits one job into the queue (or rejects it: unknown

@@ -11,14 +11,17 @@
 // The queries are simple group-by aggregations over Cloud reports:
 // query q selects records with a hash-derived selectivity, groups them
 // by one of the join attributes (date, longitude band, latitude band),
-// and computes COUNT and SUM(latitude).
+// and computes COUNT and SUM(latitude), declared as the CountSum monoid
+// so the reducer folds.
 package scanshare
 
 import (
+	"bytes"
 	"fmt"
 	"strconv"
 
 	"repro/internal/datagen"
+	"repro/internal/monoid"
 	"repro/internal/mr"
 )
 
@@ -94,25 +97,50 @@ func (m mapper) Map(key, value []byte, out mr.Emitter) error {
 	return nil
 }
 
-// reducer computes COUNT and SUM(latitude) per (query, group).
-type reducer struct{ mr.ReducerBase }
+// CountSum is the aggregation monoid of every query: COUNT and
+// SUM(latitude) per (query, group). Absorb takes a Cloud line (the map
+// value, shared across queries) or a partial state, which Emit writes
+// as "=count,sum"; the leading '=' keeps a partial from parsing as a
+// Cloud line. The reducer renders the final state with FormatAgg.
+type CountSum struct{}
 
-// Reduce implements mr.Reducer.
-func (reducer) Reduce(key []byte, values mr.ValueIter, out mr.Emitter) error {
-	var count, sumLat int64
-	for {
-		v, ok := values.Next()
-		if !ok {
-			break
+// countSum is CountSum's state.
+type countSum struct{ count, sum int64 }
+
+// Identity implements monoid.Monoid.
+func (CountSum) Identity() countSum { return countSum{} }
+
+// Absorb implements monoid.Monoid.
+func (CountSum) Absorb(s countSum, v []byte) (countSum, error) {
+	if len(v) > 0 && v[0] == '=' {
+		c, sum, ok := bytes.Cut(v[1:], []byte{','})
+		n, err1 := strconv.ParseInt(string(c), 10, 64)
+		m, err2 := strconv.ParseInt(string(sum), 10, 64)
+		if !ok || err1 != nil || err2 != nil {
+			return s, fmt.Errorf("scanshare: bad partial %q", v)
 		}
-		_, _, lat, ok2 := datagen.ParseCloudLine(v)
-		if !ok2 {
-			return fmt.Errorf("scanshare: bad record %q", v)
-		}
-		count++
-		sumLat += int64(lat)
+		return countSum{s.count + n, s.sum + m}, nil
 	}
-	return out.Emit(key, []byte(FormatAgg(count, sumLat)))
+	_, _, lat, ok := datagen.ParseCloudLine(v)
+	if !ok {
+		return s, fmt.Errorf("scanshare: bad record %q", v)
+	}
+	return countSum{s.count + 1, s.sum + int64(lat)}, nil
+}
+
+// Emit implements monoid.Monoid.
+func (CountSum) Emit(key []byte, s countSum, out mr.Emitter) error {
+	v := strconv.AppendInt([]byte{'='}, s.count, 10)
+	v = strconv.AppendInt(append(v, ','), s.sum, 10)
+	return out.Emit(key, v)
+}
+
+// CommutativeMonoid marks COUNT and SUM as commutative.
+func (CountSum) CommutativeMonoid() {}
+
+// final renders a group's aggregate as the job's output.
+func final(key []byte, s countSum, out mr.Emitter) error {
+	return out.Emit(key, []byte(FormatAgg(s.count, s.sum)))
 }
 
 // FormatAgg renders an aggregate result (shared with Reference).
@@ -126,7 +154,7 @@ func NewJob(cfg Config) *mr.Job {
 	return &mr.Job{
 		Name:           "scanshare",
 		NewMapper:      func() mr.Mapper { return mapper{cfg: cfg} },
-		NewReducer:     func() mr.Reducer { return reducer{} },
+		NewReducer:     monoid.Reducer(CountSum{}, final),
 		NumReduceTasks: cfg.Reducers,
 		Deterministic:  true,
 	}

@@ -1,10 +1,12 @@
 package scanshare
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/anticombine"
 	"repro/internal/datagen"
+	"repro/internal/monoid"
 	"repro/internal/mr"
 )
 
@@ -93,5 +95,36 @@ func TestSelectivityIsDeterministic(t *testing.T) {
 		if selected(cfg, q, line) != selected(cfg, q, line) {
 			t.Fatal("selection must be deterministic for LazySH")
 		}
+	}
+}
+
+// TestCountSumLaws runs the monoid laws over Cloud lines, the values
+// the map phase emits, and checks that a partial never parses as one.
+func TestCountSumLaws(t *testing.T) {
+	cloud := testCloud()
+	err := monoid.CheckLaws(CountSum{}, monoid.LawConfig{
+		Seed:   3,
+		Trials: 200,
+		Values: func(r *rand.Rand) [][]byte {
+			vals := make([][]byte, 1+r.Intn(6))
+			for i := range vals {
+				vals[i] = []byte(cloud.Record(r.Intn(cloud.Len())).Line())
+			}
+			return vals
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := CountSum{}.Absorb(CountSum{}.Identity(), []byte(cloud.Record(0).Line()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := monoid.EmitRecords(CountSum{}, []byte("k"), s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, ok := datagen.ParseCloudLine(recs[0].Value); ok {
+		t.Fatalf("partial %q parses as a Cloud line", recs[0].Value)
 	}
 }

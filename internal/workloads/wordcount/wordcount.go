@@ -134,16 +134,6 @@ func NewJob(reducers int) *mr.Job {
 	}
 }
 
-// NewInMapperJob is NewJob with in-mapper combining derived from the
-// same monoid declaration in place of the classic combiner.
-func NewInMapperJob(reducers, maxEntries int) *mr.Job {
-	job := NewJob(reducers)
-	job.Name = "wordcount-inmapper"
-	job.NewMapper = monoid.InMapper(job.NewMapper, Sum{}, maxEntries)
-	job.NewCombiner = nil
-	return job
-}
-
 // Splits renders random-text lines as in-memory splits.
 func Splits(text *datagen.RandomText, numSplits int) []mr.Split {
 	return mr.LineSplits(text.Len(), numSplits, text.Line)

@@ -48,25 +48,6 @@ func TestEndToEnd(t *testing.T) {
 	}
 }
 
-func TestInMapperDerivedFromMonoid(t *testing.T) {
-	// The in-mapper combining wrapper derived from the Sum monoid must
-	// produce the same counts and actually pre-aggregate map output.
-	text := testText()
-	res, err := mr.Run(NewInMapperJob(4, 0), Splits(text, 5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	check(t, res, text)
-	plain, err := mr.Run(NewJob(4), Splits(text, 5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.MapOutputRecords >= plain.Stats.MapOutputRecords {
-		t.Errorf("in-mapper combining did not shrink map output: %d >= %d",
-			res.Stats.MapOutputRecords, plain.Stats.MapOutputRecords)
-	}
-}
-
 func TestAntiCombinedWithMapCombiner(t *testing.T) {
 	// §7.7.1's configuration: effective combiner kept in the map phase
 	// (C=1), operating on encoded records via the transformed combiner.

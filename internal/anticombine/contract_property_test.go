@@ -27,7 +27,7 @@ import (
 //
 // The combiner axis decides which transformed map-side combiner runs:
 // none; wordcount.Sum declared as a monoid, which Wrap folds into typed
-// state (foldCombiner); the same Sum behind an opaque mr.Reducer, which
+// state (foldReducer); the same Sum behind an opaque mr.Reducer, which
 // takes the AntiReducer's Shared path; and the declared Sum under a
 // custom (byte-equal) KeyCompare, for which Wrap declines the fold.
 // A job with a combiner also declares its reducer as the Sum monoid's,
@@ -254,13 +254,12 @@ func TestContractOriginalEqualsAntiCombined(t *testing.T) {
 				opts.Strategy = strategy
 				wjob := Wrap(c.build(), opts)
 				if wjob.NewCombiner != nil {
-					_, folds := wjob.NewCombiner().(*foldCombiner)
-					if folds != c.wantFold(opts) {
-						t.Fatalf("%v: Wrap folds = %v, want %v\n%s", strategy, folds, c.wantFold(opts), replay)
+					if got := isFold(wjob.NewCombiner()); got != c.wantFold(opts) {
+						t.Fatalf("%v: Wrap folds = %v, want %v\n%s", strategy, got, c.wantFold(opts), replay)
 					}
 				}
-				if _, folds := wjob.NewReducer().(*foldReducer); folds != c.wantReduceFold(opts) {
-					t.Fatalf("%v: Wrap's reducer folds = %v, want %v\n%s", strategy, folds, c.wantReduceFold(opts), replay)
+				if got := isFold(wjob.NewReducer()); got != c.wantReduceFold(opts) {
+					t.Fatalf("%v: Wrap's reducer folds = %v, want %v\n%s", strategy, got, c.wantReduceFold(opts), replay)
 				}
 				res, err := mr.Run(wjob, c.splits)
 				if err != nil {

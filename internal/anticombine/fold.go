@@ -8,121 +8,45 @@ import (
 	"repro/internal/mr"
 )
 
-// foldCombiner is the transformed map-side combiner Wrap picks when the
-// job's combiner is a commutative monoid's (a monoid.Folder) and keys
-// compare as raw bytes. Where the AntiReducer's combine mode stages
-// every key of an EagerSH record in Shared and pops it through the
-// combiner, foldCombiner folds each record straight into the monoid's
+// foldReducer is the transformed function Wrap picks when the function
+// — the job's reducer, or its map-side combiner — is a monoid's (a
+// monoid.Folder) and keys compare as raw bytes. Where the AntiReducer
+// stages every decoded value in Shared and hands each key's values to
+// the original Reduce, foldReducer folds each record into the monoid's
 // typed per-key state: a plain record is absorbed into its key's state,
-// an EagerSH value is absorbed into the state of each of its keys, and
-// a LazySH record's re-executed Map output is absorbed pair by pair.
-// Cleanup emits every state as a plain record, in ascending key order.
-// An instance combines one spill run (or one merge), so what it holds is
-// bounded by that run's keys.
-type foldCombiner struct {
+// an EagerSH value into the state of each of its keys, and a LazySH
+// record's re-executed Map output pair by pair. It finalizes the states
+// in ascending key order, through the function's own rendering (for
+// monoid.Combiner, the monoid's Emit): those below an incoming group
+// before it, the group's own at its end, the rest at Cleanup (§5's
+// drain discipline). Each state absorbs its values in the order Shared
+// would hand them to the original Reduce.
+//
+// The table is bounded by limit. Past it the states' encoded size is
+// measured, and unless it is under half the limit the states spill, in
+// key order, as one Shared run. A spilled key's run records are
+// absorbed back into its state just before the state is finalized. A
+// reducer's limit is SharedMemLimitBytes; a combiner's is unbounded,
+// since an instance combines one spill run (or one merge) and what it
+// holds is bounded by that run's keys.
+type foldReducer struct {
 	table  monoid.FoldTable
 	reexec mapReexec
 	keys   [][]byte // an EagerSH record's other keys, reused across decodes
-	plain  plainEmitter
+	limit  int
+	runs   runSet
+	min    []byte // the key being finalized
 }
 
-// newFoldCombiner returns a transformed combiner folding into a table
-// from fold.
-func newFoldCombiner(fold monoid.Folder, newMapper func() mr.Mapper) *foldCombiner {
+// newFoldReducer returns a fold over a table from fold, spilling past
+// limit.
+func newFoldReducer(fold monoid.Folder, newMapper func() mr.Mapper, limit, mergeFactor int) *foldReducer {
 	table := fold.FoldTable()
-	return &foldCombiner{table: table, reexec: mapReexec{newMapper: newMapper, table: table}}
-}
-
-// Setup implements mr.Reducer.
-func (c *foldCombiner) Setup(info *mr.TaskInfo, _ mr.Emitter) error {
-	c.reexec.info = info
-	return nil
-}
-
-// Reduce implements mr.Reducer. It emits nothing: every state waits for
-// Cleanup, since an EagerSH record adds to keys of later groups.
-func (c *foldCombiner) Reduce(key []byte, values mr.ValueIter, _ mr.Emitter) error {
-	for {
-		raw, ok := values.Next()
-		if !ok {
-			return nil
-		}
-		if err := c.absorb(key, raw); err != nil {
-			return c.fail(err)
-		}
-	}
-}
-
-// absorb folds one encoded record of key's group into the table.
-func (c *foldCombiner) absorb(key, raw []byte) error {
-	if len(raw) > 0 && raw[0] == EncPlain {
-		return c.table.Absorb(key, raw[1:])
-	}
-	dec, err := decodeValue(raw, c.keys)
-	if err != nil {
-		return err
-	}
-	switch dec.Enc {
-	case EncEager:
-		c.keys = dec.OtherKeys
-		return c.table.AbsorbShared(key, dec.OtherKeys, dec.Value)
-	case EncLazy:
-		return c.reexec.run(dec.InputKey, dec.InputValue)
-	}
-	return fmt.Errorf("%w: flag %d", ErrBadEncoding, dec.Enc)
-}
-
-// Cleanup implements mr.Reducer: every state goes out as a plain record.
-func (c *foldCombiner) Cleanup(out mr.Emitter) error {
-	c.plain.out = out
-	err := c.table.Emit(&c.plain)
-	c.table.Release()
-	c.table = nil
-	if cerr := c.reexec.cleanup(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// fail releases what a failing task would otherwise keep — the table,
-// the reducer-side Map object — since the engine does not call Cleanup
-// after an error. It returns err.
-func (c *foldCombiner) fail(err error) error {
-	c.table.Release()
-	c.table = nil
-	c.reexec.abort()
-	return err
-}
-
-// foldReducer is the AntiReducer Wrap picks when the job's reducer is a
-// commutative monoid's (a monoid.Folder) and keys compare as raw bytes.
-// Where the AntiReducer stages every decoded value in Shared and hands
-// each key's values to the original Reduce, foldReducer folds each
-// record into the monoid's typed per-key state with foldCombiner's
-// absorb, and finalizes the states in ascending key order: those below
-// an incoming group before it, the group's own at its end, the rest at
-// Cleanup (§5's drain discipline). Each state absorbs its values in the
-// order Shared would hand them to the original Reduce.
-//
-// The table is bounded as Shared is, by SharedMemLimitBytes. Past the
-// limit the states' encoded size is measured, and unless it is under
-// half the limit the states spill, in key order, as one Shared run. A
-// spilled key's run records are absorbed back into its state just
-// before the state is finalized.
-type foldReducer struct {
-	foldCombiner
-	limit int
-	runs  runSet
-	min   []byte // the key being finalized
-}
-
-// newFoldReducer returns a fold reducer over a table from fold.
-func newFoldReducer(fold monoid.Folder, newMapper func() mr.Mapper, opts Options) *foldReducer {
-	limit, mergeFactor := sharedLimits(opts.SharedMemLimitBytes, opts.SharedMergeFactor)
 	return &foldReducer{
-		foldCombiner: *newFoldCombiner(fold, newMapper),
-		limit:        limit,
-		runs:         runSet{mergeFactor: mergeFactor},
+		table:  table,
+		reexec: mapReexec{newMapper: newMapper, table: table},
+		limit:  limit,
+		runs:   runSet{mergeFactor: mergeFactor},
 	}
 }
 
@@ -157,6 +81,25 @@ func (r *foldReducer) Reduce(key []byte, values mr.ValueIter, out mr.Emitter) er
 		return r.fail(err)
 	}
 	return nil
+}
+
+// absorb folds one encoded record of key's group into the table.
+func (r *foldReducer) absorb(key, raw []byte) error {
+	if len(raw) > 0 && raw[0] == EncPlain {
+		return r.table.Absorb(key, raw[1:])
+	}
+	dec, err := decodeValue(raw, r.keys)
+	if err != nil {
+		return err
+	}
+	switch dec.Enc {
+	case EncEager:
+		r.keys = dec.OtherKeys
+		return r.table.AbsorbShared(key, dec.OtherKeys, dec.Value)
+	case EncLazy:
+		return r.reexec.run(dec.InputKey, dec.InputValue)
+	}
+	return fmt.Errorf("%w: flag %d", ErrBadEncoding, dec.Enc)
 }
 
 // How far finalize goes: the states whose keys compare to its key below
@@ -222,8 +165,13 @@ func (r *foldReducer) Cleanup(out mr.Emitter) error {
 	return r.reexec.cleanup()
 }
 
-// fail is foldCombiner's, and closes the runs too.
+// fail releases what a failing task would otherwise keep — the runs,
+// the table, the reducer-side Map object — since the engine does not
+// call Cleanup after an error. It returns err.
 func (r *foldReducer) fail(err error) error {
 	r.runs.Close()
-	return r.foldCombiner.fail(err)
+	r.table.Release()
+	r.table = nil
+	r.reexec.abort()
+	return err
 }

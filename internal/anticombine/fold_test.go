@@ -16,12 +16,27 @@ import (
 	"repro/internal/workloads/wordcount"
 )
 
+// transformedKind returns the transformed function r is, behind the
+// plain re-encoding when r is a combiner.
+func transformedKind(r mr.Reducer) mr.Reducer {
+	if c, ok := r.(*plainCombiner); ok {
+		return c.inner
+	}
+	return r
+}
+
+// isFold reports whether the transformed function r is a fold.
+func isFold(r mr.Reducer) bool {
+	_, ok := transformedKind(r).(*foldReducer)
+	return ok
+}
+
 // TestWrapPicksFoldPath: WordCount's declared Sum combiner with flag C
 // takes the fold path, and every job property the fold depends on
-// sends Wrap back to the AntiReducer's combine mode. Its declared Sum
-// reducer likewise folds unless one of those properties sends it back
-// to Shared, and so does a Sum combiner serving as the reducer. Either
-// way the output is the Original's.
+// sends Wrap back to the AntiReducer. Its declared Sum reducer likewise
+// folds unless one of those properties sends it back to Shared, and so
+// does a Sum combiner serving as the reducer. Either way the output is
+// the Original's.
 func TestWrapPicksFoldPath(t *testing.T) {
 	text := datagen.NewRandomText(datagen.RandomTextConfig{Seed: 5, Lines: 300, WordsPerLine: 20})
 	splits := wordcount.Splits(text, 3)
@@ -50,15 +65,18 @@ func TestWrapPicksFoldPath(t *testing.T) {
 			tc.edit(job, &opts)
 			w := Wrap(job, opts)
 			c := w.NewCombiner()
-			if _, folds := c.(*foldCombiner); folds != tc.fold {
-				t.Fatalf("Wrap's map-side combiner is %T, fold path %v, want %v", c, folds, tc.fold)
+			if _, ok := c.(*plainCombiner); !ok {
+				t.Fatalf("Wrap's map-side combiner is %T, want the plain re-encoding", c)
 			}
-			if _, ok := c.(*antiReducer); ok == tc.fold {
-				t.Fatalf("Wrap's map-side combiner is %T", c)
+			if isFold(c) != tc.fold {
+				t.Fatalf("Wrap's map-side combiner is %T, want the fold path %v", transformedKind(c), tc.fold)
+			}
+			if _, ok := transformedKind(c).(*antiReducer); ok == tc.fold {
+				t.Fatalf("Wrap's map-side combiner is %T", transformedKind(c))
 			}
 			r := w.NewReducer()
-			if _, folds := r.(*foldReducer); folds != tc.reduceFold {
-				t.Fatalf("Wrap's reducer is %T, fold path %v, want %v", r, folds, tc.reduceFold)
+			if isFold(r) != tc.reduceFold {
+				t.Fatalf("Wrap's reducer is %T, want the fold path %v", r, tc.reduceFold)
 			}
 			res, err := mr.Run(w, splits)
 			if err != nil {
@@ -139,7 +157,7 @@ func TestReduceFoldReplacesShared(t *testing.T) {
 	for _, shared := range []bool{false, true} {
 		opts := Options{SharedMemLimitBytes: 2 << 10, SharedMergeFactor: 2, DisableSharedCombine: shared}
 		w := Wrap(newJob(), opts)
-		if _, folds := w.NewReducer().(*foldReducer); folds == shared {
+		if isFold(w.NewReducer()) == shared {
 			t.Fatalf("DisableSharedCombine=%v: Wrap's reducer is %T", shared, w.NewReducer())
 		}
 		fs := &spillCountingFS{FS: iokit.NewMemFS()}

@@ -505,7 +505,7 @@ func newCombinerRun(tb testing.TB, lines int) *combinerRun {
 
 // combine runs one transformed-combiner instance over the run, as the
 // engine's spill-time combine does.
-func (cr *combinerRun) combine(r *antiReducer, info *mr.TaskInfo, it *sliceIter, out mr.Emitter) error {
+func (cr *combinerRun) combine(r mr.Reducer, info *mr.TaskInfo, it *sliceIter, out mr.Emitter) error {
 	if err := r.Setup(info, out); err != nil {
 		return err
 	}
@@ -518,13 +518,12 @@ func (cr *combinerRun) combine(r *antiReducer, info *mr.TaskInfo, it *sliceIter,
 	return r.Cleanup(out)
 }
 
-func newTestCombiner(sum *appendSum) *antiReducer {
-	return &antiReducer{
+func newTestCombiner(sum *appendSum) *plainCombiner {
+	return &plainCombiner{inner: &antiReducer{
 		inner:       sum,
 		newMapper:   func() mr.Mapper { return framedMapper{} },
 		newCombiner: func() mr.Reducer { return sum },
-		combineMode: true,
-	}
+	}}
 }
 
 // TestLaterCombinerInstancesDoNotAllocate: the engine creates a
@@ -545,7 +544,7 @@ func TestLaterCombinerInstancesDoNotAllocate(t *testing.T) {
 	var out mr.Emitter = discardEmitter{}
 	sum, it := &appendSum{}, &sliceIter{}
 	const warm, runs = 64, 20
-	instances := make([]*antiReducer, warm+1+runs) // AllocsPerRun warms up once more
+	instances := make([]*plainCombiner, warm+1+runs) // AllocsPerRun warms up once more
 	for i := range instances {
 		instances[i] = newTestCombiner(sum)
 	}
@@ -647,7 +646,7 @@ func TestPooledSharedStartsEmpty(t *testing.T) {
 			sharedPool.Put(box)
 		}
 
-		next := newTestCombiner(&appendSum{})
+		next := newTestCombiner(&appendSum{}).inner.(*antiReducer)
 		if err := next.Setup(info, discardEmitter{}); err != nil {
 			t.Fatal(err)
 		}

@@ -9,18 +9,16 @@ import (
 
 // antiReducer is the paper's AntiReducer (Figure 8). It also serves as
 // the transformed Combiner (§6.1: "a Combiner is defined as a reducer
-// class, hence we apply the same syntactic transformation"): in combiner
-// mode the inner reducer is the original combiner and every emitted
-// value is re-encoded as a plain record so downstream decoding still
-// works. Because the engine feeds both reducers and combiners their key
-// groups in ascending key order and calls Cleanup at the end, the
-// drain-Shared discipline keeps output keys ascending in both modes.
+// class, hence we apply the same syntactic transformation"), with the
+// original combiner as its inner reducer, behind plainCombiner. Because
+// the engine feeds both reducers and combiners their key groups in
+// ascending key order and calls Cleanup at the end, the drain-Shared
+// discipline keeps output keys ascending in both roles.
 type antiReducer struct {
 	inner       mr.Reducer
 	newMapper   func() mr.Mapper
 	newCombiner func() mr.Reducer
 	opts        Options
-	combineMode bool
 	rawOrder    bool // the job left KeyCompare nil: Shared orders raw bytes
 
 	info   *mr.TaskInfo
@@ -28,9 +26,8 @@ type antiReducer struct {
 	reexec mapReexec
 
 	// Per-call state kept here so a Reduce call allocates nothing.
-	plain  plainEmitter // combiner mode's output adapter
-	group  groupIter    // the incoming group, as the original Reduce sees it
-	popped sliceIter    // a group popped from Shared
+	group  groupIter // the incoming group, as the original Reduce sees it
+	popped sliceIter // a group popped from Shared
 }
 
 // Setup implements mr.Reducer.
@@ -60,7 +57,7 @@ func (r *antiReducer) Setup(info *mr.TaskInfo, out mr.Emitter) error {
 	})
 	r.shared.runs.info = info
 	r.reexec = mapReexec{newMapper: r.newMapper, info: info, shared: &r.shared}
-	return r.inner.Setup(info, r.wrapOut(out))
+	return r.inner.Setup(info, out)
 }
 
 // plainEmitter re-encodes emitted values as plain records. A combiner's
@@ -82,14 +79,30 @@ func (e *plainEmitter) Emit(k, v []byte) error {
 	return e.out.Emit(k, e.scratch)
 }
 
-// wrapOut re-encodes emitted values as plain records in combiner mode so
+// plainCombiner is a transformed combiner, of either kind: it
+// re-encodes what the transformed function emits as plain records, so
 // the reduce phase can still decode the stream.
-func (r *antiReducer) wrapOut(out mr.Emitter) mr.Emitter {
-	if !r.combineMode {
-		return out
-	}
-	r.plain.out = out
-	return &r.plain
+type plainCombiner struct {
+	inner mr.Reducer
+	plain plainEmitter
+}
+
+// Setup implements mr.Reducer.
+func (c *plainCombiner) Setup(info *mr.TaskInfo, out mr.Emitter) error {
+	c.plain.out = out
+	return c.inner.Setup(info, &c.plain)
+}
+
+// Reduce implements mr.Reducer.
+func (c *plainCombiner) Reduce(key []byte, values mr.ValueIter, out mr.Emitter) error {
+	c.plain.out = out
+	return c.inner.Reduce(key, values, &c.plain)
+}
+
+// Cleanup implements mr.Reducer.
+func (c *plainCombiner) Cleanup(out mr.Emitter) error {
+	c.plain.out = out
+	return c.inner.Cleanup(&c.plain)
 }
 
 // fail releases what a failing task would otherwise leak — Shared's
@@ -107,8 +120,7 @@ func (r *antiReducer) fail(err error) error {
 // Unless Shared already holds part of the group, the records are not
 // staged there first: the original Reduce pulls them through groupIter.
 func (r *antiReducer) Reduce(key []byte, values mr.ValueIter, out mr.Emitter) error {
-	wrapped := r.wrapOut(out)
-	if err := r.drainBelow(key, wrapped); err != nil {
+	if err := r.drainBelow(key, out); err != nil {
 		return r.fail(err)
 	}
 	it := &r.group
@@ -120,7 +132,7 @@ func (r *antiReducer) Reduce(key []byte, values mr.ValueIter, out mr.Emitter) er
 		}
 		key = it.stagedKey
 	}
-	err := r.inner.Reduce(key, it, wrapped)
+	err := r.inner.Reduce(key, it, out)
 	// The original Reduce may return early, or not notice a decode error
 	// behind a false Next. Every record must be decoded regardless: the
 	// other keys it carries belong to later groups.
@@ -255,7 +267,7 @@ func (r *antiReducer) addOthers(dec Decoded) error {
 // mapReexec regenerates LazySH records' Map output on a reducer or a
 // transformed combiner, keeping only the pairs the Partitioner assigns
 // there (Algorithm 4, lines 6-10): they go to the AntiReducer's Shared,
-// or into the fold combiner's table. The original Map object it needs is
+// or into the fold's table. The original Map object it needs is
 // made by the first LazySH record: a job whose stream carries none — and
 // each of the many transformed combiners that meet none — does without.
 type mapReexec struct {
@@ -324,24 +336,24 @@ func (x *mapReexec) abort() {
 
 // reduceMin pops Shared's smallest group and runs the original Reduce
 // on it.
-func (r *antiReducer) reduceMin(wrapped mr.Emitter) error {
+func (r *antiReducer) reduceMin(out mr.Emitter) error {
 	gk, vals, err := r.shared.PopMinKeyValues()
 	if err != nil {
 		return err
 	}
 	r.popped = sliceIter{vals: vals}
-	return r.inner.Reduce(gk, &r.popped, wrapped)
+	return r.inner.Reduce(gk, &r.popped, out)
 }
 
 // drainBelow runs the original Reduce for every Shared key group below
 // key (the repeat-until loop of Algorithms 2 and 4).
-func (r *antiReducer) drainBelow(key []byte, wrapped mr.Emitter) error {
+func (r *antiReducer) drainBelow(key []byte, out mr.Emitter) error {
 	for {
 		altKey, ok := r.shared.peekMin()
 		if !ok || r.info.GroupCompare(altKey, key) >= 0 {
 			return nil
 		}
-		if err := r.reduceMin(wrapped); err != nil {
+		if err := r.reduceMin(out); err != nil {
 			return err
 		}
 	}
@@ -351,9 +363,8 @@ func (r *antiReducer) drainBelow(key []byte, wrapped mr.Emitter) error {
 // seen as representative keys in the regular input — get their Reduce
 // calls here (§3.2's clean-up drain), then the wrapped functions clean up.
 func (r *antiReducer) Cleanup(out mr.Emitter) error {
-	wrapped := r.wrapOut(out)
 	for !r.shared.Empty() {
-		if err := r.reduceMin(wrapped); err != nil {
+		if err := r.reduceMin(out); err != nil {
 			return r.fail(err)
 		}
 	}
@@ -363,7 +374,7 @@ func (r *antiReducer) Cleanup(out mr.Emitter) error {
 	if err := r.reexec.cleanup(); err != nil {
 		return err
 	}
-	return r.inner.Cleanup(wrapped)
+	return r.inner.Cleanup(out)
 }
 
 // sliceIter streams a popped value slice as an mr.ValueIter.

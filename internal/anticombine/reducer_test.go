@@ -95,7 +95,7 @@ func harnessInfo(groupCmp bytesx.Compare, fs iokit.FS) *mr.TaskInfo {
 
 // feed runs a reduce task's calls over stream, which must be sorted by
 // key: one Reduce per maximal run of group-equal keys, then Cleanup.
-func feed(r *antiReducer, info *mr.TaskInfo, stream []pair, out mr.Emitter) error {
+func feed(r mr.Reducer, info *mr.TaskInfo, stream []pair, out mr.Emitter) error {
 	if err := r.Setup(info, out); err != nil {
 		return err
 	}
@@ -434,13 +434,12 @@ func TestAntiCombinerMatchesOriginal(t *testing.T) {
 			return err
 		})
 		info := harnessInfo(bytesx.Bytes, iokit.NewMemFS())
-		r := &antiReducer{
+		r := &plainCombiner{inner: &antiReducer{
 			inner:       sumCombiner{},
 			newMapper:   func() mr.Mapper { return framedMapper{} },
 			newCombiner: func() mr.Reducer { return sumCombiner{} },
 			opts:        Options{SharedMemLimitBytes: []int{1 << 20, 48}[trial%2]},
-			combineMode: true,
-		}
+		}}
 		if err := feed(r, info, stream, out); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

@@ -1,6 +1,8 @@
 package anticombine
 
 import (
+	"math"
+
 	"repro/internal/monoid"
 	"repro/internal/mr"
 )
@@ -17,71 +19,57 @@ import (
 //
 // The original combiner is kept in the map phase only when
 // opts.MapCombiner (the paper's flag C) is set, in which case it is
-// wrapped by the same transformation; either way it is used to collapse
-// Shared in the reduce phase unless opts.DisableSharedCombine is set.
-// When the combiner is a commutative monoid's (monoid.Folder) and keys
-// compare as raw bytes, the transformed map-side combiner folds every
-// record into the monoid's typed per-key state instead (foldCombiner);
-// the outcome is the same records. Likewise, when the reducer is one
-// (monoid.Reducer or monoid.Combiner of a commutative monoid), the
-// AntiReducer folds into the same kind of table and finalizes its states
-// in key order (foldReducer) instead of staging values in Shared; the
-// outcome is the same output. DisableSharedCombine keeps both on Shared.
+// wrapped by the same transformation as the reducer, its output
+// re-encoded as plain records; either way it is used to collapse Shared
+// in the reduce phase unless opts.DisableSharedCombine is set. A
+// function that is a monoid's (monoid.Folder), under keys that compare
+// as raw bytes, is transformed into a fold of the monoid's typed
+// per-key states, finalized in key order (foldReducer), instead of an
+// AntiReducer staging values in Shared; the outcome is the same.
+// DisableSharedCombine keeps both roles on Shared.
 func Wrap(job *mr.Job, opts Options) *mr.Job {
 	w := *job
 	w.Name = job.Name + "-anti-" + opts.Strategy.String()
 
 	lazyAllowed := job.Deterministic && opts.Strategy != EagerOnly
-
 	newMapper := job.NewMapper
-	newReducer := job.NewReducer
-	newCombiner := job.NewCombiner
-
 	w.NewMapper = func() mr.Mapper {
 		return &antiMapper{inner: newMapper(), opts: opts, lazyAllowed: lazyAllowed}
 	}
-	if fold := foldOf(newReducer, job, opts); fold != nil {
-		w.NewReducer = func() mr.Reducer { return newFoldReducer(fold, newMapper, opts) }
-	} else {
-		w.NewReducer = func() mr.Reducer {
-			return &antiReducer{
-				inner:       newReducer(),
-				newMapper:   newMapper,
-				newCombiner: newCombiner,
-				opts:        opts,
-				rawOrder:    job.KeyCompare == nil,
-			}
-		}
-	}
+	w.NewReducer = transform(job.NewReducer, job, opts, false)
 	w.NewCombiner = nil
-	if newCombiner != nil && opts.MapCombiner {
-		if fold := foldOf(newCombiner, job, opts); fold != nil {
-			w.NewCombiner = func() mr.Reducer { return newFoldCombiner(fold, newMapper) }
-		} else {
-			w.NewCombiner = func() mr.Reducer {
-				return &antiReducer{
-					inner:       newCombiner(),
-					newMapper:   newMapper,
-					newCombiner: newCombiner,
-					opts:        opts,
-					combineMode: true,
-					rawOrder:    job.KeyCompare == nil,
-				}
-			}
-		}
+	if job.NewCombiner != nil && opts.MapCombiner {
+		w.NewCombiner = transform(job.NewCombiner, job, opts, true)
 	}
 	return &w
 }
 
-// foldOf returns the fold tables newReducer's reducers hand out, or nil
-// when the transformed function must run on Shared. Folding needs a
-// monoid.Folder and key equality that is byte equality (no KeyCompare,
-// no GroupCompare); the DisableSharedCombine ablation keeps the Shared
-// path.
-func foldOf(newReducer func() mr.Reducer, job *mr.Job, opts Options) monoid.Folder {
-	if newReducer == nil || opts.DisableSharedCombine || job.KeyCompare != nil || job.GroupCompare != nil {
+// transform returns the factory of newFn's transformed functions, as
+// the job's combiner or its reducer. A fold needs a monoid.Folder and
+// key equality that is byte equality (no KeyCompare, no GroupCompare),
+// and the DisableSharedCombine ablation keeps the Shared path. A
+// combiner's fold never spills.
+func transform(newFn func() mr.Reducer, job *mr.Job, opts Options, combiner bool) func() mr.Reducer {
+	if newFn == nil {
 		return nil
 	}
-	fold, _ := newReducer().(monoid.Folder)
-	return fold
+	newMapper, newCombiner := job.NewMapper, job.NewCombiner
+	var fold monoid.Folder
+	if !opts.DisableSharedCombine && job.KeyCompare == nil && job.GroupCompare == nil {
+		fold, _ = newFn().(monoid.Folder)
+	}
+	newTransformed := func() mr.Reducer {
+		return &antiReducer{inner: newFn(), newMapper: newMapper, newCombiner: newCombiner, opts: opts, rawOrder: job.KeyCompare == nil}
+	}
+	if fold != nil {
+		limit, mergeFactor := sharedLimits(opts.SharedMemLimitBytes, opts.SharedMergeFactor)
+		if combiner {
+			limit = math.MaxInt
+		}
+		newTransformed = func() mr.Reducer { return newFoldReducer(fold, newMapper, limit, mergeFactor) }
+	}
+	if !combiner {
+		return newTransformed
+	}
+	return func() mr.Reducer { return &plainCombiner{inner: newTransformed()} }
 }

@@ -7,10 +7,13 @@ import (
 )
 
 // reducer is the mr.Reducer derived from a Monoid: fold every value of
-// the group into a fresh state and emit it, through final when set.
+// the group into a fresh state and emit it, through final when set. It
+// also hands out fold tables over the monoid that finalize through
+// final.
 type reducer[S any] struct {
-	m     Monoid[S]
-	final func(key []byte, s S, out mr.Emitter) error
+	m      Monoid[S]
+	final  func(key []byte, s S, out mr.Emitter) error
+	tables *sync.Pool // *foldTable[S], shared by every instance of one Combiner or Reducer
 }
 
 func (r *reducer[S]) Setup(*mr.TaskInfo, mr.Emitter) error { return nil }
@@ -40,22 +43,14 @@ func render[S any](m Monoid[S], final func([]byte, S, mr.Emitter) error, key []b
 
 func (r *reducer[S]) Cleanup(mr.Emitter) error { return nil }
 
-// foldingReducer is the reducer derived from a Commutative monoid: the
-// same reducer, which also hands out fold tables over the monoid that
-// finalize through its final.
-type foldingReducer[S any] struct {
-	reducer[S]
-	tables *sync.Pool // *foldTable[S], shared by every instance of one Combiner or Reducer
-}
-
 // FoldTable implements Folder.
-func (r *foldingReducer[S]) FoldTable() FoldTable { return getTable(r.m, r.final, r.tables) }
+func (r *reducer[S]) FoldTable() FoldTable { return getTable(r.m, r.final, r.tables) }
 
-// Folder is implemented by the combiner Combiner and the reducer Reducer
-// derive from a Commutative monoid. Anti-Combining's transformed
-// map-side combiner and its reducer fold each incoming record into the
-// tables a Folder hands out instead of staging every key in Shared.
-// FoldTable is safe for concurrent use.
+// Folder is implemented by every combiner Combiner and reducer Reducer
+// derive. Anti-Combining's transformed map-side combiner and its
+// reducer fold each incoming record into the tables a Folder hands out
+// instead of staging every key in Shared. FoldTable is safe for
+// concurrent use.
 type Folder interface {
 	FoldTable() FoldTable
 }
@@ -68,16 +63,13 @@ type Folder interface {
 // verify. It is Reducer(m, nil).
 func Combiner[S any](m Monoid[S]) func() mr.Reducer { return Reducer(m, nil) }
 
-// Reducer derives the final reducer. With final == nil the reduce
-// output is the state encoding itself (aggregate jobs like wordcount
-// and skewagg, whose reducer IS their combiner). A non-nil final
-// renders the fully merged state into the job's output format instead
-// (querysuggest's top-k rendering, pagerank's rank update). For a
-// Commutative monoid the reducer is also a Folder.
+// Reducer derives the final reducer, which is also a Folder. With
+// final == nil the reduce output is the state encoding itself
+// (aggregate jobs like wordcount and skewagg, whose reducer IS their
+// combiner). A non-nil final renders the fully merged state into the
+// job's output format instead (querysuggest's top-k rendering,
+// pagerank's rank update).
 func Reducer[S any](m Monoid[S], final func(key []byte, s S, out mr.Emitter) error) func() mr.Reducer {
-	if _, ok := m.(Commutative[S]); ok {
-		tables := new(sync.Pool)
-		return func() mr.Reducer { return &foldingReducer[S]{reducer[S]{m: m, final: final}, tables} }
-	}
-	return func() mr.Reducer { return &reducer[S]{m: m, final: final} }
+	tables := new(sync.Pool)
+	return func() mr.Reducer { return &reducer[S]{m: m, final: final, tables: tables} }
 }

@@ -29,6 +29,7 @@ import (
 //	A, then Emit(B)  ==  A, then B          partial aggregation
 //	Emit(e), then A  ==  A  ==  A, then Emit(e)    identity
 //	Emit(A), absorbed  ==  A                closure
+//	A, then B  ==  B, then A                commutativity
 //	Size(s)  ==  value bytes Emit writes for s     when a Sizer
 //
 // where Emit(B) is the values Emit writes for B's state, e is
@@ -37,7 +38,11 @@ import (
 // Absorb must accept every value the workload's map phase emits AND
 // every encoding Emit produces — a combiner's output feeds later
 // combiner passes (merged spills, reduce-side partial aggregation), so
-// the value space must be closed under partial aggregation.
+// the value space must be closed under partial aggregation. States must
+// not depend on the order values arrive in: heavy-hitter splitting
+// (internal/partition), cross-worker partial aggregation and the fold
+// table, which absorbs an EagerSH value into each of its keys as it
+// arrives, all recombine partials in whatever order they come.
 type Monoid[S any] interface {
 	// Identity returns a fresh empty aggregation state.
 	Identity() S
@@ -48,18 +53,6 @@ type Monoid[S any] interface {
 	// Emit encodes the state as output records for key. The encoding
 	// must round-trip through Absorb.
 	Emit(key []byte, s S, out mr.Emitter) error
-}
-
-// Commutative marks a Monoid whose states do not depend on the order
-// values arrive in: A, then B == B, then A. That is what lets partial
-// aggregates be recombined regardless of grouping order — the contract
-// heavy-hitter splitting (internal/partition), cross-worker partial
-// aggregation and the fold table, which absorbs an EagerSH value into
-// each of its keys as it arrives, rely on. CheckLaws verifies the claim.
-type Commutative[S any] interface {
-	Monoid[S]
-	// CommutativeMonoid is a marker; implementations return nothing.
-	CommutativeMonoid()
 }
 
 // Sizer is implemented by a Monoid that can count a state's encoding

@@ -407,7 +407,6 @@ func (m countsByEmit) Absorb(s querysuggest.QueryCounts, v []byte) (querysuggest
 func (m countsByEmit) Emit(key []byte, s querysuggest.QueryCounts, out mr.Emitter) error {
 	return m.c.Emit(key, s, out)
 }
-func (countsByEmit) CommutativeMonoid() {}
 
 // TestKeyTableMeasuresThroughSize: a key table over a Sizer charges
 // exactly what one measuring through Emit does, after every batch of

@@ -72,9 +72,6 @@ func (DeltaSum) Emit(key []byte, s float64, out mr.Emitter) error {
 	return out.Emit(key, EncodeDelta(s))
 }
 
-// CommutativeMonoid marks DeltaSum commutative.
-func (DeltaSum) CommutativeMonoid() {}
-
 // deltaMapper folds |rank−prev| over one partition of rank output and
 // emits a single per-partition sum keyed by its own task index — the
 // shape that makes the delta stage aligned.

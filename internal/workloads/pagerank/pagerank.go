@@ -213,9 +213,6 @@ func (RankFold) Emit(key []byte, st rankState, out mr.Emitter) error {
 	return nil
 }
 
-// CommutativeMonoid marks RankFold commutative.
-func (RankFold) CommutativeMonoid() {}
-
 // finalRank renders the fully merged state as the job output: a 'P'
 // record pairing the damped new rank with the rank the node had.
 func finalRank(nodes int) func(key []byte, st rankState, out mr.Emitter) error {

@@ -195,9 +195,6 @@ func uvarintLen(x uint64) int {
 	return n
 }
 
-// CommutativeMonoid marks per-entry addition as commutative.
-func (Counts) CommutativeMonoid() {}
-
 // maxStackTop is the largest top-k finalTop selects into a stack array.
 const maxStackTop = 8
 

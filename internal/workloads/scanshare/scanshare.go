@@ -135,9 +135,6 @@ func (CountSum) Emit(key []byte, s countSum, out mr.Emitter) error {
 	return out.Emit(key, v)
 }
 
-// CommutativeMonoid marks COUNT and SUM as commutative.
-func (CountSum) CommutativeMonoid() {}
-
 // final renders a group's aggregate as the job's output.
 func final(key []byte, s countSum, out mr.Emitter) error {
 	return out.Emit(key, []byte(FormatAgg(s.count, s.sum)))

@@ -195,10 +195,6 @@ func (Agg) Emit(key []byte, st aggState, out mr.Emitter) error {
 	return out.Emit(key, []byte(fmt.Sprintf("a:%d:%d:%016x", st.count, st.sum, st.xor)))
 }
 
-// CommutativeMonoid marks the aggregate as commutative (addition and
-// XOR both commute).
-func (Agg) CommutativeMonoid() {}
-
 // NewJob builds the skewed aggregation job. The partitioner is left at
 // the engine default (hash) — internal/partition.Apply swaps it.
 func NewJob(cfg Config) *mr.Job {

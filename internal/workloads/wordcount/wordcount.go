@@ -115,9 +115,6 @@ func (Sum) Emit(key []byte, s uint64, out mr.Emitter) error {
 	return out.Emit(key, decimals[4*s+uint64(lead):4*s+4:4*s+4])
 }
 
-// CommutativeMonoid marks integer addition as commutative.
-func (Sum) CommutativeMonoid() {}
-
 // NewJob builds the WordCount job; combiner and reducer are both
 // derived from the Sum monoid.
 func NewJob(reducers int) *mr.Job {

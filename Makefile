@@ -50,7 +50,7 @@ bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkMapBufferSpill|BenchmarkSpillSort|BenchmarkMapPathE2E|BenchmarkMergeIter|BenchmarkSegmentRoundTrip|BenchmarkReduceCollect|BenchmarkMemFSWrite|BenchmarkHashPartitioner|BenchmarkReadRecord' -benchmem -count 6 ./internal/mr/ ./internal/iokit/ ./internal/bytesx/ | tee /dev/stderr | $(GO) run ./cmd/benchjson -baseline BENCH_mr.json -out BENCH_mr.json
 	$(GO) test -run '^$$' -bench 'BenchmarkSkewPartition|BenchmarkPipelineHandoff|BenchmarkThetaMap|BenchmarkThetaReduce|BenchmarkCountsFold' -benchmem -count 6 ./internal/experiments/ ./internal/workloads/thetajoin/ ./internal/workloads/querysuggest/ | tee /dev/stderr | $(GO) run ./cmd/benchjson -baseline BENCH_experiments.json -out BENCH_experiments.json
 	$(GO) test -run '^$$' -bench 'BenchmarkShuffleDataPlane' -benchmem -count 6 ./internal/mr/ | tee /dev/stderr | $(GO) run ./cmd/benchjson -baseline BENCH_transport.json -out BENCH_transport.json
-	$(GO) test -run '^$$' -bench 'BenchmarkEagerEncode|BenchmarkDecodeEager|BenchmarkSharedAddPop|BenchmarkSharedFill|BenchmarkSharedSpill|BenchmarkAntiReducePlain|BenchmarkAntiMapCall|BenchmarkAntiCombineRun' -benchmem -count 6 ./internal/anticombine/ | tee /dev/stderr | $(GO) run ./cmd/benchjson -baseline BENCH_anticombine.json -out BENCH_anticombine.json
+	$(GO) test -run '^$$' -bench 'BenchmarkEagerEncode|BenchmarkDecodeEager|BenchmarkSharedAddPop|BenchmarkSharedFill|BenchmarkSharedSpill|BenchmarkAntiReducePlain|BenchmarkAntiMapCall|BenchmarkAntiCombineRun|BenchmarkFoldCombineRun' -benchmem -count 6 ./internal/anticombine/ | tee /dev/stderr | $(GO) run ./cmd/benchjson -baseline BENCH_anticombine.json -out BENCH_anticombine.json
 
 # End-to-end before/after rows: alternating benchmark/run.sh pairs of
 # BASE and this checkout, written to BENCH_e2e.json with both sides'

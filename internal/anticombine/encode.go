@@ -22,6 +22,7 @@
 package anticombine
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -93,6 +94,37 @@ type Decoded struct {
 // DecodeValue parses an encoded value component.
 func DecodeValue(buf []byte) (Decoded, error) { return decodeValue(buf, nil) }
 
+// splitEager checks the framing of an EagerSH value without its flag
+// byte, and returns its n other keys, each still framed as
+// bytesx.AppendBytes wrote it, and its value.
+func splitEager(buf []byte) (others []byte, n uint64, value []byte, err error) {
+	n, used, err := bytesx.Uvarint(buf)
+	if err != nil {
+		return nil, 0, nil, fmt.Errorf("%w: eager key count: %v", ErrBadEncoding, err)
+	}
+	rest := buf[used:]
+	if n > uint64(len(rest)) {
+		return nil, 0, nil, fmt.Errorf("%w: eager key count %d too large", ErrBadEncoding, n)
+	}
+	for i := uint64(0); i < n; i++ {
+		_, kn, err := bytesx.GetBytes(rest)
+		if err != nil {
+			return nil, 0, nil, fmt.Errorf("%w: eager key %d: %v", ErrBadEncoding, i, err)
+		}
+		rest = rest[kn:]
+	}
+	return buf[used : len(buf)-len(rest)], n, rest, nil
+}
+
+// nextKey returns the first of the framed keys splitEager returned,
+// which must not be empty, and the keys after it. splitEager has
+// checked their framing, so nextKey does not check it again.
+func nextKey(others []byte) (key, rest []byte) {
+	l, n := binary.Uvarint(others)
+	end := n + int(l)
+	return others[n:end], others[end:]
+}
+
 // decodeValue is DecodeValue with an EagerSH record's OtherKeys built in
 // keys' backing array when it is large enough, so a caller that hands
 // the previous call's OtherKeys back decodes without allocating.
@@ -104,28 +136,20 @@ func decodeValue(buf []byte, keys [][]byte) (Decoded, error) {
 	case EncPlain:
 		return Decoded{Enc: EncPlain, Value: buf[1:]}, nil
 	case EncEager:
-		rest := buf[1:]
-		n, used, err := bytesx.Uvarint(rest)
+		others, n, value, err := splitEager(buf[1:])
 		if err != nil {
-			return Decoded{}, fmt.Errorf("%w: eager key count: %v", ErrBadEncoding, err)
-		}
-		rest = rest[used:]
-		if n > uint64(len(rest)) {
-			return Decoded{}, fmt.Errorf("%w: eager key count %d too large", ErrBadEncoding, n)
+			return Decoded{}, err
 		}
 		if uint64(cap(keys)) < n {
 			keys = make([][]byte, 0, n)
 		}
 		keys = keys[:0]
-		for i := uint64(0); i < n; i++ {
-			k, used, err := bytesx.GetBytes(rest)
-			if err != nil {
-				return Decoded{}, fmt.Errorf("%w: eager key %d: %v", ErrBadEncoding, i, err)
-			}
+		for len(others) > 0 {
+			var k []byte
+			k, others = nextKey(others)
 			keys = append(keys, k)
-			rest = rest[used:]
 		}
-		return Decoded{Enc: EncEager, OtherKeys: keys, Value: rest}, nil
+		return Decoded{Enc: EncEager, OtherKeys: keys, Value: value}, nil
 	case EncLazy:
 		rest := buf[1:]
 		k, used, err := bytesx.GetBytes(rest)

@@ -2,7 +2,6 @@ package anticombine
 
 import (
 	"bytes"
-	"fmt"
 
 	"repro/internal/monoid"
 	"repro/internal/mr"
@@ -32,7 +31,6 @@ import (
 type foldReducer struct {
 	table  monoid.FoldTable
 	reexec mapReexec
-	keys   [][]byte // an EagerSH record's other keys, reused across decodes
 	limit  int
 	runs   runSet
 	min    []byte // the key being finalized
@@ -83,23 +81,31 @@ func (r *foldReducer) Reduce(key []byte, values mr.ValueIter, out mr.Emitter) er
 	return nil
 }
 
-// absorb folds one encoded record of key's group into the table.
+// absorb folds one encoded record of key's group into the table. An
+// EagerSH value goes into key's state and then into each other key's,
+// in the order Shared would hand it to the reducer; its keys are read
+// where they lie in the record.
 func (r *foldReducer) absorb(key, raw []byte) error {
-	if len(raw) > 0 && raw[0] == EncPlain {
+	switch {
+	case len(raw) > 0 && raw[0] == EncPlain:
 		return r.table.Absorb(key, raw[1:])
+	case len(raw) > 0 && raw[0] == EncEager:
+		others, _, value, err := splitEager(raw[1:])
+		if err != nil {
+			return err
+		}
+		err = r.table.Absorb(key, value)
+		for err == nil && len(others) > 0 {
+			key, others = nextKey(others)
+			err = r.table.Absorb(key, value)
+		}
+		return err
 	}
-	dec, err := decodeValue(raw, r.keys)
+	dec, err := decodeValue(raw, nil) // LazySH, or not an encoding
 	if err != nil {
 		return err
 	}
-	switch dec.Enc {
-	case EncEager:
-		r.keys = dec.OtherKeys
-		return r.table.AbsorbShared(key, dec.OtherKeys, dec.Value)
-	case EncLazy:
-		return r.reexec.run(dec.InputKey, dec.InputValue)
-	}
-	return fmt.Errorf("%w: flag %d", ErrBadEncoding, dec.Enc)
+	return r.reexec.run(dec.InputKey, dec.InputValue)
 }
 
 // How far finalize goes: the states whose keys compare to its key below

@@ -90,6 +90,33 @@ func TestWrapPicksFoldPath(t *testing.T) {
 			}
 		})
 	}
+	// A combiner instance combines one spill run, so its fold is unbounded:
+	// under a 32-byte SharedMemLimitBytes it writes no run and counts no
+	// Shared spill, where the fold reducer under the same limit spills.
+	for _, role := range []string{"combiner", "reducer"} {
+		t.Run(role+" under a 32-byte limit", func(t *testing.T) {
+			fs := iokit.NewMemFS()
+			var cleanups int
+			job, info := foldTask(&cleanups, fs, 32)
+			r := job.NewCombiner()
+			if role == "reducer" {
+				r = job.NewReducer()
+			}
+			if err := r.Setup(info, discardEmitter{}); err != nil {
+				t.Fatal(err)
+			}
+			if err := r.Reduce([]byte("a0"), &sliceIter{vals: [][]byte{lazyWords("b", 200)}}, discardEmitter{}); err != nil {
+				t.Fatal(err)
+			}
+			files, spills := len(listFiles(t, fs)), info.Counters.Extra(CounterSharedSpills)
+			if err := r.Cleanup(discardEmitter{}); err != nil {
+				t.Fatal(err)
+			}
+			if spilled := files > 0 || spills > 0; spilled != (role == "reducer") {
+				t.Fatalf("the fold %s left %d run files and %d Shared spills", role, files, spills)
+			}
+		})
+	}
 	// Flag C off: no map-side combiner at all.
 	if w := Wrap(wordcount.NewJob(4), Options{}); w.NewCombiner != nil {
 		t.Error("Wrap kept a map-side combiner without MapCombiner")

@@ -312,15 +312,16 @@ func (m wordsMapper) Map(_, line []byte, out mr.Emitter) error {
 func (m wordsMapper) Cleanup(mr.Emitter) error { *m.cleanups++; return nil }
 
 // foldTask wraps a job whose combiner and reducer both fold wordcount's
-// Sum over wordsMapper, and returns the task info its fold combiner and
-// reducer run under: one partition on fs.
-func foldTask(cleanups *int, fs iokit.FS) (*mr.Job, *mr.TaskInfo) {
+// Sum over wordsMapper under a SharedMemLimitBytes of limit, and returns
+// the task info its fold combiner and reducer run under: one partition
+// on fs.
+func foldTask(cleanups *int, fs iokit.FS, limit int) (*mr.Job, *mr.TaskInfo) {
 	job := Wrap(&mr.Job{
 		NewMapper:     func() mr.Mapper { return wordsMapper{cleanups} },
 		NewReducer:    monoid.Reducer(wordcount.Sum{}, nil),
 		NewCombiner:   monoid.Combiner(wordcount.Sum{}),
 		Deterministic: true,
-	}, Options{Strategy: Adaptive, MapCombiner: true, SharedMemLimitBytes: 256})
+	}, Options{Strategy: Adaptive, MapCombiner: true, SharedMemLimitBytes: limit})
 	return job, &mr.TaskInfo{
 		NumPartitions: 1, Partitioner: mr.HashPartitioner{},
 		KeyCompare: bytesx.Bytes, GroupCompare: bytesx.Bytes,
@@ -366,7 +367,7 @@ func TestFoldReducerSpillErrorCleanup(t *testing.T) {
 	flaky := &iokit.FlakyFS{Inner: mem}
 	track := &iokit.TrackFS{Inner: flaky}
 	var cleanups int
-	job, info := foldTask(&cleanups, track)
+	job, info := foldTask(&cleanups, track, 256)
 	r := job.NewReducer()
 	if _, ok := r.(*foldReducer); !ok {
 		t.Fatalf("setup: reducer is %T, want the fold path", r)
@@ -395,7 +396,7 @@ func TestFoldReexecErrorCleanup(t *testing.T) {
 			mem := iokit.NewMemFS()
 			track := &iokit.TrackFS{Inner: mem}
 			var cleanups int
-			job, info := foldTask(&cleanups, track)
+			job, info := foldTask(&cleanups, track, 256)
 			r := job.NewCombiner()
 			if role == "reducer" {
 				r = job.NewReducer()

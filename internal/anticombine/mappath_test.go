@@ -13,8 +13,10 @@ import (
 
 	"repro/internal/bytesx"
 	"repro/internal/iokit"
+	"repro/internal/monoid"
 	"repro/internal/mr"
 	"repro/internal/workloads/extremes"
+	"repro/internal/workloads/wordcount"
 )
 
 // The harness below drives one antiMapper the way a map task does —
@@ -577,6 +579,28 @@ func BenchmarkAntiCombineRun(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := cr.combine(newTestCombiner(sum), info, it, out); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkFoldCombineRun is BenchmarkAntiCombineRun's run through the
+// transformed combiner of a declared monoid, wordcount.Sum: Wrap's fold
+// in the combiner role.
+func BenchmarkFoldCombineRun(b *testing.B) {
+	cr := newCombinerRun(b, 300)
+	info := harnessInfo(bytesx.Bytes, iokit.NewMemFS())
+	job := Wrap(&mr.Job{
+		NewMapper:   func() mr.Mapper { return framedMapper{} },
+		NewReducer:  monoid.Reducer(wordcount.Sum{}, nil),
+		NewCombiner: monoid.Combiner(wordcount.Sum{}),
+	}, Options{Strategy: Adaptive, MapCombiner: true})
+	var out mr.Emitter = discardEmitter{}
+	it := &sliceIter{}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := cr.combine(job.NewCombiner(), info, it, out); err != nil {
 			b.Fatal(err)
 		}
 	}

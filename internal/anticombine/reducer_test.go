@@ -33,7 +33,7 @@ type framedMapper struct{ mr.MapperBase }
 
 func (framedMapper) Map(_, value []byte, out mr.Emitter) error {
 	for len(value) > 0 {
-		k, v, n, err := bytesx.DecodeRecord(value)
+		k, v, n, err := splitFramed(value)
 		if err != nil {
 			return err
 		}
@@ -43,6 +43,17 @@ func (framedMapper) Map(_, value []byte, out mr.Emitter) error {
 		value = value[n:]
 	}
 	return nil
+}
+
+// splitFramed decodes the bytesx.AppendRecord record at the front of
+// buf, returning views of its key and value and its framed length.
+func splitFramed(buf []byte) (key, value []byte, n int, err error) {
+	key, kn, err := bytesx.GetBytes(buf)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	value, vn, err := bytesx.GetBytes(buf[kn:])
+	return key, value, kn + vn, err
 }
 
 // group is one call the original Reduce received.
@@ -410,7 +421,7 @@ func TestAntiCombinerMatchesOriginal(t *testing.T) {
 			case EncLazy:
 				var input []byte
 				for rest := dec.InputValue; len(rest) > 0; {
-					k, v, n, _ := bytesx.DecodeRecord(rest)
+					k, v, n, _ := splitFramed(rest)
 					input = bytesx.AppendRecord(input, k, []byte(strconv.Itoa(len(v))))
 					rest = rest[n:]
 				}

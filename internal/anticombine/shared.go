@@ -26,7 +26,7 @@ const combineBatch = 16
 // file (mirroring the map phase's sort-and-spill), and the runs are
 // merged into one when they exceed the merge threshold; the engine's
 // merge heap (mr.RunMerger) reads them back. Reads are strictly in
-// ascending key order — PeekMinKey / PopMinKeyValues — so spilled runs
+// ascending key order — PopMinKeyValues — so spilled runs
 // are consumed by buffered sequential reads, never random access.
 //
 // Values are stored in fixed 64 KiB blocks, never copied to grow, and
@@ -371,15 +371,6 @@ func (s *Shared) peekMin() ([]byte, bool) {
 		}
 	}
 	return rk, ok
-}
-
-// PeekMinKey returns (a copy of) the smallest key present.
-func (s *Shared) PeekMinKey() ([]byte, bool) {
-	best, ok := s.peekMin()
-	if !ok {
-		return nil, false
-	}
-	return bytesx.Clone(best), true
 }
 
 // PopMinKeyValues removes the smallest key group (all keys equal under

@@ -115,9 +115,9 @@ func (c *sharedRef) peek() {
 	}
 	c.ops++
 	want, wantOK := c.minKey()
-	got, ok := c.s.PeekMinKey()
+	got, ok := c.s.peekMin()
 	if ok != wantOK || (ok && string(got) != want) {
-		c.fatalf("PeekMinKey = %q/%v, want %q/%v", got, ok, want, wantOK)
+		c.fatalf("peekMin = %q/%v, want %q/%v", got, ok, want, wantOK)
 	}
 }
 
@@ -134,7 +134,7 @@ func (c *sharedRef) pop() {
 	if !c.ok("Pop", err) {
 		return
 	}
-	c.s.PeekMinKey()
+	c.s.peekMin()
 	c.s.Empty()
 	if string(k) != want {
 		c.fatalf("popped %q, want %q", k, want)
@@ -179,7 +179,7 @@ func (c *sharedRef) drain() {
 }
 
 // TestSharedRandomizedAgainstReference drives Shared with random
-// interleavings of Add / PeekMinKey / PopMinKeyValues across many
+// interleavings of Add / peekMin / PopMinKeyValues across many
 // memory-limit configurations and value sizes and checks every
 // observation against the reference, ordering keys by Bytes and by raw
 // order (a nil KeyCompare) in turn.
@@ -205,7 +205,7 @@ func TestSharedRandomizedAgainstReference(t *testing.T) {
 }
 
 // FuzzShared runs an op sequence against the reference: each op is two
-// bytes, the first choosing Add / PeekMinKey / PopMinKeyValues and an
+// bytes, the first choosing Add / peekMin / PopMinKeyValues and an
 // Add's value size, the second an Add's key. One byte of the first spill
 // run is flipped at flipAt, if the run is that long; then the sequence
 // must either match the reference or fail with ErrIntegrity. Each input

@@ -31,8 +31,8 @@ func TestSharedOrderedDrain(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if mk, ok := s.PeekMinKey(); !ok || string(mk) != "alpha" {
-		t.Fatalf("PeekMinKey = %q, %v", mk, ok)
+	if mk, ok := s.peekMin(); !ok || string(mk) != "alpha" {
+		t.Fatalf("peekMin = %q, %v", mk, ok)
 	}
 	var got []string
 	for !s.Empty() {
@@ -263,7 +263,7 @@ func TestSharedSpillWithoutFS(t *testing.T) {
 
 func TestSharedPeekEmpty(t *testing.T) {
 	s := newTestShared(1 << 20)
-	if _, ok := s.PeekMinKey(); ok {
+	if _, ok := s.peekMin(); ok {
 		t.Error("peek on empty should report !ok")
 	}
 	if !s.Empty() {

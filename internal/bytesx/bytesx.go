@@ -84,20 +84,6 @@ func RecordLen(key, value []byte) int {
 		UvarintLen(uint64(len(value))) + len(value)
 }
 
-// DecodeRecord decodes a framed record from the front of buf. The
-// returned key and value alias buf.
-func DecodeRecord(buf []byte) (key, value []byte, n int, err error) {
-	key, kn, err := GetBytes(buf)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	value, vn, err := GetBytes(buf[kn:])
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	return key, value, kn + vn, nil
-}
-
 // Clone returns a copy of b in freshly allocated memory. Clone(nil)
 // returns an empty non-nil slice so callers can rely on len semantics.
 func Clone(b []byte) []byte {

@@ -47,9 +47,9 @@ func TestRecordRoundTrip(t *testing.T) {
 		if got := RecordLen(c.k, c.v); got != len(buf) {
 			t.Errorf("RecordLen = %d, encoded %d", got, len(buf))
 		}
-		k, v, n, err := DecodeRecord(buf)
-		if err != nil || n != len(buf) {
-			t.Fatalf("DecodeRecord: n=%d err=%v", n, err)
+		k, v, n := splitRecord(buf)
+		if n != len(buf) {
+			t.Fatalf("splitRecord: n=%d of %d", n, len(buf))
 		}
 		if !bytes.Equal(k, c.k) || !bytes.Equal(v, c.v) {
 			t.Errorf("round trip mismatch: %q/%q != %q/%q", k, v, c.k, c.v)
@@ -60,16 +60,13 @@ func TestRecordRoundTrip(t *testing.T) {
 func TestRecordCorrupt(t *testing.T) {
 	buf := AppendRecord(nil, []byte("key"), []byte("value"))
 	for i := 0; i < len(buf)-1; i++ {
-		if _, _, _, err := DecodeRecord(buf[:i]); err == nil && i > 0 {
-			// Prefixes that happen to decode as a shorter valid record are
-			// acceptable only if they consume exactly i bytes.
-			_, _, n, _ := DecodeRecord(buf[:i])
-			if n != i {
-				t.Errorf("truncated record at %d decoded inconsistently", i)
-			}
+		// Prefixes that happen to decode as a shorter valid record are
+		// acceptable only if they consume exactly i bytes.
+		if _, _, n := splitRecord(buf[:i]); n != 0 && n != i {
+			t.Errorf("truncated record at %d decoded inconsistently", i)
 		}
 	}
-	if _, _, _, err := DecodeRecord([]byte{5, 'a'}); err == nil {
+	if _, _, n := splitRecord([]byte{5, 'a'}); n != 0 {
 		t.Error("short key should fail")
 	}
 }
@@ -77,8 +74,8 @@ func TestRecordCorrupt(t *testing.T) {
 func TestRecordPropertyRoundTrip(t *testing.T) {
 	f := func(k, v []byte) bool {
 		buf := AppendRecord(nil, k, v)
-		gk, gv, n, err := DecodeRecord(buf)
-		return err == nil && n == len(buf) && bytes.Equal(gk, k) && bytes.Equal(gv, v)
+		gk, gv, n := splitRecord(buf)
+		return n == len(buf) && bytes.Equal(gk, k) && bytes.Equal(gv, v)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

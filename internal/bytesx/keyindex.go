@@ -30,15 +30,17 @@ func KeyPrefix(key []byte) uint64 {
 // reused. The first ordered use (Min, PopMin) builds a min-heap that
 // later inserts join; with no comparator it orders raw bytes, on the
 // cached KeyPrefix first. PopMin is the only removal: its key's bytes
-// stay dead in the arena until the index empties, or until dead bytes
-// outweigh live ones and the live keys move to a spare arena. The zero
+// stay dead in the arena until the index empties, or until an insert
+// finds the arena full and dead bytes outweighing live ones, and moves
+// the live keys to a spare arena instead of growing it. A drain — pops
+// with no inserts between them — therefore copies no key. The zero
 // KeyIndex is empty and orders raw bytes.
 type KeyIndex struct {
 	cmp     Compare    // nil: raw bytes
 	keys    []byte     // every held key's bytes, and dead ones
 	spare   []byte     // compaction's target, poisoned since it last held keys
 	ents    []keyEntry // by id
-	free    []int32    // ids not in use, below len(ents)
+	free    int32      // 1 + the first id not in use, 0 = none
 	slots   []int32    // open-addressed index of held ids: id+1, 0 = empty
 	heap    []heapItem // held ids, smallest key first, once ordered
 	ordered bool
@@ -46,8 +48,9 @@ type KeyIndex struct {
 	dead    int // bytes of removed keys still in keys
 }
 
-// keyEntry addresses one key, n bytes at off in keys; off < 0 once the
-// id is free. hash is the low half of the key's maphash.
+// keyEntry addresses one key, n bytes at off in keys. A free id's off
+// is -1 - x.free as it was when the id was freed, which chains the free
+// ids. hash is the low half of the key's maphash.
 type keyEntry struct {
 	hash   uint32
 	off, n int32
@@ -79,8 +82,8 @@ func (x *KeyIndex) Reset() {
 	if x.live > 0 {
 		clear(x.slots)
 	}
-	x.keys, x.ents, x.free, x.heap = x.keys[:0], x.ents[:0], x.free[:0], x.heap[:0]
-	x.live, x.dead, x.ordered = 0, 0, false
+	x.keys, x.ents, x.heap = x.keys[:0], x.ents[:0], x.heap[:0]
+	x.free, x.live, x.dead, x.ordered = 0, 0, 0, false
 }
 
 // Release empties x like Reset for an owner that pools it, and in test
@@ -99,7 +102,7 @@ func (x *KeyIndex) Len() int { return x.live }
 func (x *KeyIndex) Live(id int32) bool { return int(id) < len(x.ents) && x.ents[id].off >= 0 }
 
 // Key returns id's key, a view of the arena valid until the next
-// Insert or PopMin.
+// Insert, or until the key is popped.
 func (x *KeyIndex) Key(id int32) []byte {
 	e := &x.ents[id]
 	end := e.off + e.n
@@ -108,7 +111,8 @@ func (x *KeyIndex) Key(id int32) []byte {
 
 // Insert returns key's id, adding a copy of key when x does not hold
 // it. A new id is at most the number of ids handed out so far, so an
-// owner's slice indexed by id grows by at most one append.
+// owner's slice indexed by id grows by at most one append. key must not
+// be a view of x.
 func (x *KeyIndex) Insert(key []byte) (id int32, added bool, err error) {
 	if 2*x.live >= len(x.slots) {
 		x.rehash(max(64, 2*len(x.slots)))
@@ -121,12 +125,16 @@ func (x *KeyIndex) Insert(key []byte) (id int32, added bool, err error) {
 			return i, false, nil
 		}
 	}
+	if len(x.keys)+len(key) > cap(x.keys) && 2*x.dead > len(x.keys) {
+		x.compact()
+	}
 	if len(x.keys)+len(key) > math.MaxInt32 {
 		return -1, false, ErrKeysTooLarge
 	}
 	e := keyEntry{hash: h, off: int32(len(x.keys)), n: int32(len(key))}
-	if n := len(x.free); n > 0 {
-		id, x.free = x.free[n-1], x.free[:n-1]
+	if x.free != 0 {
+		id = x.free - 1
+		x.free = -1 - x.ents[id].off
 		x.ents[id] = e
 	} else {
 		id = int32(len(x.ents))
@@ -261,8 +269,8 @@ func (x *KeyIndex) heapify() {
 }
 
 // PopMin removes the smallest key, which Min has reported, and frees
-// its id. Views of that key, and of every key when the removal empties
-// or compacts the arena, are invalid after it.
+// its id. Views of that key are invalid after it: test binaries poison
+// its bytes.
 func (x *KeyIndex) PopMin() {
 	id := x.heap[0].id
 	n := len(x.heap) - 1
@@ -272,24 +280,25 @@ func (x *KeyIndex) PopMin() {
 		x.down(0)
 	}
 	x.unindex(id)
+	Poison(x.Key(id))
 	e := &x.ents[id]
 	x.dead += int(e.n)
-	e.off = -1
-	x.free = append(x.free, id)
+	e.off, x.free = -1-x.free, id+1
 	x.live--
 	if x.live == 0 {
 		x.Reset()
-	} else if 2*x.dead > len(x.keys) {
-		x.compact()
 	}
 }
 
-// compact copies the held keys, which the heap lists, into the spare
-// arena, poisons the old one and makes it the spare.
+// compact copies the held keys into the spare arena, poisons the old
+// one and makes it the spare.
 func (x *KeyIndex) compact() {
 	keys := x.spare[:0]
-	for _, it := range x.heap {
-		e := &x.ents[it.id]
+	for i := range x.ents {
+		e := &x.ents[i]
+		if e.off < 0 {
+			continue
+		}
 		k := x.keys[e.off : e.off+e.n]
 		e.off = int32(len(keys))
 		keys = append(keys, k...)
@@ -322,5 +331,5 @@ func (x *KeyIndex) ArenaCap() int { return cap(x.keys) + cap(x.spare) }
 // buffers hold, for an owner deciding whether to pool it.
 func (x *KeyIndex) Footprint() (ids int, bytes uintptr) {
 	return cap(x.ents), uintptr(x.ArenaCap()) + uintptr(cap(x.ents))*unsafe.Sizeof(keyEntry{}) +
-		uintptr(cap(x.free)+len(x.slots))*4 + uintptr(cap(x.heap))*unsafe.Sizeof(heapItem{})
+		uintptr(len(x.slots))*4 + uintptr(cap(x.heap))*unsafe.Sizeof(heapItem{})
 }

@@ -16,16 +16,17 @@ import (
 //
 // An insert reads b>>3 key bytes next, each taken mod 4 so that keys
 // share prefixes; a find takes the held key b>>3 names. After every op
-// the index must hold exactly the reference's keys under their ids, and
-// dead key bytes must not outweigh live ones. A pop that compacts the
-// arena must leave the popped key's view reading poison.
+// the index must hold exactly the reference's keys under their ids. A
+// popped key's view must read poison. An insert that finds the arena
+// full and dead key bytes outweighing live ones must compact it, and a
+// view of a held key across the compaction must read poison.
 func FuzzKeyIndex(f *testing.F) {
 	f.Add([]byte("\x18\x00\x01\x02\x08\x01\x10\x02\x03\x05\x07\x05\x05"), false)
 	// A short key stays while longer ones are popped below it (raw) or
-	// above it (reversed): dead bytes outweigh live ones, and the arena
-	// compacts.
-	f.Add([]byte("\x08\x03\x50\x00\x00\x00\x00\x00\x00\x00\x00\x00\x01\x05\x50\x00\x00\x00\x00\x00\x00\x00\x00\x00\x02\x05\x0c\x07"), false)
-	f.Add([]byte("\x08\x00\x50\x03\x03\x03\x03\x03\x03\x03\x03\x03\x01\x05\x50\x03\x03\x03\x03\x03\x03\x03\x03\x03\x02\x05\x0c\x07"), true)
+	// above it (reversed): dead bytes outweigh live ones, and the next
+	// insert compacts the arena.
+	f.Add([]byte("\x08\x03\x50\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x05\x50\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x05\x07"), false)
+	f.Add([]byte("\x08\x00\x50\x03\x03\x03\x03\x03\x03\x03\x03\x03\x03\x05\x50\x02\x02\x02\x02\x02\x02\x02\x02\x02\x02\x05\x07"), true)
 	f.Add([]byte("\x00\x08\x01\x10\x01\x01\xfb\x00\x08\x02\x05\x06\x05"), true)
 	// Two keys past 8 bytes that tie on the prefix: the raw heap must
 	// order them on the bytes after it.
@@ -54,9 +55,23 @@ func FuzzKeyIndex(f *testing.F) {
 		}
 		insert := func(key []byte) {
 			ids := len(x.ents)
+			full, outweighed := len(x.keys)+len(key) > cap(x.keys), 2*x.dead > len(x.keys)
+			var view []byte
+			for _, id := range ref {
+				view = slices.Clip(x.Key(id))
+				break
+			}
 			id, added, err := x.Insert(key)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if added && full && outweighed {
+				if x.dead != 0 {
+					t.Fatalf("Insert(%q) into a full arena left %d dead bytes outweighing live ones", key, x.dead)
+				}
+				if !bytes.Equal(view, bytes.Repeat([]byte{PoisonByte}, len(view))) {
+					t.Fatalf("a held key's view across a compaction reads %q, want poison", view)
+				}
 			}
 			if want, ok := ref[string(key)]; ok {
 				if added || id != want {
@@ -103,12 +118,10 @@ func FuzzKeyIndex(f *testing.F) {
 				if string(popped) != keys[0] || ref[keys[0]] != id {
 					t.Fatalf("Min = %d (%q), want %d (%q)", id, popped, ref[keys[0]], keys[0])
 				}
-				dead := x.dead
 				x.PopMin()
 				delete(ref, keys[0])
-				if compacted := x.live > 0 && x.dead == 0 && dead+len(popped) > 0; compacted && len(popped) > 0 &&
-					!bytes.Equal(popped, bytes.Repeat([]byte{PoisonByte}, len(popped))) {
-					t.Fatalf("popped key's view across a compaction reads %q, want poison", popped)
+				if !bytes.Equal(popped, bytes.Repeat([]byte{PoisonByte}, len(popped))) {
+					t.Fatalf("popped key's view reads %q, want poison", popped)
 				}
 			case n == 31:
 				x.Reset()
@@ -129,9 +142,6 @@ func FuzzKeyIndex(f *testing.F) {
 				if !x.Live(id) || string(x.Key(id)) != k {
 					t.Fatalf("id %d: Live %v, key %q; want %q", id, x.Live(id), x.Key(id), k)
 				}
-			}
-			if 2*x.dead > len(x.keys) {
-				t.Fatalf("%d dead key bytes outweigh %d live", x.dead, len(x.keys)-x.dead)
 			}
 		}
 	})

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -136,77 +137,96 @@ func TestJournalCrashMatrix(t *testing.T) {
 		t.Fatalf("donor journal suspiciously small (%d bytes)", len(donor))
 	}
 
+	// crashAt restarts from the donor cut at byte cut, submits job seed
+	// refSeed, and reopens; replay names the command that reruns it.
+	crashAt := func(t *testing.T, cut int, refSeed uint64, replay string) {
+		path := filepath.Join(dir, strings.ReplaceAll(t.Name(), "/", "_")+".jsonl")
+		if err := os.WriteFile(path, donor[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		want := journalOracle(donor[:cut])
+
+		srv, err := serve.New(serve.Config{Fleet: slowServeHeartbeats, JournalPath: path})
+		if err != nil {
+			t.Fatalf("cut@%d: New: %v\nreplay: %s", cut, err, replay)
+		}
+		maxID := -1
+		for id, st := range want {
+			if id > maxID {
+				maxID = id
+			}
+			got, err := srv.Get(id)
+			if err != nil {
+				t.Fatalf("cut@%d: job %d lost on replay: %v", cut, id, err)
+			}
+			switch {
+			case journalTerminal(st):
+				if got.State != st {
+					t.Fatalf("cut@%d: job %d state %s, want terminal %s preserved", cut, id, got.State, st)
+				}
+			default:
+				if got.State != serve.StateQueued && got.State != serve.StateRunning {
+					t.Fatalf("cut@%d: job %d state %s, want re-queued", cut, id, got.State)
+				}
+			}
+		}
+		if got := len(srv.List("t")); got != len(want) {
+			t.Fatalf("cut@%d: replay resurrected %d jobs, want %d", cut, got, len(want))
+		}
+
+		// The server keeps accepting work after crash recovery, and
+		// IDs continue past everything the journal mentioned.
+		ref := journalWcRef(t, refSeed)
+		rec, err := srv.Submit(serve.SubmitRequest{
+			Name: ref.Name, Spec: json.RawMessage(ref.Spec), Tenant: "t",
+		})
+		if err != nil {
+			t.Fatalf("cut@%d: submit after recovery: %v", cut, err)
+		}
+		if rec.ID != maxID+1 {
+			t.Fatalf("cut@%d: post-recovery ID %d, want %d", cut, rec.ID, maxID+1)
+		}
+		if err := srv.Close(); err != nil {
+			t.Fatalf("cut@%d: close: %v", cut, err)
+		}
+
+		// The repaired-and-extended journal must replay again.
+		srv2, err := serve.New(serve.Config{Fleet: slowServeHeartbeats, JournalPath: path})
+		if err != nil {
+			t.Fatalf("cut@%d: reopen: %v", cut, err)
+		}
+		for id, st := range want {
+			if !journalTerminal(st) {
+				continue
+			}
+			if got, err := srv2.Get(id); err != nil || got.State != st {
+				t.Fatalf("cut@%d: reopened job %d: %v state %s, want %s", cut, id, err, got.State, st)
+			}
+		}
+		if err := srv2.Close(); err != nil {
+			t.Fatalf("cut@%d: second close: %v", cut, err)
+		}
+	}
+
 	for _, seed := range soakSeeds(201, 12) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			rng := datagen.NewRNG(seed)
-			cut := 1 + rng.Intn(len(donor)-1)
-			path := filepath.Join(dir, fmt.Sprintf("seed%d.jsonl", seed))
-			if err := os.WriteFile(path, donor[:cut], 0o644); err != nil {
-				t.Fatal(err)
-			}
-			want := journalOracle(donor[:cut])
-
-			srv, err := serve.New(serve.Config{Fleet: slowServeHeartbeats, JournalPath: path})
-			if err != nil {
-				t.Fatalf("cut@%d: New: %v\nreplay: go test ./internal/chaos/ -run JournalCrashMatrix -chaos-seed %d", cut, err, seed)
-			}
-			maxID := -1
-			for id, st := range want {
-				if id > maxID {
-					maxID = id
-				}
-				got, err := srv.Get(id)
-				if err != nil {
-					t.Fatalf("cut@%d: job %d lost on replay: %v", cut, id, err)
-				}
-				switch {
-				case journalTerminal(st):
-					if got.State != st {
-						t.Fatalf("cut@%d: job %d state %s, want terminal %s preserved", cut, id, got.State, st)
-					}
-				default:
-					if got.State != serve.StateQueued && got.State != serve.StateRunning {
-						t.Fatalf("cut@%d: job %d state %s, want re-queued", cut, id, got.State)
-					}
-				}
-			}
-			if got := len(srv.List("t")); got != len(want) {
-				t.Fatalf("cut@%d: replay resurrected %d jobs, want %d", cut, got, len(want))
-			}
-
-			// The server keeps accepting work after crash recovery, and
-			// IDs continue past everything the journal mentioned.
-			ref := journalWcRef(t, 90+seed)
-			rec, err := srv.Submit(serve.SubmitRequest{
-				Name: ref.Name, Spec: json.RawMessage(ref.Spec), Tenant: "t",
-			})
-			if err != nil {
-				t.Fatalf("cut@%d: submit after recovery: %v", cut, err)
-			}
-			if rec.ID != maxID+1 {
-				t.Fatalf("cut@%d: post-recovery ID %d, want %d", cut, rec.ID, maxID+1)
-			}
-			if err := srv.Close(); err != nil {
-				t.Fatalf("cut@%d: close: %v", cut, err)
-			}
-
-			// The repaired-and-extended journal must replay again.
-			srv2, err := serve.New(serve.Config{Fleet: slowServeHeartbeats, JournalPath: path})
-			if err != nil {
-				t.Fatalf("cut@%d: reopen: %v", cut, err)
-			}
-			for id, st := range want {
-				if !journalTerminal(st) {
-					continue
-				}
-				if got, err := srv2.Get(id); err != nil || got.State != st {
-					t.Fatalf("cut@%d: reopened job %d: %v state %s, want %s", cut, id, err, got.State, st)
-				}
-			}
-			if err := srv2.Close(); err != nil {
-				t.Fatalf("cut@%d: second close: %v", cut, err)
-			}
+			crashAt(t, 1+rng.Intn(len(donor)-1), 90+seed,
+				fmt.Sprintf("go test ./internal/chaos/ -run JournalCrashMatrix -chaos-seed %d", seed))
+		})
+	}
+	// A cut on a line's last byte before its newline leaves a whole entry
+	// the next append must not land beside.
+	line := 0
+	for cut, b := range donor {
+		if b != '\n' {
+			continue
+		}
+		line++
+		name := fmt.Sprintf("line%d_unterminated", line)
+		t.Run(name, func(t *testing.T) {
+			crashAt(t, cut, 150+uint64(line), "go test ./internal/chaos/ -run 'JournalCrashMatrix/"+name+"$'")
 		})
 	}
 }

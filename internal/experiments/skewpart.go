@@ -129,7 +129,7 @@ func runSkewProfile(cfg Config, name string, scfg skewagg.Config) (*SkewPartitio
 	if err != nil {
 		return nil, err
 	}
-	dec, err := partition.Decide(sk, cfg.Reducers, nil, partition.DecideOptions{LazyAllowed: true})
+	dec, err := partition.Decide(sk, cfg.Reducers, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -10,16 +10,16 @@ import (
 )
 
 // FoldTable is a key→state table over one monoid, seen without its
-// state type. Keys are compared as raw bytes. The transformed map-side
-// combiner fills one and Emits it whole; a reduce
-// task folds into one group by group and finalizes its states one key at
-// a time, smallest first, through the reducer's final (else Emit): that
-// is how it drains what earlier key groups contributed to later keys.
+// state type. Keys are compared as raw bytes. The transformed combiner
+// and reducer fold into one group by group and finalize its states one
+// key at a time, smallest first, through the function's final (else
+// Emit): that is how they drain what earlier key groups contributed to
+// later keys. Emit writes every state at once, for a spill.
 //
 // Begin keeps the incoming group's own state outside the table when the
 // table does not hold its key: a group of plain values costs no hash
-// probe and no entry. Absorb, AbsorbShared and Emit work on that local
-// state as on any other; it counts as the table's smallest key.
+// probe and no entry. Absorb and Emit work on that local state as on any
+// other; it counts as the table's smallest key.
 //
 // The table charges what a Shared staging the same values would: every
 // key's bytes once while it holds a state, plus every absorbed value
@@ -29,10 +29,6 @@ import (
 type FoldTable interface {
 	// Absorb folds value into key's state.
 	Absorb(key, value []byte) error
-	// AbsorbShared absorbs value into the state of key and then of each
-	// key of others — one EagerSH record, in the order a Shared would
-	// hand it to the reducer.
-	AbsorbShared(key []byte, others [][]byte, value []byte) error
 	// Emit hands every state to the monoid's Emit, in ascending raw key
 	// order, and empties the table. The keys out sees are views valid
 	// only for the Emit call. The local key stays the current group's,
@@ -123,19 +119,6 @@ func (t *foldTable[S]) Absorb(key, value []byte) error {
 	*charge, *dirty = *charge+len(value), true
 	t.total += len(value)
 	return err
-}
-
-// AbsorbShared implements FoldTable.
-func (t *foldTable[S]) AbsorbShared(key []byte, others [][]byte, value []byte) error {
-	if err := t.Absorb(key, value); err != nil {
-		return err
-	}
-	for _, k := range others {
-		if err := t.Absorb(k, value); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Begin implements FoldTable.

@@ -27,13 +27,14 @@ import (
 // An op is one byte b. Its low three bits pick the operation, and b>>3
 // in decimal is the value absorbed:
 //
-//	0-2 Absorb          3 AbsorbShared    4 Begin
+//	0-2 Absorb          3 Absorb shared   4 Begin
 //	5   FinalizeMin     6 Measure         7 Emit (a spill)
 //
-// Absorb, AbsorbShared and Begin read a key-length byte and up to that
-// many key bytes next. AbsorbShared's other keys are the key's first
-// half, the key with a zero byte appended, and b>>3 keys that extend it
-// by one byte each. Begin first finalizes every key below its key, as
+// Absorb, Absorb shared and Begin read a key-length byte and up to that
+// many key bytes next. Absorb shared absorbs the value into the key and
+// then into other keys, as the fold does one EagerSH record: the key's
+// first half, the key with a zero byte appended, and b>>3 keys that
+// extend it by one byte each. Begin first finalizes every key below its key, as
 // the fold reducer does; a key below the current group's is appended to
 // it, so that groups ascend and nothing is absorbed below the group.
 // Charge is checked after every op.
@@ -43,7 +44,8 @@ func FuzzFoldTable(f *testing.F) {
 	f.Add([]byte("\xc3\x02\x00\x00\xc3\x00\xc3\x01\x01"), uint8(1))
 	f.Add([]byte("\x08\x01b\x0c\x01a\x18\x01a\x1b\x02aa\x06\x05\x0c\x02ab\x10\x01c\x07\x10\x01d\x0c\x01c\x05\x05"), uint8(1))
 	// Finalizes long keys one at a time below a short key that stays:
-	// dead key bytes outweigh live ones, and the table compacts.
+	// dead key bytes outweigh live ones, and a later insert compacts the
+	// table's keys.
 	f.Add([]byte("\x08\x01~\x08\x0aaaaaaaaaa1\x05\x08\x0aaaaaaaaaa2\x05\x08\x0aaaaaaaaaa3\x05\x0c\x01b\x08\x01c\x05\x06"), uint8(3))
 	newCombiner := monoid.Combiner(wordcount.Sum{})
 	newReducer := monoid.Reducer(wordcount.Sum{}, finalTotal)
@@ -119,11 +121,10 @@ func (m *tableModel) apply(data []byte) {
 			for i := 0; i < int(v); i++ {
 				others = append(others, append(bytes.Clone(key), byte(i)))
 			}
-			if err := m.table.AbsorbShared(key, others, value); err != nil {
-				m.t.Fatal(err)
-			}
-			m.absorb(key, v, len(value))
-			for _, k := range others {
+			for _, k := range append([][]byte{key}, others...) {
+				if err := m.table.Absorb(k, value); err != nil {
+					m.t.Fatal(err)
+				}
 				m.absorb(k, v, len(value))
 			}
 		case 4:

@@ -101,27 +101,3 @@ func WriteRecordFile(fs iokit.FS, name string, recs []Record) error {
 	_, _, err = w.Close(err)
 	return err
 }
-
-// WriteLines writes newline-separated text readable by LineSplit.
-func WriteLines(fs iokit.FS, name string, lines []string) error {
-	f, err := fs.Create(name)
-	if err != nil {
-		return err
-	}
-	w := bufio.NewWriter(f)
-	for _, l := range lines {
-		if _, err := w.WriteString(l); err != nil {
-			f.Close()
-			return err
-		}
-		if err := w.WriteByte('\n'); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}

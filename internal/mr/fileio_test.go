@@ -13,7 +13,7 @@ import (
 func TestLineSplitRoundTrip(t *testing.T) {
 	fs := iokit.NewMemFS()
 	lines := []string{"first line", "second line", "", "fourth"}
-	if err := WriteLines(fs, "input.txt", lines); err != nil {
+	if err := writeLines(fs, "input.txt", lines); err != nil {
 		t.Fatal(err)
 	}
 	var got []string
@@ -75,7 +75,7 @@ func TestRecordFileRoundTrip(t *testing.T) {
 func TestJobFromFilesAndWriteOutput(t *testing.T) {
 	fs := iokit.NewMemFS()
 	for i := 0; i < 3; i++ {
-		err := WriteLines(fs, fmt.Sprintf("in/%d.txt", i),
+		err := writeLines(fs, fmt.Sprintf("in/%d.txt", i),
 			[]string{strings.Repeat("file words count ", 50)})
 		if err != nil {
 			t.Fatal(err)
@@ -160,4 +160,20 @@ func TestRecordFileAllocations(t *testing.T) {
 	if n := allocatedBytes(roundTrip); n > 96<<10 {
 		t.Errorf("record file round trip of %d records allocated %d bytes, want at most 96 KiB", len(recs), n)
 	}
+}
+
+// writeLines writes lines, each ending in a newline, to a new file name
+// on fs: input for LineSplit.
+func writeLines(fs iokit.FS, name string, lines []string) error {
+	f, err := fs.Create(name)
+	if err != nil {
+		return err
+	}
+	for _, l := range lines {
+		if _, err := f.Write([]byte(l + "\n")); err != nil {
+			f.Close()
+			return err
+		}
+	}
+	return f.Close()
 }

@@ -37,17 +37,6 @@ func (s Strategy) String() string {
 // ratio; the cheapest strategy predicted under it wins.
 const skewThreshold = 1.25
 
-// DecideOptions tunes Decide.
-type DecideOptions struct {
-	// LazyAllowed reports whether the anti-combining layer may pick
-	// LazySH for this job (its strategy permits lazy and the job is
-	// deterministic). Decide uses it for the §6.2 interaction flag:
-	// LazySH re-executes Map on the reducer, so residual partition
-	// skew amplifies into reduce-CPU skew and the decision should fall
-	// back to EagerSH.
-	LazyAllowed bool
-}
-
 // Decision is Decide's output: the chosen strategy plus the per-
 // strategy predictions that justify it.
 type Decision struct {
@@ -56,10 +45,11 @@ type Decision struct {
 	// partition byte ratio from the sketch.
 	Predicted map[Strategy]float64
 	// LazyCaution is set when even the chosen strategy leaves
-	// predicted skew above the threshold while LazySH is on the table:
-	// the anti-combining decision should prefer EagerSH (Adaptive-0)
-	// for this job, because LazySH would re-execute the hot
-	// partition's Map calls on its one overloaded reducer (§6.2).
+	// predicted skew above the threshold: the anti-combining decision
+	// should prefer EagerSH (Adaptive-0) for this job, because LazySH
+	// would re-execute the hot partition's Map calls on its one
+	// overloaded reducer, amplifying partition skew into reduce-CPU
+	// skew (§6.2).
 	LazyCaution bool
 	// Reason is a one-line human-readable justification.
 	Reason string
@@ -69,7 +59,7 @@ type Decision struct {
 // and picks the cheapest one under the skew threshold: hash (no plan,
 // no salting) when the keys already spread, range when contiguous
 // ranges can balance, split when a heavy hitter must be fanned out.
-func Decide(sk *Sketch, reducers int, cmp bytesx.Compare, opts DecideOptions) (Decision, error) {
+func Decide(sk *Sketch, reducers int, cmp bytesx.Compare) (Decision, error) {
 	if sk == nil || sk.Len() == 0 {
 		return Decision{}, fmt.Errorf("partition: decide on an empty sketch")
 	}
@@ -110,7 +100,7 @@ func Decide(sk *Sketch, reducers int, cmp bytesx.Compare, opts DecideOptions) (D
 		d.Reason = fmt.Sprintf("heavy hitter exceeds a reducer: splitting %d key(s) predicts %.2fx (range %.2fx)",
 			len(sp.hot), pred[StrategySplit], pred[StrategyRange])
 	}
-	if pred[d.Strategy] > skewThreshold && opts.LazyAllowed {
+	if pred[d.Strategy] > skewThreshold {
 		d.LazyCaution = true
 		d.Reason += "; residual skew with LazySH available — prefer EagerSH (§6.2)"
 	}

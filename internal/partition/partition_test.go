@@ -14,7 +14,7 @@ import (
 )
 
 func TestSketchExactUnderCapacity(t *testing.T) {
-	sk := partition.NewSketch(16)
+	sk := partition.NewSketch()
 	sk.Add([]byte("a"), 10, 1)
 	sk.Add([]byte("b"), 20, 2)
 	sk.Add([]byte("a"), 5, 1)
@@ -37,48 +37,27 @@ func TestSketchExactUnderCapacity(t *testing.T) {
 }
 
 func TestSketchEvictionConservesTotal(t *testing.T) {
-	sk := partition.NewSketch(2)
+	sk := partition.NewSketch()
 	sk.Add([]byte("a"), 100, 1)
-	sk.Add([]byte("b"), 1, 1)
-	sk.Add([]byte("c"), 50, 1) // evicts b, inherits its weight
-	if got := sk.TotalBytes(); got != 151 {
-		t.Fatalf("TotalBytes = %d, want 151 (evictions conserve the sum)", got)
+	for i := 0; i < partition.SketchCapacity-1; i++ {
+		sk.Add([]byte(fmt.Sprintf("b%04d", i)), 1, 1)
 	}
-	if sk.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", sk.Len())
+	sk.Add([]byte("c"), 50, 1) // evicts b0000, the lightest, inheriting its weight
+	if got, want := sk.TotalBytes(), int64(100+partition.SketchCapacity-1+50); got != want {
+		t.Fatalf("TotalBytes = %d, want %d (evictions conserve the sum)", got, want)
 	}
-	hh := sk.HeavyHitters(0)
-	if string(hh[0].Key) != "a" || hh[0].Bytes != 100 {
-		t.Fatalf("heaviest = %+v, want a/100", hh[0])
+	if sk.Len() != partition.SketchCapacity {
+		t.Fatalf("Len = %d, want %d", sk.Len(), partition.SketchCapacity)
 	}
-	if string(hh[1].Key) != "c" || hh[1].Bytes != 51 || hh[1].ErrBytes != 1 {
-		t.Fatalf("c = %+v, want bytes 51 (inherited) err 1", hh[1])
+	keys := sk.Keys(nil)
+	if string(keys[0].Key) != "a" || keys[0].Bytes != 100 {
+		t.Fatalf("first = %+v, want a/100", keys[0])
 	}
-}
-
-func TestSketchMergeDeterministic(t *testing.T) {
-	build := func(order []int) *partition.Sketch {
-		parts := make([]*partition.Sketch, 3)
-		for i := range parts {
-			parts[i] = partition.NewSketch(4)
-			for j := 0; j < 6; j++ {
-				parts[i].Add([]byte(fmt.Sprintf("k%d-%d", i, j)), int64(10*(i+1)+j), 1)
-			}
-		}
-		out := partition.NewSketch(4)
-		for _, i := range order {
-			out.Merge(parts[i])
-		}
-		return out
+	if string(keys[1].Key) != "b0001" {
+		t.Fatalf("second = %q, want b0000 evicted", keys[1].Key)
 	}
-	a := build([]int{0, 1, 2})
-	b := build([]int{2, 0, 1})
-	if a.TotalBytes() != b.TotalBytes() {
-		t.Fatalf("merge order changed totals: %d vs %d", a.TotalBytes(), b.TotalBytes())
-	}
-	ka, kb := a.Keys(nil), b.Keys(nil)
-	if len(ka) != len(kb) {
-		t.Fatalf("merge order changed key count: %d vs %d", len(ka), len(kb))
+	if c := keys[len(keys)-1]; string(c.Key) != "c" || c.Bytes != 51 || c.ErrBytes != 1 {
+		t.Fatalf("c = %+v, want bytes 51 (inherited) err 1", c)
 	}
 }
 
@@ -108,7 +87,7 @@ func TestPackLPT(t *testing.T) {
 }
 
 func TestRangePartitionerRouting(t *testing.T) {
-	sk := partition.NewSketch(0)
+	sk := partition.NewSketch()
 	for i := 0; i < 100; i++ {
 		sk.Add([]byte(fmt.Sprintf("key%03d", i)), 10, 1)
 	}
@@ -139,11 +118,11 @@ func TestRangePartitionerRouting(t *testing.T) {
 
 func TestDecideStrategies(t *testing.T) {
 	// Uniform: many same-weight keys spread fine under hash.
-	uniform := partition.NewSketch(0)
+	uniform := partition.NewSketch()
 	for i := 0; i < 1000; i++ {
 		uniform.Add([]byte(fmt.Sprintf("key%04d", i)), 100, 1)
 	}
-	d, err := partition.Decide(uniform, 4, nil, partition.DecideOptions{})
+	d, err := partition.Decide(uniform, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,12 +131,12 @@ func TestDecideStrategies(t *testing.T) {
 	}
 
 	// One key dominating past a whole reducer: must split.
-	giant := partition.NewSketch(0)
+	giant := partition.NewSketch()
 	giant.Add([]byte("hot"), 10000, 100)
 	for i := 0; i < 50; i++ {
 		giant.Add([]byte(fmt.Sprintf("cold%02d", i)), 100, 1)
 	}
-	d, err = partition.Decide(giant, 4, nil, partition.DecideOptions{LazyAllowed: true})
+	d, err = partition.Decide(giant, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +150,7 @@ func TestDecideStrategies(t *testing.T) {
 
 	// Few heavy-but-splittable-free keys that collide under hash but
 	// pack fine as ranges: range should win.
-	skewed := partition.NewSketch(0)
+	skewed := partition.NewSketch()
 	for i := 0; i < 16; i++ {
 		w := int64(100)
 		if i < 2 {
@@ -179,7 +158,7 @@ func TestDecideStrategies(t *testing.T) {
 		}
 		skewed.Add([]byte(fmt.Sprintf("key%02d", i)), w, 1)
 	}
-	d, err = partition.Decide(skewed, 8, nil, partition.DecideOptions{})
+	d, err = partition.Decide(skewed, 8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +317,7 @@ func TestSplitBalancesHeavyHitter(t *testing.T) {
 }
 
 func TestSplitJobRejectsBadJobs(t *testing.T) {
-	sk := partition.NewSketch(0)
+	sk := partition.NewSketch()
 	sk.Add([]byte("hot"), 1000, 10)
 	sk.Add([]byte("cold"), 10, 1)
 	plan, err := partition.BuildSplit(sk, 2, nil)

@@ -20,7 +20,7 @@ func Sample(job *mr.Job, splits []mr.Split) (*Sketch, error) {
 	if job == nil || job.NewMapper == nil {
 		return nil, fmt.Errorf("partition: sample needs a job with a mapper")
 	}
-	sk := NewSketch(DefaultSketchCapacity)
+	sk := NewSketch()
 	cmp := job.KeyCompare
 	if cmp == nil {
 		cmp = bytesx.Bytes

@@ -45,9 +45,8 @@ type KeyWeight struct {
 // map-output keys, weighted by framed record bytes. The counter sum is
 // exactly TotalBytes (evictions preserve it), so per-bin load
 // predictions from the sketch conserve total mass even past capacity.
-// Not safe for concurrent use; build per-split sketches and Merge.
+// Not safe for concurrent use.
 type Sketch struct {
-	capacity     int
 	items        map[string]*sketchItem
 	totalBytes   int64
 	totalRecords int64
@@ -57,46 +56,27 @@ type sketchItem struct {
 	bytes, records, errBytes int64
 }
 
-// DefaultSketchCapacity bounds tracked keys when NewSketch is given no
-// capacity. 4096 distinct counters cover every workload in this
-// repository exactly; heavier key spaces degrade gracefully into
-// Space-Saving estimates.
-const DefaultSketchCapacity = 4096
+// SketchCapacity bounds a sketch's tracked keys. 4096 distinct
+// counters cover every workload in this repository exactly; heavier key
+// spaces degrade gracefully into Space-Saving estimates.
+const SketchCapacity = 4096
 
-// NewSketch returns an empty sketch tracking at most capacity keys
-// (<= 0 means DefaultSketchCapacity).
-func NewSketch(capacity int) *Sketch {
-	if capacity <= 0 {
-		capacity = DefaultSketchCapacity
-	}
-	return &Sketch{capacity: capacity, items: make(map[string]*sketchItem)}
+// NewSketch returns an empty sketch.
+func NewSketch() *Sketch {
+	return &Sketch{items: make(map[string]*sketchItem)}
 }
 
 // Add charges one sampled record's bytes to key.
 func (s *Sketch) Add(key []byte, bytes, records int64) {
+	s.totalBytes += bytes
+	s.totalRecords += records
 	if it, ok := s.items[string(key)]; ok {
 		it.bytes += bytes
 		it.records += records
-		s.totalBytes += bytes
-		s.totalRecords += records
 		return
 	}
-	s.insert(string(key), bytes, records, 0)
-}
-
-func (s *Sketch) insert(key string, bytes, records, errBytes int64) {
-	s.totalBytes += bytes
-	s.totalRecords += records
-	if it, ok := s.items[key]; ok {
-		it.bytes += bytes
-		it.records += records
-		if errBytes > it.errBytes {
-			it.errBytes = errBytes
-		}
-		return
-	}
-	if len(s.items) < s.capacity {
-		s.items[key] = &sketchItem{bytes: bytes, records: records, errBytes: errBytes}
+	if len(s.items) < SketchCapacity {
+		s.items[string(key)] = &sketchItem{bytes: bytes, records: records}
 		return
 	}
 	// Space-Saving eviction: the new key takes over the lightest
@@ -112,25 +92,10 @@ func (s *Sketch) insert(key string, bytes, records, errBytes int64) {
 		}
 	}
 	delete(s.items, minKey)
-	s.items[key] = &sketchItem{
+	s.items[string(key)] = &sketchItem{
 		bytes:    min.bytes + bytes,
 		records:  min.records + records,
-		errBytes: maxInt64(min.bytes, errBytes),
-	}
-}
-
-// Merge folds another sketch into s (deterministically: o's keys are
-// folded in byte order, so parallel per-split sketches merge to the
-// same result regardless of completion order).
-func (s *Sketch) Merge(o *Sketch) {
-	keys := make([]string, 0, len(o.items))
-	for k := range o.items {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		it := o.items[k]
-		s.insert(k, it.bytes, it.records, it.errBytes)
+		errBytes: min.bytes,
 	}
 }
 
@@ -154,29 +119,4 @@ func (s *Sketch) Keys(cmp bytesx.Compare) []KeyWeight {
 	}
 	sort.Slice(out, func(i, j int) bool { return cmp(out[i].Key, out[j].Key) < 0 })
 	return out
-}
-
-// HeavyHitters returns the keys whose sampled bytes reach minBytes,
-// heaviest first (ties in byte order).
-func (s *Sketch) HeavyHitters(minBytes int64) []KeyWeight {
-	var out []KeyWeight
-	for k, it := range s.items {
-		if it.bytes >= minBytes {
-			out = append(out, KeyWeight{Key: []byte(k), Bytes: it.bytes, Records: it.records, ErrBytes: it.errBytes})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Bytes != out[j].Bytes {
-			return out[i].Bytes > out[j].Bytes
-		}
-		return string(out[i].Key) < string(out[j].Key)
-	})
-	return out
-}
-
-func maxInt64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -60,7 +60,9 @@ func isTerminal(state string) bool {
 // mode, so the torn bytes must not remain to corrupt the next entry —
 // and replay succeeds on the valid prefix. An unparsable line with
 // valid entries after it is not a torn append but real corruption, and
-// replay fails with the line number.
+// replay fails with the line number. A crash can also cut a line just
+// before its newline: the entry is whole, so replay keeps it and
+// completes the line, or the next append would land on the same line.
 func (s *Server) replayJournal() error {
 	f, err := os.Open(s.cfg.JournalPath)
 	if err != nil {
@@ -138,6 +140,32 @@ func (s *Server) replayJournal() error {
 		if err := os.Truncate(s.cfg.JournalPath, validEnd); err != nil {
 			return fmt.Errorf("serve: repairing torn journal %s: %w", s.cfg.JournalPath, err)
 		}
+		return nil
+	}
+	// validEnd counts a newline after every line, so it passes the end
+	// of the file exactly when the last line lacks one.
+	if st, err := f.Stat(); err != nil || validEnd <= st.Size() {
+		return err
+	}
+	if err := completeLine(s.cfg.JournalPath); err != nil {
+		return fmt.Errorf("serve: repairing journal %s: %w", s.cfg.JournalPath, err)
 	}
 	return nil
+}
+
+// completeLine appends the newline a journal's last line lacks, and
+// syncs it before any later entry is appended after it.
+func completeLine(path string) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write([]byte{'\n'})
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

@@ -87,8 +87,10 @@ type Config struct {
 	// just-submitted job or re-queues a job caught mid-run, both safe
 	// (builders are deterministic, results are never persisted). The
 	// same crash can tear the final line mid-append; replay tolerates
-	// exactly that — a torn *last* line is logged and truncated away,
-	// while corruption earlier in the file still fails startup.
+	// exactly that — a torn *last* line is logged and truncated away, a
+	// whole last entry cut before its newline is kept and its line
+	// completed, while corruption earlier in the file still fails
+	// startup.
 	JournalPath string
 	// Registry receives the server's and fleet's metric sources (one is
 	// created if nil); /metrics serves its snapshot.

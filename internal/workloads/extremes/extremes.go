@@ -29,9 +29,6 @@ func Key(date, lat int32) []byte {
 // KeyDate extracts the date from a composite key.
 func KeyDate(key []byte) int32 { return int32(binary.BigEndian.Uint32(key[:4])) }
 
-// KeyLat extracts the latitude from a composite key.
-func KeyLat(key []byte) int32 { return int32(binary.BigEndian.Uint32(key[4:])) - 900 }
-
 // GroupByDate compares composite keys by their date component only.
 func GroupByDate(a, b []byte) int { return bytesx.Bytes(a[:4], b[:4]) }
 
